@@ -7,7 +7,9 @@ Subcommands:
   compare <dirA> <dirB>  paired deltas between two finished runs
 
 Exit codes: 0 pass, 1 certified-run invariant failure, 2 configuration
-error, 3 numerical failure (blow-up or non-finite integration).
+error (including a number that is not finite or not a number), 3 numerical
+failure (blow-up, non-finite integration, or a ValueError such as a
+singular inertia matrix raised while simulating).
 """
 
 from __future__ import annotations
@@ -107,7 +109,11 @@ def run_scenario(cfg: dict, outdir: str) -> int:
     with open(os.path.join(outdir, "validation.txt"), "w") as fh:
         fh.write("\n".join(val_lines) + "\n")
 
-    log = scenario.run()
+    try:
+        log = scenario.run()
+    except ValueError as exc:  # np.linalg.LinAlgError is a ValueError too
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     log.to_csv(os.path.join(outdir, "trajectory.csv"))
     summary = scenario.metrics(log)
     summary["scenario"] = scenario.name

@@ -28,7 +28,9 @@ class ELSystem:
     """Inertia/Coriolis/gravity callbacks of a mechanical plant.
 
     mass maps q -> (n, n) SPD; coriolis maps (q, qdot) -> (n, n) such that
-    Mdot - 2C is skew-symmetric; gravity maps q -> (n,).
+    Mdot - 2C is skew-symmetric; gravity maps q -> (n,).  Only n = 2 is
+    supported: the plant embedding inverts the inertia in closed form and
+    the energy terms are written out for two joints.
     """
 
     dof: int
@@ -36,9 +38,13 @@ class ELSystem:
     coriolis: Callable[[np.ndarray, np.ndarray], np.ndarray]
     gravity: Callable[[np.ndarray], np.ndarray]
 
+    def __post_init__(self):
+        if self.dof != 2:
+            raise ParameterError(f"only 2-DOF plants are supported, got dof = {self.dof}")
+
     def split(self, x) -> tuple[np.ndarray, np.ndarray]:
-        x = as_vector(x, 2 * self.dof, "x")
-        return x[:self.dof], x[self.dof:]
+        x = as_vector(x, 4, "x")
+        return x[:2], x[2:]
 
 
 @dataclass(frozen=True)
@@ -53,25 +59,29 @@ class TwoLinkArm:
     def system(self) -> ELSystem:
         m1, m2, l, g = self.m1, self.m2, self.l, self.g_accel
 
+        # configuration-independent parts, in the evaluation order of the
+        # textbook expressions
+        a11_0 = m1 * l * l / 3.0 + 4.0 * m2 * l * l / 3.0
+        a12_0 = m2 * l * l / 3.0
+        ml2, ml2_2 = m2 * l * l, m2 * l * l / 2.0
+        w1, w2, w12 = m1 * g * l / 2.0, m2 * g * l, m2 * g * l / 2.0
+
         def mass(q):
             c2 = math.cos(q[1])
-            a11 = m1 * l * l / 3.0 + 4.0 * m2 * l * l / 3.0 + m2 * l * l * c2
-            a12 = m2 * l * l / 3.0 + m2 * l * l / 2.0 * c2
-            a22 = m2 * l * l / 3.0
-            return np.array([[a11, a12], [a12, a22]])
+            a12 = a12_0 + ml2_2 * c2
+            return np.array([[a11_0 + ml2 * c2, a12], [a12, a12_0]])
 
         def coriolis(q, qd):
             s2 = math.sin(q[1])
-            k = m2 * l * l / 2.0
-            return np.array([[-k * s2 * qd[1], -k * (qd[0] + qd[1]) * s2],
-                             [k * qd[0] * s2, 0.0]])
+            v0, v1 = float(qd[0]), float(qd[1])
+            return np.array([[-ml2_2 * s2 * v1, -ml2_2 * (v0 + v1) * s2],
+                             [ml2_2 * v0 * s2, 0.0]])
 
         def gravity(q):
-            c1 = math.cos(q[0])
-            c12 = math.cos(q[0] + q[1])
-            return np.array([m1 * g * l / 2.0 * c1 + m2 * g * l / 2.0 * c12
-                             + m2 * g * l * c1,
-                             m2 * g * l / 2.0 * c12])
+            q0, q1 = float(q[0]), float(q[1])
+            c1 = math.cos(q0)
+            c12 = math.cos(q0 + q1)
+            return np.array([w1 * c1 + w12 * c12 + w2 * c1, w12 * c12])
 
         return ELSystem(dof=2, mass=mass, coriolis=coriolis, gravity=gravity)
 
@@ -124,8 +134,10 @@ def mu_bounds(sys: ELSystem, q_grid) -> tuple[float, float]:
 
 
 def kinetic_energy(sys: ELSystem, q, qd) -> float:
-    qd = np.asarray(qd, dtype=float)
-    return 0.5 * float(qd @ sys.mass(np.asarray(q, dtype=float)) @ qd)
+    """qdot' M(q) qdot / 2."""
+    (m11, m12), (m21, m22) = sys.mass(np.asarray(q, dtype=float)).tolist()
+    v0, v1 = float(qd[0]), float(qd[1])
+    return 0.5 * ((v0 * m11 + v1 * m21) * v0 + (v0 * m12 + v1 * m22) * v1)
 
 
 @dataclass(frozen=True)
@@ -173,10 +185,10 @@ def el_psi(sys: ELSystem, h_q: Callable, grad_hq: Callable,
     tau_hat = as_vector(tau_hat, sys.dof, "tau_hat")
     J = as_vector(grad_hq(q), sys.dof, "grad_hq(q)")
     omega_term = 0.0 if fp.mode == MODE_NO_OMEGA else fp.omega ** 2 / (2.0 * fp.nu)
-    psi0 = (fp.beta * float(qd @ J)
-            - float(qd @ (tau_hat - sys.gravity(q)))
+    psi0 = (fp.beta * float(qd.dot(J))
+            - float(qd.dot(tau_hat - sys.gravity(q)))
             - omega_term
-            - float(qd @ qd) / denom
+            - float(qd.dot(qd)) / denom
             + fp.gamma * (fp.beta * float(h_q(q)) - kinetic_energy(sys, q, qd)))
     return psi0, -qd
 
@@ -206,13 +218,12 @@ def multi_constraint_reduce(psi0_list: Sequence[float],
 
 
 def pd_nominal(Kp, Kd, q, qd, q_des, qd_des, gravity=None) -> np.ndarray:
-    """PD tracking law, optionally with gravity compensation."""
-    Kp = np.asarray(Kp, dtype=float)
-    Kd = np.asarray(Kd, dtype=float)
-    if np.any(np.diag(Kp) <= 0) or np.any(np.diag(Kd) <= 0):
-        raise ParameterError("PD gains must be positive")
-    tau = Kp @ (np.asarray(q_des, dtype=float) - np.asarray(q, dtype=float)) \
-        + Kd @ (np.asarray(qd_des, dtype=float) - np.asarray(qd, dtype=float))
+    """PD tracking law, optionally with gravity compensation.
+
+    The gains are not checked here: callers validate them once, where they
+    are configured (the arm scenarios reject kp, kd <= 0 at build time).
+    """
+    tau = np.dot(Kp, np.subtract(q_des, q)) + np.dot(Kd, np.subtract(qd_des, qd))
     if gravity is not None:
         tau = tau + gravity
     return tau
@@ -226,7 +237,7 @@ def singularity_guard(fp: ELFilterParams, qd, psi0: float, psi1: np.ndarray):
     unsatisfiable there (psi0 < 0) the step is flagged as a transient
     infeasibility event.
     """
-    if float(np.linalg.norm(qd)) >= fp.eps_singular:
+    if math.hypot(qd[0], qd[1]) >= fp.eps_singular:
         return psi0, psi1, False, None
     event = "singular_infeasible" if psi0 < 0 else None
     return psi0, psi1, True, event
@@ -267,19 +278,29 @@ def validate_el_params(sys: ELSystem, fp: ELFilterParams, q0, qd0,
 
 
 def to_control_affine(sys: ELSystem) -> ControlAffineSystem:
-    """Embed the mechanical plant as x = [q; qdot] with u = tau, d = tau_d."""
-    n = sys.dof
+    """Embed the mechanical plant as x = [q; qdot] with u = tau, d = tau_d.
+
+    The 2x2 inertia is inverted in closed form; a matrix that is not positive
+    definite at some q (a singular one included) raises ParameterError.
+    """
 
     def terms(x):
-        q, qd = x[:n], x[n:]
-        Minv = np.linalg.inv(sys.mass(q))
-        drift_acc = -Minv @ (sys.coriolis(q, qd) @ qd + sys.gravity(q))
-        f = np.concatenate([qd, drift_acc])
-        B = np.vstack([np.zeros((n, n)), Minv])
+        q, qd = x[:2], x[2:]
+        (m11, m12), (m21, m22) = sys.mass(q).tolist()
+        det = m11 * m22 - m12 * m21
+        if not (m11 > 0.0 and det > 0.0):
+            raise ParameterError(f"inertia matrix not positive definite at q = {q}")
+        h0, h1 = (sys.coriolis(q, qd).dot(qd) + sys.gravity(q)).tolist()
+        # a new B per call: callers may keep the matrices they are given
+        B = np.zeros((4, 2))
+        B[2, 0], B[2, 1] = m22 / det, -m12 / det
+        B[3, 0], B[3, 1] = -m21 / det, m11 / det
+        f = np.array([x[2], x[3], (m12 * h1 - m22 * h0) / det,
+                      (m21 * h0 - m11 * h1) / det])
         return f, B, B
 
     return ControlAffineSystem(
-        n=2 * n, m=n, p=n,
+        n=4, m=2, p=2,
         f=lambda x: terms(x)[0],
         g1=lambda x: terms(x)[1],
         g2=lambda x: terms(x)[2],

@@ -31,21 +31,34 @@ class ConfigurationError(ValueError):
 
 
 def as_vector(v, dim: int, name: str = "vector") -> np.ndarray:
-    """Coerce to a finite 1-D float array of the declared dimension."""
-    arr = np.asarray(v, dtype=float).reshape(-1)
-    if arr.shape != (dim,):
-        raise DimensionError(f"{name}: expected dimension {dim}, got shape {np.shape(v)}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name}: non-finite entries {arr}")
-    return arr
+    """Coerce to a finite 1-D float array of the declared dimension.
+
+    A float64 array of shape (dim,) is checked and returned as it is; only
+    other inputs are converted.
+    """
+    if not (type(v) is np.ndarray and v.dtype == np.float64 and v.shape == (dim,)):
+        arr = np.asarray(v, dtype=float).reshape(-1)
+        if arr.shape != (dim,):
+            raise DimensionError(f"{name}: expected dimension {dim}, got shape {np.shape(v)}")
+        v = arr
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name}: non-finite entries {v}")
+    return v
 
 
 def as_matrix(mat, rows: int, cols: int, name: str = "matrix") -> np.ndarray:
-    arr = np.asarray(mat, dtype=float).reshape(rows, cols) if np.size(mat) == rows * cols \
-        else np.asarray(mat, dtype=float)
-    if arr.shape != (rows, cols):
-        raise DimensionError(f"{name}: expected shape ({rows}, {cols}), got {arr.shape}")
-    return arr
+    """Coerce to a finite float array of shape (rows, cols); a flat input of
+    rows*cols entries is reshaped."""
+    if not (type(mat) is np.ndarray and mat.dtype == np.float64
+            and mat.shape == (rows, cols)):
+        mat = np.asarray(mat, dtype=float)
+        if mat.size == rows * cols:
+            mat = mat.reshape(rows, cols)
+        if mat.shape != (rows, cols):
+            raise DimensionError(f"{name}: expected shape ({rows}, {cols}), got {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise ValueError(f"{name}: non-finite entries {mat}")
+    return mat
 
 
 @dataclass(frozen=True)
@@ -80,13 +93,19 @@ class ControlAffineSystem:
         return as_matrix(self.g2(x), self.n, self.p, "g2(x)")
 
     def evaluate(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(f, g1, g2) at x, using the fused callback when available."""
-        if self.terms is not None:
-            fx, G1, G2 = self.terms(x)
-            return (as_vector(fx, self.n, "f(x)"),
-                    as_matrix(G1, self.n, self.m, "g1(x)"),
-                    as_matrix(G2, self.n, self.p, "g2(x)"))
-        return self.drift(x), self.input_matrix(x), self.disturbance_matrix(x)
+        """(f, g1, g2) at x, using the fused callback when available.
+
+        Every output is checked for shape and finiteness; a fused callback
+        that returns one matrix for both channels (disturbance entering
+        through the input, as on the arm) has it checked once.
+        """
+        if self.terms is None:
+            return self.drift(x), self.input_matrix(x), self.disturbance_matrix(x)
+        fx, G1, G2 = self.terms(x)
+        g1 = as_matrix(G1, self.n, self.m, "g1(x)")
+        g2 = g1 if G2 is G1 and self.p == self.m \
+            else as_matrix(G2, self.n, self.p, "g2(x)")
+        return as_vector(fx, self.n, "f(x)"), g1, g2
 
 
 @dataclass(frozen=True)

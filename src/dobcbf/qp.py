@@ -9,11 +9,12 @@ oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ParameterError
+from .model import ParameterError, as_vector
 
 INACTIVE = "inactive"
 ACTIVE = "active"
@@ -29,13 +30,11 @@ class QpInstance:
     psi1: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "u_nom", np.asarray(self.u_nom, dtype=float).reshape(-1))
-        object.__setattr__(self, "psi1", np.asarray(self.psi1, dtype=float).reshape(-1))
-        if self.psi1.shape != self.u_nom.shape:
-            raise ValueError(f"psi1 shape {self.psi1.shape} != u_nom shape {self.u_nom.shape}")
-        if not (np.all(np.isfinite(self.u_nom)) and np.isfinite(self.psi0)
-                and np.all(np.isfinite(self.psi1))):
-            raise ValueError("QP data must be finite")
+        u_nom = as_vector(self.u_nom, np.size(self.u_nom), "u_nom")
+        object.__setattr__(self, "u_nom", u_nom)
+        object.__setattr__(self, "psi1", as_vector(self.psi1, u_nom.size, "psi1"))
+        if not math.isfinite(self.psi0):
+            raise ValueError(f"psi0 must be finite, got {self.psi0}")
 
 
 @dataclass(frozen=True)
@@ -51,15 +50,15 @@ def solve(inst: QpInstance) -> QpResult:
     Infeasibility (psi1 = 0 with psi0 < 0) is a status, not an error; the
     nominal control is returned so callers can log and continue.
     """
-    slack = inst.psi0 + float(inst.psi1 @ inst.u_nom)
+    slack = inst.psi0 + float(inst.psi1.dot(inst.u_nom))
     if slack >= 0.0:
         return QpResult(u=inst.u_nom.copy(), status=INACTIVE, constraint_value=slack)
-    sq = float(inst.psi1 @ inst.psi1)
+    sq = float(inst.psi1.dot(inst.psi1))
     if sq == 0.0:
         return QpResult(u=inst.u_nom.copy(), status=INFEASIBLE, constraint_value=slack)
     u = inst.u_nom - (slack / sq) * inst.psi1
     return QpResult(u=u, status=ACTIVE,
-                    constraint_value=inst.psi0 + float(inst.psi1 @ u))
+                    constraint_value=inst.psi0 + float(inst.psi1.dot(u)))
 
 
 def brute_force(inst: QpInstance, box_halfwidth: float,

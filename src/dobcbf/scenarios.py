@@ -10,8 +10,9 @@ Derived constants and their provenance:
     disturbance over a fine grid covering one full period;
   * the robust baseline's magnitude bound is max_t ||d(t)|| over the same
     grid;
-  * the arm's inverse-inertia eigenvalue bounds come from a dense sweep of
-    the elbow angle (the inertia matrix depends on it alone).
+  * the arm's inverse-inertia eigenvalue bounds are exact: the inertia
+    matrix is affine in cos(q2), so its largest eigenvalue (convex in the
+    matrix) peaks and its smallest (concave) bottoms out at q2 = 0 or pi.
 
 The arm filter's constraint-side omega is a registry constant, deliberately
 smaller than the derived derivative bound: with the derived value (~96) the
@@ -28,7 +29,6 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -135,12 +135,55 @@ def merge_config(base: dict, override: dict, path: str = "") -> dict:
     return out
 
 
+def _typed(default, value, where: str):
+    """value checked against the type of its default; numbers come back as
+    finite floats (ints for integer defaults).
+
+    A number may arrive as a string: YAML 1.1 reads `1e-3` as one.  A list
+    is checked element by element against the first default element, a
+    mapping key by key against the default key of the same name.
+    """
+    if isinstance(default, bool):
+        if not isinstance(value, bool):
+            raise ConfigError(f"{where}: expected true or false, got {value!r}")
+        return value
+    if isinstance(default, int):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{where}: expected an integer, got {value!r}")
+        return value
+    if isinstance(default, float) or (default is None and value is not None):
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            raise ConfigError(f"{where}: expected a number, got {value!r}")
+        try:
+            number = float(value)
+        except (ValueError, OverflowError):
+            raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+        if not math.isfinite(number):
+            raise ConfigError(f"{where}: must be finite, got {value!r}")
+        return number
+    if isinstance(default, list):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where}: expected a list, got {value!r}")
+        if not default:
+            return list(value)
+        return [_typed(default[0], v, f"{where}[{i}]") for i, v in enumerate(value)]
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where}: expected a mapping, got {value!r}")
+        return {key: _typed(default[key], v, f"{where}.{key}") if key in default else v
+                for key, v in value.items()}
+    if isinstance(default, str) and not isinstance(value, str):
+        raise ConfigError(f"{where}: expected a string, got {value!r}")
+    return value
+
+
 def resolve_config(raw: dict) -> dict:
-    """Fill defaults for the named scenario and reject unknown keys."""
+    """Fill defaults for the named scenario, reject unknown keys, and check
+    that every value has the type of its default (numbers finite)."""
     if "scenario" not in raw:
         raise ConfigError("configuration must name a scenario")
     base = default_config(raw["scenario"])
-    return merge_config(base, raw)
+    return _typed(base, merge_config(base, raw), "config")
 
 
 # --------------------------------------------------------------------------
@@ -176,13 +219,15 @@ def magnitude_bound(signal: simulate.DisturbanceSignal,
     return signal.max_value_norm(np.linspace(0.0, horizon, points))
 
 
-@lru_cache(maxsize=None)
 def arm_mu_bounds(m1: float = 1.0, m2: float = 1.0, l: float = 1.0,
-                  g_accel: float = 9.81, points: int = 10_000) -> tuple[float, float]:
-    """Inverse-inertia eigenvalue bounds; the inertia depends on q2 only."""
+                  g_accel: float = 9.81) -> tuple[float, float]:
+    """Exact inverse-inertia eigenvalue bounds over every configuration.
+
+    M(q) depends on q2 only, through c = cos(q2) in [-1, 1], and affinely;
+    the extreme eigenvalues over c are therefore those at c = 1 and c = -1.
+    """
     sys = elmod.TwoLinkArm(m1=m1, m2=m2, l=l, g_accel=g_accel).system()
-    grid = [(0.0, q2) for q2 in np.linspace(-math.pi, math.pi, points)]
-    return elmod.mu_bounds(sys, grid)
+    return elmod.mu_bounds(sys, [(0.0, 0.0), (0.0, math.pi)])
 
 
 # --------------------------------------------------------------------------
@@ -384,6 +429,8 @@ def _build_el(cfg: dict) -> Scenario:
     alpha1, beta = float(prm["alpha1"]), float(prm["beta"])
     gamma, nu = float(prm["gamma"]), float(prm["nu"])
     kp, kd = float(prm["kp"]), float(prm["kd"])
+    if kp <= 0 or kd <= 0:
+        raise ParameterError("PD gains kp and kd must be positive")
     amp = float(prm["ref_amplitude"])
 
     arm = elmod.TwoLinkArm()
@@ -431,9 +478,8 @@ def _build_el(cfg: dict) -> Scenario:
 
     def nominal(t, x):
         q, qd = x[:2], x[2:]
-        q_des = np.array([amp * math.cos(t), amp * math.cos(t)])
-        qd_des = np.array([-amp * math.sin(t), -amp * math.sin(t)])
-        return elmod.pd_nominal(Kp, Kd, q, qd, q_des, qd_des,
+        c, s = amp * math.cos(t), -amp * math.sin(t)
+        return elmod.pd_nominal(Kp, Kd, q, qd, (c, c), (s, s),
                                 gravity=grav(q) if grav else None)
 
     floor = None
@@ -476,9 +522,14 @@ def build(config: dict) -> Scenario:
     name = cfg["scenario"]
     try:
         if name == "scalar-rel1":
-            return _build_scalar(cfg)
-        if name == "doubleint-relr":
-            return _build_doubleint(cfg)
-        return _build_el(cfg)
-    except ParameterError as exc:
+            sc = _build_scalar(cfg)
+        elif name == "doubleint-relr":
+            sc = _build_doubleint(cfg)
+        else:
+            sc = _build_el(cfg)
+    except ValueError as exc:  # ParameterError, DimensionError, ...
         raise ConfigError(str(exc)) from exc
+    if sc.x0.shape != (sc.system.n,):
+        raise ConfigError(f"initial_state needs {sc.system.n} entries, "
+                          f"got {sc.x0.size}")
+    return sc

@@ -1,3 +1,4 @@
+import functools
 import os
 
 import numpy as np
@@ -131,3 +132,37 @@ def test_numerical_failure_exit_code(tmp_path):
                         "params": {"kp": 1e9, "kd": 1.0}})
     rc = cli.main(["run", cfg, "--out", str(tmp_path / "o")])
     assert rc == 3
+
+
+@pytest.mark.parametrize("override", ["params.kp=.nan", "sim.tf=abc",
+                                      "params.beta=.inf", "sim.substeps=2.5",
+                                      "params.gravity_comp=1"])
+def test_bad_number_in_config_exits_2(tmp_path, arm_cfg, override):
+    rc = cli.main(["run", arm_cfg, "--out", str(tmp_path / "o"),
+                   "--override", override])
+    assert rc == 2
+
+
+def test_yaml_exponent_string_is_read_as_number(tmp_path, scalar_cfg):
+    # YAML 1.1 reads 1e-3 as a string; numeric fields accept it as a number
+    out = tmp_path / "out"
+    assert cli.main(["run", scalar_cfg, "--out", str(out),
+                     "--override", "sim.dt=2e-3"]) == 0
+    with open(out / "config.yaml") as fh:
+        assert yaml.safe_load(fh)["sim"]["dt"] == 0.002
+
+
+def test_singular_inertia_exits_3(tmp_path, monkeypatch, capsys):
+    # The arm's masses are not configuration fields, so the scenario's plant
+    # is swapped for an arm whose inertia determinant is sin(q2)^2/4 - 1e-12
+    # (unit m2 and l): negative only within ~2e-6 rad of q2 = 0 or pi, so
+    # every sampled validation state passes and the run fails at its first
+    # step.  arm_mu_bounds passes m1 explicitly and still sees the default.
+    from dobcbf import el
+    m1 = 9.0 * (0.25 - 1.0 / 3.0 - 1e-12)
+    monkeypatch.setattr(el, "TwoLinkArm", functools.partial(el.TwoLinkArm, m1=m1))
+    cfg = write_config(tmp_path / "sing.yaml",
+                       {"scenario": "el2dof-dob", "sim": {"tf": 0.01},
+                        "initial_state": [2.0, 0.0, 0.0, 0.0]})
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "numerical failure: inertia matrix" in capsys.readouterr().err

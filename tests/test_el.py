@@ -11,6 +11,7 @@ from dobcbf.el import (ELFilterParams, ELQpFilter, ELSystem, TwoLinkArm,
                        validate_el_params)
 from dobcbf.model import ParameterError
 from dobcbf.observer import ObserverState, estimate, z_derivative
+from dobcbf.scenarios import ConfigError, build
 
 
 ARM = TwoLinkArm().system()
@@ -194,9 +195,10 @@ def test_pd_nominal():
     tau_g = pd_nominal(Kp, Kd, np.zeros(2), np.zeros(2), np.ones(2),
                        np.ones(2), gravity=g)
     assert np.allclose(tau_g, [236.0, 237.0])
-    with pytest.raises(ParameterError):
-        pd_nominal(np.diag([-1.0, 1.0]), Kd, np.zeros(2), np.zeros(2),
-                   np.zeros(2), np.zeros(2))
+    # the gains are checked once, where a scenario configures them
+    for bad in ({"kp": -1.0}, {"kd": 0.0}):
+        with pytest.raises(ConfigError):
+            build({"scenario": "el2dof-dob", "params": bad})
 
 
 def test_singularity_guard_cases():
@@ -253,3 +255,23 @@ def test_el_filter_object_guard_path():
     probe = filt.probe(x_rest, np.array([1.0, 0.0]))
     assert probe["h"] == pytest.approx(5.75)
     assert probe["hbar"] == pytest.approx(10.0 * 5.75 - 0.5)
+
+
+def test_to_control_affine_rejects_singular_inertia():
+    # det M = sin(q2)^2/4 - 1e-12 for this arm: negative at q2 = 0
+    arm = TwoLinkArm(m1=9.0 * (0.25 - 1.0 / 3.0 - 1e-12)).system()
+    sys_ca = to_control_affine(arm)
+    with pytest.raises(ParameterError):
+        sys_ca.evaluate(np.array([0.3, 0.0, 1.0, -1.0]))
+    singular = ELSystem(dof=2, mass=lambda q: np.ones((2, 2)),
+                        coriolis=ARM.coriolis, gravity=ARM.gravity)
+    with pytest.raises(ParameterError):
+        to_control_affine(singular).evaluate(np.zeros(4))
+
+
+def test_only_two_dof_plants_are_accepted():
+    for dof in (1, 3):
+        with pytest.raises(ParameterError):
+            to_control_affine(ELSystem(dof=dof, mass=ARM.mass,
+                                       coriolis=ARM.coriolis,
+                                       gravity=ARM.gravity))

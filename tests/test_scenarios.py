@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 import dobcbf.scenarios as scenarios
+from dobcbf.el import TwoLinkArm
 from dobcbf.scenarios import ConfigError, build, resolve_config
 
 
@@ -96,3 +99,48 @@ def test_check_invariants_flags_unsafe_log():
     summary_bad = dict(summary)
     summary_bad["min_h"] = -1.0
     assert sc.check_invariants(log, summary_bad)
+
+
+def test_arm_mu_bounds_exact():
+    # closed form: M(c) = [[a + l2 m2 c, b + l2 m2 c/2], [., d]] with c = cos q2
+    # is affine in c, so the extreme eigenvalues sit at c = 1 or c = -1
+    for m1, m2, l in ((1.0, 1.0, 1.0), (2.0, 0.5, 1.5)):
+        l2 = l * l
+        lam = []
+        for c in (1.0, -1.0):
+            a = m1 * l2 / 3.0 + 4.0 * m2 * l2 / 3.0 + m2 * l2 * c
+            b = m2 * l2 / 3.0 + m2 * l2 / 2.0 * c
+            d = m2 * l2 / 3.0
+            r = math.hypot((a - d) / 2.0, b)
+            lam += [(a + d) / 2.0 - r, (a + d) / 2.0 + r]
+        mu1, mu2 = scenarios.arm_mu_bounds(m1=m1, m2=m2, l=l)
+        assert mu1 == pytest.approx(1.0 / max(lam), rel=1e-14)
+        assert mu2 == pytest.approx(1.0 / min(lam), rel=1e-14)
+        # and they bound 1/eig(M) at sampled elbow angles, +-pi among them
+        arm = TwoLinkArm(m1=m1, m2=m2, l=l).system()
+        q2 = np.concatenate([np.linspace(-math.pi, math.pi, 2001),
+                             np.random.default_rng(3).uniform(-4.0, 4.0, 500)])
+        eigs = np.array([np.linalg.eigvalsh(arm.mass(np.array([0.7, v])))
+                         for v in q2])
+        assert mu1 <= (1.0 / eigs[:, 1]).min() + 1e-15
+        assert mu2 >= (1.0 / eigs[:, 0]).max() - 1e-15
+    # the former 10 000-point sweep gave 0.3408640637, above the exact value
+    assert scenarios.arm_mu_bounds()[0] < 0.34086406
+
+
+def test_config_numbers_must_be_finite_numbers():
+    arm, dint = "el2dof-dob", "doubleint-relr"
+    for name, bad in ((arm, {"params": {"kp": float("nan")}}),
+                      (arm, {"sim": {"tf": "abc"}}),
+                      (arm, {"sim": {"log_stride": 1.5}}),
+                      (arm, {"params": {"gravity_comp": "yes"}}),
+                      (arm, {"initial_state": [1.0, None, 0.0, 0.0]}),
+                      (arm, {"initial_state": [0.0, 0.0, 0.0]}),
+                      (arm, {"disturbance": [[{"amplitude": "x",
+                                               "frequency": 1.0}]]}),
+                      (dint, {"params": {"poles": [1.0, float("inf")]}})):
+        with pytest.raises(ConfigError):
+            build({"scenario": name, **bad})
+    cfg = resolve_config({"scenario": arm, "sim": {"tf": 2, "dt": "1e-3"}})
+    assert cfg["sim"]["tf"] == 2.0 and isinstance(cfg["sim"]["tf"], float)
+    assert cfg["sim"]["dt"] == 1e-3

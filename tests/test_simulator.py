@@ -157,3 +157,41 @@ def test_envelope_residual_nonpositive_for_valid_observer():
     log = sc.run()
     m = sc.metrics(log)
     assert m["max_env_residual"] <= 1e-3
+
+
+def per_term_sum(sig, t, derivative=False):
+    """Reference: the channel sums term by term, as before packing."""
+    return np.array([sum((term.derivative(t) if derivative else term.value(t))
+                         for term in ch) if ch else 0.0
+                     for ch in sig.channels])
+
+
+def test_packed_signal_matches_per_term_sum():
+    arm = scenarios.build({"scenario": "el2dof-dob"}).disturbance
+    cases = [arm,
+             DisturbanceSignal(((Term(1.5, 2.0, phase=0.3),), (),
+                                (Term(-2.0, 0.5, waveform="cos"),
+                                 Term(0.25, 7.0, phase=-1.0)))),
+             DisturbanceSignal.constant([1.5, -2.0, 0.0]),
+             DisturbanceSignal(((), ()))]
+    for sig in cases:
+        terms = [term for ch in sig.channels for term in ch]
+        # tolerance 1e-13 * sum |a| on values, 1e-13 * sum |a w| on slopes
+        tol = {False: 1e-13 * sum(abs(term.amplitude) for term in terms),
+               True: 1e-13 * sum(abs(term.amplitude * term.frequency)
+                                 for term in terms)}
+        for t in np.linspace(0.0, 20.0, 401):
+            for deriv in (False, True):
+                got = sig.derivative(t) if deriv else sig.value(t)
+                want = per_term_sum(sig, t, derivative=deriv)
+                assert got.shape == (sig.dim,)
+                assert np.all(np.abs(got - want) <= tol[deriv])
+    assert np.array_equal(DisturbanceSignal(((), ())).value(3.0), np.zeros(2))
+
+
+def test_term_rejects_nonfinite():
+    for bad in ({"amplitude": np.nan, "frequency": 1.0},
+                {"amplitude": 1.0, "frequency": np.inf},
+                {"amplitude": 1.0, "frequency": 1.0, "phase": np.nan}):
+        with pytest.raises(ParameterError):
+            Term(**bad)
