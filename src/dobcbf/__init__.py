@@ -6,24 +6,21 @@ matched/unmatched disturbances, with a quantified estimation-error envelope.
 """
 
 from .model import (BarrierSpec, ControlAffineSystem, ConfigurationError,
-                    DimensionError, ParameterError, check_gradient,
-                    coeffs_from_poles, eta, lie_derivatives_rel1, s_sequence)
+                    DimensionError, ParameterError, coeffs_from_poles, eta,
+                    lie_derivatives, s_sequence)
 from .observer import (GainReport, ObserverConfig, ObserverState,
-                       error_envelope, estimate, full_rank_gain, initial_state,
-                       ultimate_bound, validate_gain, z_derivative)
+                       error_envelope, estimate, initial_state, validate_gain,
+                       z_derivative)
 from .qp import (INACTIVE, ACTIVE, INFEASIBLE, QpInstance, QpResult,
                  brute_force, solve)
-from .filters import (Decision, FilterParams, HighOrderQpFilter, MODE_FULL,
-                      MODE_NO_OMEGA, NoFilter, ParamReport, Rel1QpFilter,
-                      RobustRel1Filter, augmented_barrier, psi_rel1, psi_relr,
-                      robust_psi_rel1, validate_params, violation_floor)
+from .filters import (Decision, FilterParams, MODE_FULL, MODE_NO_OMEGA,
+                      NoFilter, ParamReport, QpFilter, psi, validate_params)
 from .simulate import (DisturbanceSignal, IntegrationError, SimConfig, Term,
                        TrajectoryLog, metrics, rk4_step, run_closed_loop)
-from .el import (ELFilterParams, ELQpFilter, ELRobustFilter, ELNoFilter,
-                 ELSystem, TwoLinkArm, el_dob_rhs, el_estimate, el_psi,
-                 el_robust_psi, el_observer_config, kinetic_energy, mu_bounds,
-                 multi_constraint_reduce, pd_nominal, singularity_guard,
-                 to_control_affine, validate_el_params)
+from .el import (ELFilterParams, ELQpFilter, ELRobustFilter, ELSystem,
+                 TwoLinkArm, el_psi, el_robust_psi, el_observer_config,
+                 guarded_decision, kinetic_energy, mu_bounds, pd_nominal,
+                 to_control_affine, validate_el_params, violation_floor)
 from .scenarios import ConfigError, SCENARIOS, Scenario, build, resolve_config
 
 __version__ = "0.1.0"

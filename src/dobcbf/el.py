@@ -3,9 +3,9 @@
 Mechanical systems M(q) qddot + C(q, qdot) qdot + G(q) = tau + tau_d admit a
 dedicated observer (estimate = z + alpha1*qdot) and an energy-based safety
 constraint that only needs a C^1 position barrier h_q.  The constraint row is
-psi1 = -qdot, shared by every barrier, which is what makes the
-multi-constraint reduction a plain minimum and creates the qdot = 0
-singularity handled by `singularity_guard`.
+psi1 = -qdot, which vanishes at qdot = 0; both energy filters return through
+`guarded_decision`, which bypasses the QP there.  `violation_floor` bounds
+the barrier when the disturbance-derivative term is withheld.
 
 The 2-DOF planar arm used by the benchmark scenarios lives here as well.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -98,22 +98,6 @@ def el_accel(sys: ELSystem, q, qd, tau, tau_d) -> np.ndarray:
         return np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError as exc:
         raise ParameterError(f"inertia matrix solve failed at q = {q}") from exc
-
-
-def el_estimate(alpha1: float, z, qd) -> np.ndarray:
-    """Disturbance-torque estimate z + alpha1 * qdot."""
-    return np.asarray(z, dtype=float) + alpha1 * np.asarray(qd, dtype=float)
-
-
-def el_dob_rhs(sys: ELSystem, alpha1: float, z, q, qd, tau) -> np.ndarray:
-    """Observer-state derivative for the mechanical observer."""
-    q = as_vector(q, sys.dof, "q")
-    qd = as_vector(qd, sys.dof, "qd")
-    z = as_vector(z, sys.dof, "z")
-    tau = as_vector(tau, sys.dof, "tau")
-    M = sys.mass(q)
-    inner = z + alpha1 * qd - sys.coriolis(q, qd) @ qd - sys.gravity(q) + tau
-    return -alpha1 * np.linalg.solve(M, inner)
 
 
 def mu_bounds(sys: ELSystem, q_grid) -> tuple[float, float]:
@@ -209,12 +193,32 @@ def el_robust_psi(sys: ELSystem, h_q: Callable, grad_hq: Callable,
     return psi0, -qd
 
 
-def multi_constraint_reduce(psi0_list: Sequence[float],
-                            psi1: np.ndarray) -> tuple[float, np.ndarray]:
-    """Collapse constraints sharing the row psi1 into their binding minimum."""
-    if len(psi0_list) == 0:
-        raise ParameterError("need at least one constraint")
-    return float(min(psi0_list)), np.asarray(psi1, dtype=float)
+def violation_floor(fp: ELFilterParams, omega: float, t):
+    """Worst-case barrier floor at time t when the omega term is withheld.
+
+    omega is the true disturbance-derivative bound, not the constraint-side
+    fp.omega: the floor is a statement about the disturbance itself.
+    """
+    if fp.mode != MODE_NO_OMEGA:
+        raise ParameterError("violation_floor applies to mode='no_omega' only")
+    decay = 1.0 - np.exp(-fp.gamma * np.asarray(t, dtype=float))
+    out = -omega ** 2 / (2.0 * fp.nu * fp.gamma * fp.beta) * decay
+    return float(out) if np.ndim(t) == 0 else out
+
+
+def guarded_decision(eps_singular: float, qd, psi0: float,
+                     psi1: np.ndarray) -> Decision:
+    """Decision of an energy filter, bypassing the QP near qdot = 0.
+
+    Below the speed threshold the row psi1 = -qdot vanishes and the nominal
+    control passes through; when the constraint is additionally
+    unsatisfiable there (psi0 < 0) the step is flagged as a transient
+    infeasibility event.
+    """
+    if math.hypot(qd[0], qd[1]) >= eps_singular:
+        return Decision(psi0=psi0, psi1=psi1)
+    return Decision(psi0=psi0, psi1=psi1, bypass=True,
+                    event="singular_infeasible" if psi0 < 0 else None)
 
 
 def pd_nominal(Kp, Kd, q, qd, q_des, qd_des, gravity=None) -> np.ndarray:
@@ -227,20 +231,6 @@ def pd_nominal(Kp, Kd, q, qd, q_des, qd_des, gravity=None) -> np.ndarray:
     if gravity is not None:
         tau = tau + gravity
     return tau
-
-
-def singularity_guard(fp: ELFilterParams, qd, psi0: float, psi1: np.ndarray):
-    """Bypass the QP near qdot = 0, where the constraint row vanishes.
-
-    Returns (psi0, psi1, bypass, event).  Below the speed threshold the
-    nominal control passes through; when the constraint is additionally
-    unsatisfiable there (psi0 < 0) the step is flagged as a transient
-    infeasibility event.
-    """
-    if math.hypot(qd[0], qd[1]) >= fp.eps_singular:
-        return psi0, psi1, False, None
-    event = "singular_infeasible" if psi0 < 0 else None
-    return psi0, psi1, True, event
 
 
 @dataclass
@@ -338,8 +328,7 @@ class ELQpFilter:
         q, qd = self.sys.split(x)
         psi0, psi1 = el_psi(self.sys, self.h_q, self.grad_hq, self.params,
                             q, qd, d_hat)
-        psi0, psi1, bypass, event = singularity_guard(self.params, qd, psi0, psi1)
-        return Decision(psi0=psi0, psi1=psi1, bypass=bypass, event=event)
+        return guarded_decision(self.params.eps_singular, qd, psi0, psi1)
 
     def probe(self, x, e_d) -> dict:
         q, qd = self.sys.split(x)
@@ -367,28 +356,10 @@ class ELRobustFilter:
         q, qd = self.sys.split(x)
         psi0, psi1 = el_robust_psi(self.sys, self.h_q, self.grad_hq,
                                    self.beta, self.gamma, self.d_max, q, qd)
-        if float(np.linalg.norm(qd)) < self.eps_singular:
-            return Decision(psi0=psi0, psi1=psi1, bypass=True,
-                            event="singular_infeasible" if psi0 < 0 else None)
-        return Decision(psi0=psi0, psi1=psi1)
+        return guarded_decision(self.eps_singular, qd, psi0, psi1)
 
     def probe(self, x, e_d) -> dict:
         q, qd = self.sys.split(x)
         return {"h": float(self.h_q(q)),
                 "hbar": (self.beta * float(self.h_q(q))
                          - kinetic_energy(self.sys, q, qd))}
-
-
-class ELNoFilter:
-    """Unfiltered baseline that still logs the position barrier."""
-
-    def __init__(self, sys: ELSystem, h_q: Callable):
-        self.sys = sys
-        self.h_q = h_q
-
-    def constraint(self, t, x, u_nom, d_hat) -> Decision:
-        return Decision(psi0=None, psi1=None, bypass=True)
-
-    def probe(self, x, e_d) -> dict:
-        q, _ = self.sys.split(x)
-        return {"h": float(self.h_q(q)), "hbar": np.nan}

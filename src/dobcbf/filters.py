@@ -1,17 +1,15 @@
-"""Constraint construction for the observer-aware CBF safety filters.
+"""Constraint construction for the observer-aware CBF safety filter.
 
-`psi_rel1` and `psi_relr` produce the coefficients (psi0, psi1) of the
-half-space constraint psi0 + psi1 . u >= 0 that, combined with the
-disturbance estimate, renders the safe set forward invariant for relative
-degree 1 and r >= 2 respectively.  `robust_psi_rel1` is the worst-case
-baseline used for comparison runs: it replaces the estimate with a
-disturbance-norm bound.
+`psi` produces the coefficients (psi0, psi1) of the half-space constraint
+psi0 + psi1 . u >= 0 that, combined with the disturbance estimate, renders
+the safe set forward invariant for a barrier of any relative degree r >= 1.
+The barrier's r poles place the cascade s_k = (d/dt + lambda_k) s_{k-1};
+r = 1 with the single pole gamma is the first-order condition
+hdot + gamma h >= 0.
 
-The augmented barrier couples the safety margin to the estimation error:
-beta*h - ||e_d||^2/2 for relative degree 1, and beta*s_{r-1} - ||e_d||^2/2
-for higher relative degree.  `violation_floor` quantifies the worst-case
-safety violation when the disturbance-derivative term is deliberately
-dropped from the constraint (mode "no_omega").
+The augmented barrier beta*s_{r-1} - ||e_d||^2/2 couples the safety margin
+to the estimation error.  `QpFilter` wraps the constraint for the
+simulator; `NoFilter` is the pass-through baseline that only logs h.
 """
 
 from __future__ import annotations
@@ -22,8 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .model import (BarrierSpec, ControlAffineSystem, ParameterError,
-                    as_vector, coeffs_from_poles, eta, lie_derivatives_rel1,
-                    s_sequence)
+                    as_vector, eta, lie_derivatives, s_sequence)
 
 MODE_FULL = "full"
 MODE_NO_OMEGA = "no_omega"
@@ -36,97 +33,40 @@ class FilterParams:
     alpha must match the observer's coercivity constant; omega is the
     disturbance-derivative bound used inside the constraint (set it to the
     known bound for the full guarantee, or run mode="no_omega" when no bound
-    is available and accept the quantified violation floor).
+    is available).  The decay rates are the barrier's poles.
     """
 
     alpha: float
     beta: float
-    gamma: float
     nu: float
     omega: float = 0.0
     mode: str = MODE_FULL
 
     def __post_init__(self):
-        if min(self.alpha, self.beta, self.gamma, self.nu) <= 0:
-            raise ParameterError("alpha, beta, gamma, nu must be positive")
+        if min(self.alpha, self.beta, self.nu) <= 0:
+            raise ParameterError("alpha, beta, nu must be positive")
         if self.omega < 0:
             raise ParameterError("omega must be nonnegative")
         if self.mode not in (MODE_FULL, MODE_NO_OMEGA):
             raise ParameterError(f"unknown mode {self.mode!r}")
 
 
-def _omega_term(fp: FilterParams) -> float:
-    if fp.mode == MODE_NO_OMEGA:
-        return 0.0
-    return fp.omega ** 2 / (2.0 * fp.nu * fp.beta)
-
-
-def psi_rel1(sys: ControlAffineSystem, bar: BarrierSpec, fp: FilterParams,
-             x, d_hat) -> tuple[float, np.ndarray]:
-    """Constraint coefficients for a relative-degree-1 barrier."""
-    denom = 4.0 * fp.alpha - 2.0 * fp.gamma - 2.0 * fp.nu
-    if denom <= 0:
-        raise ParameterError(
-            f"need 4*alpha - 2*gamma - 2*nu > 0, got {denom}")
-    d_hat = as_vector(d_hat, sys.p, "d_hat")
-    lfh, lg1h, lg2h = lie_derivatives_rel1(sys, bar, x)
-    psi0 = (lfh + float(lg2h @ d_hat) - _omega_term(fp)
-            - fp.beta * float(lg2h @ lg2h) / denom
-            + fp.gamma * float(bar.h(x)))
-    return psi0, lg1h
-
-
-def psi_relr(sys: ControlAffineSystem, bar: BarrierSpec, fp: FilterParams,
-             x, d_hat) -> tuple[float, np.ndarray]:
-    """Constraint coefficients for a barrier of relative degree r >= 2."""
-    r = bar.relative_degree
-    if r < 2:
-        raise ParameterError("psi_relr requires relative degree >= 2")
-    lam_r = bar.poles[-1]
-    denom = 4.0 * fp.alpha - 2.0 * lam_r - 2.0 * fp.nu
+def psi(sys: ControlAffineSystem, bar: BarrierSpec, fp: FilterParams,
+        x, d_hat) -> tuple[float, np.ndarray]:
+    """Constraint coefficients for a barrier of relative degree r >= 1."""
+    denom = 4.0 * fp.alpha - 2.0 * bar.poles[-1] - 2.0 * fp.nu
     if denom <= 0:
         raise ParameterError(
             f"need 4*alpha - 2*lambda_r - 2*nu > 0, got {denom}")
     x = as_vector(x, sys.n, "x")
     d_hat = as_vector(d_hat, sys.p, "d_hat")
-    lfr = bar.lie_f_value(r, x)
-    lg1 = as_vector(bar.lie_g1_fr(x), sys.m, "L_g1 L_f^{r-1} h")
-    lg2 = as_vector(bar.lie_g2_fr(x), sys.p, "L_g2 L_f^{r-1} h")
-    a = coeffs_from_poles(bar.poles)
-    psi0 = (lfr + float(lg2 @ d_hat) - _omega_term(fp)
+    lfr, lg1, lg2 = lie_derivatives(sys, bar, x)
+    omega_term = 0.0 if fp.mode == MODE_NO_OMEGA \
+        else fp.omega ** 2 / (2.0 * fp.nu * fp.beta)
+    psi0 = (lfr + float(lg2 @ d_hat) - omega_term
             - fp.beta * float(lg2 @ lg2) / denom
-            + float(a @ eta(sys, bar, x)))
+            + float(bar.cascade[-1] @ eta(sys, bar, x)))
     return psi0, lg1
-
-
-def augmented_barrier(sys: ControlAffineSystem, bar: BarrierSpec,
-                      fp: FilterParams, x, e_d) -> float:
-    """Estimation-error-coupled barrier value."""
-    e_d = np.asarray(e_d, dtype=float).reshape(-1)
-    if bar.relative_degree == 1:
-        lead = float(bar.h(x))
-    else:
-        lead = float(s_sequence(sys, bar, x)[-1])
-    return fp.beta * lead - 0.5 * float(e_d @ e_d)
-
-
-def robust_psi_rel1(sys: ControlAffineSystem, bar: BarrierSpec,
-                    gamma: float, d_max: float, x) -> tuple[float, np.ndarray]:
-    """Worst-case baseline over ||d|| <= d_max (Cauchy-Schwarz lower bound)."""
-    if d_max < 0:
-        raise ParameterError("d_max must be nonnegative")
-    lfh, lg1h, lg2h = lie_derivatives_rel1(sys, bar, x)
-    psi0 = lfh - float(np.linalg.norm(lg2h)) * d_max + gamma * float(bar.h(x))
-    return psi0, lg1h
-
-
-def violation_floor(fp: FilterParams, t) -> float:
-    """Worst-case barrier floor at time t when the omega term is withheld."""
-    if fp.mode != MODE_NO_OMEGA:
-        raise ParameterError("violation_floor applies to mode='no_omega' only")
-    decay = 1.0 - np.exp(-fp.gamma * np.asarray(t, dtype=float))
-    out = -fp.omega ** 2 / (2.0 * fp.nu * fp.gamma * fp.beta) * decay
-    return float(out) if np.ndim(t) == 0 else out
 
 
 @dataclass
@@ -145,41 +85,37 @@ class ParamReport:
         return self.alpha_ok and self.beta_ok and self.cascade_ok
 
 
-def validate_params(bar: BarrierSpec, fp: FilterParams, h0_or_s0: float,
-                    e0_norm: float, s_values=None) -> ParamReport:
+def validate_params(bar: BarrierSpec, fp: FilterParams, s_values,
+                    e0_norm: float) -> ParamReport:
     """Check the strict inequalities required for the invariance guarantee.
 
-    h0_or_s0 is h(x0) for relative degree 1, s_{r-1}(x0) otherwise; for
-    r >= 2 pass the full cascade values so the positivity of every s_k at the
-    initial state is verified as well.  Inequalities are strict: equality
-    fails.
+    s_values is the cascade (s_0, ..., s_{r-1}) at the initial state; every
+    s_k must be positive, and beta must cover the initial estimation error
+    against s_{r-1}.  Inequalities are strict: equality fails.
     """
-    if bar.relative_degree == 1:
-        thr = 0.5 * (fp.gamma + fp.nu)
-    else:
-        thr = 0.5 * (bar.poles[-1] + fp.nu)
-    alpha_margin = fp.alpha - thr
+    s_values = np.asarray(s_values, dtype=float).reshape(-1)
+    alpha_margin = fp.alpha - 0.5 * (bar.poles[-1] + fp.nu)
     alpha_ok = alpha_margin > 0
 
     messages = []
-    if h0_or_s0 <= 0:
+    lead = float(s_values[-1])
+    if lead <= 0:
         beta_ok = False
         beta_margin = -np.inf
         messages.append("initial barrier value must be positive")
     else:
-        beta_margin = fp.beta - e0_norm ** 2 / (2.0 * h0_or_s0)
+        beta_margin = fp.beta - e0_norm ** 2 / (2.0 * lead)
         beta_ok = beta_margin > 0
 
     cascade_ok = True
-    if bar.relative_degree >= 2 and s_values is not None:
-        for k, s in enumerate(np.asarray(s_values, dtype=float)):
-            if s <= 0:
-                cascade_ok = False
-                messages.append(f"s_{k}(x0) = {s} must be positive")
+    for k, s in enumerate(s_values):
+        if s <= 0:
+            cascade_ok = False
+            messages.append(f"s_{k}(x0) = {s} must be positive")
 
     if not alpha_ok:
         messages.append(f"alpha margin {alpha_margin:.3e} not positive")
-    if not beta_ok and h0_or_s0 > 0:
+    if not beta_ok and lead > 0:
         messages.append(f"beta margin {beta_margin:.3e} not positive")
     return ParamReport(alpha_ok=alpha_ok, beta_ok=beta_ok, cascade_ok=cascade_ok,
                        alpha_margin=float(alpha_margin),
@@ -196,8 +132,8 @@ class Decision:
     event: str | None = None
 
 
-class Rel1QpFilter:
-    """Observer-aware filter for relative-degree-1 barriers."""
+class QpFilter:
+    """Observer-aware CBF-QP filter for a barrier of relative degree r >= 1."""
 
     def __init__(self, system: ControlAffineSystem, barrier: BarrierSpec,
                  params: FilterParams):
@@ -206,54 +142,17 @@ class Rel1QpFilter:
         self.params = params
 
     def constraint(self, t, x, u_nom, d_hat) -> Decision:
-        psi0, psi1 = psi_rel1(self.system, self.barrier, self.params, x, d_hat)
-        return Decision(psi0=psi0, psi1=psi1)
-
-    def probe(self, x, e_d) -> dict:
-        return {"h": float(self.barrier.h(x)),
-                "hbar": augmented_barrier(self.system, self.barrier,
-                                          self.params, x, e_d)}
-
-
-class HighOrderQpFilter:
-    """Observer-aware filter for barriers of relative degree >= 2."""
-
-    def __init__(self, system: ControlAffineSystem, barrier: BarrierSpec,
-                 params: FilterParams):
-        self.system = system
-        self.barrier = barrier
-        self.params = params
-
-    def constraint(self, t, x, u_nom, d_hat) -> Decision:
-        psi0, psi1 = psi_relr(self.system, self.barrier, self.params, x, d_hat)
+        psi0, psi1 = psi(self.system, self.barrier, self.params, x, d_hat)
         return Decision(psi0=psi0, psi1=psi1)
 
     def probe(self, x, e_d) -> dict:
         s = s_sequence(self.system, self.barrier, x)
-        out = {"h": float(self.barrier.h(x)),
+        out = {"h": float(s[0]),
                "hbar": self.params.beta * s[-1] - 0.5 * float(np.dot(e_d, e_d))}
-        for k, val in enumerate(s):
-            out[f"s{k}"] = float(val)
+        if s.size > 1:  # s_0 = h needs no column of its own when r = 1
+            for k, val in enumerate(s):
+                out[f"s{k}"] = float(val)
         return out
-
-
-class RobustRel1Filter:
-    """Worst-case baseline filter (no observer information in the constraint)."""
-
-    def __init__(self, system: ControlAffineSystem, barrier: BarrierSpec,
-                 gamma: float, d_max: float):
-        self.system = system
-        self.barrier = barrier
-        self.gamma = gamma
-        self.d_max = d_max
-
-    def constraint(self, t, x, u_nom, d_hat) -> Decision:
-        psi0, psi1 = robust_psi_rel1(self.system, self.barrier, self.gamma,
-                                     self.d_max, x)
-        return Decision(psi0=psi0, psi1=psi1)
-
-    def probe(self, x, e_d) -> dict:
-        return {"h": float(self.barrier.h(x)), "hbar": np.nan}
 
 
 class NoFilter:

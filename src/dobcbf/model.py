@@ -4,15 +4,15 @@ The plant is control-affine with a separate disturbance channel,
 
     xdot = f(x) + g1(x) u + g2(x) d,
 
-and the safe set is the zero-superlevel set of a barrier function h.
-For barriers of relative degree r >= 2 the user supplies closed-form
-Lie-derivative callbacks; a finite-difference validator is provided so
-scenarios can check them against the plant.
+and the safe set is the zero-superlevel set of a barrier function h of
+relative degree r >= 1, placed by r poles.  For r = 1 the Lie derivatives
+come from grad_h and the plant; for r >= 2 the user supplies them as
+closed-form callbacks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -108,15 +108,30 @@ class ControlAffineSystem:
         return as_vector(fx, self.n, "f(x)"), g1, g2
 
 
+def coeffs_from_poles(poles: Sequence[float]) -> np.ndarray:
+    """Coefficients (a_1..a_r) of the monic polynomial with roots at -poles."""
+    poles = np.asarray(poles, dtype=float).reshape(-1)
+    if poles.size == 0:
+        raise ParameterError("need at least one pole")
+    if np.any(poles <= 0):
+        raise ParameterError(f"all poles must be positive, got {poles}")
+    return np.poly(-poles)[1:]
+
+
 @dataclass(frozen=True)
 class BarrierSpec:
-    """Barrier function h with its derivatives and pole placement.
+    """Barrier function h of relative degree r >= 1 with one pole per order.
 
-    For relative degree 1 only `h` and `grad_h` are needed.  For r >= 2 the
-    chained drift derivatives `lie_f[k-1] = L_f^k h` (k = 1..r) and the mixed
-    derivatives L_{g1} L_f^{r-1} h, L_{g2} L_f^{r-1} h must be supplied, along
-    with r positive pole magnitudes (the constraint polynomial has roots at
-    minus each pole).
+    The r positive poles place the cascade s_0 = h,
+    s_k = (d/dt + lambda_k) s_{k-1}; r = 1 with poles = (gamma,) is the
+    first-order condition hdot + gamma h >= 0.  For r = 1 only `h` and
+    `grad_h` are needed.  For r >= 2 the chained drift derivatives
+    `lie_f[k-1] = L_f^k h` (k = 1..r) and the mixed derivatives
+    L_{g1} L_f^{r-1} h, L_{g2} L_f^{r-1} h must be supplied.
+
+    `cascade[k-1]` holds the coefficients (a_1..a_k) of
+    prod_{j<=k} (s + lambda_j), computed once here; the last one weighs the
+    constraint.
     """
 
     h: Callable[[np.ndarray], float]
@@ -126,20 +141,21 @@ class BarrierSpec:
     lie_g1_fr: Callable[[np.ndarray], np.ndarray] | None = None
     lie_g2_fr: Callable[[np.ndarray], np.ndarray] | None = None
     poles: tuple = ()
+    cascade: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r = self.relative_degree
         if r < 1:
             raise ParameterError(f"relative degree must be >= 1, got {r}")
-        if any(lam <= 0 for lam in self.poles):
-            raise ParameterError(f"all poles must be positive, got {self.poles}")
+        if len(self.poles) != r:
+            raise ConfigurationError(f"need {r} poles for relative degree {r}")
         if r >= 2:
-            if len(self.poles) != r:
-                raise ConfigurationError(f"need {r} poles for relative degree {r}")
             if self.lie_f is None or len(self.lie_f) < r:
                 raise ConfigurationError(f"need L_f^k h callbacks up to k={r}")
             if self.lie_g1_fr is None or self.lie_g2_fr is None:
                 raise ConfigurationError("need mixed Lie-derivative callbacks for r >= 2")
+        object.__setattr__(self, "cascade", tuple(
+            coeffs_from_poles(self.poles[:k]) for k in range(1, r + 1)))
 
     def lie_f_value(self, k: int, x) -> float:
         """L_f^k h(x); k = 0 returns h itself."""
@@ -150,24 +166,21 @@ class BarrierSpec:
         return float(self.lie_f[k - 1](x))
 
 
-def lie_derivatives_rel1(sys: ControlAffineSystem, bar: BarrierSpec, x):
-    """First-order Lie derivatives (L_f h, L_{g1} h, L_{g2} h) at x."""
-    if bar.relative_degree != 1:
-        raise ParameterError("lie_derivatives_rel1 requires relative degree 1")
+def lie_derivatives(sys: ControlAffineSystem, bar: BarrierSpec, x):
+    """Top-order Lie derivatives (L_f^r h, L_{g1} L_f^{r-1} h, L_{g2} L_f^{r-1} h).
+
+    For r = 1 they are grad_h times the plant terms; for r >= 2 they come
+    from the barrier's closed-form callbacks.
+    """
     x = as_vector(x, sys.n, "x")
-    grad = as_vector(bar.grad_h(x), sys.n, "grad_h(x)")
-    fx, G1, G2 = sys.evaluate(x)
-    return float(grad @ fx), grad @ G1, grad @ G2
-
-
-def coeffs_from_poles(poles: Sequence[float]) -> np.ndarray:
-    """Coefficients (a_1..a_r) of the monic polynomial with roots at -poles."""
-    poles = np.asarray(poles, dtype=float).reshape(-1)
-    if poles.size == 0:
-        raise ParameterError("need at least one pole")
-    if np.any(poles <= 0):
-        raise ParameterError(f"all poles must be positive, got {poles}")
-    return np.poly(-poles)[1:]
+    r = bar.relative_degree
+    if r == 1:
+        grad = as_vector(bar.grad_h(x), sys.n, "grad_h(x)")
+        fx, G1, G2 = sys.evaluate(x)
+        return float(grad @ fx), grad @ G1, grad @ G2
+    return (bar.lie_f_value(r, x),
+            as_vector(bar.lie_g1_fr(x), sys.m, "L_g1 L_f^{r-1} h"),
+            as_vector(bar.lie_g2_fr(x), sys.p, "L_g2 L_f^{r-1} h"))
 
 
 def s_sequence(sys: ControlAffineSystem, bar: BarrierSpec, x) -> np.ndarray:
@@ -179,35 +192,17 @@ def s_sequence(sys: ControlAffineSystem, bar: BarrierSpec, x) -> np.ndarray:
     """
     x = as_vector(x, sys.n, "x")
     r = bar.relative_degree
-    lf = np.array([bar.lie_f_value(k, x) for k in range(r)])
+    lf = [bar.lie_f_value(k, x) for k in range(r)]
     out = np.empty(r)
     out[0] = lf[0]
     for k in range(1, r):
-        coeffs = np.poly(-np.asarray(bar.poles[:k], dtype=float))
-        out[k] = sum(coeffs[i] * lf[k - i] for i in range(k + 1))
+        out[k] = sum((a * lf[k - i] for i, a in enumerate(bar.cascade[k - 1], 1)),
+                     lf[k])
     return out
 
 
 def eta(sys: ControlAffineSystem, bar: BarrierSpec, x) -> np.ndarray:
-    """Stack [L_f^{r-1} h, ..., L_f h, h] used in the high-order constraint."""
-    if bar.relative_degree < 2:
-        raise ParameterError("eta requires relative degree >= 2")
+    """Stack [L_f^{r-1} h, ..., L_f h, h] weighed by the constraint's cascade."""
     x = as_vector(x, sys.n, "x")
-    r = bar.relative_degree
-    return np.array([bar.lie_f_value(k, x) for k in range(r - 1, -1, -1)])
-
-
-def check_gradient(bar: BarrierSpec, x, step: float = 1e-5) -> float:
-    """Worst per-coordinate relative error of grad_h vs central differences."""
-    if step <= 0:
-        raise ParameterError("step must be positive")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    grad = np.asarray(bar.grad_h(x), dtype=float).reshape(-1)
-    worst = 0.0
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = step
-        fd = (float(bar.h(x + e)) - float(bar.h(x - e))) / (2.0 * step)
-        err = abs(fd - grad[i]) / max(1.0, abs(grad[i]))
-        worst = max(worst, err)
-    return worst
+    return np.array([bar.lie_f_value(k, x)
+                     for k in range(bar.relative_degree - 1, -1, -1)])

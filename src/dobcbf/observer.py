@@ -9,15 +9,14 @@ where the gain L_d must satisfy the coercivity condition
 v' L_d(x) g2(x) v >= alpha ||v||^2 and p is an antiderivative of L_d
 (dp/dx = L_d).  Under a bounded disturbance derivative ||ddot|| <= omega the
 estimation error is uniformly ultimately bounded; `error_envelope` evaluates
-the closed-form bound and `ultimate_bound` its limit.
+the closed-form bound, which tends to omega/sqrt(2 kappa nu).
 
-Note on the sign of the full-column-rank gain: the coercivity inequality
-requires L_d = +alpha (g2' g2)^{-1} g2'; `full_rank_gain` builds that.
+Note on the sign of a full-column-rank gain: the coercivity inequality
+requires L_d = +alpha (g2' g2)^{-1} g2', not its negative.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -114,11 +113,6 @@ def error_envelope(cfg: ObserverConfig, e0_norm: float, t):
     return float(out) if np.ndim(t) == 0 else out
 
 
-def ultimate_bound(cfg: ObserverConfig) -> float:
-    """Limit of the error envelope as t -> infinity."""
-    return cfg.omega / math.sqrt(2.0 * cfg.kappa * cfg.nu)
-
-
 @dataclass
 class GainReport:
     """Sampling-based verdict on the observer gain pair."""
@@ -183,15 +177,3 @@ def validate_gain(cfg: ObserverConfig, sys: ControlAffineSystem, sample_states,
         report.messages.append(
             f"dp/dx deviates from L_d by {worst_jac:.3e} (tol {fd_tol:.1e})")
     return report
-
-
-def full_rank_gain(sys: ControlAffineSystem, alpha: float):
-    """Constant-structure gain L_d(x) = alpha (g2' g2)^{-1} g2' for full-column-rank g2."""
-    if alpha <= 0:
-        raise ParameterError("alpha must be positive")
-
-    def gain(x):
-        G2 = sys.disturbance_matrix(x)
-        return alpha * np.linalg.solve(G2.T @ G2, G2.T)
-
-    return gain

@@ -3,11 +3,13 @@
 Each scenario bundles a plant, an observer, a safety filter, a nominal law,
 a disturbance signal, and its derived constants (disturbance-derivative
 bound, worst-case magnitude, inertia eigenvalue bounds), all resolved from a
-plain nested-dict configuration with every default overridable.
+plain nested-dict configuration with every default overridable.  `build` is
+one skeleton for every scenario; a family function per plant (scalar,
+double integrator, arm) supplies only what differs.
 
 Derived constants and their provenance:
   * the observer-side derivative bound is max_t ||ddot(t)|| of the analytic
-    disturbance over a fine grid covering one full period;
+    disturbance over a 200 001-point grid of [0, tf - t0], the run's length;
   * the robust baseline's magnitude bound is max_t ||d(t)|| over the same
     grid;
   * the arm's inverse-inertia eigenvalue bounds are exact: the inertia
@@ -35,7 +37,7 @@ import numpy as np
 
 from . import el as elmod
 from . import filters, observer, simulate
-from .model import BarrierSpec, ControlAffineSystem, ParameterError
+from .model import BarrierSpec, ControlAffineSystem, ParameterError, s_sequence
 
 SCENARIOS = ("scalar-rel1", "doubleint-relr", "el2dof-dob", "el2dof-robust",
              "el2dof-nofilter", "el2dof-noomega")
@@ -198,6 +200,9 @@ def _signal_from_config(spec) -> simulate.DisturbanceSignal:
             unknown = set(term) - {"amplitude", "frequency", "phase", "waveform"}
             if unknown:
                 raise ConfigError(f"unknown disturbance term keys {sorted(unknown)}")
+            missing = {"amplitude", "frequency"} - set(term)
+            if missing:
+                raise ConfigError(f"disturbance term lacks {sorted(missing)}")
             terms.append(simulate.Term(
                 amplitude=float(term["amplitude"]),
                 frequency=float(term["frequency"]),
@@ -246,7 +251,7 @@ class Scenario:
     disturbance: simulate.DisturbanceSignal
     simcfg: simulate.SimConfig
     x0: np.ndarray
-    observer_cfg: observer.ObserverConfig | None = None
+    observer_cfg: observer.ObserverConfig
     certified: bool = True
     pairing_key: str = ""
     envelope: Callable | None = None
@@ -315,62 +320,53 @@ def _simcfg(cfg: dict) -> simulate.SimConfig:
                               substeps=int(sim["substeps"]))
 
 
-def _build_scalar(cfg: dict) -> Scenario:
-    prm = cfg["params"]
-    alpha, beta = float(prm["alpha"]), float(prm["beta"])
-    gamma, nu = float(prm["gamma"]), float(prm["nu"])
-    gain, target = float(prm["nominal_gain"]), float(prm["nominal_target"])
+# Family functions take (cfg, signal, simcfg, omega) and return their own
+# Scenario fields plus `sample(rng)`, the validation states, and
+# `report(x0, e0)`, the parameter report or None; `build` derives the rest.
 
+
+def _qp_family(cfg: dict, omega: float, system: ControlAffineSystem,
+               barrier: BarrierSpec, gain_shape: np.ndarray,
+               nominal: Callable) -> dict:
+    """A generic plant under the QpFilter, observed with the constant gain
+    L = alpha * gain_shape (so p(x) = L x); states sampled in [-2, 2]^n."""
+    prm = cfg["params"]
+    alpha, beta, nu = float(prm["alpha"]), float(prm["beta"]), float(prm["nu"])
+    gain = alpha * gain_shape
+    obs = observer.ObserverConfig(
+        dim_state=system.n, dim_dist=system.p,
+        gain=lambda x: gain, gain_integral=gain.dot,
+        alpha=alpha, nu=nu, omega=omega)
+    fp = filters.FilterParams(alpha=alpha, beta=beta, nu=nu, omega=omega)
+    return dict(
+        system=system, observer_cfg=obs,
+        safety=filters.QpFilter(system, barrier, fp), nominal=nominal,
+        sample=lambda rng: rng.uniform(-2.0, 2.0, size=(200, system.n)),
+        report=lambda x0, e0: filters.validate_params(
+            barrier, fp, s_sequence(system, barrier, x0), e0),
+        pairing_key=cfg["scenario"], constants={"omega": omega},
+        decay_gamma=barrier.poles[-1])
+
+
+def _scalar(cfg: dict, signal, simcfg, omega: float) -> dict:
+    prm = cfg["params"]
+    gain, target = float(prm["nominal_gain"]), float(prm["nominal_target"])
     system = ControlAffineSystem(
         n=1, m=1, p=1,
         f=lambda x: np.zeros(1),
         g1=lambda x: np.eye(1),
         g2=lambda x: np.eye(1))
     barrier = BarrierSpec(h=lambda x: float(x[0]),
-                          grad_h=lambda x: np.ones(1))
-    signal = _signal_from_config(cfg["disturbance"])
-    if signal.dim != 1:
-        raise ConfigError("scalar scenario needs a one-channel disturbance")
-    simcfg = _simcfg(cfg)
-    omega = derivative_bound(signal, simcfg.tf - simcfg.t0)
-
-    obs = observer.ObserverConfig(
-        dim_state=1, dim_dist=1,
-        gain=lambda x: alpha * np.eye(1),
-        gain_integral=lambda x: alpha * x,
-        alpha=alpha, nu=nu, omega=omega)
-    fp = filters.FilterParams(alpha=alpha, beta=beta, gamma=gamma, nu=nu,
-                              omega=omega)
-    x0 = np.asarray(cfg["initial_state"], dtype=float)
-    e0 = float(np.linalg.norm(signal.value(simcfg.t0)))
-    env = lambda t: observer.error_envelope(obs, e0, t)
-
-    def validators():
-        rng = np.random.default_rng(int(cfg["seed"]))
-        samples = rng.uniform(-2.0, 2.0, size=(200, 1))
-        return {
-            "params": filters.validate_params(barrier, fp,
-                                              float(barrier.h(x0)), e0),
-            "gain": observer.validate_gain(obs, system, samples, rng=rng),
-        }
-
-    return Scenario(
-        name=cfg["scenario"], config=cfg, system=system,
-        safety=filters.Rel1QpFilter(system, barrier, fp),
-        nominal=lambda t, x: np.array([gain * (target - x[0])]),
-        disturbance=signal, simcfg=simcfg, x0=x0, observer_cfg=obs,
-        certified=True, pairing_key="scalar-rel1", envelope=env,
-        constants={"omega": omega, "e0_norm": e0}, validators=validators,
-        decay_gamma=gamma)
+                          grad_h=lambda x: np.ones(1),
+                          poles=(float(prm["gamma"]),))
+    return _qp_family(cfg, omega, system, barrier, np.eye(1),
+                      lambda t, x: np.array([gain * (target - x[0])]))
 
 
-def _build_doubleint(cfg: dict) -> Scenario:
+def _doubleint(cfg: dict, signal, simcfg, omega: float) -> dict:
     prm = cfg["params"]
-    alpha, beta, nu = float(prm["alpha"]), float(prm["beta"]), float(prm["nu"])
-    poles = tuple(float(v) for v in prm["poles"])
     kp, kd = float(prm["nominal_kp"]), float(prm["nominal_kd"])
     target = float(prm["nominal_target"])
-
     system = ControlAffineSystem(
         n=2, m=1, p=1,
         f=lambda x: np.array([x[1], 0.0]),
@@ -383,47 +379,12 @@ def _build_doubleint(cfg: dict) -> Scenario:
         lie_f=(lambda x: -float(x[1]), lambda x: 0.0),
         lie_g1_fr=lambda x: np.array([-1.0]),
         lie_g2_fr=lambda x: np.array([-1.0]),
-        poles=poles)
-    signal = _signal_from_config(cfg["disturbance"])
-    simcfg = _simcfg(cfg)
-    omega = derivative_bound(signal, simcfg.tf - simcfg.t0)
-
-    obs = observer.ObserverConfig(
-        dim_state=2, dim_dist=1,
-        gain=lambda x: np.array([[0.0, alpha]]),
-        gain_integral=lambda x: np.array([alpha * x[1]]),
-        alpha=alpha, nu=nu, omega=omega)
-    # gamma is unused by the high-order constraint; keep the params object
-    # valid by passing the final pole in its place.
-    fp = filters.FilterParams(alpha=alpha, beta=beta, gamma=poles[-1], nu=nu,
-                              omega=omega)
-    x0 = np.asarray(cfg["initial_state"], dtype=float)
-    e0 = float(np.linalg.norm(signal.value(simcfg.t0)))
-    env = lambda t: observer.error_envelope(obs, e0, t)
-
-    from .model import s_sequence
-
-    def validators():
-        rng = np.random.default_rng(int(cfg["seed"]))
-        samples = rng.uniform(-2.0, 2.0, size=(200, 2))
-        s_vals = s_sequence(system, barrier, x0)
-        return {
-            "params": filters.validate_params(barrier, fp, float(s_vals[-1]),
-                                              e0, s_values=s_vals),
-            "gain": observer.validate_gain(obs, system, samples, rng=rng),
-        }
-
-    return Scenario(
-        name=cfg["scenario"], config=cfg, system=system,
-        safety=filters.HighOrderQpFilter(system, barrier, fp),
-        nominal=lambda t, x: np.array([kp * (target - x[0]) - kd * x[1]]),
-        disturbance=signal, simcfg=simcfg, x0=x0, observer_cfg=obs,
-        certified=True, pairing_key="doubleint-relr", envelope=env,
-        constants={"omega": omega, "e0_norm": e0}, validators=validators,
-        decay_gamma=poles[-1])
+        poles=tuple(float(v) for v in prm["poles"]))
+    return _qp_family(cfg, omega, system, barrier, np.array([[0.0, 1.0]]),
+                      lambda t, x: np.array([kp * (target - x[0]) - kd * x[1]]))
 
 
-def _build_el(cfg: dict) -> Scenario:
+def _arm(cfg: dict, signal, simcfg, omega: float) -> dict:
     name = cfg["scenario"]
     prm = cfg["params"]
     alpha1, beta = float(prm["alpha1"]), float(prm["beta"])
@@ -433,44 +394,36 @@ def _build_el(cfg: dict) -> Scenario:
         raise ParameterError("PD gains kp and kd must be positive")
     amp = float(prm["ref_amplitude"])
 
-    arm = elmod.TwoLinkArm()
-    el_sys = arm.system()
+    el_sys = elmod.TwoLinkArm().system()
     system = elmod.to_control_affine(el_sys)
     mu1, mu2 = arm_mu_bounds()
-    signal = _signal_from_config(cfg["disturbance"])
-    if signal.dim != 2:
-        raise ConfigError("arm scenarios need a two-channel disturbance")
-    simcfg = _simcfg(cfg)
-    omega_d = derivative_bound(signal, simcfg.tf - simcfg.t0)
-
     h_q = lambda q: 16.0 - float(q[0]) ** 2 - float(q[1]) ** 2
     grad_hq = lambda q: np.array([-2.0 * q[0], -2.0 * q[1]])
-
     mode = filters.MODE_NO_OMEGA if name == "el2dof-noomega" else filters.MODE_FULL
     fp = elmod.ELFilterParams(
         alpha1=alpha1, beta=beta, gamma=gamma, nu=nu, mu1=mu1,
         omega=float(prm["constraint_omega"]),
         eps_singular=float(prm["eps_singular"]), mode=mode)
+    constants = {"mu1": mu1, "mu2": mu2, "omega_d": omega}
 
-    obs = elmod.el_observer_config(el_sys, alpha1, mu1, nu, omega_d)
-    x0 = np.asarray(cfg["initial_state"], dtype=float)
-    e0 = float(np.linalg.norm(signal.value(simcfg.t0)))
-    env = lambda t: observer.error_envelope(obs, e0, t)
-
-    d_max = prm["d_max"]
-    if name == "el2dof-robust":
-        d_max = float(d_max) if d_max is not None \
-            else magnitude_bound(signal, simcfg.tf - simcfg.t0)
-
+    report = floor = None
     if name in ("el2dof-dob", "el2dof-noomega"):
         safety = elmod.ELQpFilter(el_sys, h_q, grad_hq, fp)
+        report = lambda x0, e0: elmod.validate_el_params(
+            el_sys, fp, x0[:2], x0[2:], h_q(x0[:2]), e0)
     elif name == "el2dof-robust":
+        d_max = prm["d_max"]
+        d_max = float(d_max) if d_max is not None \
+            else magnitude_bound(signal, simcfg.tf - simcfg.t0)
+        constants["d_max"] = d_max
         safety = elmod.ELRobustFilter(el_sys, h_q, grad_hq, beta, gamma,
                                       d_max, eps_singular=fp.eps_singular)
-    elif name == "el2dof-nofilter":
-        safety = elmod.ELNoFilter(el_sys, h_q)
     else:
-        raise ConfigError(f"unknown arm scenario {name!r}")
+        safety = filters.NoFilter(lambda x: h_q(x[:2]))
+    if name == "el2dof-noomega":
+        # the worst-case floor is a theorem about the true disturbance, so it
+        # uses the derived derivative bound, not the constraint-side value
+        floor = lambda t: elmod.violation_floor(fp, omega, t)
 
     Kp = kp * np.eye(2)
     Kd = kd * np.eye(2)
@@ -482,54 +435,60 @@ def _build_el(cfg: dict) -> Scenario:
         return elmod.pd_nominal(Kp, Kd, q, qd, (c, c), (s, s),
                                 gravity=grav(q) if grav else None)
 
-    floor = None
-    if name == "el2dof-noomega":
-        # the worst-case floor is a theorem about the true disturbance, so it
-        # uses the derived derivative bound, not the constraint-side value
-        floor = lambda t: filters.violation_floor(
-            filters.FilterParams(alpha=fp.alpha, beta=beta, gamma=gamma,
-                                 nu=nu, omega=omega_d,
-                                 mode=filters.MODE_NO_OMEGA), t)
+    def sample(rng):
+        return np.hstack([rng.uniform(-math.pi, math.pi, size=(200, 2)),
+                          rng.uniform(-8.0, 8.0, size=(200, 2))])
 
-    def validators():
-        rng = np.random.default_rng(int(cfg["seed"]))
-        q_samp = rng.uniform(-math.pi, math.pi, size=(200, 2))
-        qd_samp = rng.uniform(-8.0, 8.0, size=(200, 2))
-        samples = np.hstack([q_samp, qd_samp])
-        out = {"gain": observer.validate_gain(obs, system, samples, rng=rng)}
-        if name in ("el2dof-dob", "el2dof-noomega"):
-            out["params"] = elmod.validate_el_params(
-                el_sys, fp, x0[:2], x0[2:], h_q(x0[:2]), e0)
-        return out
-
-    reference = lambda t: np.array([amp * math.cos(t), amp * math.cos(t)])
-    constants = {"mu1": mu1, "mu2": mu2, "omega_d": omega_d, "e0_norm": e0}
-    if d_max is not None:
-        constants["d_max"] = d_max
-
-    return Scenario(
-        name=name, config=cfg, system=system, safety=safety, nominal=nominal,
-        disturbance=signal, simcfg=simcfg, x0=x0, observer_cfg=obs,
+    return dict(
+        system=system,
+        observer_cfg=elmod.el_observer_config(el_sys, alpha1, mu1, nu, omega),
+        safety=safety, nominal=nominal, sample=sample, report=report,
         certified=name != "el2dof-nofilter", pairing_key="el2dof",
-        envelope=env, floor=floor, reference=reference, ref_indices=(0, 1),
-        el_system=el_sys, constants=constants, validators=validators,
+        floor=floor,
+        reference=lambda t: np.array([amp * math.cos(t), amp * math.cos(t)]),
+        ref_indices=(0, 1), el_system=el_sys, constants=constants,
         decay_gamma=gamma if name == "el2dof-dob" else None)
 
 
 def build(config: dict) -> Scenario:
-    """Construct a scenario from a resolved configuration dict."""
+    """Construct a scenario from a configuration dict.
+
+    The skeleton derives what every scenario shares: the disturbance signal,
+    the time grid, the derivative bound omega, x0, e0 = ||d(t0)||, the
+    estimation-error envelope, and the validators (a seeded rng and the
+    observer-gain check).  The family function returns the plant, observer,
+    filter, nominal law, validation-state sampler and parameter report, plus
+    the Scenario fields of its own.
+    """
     cfg = resolve_config(config)
     name = cfg["scenario"]
+    family = {"scalar-rel1": _scalar, "doubleint-relr": _doubleint}.get(name, _arm)
     try:
-        if name == "scalar-rel1":
-            sc = _build_scalar(cfg)
-        elif name == "doubleint-relr":
-            sc = _build_doubleint(cfg)
-        else:
-            sc = _build_el(cfg)
+        simcfg = _simcfg(cfg)
+        signal = _signal_from_config(cfg["disturbance"])
+        omega = derivative_bound(signal, simcfg.tf - simcfg.t0)
+        parts = family(cfg, signal, simcfg, omega)
     except ValueError as exc:  # ParameterError, DimensionError, ...
         raise ConfigError(str(exc)) from exc
-    if sc.x0.shape != (sc.system.n,):
-        raise ConfigError(f"initial_state needs {sc.system.n} entries, "
-                          f"got {sc.x0.size}")
-    return sc
+    sample, report = parts.pop("sample"), parts.pop("report")
+    system, obs = parts["system"], parts["observer_cfg"]
+    if signal.dim != system.p:
+        raise ConfigError(f"{name} needs a disturbance of {system.p} "
+                          f"channel(s), got {signal.dim}")
+    x0 = np.asarray(cfg["initial_state"], dtype=float)
+    if x0.shape != (system.n,):
+        raise ConfigError(f"initial_state needs {system.n} entries, "
+                          f"got {x0.size}")
+    e0 = float(np.linalg.norm(signal.value(simcfg.t0)))
+    parts["constants"]["e0_norm"] = e0
+
+    def validators():
+        rng = np.random.default_rng(int(cfg["seed"]))
+        out = {"gain": observer.validate_gain(obs, system, sample(rng), rng=rng)}
+        if report is not None:
+            out["params"] = report(x0, e0)
+        return out
+
+    return Scenario(name=name, config=cfg, disturbance=signal, simcfg=simcfg,
+                    x0=x0, envelope=lambda t: observer.error_envelope(obs, e0, t),
+                    validators=validators, **parts)

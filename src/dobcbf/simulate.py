@@ -22,7 +22,7 @@ import numpy as np
 
 from . import qp
 from .model import ControlAffineSystem, ParameterError, as_vector
-from .observer import ObserverConfig, ObserverState, estimate, initial_state
+from .observer import ObserverConfig, estimate, initial_state
 
 STATUS_CODES = {qp.INACTIVE: 0, qp.ACTIVE: 1, qp.INFEASIBLE: 2, "bypassed": 3}
 
@@ -205,24 +205,17 @@ def run_closed_loop(system: ControlAffineSystem,
                     disturbance: DisturbanceSignal,
                     cfg: SimConfig,
                     x0,
-                    observer: ObserverConfig | None = None,
-                    z0=None) -> TrajectoryLog:
+                    observer: ObserverConfig) -> TrajectoryLog:
     """Simulate the filtered closed loop and return the full log.
 
     Per integration step (dt/substeps): read the estimate, build the safety
     constraint, solve the QP, then advance plant and observer jointly with
     the chosen control held.  Deterministic: identical inputs give
     bit-identical logs.  A state norm above cfg.blowup_norm aborts the run
-    and returns the partial log.
+    and returns the partial log.  The observer starts from a zero estimate.
     """
     x = as_vector(x0, system.n, "x0")
-    if observer is not None:
-        st = ObserverState(np.asarray(z0, dtype=float).reshape(-1)) if z0 is not None \
-            else initial_state(observer, x)
-        if st.z.shape != (observer.dim_dist,):
-            raise ParameterError("z0 has wrong dimension")
-    else:
-        st = None
+    st = initial_state(observer, x)
 
     n, m, p = system.n, system.m, system.p
     columns = (["t"]
@@ -249,8 +242,6 @@ def run_closed_loop(system: ControlAffineSystem,
         fx, G1, G2 = system.evaluate(xs)
         drift = fx + G1.dot(u)
         dx = drift + G2.dot(disturbance.value(t))
-        if st is None:
-            return dx
         dy = np.empty(y.size)
         dy[:n] = dx
         dy[n:] = -observer.gain_at(xs).dot(
@@ -259,10 +250,7 @@ def run_closed_loop(system: ControlAffineSystem,
 
     def control_at(ts, xs):
         """One filter-plus-QP evaluation; returns the hold and its record."""
-        if st is not None:
-            d_hat = estimate(observer, st, xs)
-        else:
-            d_hat = np.zeros(p)
+        d_hat = estimate(observer, st, xs)
         u_nom = as_vector(nominal(ts, xs), m, "u_nom")
         dec = safety.constraint(ts, xs, u_nom, d_hat)
         if dec.bypass:
@@ -284,7 +272,7 @@ def run_closed_loop(system: ControlAffineSystem,
         counts[status] += 1
         return u, u_nom, d_hat, status, psi0, psi1_u
 
-    y = np.concatenate([x, st.z]) if st is not None else x
+    y = np.concatenate([x, st.z])
     for k in range(cfg.n_steps + 1):
         t = cfg.t0 + k * cfg.dt
         d_true = disturbance.value(t)
@@ -311,8 +299,7 @@ def run_closed_loop(system: ControlAffineSystem,
                     u = control_at(ts, x)[0]
                 y = rk4_step(rhs, ts, y, dt_sub)
                 x = y[:n]
-                if st is not None:
-                    st.z = y[n:]
+                st.z = y[n:]
         except IntegrationError:
             aborted = True
             events.append((t, "integration_error"))

@@ -136,7 +136,9 @@ def test_numerical_failure_exit_code(tmp_path):
 
 @pytest.mark.parametrize("override", ["params.kp=.nan", "sim.tf=abc",
                                       "params.beta=.inf", "sim.substeps=2.5",
-                                      "params.gravity_comp=1"])
+                                      "params.gravity_comp=1",
+                                      "disturbance=[[{amplitude: 1.0}], "
+                                      "[{amplitude: 1.0}]]"])
 def test_bad_number_in_config_exits_2(tmp_path, arm_cfg, override):
     rc = cli.main(["run", arm_cfg, "--out", str(tmp_path / "o"),
                    "--override", override])

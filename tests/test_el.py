@@ -4,17 +4,27 @@ import numpy as np
 import pytest
 
 from dobcbf.el import (ELFilterParams, ELQpFilter, ELSystem, TwoLinkArm,
-                       el_accel, el_dob_rhs, el_estimate, el_observer_config,
-                       el_psi, el_robust_psi, kinetic_energy,
-                       multi_constraint_reduce, mu_bounds, pd_nominal,
-                       singularity_guard, to_control_affine,
-                       validate_el_params)
+                       el_accel, el_observer_config, el_psi, el_robust_psi,
+                       guarded_decision, kinetic_energy, mu_bounds,
+                       pd_nominal, to_control_affine, validate_el_params)
 from dobcbf.model import ParameterError
 from dobcbf.observer import ObserverState, estimate, z_derivative
 from dobcbf.scenarios import ConfigError, build
 
 
 ARM = TwoLinkArm().system()
+
+
+def el_estimate(alpha1, z, qd):
+    """Oracle: the mechanical observer's estimate z + alpha1 * qdot."""
+    return np.asarray(z, dtype=float) + alpha1 * np.asarray(qd, dtype=float)
+
+
+def el_dob_rhs(sys, alpha1, z, q, qd, tau):
+    """Oracle: the mechanical observer's state derivative, written directly
+    from the equations of motion."""
+    inner = z + alpha1 * qd - sys.coriolis(q, qd) @ qd - sys.gravity(q) + tau
+    return -alpha1 * np.linalg.solve(sys.mass(q), inner)
 
 
 def test_arm_matrices_at_reference_configuration():
@@ -177,14 +187,6 @@ def test_el_robust_psi_is_worst_case():
         assert psi0_rob <= exact + 1e-9
 
 
-def test_multi_constraint_reduce():
-    psi0, psi1 = multi_constraint_reduce([3.0, -1.0, 2.0], np.array([1.0, 2.0]))
-    assert psi0 == -1.0
-    assert np.allclose(psi1, [1.0, 2.0])
-    with pytest.raises(ParameterError):
-        multi_constraint_reduce([], np.zeros(2))
-
-
 def test_pd_nominal():
     Kp = np.diag([200.0, 200.0])
     Kd = np.diag([35.0, 35.0])
@@ -205,12 +207,16 @@ def test_singularity_guard_cases():
     fp = ELFilterParams(alpha1=500.0, beta=10.0, gamma=2.0, nu=1.0,
                         mu1=0.3, eps_singular=1e-3)
     qd = np.array([0.5, 0.0])
-    _, _, bypass, event = singularity_guard(fp, qd, -1.0, -qd)
-    assert not bypass and event is None
-    _, _, bypass, event = singularity_guard(fp, np.zeros(2), 1.0, np.zeros(2))
-    assert bypass and event is None
-    _, _, bypass, event = singularity_guard(fp, np.zeros(2), -1.0, np.zeros(2))
-    assert bypass and event == "singular_infeasible"
+    dec = guarded_decision(fp.eps_singular, qd, -1.0, -qd)
+    assert not dec.bypass and dec.event is None
+    assert dec.psi0 == -1.0 and np.array_equal(dec.psi1, -qd)
+    dec = guarded_decision(fp.eps_singular, np.zeros(2), 1.0, np.zeros(2))
+    assert dec.bypass and dec.event is None
+    dec = guarded_decision(fp.eps_singular, np.zeros(2), -1.0, np.zeros(2))
+    assert dec.bypass and dec.event == "singular_infeasible"
+    # just below and at the threshold
+    assert guarded_decision(1e-3, np.array([0.0, 0.999e-3]), 1.0, -qd).bypass
+    assert not guarded_decision(1e-3, np.array([0.0, 1e-3]), 1.0, -qd).bypass
 
 
 def test_validate_el_params():

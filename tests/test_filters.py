@@ -1,20 +1,20 @@
 import numpy as np
 import pytest
 
-from dobcbf.filters import (MODE_NO_OMEGA, FilterParams, NoFilter,
-                            Rel1QpFilter, RobustRel1Filter, augmented_barrier,
-                            psi_rel1, psi_relr, robust_psi_rel1,
-                            validate_params, violation_floor)
+from dobcbf.el import ELFilterParams, violation_floor
+from dobcbf.filters import (MODE_NO_OMEGA, FilterParams, NoFilter, QpFilter,
+                            psi, validate_params)
 from dobcbf.model import BarrierSpec, ControlAffineSystem, ParameterError
 
 
-def scalar_plant():
+def scalar_plant(gamma=1.0):
     sys = ControlAffineSystem(
         n=1, m=1, p=1,
         f=lambda x: np.zeros(1),
         g1=lambda x: np.eye(1),
         g2=lambda x: np.eye(1))
-    bar = BarrierSpec(h=lambda x: float(x[0]), grad_h=lambda x: np.ones(1))
+    bar = BarrierSpec(h=lambda x: float(x[0]), grad_h=lambda x: np.ones(1),
+                      poles=(gamma,))
     return sys, bar
 
 
@@ -37,19 +37,19 @@ def di_plant(poles=(1.0, 1.0)):
 
 def test_params_validation():
     with pytest.raises(ParameterError):
-        FilterParams(alpha=1.0, beta=-1.0, gamma=1.0, nu=1.0)
+        FilterParams(alpha=1.0, beta=-1.0, nu=1.0)
     with pytest.raises(ParameterError):
-        FilterParams(alpha=1.0, beta=1.0, gamma=1.0, nu=1.0, mode="bogus")
+        FilterParams(alpha=1.0, beta=1.0, nu=1.0, mode="bogus")
     with pytest.raises(ParameterError):
-        FilterParams(alpha=1.0, beta=1.0, gamma=1.0, nu=1.0, omega=-0.5)
+        FilterParams(alpha=1.0, beta=1.0, nu=1.0, omega=-0.5)
 
 
 def test_psi_rel1_hand_computed():
-    sys, bar = scalar_plant()
-    fp = FilterParams(alpha=2.0, beta=1.0, gamma=1.0, nu=1.0, omega=2.0)
+    sys, bar = scalar_plant(gamma=1.0)
+    fp = FilterParams(alpha=2.0, beta=1.0, nu=1.0, omega=2.0)
     d_hat = np.array([0.5])
     x = np.array([1.0])
-    psi0, psi1 = psi_rel1(sys, bar, fp, x, d_hat)
+    psi0, psi1 = psi(sys, bar, fp, x, d_hat)
     # Lfh=0, Lg2h.dhat=0.5, omega term 2^2/(2*1*1)=2,
     # beta*|Lg2h|^2/(4a-2g-2n)=1/4, gamma*h=1
     assert psi0 == pytest.approx(0.5 - 2.0 - 0.25 + 1.0)
@@ -57,115 +57,103 @@ def test_psi_rel1_hand_computed():
 
 
 def test_psi_rel1_denominator_guard():
-    sys, bar = scalar_plant()
-    fp = FilterParams(alpha=1.0, beta=1.0, gamma=1.0, nu=1.0)
+    sys, bar = scalar_plant(gamma=1.0)
+    fp = FilterParams(alpha=1.0, beta=1.0, nu=1.0)
     with pytest.raises(ParameterError):
-        psi_rel1(sys, bar, fp, [0.0], [0.0])  # 4a-2g-2n = 0
+        psi(sys, bar, fp, [0.0], [0.0])  # 4a-2g-2n = 0
 
 
 def test_psi_rel1_no_omega_drops_only_that_term():
     sys, bar = scalar_plant()
-    full = FilterParams(alpha=2.0, beta=1.0, gamma=1.0, nu=1.0, omega=2.0)
-    wo = FilterParams(alpha=2.0, beta=1.0, gamma=1.0, nu=1.0, omega=2.0,
+    full = FilterParams(alpha=2.0, beta=1.0, nu=1.0, omega=2.0)
+    wo = FilterParams(alpha=2.0, beta=1.0, nu=1.0, omega=2.0,
                       mode=MODE_NO_OMEGA)
     x, d_hat = np.array([0.7]), np.array([0.3])
-    p_full, _ = psi_rel1(sys, bar, full, x, d_hat)
-    p_wo, _ = psi_rel1(sys, bar, wo, x, d_hat)
+    p_full, _ = psi(sys, bar, full, x, d_hat)
+    p_wo, _ = psi(sys, bar, wo, x, d_hat)
     assert p_wo - p_full == pytest.approx(2.0 ** 2 / 2.0)
 
 
 def test_psi_relr_hand_computed():
     sys, bar = di_plant(poles=(1.0, 1.0))
-    fp = FilterParams(alpha=2.0, beta=1.0, gamma=1.0, nu=1.0, omega=0.0)
+    fp = FilterParams(alpha=2.0, beta=1.0, nu=1.0, omega=0.0)
     x = np.array([0.0, 0.0])
     d_hat = np.array([1.0])
-    psi0, psi1 = psi_relr(sys, bar, fp, x, d_hat)
+    psi0, psi1 = psi(sys, bar, fp, x, d_hat)
     # L_f^2 h = 0; L_g2 L_f h . dhat = -1; omega term 0;
     # beta*1/(4*2-2*1-2*1) = 1/4; a = (2,1), eta = (L_f h, h) = (0, 1)
     assert psi0 == pytest.approx(-1.0 - 0.25 + 1.0)
     assert np.allclose(psi1, [-1.0])
 
 
-def test_psi_relr_requires_high_degree():
-    sys, bar = scalar_plant()
-    fp = FilterParams(alpha=2.0, beta=1.0, gamma=1.0, nu=1.0)
-    with pytest.raises(ParameterError):
-        psi_relr(sys, bar, fp, [0.0], [0.0])
-
-
-def test_robust_psi_rel1_worst_case_bound():
-    # the robust psi0 must lower-bound the dob psi0 evaluated at any true
-    # disturbance of norm <= d_max when the estimate equals that disturbance
-    # and the error/omega margins are removed
-    sys, bar = scalar_plant()
-    d_max = 1.5
-    x = np.array([0.8])
-    rng = np.random.default_rng(7)
-    psi0_rob, _ = robust_psi_rel1(sys, bar, gamma=1.0, d_max=d_max, x=x)
-    for _ in range(100):
-        d = rng.uniform(-d_max, d_max, 1)
-        lfh = 0.0
-        exact = lfh + d[0] + 1.0 * bar.h(x)
-        assert psi0_rob <= exact + 1e-12
-
-
 def test_augmented_barrier_values():
+    # hbar = beta * s_{r-1} - ||e_d||^2 / 2, read from the filter's probe
     sys, bar = scalar_plant()
-    fp = FilterParams(alpha=2.0, beta=3.0, gamma=1.0, nu=1.0)
-    assert augmented_barrier(sys, bar, fp, [2.0], [1.0]) == pytest.approx(
-        3.0 * 2.0 - 0.5)
+    filt = QpFilter(sys, bar, FilterParams(alpha=2.0, beta=3.0, nu=1.0))
+    assert filt.probe(np.array([2.0]), np.array([1.0]))["hbar"] == \
+        pytest.approx(3.0 * 2.0 - 0.5)
     sys2, bar2 = di_plant()
-    fp2 = FilterParams(alpha=2.0, beta=2.0, gamma=1.0, nu=1.0)
+    filt2 = QpFilter(sys2, bar2, FilterParams(alpha=2.0, beta=2.0, nu=1.0))
     x = np.array([0.25, -0.5])
     s1 = 0.5 + 0.75  # -x2 + lambda_1 * h
-    assert augmented_barrier(sys2, bar2, fp2, x, [0.0]) == pytest.approx(2 * s1)
+    probe = filt2.probe(x, np.array([0.0]))
+    assert probe["hbar"] == pytest.approx(2 * s1)
+    assert probe["s0"] == pytest.approx(0.75)
+    assert probe["s1"] == pytest.approx(s1)
 
 
 def test_violation_floor_shape():
-    fp = FilterParams(alpha=2.0, beta=2.0, gamma=1.0, nu=1.0, omega=3.0,
-                      mode=MODE_NO_OMEGA)
-    assert violation_floor(fp, 0.0) == pytest.approx(0.0)
+    fp = ELFilterParams(alpha1=10.0, beta=2.0, gamma=1.0, nu=1.0, mu1=0.3,
+                        omega=0.5, mode=MODE_NO_OMEGA)
+    # the floor uses the omega passed in, not the constraint-side fp.omega
+    assert violation_floor(fp, 3.0, 0.0) == pytest.approx(0.0)
     t = np.linspace(0, 50, 500)
-    fl = violation_floor(fp, t)
+    fl = violation_floor(fp, 3.0, t)
     assert np.all(np.diff(fl) <= 1e-15)
     assert fl[-1] == pytest.approx(-9.0 / (2 * 1 * 1 * 2), abs=1e-6)
     with pytest.raises(ParameterError):
-        violation_floor(FilterParams(alpha=2.0, beta=2.0, gamma=1.0, nu=1.0,
-                                     omega=3.0), 1.0)
+        violation_floor(ELFilterParams(alpha1=10.0, beta=2.0, gamma=1.0,
+                                       nu=1.0, mu1=0.3), 3.0, 1.0)
 
 
 def test_validate_params_strictness():
-    _, bar = scalar_plant()
-    fp = FilterParams(alpha=1.0, beta=1.0, gamma=1.0, nu=1.0)
+    _, bar = scalar_plant(gamma=1.0)
+    fp = FilterParams(alpha=1.0, beta=1.0, nu=1.0)
     # alpha = (gamma + nu)/2 exactly -> strict inequality fails
-    rep = validate_params(bar, fp, h0_or_s0=1.0, e0_norm=0.0)
+    rep = validate_params(bar, fp, [1.0], e0_norm=0.0)
     assert not rep.alpha_ok
-    ok = validate_params(bar, FilterParams(alpha=1.1, beta=1.0, gamma=1.0,
-                                           nu=1.0), 1.0, 0.0)
+    ok = validate_params(bar, FilterParams(alpha=1.1, beta=1.0, nu=1.0),
+                         [1.0], 0.0)
     assert ok.passed
     # beta too small for the initial error
-    bad = validate_params(bar, FilterParams(alpha=2.0, beta=1.0, gamma=1.0,
-                                            nu=1.0), 1.0, 2.0)
+    bad = validate_params(bar, FilterParams(alpha=2.0, beta=1.0, nu=1.0),
+                          [1.0], 2.0)
     assert not bad.beta_ok
-    neg = validate_params(bar, FilterParams(alpha=2.0, beta=1.0, gamma=1.0,
-                                            nu=1.0), -0.5, 0.0)
+    neg = validate_params(bar, FilterParams(alpha=2.0, beta=1.0, nu=1.0),
+                          [-0.5], 0.0)
     assert not neg.passed
+    # r = 2: the threshold is the last pole, and every s_k must be positive
+    _, bar2 = di_plant(poles=(1.0, 3.0))
+    fp2 = FilterParams(alpha=2.0, beta=1.0, nu=1.0)
+    assert not validate_params(bar2, fp2, [1.0, 1.0], 0.0).alpha_ok
+    cascade = validate_params(bar2, FilterParams(alpha=2.5, beta=1.0, nu=1.0),
+                              [-0.1, 1.0], 0.0)
+    assert cascade.alpha_ok and cascade.beta_ok and not cascade.cascade_ok
 
 
 def test_filter_objects_produce_decisions():
     sys, bar = scalar_plant()
-    fp = FilterParams(alpha=2.0, beta=1.0, gamma=1.0, nu=1.0)
-    filt = Rel1QpFilter(sys, bar, fp)
+    fp = FilterParams(alpha=2.0, beta=1.0, nu=1.0)
+    filt = QpFilter(sys, bar, fp)
     dec = filt.constraint(0.0, np.array([1.0]), np.array([0.0]),
                           np.array([0.0]))
     assert not dec.bypass
     probe = filt.probe(np.array([1.0]), np.array([0.5]))
     assert probe["h"] == pytest.approx(1.0)
     assert probe["hbar"] == pytest.approx(1.0 - 0.125)
-
-    rob = RobustRel1Filter(sys, bar, gamma=1.0, d_max=1.0)
-    assert np.isnan(rob.probe(np.array([1.0]), np.array([0.0]))["hbar"])
+    assert set(probe) == {"h", "hbar"}  # s_0 = h is not logged twice
 
     nof = NoFilter(h_fn=bar.h)
     dec = nof.constraint(0.0, np.array([1.0]), np.array([9.0]), np.array([0.0]))
     assert dec.bypass and dec.psi0 is None
+    assert np.isnan(nof.probe(np.array([1.0]), np.array([0.0]))["hbar"])

@@ -3,8 +3,7 @@ import pytest
 
 from dobcbf.model import (BarrierSpec, ConfigurationError, ControlAffineSystem,
                           DimensionError, ParameterError, as_vector,
-                          check_gradient, coeffs_from_poles, eta,
-                          lie_derivatives_rel1, s_sequence)
+                          coeffs_from_poles, eta, lie_derivatives, s_sequence)
 
 
 def scalar_system():
@@ -64,18 +63,22 @@ def test_fused_terms_match_individual_callbacks():
         assert np.allclose(a, b)
 
 
+def scalar_barrier(gamma=1.0):
+    return BarrierSpec(h=lambda x: float(x[0]), grad_h=lambda x: np.ones(1),
+                       poles=(gamma,))
+
+
 def test_lie_derivatives_rel1_scalar():
-    sys = scalar_system()
-    bar = BarrierSpec(h=lambda x: float(x[0]), grad_h=lambda x: np.ones(1))
-    lfh, lg1h, lg2h = lie_derivatives_rel1(sys, bar, [2.0])
+    # r = 1: grad_h times the plant terms
+    lfh, lg1h, lg2h = lie_derivatives(scalar_system(), scalar_barrier(), [2.0])
     assert lfh == 0.0
     assert np.allclose(lg1h, [1.0])
     assert np.allclose(lg2h, [1.0])
-
-
-def test_lie_derivatives_rel1_rejects_higher_degree():
-    with pytest.raises(ParameterError):
-        lie_derivatives_rel1(double_integrator(), di_barrier(), np.zeros(2))
+    # r = 2: the closed-form callbacks at the top order
+    lf2, lg1, lg2 = lie_derivatives(double_integrator(), di_barrier(),
+                                    np.array([0.3, -0.4]))
+    assert lf2 == 0.0
+    assert np.allclose(lg1, [-1.0]) and np.allclose(lg2, [-1.0])
 
 
 def test_coeffs_from_poles_simple_cases():
@@ -125,9 +128,8 @@ def test_eta_ordering():
     # [L_f h, h] for r = 2
     assert vals[0] == pytest.approx(0.5)
     assert vals[1] == pytest.approx(0.75)
-    with pytest.raises(ParameterError):
-        eta(scalar_system(), BarrierSpec(h=lambda x: float(x[0]),
-                                         grad_h=lambda x: np.ones(1)), [0.0])
+    # r = 1: just [h]
+    assert np.allclose(eta(scalar_system(), scalar_barrier(), [0.4]), [0.4])
 
 
 def test_barrier_spec_validation():
@@ -141,11 +143,26 @@ def test_barrier_spec_validation():
         di_barrier(poles=(1.0, -2.0))
 
 
-def test_check_gradient_flags_wrong_gradient():
-    good = BarrierSpec(h=lambda x: 1.0 - x[0] ** 2 - x[1] ** 2,
-                       grad_h=lambda x: np.array([-2.0 * x[0], -2.0 * x[1]]))
-    bad = BarrierSpec(h=good.h,
-                      grad_h=lambda x: np.array([-2.0 * x[0], +2.0 * x[1]]))
-    x = np.array([0.3, 0.7])
-    assert check_gradient(good, x) < 1e-8
-    assert check_gradient(bad, x) > 1e-2
+def test_barrier_spec_needs_one_pole_per_order():
+    with pytest.raises(ConfigurationError):
+        BarrierSpec(h=lambda x: float(x[0]), grad_h=lambda x: np.ones(1))
+    with pytest.raises(ConfigurationError):
+        BarrierSpec(h=lambda x: 0.0, grad_h=lambda x: np.ones(1),
+                    poles=(1.0, 2.0))
+    with pytest.raises(ConfigurationError):
+        di_barrier(poles=(1.0,))
+    with pytest.raises(ParameterError):
+        scalar_barrier(gamma=0.0)
+
+
+def test_barrier_cascade_matches_coeffs_from_poles():
+    assert len(scalar_barrier(gamma=2.5).cascade) == 1
+    assert np.array_equal(scalar_barrier(gamma=2.5).cascade[0], [2.5])
+    bar = di_barrier(poles=(2.0, 3.0))
+    assert len(bar.cascade) == 2
+    assert np.array_equal(bar.cascade[0], coeffs_from_poles([2.0]))
+    assert np.array_equal(bar.cascade[1], coeffs_from_poles([2.0, 3.0]))
+    assert np.allclose(bar.cascade[1], [5.0, 6.0])
+    # s_1 = L_f h + lambda_1 h = -x2 + 2 h, from the stored cascade
+    x = np.array([0.25, -0.5])
+    assert s_sequence(double_integrator(), bar, x)[1] == pytest.approx(0.5 + 1.5)

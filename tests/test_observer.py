@@ -3,8 +3,8 @@ import pytest
 
 from dobcbf.model import ControlAffineSystem, ParameterError
 from dobcbf.observer import (ObserverConfig, ObserverState, error_envelope,
-                             estimate, full_rank_gain, initial_state,
-                             ultimate_bound, validate_gain, z_derivative)
+                             estimate, initial_state, validate_gain,
+                             z_derivative)
 from dobcbf.simulate import rk4_step
 
 
@@ -14,6 +14,11 @@ def scalar_config(alpha=2.0, nu=1.0, omega=2.0):
         gain=lambda x: alpha * np.eye(1),
         gain_integral=lambda x: alpha * x,
         alpha=alpha, nu=nu, omega=omega)
+
+
+def ultimate_bound(cfg):
+    """Oracle: the envelope's limit omega / sqrt(2 kappa nu)."""
+    return cfg.omega / np.sqrt(2.0 * cfg.kappa * cfg.nu)
 
 
 def scalar_system():
@@ -53,8 +58,9 @@ def test_envelope_endpoints_and_monotonicity():
 
 def test_ultimate_bound_formula():
     cfg = scalar_config(alpha=2.0, nu=1.0, omega=2.0)
-    # omega / sqrt(2 kappa nu) with kappa = 1.5
-    assert ultimate_bound(cfg) == pytest.approx(2.0 / np.sqrt(3.0))
+    # omega / sqrt(2 kappa nu) with kappa = 1.5, from any initial error
+    for e0 in (0.0, 5.0):
+        assert error_envelope(cfg, e0, 50.0) == pytest.approx(2.0 / np.sqrt(3.0))
 
 
 def test_constant_disturbance_error_decays_at_kappa_rate():
@@ -129,17 +135,3 @@ def test_validate_gain_catches_insufficient_coercivity():
     assert not rep.coercivity_ok
     rep_ok = validate_gain(cfg, scalar_system(), [[0.0]])
     assert rep_ok.coercivity_ok
-
-
-def test_full_rank_gain_satisfies_coercivity():
-    rng = np.random.default_rng(3)
-    # tall disturbance matrix with full column rank
-    G2 = rng.standard_normal((4, 2))
-    sys = ControlAffineSystem(
-        n=4, m=1, p=2,
-        f=lambda x: np.zeros(4),
-        g1=lambda x: np.ones((4, 1)),
-        g2=lambda x: G2)
-    gain = full_rank_gain(sys, alpha=2.5)
-    A = gain(np.zeros(4)) @ G2
-    assert np.allclose(A, 2.5 * np.eye(2), atol=1e-10)

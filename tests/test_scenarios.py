@@ -144,3 +144,15 @@ def test_config_numbers_must_be_finite_numbers():
     cfg = resolve_config({"scenario": arm, "sim": {"tf": 2, "dt": "1e-3"}})
     assert cfg["sim"]["tf"] == 2.0 and isinstance(cfg["sim"]["tf"], float)
     assert cfg["sim"]["dt"] == 1e-3
+
+
+def test_disturbance_channels_must_match_the_plant():
+    term = {"amplitude": 1.0, "frequency": 1.0}
+    for name in scenarios.SCENARIOS:
+        p = 2 if name.startswith("el2dof") else 1
+        for channels in {0, p - 1, p + 1}:
+            with pytest.raises(ConfigError):
+                build({"scenario": name, "sim": {"tf": 0.1},
+                       "disturbance": [[term]] * channels})
+        assert build({"scenario": name, "sim": {"tf": 0.1},
+                      "disturbance": [[term]] * p}).system.p == p
