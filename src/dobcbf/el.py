@@ -27,8 +27,12 @@ from .observer import ObserverConfig
 class ELSystem:
     """Inertia/Coriolis/gravity callbacks of a mechanical plant.
 
-    mass maps q -> (n, n) SPD; coriolis maps (q, qdot) -> (n, n) such that
-    Mdot - 2C is skew-symmetric; gravity maps q -> (n,).  Only n = 2 is
+    mass maps q -> ((m11, m12), (m21, m22)), symmetric positive definite;
+    coriolis maps (q, qdot) -> ((c11, c12), (c21, c22)) such that
+    Mdot - 2C is skew-symmetric; gravity maps q -> (g1, g2).  Every entry is
+    a Python float, so the plant's hot path runs without NumPy calls on
+    2x2 data; q and qdot may be any length-2 sequence of numbers.  Code
+    that needs arrays wraps the results with np.asarray.  Only n = 2 is
     supported: the plant embedding inverts the inertia in closed form and
     the energy terms are written out for two joints.
     """
@@ -69,19 +73,19 @@ class TwoLinkArm:
         def mass(q):
             c2 = math.cos(q[1])
             a12 = a12_0 + ml2_2 * c2
-            return np.array([[a11_0 + ml2 * c2, a12], [a12, a12_0]])
+            return (a11_0 + ml2 * c2, a12), (a12, a12_0)
 
         def coriolis(q, qd):
             s2 = math.sin(q[1])
             v0, v1 = float(qd[0]), float(qd[1])
-            return np.array([[-ml2_2 * s2 * v1, -ml2_2 * (v0 + v1) * s2],
-                             [ml2_2 * v0 * s2, 0.0]])
+            return ((-ml2_2 * s2 * v1, -ml2_2 * (v0 + v1) * s2),
+                    (ml2_2 * v0 * s2, 0.0))
 
         def gravity(q):
             q0, q1 = float(q[0]), float(q[1])
             c1 = math.cos(q0)
             c12 = math.cos(q0 + q1)
-            return np.array([w1 * c1 + w12 * c12 + w2 * c1, w12 * c12])
+            return w1 * c1 + w12 * c12 + w2 * c1, w12 * c12
 
         return ELSystem(dof=2, mass=mass, coriolis=coriolis, gravity=gravity)
 
@@ -92,8 +96,9 @@ def el_accel(sys: ELSystem, q, qd, tau, tau_d) -> np.ndarray:
     qd = as_vector(qd, sys.dof, "qd")
     tau = as_vector(tau, sys.dof, "tau")
     tau_d = as_vector(tau_d, sys.dof, "tau_d")
-    M = sys.mass(q)
-    rhs = tau + tau_d - sys.coriolis(q, qd) @ qd - sys.gravity(q)
+    M = np.asarray(sys.mass(q))
+    rhs = (tau + tau_d - np.asarray(sys.coriolis(q, qd)) @ qd
+           - np.asarray(sys.gravity(q)))
     try:
         return np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError as exc:
@@ -106,7 +111,7 @@ def mu_bounds(sys: ELSystem, q_grid) -> tuple[float, float]:
     count = 0
     for q in q_grid:
         q = as_vector(q, sys.dof, "q")
-        eigs = np.linalg.eigvalsh(sys.mass(q))
+        eigs = np.linalg.eigvalsh(np.asarray(sys.mass(q)))
         if eigs[0] <= 0:
             raise ParameterError(f"inertia matrix not SPD at q = {q}")
         lo = min(lo, 1.0 / eigs[-1])
@@ -119,7 +124,7 @@ def mu_bounds(sys: ELSystem, q_grid) -> tuple[float, float]:
 
 def kinetic_energy(sys: ELSystem, q, qd) -> float:
     """qdot' M(q) qdot / 2."""
-    (m11, m12), (m21, m22) = sys.mass(np.asarray(q, dtype=float)).tolist()
+    (m11, m12), (m21, m22) = sys.mass(q)
     v0, v1 = float(qd[0]), float(qd[1])
     return 0.5 * ((v0 * m11 + v1 * m21) * v0 + (v0 * m12 + v1 * m22) * v1)
 
@@ -166,13 +171,15 @@ def el_psi(sys: ELSystem, h_q: Callable, grad_hq: Callable,
             f"need 4*alpha1*mu1 - 2*gamma - 2*nu > 0, got {denom}")
     q = as_vector(q, sys.dof, "q")
     qd = as_vector(qd, sys.dof, "qd")
-    tau_hat = as_vector(tau_hat, sys.dof, "tau_hat")
-    J = as_vector(grad_hq(q), sys.dof, "grad_hq(q)")
+    th0, th1 = as_vector(tau_hat, sys.dof, "tau_hat").tolist()
+    j0, j1 = as_vector(grad_hq(q), sys.dof, "grad_hq(q)").tolist()
+    v0, v1 = qd.tolist()
+    g0, g1 = sys.gravity(q)
     omega_term = 0.0 if fp.mode == MODE_NO_OMEGA else fp.omega ** 2 / (2.0 * fp.nu)
-    psi0 = (fp.beta * float(qd.dot(J))
-            - float(qd.dot(tau_hat - sys.gravity(q)))
+    psi0 = (fp.beta * (v0 * j0 + v1 * j1)
+            - (v0 * (th0 - g0) + v1 * (th1 - g1))
             - omega_term
-            - float(qd.dot(qd)) / denom
+            - (v0 * v0 + v1 * v1) / denom
             + fp.gamma * (fp.beta * float(h_q(q)) - kinetic_energy(sys, q, qd)))
     return psi0, -qd
 
@@ -185,10 +192,12 @@ def el_robust_psi(sys: ELSystem, h_q: Callable, grad_hq: Callable,
         raise ParameterError("d_max must be nonnegative")
     q = as_vector(q, sys.dof, "q")
     qd = as_vector(qd, sys.dof, "qd")
-    J = as_vector(grad_hq(q), sys.dof, "grad_hq(q)")
-    psi0 = (beta * float(qd @ J)
-            + float(qd @ sys.gravity(q))
-            - float(np.linalg.norm(qd)) * d_max
+    j0, j1 = as_vector(grad_hq(q), sys.dof, "grad_hq(q)").tolist()
+    v0, v1 = qd.tolist()
+    g0, g1 = sys.gravity(q)
+    psi0 = (beta * (v0 * j0 + v1 * j1)
+            + (v0 * g0 + v1 * g1)
+            - math.sqrt(v0 * v0 + v1 * v1) * d_max
             + gamma * (beta * float(h_q(q)) - kinetic_energy(sys, q, qd)))
     return psi0, -qd
 
@@ -272,20 +281,27 @@ def to_control_affine(sys: ELSystem) -> ControlAffineSystem:
 
     The 2x2 inertia is inverted in closed form; a matrix that is not positive
     definite at some q (a singular one included) raises ParameterError.
+    The state is read into Python floats once, and M, C qdot + G, the
+    inverse and the drift are computed in floats; only f and B are arrays.
     """
+    mass, coriolis, gravity = sys.mass, sys.coriolis, sys.gravity
 
     def terms(x):
-        q, qd = x[:2], x[2:]
-        (m11, m12), (m21, m22) = sys.mass(q).tolist()
+        q0, q1, v0, v1 = x.tolist()
+        q, qd = (q0, q1), (v0, v1)
+        (m11, m12), (m21, m22) = mass(q)
         det = m11 * m22 - m12 * m21
         if not (m11 > 0.0 and det > 0.0):
             raise ParameterError(f"inertia matrix not positive definite at q = {q}")
-        h0, h1 = (sys.coriolis(q, qd).dot(qd) + sys.gravity(q)).tolist()
+        (c11, c12), (c21, c22) = coriolis(q, qd)
+        g0, g1 = gravity(q)
+        h0 = c11 * v0 + c12 * v1 + g0
+        h1 = c21 * v0 + c22 * v1 + g1
         # a new B per call: callers may keep the matrices they are given
         B = np.zeros((4, 2))
         B[2, 0], B[2, 1] = m22 / det, -m12 / det
         B[3, 0], B[3, 1] = -m21 / det, m11 / det
-        f = np.array([x[2], x[3], (m12 * h1 - m22 * h0) / det,
+        f = np.array([v0, v1, (m12 * h1 - m22 * h0) / det,
                       (m21 * h0 - m11 * h1) / det])
         return f, B, B
 

@@ -12,6 +12,7 @@ closed-form callbacks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -34,21 +35,23 @@ def as_vector(v, dim: int, name: str = "vector") -> np.ndarray:
     """Coerce to a finite 1-D float array of the declared dimension.
 
     A float64 array of shape (dim,) is checked and returned as it is; only
-    other inputs are converted.
+    other inputs are converted.  Finiteness is tested on the entries as
+    Python floats with math.isfinite, which gives np.isfinite's verdict on
+    every float64 without NumPy's per-call overhead on short vectors.
     """
     if not (type(v) is np.ndarray and v.dtype == np.float64 and v.shape == (dim,)):
         arr = np.asarray(v, dtype=float).reshape(-1)
         if arr.shape != (dim,):
             raise DimensionError(f"{name}: expected dimension {dim}, got shape {np.shape(v)}")
         v = arr
-    if not np.isfinite(v).all():
+    if not all(map(math.isfinite, v.tolist())):
         raise ValueError(f"{name}: non-finite entries {v}")
     return v
 
 
 def as_matrix(mat, rows: int, cols: int, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite float array of shape (rows, cols); a flat input of
-    rows*cols entries is reshaped."""
+    rows*cols entries is reshaped.  Finiteness is tested as in as_vector."""
     if not (type(mat) is np.ndarray and mat.dtype == np.float64
             and mat.shape == (rows, cols)):
         mat = np.asarray(mat, dtype=float)
@@ -56,7 +59,7 @@ def as_matrix(mat, rows: int, cols: int, name: str = "matrix") -> np.ndarray:
             mat = mat.reshape(rows, cols)
         if mat.shape != (rows, cols):
             raise DimensionError(f"{name}: expected shape ({rows}, {cols}), got {mat.shape}")
-    if not np.isfinite(mat).all():
+    if not all(map(math.isfinite, mat.ravel().tolist())):
         raise ValueError(f"{name}: non-finite entries {mat}")
     return mat
 

@@ -9,7 +9,7 @@ double integrator, arm) supplies only what differs.
 
 Derived constants and their provenance:
   * the observer-side derivative bound is max_t ||ddot(t)|| of the analytic
-    disturbance over a 200 001-point grid of [0, tf - t0], the run's length;
+    disturbance over a 200 001-point grid of the run's span [t0, tf];
   * the robust baseline's magnitude bound is max_t ||d(t)|| over the same
     grid;
   * the arm's inverse-inertia eigenvalue bounds are exact: the inertia
@@ -212,16 +212,16 @@ def _signal_from_config(spec) -> simulate.DisturbanceSignal:
     return simulate.DisturbanceSignal(tuple(channels))
 
 
-def derivative_bound(signal: simulate.DisturbanceSignal,
-                     horizon: float, points: int = 200_001) -> float:
-    """max_t ||ddot(t)|| on a dense grid covering the run horizon."""
-    return signal.max_derivative_norm(np.linspace(0.0, horizon, points))
+def derivative_bound(signal: simulate.DisturbanceSignal, t0: float,
+                     tf: float, points: int = 200_001) -> float:
+    """max_t ||ddot(t)|| on a dense grid of the run's span [t0, tf]."""
+    return signal.max_derivative_norm(np.linspace(t0, tf, points))
 
 
-def magnitude_bound(signal: simulate.DisturbanceSignal,
-                    horizon: float, points: int = 200_001) -> float:
-    """max_t ||d(t)|| on a dense grid covering the run horizon."""
-    return signal.max_value_norm(np.linspace(0.0, horizon, points))
+def magnitude_bound(signal: simulate.DisturbanceSignal, t0: float,
+                    tf: float, points: int = 200_001) -> float:
+    """max_t ||d(t)|| on a dense grid of the run's span [t0, tf]."""
+    return signal.max_value_norm(np.linspace(t0, tf, points))
 
 
 def arm_mu_bounds(m1: float = 1.0, m2: float = 1.0, l: float = 1.0,
@@ -414,7 +414,7 @@ def _arm(cfg: dict, signal, simcfg, omega: float) -> dict:
     elif name == "el2dof-robust":
         d_max = prm["d_max"]
         d_max = float(d_max) if d_max is not None \
-            else magnitude_bound(signal, simcfg.tf - simcfg.t0)
+            else magnitude_bound(signal, simcfg.t0, simcfg.tf)
         constants["d_max"] = d_max
         safety = elmod.ELRobustFilter(el_sys, h_q, grad_hq, beta, gamma,
                                       d_max, eps_singular=fp.eps_singular)
@@ -422,8 +422,9 @@ def _arm(cfg: dict, signal, simcfg, omega: float) -> dict:
         safety = filters.NoFilter(lambda x: h_q(x[:2]))
     if name == "el2dof-noomega":
         # the worst-case floor is a theorem about the true disturbance, so it
-        # uses the derived derivative bound, not the constraint-side value
-        floor = lambda t: elmod.violation_floor(fp, omega, t)
+        # uses the derived derivative bound, not the constraint-side value;
+        # like the envelope it runs on the time since the start, t - t0
+        floor = lambda t: elmod.violation_floor(fp, omega, t - simcfg.t0)
 
     Kp = kp * np.eye(2)
     Kd = kd * np.eye(2)
@@ -433,7 +434,7 @@ def _arm(cfg: dict, signal, simcfg, omega: float) -> dict:
         q, qd = x[:2], x[2:]
         c, s = amp * math.cos(t), -amp * math.sin(t)
         return elmod.pd_nominal(Kp, Kd, q, qd, (c, c), (s, s),
-                                gravity=grav(q) if grav else None)
+                                gravity=np.asarray(grav(q)) if grav else None)
 
     def sample(rng):
         return np.hstack([rng.uniform(-math.pi, math.pi, size=(200, 2)),
@@ -455,7 +456,8 @@ def build(config: dict) -> Scenario:
 
     The skeleton derives what every scenario shares: the disturbance signal,
     the time grid, the derivative bound omega, x0, e0 = ||d(t0)||, the
-    estimation-error envelope, and the validators (a seeded rng and the
+    estimation-error envelope (a function of absolute time that starts from
+    e0 at t0), and the validators (a seeded rng and the
     observer-gain check).  The family function returns the plant, observer,
     filter, nominal law, validation-state sampler and parameter report, plus
     the Scenario fields of its own.
@@ -466,7 +468,7 @@ def build(config: dict) -> Scenario:
     try:
         simcfg = _simcfg(cfg)
         signal = _signal_from_config(cfg["disturbance"])
-        omega = derivative_bound(signal, simcfg.tf - simcfg.t0)
+        omega = derivative_bound(signal, simcfg.t0, simcfg.tf)
         parts = family(cfg, signal, simcfg, omega)
     except ValueError as exc:  # ParameterError, DimensionError, ...
         raise ConfigError(str(exc)) from exc
@@ -490,5 +492,7 @@ def build(config: dict) -> Scenario:
         return out
 
     return Scenario(name=name, config=cfg, disturbance=signal, simcfg=simcfg,
-                    x0=x0, envelope=lambda t: observer.error_envelope(obs, e0, t),
+                    x0=x0,
+                    envelope=lambda t: observer.error_envelope(obs, e0,
+                                                               t - simcfg.t0),
                     validators=validators, **parts)

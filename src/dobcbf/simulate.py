@@ -156,13 +156,14 @@ class SimConfig:
 
 def rk4_step(rhs: Callable[[float, np.ndarray], np.ndarray], t: float,
              state: np.ndarray, dt: float) -> np.ndarray:
-    """One classical 4th-order Runge-Kutta update."""
+    """One classical 4th-order Runge-Kutta update; a non-finite new state
+    (tested entry by entry with math.isfinite) raises IntegrationError."""
     k1 = rhs(t, state)
     k2 = rhs(t + 0.5 * dt, state + 0.5 * dt * k1)
     k3 = rhs(t + 0.5 * dt, state + 0.5 * dt * k2)
     k4 = rhs(t + dt, state + dt * k3)
     out = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.isfinite(out).all():
+    if not all(map(math.isfinite, out.ravel().tolist())):
         raise IntegrationError(f"non-finite state after step at t = {t}")
     return out
 
@@ -234,6 +235,18 @@ def run_closed_loop(system: ControlAffineSystem,
     counts = {name: 0 for name in STATUS_CODES}
     aborted = False
     dt_sub = cfg.dt / cfg.substeps
+    memo_t, memo_d = math.nan, None
+
+    def disturbance_at(t):
+        """d(t), evaluated once per distinct time: RK4's two midpoint stages
+        share a time, a step's last stage usually meets the next step's
+        start, and the log reads d at the start of a step.  The memo holds
+        the last pair only and is keyed on exact float equality, so every
+        value is the one a fresh evaluation would give."""
+        nonlocal memo_t, memo_d
+        if t != memo_t:
+            memo_t, memo_d = t, disturbance.value(t)
+        return memo_d
 
     def rhs(t, y):
         """Joint plant-and-observer derivative under the held control u,
@@ -241,7 +254,7 @@ def run_closed_loop(system: ControlAffineSystem,
         xs = y[:n]
         fx, G1, G2 = system.evaluate(xs)
         drift = fx + G1.dot(u)
-        dx = drift + G2.dot(disturbance.value(t))
+        dx = drift + G2.dot(disturbance_at(t))
         dy = np.empty(y.size)
         dy[:n] = dx
         dy[n:] = -observer.gain_at(xs).dot(
@@ -275,7 +288,7 @@ def run_closed_loop(system: ControlAffineSystem,
     y = np.concatenate([x, st.z])
     for k in range(cfg.n_steps + 1):
         t = cfg.t0 + k * cfg.dt
-        d_true = disturbance.value(t)
+        d_true = disturbance_at(t)
         u, u_nom, d_hat, status, psi0, psi1_u = control_at(t, x)
         e_d = d_hat - d_true
 

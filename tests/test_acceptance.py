@@ -185,8 +185,9 @@ def test_criterion_9_model_identities():
         q = rng.uniform(-np.pi, np.pi, 2)
         qd = rng.uniform(-8.0, 8.0, 2)
         v = rng.standard_normal(2)
-        Mdot = (arm.mass(q + eps * qd) - arm.mass(q - eps * qd)) / (2 * eps)
-        S = Mdot - 2.0 * arm.coriolis(q, qd)
+        Mdot = (np.asarray(arm.mass(q + eps * qd))
+                - np.asarray(arm.mass(q - eps * qd))) / (2 * eps)
+        S = Mdot - 2.0 * np.asarray(arm.coriolis(q, qd))
         ok &= abs(float(v @ S @ v)) <= 1e-6 * (1 + np.linalg.norm(qd)) * float(v @ v)
     # energy identity: total energy conserved along unforced motion
     g = 9.81

@@ -54,8 +54,9 @@ def test_skew_symmetry_mdot_minus_2c():
         q = rng.uniform(-math.pi, math.pi, 2)
         qd = rng.uniform(-5.0, 5.0, 2)
         v = rng.standard_normal(2)
-        Mdot = (ARM.mass(q + eps * qd) - ARM.mass(q - eps * qd)) / (2 * eps)
-        S = Mdot - 2.0 * ARM.coriolis(q, qd)
+        Mdot = (np.asarray(ARM.mass(q + eps * qd))
+                - np.asarray(ARM.mass(q - eps * qd))) / (2 * eps)
+        S = Mdot - 2.0 * np.asarray(ARM.coriolis(q, qd))
         quad = float(v @ S @ v)
         assert abs(quad) <= 1e-6 * (1 + np.linalg.norm(qd)) * float(v @ v)
 
@@ -235,15 +236,18 @@ def test_validate_el_params():
 
 def test_to_control_affine_embedding():
     sys_ca = to_control_affine(ARM)
-    q = np.array([0.3, 0.9])
     qd = np.array([-1.0, 0.5])
-    x = np.concatenate([q, qd])
     tau = np.array([1.0, -2.0])
     tau_d = np.array([0.2, 0.4])
-    fx, G1, G2 = sys_ca.evaluate(x)
-    xdot = fx + G1 @ tau + G2 @ tau_d
-    assert np.allclose(xdot[:2], qd)
-    assert np.allclose(xdot[2:], el_accel(ARM, q, qd, tau, tau_d), atol=1e-12)
+    # a generic elbow angle and the two where the inertia is extreme
+    for q2 in (0.9, 0.0, math.pi):
+        q = np.array([0.3, q2])
+        x = np.concatenate([q, qd])
+        fx, G1, G2 = sys_ca.evaluate(x)
+        xdot = fx + G1 @ tau + G2 @ tau_d
+        assert np.allclose(xdot[:2], qd)
+        assert np.allclose(xdot[2:], el_accel(ARM, q, qd, tau, tau_d),
+                           atol=1e-12)
 
 
 def test_el_filter_object_guard_path():

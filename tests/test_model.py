@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dobcbf.model import (BarrierSpec, ConfigurationError, ControlAffineSystem,
-                          DimensionError, ParameterError, as_vector,
+                          DimensionError, ParameterError, as_matrix, as_vector,
                           coeffs_from_poles, eta, lie_derivatives, s_sequence)
 
 
@@ -33,12 +33,33 @@ def di_barrier(poles=(1.0, 1.0)):
         poles=poles)
 
 
+#: float64 values at the edges of the finiteness test
+EDGE_VALUES = (np.nan, np.inf, -np.inf, -0.0, 5e-324,
+               1.7976931348623157e308, -1.7976931348623157e308)
+
+
 def test_as_vector_rejects_bad_shape_and_nonfinite():
     assert np.allclose(as_vector([1.0, 2.0], 2), [1.0, 2.0])
     with pytest.raises(DimensionError):
         as_vector([1.0, 2.0], 3)
     with pytest.raises(ValueError):
         as_vector([np.nan, 0.0], 2)
+    # the verdict is np.isfinite's at the edges of float64, for an entry in
+    # the last place of a vector and of a 4x2 matrix, given as an array or
+    # as a list
+    for value in EDGE_VALUES:
+        vec = np.array([1.0, -2.0, 3.0, value])
+        mat = np.arange(8.0).reshape(4, 2)
+        mat[-1, -1] = value
+        for check, arr in ((lambda a: as_vector(a, 4), vec),
+                           (lambda a: as_matrix(a, 4, 2), mat)):
+            if np.isfinite(value):
+                assert check(arr) is arr  # passed through uncopied
+                assert check(arr.tolist()).tobytes() == arr.tobytes()
+            else:
+                for given in (arr, arr.tolist()):
+                    with pytest.raises(ValueError, match="non-finite entries"):
+                        check(given)
 
 
 def test_system_dimension_validation():

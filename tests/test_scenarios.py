@@ -91,6 +91,28 @@ def test_noomega_floor_defined():
     assert sc.floor(100.0) < 0
 
 
+def test_certificates_follow_the_start_time():
+    # the envelope starts from e0 = ||d(t0)|| at t0, not at t = 0
+    residuals = []
+    for t0 in (0.0, 1.0):
+        sc = build({"scenario": "doubleint-relr",
+                    "sim": {"t0": t0, "tf": t0 + 1.0}})
+        log = sc.run()
+        summary = sc.metrics(log)
+        assert sc.check_invariants(log, summary) == []
+        residuals.append(summary["max_env_residual"])
+    assert residuals[1] == pytest.approx(residuals[0], abs=1e-12)
+    # so does the withheld-omega floor
+    sc = build({"scenario": "el2dof-noomega", "sim": {"t0": 1.0, "tf": 2.0}})
+    assert sc.floor(1.0) == pytest.approx(0.0)
+    # the derived bound spans [t0, tf]: ddot = -2 sin t peaks at t = pi/2,
+    # inside [1.2, 2.2] but outside [0, 1]
+    sc = build({"scenario": "scalar-rel1", "sim": {"t0": 1.2, "tf": 2.2},
+                "disturbance": [[{"amplitude": 2.0, "frequency": 1.0,
+                                  "phase": math.pi / 2}]]})
+    assert sc.constants["omega"] == pytest.approx(2.0, abs=1e-9)
+
+
 def test_check_invariants_flags_unsafe_log():
     sc = build({"scenario": "scalar-rel1", "sim": {"tf": 1.0}})
     log = sc.run()
