@@ -6,10 +6,13 @@ Subcommands:
   validate <config.yaml> parameter and observer-gain checks only
   compare <dirA> <dirB>  paired deltas between two finished runs
 
-Exit codes: 0 pass, 1 certified-run invariant failure, 2 configuration
-error (including a number that is not finite or not a number), 3 numerical
-failure (blow-up, non-finite integration, or a ValueError such as a
-singular inertia matrix raised while simulating).
+Exit codes: 0 pass, 1 certified-run invariant failure (or, for validate,
+a failed check), 2 configuration error (including a number that is not
+finite or not a number), 3 numerical failure: blow-up, non-finite
+integration, or a ValueError or ArithmeticError raised by the validation
+checks (`run` and `validate`) or while simulating, such as a singular
+inertia matrix or an overflow.  Exit codes 2 and 3 print one line on
+stderr.
 """
 
 from __future__ import annotations
@@ -109,11 +112,7 @@ def run_scenario(cfg: dict, outdir: str) -> int:
     with open(os.path.join(outdir, "validation.txt"), "w") as fh:
         fh.write("\n".join(val_lines) + "\n")
 
-    try:
-        log = scenario.run()
-    except ValueError as exc:  # np.linalg.LinAlgError is a ValueError too
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+    log = scenario.run()
     log.to_csv(os.path.join(outdir, "trajectory.csv"))
     summary = scenario.metrics(log)
     summary["scenario"] = scenario.name
@@ -208,7 +207,9 @@ def main(argv=None) -> int:
     except (ConfigError, FileNotFoundError, yaml.YAMLError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except simulate.IntegrationError as exc:
+    except (simulate.IntegrationError, ValueError, ArithmeticError) as exc:
+        # after ConfigError, itself a ValueError; np.linalg.LinAlgError is
+        # a ValueError too
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 2

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .filters import MODE_FULL, MODE_NO_OMEGA, Decision
-from .model import ControlAffineSystem, ParameterError, as_vector
+from .model import ControlAffineSystem, ParameterError, as_floats, as_vector
 from .observer import ObserverConfig
 
 
@@ -164,16 +164,19 @@ class ELFilterParams:
 
 def el_psi(sys: ELSystem, h_q: Callable, grad_hq: Callable,
            fp: ELFilterParams, q, qd, tau_hat) -> tuple[float, np.ndarray]:
-    """Energy-filter constraint coefficients; psi1 is always -qdot."""
+    """Energy-filter constraint coefficients; psi1 is always -qdot.
+
+    q, qd, tau_hat and grad_hq(q) are each checked once and read as Python
+    floats; h_q and grad_hq receive q as a list of two floats.
+    """
     denom = 4.0 * fp.alpha - 2.0 * fp.gamma - 2.0 * fp.nu
     if denom <= 0:
         raise ParameterError(
             f"need 4*alpha1*mu1 - 2*gamma - 2*nu > 0, got {denom}")
-    q = as_vector(q, sys.dof, "q")
-    qd = as_vector(qd, sys.dof, "qd")
-    th0, th1 = as_vector(tau_hat, sys.dof, "tau_hat").tolist()
-    j0, j1 = as_vector(grad_hq(q), sys.dof, "grad_hq(q)").tolist()
-    v0, v1 = qd.tolist()
+    q = as_floats(q, sys.dof, "q")
+    qd = v0, v1 = as_floats(qd, sys.dof, "qd")
+    th0, th1 = as_floats(tau_hat, sys.dof, "tau_hat")
+    j0, j1 = as_floats(grad_hq(q), sys.dof, "grad_hq(q)")
     g0, g1 = sys.gravity(q)
     omega_term = 0.0 if fp.mode == MODE_NO_OMEGA else fp.omega ** 2 / (2.0 * fp.nu)
     psi0 = (fp.beta * (v0 * j0 + v1 * j1)
@@ -181,25 +184,25 @@ def el_psi(sys: ELSystem, h_q: Callable, grad_hq: Callable,
             - omega_term
             - (v0 * v0 + v1 * v1) / denom
             + fp.gamma * (fp.beta * float(h_q(q)) - kinetic_energy(sys, q, qd)))
-    return psi0, -qd
+    return psi0, np.array((-v0, -v1))
 
 
 def el_robust_psi(sys: ELSystem, h_q: Callable, grad_hq: Callable,
                   beta: float, gamma: float, d_max: float,
                   q, qd) -> tuple[float, np.ndarray]:
-    """Worst-case counterpart of the energy filter over ||tau_d|| <= d_max."""
+    """Worst-case counterpart of the energy filter over ||tau_d|| <= d_max,
+    with the checks and float arithmetic of el_psi."""
     if d_max < 0:
         raise ParameterError("d_max must be nonnegative")
-    q = as_vector(q, sys.dof, "q")
-    qd = as_vector(qd, sys.dof, "qd")
-    j0, j1 = as_vector(grad_hq(q), sys.dof, "grad_hq(q)").tolist()
-    v0, v1 = qd.tolist()
+    q = as_floats(q, sys.dof, "q")
+    qd = v0, v1 = as_floats(qd, sys.dof, "qd")
+    j0, j1 = as_floats(grad_hq(q), sys.dof, "grad_hq(q)")
     g0, g1 = sys.gravity(q)
     psi0 = (beta * (v0 * j0 + v1 * j1)
             + (v0 * g0 + v1 * g1)
             - math.sqrt(v0 * v0 + v1 * v1) * d_max
             + gamma * (beta * float(h_q(q)) - kinetic_energy(sys, q, qd)))
-    return psi0, -qd
+    return psi0, np.array((-v0, -v1))
 
 
 def violation_floor(fp: ELFilterParams, omega: float, t):
@@ -225,21 +228,28 @@ def guarded_decision(eps_singular: float, qd, psi0: float,
     infeasibility event.
     """
     if math.hypot(qd[0], qd[1]) >= eps_singular:
-        return Decision(psi0=psi0, psi1=psi1)
-    return Decision(psi0=psi0, psi1=psi1, bypass=True,
-                    event="singular_infeasible" if psi0 < 0 else None)
+        return Decision(psi0, psi1)
+    return Decision(psi0, psi1, True,
+                    "singular_infeasible" if psi0 < 0 else None)
 
 
 def pd_nominal(Kp, Kd, q, qd, q_des, qd_des, gravity=None) -> np.ndarray:
-    """PD tracking law, optionally with gravity compensation.
+    """PD tracking law of a 2-DOF arm, optionally with gravity compensation.
 
-    The gains are not checked here: callers validate them once, where they
-    are configured (the arm scenarios reject kp, kd <= 0 at build time).
+    The 2x2 gains and every vector may be nested sequences of numbers or
+    arrays; the law is computed in Python floats.  The gains are not
+    checked here: callers validate them once, where they are configured
+    (the arm scenarios reject kp, kd <= 0 at build time).
     """
-    tau = np.dot(Kp, np.subtract(q_des, q)) + np.dot(Kd, np.subtract(qd_des, qd))
+    (p11, p12), (p21, p22) = Kp
+    (d11, d12), (d21, d22) = Kd
+    e0, e1 = q_des[0] - q[0], q_des[1] - q[1]
+    w0, w1 = qd_des[0] - qd[0], qd_des[1] - qd[1]
+    tau0 = (p11 * e0 + p12 * e1) + (d11 * w0 + d12 * w1)
+    tau1 = (p21 * e0 + p22 * e1) + (d21 * w0 + d22 * w1)
     if gravity is not None:
-        tau = tau + gravity
-    return tau
+        tau0, tau1 = tau0 + gravity[0], tau1 + gravity[1]
+    return np.array((tau0, tau1))
 
 
 @dataclass
@@ -341,9 +351,10 @@ class ELQpFilter:
         self.params = params
 
     def constraint(self, t, x, u_nom, d_hat) -> Decision:
-        q, qd = self.sys.split(x)
+        # el_psi checks both halves of the state, so x is checked once
+        qd = x[2:]
         psi0, psi1 = el_psi(self.sys, self.h_q, self.grad_hq, self.params,
-                            q, qd, d_hat)
+                            x[:2], qd, d_hat)
         return guarded_decision(self.params.eps_singular, qd, psi0, psi1)
 
     def probe(self, x, e_d) -> dict:
@@ -369,9 +380,9 @@ class ELRobustFilter:
         self.eps_singular = eps_singular
 
     def constraint(self, t, x, u_nom, d_hat) -> Decision:
-        q, qd = self.sys.split(x)
+        qd = x[2:]  # checked with x[:2] in el_robust_psi
         psi0, psi1 = el_robust_psi(self.sys, self.h_q, self.grad_hq,
-                                   self.beta, self.gamma, self.d_max, q, qd)
+                                   self.beta, self.gamma, self.d_max, x[:2], qd)
         return guarded_decision(self.eps_singular, qd, psi0, psi1)
 
     def probe(self, x, e_d) -> dict:

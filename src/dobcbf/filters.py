@@ -14,13 +14,14 @@ simulator; `NoFilter` is the pass-through baseline that only logs h.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .model import (BarrierSpec, ControlAffineSystem, ParameterError,
-                    as_vector, eta, lie_derivatives, s_sequence)
+                    as_floats, lie_derivatives, s_sequence)
 
 MODE_FULL = "full"
 MODE_NO_OMEGA = "no_omega"
@@ -53,19 +54,26 @@ class FilterParams:
 
 def psi(sys: ControlAffineSystem, bar: BarrierSpec, fp: FilterParams,
         x, d_hat) -> tuple[float, np.ndarray]:
-    """Constraint coefficients for a barrier of relative degree r >= 1."""
+    """Constraint coefficients for a barrier of relative degree r >= 1.
+
+    x is checked once, by lie_derivatives, and the cascade's lower-order
+    terms L_f^k h (k < r) are read at the same x; d_hat is checked here.
+    The products of the Lie terms with d_hat and the cascade weights are
+    sums over Python floats.
+    """
     denom = 4.0 * fp.alpha - 2.0 * bar.poles[-1] - 2.0 * fp.nu
     if denom <= 0:
         raise ParameterError(
             f"need 4*alpha - 2*lambda_r - 2*nu > 0, got {denom}")
-    x = as_vector(x, sys.n, "x")
-    d_hat = as_vector(d_hat, sys.p, "d_hat")
     lfr, lg1, lg2 = lie_derivatives(sys, bar, x)
+    d_hat = as_floats(d_hat, sys.p, "d_hat")
+    b = lg2.tolist()
+    eta = [bar.lie_f_value(k, x) for k in range(bar.relative_degree - 1, -1, -1)]
     omega_term = 0.0 if fp.mode == MODE_NO_OMEGA \
         else fp.omega ** 2 / (2.0 * fp.nu * fp.beta)
-    psi0 = (lfr + float(lg2 @ d_hat) - omega_term
-            - fp.beta * float(lg2 @ lg2) / denom
-            + float(bar.cascade[-1] @ eta(sys, bar, x)))
+    psi0 = (lfr + sum(map(operator.mul, b, d_hat)) - omega_term
+            - fp.beta * sum(map(operator.mul, b, b)) / denom
+            + sum(map(operator.mul, bar.cascade[-1].tolist(), eta)))
     return psi0, lg1
 
 
@@ -122,8 +130,7 @@ def validate_params(bar: BarrierSpec, fp: FilterParams, s_values,
                        beta_margin=float(beta_margin), messages=messages)
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """Outcome of a filter's constraint construction at one control step."""
 
     psi0: float | None
@@ -142,8 +149,7 @@ class QpFilter:
         self.params = params
 
     def constraint(self, t, x, u_nom, d_hat) -> Decision:
-        psi0, psi1 = psi(self.system, self.barrier, self.params, x, d_hat)
-        return Decision(psi0=psi0, psi1=psi1)
+        return Decision(*psi(self.system, self.barrier, self.params, x, d_hat))
 
     def probe(self, x, e_d) -> dict:
         s = s_sequence(self.system, self.barrier, x)

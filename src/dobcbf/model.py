@@ -19,6 +19,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 
+#: NumPy's float64 dtype object, which native float64 arrays share; the
+#: checks below test it by identity, cheaper than ==, and an array with any
+#: other dtype object takes their converting path to the same verdict
+_F64 = np.dtype(np.float64)
+
+
 class DimensionError(ValueError):
     """A callback or input does not match the declared dimensions."""
 
@@ -39,7 +45,7 @@ def as_vector(v, dim: int, name: str = "vector") -> np.ndarray:
     Python floats with math.isfinite, which gives np.isfinite's verdict on
     every float64 without NumPy's per-call overhead on short vectors.
     """
-    if not (type(v) is np.ndarray and v.dtype == np.float64 and v.shape == (dim,)):
+    if not (type(v) is np.ndarray and v.dtype is _F64 and v.shape == (dim,)):
         arr = np.asarray(v, dtype=float).reshape(-1)
         if arr.shape != (dim,):
             raise DimensionError(f"{name}: expected dimension {dim}, got shape {np.shape(v)}")
@@ -49,10 +55,21 @@ def as_vector(v, dim: int, name: str = "vector") -> np.ndarray:
     return v
 
 
+def as_floats(v, dim: int, name: str = "vector") -> list:
+    """The entries of as_vector(v, dim, name) as a list of Python floats,
+    with its checks and errors; a float64 array of shape (dim,) is read
+    with one tolist call and never copied into a new array."""
+    if type(v) is np.ndarray and v.dtype is _F64 and v.shape == (dim,):
+        vals = v.tolist()
+        if all(map(math.isfinite, vals)):
+            return vals
+    return as_vector(v, dim, name).tolist()
+
+
 def as_matrix(mat, rows: int, cols: int, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite float array of shape (rows, cols); a flat input of
     rows*cols entries is reshaped.  Finiteness is tested as in as_vector."""
-    if not (type(mat) is np.ndarray and mat.dtype == np.float64
+    if not (type(mat) is np.ndarray and mat.dtype is _F64
             and mat.shape == (rows, cols)):
         mat = np.asarray(mat, dtype=float)
         if mat.size == rows * cols:
@@ -193,9 +210,8 @@ def s_sequence(sys: ControlAffineSystem, bar: BarrierSpec, x) -> np.ndarray:
     derivatives expand into combinations of L_f^j h because the control and
     disturbance channels only appear at order r.
     """
-    x = as_vector(x, sys.n, "x")
     r = bar.relative_degree
-    lf = [bar.lie_f_value(k, x) for k in range(r)]
+    lf = eta(sys, bar, x)[::-1].tolist()  # eta checks x
     out = np.empty(r)
     out[0] = lf[0]
     for k in range(1, r):

@@ -9,8 +9,10 @@ oracle.
 
 from __future__ import annotations
 
+import collections
 import math
-from dataclasses import dataclass
+import operator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,24 +23,30 @@ ACTIVE = "active"
 INFEASIBLE = "infeasible"
 
 
-@dataclass(frozen=True)
-class QpInstance:
-    """Data of min ||u - u_nom||^2 s.t. psi0 + psi1 . u >= 0."""
+class QpInstance(collections.namedtuple("QpInstance", "u_nom psi0 psi1")):
+    """Data of min ||u - u_nom||^2 s.t. psi0 + psi1 . u >= 0.
 
-    u_nom: np.ndarray
-    psi0: float
-    psi1: np.ndarray
+    Built once per decision and checked then: u_nom and psi1 become finite
+    float arrays of one length, and psi0 must be finite.
+    """
 
-    def __post_init__(self):
-        u_nom = as_vector(self.u_nom, np.size(self.u_nom), "u_nom")
-        object.__setattr__(self, "u_nom", u_nom)
-        object.__setattr__(self, "psi1", as_vector(self.psi1, u_nom.size, "psi1"))
-        if not math.isfinite(self.psi0):
-            raise ValueError(f"psi0 must be finite, got {self.psi0}")
+    __slots__ = ()
+
+    def __new__(cls, u_nom, psi0, psi1):
+        m = u_nom.size if type(u_nom) is np.ndarray else np.size(u_nom)
+        u_nom = as_vector(u_nom, m, "u_nom")
+        psi1 = as_vector(psi1, u_nom.size, "psi1")
+        if not math.isfinite(psi0):
+            raise ValueError(f"psi0 must be finite, got {psi0}")
+        return tuple.__new__(cls, (u_nom, psi0, psi1))
+
+    @classmethod
+    def _make(cls, iterable):
+        # the namedtuple default skips __new__; _replace builds through here
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class QpResult:
+class QpResult(NamedTuple):
     u: np.ndarray
     status: str
     constraint_value: float
@@ -47,18 +55,22 @@ class QpResult:
 def solve(inst: QpInstance) -> QpResult:
     """Closed-form projection onto the half-space {u : psi0 + psi1.u >= 0}.
 
-    Infeasibility (psi1 = 0 with psi0 < 0) is a status, not an error; the
-    nominal control is returned so callers can log and continue.
+    The inner products and the projection are computed on the entries as
+    Python floats.  Infeasibility (psi1 = 0 with psi0 < 0) is a status, not
+    an error; the nominal control is returned so callers can log and
+    continue.
     """
-    slack = inst.psi0 + float(inst.psi1.dot(inst.u_nom))
+    u_nom, psi0, psi1 = inst
+    un, row = u_nom.tolist(), psi1.tolist()
+    slack = psi0 + sum(map(operator.mul, row, un))
     if slack >= 0.0:
-        return QpResult(u=inst.u_nom.copy(), status=INACTIVE, constraint_value=slack)
-    sq = float(inst.psi1.dot(inst.psi1))
+        return QpResult(u_nom.copy(), INACTIVE, slack)
+    sq = sum(map(operator.mul, row, row))
     if sq == 0.0:
-        return QpResult(u=inst.u_nom.copy(), status=INFEASIBLE, constraint_value=slack)
-    u = inst.u_nom - (slack / sq) * inst.psi1
-    return QpResult(u=u, status=ACTIVE,
-                    constraint_value=inst.psi0 + float(inst.psi1.dot(u)))
+        return QpResult(u_nom.copy(), INFEASIBLE, slack)
+    step = slack / sq
+    u = [ui - step * pi for ui, pi in zip(un, row)]
+    return QpResult(np.array(u), ACTIVE, psi0 + sum(map(operator.mul, row, u)))
 
 
 def brute_force(inst: QpInstance, box_halfwidth: float,

@@ -426,15 +426,15 @@ def _arm(cfg: dict, signal, simcfg, omega: float) -> dict:
         # like the envelope it runs on the time since the start, t - t0
         floor = lambda t: elmod.violation_floor(fp, omega, t - simcfg.t0)
 
-    Kp = kp * np.eye(2)
-    Kd = kd * np.eye(2)
+    Kp = ((kp, 0.0), (0.0, kp))
+    Kd = ((kd, 0.0), (0.0, kd))
     grav = el_sys.gravity if bool(prm["gravity_comp"]) else None
 
     def nominal(t, x):
-        q, qd = x[:2], x[2:]
+        q0, q1, v0, v1 = x.tolist()  # the simulator's checked state
         c, s = amp * math.cos(t), -amp * math.sin(t)
-        return elmod.pd_nominal(Kp, Kd, q, qd, (c, c), (s, s),
-                                gravity=np.asarray(grav(q)) if grav else None)
+        return elmod.pd_nominal(Kp, Kd, (q0, q1), (v0, v1), (c, c), (s, s),
+                                gravity=grav((q0, q1)) if grav else None)
 
     def sample(rng):
         return np.hstack([rng.uniform(-math.pi, math.pi, size=(200, 2)),

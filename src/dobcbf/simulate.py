@@ -261,16 +261,18 @@ def run_closed_loop(system: ControlAffineSystem,
             drift + G2.dot(y[n:] + observer.integral_at(xs)))
         return dy
 
+    # the latest decision's parts, read only when its step is logged
+    u_nom = d_hat = dec = status = None
+
     def control_at(ts, xs):
-        """One filter-plus-QP evaluation; returns the hold and its record."""
+        """One filter-plus-QP evaluation; returns the control to hold."""
+        nonlocal u_nom, d_hat, dec, status
         d_hat = estimate(observer, st, xs)
         u_nom = as_vector(nominal(ts, xs), m, "u_nom")
         dec = safety.constraint(ts, xs, u_nom, d_hat)
         if dec.bypass:
             u = u_nom
             status = "bypassed" if dec.event else qp.INACTIVE
-            psi0 = dec.psi0 if dec.psi0 is not None else np.nan
-            psi1_u = float(np.dot(dec.psi1, u)) if dec.psi1 is not None else np.nan
             if dec.event:
                 events.append((ts, dec.event))
         else:
@@ -278,22 +280,22 @@ def run_closed_loop(system: ControlAffineSystem,
                                          psi1=dec.psi1))
             u = res.u
             status = res.status
-            psi0 = dec.psi0
-            psi1_u = float(np.dot(dec.psi1, u))
             if status == qp.INFEASIBLE:
                 events.append((ts, "qp_infeasible"))
         counts[status] += 1
-        return u, u_nom, d_hat, status, psi0, psi1_u
+        return u
 
     y = np.concatenate([x, st.z])
     for k in range(cfg.n_steps + 1):
         t = cfg.t0 + k * cfg.dt
         d_true = disturbance_at(t)
-        u, u_nom, d_hat, status, psi0, psi1_u = control_at(t, x)
-        e_d = d_hat - d_true
+        u = control_at(t, x)
 
         if k % cfg.log_stride == 0 or k == cfg.n_steps:
+            e_d = d_hat - d_true
             probe = safety.probe(x, e_d)
+            psi0 = np.nan if dec.psi0 is None else dec.psi0
+            psi1_u = np.nan if dec.psi1 is None else float(np.dot(dec.psi1, u))
             row = np.concatenate([
                 [t], x, u_nom, u, d_true, d_hat,
                 [float(np.linalg.norm(e_d)), probe.get("h", np.nan),
@@ -309,7 +311,7 @@ def run_closed_loop(system: ControlAffineSystem,
             for j in range(cfg.substeps):
                 ts = t + j * dt_sub
                 if j > 0:
-                    u = control_at(ts, x)[0]
+                    u = control_at(ts, x)
                 y = rk4_step(rhs, ts, y, dt_sub)
                 x = y[:n]
                 st.z = y[n:]

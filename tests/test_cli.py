@@ -168,3 +168,21 @@ def test_singular_inertia_exits_3(tmp_path, monkeypatch, capsys):
                         "initial_state": [2.0, 0.0, 0.0, 0.0]})
     assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 3
     assert "numerical failure: inertia matrix" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("scenario,override", [
+    ("el2dof-dob", "initial_state=[1e200, 0.0, 0.0, 0.0]"),  # h_q overflows
+    ("scalar-rel1", "params.alpha=1e308"),   # p(x) of a sample state is inf
+    ("el2dof-dob", "params.alpha1=1e308"),
+])
+def test_numerical_failure_in_validation_exits_3(tmp_path, capsys, command,
+                                                  scenario, override):
+    cfg = write_config(tmp_path / "c.yaml", {"scenario": scenario})
+    argv = [command, cfg, "--override", override]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure:")
