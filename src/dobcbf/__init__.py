@@ -9,17 +9,15 @@ from .model import (BarrierSpec, ControlAffineSystem, ConfigurationError,
                     DimensionError, ParameterError, coeffs_from_poles, eta,
                     lie_derivatives, s_sequence)
 from .observer import (GainReport, ObserverConfig, ObserverState,
-                       error_envelope, estimate, initial_state, validate_gain,
-                       z_derivative)
-from .qp import (INACTIVE, ACTIVE, INFEASIBLE, QpInstance, QpResult,
-                 brute_force, solve)
+                       error_envelope, estimate, initial_state, validate_gain)
+from .qp import INACTIVE, ACTIVE, INFEASIBLE, QpInstance, QpResult, solve
 from .filters import (Decision, FilterParams, MODE_FULL, MODE_NO_OMEGA,
                       NoFilter, ParamReport, QpFilter, psi, validate_params)
 from .simulate import (DisturbanceSignal, IntegrationError, SimConfig, Term,
                        TrajectoryLog, metrics, rk4_step, run_closed_loop)
 from .el import (ELFilterParams, ELQpFilter, ELRobustFilter, ELSystem,
                  TwoLinkArm, el_psi, el_robust_psi, el_observer_config,
-                 guarded_decision, kinetic_energy, mu_bounds, pd_nominal,
+                 guarded_decision, kinetic_energy, pd_nominal,
                  to_control_affine, validate_el_params, violation_floor)
 from .scenarios import ConfigError, SCENARIOS, Scenario, build, resolve_config
 

@@ -21,6 +21,7 @@ import argparse
 import os
 import sys
 
+import numpy as np
 import yaml
 
 from . import scenarios, simulate
@@ -188,30 +189,34 @@ def main(argv=None) -> int:
     p_cmp.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)
-    try:
-        if args.command == "run":
-            cfg = apply_overrides(load_config(args.config), args.override)
-            if args.dt is not None:
-                cfg.setdefault("sim", {})["dt"] = args.dt
-            if args.horizon is not None:
-                cfg.setdefault("sim", {})["tf"] = args.horizon
-            return run_scenario(cfg, args.out)
-        if args.command == "validate":
-            cfg = apply_overrides(load_config(args.config), args.override)
-            scenario = scenarios.build(cfg)
-            reports = scenario.validate()
-            print("\n".join(_report_lines(reports)))
-            return 0 if all(r.passed for r in reports.values()) else 1
-        if args.command == "compare":
-            return compare(args.dir_a, args.dir_b, args.out)
-    except (ConfigError, FileNotFoundError, yaml.YAMLError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except (simulate.IntegrationError, ValueError, ArithmeticError) as exc:
-        # after ConfigError, itself a ValueError; np.linalg.LinAlgError is
-        # a ValueError too
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+    # Every value that decides an outcome is checked for finiteness
+    # explicitly, and a failed check reports on one stderr line; NumPy's
+    # floating-point warnings would only print lines ahead of it.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            if args.command == "run":
+                cfg = apply_overrides(load_config(args.config), args.override)
+                if args.dt is not None:
+                    cfg.setdefault("sim", {})["dt"] = args.dt
+                if args.horizon is not None:
+                    cfg.setdefault("sim", {})["tf"] = args.horizon
+                return run_scenario(cfg, args.out)
+            if args.command == "validate":
+                cfg = apply_overrides(load_config(args.config), args.override)
+                scenario = scenarios.build(cfg)
+                reports = scenario.validate()
+                print("\n".join(_report_lines(reports)))
+                return 0 if all(r.passed for r in reports.values()) else 1
+            if args.command == "compare":
+                return compare(args.dir_a, args.dir_b, args.out)
+        except (ConfigError, FileNotFoundError, yaml.YAMLError) as exc:
+            print(f"configuration error: {exc}", file=sys.stderr)
+            return 2
+        except (simulate.IntegrationError, ValueError, ArithmeticError) as exc:
+            # after ConfigError, itself a ValueError; np.linalg.LinAlgError is
+            # a ValueError too
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return 3
     return 2
 
 

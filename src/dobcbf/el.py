@@ -2,10 +2,12 @@
 
 Mechanical systems M(q) qddot + C(q, qdot) qdot + G(q) = tau + tau_d admit a
 dedicated observer (estimate = z + alpha1*qdot) and an energy-based safety
-constraint that only needs a C^1 position barrier h_q.  The constraint row is
-psi1 = -qdot, which vanishes at qdot = 0; both energy filters return through
-`guarded_decision`, which bypasses the QP there.  `violation_floor` bounds
-the barrier when the disturbance-derivative term is withheld.
+constraint that only needs a C^1 position barrier h_q.  `ELSystem` holds the
+inertia, Coriolis and gravity callbacks of a plant with two joints.  The
+constraint row is psi1 = -qdot, which vanishes at qdot = 0; both energy
+filters return through `guarded_decision`, which bypasses the QP there.
+`violation_floor` bounds the barrier when the disturbance-derivative term
+is withheld.
 
 The 2-DOF planar arm used by the benchmark scenarios lives here as well.
 """
@@ -32,23 +34,15 @@ class ELSystem:
     Mdot - 2C is skew-symmetric; gravity maps q -> (g1, g2).  Every entry is
     a Python float, so the plant's hot path runs without NumPy calls on
     2x2 data; q and qdot may be any length-2 sequence of numbers.  Code
-    that needs arrays wraps the results with np.asarray.  Only n = 2 is
-    supported: the plant embedding inverts the inertia in closed form and
-    the energy terms are written out for two joints.
+    that needs arrays wraps the results with np.asarray.  The plant has two
+    joints: the embedding inverts the inertia in closed form and the energy
+    terms are written out for q = (q1, q2), so the state is x = [q; qdot]
+    of length 4.
     """
 
-    dof: int
     mass: Callable[[np.ndarray], np.ndarray]
     coriolis: Callable[[np.ndarray, np.ndarray], np.ndarray]
     gravity: Callable[[np.ndarray], np.ndarray]
-
-    def __post_init__(self):
-        if self.dof != 2:
-            raise ParameterError(f"only 2-DOF plants are supported, got dof = {self.dof}")
-
-    def split(self, x) -> tuple[np.ndarray, np.ndarray]:
-        x = as_vector(x, 4, "x")
-        return x[:2], x[2:]
 
 
 @dataclass(frozen=True)
@@ -87,39 +81,7 @@ class TwoLinkArm:
             c12 = math.cos(q0 + q1)
             return w1 * c1 + w12 * c12 + w2 * c1, w12 * c12
 
-        return ELSystem(dof=2, mass=mass, coriolis=coriolis, gravity=gravity)
-
-
-def el_accel(sys: ELSystem, q, qd, tau, tau_d) -> np.ndarray:
-    """Joint accelerations from the equations of motion."""
-    q = as_vector(q, sys.dof, "q")
-    qd = as_vector(qd, sys.dof, "qd")
-    tau = as_vector(tau, sys.dof, "tau")
-    tau_d = as_vector(tau_d, sys.dof, "tau_d")
-    M = np.asarray(sys.mass(q))
-    rhs = (tau + tau_d - np.asarray(sys.coriolis(q, qd)) @ qd
-           - np.asarray(sys.gravity(q)))
-    try:
-        return np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ParameterError(f"inertia matrix solve failed at q = {q}") from exc
-
-
-def mu_bounds(sys: ELSystem, q_grid) -> tuple[float, float]:
-    """(min, max) eigenvalue of the inverse inertia matrix over a grid of q."""
-    lo, hi = np.inf, -np.inf
-    count = 0
-    for q in q_grid:
-        q = as_vector(q, sys.dof, "q")
-        eigs = np.linalg.eigvalsh(np.asarray(sys.mass(q)))
-        if eigs[0] <= 0:
-            raise ParameterError(f"inertia matrix not SPD at q = {q}")
-        lo = min(lo, 1.0 / eigs[-1])
-        hi = max(hi, 1.0 / eigs[0])
-        count += 1
-    if count == 0:
-        raise ParameterError("need a nonempty grid")
-    return float(lo), float(hi)
+        return ELSystem(mass=mass, coriolis=coriolis, gravity=gravity)
 
 
 def kinetic_energy(sys: ELSystem, q, qd) -> float:
@@ -173,10 +135,10 @@ def el_psi(sys: ELSystem, h_q: Callable, grad_hq: Callable,
     if denom <= 0:
         raise ParameterError(
             f"need 4*alpha1*mu1 - 2*gamma - 2*nu > 0, got {denom}")
-    q = as_floats(q, sys.dof, "q")
-    qd = v0, v1 = as_floats(qd, sys.dof, "qd")
-    th0, th1 = as_floats(tau_hat, sys.dof, "tau_hat")
-    j0, j1 = as_floats(grad_hq(q), sys.dof, "grad_hq(q)")
+    q = as_floats(q, 2, "q")
+    qd = v0, v1 = as_floats(qd, 2, "qd")
+    th0, th1 = as_floats(tau_hat, 2, "tau_hat")
+    j0, j1 = as_floats(grad_hq(q), 2, "grad_hq(q)")
     g0, g1 = sys.gravity(q)
     omega_term = 0.0 if fp.mode == MODE_NO_OMEGA else fp.omega ** 2 / (2.0 * fp.nu)
     psi0 = (fp.beta * (v0 * j0 + v1 * j1)
@@ -194,9 +156,9 @@ def el_robust_psi(sys: ELSystem, h_q: Callable, grad_hq: Callable,
     with the checks and float arithmetic of el_psi."""
     if d_max < 0:
         raise ParameterError("d_max must be nonnegative")
-    q = as_floats(q, sys.dof, "q")
-    qd = v0, v1 = as_floats(qd, sys.dof, "qd")
-    j0, j1 = as_floats(grad_hq(q), sys.dof, "grad_hq(q)")
+    q = as_floats(q, 2, "q")
+    qd = v0, v1 = as_floats(qd, 2, "qd")
+    j0, j1 = as_floats(grad_hq(q), 2, "grad_hq(q)")
     g0, g1 = sys.gravity(q)
     psi0 = (beta * (v0 * j0 + v1 * j1)
             + (v0 * g0 + v1 * g1)
@@ -323,21 +285,15 @@ def to_control_affine(sys: ELSystem) -> ControlAffineSystem:
         terms=terms)
 
 
-def el_observer_config(sys: ELSystem, alpha1: float, mu1: float,
-                       nu: float, omega: float) -> ObserverConfig:
-    """Mechanical observer as a gain pair on the embedded plant.
+def el_observer_config(alpha1: float, mu1: float, nu: float,
+                       omega: float) -> ObserverConfig:
+    """Mechanical observer as a constant gain on the embedded plant.
 
-    L_d = [0 | alpha1*I] with antiderivative p(x) = alpha1*qdot reproduces
-    the estimate z + alpha1*qdot exactly; the effective coercivity constant
-    is alpha1*mu1.
+    L_d = [0 | alpha1*I] gives p(x) = L_d x = alpha1*qdot, so the estimate
+    is z + alpha1*qdot; the effective coercivity constant is alpha1*mu1.
     """
-    n = sys.dof
-    Ld = np.hstack([np.zeros((n, n)), alpha1 * np.eye(n)])
-    return ObserverConfig(
-        dim_state=2 * n, dim_dist=n,
-        gain=lambda x: Ld,
-        gain_integral=lambda x: alpha1 * x[n:],
-        alpha=alpha1 * mu1, nu=nu, omega=omega)
+    Ld = np.hstack([np.zeros((2, 2)), alpha1 * np.eye(2)])
+    return ObserverConfig(gain=Ld, alpha=alpha1 * mu1, nu=nu, omega=omega)
 
 
 class ELQpFilter:
@@ -358,10 +314,12 @@ class ELQpFilter:
         return guarded_decision(self.params.eps_singular, qd, psi0, psi1)
 
     def probe(self, x, e_d) -> dict:
-        q, qd = self.sys.split(x)
-        return {"h": float(self.h_q(q)),
-                "hbar": (self.params.beta * float(self.h_q(q))
-                         - kinetic_energy(self.sys, q, qd)
+        x = as_vector(x, 4, "x")
+        q = x[:2]
+        h = float(self.h_q(q))
+        return {"h": h,
+                "hbar": (self.params.beta * h
+                         - kinetic_energy(self.sys, q, x[2:])
                          - 0.5 * float(np.dot(e_d, e_d)))}
 
 
@@ -386,7 +344,8 @@ class ELRobustFilter:
         return guarded_decision(self.eps_singular, qd, psi0, psi1)
 
     def probe(self, x, e_d) -> dict:
-        q, qd = self.sys.split(x)
-        return {"h": float(self.h_q(q)),
-                "hbar": (self.beta * float(self.h_q(q))
-                         - kinetic_energy(self.sys, q, qd))}
+        x = as_vector(x, 4, "x")
+        q = x[:2]
+        h = float(self.h_q(q))
+        return {"h": h,
+                "hbar": self.beta * h - kinetic_energy(self.sys, q, x[2:])}

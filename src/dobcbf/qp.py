@@ -3,8 +3,8 @@
 Every filter in this library produces one affine constraint
 psi0 + psi1 . u >= 0, so the minimizer of ||u - u_nom||^2 is the Euclidean
 projection of u_nom onto a half-space and has a closed form; no iterative
-solver is needed.  A dense grid search is provided as an independent test
-oracle.
+solver is needed.  The tests check it against a dense grid search, which
+they keep as their own oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ParameterError, as_vector
+from .model import as_vector
 
 INACTIVE = "inactive"
 ACTIVE = "active"
@@ -71,26 +71,3 @@ def solve(inst: QpInstance) -> QpResult:
     step = slack / sq
     u = [ui - step * pi for ui, pi in zip(un, row)]
     return QpResult(np.array(u), ACTIVE, psi0 + sum(map(operator.mul, row, u)))
-
-
-def brute_force(inst: QpInstance, box_halfwidth: float,
-                grid_points: int = 101) -> np.ndarray | None:
-    """Grid minimizer of the objective over feasible points in a centered box.
-
-    Test oracle only: limited to m <= 2 and at least 101 points per axis.
-    Returns None when no grid point is feasible.
-    """
-    m = inst.u_nom.size
-    if m > 2:
-        raise ParameterError("brute force oracle supports m <= 2 only")
-    if grid_points < 101:
-        raise ParameterError("need at least 101 grid points per axis")
-    axis = np.linspace(-box_halfwidth, box_halfwidth, grid_points)
-    grids = np.meshgrid(*([axis] * m), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    feasible = inst.psi0 + pts @ inst.psi1 >= 0.0
-    if not np.any(feasible):
-        return None
-    pts = pts[feasible]
-    cost = np.sum((pts - inst.u_nom) ** 2, axis=1)
-    return pts[int(np.argmin(cost))]

@@ -229,10 +229,18 @@ def arm_mu_bounds(m1: float = 1.0, m2: float = 1.0, l: float = 1.0,
     """Exact inverse-inertia eigenvalue bounds over every configuration.
 
     M(q) depends on q2 only, through c = cos(q2) in [-1, 1], and affinely;
-    the extreme eigenvalues over c are therefore those at c = 1 and c = -1.
+    the extreme eigenvalues over c are therefore those at c = 1 and c = -1,
+    that is at q2 = 0 and q2 = pi.  An inertia that is not positive definite
+    there raises ParameterError.
     """
-    sys = elmod.TwoLinkArm(m1=m1, m2=m2, l=l, g_accel=g_accel).system()
-    return elmod.mu_bounds(sys, [(0.0, 0.0), (0.0, math.pi)])
+    mass = elmod.TwoLinkArm(m1=m1, m2=m2, l=l, g_accel=g_accel).system().mass
+    lo, hi = np.inf, -np.inf
+    for q2 in (0.0, math.pi):
+        eigs = np.linalg.eigvalsh(np.asarray(mass((0.0, q2))))
+        if eigs[0] <= 0:
+            raise ParameterError(f"inertia matrix not SPD at q2 = {q2}")
+        lo, hi = min(lo, 1.0 / eigs[-1]), max(hi, 1.0 / eigs[0])
+    return float(lo), float(hi)
 
 
 # --------------------------------------------------------------------------
@@ -332,11 +340,8 @@ def _qp_family(cfg: dict, omega: float, system: ControlAffineSystem,
     L = alpha * gain_shape (so p(x) = L x); states sampled in [-2, 2]^n."""
     prm = cfg["params"]
     alpha, beta, nu = float(prm["alpha"]), float(prm["beta"]), float(prm["nu"])
-    gain = alpha * gain_shape
-    obs = observer.ObserverConfig(
-        dim_state=system.n, dim_dist=system.p,
-        gain=lambda x: gain, gain_integral=gain.dot,
-        alpha=alpha, nu=nu, omega=omega)
+    obs = observer.ObserverConfig(gain=alpha * gain_shape, alpha=alpha, nu=nu,
+                                  omega=omega)
     fp = filters.FilterParams(alpha=alpha, beta=beta, nu=nu, omega=omega)
     return dict(
         system=system, observer_cfg=obs,
@@ -442,7 +447,7 @@ def _arm(cfg: dict, signal, simcfg, omega: float) -> dict:
 
     return dict(
         system=system,
-        observer_cfg=elmod.el_observer_config(el_sys, alpha1, mu1, nu, omega),
+        observer_cfg=elmod.el_observer_config(alpha1, mu1, nu, omega),
         safety=safety, nominal=nominal, sample=sample, report=report,
         certified=name != "el2dof-nofilter", pairing_key="el2dof",
         floor=floor,

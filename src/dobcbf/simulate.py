@@ -212,8 +212,10 @@ def run_closed_loop(system: ControlAffineSystem,
     Per integration step (dt/substeps): read the estimate, build the safety
     constraint, solve the QP, then advance plant and observer jointly with
     the chosen control held.  Deterministic: identical inputs give
-    bit-identical logs.  A state norm above cfg.blowup_norm aborts the run
-    and returns the partial log.  The observer starts from a zero estimate.
+    bit-identical logs.  A norm of the joint plant-and-observer state above
+    cfg.blowup_norm aborts the run and returns the partial log, so a
+    diverging estimate aborts as well as a diverging plant.  The observer
+    starts from a zero estimate.
     """
     x = as_vector(x0, system.n, "x0")
     st = initial_state(observer, x)
@@ -319,7 +321,7 @@ def run_closed_loop(system: ControlAffineSystem,
             aborted = True
             events.append((t, "integration_error"))
             break
-        if float(np.linalg.norm(x)) > cfg.blowup_norm:
+        if float(np.linalg.norm(y)) > cfg.blowup_norm:
             aborted = True
             events.append((t, "blowup"))
             break

@@ -1,0 +1,59 @@
+"""Independent reference implementations that the tests check the library
+against: a grid-search QP, the arm's equations of motion solved with
+np.linalg.solve, and the observer's right-hand side on its own."""
+
+import numpy as np
+
+from dobcbf.el import ELSystem
+from dobcbf.model import ControlAffineSystem, ParameterError, as_vector
+from dobcbf.observer import ObserverConfig, ObserverState, estimate
+from dobcbf.qp import QpInstance
+
+
+def brute_force(inst: QpInstance, box_halfwidth: float,
+                grid_points: int = 101) -> np.ndarray | None:
+    """Grid minimizer of the objective over feasible points in a centered box.
+
+    Limited to m <= 2 and at least 101 points per axis.  Returns None when
+    no grid point is feasible.
+    """
+    m = inst.u_nom.size
+    if m > 2:
+        raise ParameterError("brute force oracle supports m <= 2 only")
+    if grid_points < 101:
+        raise ParameterError("need at least 101 grid points per axis")
+    axis = np.linspace(-box_halfwidth, box_halfwidth, grid_points)
+    grids = np.meshgrid(*([axis] * m), indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1)
+    feasible = inst.psi0 + pts @ inst.psi1 >= 0.0
+    if not np.any(feasible):
+        return None
+    pts = pts[feasible]
+    cost = np.sum((pts - inst.u_nom) ** 2, axis=1)
+    return pts[int(np.argmin(cost))]
+
+
+def el_accel(sys: ELSystem, q, qd, tau, tau_d) -> np.ndarray:
+    """Joint accelerations of the two-joint plant from the equations of
+    motion."""
+    q = as_vector(q, 2, "q")
+    qd = as_vector(qd, 2, "qd")
+    tau = as_vector(tau, 2, "tau")
+    tau_d = as_vector(tau_d, 2, "tau_d")
+    M = np.asarray(sys.mass(q))
+    rhs = (tau + tau_d - np.asarray(sys.coriolis(q, qd)) @ qd
+           - np.asarray(sys.gravity(q)))
+    try:
+        return np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise ParameterError(f"inertia matrix solve failed at q = {q}") from exc
+
+
+def z_derivative(cfg: ObserverConfig, st: ObserverState,
+                 sys: ControlAffineSystem, x, u) -> np.ndarray:
+    """Right-hand side of the observer state, -L_d (f + g1 u + g2 d_hat)."""
+    x = as_vector(x, sys.n, "x")
+    u = as_vector(u, sys.m, "u")
+    fx, G1, G2 = sys.evaluate(x)
+    d_hat = estimate(cfg, st, x)
+    return -cfg.gain_at(x) @ (fx + G1 @ u + G2 @ d_hat)

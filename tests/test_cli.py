@@ -1,10 +1,14 @@
 import functools
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import dobcbf
 from dobcbf import cli
 
 
@@ -134,6 +138,17 @@ def test_numerical_failure_exit_code(tmp_path):
     assert rc == 3
 
 
+def test_diverging_observer_exits_3(tmp_path, capsys):
+    # at two substeps the arm observer's stiffest mode, alpha1 * mu2 * dt_sub
+    # = 3.77, lies outside RK4's real stability interval (about 2.785): the
+    # estimate diverges while the plant state stays bounded
+    cfg = write_config(tmp_path / "rob.yaml",
+                       {"scenario": "el2dof-robust",
+                        "sim": {"tf": 2.0, "substeps": 2}})
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "numerical failure (aborted run)" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("override", ["params.kp=.nan", "sim.tf=abc",
                                       "params.beta=.inf", "sim.substeps=2.5",
                                       "params.gravity_comp=1",
@@ -170,13 +185,15 @@ def test_singular_inertia_exits_3(tmp_path, monkeypatch, capsys):
     assert "numerical failure: inertia matrix" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("command", ["run", "validate"])
-@pytest.mark.parametrize("scenario,override", [
+OVERFLOWS = [
     ("el2dof-dob", "initial_state=[1e200, 0.0, 0.0, 0.0]"),  # h_q overflows
     ("scalar-rel1", "params.alpha=1e308"),   # p(x) of a sample state is inf
     ("el2dof-dob", "params.alpha1=1e308"),
-])
+]
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("scenario,override", OVERFLOWS)
 def test_numerical_failure_in_validation_exits_3(tmp_path, capsys, command,
                                                   scenario, override):
     cfg = write_config(tmp_path / "c.yaml", {"scenario": scenario})
@@ -186,3 +203,21 @@ def test_numerical_failure_in_validation_exits_3(tmp_path, capsys, command,
     assert cli.main(argv) == 3
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("numerical failure:")
+
+
+@pytest.mark.parametrize("scenario,override", OVERFLOWS)
+def test_numerical_failure_report_is_the_only_stderr_line(tmp_path, scenario,
+                                                          override):
+    # capsys never sees NumPy's RuntimeWarnings; a separate process does
+    cfg = write_config(tmp_path / "c.yaml", {"scenario": scenario})
+    src = str(Path(dobcbf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dobcbf.cli", "validate", cfg,
+         "--override", override],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure:"), \
+        proc.stderr

@@ -137,9 +137,7 @@ def simulate_with_nominal(nominal):
     """A short scalar run whose pass-through filter hands u_nom straight to
     the plant, so only the simulator's own check can reject it."""
     system = scalar_filter().system
-    gain = 2.0 * np.eye(1)
-    obs = ObserverConfig(dim_state=1, dim_dist=1, gain=lambda x: gain,
-                         gain_integral=gain.dot, alpha=2.0)
+    obs = ObserverConfig(gain=2.0 * np.eye(1), alpha=2.0)
     return simulate.run_closed_loop(
         system, NoFilter(lambda x: float(x[0])), nominal,
         simulate.DisturbanceSignal.constant([0.5]),

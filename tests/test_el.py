@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from dobcbf.el import (ELFilterParams, ELQpFilter, ELSystem, TwoLinkArm,
-                       el_accel, el_observer_config, el_psi, el_robust_psi,
-                       guarded_decision, kinetic_energy, mu_bounds,
-                       pd_nominal, to_control_affine, validate_el_params)
+                       el_observer_config, el_psi, el_robust_psi,
+                       guarded_decision, kinetic_energy, pd_nominal,
+                       to_control_affine, validate_el_params)
 from dobcbf.model import ParameterError
-from dobcbf.observer import ObserverState, estimate, z_derivative
+from dobcbf.observer import ObserverState, estimate
 from dobcbf.scenarios import ConfigError, build
+from oracles import el_accel, z_derivative
 
 
 ARM = TwoLinkArm().system()
@@ -94,16 +95,6 @@ def test_el_accel_matches_equations_of_motion():
     assert np.allclose(lhs, tau + tau_d, atol=1e-12)
 
 
-def test_mu_bounds_bracket_sampled_eigenvalues():
-    grid = [np.array([0.0, v]) for v in np.linspace(-math.pi, math.pi, 200)]
-    mu1, mu2 = mu_bounds(ARM, grid)
-    assert 0 < mu1 < mu2
-    for q in grid[::20]:
-        eigs = np.linalg.eigvalsh(np.linalg.inv(ARM.mass(q)))
-        assert mu1 <= eigs[0] + 1e-12
-        assert eigs[-1] <= mu2 + 1e-12
-
-
 def test_el_estimate_and_dob_rhs_consistency():
     # when the estimate equals the true disturbance and the plant follows the
     # model, the estimate derivative tracks nothing (fixed point at tau_d
@@ -124,7 +115,7 @@ def test_el_observer_config_equivalent_to_dedicated_rhs():
     # the generic observer on the embedded plant must reproduce el_dob_rhs
     alpha1 = 120.0
     sys_ca = to_control_affine(ARM)
-    cfg = el_observer_config(ARM, alpha1, mu1=0.3, nu=1.0, omega=0.0)
+    cfg = el_observer_config(alpha1, mu1=0.3, nu=1.0, omega=0.0)
     q = np.array([0.4, -0.2])
     qd = np.array([0.7, 1.1])
     x = np.concatenate([q, qd])
@@ -136,6 +127,17 @@ def test_el_observer_config_equivalent_to_dedicated_rhs():
     # and the estimates agree
     assert np.allclose(estimate(cfg, ObserverState(z), x),
                        el_estimate(alpha1, z, qd))
+
+
+def test_el_observer_integral_is_alpha1_qdot_bit_for_bit():
+    # p(x) = L_d x with L_d = [0 | alpha1 I] adds exact zeros to alpha1*qdot
+    alpha1 = 500.0
+    cfg = el_observer_config(alpha1, mu1=0.3, nu=1.0, omega=0.0)
+    rng = np.random.default_rng(11)
+    states = np.hstack([rng.uniform(-math.pi, math.pi, size=(200, 2)),
+                        rng.uniform(-8.0, 8.0, size=(200, 2))])
+    for x in states:
+        assert cfg.integral_at(x).tobytes() == (alpha1 * x[2:]).tobytes()
 
 
 def test_el_psi_hand_computed_at_rest():
@@ -273,15 +275,7 @@ def test_to_control_affine_rejects_singular_inertia():
     sys_ca = to_control_affine(arm)
     with pytest.raises(ParameterError):
         sys_ca.evaluate(np.array([0.3, 0.0, 1.0, -1.0]))
-    singular = ELSystem(dof=2, mass=lambda q: np.ones((2, 2)),
+    singular = ELSystem(mass=lambda q: np.ones((2, 2)),
                         coriolis=ARM.coriolis, gravity=ARM.gravity)
     with pytest.raises(ParameterError):
         to_control_affine(singular).evaluate(np.zeros(4))
-
-
-def test_only_two_dof_plants_are_accepted():
-    for dof in (1, 3):
-        with pytest.raises(ParameterError):
-            to_control_affine(ELSystem(dof=dof, mass=ARM.mass,
-                                       coriolis=ARM.coriolis,
-                                       gravity=ARM.gravity))

@@ -8,11 +8,6 @@ import dobcbf
 
 SRC = Path(dobcbf.__file__).resolve().parent
 
-#: test oracles kept in the library next to the code they check:
-#: brute_force (grid-search QP), el_accel (arm equations of motion) and
-#: z_derivative (observer right-hand side on its own)
-ORACLES = {"brute_force", "el_accel", "z_derivative"}
-
 
 def used_names(node) -> set:
     """Names read in node: bare names and attribute names (`mod.name`).
@@ -37,7 +32,7 @@ def test_public_definitions_have_library_callers():
     uncalled = []
     for module, stmt, _ in statements:
         if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) \
-                or stmt.name.startswith("_") or stmt.name in ORACLES:
+                or stmt.name.startswith("_"):
             continue
         if not any(stmt.name in names for _, other, names in statements
                    if other is not stmt):

@@ -1,19 +1,16 @@
 import numpy as np
 import pytest
 
-from dobcbf.model import ControlAffineSystem, ParameterError
+from dobcbf.model import ControlAffineSystem, DimensionError, ParameterError
 from dobcbf.observer import (ObserverConfig, ObserverState, error_envelope,
-                             estimate, initial_state, validate_gain,
-                             z_derivative)
+                             estimate, initial_state, validate_gain)
 from dobcbf.simulate import rk4_step
+from oracles import z_derivative
 
 
 def scalar_config(alpha=2.0, nu=1.0, omega=2.0):
-    return ObserverConfig(
-        dim_state=1, dim_dist=1,
-        gain=lambda x: alpha * np.eye(1),
-        gain_integral=lambda x: alpha * x,
-        alpha=alpha, nu=nu, omega=omega)
+    return ObserverConfig(gain=alpha * np.eye(1), alpha=alpha, nu=nu,
+                          omega=omega)
 
 
 def ultimate_bound(cfg):
@@ -33,6 +30,27 @@ def test_config_rejects_nonpositive_kappa():
     with pytest.raises(ParameterError):
         scalar_config(alpha=0.4, nu=1.0)  # kappa = -0.1
     assert scalar_config(alpha=2.0).kappa == pytest.approx(1.5)
+
+
+def test_config_rejects_gain_that_is_not_a_finite_matrix():
+    for shape in ((), (2,), (1, 2, 2)):
+        with pytest.raises(DimensionError):
+            ObserverConfig(gain=np.ones(shape), alpha=2.0)
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            ObserverConfig(gain=[[0.0, 0.0], [0.0, value]], alpha=2.0)
+    cfg = ObserverConfig(gain=[[0.0, 1.0, 2.0]], alpha=2.0)
+    assert (cfg.dim_dist, cfg.dim_state) == (1, 3)
+
+
+def test_config_keeps_its_own_copy_of_the_gain():
+    gain = 2.0 * np.eye(2)
+    cfg = ObserverConfig(gain=gain, alpha=2.0)
+    gain[0, 0] = -7.0
+    assert np.array_equal(cfg.gain_at(np.zeros(2)), 2.0 * np.eye(2))
+    assert np.array_equal(cfg.integral_at(np.ones(2)), [2.0, 2.0])
+    with pytest.raises(ValueError):
+        cfg.gain_at(np.zeros(2))[0, 0] = -7.0
 
 
 def test_initial_state_gives_zero_estimate():
@@ -104,33 +122,13 @@ def test_validate_gain_passes_correct_pair():
     rep = validate_gain(cfg, scalar_system(), np.linspace(-2, 2, 20).reshape(-1, 1))
     assert rep.passed
     assert rep.worst_coercivity_margin >= -1e-8
-    assert rep.worst_jacobian_error < 1e-6
-
-
-def test_validate_gain_catches_mismatched_integral():
-    alpha = 2.0
-    cfg = ObserverConfig(
-        dim_state=1, dim_dist=1,
-        gain=lambda x: alpha * np.eye(1),
-        gain_integral=lambda x: 0.5 * alpha * x,  # wrong antiderivative
-        alpha=alpha)
-    rep = validate_gain(cfg, scalar_system(), [[0.0], [1.0]])
-    assert not rep.jacobian_ok
-    assert not rep.passed
 
 
 def test_validate_gain_catches_insufficient_coercivity():
-    cfg = ObserverConfig(
-        dim_state=1, dim_dist=1,
-        gain=lambda x: 1.0 * np.eye(1),
-        gain_integral=lambda x: 1.0 * x,
-        alpha=0.6)  # claims 0.6 but asks validation against itself
+    cfg = ObserverConfig(gain=1.0 * np.eye(1),
+                         alpha=0.6)  # claims 0.6 but asks validation against itself
     # claim a larger alpha than the gain delivers
-    strict = ObserverConfig(
-        dim_state=1, dim_dist=1,
-        gain=lambda x: 1.0 * np.eye(1),
-        gain_integral=lambda x: 1.0 * x,
-        alpha=1.5, nu=1.0)
+    strict = ObserverConfig(gain=1.0 * np.eye(1), alpha=1.5, nu=1.0)
     rep = validate_gain(strict, scalar_system(), [[0.0]])
     assert not rep.coercivity_ok
     rep_ok = validate_gain(cfg, scalar_system(), [[0.0]])
