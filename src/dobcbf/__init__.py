@@ -11,8 +11,8 @@ from .model import (BarrierSpec, ControlAffineSystem, ConfigurationError,
 from .observer import (GainReport, ObserverConfig, ObserverState,
                        error_envelope, estimate, initial_state, validate_gain)
 from .qp import INACTIVE, ACTIVE, INFEASIBLE, QpInstance, QpResult, solve
-from .filters import (Decision, FilterParams, MODE_FULL, MODE_NO_OMEGA,
-                      NoFilter, ParamReport, QpFilter, psi, validate_params)
+from .filters import (Decision, FilterParams, NoFilter, ParamReport, QpFilter,
+                      psi, validate_params)
 from .simulate import (DisturbanceSignal, IntegrationError, SimConfig, Term,
                        TrajectoryLog, metrics, rk4_step, run_closed_loop)
 from .el import (ELFilterParams, ELQpFilter, ELRobustFilter, ELSystem,

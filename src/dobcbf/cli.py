@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 pass, 1 certified-run invariant failure (or, for validate,
 a failed check), 2 configuration error (including a number that is not
-finite or not a number), 3 numerical failure: blow-up, non-finite
+finite or not a number, a filter tuning for which the constraint does not
+exist, and a negative d_max), 3 numerical failure: blow-up, non-finite
 integration, or a ValueError or ArithmeticError raised by the validation
 checks (`run` and `validate`) or while simulating, such as a singular
 inertia matrix or an overflow.  Exit codes 2 and 3 print one line on
@@ -124,7 +125,8 @@ def run_scenario(cfg: dict, outdir: str) -> int:
         emit_plotdata(log, os.path.join(outdir, "plots"))
 
     if log.aborted:
-        print(f"{scenario.name}: numerical failure (aborted run)")
+        print(f"{scenario.name}: numerical failure (aborted run)",
+              file=sys.stderr)
         return 3
     if not certified:
         print(f"{scenario.name}: uncertified run, invariants not enforced")
@@ -175,8 +177,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--out", default="out")
     p_run.add_argument("--override", action="append", default=[],
                        metavar="KEY=VALUE")
-    p_run.add_argument("--dt", type=float, default=None)
-    p_run.add_argument("--horizon", type=float, default=None)
 
     p_val = sub.add_parser("validate", help="run parameter and gain checks only")
     p_val.add_argument("config")
@@ -196,10 +196,6 @@ def main(argv=None) -> int:
         try:
             if args.command == "run":
                 cfg = apply_overrides(load_config(args.config), args.override)
-                if args.dt is not None:
-                    cfg.setdefault("sim", {})["dt"] = args.dt
-                if args.horizon is not None:
-                    cfg.setdefault("sim", {})["tf"] = args.horizon
                 return run_scenario(cfg, args.out)
             if args.command == "validate":
                 cfg = apply_overrides(load_config(args.config), args.override)

@@ -7,7 +7,7 @@ inertia, Coriolis and gravity callbacks of a plant with two joints.  The
 constraint row is psi1 = -qdot, which vanishes at qdot = 0; both energy
 filters return through `guarded_decision`, which bypasses the QP there.
 `violation_floor` bounds the barrier when the disturbance-derivative term
-is withheld.
+is withheld (omega = 0 in the constraint).
 
 The 2-DOF planar arm used by the benchmark scenarios lives here as well.
 """
@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .filters import MODE_FULL, MODE_NO_OMEGA, Decision
+from .filters import Decision
 from .model import ControlAffineSystem, ParameterError, as_floats, as_vector
 from .observer import ObserverConfig
 
@@ -97,9 +97,11 @@ class ELFilterParams:
 
     The effective coercivity constant is alpha1 * mu1, where mu1 lower-bounds
     the eigenvalues of the inverse inertia matrix over the operating range.
-    omega enters the constraint as omega^2/(2 nu); eps_singular is the
-    joint-speed threshold below which the constraint row vanishes and the QP
-    is bypassed.
+    omega enters the constraint as omega^2/(2 nu), 0 when no bound is
+    known; eps_singular is the joint-speed threshold below which the
+    constraint row vanishes and the QP is bypassed.  ELQpFilter, not this
+    class, checks 4*alpha1*mu1 - 2*gamma - 2*nu > 0: the robust baseline
+    does not need it.
     """
 
     alpha1: float
@@ -109,15 +111,12 @@ class ELFilterParams:
     mu1: float
     omega: float = 0.0
     eps_singular: float = 1e-4
-    mode: str = MODE_FULL
 
     def __post_init__(self):
         if min(self.alpha1, self.beta, self.gamma, self.nu, self.mu1) <= 0:
             raise ParameterError("alpha1, beta, gamma, nu, mu1 must be positive")
         if self.omega < 0 or self.eps_singular <= 0:
             raise ParameterError("need omega >= 0 and eps_singular > 0")
-        if self.mode not in (MODE_FULL, MODE_NO_OMEGA):
-            raise ParameterError(f"unknown mode {self.mode!r}")
 
     @property
     def alpha(self) -> float:
@@ -129,21 +128,18 @@ def el_psi(sys: ELSystem, h_q: Callable, grad_hq: Callable,
     """Energy-filter constraint coefficients; psi1 is always -qdot.
 
     q, qd, tau_hat and grad_hq(q) are each checked once and read as Python
-    floats; h_q and grad_hq receive q as a list of two floats.
+    floats; h_q and grad_hq receive q as a list of two floats.  ELQpFilter
+    checks the denominator's sign.
     """
     denom = 4.0 * fp.alpha - 2.0 * fp.gamma - 2.0 * fp.nu
-    if denom <= 0:
-        raise ParameterError(
-            f"need 4*alpha1*mu1 - 2*gamma - 2*nu > 0, got {denom}")
     q = as_floats(q, 2, "q")
     qd = v0, v1 = as_floats(qd, 2, "qd")
     th0, th1 = as_floats(tau_hat, 2, "tau_hat")
     j0, j1 = as_floats(grad_hq(q), 2, "grad_hq(q)")
     g0, g1 = sys.gravity(q)
-    omega_term = 0.0 if fp.mode == MODE_NO_OMEGA else fp.omega ** 2 / (2.0 * fp.nu)
     psi0 = (fp.beta * (v0 * j0 + v1 * j1)
             - (v0 * (th0 - g0) + v1 * (th1 - g1))
-            - omega_term
+            - fp.omega ** 2 / (2.0 * fp.nu)
             - (v0 * v0 + v1 * v1) / denom
             + fp.gamma * (fp.beta * float(h_q(q)) - kinetic_energy(sys, q, qd)))
     return psi0, np.array((-v0, -v1))
@@ -154,8 +150,6 @@ def el_robust_psi(sys: ELSystem, h_q: Callable, grad_hq: Callable,
                   q, qd) -> tuple[float, np.ndarray]:
     """Worst-case counterpart of the energy filter over ||tau_d|| <= d_max,
     with the checks and float arithmetic of el_psi."""
-    if d_max < 0:
-        raise ParameterError("d_max must be nonnegative")
     q = as_floats(q, 2, "q")
     qd = v0, v1 = as_floats(qd, 2, "qd")
     j0, j1 = as_floats(grad_hq(q), 2, "grad_hq(q)")
@@ -171,10 +165,10 @@ def violation_floor(fp: ELFilterParams, omega: float, t):
     """Worst-case barrier floor at time t when the omega term is withheld.
 
     omega is the true disturbance-derivative bound, not the constraint-side
-    fp.omega: the floor is a statement about the disturbance itself.
+    fp.omega: the floor is a statement about the disturbance itself.  It is
+    derived for fp.omega = 0 and holds for any fp.omega >= 0, which only
+    tightens the constraint.
     """
-    if fp.mode != MODE_NO_OMEGA:
-        raise ParameterError("violation_floor applies to mode='no_omega' only")
     decay = 1.0 - np.exp(-fp.gamma * np.asarray(t, dtype=float))
     out = -omega ** 2 / (2.0 * fp.nu * fp.gamma * fp.beta) * decay
     return float(out) if np.ndim(t) == 0 else out
@@ -216,7 +210,6 @@ def pd_nominal(Kp, Kd, q, qd, q_des, qd_des, gravity=None) -> np.ndarray:
 
 @dataclass
 class ELParamReport:
-    alpha_ok: bool
     beta_ok: bool
     alpha_margin: float
     beta_margin: float
@@ -224,26 +217,26 @@ class ELParamReport:
 
     @property
     def passed(self) -> bool:
-        return self.alpha_ok and self.beta_ok
+        return self.beta_ok
 
 
-def validate_el_params(sys: ELSystem, fp: ELFilterParams, q0, qd0,
-                       h_q0: float, e0_norm: float) -> ELParamReport:
-    """Strict parameter inequalities of the energy-filter guarantee."""
+def validate_el_params(filt: ELQpFilter, x0, e0_norm: float) -> ELParamReport:
+    """Strict initial-state inequality of the energy-filter guarantee; the
+    condition on alpha1*mu1 was checked when filt was built."""
+    fp, q0, qd0 = filt.params, x0[:2], x0[2:]
+    h_q0 = float(filt.h_q(q0))
     alpha_margin = fp.alpha - 0.5 * (fp.gamma + fp.nu)
     messages = []
     if h_q0 <= 0:
         beta_ok, beta_margin = False, -np.inf
         messages.append("initial barrier value must be positive")
     else:
-        need = (2.0 * kinetic_energy(sys, q0, qd0) + e0_norm ** 2) / (2.0 * h_q0)
+        need = (2.0 * kinetic_energy(filt.sys, q0, qd0) + e0_norm ** 2) / (2.0 * h_q0)
         beta_margin = fp.beta - need
         beta_ok = beta_margin > 0
         if not beta_ok:
             messages.append(f"beta margin {beta_margin:.3e} not positive")
-    if alpha_margin <= 0:
-        messages.append(f"alpha margin {alpha_margin:.3e} not positive")
-    return ELParamReport(alpha_ok=alpha_margin > 0, beta_ok=beta_ok,
+    return ELParamReport(beta_ok=beta_ok,
                          alpha_margin=float(alpha_margin),
                          beta_margin=float(beta_margin), messages=messages)
 
@@ -297,10 +290,15 @@ def el_observer_config(alpha1: float, mu1: float, nu: float,
 
 
 class ELQpFilter:
-    """Energy-based observer-aware filter with the singularity guard."""
+    """Energy-based observer-aware filter with the singularity guard; a
+    tuning with 4*alpha1*mu1 - 2*gamma - 2*nu <= 0 raises ParameterError."""
 
     def __init__(self, sys: ELSystem, h_q: Callable, grad_hq: Callable,
                  params: ELFilterParams):
+        denom = 4.0 * params.alpha - 2.0 * params.gamma - 2.0 * params.nu
+        if denom <= 0:
+            raise ParameterError(
+                f"need 4*alpha1*mu1 - 2*gamma - 2*nu > 0, got {denom}")
         self.sys = sys
         self.h_q = h_q
         self.grad_hq = grad_hq
@@ -324,11 +322,14 @@ class ELQpFilter:
 
 
 class ELRobustFilter:
-    """Worst-case energy filter used as the comparison baseline."""
+    """Worst-case energy filter used as the comparison baseline; a negative
+    d_max raises ParameterError here."""
 
     def __init__(self, sys: ELSystem, h_q: Callable, grad_hq: Callable,
                  beta: float, gamma: float, d_max: float,
                  eps_singular: float = 1e-4):
+        if d_max < 0:
+            raise ParameterError("d_max must be nonnegative")
         self.sys = sys
         self.h_q = h_q
         self.grad_hq = grad_hq

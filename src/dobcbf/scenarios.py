@@ -343,12 +343,12 @@ def _qp_family(cfg: dict, omega: float, system: ControlAffineSystem,
     obs = observer.ObserverConfig(gain=alpha * gain_shape, alpha=alpha, nu=nu,
                                   omega=omega)
     fp = filters.FilterParams(alpha=alpha, beta=beta, nu=nu, omega=omega)
+    safety = filters.QpFilter(system, barrier, fp)
     return dict(
-        system=system, observer_cfg=obs,
-        safety=filters.QpFilter(system, barrier, fp), nominal=nominal,
+        system=system, observer_cfg=obs, safety=safety, nominal=nominal,
         sample=lambda rng: rng.uniform(-2.0, 2.0, size=(200, system.n)),
         report=lambda x0, e0: filters.validate_params(
-            barrier, fp, s_sequence(system, barrier, x0), e0),
+            safety, s_sequence(system, barrier, x0), e0),
         pairing_key=cfg["scenario"], constants={"omega": omega},
         decay_gamma=barrier.poles[-1])
 
@@ -404,18 +404,17 @@ def _arm(cfg: dict, signal, simcfg, omega: float) -> dict:
     mu1, mu2 = arm_mu_bounds()
     h_q = lambda q: 16.0 - float(q[0]) ** 2 - float(q[1]) ** 2
     grad_hq = lambda q: np.array([-2.0 * q[0], -2.0 * q[1]])
-    mode = filters.MODE_NO_OMEGA if name == "el2dof-noomega" else filters.MODE_FULL
+    # withholding the derivative bound is omega = 0 in the constraint
+    c_omega = 0.0 if name == "el2dof-noomega" else float(prm["constraint_omega"])
     fp = elmod.ELFilterParams(
-        alpha1=alpha1, beta=beta, gamma=gamma, nu=nu, mu1=mu1,
-        omega=float(prm["constraint_omega"]),
-        eps_singular=float(prm["eps_singular"]), mode=mode)
+        alpha1=alpha1, beta=beta, gamma=gamma, nu=nu, mu1=mu1, omega=c_omega,
+        eps_singular=float(prm["eps_singular"]))
     constants = {"mu1": mu1, "mu2": mu2, "omega_d": omega}
 
     report = floor = None
     if name in ("el2dof-dob", "el2dof-noomega"):
         safety = elmod.ELQpFilter(el_sys, h_q, grad_hq, fp)
-        report = lambda x0, e0: elmod.validate_el_params(
-            el_sys, fp, x0[:2], x0[2:], h_q(x0[:2]), e0)
+        report = lambda x0, e0: elmod.validate_el_params(safety, x0, e0)
     elif name == "el2dof-robust":
         d_max = prm["d_max"]
         d_max = float(d_max) if d_max is not None \
@@ -462,8 +461,8 @@ def build(config: dict) -> Scenario:
     The skeleton derives what every scenario shares: the disturbance signal,
     the time grid, the derivative bound omega, x0, e0 = ||d(t0)||, the
     estimation-error envelope (a function of absolute time that starts from
-    e0 at t0), and the validators (a seeded rng and the
-    observer-gain check).  The family function returns the plant, observer,
+    e0 at t0), and the validators (the observer-gain check at states drawn
+    from a seeded rng).  The family function returns the plant, observer,
     filter, nominal law, validation-state sampler and parameter report, plus
     the Scenario fields of its own.
     """
@@ -490,8 +489,8 @@ def build(config: dict) -> Scenario:
     parts["constants"]["e0_norm"] = e0
 
     def validators():
-        rng = np.random.default_rng(int(cfg["seed"]))
-        out = {"gain": observer.validate_gain(obs, system, sample(rng), rng=rng)}
+        states = sample(np.random.default_rng(int(cfg["seed"])))
+        out = {"gain": observer.validate_gain(obs, system, states)}
         if report is not None:
             out["params"] = report(x0, e0)
         return out

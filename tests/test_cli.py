@@ -78,17 +78,6 @@ def test_override_flag(tmp_path, scalar_cfg):
     assert cfg["sim"]["log_stride"] == 100
 
 
-def test_dt_and_horizon_flags(tmp_path, scalar_cfg):
-    out = tmp_path / "out"
-    rc = cli.main(["run", scalar_cfg, "--out", str(out),
-                   "--dt", "0.002", "--horizon", "2.0"])
-    assert rc == 0
-    with open(out / "config.yaml") as fh:
-        cfg = yaml.safe_load(fh)
-    assert cfg["sim"]["dt"] == 0.002
-    assert cfg["sim"]["tf"] == 2.0
-
-
 def test_config_error_exit_code(tmp_path, scalar_cfg):
     assert cli.main(["run", str(tmp_path / "missing.yaml"),
                      "--out", str(tmp_path / "o")]) == 2
@@ -146,7 +135,53 @@ def test_diverging_observer_exits_3(tmp_path, capsys):
                        {"scenario": "el2dof-robust",
                         "sim": {"tf": 2.0, "substeps": 2}})
     assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 3
-    assert "numerical failure (aborted run)" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "numerical failure (aborted run)" in captured.err
+    assert captured.out == ""
+
+
+IMPOSSIBLE_TUNINGS = [
+    ("scalar-rel1", "params.alpha=0.9"),      # 4a - 2 gamma - 2 nu < 0
+    ("doubleint-relr", "params.alpha=0.9"),   # 4a - 2 lambda_r - 2 nu < 0
+    ("el2dof-dob", "params.alpha1=2"),        # 4 alpha1 mu1 - 2 gamma - 2 nu < 0
+    ("el2dof-robust", "params.d_max=-1"),
+]
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("scenario,override", IMPOSSIBLE_TUNINGS)
+def test_impossible_filter_tuning_exits_2(tmp_path, capsys, command,
+                                          scenario, override):
+    # rejected when the filter is built, before any validation or step
+    cfg = write_config(tmp_path / "c.yaml", {"scenario": scenario})
+    argv = [command, cfg, "--override", override]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("configuration error:")
+
+
+def test_robust_baseline_ignores_observer_filter_condition(tmp_path):
+    # alpha1 = 2 admits no observer-aware constraint, but the robust filter
+    # does not use one
+    cfg = write_config(tmp_path / "rob.yaml",
+                       {"scenario": "el2dof-robust", "sim": {"tf": 0.05},
+                        "params": {"alpha1": 2.0}})
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+def test_withheld_omega_is_omega_zero(tmp_path):
+    noomega = write_config(tmp_path / "noomega.yaml",
+                           {"scenario": "el2dof-noomega", "sim": {"tf": 0.3}})
+    dob = write_config(tmp_path / "dob.yaml",
+                       {"scenario": "el2dof-dob", "sim": {"tf": 0.3},
+                        "params": {"constraint_omega": 0.0}})
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert cli.main(["run", noomega, "--out", str(out_a)]) == 0
+    assert cli.main(["run", dob, "--out", str(out_b)]) == 0
+    assert (out_a / "trajectory.csv").read_bytes() == \
+        (out_b / "trajectory.csv").read_bytes()
 
 
 @pytest.mark.parametrize("override", ["params.kp=.nan", "sim.tf=abc",

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dobcbf.el import (ELFilterParams, ELQpFilter, ELSystem, TwoLinkArm,
-                       el_observer_config, el_psi, el_robust_psi,
+from dobcbf.el import (ELFilterParams, ELQpFilter, ELRobustFilter, ELSystem,
+                       TwoLinkArm, el_observer_config, el_psi, el_robust_psi,
                        guarded_decision, kinetic_energy, pd_nominal,
                        to_control_affine, validate_el_params)
 from dobcbf.model import ParameterError
@@ -223,16 +223,19 @@ def test_singularity_guard_cases():
 
 
 def test_validate_el_params():
+    h_q = lambda q: 16.0 - q[0] ** 2 - q[1] ** 2  # h_q((2, 2.5)) = 5.75
+    grad = lambda q: np.array([-2.0 * q[0], -2.0 * q[1]])
+    x0 = np.array([2.0, 2.5, 0.0, 0.0])
     fp = ELFilterParams(alpha1=500.0, beta=10.0, gamma=2.0, nu=1.0, mu1=0.34)
-    rep = validate_el_params(ARM, fp, np.array([2.0, 2.5]), np.zeros(2),
-                             5.75, e0_norm=math.sqrt(50.0))
+    rep = validate_el_params(ELQpFilter(ARM, h_q, grad, fp), x0,
+                             e0_norm=math.sqrt(50.0))
     assert rep.passed
     # beta exactly at the bound fails the strict inequality
     need = 50.0 / (2 * 5.75)
     fp_eq = ELFilterParams(alpha1=500.0, beta=need, gamma=2.0, nu=1.0,
                            mu1=0.34)
-    rep_eq = validate_el_params(ARM, fp_eq, np.array([2.0, 2.5]), np.zeros(2),
-                                5.75, e0_norm=math.sqrt(50.0))
+    rep_eq = validate_el_params(ELQpFilter(ARM, h_q, grad, fp_eq), x0,
+                                e0_norm=math.sqrt(50.0))
     assert not rep_eq.beta_ok
 
 
@@ -267,6 +270,19 @@ def test_el_filter_object_guard_path():
     probe = filt.probe(x_rest, np.array([1.0, 0.0]))
     assert probe["h"] == pytest.approx(5.75)
     assert probe["hbar"] == pytest.approx(10.0 * 5.75 - 0.5)
+
+
+def test_el_filters_check_tuning_when_built():
+    h_q = lambda q: 16.0 - q[0] ** 2 - q[1] ** 2
+    grad = lambda q: np.array([-2.0 * q[0], -2.0 * q[1]])
+    # 4*alpha1*mu1 - 2*gamma - 2*nu = 4*5*0.3 - 4 - 2 = 0: no constraint
+    fp = ELFilterParams(alpha1=5.0, beta=10.0, gamma=2.0, nu=1.0, mu1=0.3)
+    with pytest.raises(ParameterError):
+        ELQpFilter(ARM, h_q, grad, fp)
+    # the robust baseline does not use the observer gain
+    ELRobustFilter(ARM, h_q, grad, 10.0, 2.0, 0.0)
+    with pytest.raises(ParameterError):
+        ELRobustFilter(ARM, h_q, grad, 10.0, 2.0, -1.0)
 
 
 def test_to_control_affine_rejects_singular_inertia():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from dobcbf.el import ELFilterParams, violation_floor
-from dobcbf.filters import (MODE_NO_OMEGA, FilterParams, NoFilter, QpFilter,
-                            psi, validate_params)
+from dobcbf.filters import (FilterParams, NoFilter, QpFilter, psi,
+                            validate_params)
 from dobcbf.model import BarrierSpec, ControlAffineSystem, ParameterError
 
 
@@ -39,8 +39,6 @@ def test_params_validation():
     with pytest.raises(ParameterError):
         FilterParams(alpha=1.0, beta=-1.0, nu=1.0)
     with pytest.raises(ParameterError):
-        FilterParams(alpha=1.0, beta=1.0, nu=1.0, mode="bogus")
-    with pytest.raises(ParameterError):
         FilterParams(alpha=1.0, beta=1.0, nu=1.0, omega=-0.5)
 
 
@@ -57,17 +55,18 @@ def test_psi_rel1_hand_computed():
 
 
 def test_psi_rel1_denominator_guard():
+    # the filter condition is checked once, when the filter is built
     sys, bar = scalar_plant(gamma=1.0)
     fp = FilterParams(alpha=1.0, beta=1.0, nu=1.0)
     with pytest.raises(ParameterError):
-        psi(sys, bar, fp, [0.0], [0.0])  # 4a-2g-2n = 0
+        QpFilter(sys, bar, fp)  # 4a-2g-2n = 0
 
 
 def test_psi_rel1_no_omega_drops_only_that_term():
+    # withholding the derivative bound is omega = 0
     sys, bar = scalar_plant()
     full = FilterParams(alpha=2.0, beta=1.0, nu=1.0, omega=2.0)
-    wo = FilterParams(alpha=2.0, beta=1.0, nu=1.0, omega=2.0,
-                      mode=MODE_NO_OMEGA)
+    wo = FilterParams(alpha=2.0, beta=1.0, nu=1.0, omega=0.0)
     x, d_hat = np.array([0.7]), np.array([0.3])
     p_full, _ = psi(sys, bar, full, x, d_hat)
     p_wo, _ = psi(sys, bar, wo, x, d_hat)
@@ -104,41 +103,38 @@ def test_augmented_barrier_values():
 
 def test_violation_floor_shape():
     fp = ELFilterParams(alpha1=10.0, beta=2.0, gamma=1.0, nu=1.0, mu1=0.3,
-                        omega=0.5, mode=MODE_NO_OMEGA)
+                        omega=0.5)
     # the floor uses the omega passed in, not the constraint-side fp.omega
     assert violation_floor(fp, 3.0, 0.0) == pytest.approx(0.0)
     t = np.linspace(0, 50, 500)
     fl = violation_floor(fp, 3.0, t)
     assert np.all(np.diff(fl) <= 1e-15)
     assert fl[-1] == pytest.approx(-9.0 / (2 * 1 * 1 * 2), abs=1e-6)
-    with pytest.raises(ParameterError):
-        violation_floor(ELFilterParams(alpha1=10.0, beta=2.0, gamma=1.0,
-                                       nu=1.0, mu1=0.3), 3.0, 1.0)
 
 
 def test_validate_params_strictness():
-    _, bar = scalar_plant(gamma=1.0)
-    fp = FilterParams(alpha=1.0, beta=1.0, nu=1.0)
-    # alpha = (gamma + nu)/2 exactly -> strict inequality fails
-    rep = validate_params(bar, fp, [1.0], e0_norm=0.0)
-    assert not rep.alpha_ok
-    ok = validate_params(bar, FilterParams(alpha=1.1, beta=1.0, nu=1.0),
-                         [1.0], 0.0)
-    assert ok.passed
+    sys, bar = scalar_plant(gamma=1.0)
+    # alpha = (gamma + nu)/2 exactly -> the strict inequality fails at build
+    with pytest.raises(ParameterError):
+        QpFilter(sys, bar, FilterParams(alpha=1.0, beta=1.0, nu=1.0))
+    ok = validate_params(
+        QpFilter(sys, bar, FilterParams(alpha=1.1, beta=1.0, nu=1.0)),
+        [1.0], 0.0)
+    assert ok.passed and ok.alpha_margin == pytest.approx(0.1)
+    filt = QpFilter(sys, bar, FilterParams(alpha=2.0, beta=1.0, nu=1.0))
     # beta too small for the initial error
-    bad = validate_params(bar, FilterParams(alpha=2.0, beta=1.0, nu=1.0),
-                          [1.0], 2.0)
+    bad = validate_params(filt, [1.0], 2.0)
     assert not bad.beta_ok
-    neg = validate_params(bar, FilterParams(alpha=2.0, beta=1.0, nu=1.0),
-                          [-0.5], 0.0)
+    neg = validate_params(filt, [-0.5], 0.0)
     assert not neg.passed
     # r = 2: the threshold is the last pole, and every s_k must be positive
-    _, bar2 = di_plant(poles=(1.0, 3.0))
-    fp2 = FilterParams(alpha=2.0, beta=1.0, nu=1.0)
-    assert not validate_params(bar2, fp2, [1.0, 1.0], 0.0).alpha_ok
-    cascade = validate_params(bar2, FilterParams(alpha=2.5, beta=1.0, nu=1.0),
-                              [-0.1, 1.0], 0.0)
-    assert cascade.alpha_ok and cascade.beta_ok and not cascade.cascade_ok
+    sys2, bar2 = di_plant(poles=(1.0, 3.0))
+    with pytest.raises(ParameterError):
+        QpFilter(sys2, bar2, FilterParams(alpha=2.0, beta=1.0, nu=1.0))
+    cascade = validate_params(
+        QpFilter(sys2, bar2, FilterParams(alpha=2.5, beta=1.0, nu=1.0)),
+        [-0.1, 1.0], 0.0)
+    assert cascade.beta_ok and not cascade.cascade_ok
 
 
 def test_filter_objects_produce_decisions():
