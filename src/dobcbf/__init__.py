@@ -5,9 +5,9 @@ filters so that the filtered control keeps the system safe despite unknown
 matched/unmatched disturbances, with a quantified estimation-error envelope.
 """
 
-from .model import (BarrierSpec, ControlAffineSystem, ConfigurationError,
-                    DimensionError, ParameterError, coeffs_from_poles, eta,
-                    lie_derivatives, s_sequence)
+from .model import (BarrierSpec, ControlAffineSystem, DimensionError,
+                    ParameterError, coeffs_from_poles, lie_derivatives,
+                    s_sequence)
 from .observer import (GainReport, ObserverConfig, ObserverState,
                        error_envelope, estimate, initial_state, validate_gain)
 from .qp import INACTIVE, ACTIVE, INFEASIBLE, QpInstance, QpResult, solve

@@ -51,7 +51,8 @@ def psi(sys: ControlAffineSystem, bar: BarrierSpec, fp: FilterParams,
         x, d_hat) -> tuple[float, np.ndarray]:
     """Constraint coefficients for a barrier of relative degree r >= 1.
 
-    x is checked once, by lie_derivatives, and the cascade's lower-order
+    Every term comes from the barrier's Lie chain, none from the plant.  x
+    is checked once, by lie_derivatives, and the cascade's lower-order
     terms L_f^k h (k < r) are read at the same x; d_hat is checked here.
     The products of the Lie terms with d_hat and the cascade weights are
     sums over Python floats.  QpFilter checks the denominator's sign.

@@ -5,9 +5,10 @@ The plant is control-affine with a separate disturbance channel,
     xdot = f(x) + g1(x) u + g2(x) d,
 
 and the safe set is the zero-superlevel set of a barrier function h of
-relative degree r >= 1, placed by r poles.  For r = 1 the Lie derivatives
-come from grad_h and the plant; for r >= 2 the user supplies them as
-closed-form callbacks.
+relative degree r >= 1, placed by r poles.  Every barrier is given by its
+Lie chain: the drift derivatives L_f^k h (k = 1..r) and the top-order
+L_g1 L_f^{r-1} h, L_g2 L_f^{r-1} h as closed-form callbacks, so a filter
+decision reads the barrier alone and never the plant.
 """
 
 from __future__ import annotations
@@ -31,10 +32,6 @@ class DimensionError(ValueError):
 
 class ParameterError(ValueError):
     """A tuning parameter violates its validity condition."""
-
-
-class ConfigurationError(ValueError):
-    """A required callback or field is missing for the requested operation."""
 
 
 def as_vector(v, dim: int, name: str = "vector") -> np.ndarray:
@@ -140,14 +137,15 @@ def coeffs_from_poles(poles: Sequence[float]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BarrierSpec:
-    """Barrier function h of relative degree r >= 1 with one pole per order.
+    """Barrier function h of relative degree r = len(poles) >= 1.
 
     The r positive poles place the cascade s_0 = h,
     s_k = (d/dt + lambda_k) s_{k-1}; r = 1 with poles = (gamma,) is the
-    first-order condition hdot + gamma h >= 0.  For r = 1 only `h` and
-    `grad_h` are needed.  For r >= 2 the chained drift derivatives
-    `lie_f[k-1] = L_f^k h` (k = 1..r) and the mixed derivatives
-    L_{g1} L_f^{r-1} h, L_{g2} L_f^{r-1} h must be supplied.
+    first-order condition hdot + gamma h >= 0.  `lie_f[k-1]` returns the
+    chained drift derivative L_f^k h (k = 1..r), and `lie_g1_fr`/`lie_g2_fr`
+    the mixed derivatives L_{g1} L_f^{r-1} h and L_{g2} L_f^{r-1} h.  No
+    pole, or a chain whose length is not the number of poles, raises
+    ParameterError.
 
     `cascade[k-1]` holds the coefficients (a_1..a_k) of
     prod_{j<=k} (s + lambda_j), computed once here; the last one weighs the
@@ -155,50 +153,40 @@ class BarrierSpec:
     """
 
     h: Callable[[np.ndarray], float]
-    grad_h: Callable[[np.ndarray], np.ndarray]
-    relative_degree: int = 1
-    lie_f: tuple | None = None
-    lie_g1_fr: Callable[[np.ndarray], np.ndarray] | None = None
-    lie_g2_fr: Callable[[np.ndarray], np.ndarray] | None = None
-    poles: tuple = ()
+    lie_f: tuple
+    lie_g1_fr: Callable[[np.ndarray], np.ndarray]
+    lie_g2_fr: Callable[[np.ndarray], np.ndarray]
+    poles: tuple
     cascade: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        r = self.relative_degree
-        if r < 1:
-            raise ParameterError(f"relative degree must be >= 1, got {r}")
-        if len(self.poles) != r:
-            raise ConfigurationError(f"need {r} poles for relative degree {r}")
-        if r >= 2:
-            if self.lie_f is None or len(self.lie_f) < r:
-                raise ConfigurationError(f"need L_f^k h callbacks up to k={r}")
-            if self.lie_g1_fr is None or self.lie_g2_fr is None:
-                raise ConfigurationError("need mixed Lie-derivative callbacks for r >= 2")
+        r = len(self.poles)
+        if r == 0:
+            raise ParameterError("need at least one pole")
+        if len(self.lie_f) != r:
+            raise ParameterError(
+                f"need one L_f^k h callback per pole: {len(self.lie_f)} "
+                f"callbacks for {r} poles")
         object.__setattr__(self, "cascade", tuple(
             coeffs_from_poles(self.poles[:k]) for k in range(1, r + 1)))
+
+    @property
+    def relative_degree(self) -> int:
+        return len(self.poles)
 
     def lie_f_value(self, k: int, x) -> float:
         """L_f^k h(x); k = 0 returns h itself."""
         if k == 0:
             return float(self.h(x))
-        if self.lie_f is None or k > len(self.lie_f):
-            raise ConfigurationError(f"L_f^{k} h callback not supplied")
         return float(self.lie_f[k - 1](x))
 
 
 def lie_derivatives(sys: ControlAffineSystem, bar: BarrierSpec, x):
-    """Top-order Lie derivatives (L_f^r h, L_{g1} L_f^{r-1} h, L_{g2} L_f^{r-1} h).
-
-    For r = 1 they are grad_h times the plant terms; for r >= 2 they come
-    from the barrier's closed-form callbacks.
-    """
+    """Top-order Lie derivatives (L_f^r h, L_{g1} L_f^{r-1} h, L_{g2} L_f^{r-1} h)
+    from the barrier's callbacks; the plant's are not called.  x and the
+    mixed derivatives are checked against the plant's dimensions."""
     x = as_vector(x, sys.n, "x")
-    r = bar.relative_degree
-    if r == 1:
-        grad = as_vector(bar.grad_h(x), sys.n, "grad_h(x)")
-        fx, G1, G2 = sys.evaluate(x)
-        return float(grad @ fx), grad @ G1, grad @ G2
-    return (bar.lie_f_value(r, x),
+    return (bar.lie_f_value(bar.relative_degree, x),
             as_vector(bar.lie_g1_fr(x), sys.m, "L_g1 L_f^{r-1} h"),
             as_vector(bar.lie_g2_fr(x), sys.p, "L_g2 L_f^{r-1} h"))
 
@@ -211,17 +199,11 @@ def s_sequence(sys: ControlAffineSystem, bar: BarrierSpec, x) -> np.ndarray:
     disturbance channels only appear at order r.
     """
     r = bar.relative_degree
-    lf = eta(sys, bar, x)[::-1].tolist()  # eta checks x
+    x = as_vector(x, sys.n, "x")
+    lf = [bar.lie_f_value(k, x) for k in range(r)]
     out = np.empty(r)
     out[0] = lf[0]
     for k in range(1, r):
         out[k] = sum((a * lf[k - i] for i, a in enumerate(bar.cascade[k - 1], 1)),
                      lf[k])
     return out
-
-
-def eta(sys: ControlAffineSystem, bar: BarrierSpec, x) -> np.ndarray:
-    """Stack [L_f^{r-1} h, ..., L_f h, h] weighed by the constraint's cascade."""
-    x = as_vector(x, sys.n, "x")
-    return np.array([bar.lie_f_value(k, x)
-                     for k in range(bar.relative_degree - 1, -1, -1)])

@@ -65,10 +65,6 @@ class ObserverConfig:
         return self.gain.shape[0]
 
     @property
-    def dim_state(self) -> int:
-        return self.gain.shape[1]
-
-    @property
     def kappa(self) -> float:
         return self.alpha - 0.5 * self.nu
 

@@ -49,7 +49,6 @@ class QpInstance(collections.namedtuple("QpInstance", "u_nom psi0 psi1")):
 class QpResult(NamedTuple):
     u: np.ndarray
     status: str
-    constraint_value: float
 
 
 def solve(inst: QpInstance) -> QpResult:
@@ -64,10 +63,9 @@ def solve(inst: QpInstance) -> QpResult:
     un, row = u_nom.tolist(), psi1.tolist()
     slack = psi0 + sum(map(operator.mul, row, un))
     if slack >= 0.0:
-        return QpResult(u_nom.copy(), INACTIVE, slack)
+        return QpResult(u_nom.copy(), INACTIVE)
     sq = sum(map(operator.mul, row, row))
     if sq == 0.0:
-        return QpResult(u_nom.copy(), INFEASIBLE, slack)
+        return QpResult(u_nom.copy(), INFEASIBLE)
     step = slack / sq
-    u = [ui - step * pi for ui, pi in zip(un, row)]
-    return QpResult(np.array(u), ACTIVE, psi0 + sum(map(operator.mul, row, u)))
+    return QpResult(np.array([ui - step * pi for ui, pi in zip(un, row)]), ACTIVE)

@@ -12,15 +12,19 @@ Derived constants and their provenance:
     disturbance over a 200 001-point grid of the run's span [t0, tf];
   * the robust baseline's magnitude bound is max_t ||d(t)|| over the same
     grid;
+  * both come from DisturbanceSignal.max_norm, which reads the same packed
+    arrays as the d(t) the simulator applies;
   * the arm's inverse-inertia eigenvalue bounds are exact: the inertia
     matrix is affine in cos(q2), so its largest eigenvalue (convex in the
     matrix) peaks and its smallest (concave) bottoms out at q2 = 0 or pi.
 
-The arm filter's constraint-side omega is a registry constant, deliberately
-smaller than the derived derivative bound: with the derived value (~96) the
-constant term omega^2/(2 nu) dwarfs every state-dependent term of the
-constraint and the QP is unsatisfiable whenever the arm is slow, so no
-useful motion survives.  The envelope and convergence checks always use the
+The arm filter's constraint-side omega is the `constraint_omega` parameter.
+Its default is a registry constant, deliberately smaller than the derived
+derivative bound, and 0 for el2dof-noomega, which withholds the bound.
+With the derived value (about 84 over the default span) the constant term
+omega^2/(2 nu) dwarfs every state-dependent term of the constraint and
+the QP is unsatisfiable whenever the arm is slow, so no useful motion
+survives.  The envelope and convergence checks always use the
 derived bound; the constraint-side value trades a quantified worst-case
 floor for a usable filter, which is exactly the degraded-knowledge operating
 mode the design admits.
@@ -95,7 +99,9 @@ def _el_defaults(name: str) -> dict:
         "sim": {"t0": 0.0, "tf": 20.0, "dt": 1e-3, "log_stride": 10,
                 "substeps": 8},
         "params": {"alpha1": 500.0, "beta": 10.0, "gamma": 2.0, "nu": 1.0,
-                   "constraint_omega": ARM_CONSTRAINT_OMEGA,
+                   # withholding the derivative bound is omega = 0
+                   "constraint_omega": 0.0 if name == "el2dof-noomega"
+                                       else ARM_CONSTRAINT_OMEGA,
                    "eps_singular": 1e-4,
                    "kp": 200.0, "kd": 35.0, "ref_amplitude": 5.0,
                    "gravity_comp": False,
@@ -215,13 +221,13 @@ def _signal_from_config(spec) -> simulate.DisturbanceSignal:
 def derivative_bound(signal: simulate.DisturbanceSignal, t0: float,
                      tf: float, points: int = 200_001) -> float:
     """max_t ||ddot(t)|| on a dense grid of the run's span [t0, tf]."""
-    return signal.max_derivative_norm(np.linspace(t0, tf, points))
+    return signal.max_norm(np.linspace(t0, tf, points), derivative=True)
 
 
 def magnitude_bound(signal: simulate.DisturbanceSignal, t0: float,
                     tf: float, points: int = 200_001) -> float:
     """max_t ||d(t)|| on a dense grid of the run's span [t0, tf]."""
-    return signal.max_value_norm(np.linspace(t0, tf, points))
+    return signal.max_norm(np.linspace(t0, tf, points))
 
 
 def arm_mu_bounds(m1: float = 1.0, m2: float = 1.0, l: float = 1.0,
@@ -362,7 +368,9 @@ def _scalar(cfg: dict, signal, simcfg, omega: float) -> dict:
         g1=lambda x: np.eye(1),
         g2=lambda x: np.eye(1))
     barrier = BarrierSpec(h=lambda x: float(x[0]),
-                          grad_h=lambda x: np.ones(1),
+                          lie_f=(lambda x: 0.0,),
+                          lie_g1_fr=lambda x: np.ones(1),
+                          lie_g2_fr=lambda x: np.ones(1),
                           poles=(float(prm["gamma"]),))
     return _qp_family(cfg, omega, system, barrier, np.eye(1),
                       lambda t, x: np.array([gain * (target - x[0])]))
@@ -379,8 +387,6 @@ def _doubleint(cfg: dict, signal, simcfg, omega: float) -> dict:
         g2=lambda x: np.array([[0.0], [1.0]]))
     barrier = BarrierSpec(
         h=lambda x: 1.0 - float(x[0]),
-        grad_h=lambda x: np.array([-1.0, 0.0]),
-        relative_degree=2,
         lie_f=(lambda x: -float(x[1]), lambda x: 0.0),
         lie_g1_fr=lambda x: np.array([-1.0]),
         lie_g2_fr=lambda x: np.array([-1.0]),
@@ -404,10 +410,9 @@ def _arm(cfg: dict, signal, simcfg, omega: float) -> dict:
     mu1, mu2 = arm_mu_bounds()
     h_q = lambda q: 16.0 - float(q[0]) ** 2 - float(q[1]) ** 2
     grad_hq = lambda q: np.array([-2.0 * q[0], -2.0 * q[1]])
-    # withholding the derivative bound is omega = 0 in the constraint
-    c_omega = 0.0 if name == "el2dof-noomega" else float(prm["constraint_omega"])
     fp = elmod.ELFilterParams(
-        alpha1=alpha1, beta=beta, gamma=gamma, nu=nu, mu1=mu1, omega=c_omega,
+        alpha1=alpha1, beta=beta, gamma=gamma, nu=nu, mu1=mu1,
+        omega=float(prm["constraint_omega"]),
         eps_singular=float(prm["eps_singular"]))
     constants = {"mu1": mu1, "mu2": mu2, "omega_d": omega}
 

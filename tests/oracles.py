@@ -1,6 +1,7 @@
 """Independent reference implementations that the tests check the library
 against: a grid-search QP, the arm's equations of motion solved with
-np.linalg.solve, and the observer's right-hand side on its own."""
+np.linalg.solve, the observer's right-hand side on its own, and a
+disturbance evaluated term by term."""
 
 import numpy as np
 
@@ -8,6 +9,7 @@ from dobcbf.el import ELSystem
 from dobcbf.model import ControlAffineSystem, ParameterError, as_vector
 from dobcbf.observer import ObserverConfig, ObserverState, estimate
 from dobcbf.qp import QpInstance
+from dobcbf.simulate import DisturbanceSignal, Term
 
 
 def brute_force(inst: QpInstance, box_halfwidth: float,
@@ -57,3 +59,31 @@ def z_derivative(cfg: ObserverConfig, st: ObserverState,
     fx, G1, G2 = sys.evaluate(x)
     d_hat = estimate(cfg, st, x)
     return -cfg.gain_at(x) @ (fx + G1 @ u + G2 @ d_hat)
+
+
+def term_value(term: Term, t):
+    """a*sin(w t + phi) or a*cos(w t + phi), at a time or an array of times."""
+    arg = term.frequency * t + term.phase
+    return term.amplitude * (np.sin(arg) if term.waveform == "sin" else np.cos(arg))
+
+
+def term_derivative(term: Term, t):
+    """The analytic time derivative of term_value."""
+    arg = term.frequency * t + term.phase
+    if term.waveform == "sin":
+        return term.amplitude * term.frequency * np.cos(arg)
+    return -term.amplitude * term.frequency * np.sin(arg)
+
+
+def per_term_sum(sig: DisturbanceSignal, t, derivative: bool = False):
+    """d(t) or its derivative, summed term by term per channel; an empty
+    channel is zero.  t may be a time or a 1-D array of times."""
+    one = term_derivative if derivative else term_value
+    return np.array([sum((one(term, t) for term in ch), np.zeros_like(t))
+                     for ch in sig.channels])
+
+
+def grid_max_norm(sig: DisturbanceSignal, t_grid, derivative: bool = False) -> float:
+    """max over t_grid of the Euclidean norm of per_term_sum."""
+    vals = per_term_sum(sig, np.asarray(t_grid, dtype=float), derivative)
+    return float(np.sqrt((vals ** 2).sum(axis=0)).max())

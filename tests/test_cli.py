@@ -9,7 +9,7 @@ import pytest
 import yaml
 
 import dobcbf
-from dobcbf import cli
+from dobcbf import cli, scenarios
 
 
 def write_config(path, data):
@@ -182,6 +182,16 @@ def test_withheld_omega_is_omega_zero(tmp_path):
     assert cli.main(["run", dob, "--out", str(out_b)]) == 0
     assert (out_a / "trajectory.csv").read_bytes() == \
         (out_b / "trajectory.csv").read_bytes()
+
+
+def test_noomega_constraint_omega_is_its_config_value(tmp_path):
+    # the default withholds the bound (0.0) and is recorded as such; an
+    # override is what the filter uses
+    cfg = write_config(tmp_path / "noomega.yaml", {"scenario": "el2dof-noomega"})
+    resolved = scenarios.resolve_config(cli.load_config(cfg))
+    assert resolved["params"]["constraint_omega"] == 0.0
+    raw = cli.apply_overrides(cli.load_config(cfg), ["params.constraint_omega=5"])
+    assert scenarios.build(raw).safety.params.omega == 5.0
 
 
 @pytest.mark.parametrize("override", ["params.kp=.nan", "sim.tf=abc",

@@ -31,10 +31,11 @@ def lengths(v):
     return v[:-1], np.append(v, 1.0)
 
 
-def scalar_filter(grad=lambda x: np.ones(1)):
+def scalar_filter(lg1=lambda x: np.ones(1), lg2=lambda x: np.ones(1)):
     sys = ControlAffineSystem(n=1, m=1, p=1, f=lambda x: np.zeros(1),
                               g1=lambda x: np.eye(1), g2=lambda x: np.eye(1))
-    bar = BarrierSpec(h=lambda x: float(x[0]), grad_h=grad, poles=(1.0,))
+    bar = BarrierSpec(h=lambda x: float(x[0]), lie_f=(lambda x: 0.0,),
+                      lie_g1_fr=lg1, lie_g2_fr=lg2, poles=(1.0,))
     return QpFilter(sys, bar, FilterParams(alpha=2.0, beta=1.0, nu=1.0))
 
 
@@ -44,8 +45,6 @@ def di_filter(lg1=lambda x: np.array([-1.0]), lg2=lambda x: np.array([-1.0])):
         g1=lambda x: np.array([[0.0], [1.0]]),
         g2=lambda x: np.array([[0.0], [1.0]]))
     bar = BarrierSpec(h=lambda x: 1.0 - float(x[0]),
-                      grad_h=lambda x: np.array([-1.0, 0.0]),
-                      relative_degree=2,
                       lie_f=(lambda x: -float(x[1]), lambda x: 0.0),
                       lie_g1_fr=lg1, lie_g2_fr=lg2, poles=(1.0, 1.0))
     return QpFilter(sys, bar, FilterParams(alpha=2.0, beta=1.0, nu=1.0))
@@ -68,7 +67,7 @@ def robust_filter(grad=arm_grad):
 #:  the factory's gradient keywords with a well-formed output of each)
 FILTERS = [
     ("scalar", scalar_filter, np.array([0.5]), np.array([0.2]),
-     [("grad", np.ones(1))]),
+     [("lg1", np.ones(1)), ("lg2", np.ones(1))]),
     ("doubleint", di_filter, np.array([0.25, -0.5]), np.array([0.3]),
      [("lg1", np.array([-1.0])), ("lg2", np.array([-1.0]))]),
     ("energy", el_filter, ARM_X, np.array([1.0, -2.0]),
@@ -140,7 +139,7 @@ def simulate_with_nominal(nominal):
     obs = ObserverConfig(gain=2.0 * np.eye(1), alpha=2.0)
     return simulate.run_closed_loop(
         system, NoFilter(lambda x: float(x[0])), nominal,
-        simulate.DisturbanceSignal.constant([0.5]),
+        simulate.DisturbanceSignal(((simulate.Term(0.5, 0.0, waveform="cos"),),)),
         simulate.SimConfig(t0=0.0, tf=0.01, dt=1e-3), np.array([0.5]), obs)
 
 

@@ -69,8 +69,6 @@ def di_plant():
         g1=lambda x: np.array([[0.0], [1.0]]),
         g2=lambda x: np.array([[0.0], [1.0]]))
     bar = BarrierSpec(h=lambda x: 1.0 - float(x[0]),
-                      grad_h=lambda x: np.array([-1.0, 0.0]),
-                      relative_degree=2,
                       lie_f=(lambda x: -float(x[1]), lambda x: 0.0),
                       lie_g1_fr=lambda x: np.array([-1.0]),
                       lie_g2_fr=lambda x: np.array([-1.0]),

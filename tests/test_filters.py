@@ -13,8 +13,9 @@ def scalar_plant(gamma=1.0):
         f=lambda x: np.zeros(1),
         g1=lambda x: np.eye(1),
         g2=lambda x: np.eye(1))
-    bar = BarrierSpec(h=lambda x: float(x[0]), grad_h=lambda x: np.ones(1),
-                      poles=(gamma,))
+    bar = BarrierSpec(h=lambda x: float(x[0]), lie_f=(lambda x: 0.0,),
+                      lie_g1_fr=lambda x: np.ones(1),
+                      lie_g2_fr=lambda x: np.ones(1), poles=(gamma,))
     return sys, bar
 
 
@@ -26,8 +27,6 @@ def di_plant(poles=(1.0, 1.0)):
         g2=lambda x: np.array([[0.0], [1.0]]))
     bar = BarrierSpec(
         h=lambda x: 1.0 - float(x[0]),
-        grad_h=lambda x: np.array([-1.0, 0.0]),
-        relative_degree=2,
         lie_f=(lambda x: -float(x[1]), lambda x: 0.0),
         lie_g1_fr=lambda x: np.array([-1.0]),
         lie_g2_fr=lambda x: np.array([-1.0]),
@@ -52,6 +51,22 @@ def test_psi_rel1_hand_computed():
     # beta*|Lg2h|^2/(4a-2g-2n)=1/4, gamma*h=1
     assert psi0 == pytest.approx(0.5 - 2.0 - 0.25 + 1.0)
     assert np.allclose(psi1, [1.0])
+
+
+def test_scalar_constraint_calls_no_plant_callback():
+    # a decision reads the barrier's Lie chain alone: the same row as
+    # test_psi_rel1_hand_computed with a plant whose every callback raises
+    def fail(x):
+        raise AssertionError("plant callback called")
+
+    _, bar = scalar_plant(gamma=1.0)
+    sys = ControlAffineSystem(n=1, m=1, p=1, f=fail, g1=fail, g2=fail,
+                              terms=fail)
+    filt = QpFilter(sys, bar, FilterParams(alpha=2.0, beta=1.0, nu=1.0,
+                                           omega=2.0))
+    dec = filt.constraint(0.0, np.array([1.0]), np.zeros(1), np.array([0.5]))
+    assert dec.psi0 == pytest.approx(0.5 - 2.0 - 0.25 + 1.0)
+    assert np.allclose(dec.psi1, [1.0])
 
 
 def test_psi_rel1_denominator_guard():

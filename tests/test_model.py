@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from dobcbf.model import (BarrierSpec, ConfigurationError, ControlAffineSystem,
-                          DimensionError, ParameterError, as_matrix, as_vector,
-                          coeffs_from_poles, eta, lie_derivatives, s_sequence)
+from dobcbf.model import (BarrierSpec, ControlAffineSystem, DimensionError,
+                          ParameterError, as_matrix, as_vector,
+                          coeffs_from_poles, lie_derivatives, s_sequence)
 
 
 def scalar_system():
@@ -25,8 +25,6 @@ def double_integrator():
 def di_barrier(poles=(1.0, 1.0)):
     return BarrierSpec(
         h=lambda x: 1.0 - float(x[0]),
-        grad_h=lambda x: np.array([-1.0, 0.0]),
-        relative_degree=2,
         lie_f=(lambda x: -float(x[1]), lambda x: 0.0),
         lie_g1_fr=lambda x: np.array([-1.0]),
         lie_g2_fr=lambda x: np.array([-1.0]),
@@ -85,12 +83,13 @@ def test_fused_terms_match_individual_callbacks():
 
 
 def scalar_barrier(gamma=1.0):
-    return BarrierSpec(h=lambda x: float(x[0]), grad_h=lambda x: np.ones(1),
-                       poles=(gamma,))
+    return BarrierSpec(h=lambda x: float(x[0]), lie_f=(lambda x: 0.0,),
+                       lie_g1_fr=lambda x: np.ones(1),
+                       lie_g2_fr=lambda x: np.ones(1), poles=(gamma,))
 
 
 def test_lie_derivatives_rel1_scalar():
-    # r = 1: grad_h times the plant terms
+    # r = 1: the closed-form callbacks at the first order
     lfh, lg1h, lg2h = lie_derivatives(scalar_system(), scalar_barrier(), [2.0])
     assert lfh == 0.0
     assert np.allclose(lg1h, [1.0])
@@ -141,36 +140,28 @@ def test_s_sequence_matches_finite_difference_chain():
     assert s_sequence(sys, bar, x)[1] == pytest.approx(s1_fd, abs=1e-8)
 
 
-def test_eta_ordering():
-    sys = double_integrator()
-    bar = di_barrier()
-    x = np.array([0.25, -0.5])
-    vals = eta(sys, bar, x)
-    # [L_f h, h] for r = 2
-    assert vals[0] == pytest.approx(0.5)
-    assert vals[1] == pytest.approx(0.75)
-    # r = 1: just [h]
-    assert np.allclose(eta(scalar_system(), scalar_barrier(), [0.4]), [0.4])
-
-
 def test_barrier_spec_validation():
     with pytest.raises(ParameterError):
-        BarrierSpec(h=lambda x: 0.0, grad_h=lambda x: np.zeros(1),
-                    relative_degree=0)
-    with pytest.raises(ConfigurationError):
-        BarrierSpec(h=lambda x: 0.0, grad_h=lambda x: np.zeros(2),
-                    relative_degree=2, poles=(1.0, 1.0))
+        BarrierSpec(h=lambda x: 0.0, lie_f=(), lie_g1_fr=lambda x: np.ones(1),
+                    lie_g2_fr=lambda x: np.ones(1), poles=())
+    with pytest.raises(ParameterError):
+        BarrierSpec(h=lambda x: 0.0, lie_f=(lambda x: 0.0,),
+                    lie_g1_fr=lambda x: np.ones(1),
+                    lie_g2_fr=lambda x: np.ones(1), poles=(1.0, 1.0))
     with pytest.raises(ParameterError):
         di_barrier(poles=(1.0, -2.0))
 
 
 def test_barrier_spec_needs_one_pole_per_order():
-    with pytest.raises(ConfigurationError):
-        BarrierSpec(h=lambda x: float(x[0]), grad_h=lambda x: np.ones(1))
-    with pytest.raises(ConfigurationError):
-        BarrierSpec(h=lambda x: 0.0, grad_h=lambda x: np.ones(1),
-                    poles=(1.0, 2.0))
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ParameterError):
+        BarrierSpec(h=lambda x: float(x[0]), lie_f=(lambda x: 0.0,),
+                    lie_g1_fr=lambda x: np.ones(1),
+                    lie_g2_fr=lambda x: np.ones(1), poles=())
+    with pytest.raises(ParameterError):
+        BarrierSpec(h=lambda x: 0.0, lie_f=(lambda x: 0.0,),
+                    lie_g1_fr=lambda x: np.ones(1),
+                    lie_g2_fr=lambda x: np.ones(1), poles=(1.0, 2.0))
+    with pytest.raises(ParameterError):
         di_barrier(poles=(1.0,))
     with pytest.raises(ParameterError):
         scalar_barrier(gamma=0.0)

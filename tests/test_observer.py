@@ -40,7 +40,7 @@ def test_config_rejects_gain_that_is_not_a_finite_matrix():
         with pytest.raises(ValueError):
             ObserverConfig(gain=[[0.0, 0.0], [0.0, value]], alpha=2.0)
     cfg = ObserverConfig(gain=[[0.0, 1.0, 2.0]], alpha=2.0)
-    assert (cfg.dim_dist, cfg.dim_state) == (1, 3)
+    assert cfg.dim_dist == 1 and cfg.gain.shape == (1, 3)
 
 
 def test_config_keeps_its_own_copy_of_the_gain():

@@ -19,7 +19,8 @@ def test_active_projection_1d():
     res = solve(inst)
     assert res.status == ACTIVE
     assert np.allclose(res.u, [2.0])
-    assert res.constraint_value == pytest.approx(0.0, abs=1e-12)
+    # the projection lies on the boundary psi0 + psi1 . u = 0
+    assert inst.psi0 + float(inst.psi1 @ res.u) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_active_projection_2d_known_answer():

@@ -6,6 +6,7 @@ from dobcbf.simulate import (DisturbanceSignal, SimConfig, Term,
                              TrajectoryLog, metrics, read_metrics, rk4_step,
                              run_closed_loop, write_metrics)
 import dobcbf.scenarios as scenarios
+from oracles import grid_max_norm, per_term_sum, term_derivative, term_value
 
 
 def test_rk4_exponential_accuracy():
@@ -53,14 +54,18 @@ def test_logged_disturbance_is_exact_at_every_row():
 
 
 def test_term_and_signal_derivatives():
-    term = Term(amplitude=2.0, frequency=3.0, phase=0.5, waveform="sin")
+    # the oracle's analytic derivative is the slope of the packed signal's
+    # value, and the derivative bound at one time is its magnitude
     t = 0.7
     eps = 1e-6
-    fd = (term.value(t + eps) - term.value(t - eps)) / (2 * eps)
-    assert term.derivative(t) == pytest.approx(fd, abs=1e-6)
-    cos_term = Term(amplitude=-5.0, frequency=5.0, waveform="cos")
-    fd = (cos_term.value(t + eps) - cos_term.value(t - eps)) / (2 * eps)
-    assert cos_term.derivative(t) == pytest.approx(fd, abs=1e-5)
+    for term, tol in ((Term(amplitude=2.0, frequency=3.0, phase=0.5,
+                            waveform="sin"), 1e-6),
+                      (Term(amplitude=-5.0, frequency=5.0, waveform="cos"), 1e-5)):
+        sig = DisturbanceSignal(((term,),))
+        fd = float((sig.value(t + eps) - sig.value(t - eps))[0]) / (2 * eps)
+        assert term_derivative(term, t) == pytest.approx(fd, abs=tol)
+        assert sig.max_norm([t], derivative=True) == pytest.approx(abs(fd), abs=tol)
+        assert sig.value(t)[0] == pytest.approx(term_value(term, t), abs=1e-13)
     with pytest.raises(ParameterError):
         Term(amplitude=1.0, frequency=1.0, waveform="tan")
 
@@ -73,7 +78,7 @@ def test_signal_norm_bounds():
          Term(-5.0, 5.0, waveform="cos"), Term(10.0, 3.0, waveform="cos")),
     ))
     grid = np.linspace(0.0, 2.0 * np.pi, 200001)
-    wmax = sig.max_derivative_norm(grid)
+    wmax = sig.max_norm(grid, derivative=True)
     # per-channel derivative amplitude sum: 10 + 4 + 25 + 30 = 69
     assert wmax <= np.sqrt(2.0) * 69.0
     assert wmax >= 0.5 * np.sqrt(2.0) * 69.0  # not wildly conservative
@@ -81,11 +86,19 @@ def test_signal_norm_bounds():
     assert vals[0] == pytest.approx(vals[1])
 
 
+def constant_signal(values):
+    """A constant d(t) = values: one frequency-0 cos term per channel."""
+    return DisturbanceSignal(tuple((Term(float(v), 0.0, waveform="cos"),)
+                                   for v in values))
+
+
 def test_constant_signal():
-    sig = DisturbanceSignal.constant([1.5, -2.0])
+    sig = constant_signal([1.5, -2.0])
     assert np.allclose(sig.value(0.0), [1.5, -2.0])
     assert np.allclose(sig.value(17.3), [1.5, -2.0])
-    assert np.allclose(sig.derivative(5.0), 0.0)
+    assert np.allclose(per_term_sum(sig, 5.0, derivative=True), 0.0)
+    assert sig.max_norm(np.linspace(0.0, 20.0, 101), derivative=True) == 0.0
+    assert sig.max_norm([3.0]) == pytest.approx(2.5)
 
 
 def test_simconfig_validation():
@@ -181,20 +194,13 @@ def test_envelope_residual_nonpositive_for_valid_observer():
     assert m["max_env_residual"] <= 1e-3
 
 
-def per_term_sum(sig, t, derivative=False):
-    """Reference: the channel sums term by term, as before packing."""
-    return np.array([sum((term.derivative(t) if derivative else term.value(t))
-                         for term in ch) if ch else 0.0
-                     for ch in sig.channels])
-
-
 def test_packed_signal_matches_per_term_sum():
     arm = scenarios.build({"scenario": "el2dof-dob"}).disturbance
     cases = [arm,
              DisturbanceSignal(((Term(1.5, 2.0, phase=0.3),), (),
                                 (Term(-2.0, 0.5, waveform="cos"),
                                  Term(0.25, 7.0, phase=-1.0)))),
-             DisturbanceSignal.constant([1.5, -2.0, 0.0]),
+             constant_signal([1.5, -2.0, 0.0]),
              DisturbanceSignal(((), ()))]
     for sig in cases:
         terms = [term for ch in sig.channels for term in ch]
@@ -202,13 +208,23 @@ def test_packed_signal_matches_per_term_sum():
         tol = {False: 1e-13 * sum(abs(term.amplitude) for term in terms),
                True: 1e-13 * sum(abs(term.amplitude * term.frequency)
                                  for term in terms)}
-        for t in np.linspace(0.0, 20.0, 401):
-            for deriv in (False, True):
-                got = sig.derivative(t) if deriv else sig.value(t)
-                want = per_term_sum(sig, t, derivative=deriv)
-                assert got.shape == (sig.dim,)
-                assert np.all(np.abs(got - want) <= tol[deriv])
+        grid = np.linspace(0.0, 20.0, 401)
+        for t in grid:
+            got = sig.value(t)
+            assert got.shape == (sig.dim,)
+            assert np.all(np.abs(got - per_term_sum(sig, t)) <= tol[False])
+        for deriv in (False, True):
+            assert abs(sig.max_norm(grid, derivative=deriv)
+                       - grid_max_norm(sig, grid, derivative=deriv)) <= tol[deriv]
     assert np.array_equal(DisturbanceSignal(((), ())).value(3.0), np.zeros(2))
+    # max_norm evaluates in blocks: over three of them, the maximum of a
+    # rising sin(t/4) on [0, 2 pi] is at the last point, and of its slope
+    # at the first
+    rising = DisturbanceSignal(((Term(1.0, 0.25),),))
+    grid = np.linspace(0.0, 2.0 * np.pi, 10_001)
+    assert rising.max_norm(grid) == pytest.approx(1.0, abs=1e-15)
+    assert rising.max_norm(grid[:-1]) < 1.0
+    assert rising.max_norm(grid, derivative=True) == 0.25
 
 
 def test_term_rejects_nonfinite():
