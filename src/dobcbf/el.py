@@ -7,7 +7,10 @@ inertia, Coriolis and gravity callbacks of a plant with two joints.  The
 constraint row is psi1 = -qdot, which vanishes at qdot = 0; both energy
 filters return through `guarded_decision`, which bypasses the QP there.
 `violation_floor` bounds the barrier when the disturbance-derivative term
-is withheld (omega = 0 in the constraint).
+is withheld (omega = 0 in the constraint).  `arm_derivative` is the
+simulator's right-hand side for the embedded plant and its observer:
+the generic joint derivative written out in Python floats for n = 4 and
+m = p = 2, still checking the plant through `evaluate` at every stage.
 
 The 2-DOF planar arm used by the benchmark scenarios lives here as well.
 """
@@ -276,6 +279,62 @@ def to_control_affine(sys: ELSystem) -> ControlAffineSystem:
         g1=lambda x: terms(x)[1],
         g2=lambda x: terms(x)[2],
         terms=terms)
+
+
+def arm_derivative(system: ControlAffineSystem, observer: ObserverConfig,
+                   disturbance_at: Callable[[float], np.ndarray]):
+    """The simulator's joint derivative for a two-joint plant embedded by
+    to_control_affine, in Python floats.
+
+    Returns (rhs, hold) like simulate.joint_derivative and computes the
+    same quantity, [f + B u + B d(t); -L_d (f + B u + B (z + L_d x))], with
+    the disturbance entering through the input matrix B as in the
+    embedding.  Each stage calls system.evaluate once, so the plant's shape,
+    finiteness and positive-definiteness checks stay; f, B, the state and
+    d(t) are then read as floats, and the constant L_d when the run starts.
+    hold converts each decision's control to floats once.  The sums are
+    written out for the fixed shapes, so a stage makes no NumPy product; a
+    non-finite derivative is caught by rk4_step's check of the new state.
+    A plant or gain of other dimensions raises ParameterError.
+    """
+    if (system.n, system.m, system.p) != (4, 2, 2) \
+            or observer.gain.shape != (2, 4):
+        raise ParameterError(
+            "arm_derivative needs a plant with n = 4, m = p = 2 and a 2x4 gain")
+    (l00, l01, l02, l03), (l10, l11, l12, l13) = observer.gain.tolist()
+    evaluate = system.evaluate
+    u0 = u1 = 0.0
+
+    def hold(u):
+        nonlocal u0, u1
+        u0, u1 = u.tolist()
+
+    def rhs(t, y):
+        fx, B, _ = evaluate(y[:4])
+        f0, f1, f2, f3 = fx.tolist()
+        (b00, b01), (b10, b11), (b20, b21), (b30, b31) = B.tolist()
+        x0, x1, x2, x3, z0, z1 = y.tolist()
+        d0, d1 = disturbance_at(t).tolist()
+        # f + B u, shared by the plant and the observer
+        a0 = f0 + (b00 * u0 + b01 * u1)
+        a1 = f1 + (b10 * u0 + b11 * u1)
+        a2 = f2 + (b20 * u0 + b21 * u1)
+        a3 = f3 + (b30 * u0 + b31 * u1)
+        # z + L_d x, the estimate
+        w0 = z0 + (l00 * x0 + l01 * x1 + l02 * x2 + l03 * x3)
+        w1 = z1 + (l10 * x0 + l11 * x1 + l12 * x2 + l13 * x3)
+        v0 = a0 + (b00 * w0 + b01 * w1)
+        v1 = a1 + (b10 * w0 + b11 * w1)
+        v2 = a2 + (b20 * w0 + b21 * w1)
+        v3 = a3 + (b30 * w0 + b31 * w1)
+        return np.array((a0 + (b00 * d0 + b01 * d1),
+                         a1 + (b10 * d0 + b11 * d1),
+                         a2 + (b20 * d0 + b21 * d1),
+                         a3 + (b30 * d0 + b31 * d1),
+                         -(l00 * v0 + l01 * v1 + l02 * v2 + l03 * v3),
+                         -(l10 * v0 + l11 * v1 + l12 * v2 + l13 * v3)))
+
+    return rhs, hold
 
 
 def el_observer_config(alpha1: float, mu1: float, nu: float,

@@ -26,16 +26,18 @@ INFEASIBLE = "infeasible"
 class QpInstance(collections.namedtuple("QpInstance", "u_nom psi0 psi1")):
     """Data of min ||u - u_nom||^2 s.t. psi0 + psi1 . u >= 0.
 
-    Built once per decision and checked then: u_nom and psi1 become finite
-    float arrays of one length, and psi0 must be finite.
+    Built once per decision and checked then: psi1 and u_nom become finite
+    float arrays, u_nom of psi1's length (the filter's row has the plant's
+    input dimension), and psi0 must be finite.  This is the only check of
+    u_nom on the simulator's QP path.
     """
 
     __slots__ = ()
 
     def __new__(cls, u_nom, psi0, psi1):
-        m = u_nom.size if type(u_nom) is np.ndarray else np.size(u_nom)
+        m = psi1.size if type(psi1) is np.ndarray else np.size(psi1)
+        psi1 = as_vector(psi1, m, "psi1")
         u_nom = as_vector(u_nom, m, "u_nom")
-        psi1 = as_vector(psi1, u_nom.size, "psi1")
         if not math.isfinite(psi0):
             raise ValueError(f"psi0 must be finite, got {psi0}")
         return tuple.__new__(cls, (u_nom, psi0, psi1))

@@ -278,11 +278,15 @@ class Scenario:
     #: decay rate of the augmented-barrier lower bound hbar(0)*exp(-rate*t);
     #: None when no such guarantee applies (robust/no-filter/withheld omega)
     decay_gamma: float | None = None
+    #: builder of the run's joint plant-and-observer derivative; the arm
+    #: family passes el.arm_derivative
+    derivative: Callable = simulate.joint_derivative
 
     def run(self) -> simulate.TrajectoryLog:
         return simulate.run_closed_loop(
             self.system, self.safety, self.nominal, self.disturbance,
-            self.simcfg, self.x0, observer=self.observer_cfg)
+            self.simcfg, self.x0, observer=self.observer_cfg,
+            derivative=self.derivative)
 
     def metrics(self, log: simulate.TrajectoryLog) -> dict:
         return simulate.metrics(log, envelope=self.envelope,
@@ -457,7 +461,8 @@ def _arm(cfg: dict, signal, simcfg, omega: float) -> dict:
         floor=floor,
         reference=lambda t: np.array([amp * math.cos(t), amp * math.cos(t)]),
         ref_indices=(0, 1), el_system=el_sys, constants=constants,
-        decay_gamma=gamma if name == "el2dof-dob" else None)
+        decay_gamma=gamma if name == "el2dof-dob" else None,
+        derivative=elmod.arm_derivative)
 
 
 def build(config: dict) -> Scenario:

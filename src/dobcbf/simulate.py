@@ -10,6 +10,12 @@ observer gains of a few hundred produce modes far faster than 1/dt, and the
 energy-filter correction grows like 1/||qdot|| near turning points, so both
 the integrator and the hold need the finer step while logs and metrics stay
 on the dt grid.
+
+Each run builds one RK4 right-hand side with a derivative builder:
+`joint_derivative` serves any plant with NumPy products, and the arm
+scenarios pass `el.arm_derivative`, which computes the same quantity in
+Python floats for the two-joint plant.  Both evaluate the plant once per
+stage through `ControlAffineSystem.evaluate`, with its checks.
 """
 
 from __future__ import annotations
@@ -184,13 +190,45 @@ class TrajectoryLog:
                 fh.write(",".join(cells) + "\n")
 
 
+def joint_derivative(system: ControlAffineSystem, observer: ObserverConfig,
+                     disturbance_at: Callable[[float], np.ndarray]):
+    """Joint plant-and-observer derivative of any plant, for rk4_step.
+
+    Returns (rhs, hold).  rhs(t, y) at y = [x; z] is
+    [f + g1 u + g2 d(t); -L_d (f + g1 u + g2 (z + p(x)))] under the control
+    u last passed to hold, which the simulator calls once per decision;
+    f + g1 u is formed once per stage for both halves.  The plant's outputs
+    are checked by system.evaluate and p(x) by observer.integral_at.
+    """
+    n = system.n
+    u = None
+
+    def hold(control):
+        nonlocal u
+        u = control
+
+    def rhs(t, y):
+        xs = y[:n]
+        fx, G1, G2 = system.evaluate(xs)
+        drift = fx + G1.dot(u)
+        dx = drift + G2.dot(disturbance_at(t))
+        dy = np.empty(y.size)
+        dy[:n] = dx
+        dy[n:] = -observer.gain_at(xs).dot(
+            drift + G2.dot(y[n:] + observer.integral_at(xs)))
+        return dy
+
+    return rhs, hold
+
+
 def run_closed_loop(system: ControlAffineSystem,
                     safety,
                     nominal: Callable[[float, np.ndarray], np.ndarray],
                     disturbance: DisturbanceSignal,
                     cfg: SimConfig,
                     x0,
-                    observer: ObserverConfig) -> TrajectoryLog:
+                    observer: ObserverConfig,
+                    derivative: Callable = joint_derivative) -> TrajectoryLog:
     """Simulate the filtered closed loop and return the full log.
 
     Per integration step (dt/substeps): read the estimate, build the safety
@@ -200,6 +238,10 @@ def run_closed_loop(system: ControlAffineSystem,
     cfg.blowup_norm aborts the run and returns the partial log, so a
     diverging estimate aborts as well as a diverging plant.  The observer
     starts from a zero estimate.
+
+    derivative(system, observer, disturbance_at) builds the run's one
+    right-hand side and its control hold, as joint_derivative does;
+    `el.arm_derivative` is the two-joint arm's float version.
     """
     x = as_vector(x0, system.n, "x0")
     st = initial_state(observer, x)
@@ -234,41 +276,36 @@ def run_closed_loop(system: ControlAffineSystem,
             memo_t, memo_d = t, disturbance.value(t)
         return memo_d
 
-    def rhs(t, y):
-        """Joint plant-and-observer derivative under the held control u,
-        which the stepping loop below rebinds at every control update."""
-        xs = y[:n]
-        fx, G1, G2 = system.evaluate(xs)
-        drift = fx + G1.dot(u)
-        dx = drift + G2.dot(disturbance_at(t))
-        dy = np.empty(y.size)
-        dy[:n] = dx
-        dy[n:] = -observer.gain_at(xs).dot(
-            drift + G2.dot(y[n:] + observer.integral_at(xs)))
-        return dy
+    rhs, hold = derivative(system, observer, disturbance_at)
 
     # the latest decision's parts, read only when its step is logged
     u_nom = d_hat = dec = status = None
 
     def control_at(ts, xs):
-        """One filter-plus-QP evaluation; returns the control to hold."""
+        """One filter-plus-QP evaluation; holds the control it returns.
+
+        The filters do not read u_nom, so it is checked once, after the
+        constraint: by QpInstance on the QP path, here on the bypass path.
+        """
         nonlocal u_nom, d_hat, dec, status
         d_hat = estimate(observer, st, xs)
-        u_nom = as_vector(nominal(ts, xs), m, "u_nom")
+        u_nom = nominal(ts, xs)
         dec = safety.constraint(ts, xs, u_nom, d_hat)
         if dec.bypass:
-            u = u_nom
+            u = u_nom = as_vector(u_nom, m, "u_nom")
             status = "bypassed" if dec.event else qp.INACTIVE
             if dec.event:
                 events.append((ts, dec.event))
         else:
-            res = qp.solve(qp.QpInstance(u_nom=u_nom, psi0=dec.psi0,
-                                         psi1=dec.psi1))
+            inst = qp.QpInstance(u_nom=u_nom, psi0=dec.psi0, psi1=dec.psi1)
+            u_nom = inst.u_nom
+            res = qp.solve(inst)
             u = res.u
             status = res.status
             if status == qp.INFEASIBLE:
                 events.append((ts, "qp_infeasible"))
         counts[status] += 1
+        hold(u)
         return u
 
     y = np.concatenate([x, st.z])

@@ -6,7 +6,7 @@ nominal control."""
 import numpy as np
 import pytest
 
-from dobcbf import qp, simulate
+from dobcbf import qp, scenarios, simulate
 from dobcbf.el import ELFilterParams, ELQpFilter, ELRobustFilter, TwoLinkArm
 from dobcbf.filters import FilterParams, NoFilter, QpFilter
 from dobcbf.model import BarrierSpec, ControlAffineSystem, DimensionError
@@ -151,3 +151,17 @@ def test_simulator_rejects_bad_nominal_control():
     for wrong in (np.zeros(0), np.zeros(2)):
         with pytest.raises(DimensionError):
             simulate_with_nominal(lambda t, x, w=wrong: w)
+
+
+def test_simulator_checks_nominal_control_on_the_qp_path():
+    # QpFilter never bypasses, so every decision reaches QpInstance
+    sc = scenarios.build({"scenario": "scalar-rel1", "sim": {"tf": 0.01}})
+    assert len(sc.run()) == 2
+    for value in BAD:
+        sc.nominal = lambda t, x, v=value: np.array([v])
+        with pytest.raises(ValueError):
+            sc.run()
+    for wrong in (np.zeros(0), np.zeros(2)):
+        sc.nominal = lambda t, x, w=wrong: w
+        with pytest.raises(DimensionError):
+            sc.run()

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from dobcbf.el import (ELFilterParams, ELQpFilter, ELRobustFilter, ELSystem,
-                       TwoLinkArm, el_observer_config, el_psi, el_robust_psi,
-                       guarded_decision, kinetic_energy, pd_nominal,
-                       to_control_affine, validate_el_params)
-from dobcbf.model import ParameterError
+                       TwoLinkArm, arm_derivative, el_observer_config, el_psi,
+                       el_robust_psi, guarded_decision, kinetic_energy,
+                       pd_nominal, to_control_affine, validate_el_params)
+from dobcbf.model import ControlAffineSystem, ParameterError
 from dobcbf.observer import ObserverState, estimate
 from dobcbf.scenarios import ConfigError, build
 from oracles import el_accel, z_derivative
@@ -295,3 +295,38 @@ def test_to_control_affine_rejects_singular_inertia():
                         coriolis=ARM.coriolis, gravity=ARM.gravity)
     with pytest.raises(ParameterError):
         to_control_affine(singular).evaluate(np.zeros(4))
+
+
+def test_arm_derivative_matches_equations_of_motion_and_observer():
+    # the float kernel against np.linalg.solve on the equations of motion
+    # and the observer's -L_d (f + g1 u + g2 d_hat), including the elbow
+    # angles where the inertia is extreme
+    sys_ca = to_control_affine(ARM)
+    cfg = el_observer_config(500.0, mu1=0.3, nu=1.0, omega=0.0)
+    rng = np.random.default_rng(7)
+    n = 200
+    q = rng.uniform(-math.pi, math.pi, size=(n, 2))
+    q[0::4, 1], q[1::4, 1] = 0.0, math.pi
+    qd = rng.uniform(-8.0, 8.0, size=(n, 2))
+    z = rng.uniform(-5000.0, 5000.0, size=(n, 2))
+    u = rng.uniform(-300.0, 300.0, size=(n, 2))
+    d = rng.uniform(-30.0, 30.0, size=(n, 2))
+    for i in range(n):
+        rhs, hold = arm_derivative(sys_ca, cfg, lambda t, di=d[i]: di)
+        hold(u[i])
+        dy = rhs(0.0, np.concatenate([q[i], qd[i], z[i]]))
+        assert dy.shape == (6,)
+        assert np.array_equal(dy[:2], qd[i])
+        accel = el_accel(ARM, q[i], qd[i], u[i], d[i])
+        assert np.linalg.norm(dy[2:4] - accel) <= 1e-13 * np.linalg.norm(accel)
+        zdot = z_derivative(cfg, ObserverState(z[i]), sys_ca,
+                            np.concatenate([q[i], qd[i]]), u[i])
+        assert np.linalg.norm(dy[4:] - zdot) <= 1e-13 * np.linalg.norm(zdot)
+
+
+def test_arm_derivative_needs_the_arm_shapes():
+    cfg = el_observer_config(500.0, mu1=0.3, nu=1.0, omega=0.0)
+    scalar = ControlAffineSystem(n=1, m=1, p=1, f=lambda x: np.zeros(1),
+                                 g1=lambda x: np.eye(1), g2=lambda x: np.eye(1))
+    with pytest.raises(ParameterError):
+        arm_derivative(scalar, cfg, lambda t: np.zeros(1))

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from dobcbf.el import arm_derivative
 from dobcbf.model import ParameterError
 from dobcbf.simulate import (DisturbanceSignal, SimConfig, Term,
-                             TrajectoryLog, metrics, read_metrics, rk4_step,
-                             run_closed_loop, write_metrics)
+                             TrajectoryLog, joint_derivative, metrics,
+                             read_metrics, rk4_step, run_closed_loop,
+                             write_metrics)
 import dobcbf.scenarios as scenarios
 from oracles import grid_max_norm, per_term_sum, term_derivative, term_value
 
@@ -51,6 +53,26 @@ def test_logged_disturbance_is_exact_at_every_row():
     logged = np.stack([log.column("d0"), log.column("d1")], axis=1)
     fresh = np.stack([sc.disturbance.value(t) for t in log.column("t")])
     assert logged.tobytes() == fresh.tobytes()
+
+
+def test_arm_and_generic_derivatives_give_the_same_run():
+    # the arm family runs the float kernel; the generic builder, passed
+    # explicitly, must give the same log within rounding
+    sc = scenarios.build({"scenario": "el2dof-dob",
+                          "sim": {"tf": 0.05, "log_stride": 1}})
+    assert sc.derivative is arm_derivative
+    arm = sc.run()
+    generic = run_closed_loop(sc.system, sc.safety, sc.nominal, sc.disturbance,
+                              sc.simcfg, sc.x0, sc.observer_cfg,
+                              derivative=joint_derivative)
+    assert arm.columns == generic.columns and len(arm) == len(generic) == 51
+    assert arm.status_counts == generic.status_counts
+    assert not arm.aborted and not generic.aborted
+    for name in arm.columns:
+        a, g = arm.column(name), generic.column(name)
+        assert np.array_equal(np.isnan(a), np.isnan(g)), name
+        a, g = a[~np.isnan(a)], g[~np.isnan(g)]
+        assert np.all(np.abs(a - g) <= 1e-12 * np.max(np.abs(g), initial=0.0)), name
 
 
 def test_term_and_signal_derivatives():
