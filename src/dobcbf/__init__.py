@@ -12,13 +12,13 @@ from .observer import (GainReport, ObserverConfig, ObserverState,
                        error_envelope, estimate, initial_state, validate_gain)
 from .qp import INACTIVE, ACTIVE, INFEASIBLE, QpInstance, QpResult, solve
 from .filters import (Decision, FilterParams, NoFilter, ParamReport, QpFilter,
-                      psi, validate_params)
+                      validate_params)
 from .simulate import (DisturbanceSignal, IntegrationError, SimConfig, Term,
                        TrajectoryLog, metrics, rk4_step, run_closed_loop)
 from .el import (ELFilterParams, ELQpFilter, ELRobustFilter, ELSystem,
-                 TwoLinkArm, el_psi, el_robust_psi, el_observer_config,
-                 guarded_decision, kinetic_energy, pd_nominal,
-                 to_control_affine, validate_el_params, violation_floor)
+                 TwoLinkArm, el_observer_config, guarded_decision,
+                 kinetic_energy, pd_nominal, to_control_affine,
+                 validate_el_params, violation_floor)
 from .scenarios import ConfigError, SCENARIOS, Scenario, build, resolve_config
 
 __version__ = "0.1.0"

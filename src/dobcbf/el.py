@@ -3,8 +3,10 @@
 Mechanical systems M(q) qddot + C(q, qdot) qdot + G(q) = tau + tau_d admit a
 dedicated observer (estimate = z + alpha1*qdot) and an energy-based safety
 constraint that only needs a C^1 position barrier h_q.  `ELSystem` holds the
-inertia, Coriolis and gravity callbacks of a plant with two joints.  The
-constraint row is psi1 = -qdot, which vanishes at qdot = 0; both energy
+inertia, Coriolis and gravity callbacks of a plant with two joints.
+`ELQpFilter` is built from the observer of `el_observer_config`, whose
+coercivity constant is alpha1*mu1, and reads alpha and nu from it once.
+The constraint row is psi1 = -qdot, which vanishes at qdot = 0; both energy
 filters return through `guarded_decision`, which bypasses the QP there.
 `violation_floor` bounds the barrier when the disturbance-derivative term
 is withheld (omega = 0 in the constraint).  `arm_derivative` is the
@@ -18,12 +20,12 @@ The 2-DOF planar arm used by the benchmark scenarios lives here as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .filters import Decision
+from .filters import Decision, ParamReport
 from .model import ControlAffineSystem, ParameterError, as_floats, as_vector
 from .observer import ObserverConfig
 
@@ -96,84 +98,36 @@ def kinetic_energy(sys: ELSystem, q, qd) -> float:
 
 @dataclass(frozen=True)
 class ELFilterParams:
-    """Tuning of the energy-based filter; alpha1 is the observer gain.
+    """Tuning of the energy-based filter; the observer supplies alpha and nu.
 
-    The effective coercivity constant is alpha1 * mu1, where mu1 lower-bounds
-    the eigenvalues of the inverse inertia matrix over the operating range.
     omega enters the constraint as omega^2/(2 nu), 0 when no bound is
     known; eps_singular is the joint-speed threshold below which the
-    constraint row vanishes and the QP is bypassed.  ELQpFilter, not this
-    class, checks 4*alpha1*mu1 - 2*gamma - 2*nu > 0: the robust baseline
-    does not need it.
+    constraint row vanishes and the QP is bypassed.
     """
 
-    alpha1: float
     beta: float
     gamma: float
-    nu: float
-    mu1: float
     omega: float = 0.0
     eps_singular: float = 1e-4
 
     def __post_init__(self):
-        if min(self.alpha1, self.beta, self.gamma, self.nu, self.mu1) <= 0:
-            raise ParameterError("alpha1, beta, gamma, nu, mu1 must be positive")
+        if min(self.beta, self.gamma) <= 0:
+            raise ParameterError("beta and gamma must be positive")
         if self.omega < 0 or self.eps_singular <= 0:
             raise ParameterError("need omega >= 0 and eps_singular > 0")
 
-    @property
-    def alpha(self) -> float:
-        return self.alpha1 * self.mu1
 
-
-def el_psi(sys: ELSystem, h_q: Callable, grad_hq: Callable,
-           fp: ELFilterParams, q, qd, tau_hat) -> tuple[float, np.ndarray]:
-    """Energy-filter constraint coefficients; psi1 is always -qdot.
-
-    q, qd, tau_hat and grad_hq(q) are each checked once and read as Python
-    floats; h_q and grad_hq receive q as a list of two floats.  ELQpFilter
-    checks the denominator's sign.
-    """
-    denom = 4.0 * fp.alpha - 2.0 * fp.gamma - 2.0 * fp.nu
-    q = as_floats(q, 2, "q")
-    qd = v0, v1 = as_floats(qd, 2, "qd")
-    th0, th1 = as_floats(tau_hat, 2, "tau_hat")
-    j0, j1 = as_floats(grad_hq(q), 2, "grad_hq(q)")
-    g0, g1 = sys.gravity(q)
-    psi0 = (fp.beta * (v0 * j0 + v1 * j1)
-            - (v0 * (th0 - g0) + v1 * (th1 - g1))
-            - fp.omega ** 2 / (2.0 * fp.nu)
-            - (v0 * v0 + v1 * v1) / denom
-            + fp.gamma * (fp.beta * float(h_q(q)) - kinetic_energy(sys, q, qd)))
-    return psi0, np.array((-v0, -v1))
-
-
-def el_robust_psi(sys: ELSystem, h_q: Callable, grad_hq: Callable,
-                  beta: float, gamma: float, d_max: float,
-                  q, qd) -> tuple[float, np.ndarray]:
-    """Worst-case counterpart of the energy filter over ||tau_d|| <= d_max,
-    with the checks and float arithmetic of el_psi."""
-    q = as_floats(q, 2, "q")
-    qd = v0, v1 = as_floats(qd, 2, "qd")
-    j0, j1 = as_floats(grad_hq(q), 2, "grad_hq(q)")
-    g0, g1 = sys.gravity(q)
-    psi0 = (beta * (v0 * j0 + v1 * j1)
-            + (v0 * g0 + v1 * g1)
-            - math.sqrt(v0 * v0 + v1 * v1) * d_max
-            + gamma * (beta * float(h_q(q)) - kinetic_energy(sys, q, qd)))
-    return psi0, np.array((-v0, -v1))
-
-
-def violation_floor(fp: ELFilterParams, omega: float, t):
+def violation_floor(fp: ELFilterParams, nu: float, omega: float, t):
     """Worst-case barrier floor at time t when the omega term is withheld.
 
-    omega is the true disturbance-derivative bound, not the constraint-side
-    fp.omega: the floor is a statement about the disturbance itself.  It is
-    derived for fp.omega = 0 and holds for any fp.omega >= 0, which only
-    tightens the constraint.
+    nu is the observer's Young's-inequality split.  omega is the true
+    disturbance-derivative bound, not the constraint-side fp.omega: the
+    floor is a statement about the disturbance itself.  It is derived for
+    fp.omega = 0 and holds for any fp.omega >= 0, which only tightens the
+    constraint.
     """
     decay = 1.0 - np.exp(-fp.gamma * np.asarray(t, dtype=float))
-    out = -omega ** 2 / (2.0 * fp.nu * fp.gamma * fp.beta) * decay
+    out = -omega ** 2 / (2.0 * nu * fp.gamma * fp.beta) * decay
     return float(out) if np.ndim(t) == 0 else out
 
 
@@ -211,24 +165,14 @@ def pd_nominal(Kp, Kd, q, qd, q_des, qd_des, gravity=None) -> np.ndarray:
     return np.array((tau0, tau1))
 
 
-@dataclass
-class ELParamReport:
-    beta_ok: bool
-    alpha_margin: float
-    beta_margin: float
-    messages: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return self.beta_ok
-
-
-def validate_el_params(filt: ELQpFilter, x0, e0_norm: float) -> ELParamReport:
-    """Strict initial-state inequality of the energy-filter guarantee; the
-    condition on alpha1*mu1 was checked when filt was built."""
-    fp, q0, qd0 = filt.params, x0[:2], x0[2:]
+def validate_el_params(filt: ELQpFilter, x0, e0_norm: float) -> ParamReport:
+    """Strict initial-state inequalities of the energy-filter guarantee:
+    h_q(q0) > 0 (the report's cascade_ok) and beta above its bound.  The
+    condition on alpha1*mu1 was checked when filt was built; alpha and nu
+    are read from its observer."""
+    fp, obs, q0, qd0 = filt.params, filt.observer, x0[:2], x0[2:]
     h_q0 = float(filt.h_q(q0))
-    alpha_margin = fp.alpha - 0.5 * (fp.gamma + fp.nu)
+    alpha_margin = obs.alpha - 0.5 * (fp.gamma + obs.nu)
     messages = []
     if h_q0 <= 0:
         beta_ok, beta_margin = False, -np.inf
@@ -239,9 +183,9 @@ def validate_el_params(filt: ELQpFilter, x0, e0_norm: float) -> ELParamReport:
         beta_ok = beta_margin > 0
         if not beta_ok:
             messages.append(f"beta margin {beta_margin:.3e} not positive")
-    return ELParamReport(beta_ok=beta_ok,
-                         alpha_margin=float(alpha_margin),
-                         beta_margin=float(beta_margin), messages=messages)
+    return ParamReport(beta_ok=beta_ok, cascade_ok=h_q0 > 0,
+                       alpha_margin=float(alpha_margin),
+                       beta_margin=float(beta_margin), messages=messages)
 
 
 def to_control_affine(sys: ELSystem) -> ControlAffineSystem:
@@ -295,7 +239,9 @@ def arm_derivative(system: ControlAffineSystem, observer: ObserverConfig,
     hold converts each decision's control to floats once.  The sums are
     written out for the fixed shapes, so a stage makes no NumPy product; a
     non-finite derivative is caught by rk4_step's check of the new state.
-    A plant or gain of other dimensions raises ParameterError.
+    A plant or gain of other dimensions raises ParameterError when the run
+    starts, and a stage whose evaluated g2 is not its g1 (the same object,
+    as the embedding returns it) raises ParameterError there.
     """
     if (system.n, system.m, system.p) != (4, 2, 2) \
             or observer.gain.shape != (2, 4):
@@ -310,7 +256,10 @@ def arm_derivative(system: ControlAffineSystem, observer: ObserverConfig,
         u0, u1 = u.tolist()
 
     def rhs(t, y):
-        fx, B, _ = evaluate(y[:4])
+        fx, B, G2 = evaluate(y[:4])
+        if G2 is not B:
+            raise ParameterError(
+                "arm_derivative needs a plant whose evaluated g2 is its g1")
         f0, f1, f2, f3 = fx.tolist()
         (b00, b01), (b10, b11), (b20, b21), (b30, b31) = B.tolist()
         x0, x1, x2, x3, z0, z1 = y.tolist()
@@ -349,26 +298,49 @@ def el_observer_config(alpha1: float, mu1: float, nu: float,
 
 
 class ELQpFilter:
-    """Energy-based observer-aware filter with the singularity guard; a
-    tuning with 4*alpha1*mu1 - 2*gamma - 2*nu <= 0 raises ParameterError."""
+    """Energy-based observer-aware filter with the singularity guard.
+
+    alpha (alpha1*mu1 for el_observer_config's observer) and nu come from
+    the observer and are read once, here: a tuning with
+    4*alpha1*mu1 - 2*gamma - 2*nu <= 0 raises ParameterError.  The checked
+    denominator and the omega term omega^2/(2 nu) are kept for the
+    decisions.
+    """
 
     def __init__(self, sys: ELSystem, h_q: Callable, grad_hq: Callable,
-                 params: ELFilterParams):
-        denom = 4.0 * params.alpha - 2.0 * params.gamma - 2.0 * params.nu
+                 observer: ObserverConfig, params: ELFilterParams):
+        denom = 4.0 * observer.alpha - 2.0 * params.gamma - 2.0 * observer.nu
         if denom <= 0:
             raise ParameterError(
                 f"need 4*alpha1*mu1 - 2*gamma - 2*nu > 0, got {denom}")
         self.sys = sys
         self.h_q = h_q
         self.grad_hq = grad_hq
+        self.observer = observer
         self.params = params
+        self.denom = denom
+        self.omega_term = params.omega ** 2 / (2.0 * observer.nu)
 
     def constraint(self, t, x, u_nom, d_hat) -> Decision:
-        # el_psi checks both halves of the state, so x is checked once
-        qd = x[2:]
-        psi0, psi1 = el_psi(self.sys, self.h_q, self.grad_hq, self.params,
-                            x[:2], qd, d_hat)
-        return guarded_decision(self.params.eps_singular, qd, psi0, psi1)
+        """The constraint row at x for the estimate d_hat; psi1 is -qdot.
+
+        The two halves of x, d_hat and grad_hq(q) are each checked once and
+        read as Python floats, so x is checked once; h_q and grad_hq
+        receive q as a list of two floats.
+        """
+        fp, sys = self.params, self.sys
+        q = as_floats(x[:2], 2, "q")
+        qd = v0, v1 = as_floats(x[2:], 2, "qd")
+        th0, th1 = as_floats(d_hat, 2, "tau_hat")
+        j0, j1 = as_floats(self.grad_hq(q), 2, "grad_hq(q)")
+        g0, g1 = sys.gravity(q)
+        psi0 = (fp.beta * (v0 * j0 + v1 * j1)
+                - (v0 * (th0 - g0) + v1 * (th1 - g1))
+                - self.omega_term
+                - (v0 * v0 + v1 * v1) / self.denom
+                + fp.gamma * (fp.beta * float(self.h_q(q))
+                              - kinetic_energy(sys, q, qd)))
+        return guarded_decision(fp.eps_singular, qd, psi0, np.array((-v0, -v1)))
 
     def probe(self, x, e_d) -> dict:
         x = as_vector(x, 4, "x")
@@ -381,12 +353,15 @@ class ELQpFilter:
 
 
 class ELRobustFilter:
-    """Worst-case energy filter used as the comparison baseline; a negative
-    d_max raises ParameterError here."""
+    """Worst-case energy filter over ||tau_d|| <= d_max, used as the
+    comparison baseline; beta, gamma or eps_singular <= 0, or a negative
+    d_max, raises ParameterError here."""
 
     def __init__(self, sys: ELSystem, h_q: Callable, grad_hq: Callable,
                  beta: float, gamma: float, d_max: float,
                  eps_singular: float = 1e-4):
+        if min(beta, gamma, eps_singular) <= 0:
+            raise ParameterError("beta, gamma and eps_singular must be positive")
         if d_max < 0:
             raise ParameterError("d_max must be nonnegative")
         self.sys = sys
@@ -398,10 +373,19 @@ class ELRobustFilter:
         self.eps_singular = eps_singular
 
     def constraint(self, t, x, u_nom, d_hat) -> Decision:
-        qd = x[2:]  # checked with x[:2] in el_robust_psi
-        psi0, psi1 = el_robust_psi(self.sys, self.h_q, self.grad_hq,
-                                   self.beta, self.gamma, self.d_max, x[:2], qd)
-        return guarded_decision(self.eps_singular, qd, psi0, psi1)
+        """The worst-case row at x, with the checks and float arithmetic of
+        ELQpFilter.constraint; d_hat is not read."""
+        sys = self.sys
+        q = as_floats(x[:2], 2, "q")
+        qd = v0, v1 = as_floats(x[2:], 2, "qd")
+        j0, j1 = as_floats(self.grad_hq(q), 2, "grad_hq(q)")
+        g0, g1 = sys.gravity(q)
+        psi0 = (self.beta * (v0 * j0 + v1 * j1)
+                + (v0 * g0 + v1 * g1)
+                - math.sqrt(v0 * v0 + v1 * v1) * self.d_max
+                + self.gamma * (self.beta * float(self.h_q(q))
+                                - kinetic_energy(sys, q, qd)))
+        return guarded_decision(self.eps_singular, qd, psi0, np.array((-v0, -v1)))
 
     def probe(self, x, e_d) -> dict:
         x = as_vector(x, 4, "x")

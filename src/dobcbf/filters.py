@@ -1,16 +1,18 @@
 """Constraint construction for the observer-aware CBF safety filter.
 
-`psi` produces the coefficients (psi0, psi1) of the half-space constraint
-psi0 + psi1 . u >= 0 that, combined with the disturbance estimate, renders
-the safe set forward invariant for a barrier of any relative degree r >= 1.
-The barrier's r poles place the cascade s_k = (d/dt + lambda_k) s_{k-1};
-r = 1 with the single pole gamma is the first-order condition
-hdot + gamma h >= 0.
+`QpFilter.constraint` produces the coefficients (psi0, psi1) of the
+half-space constraint psi0 + psi1 . u >= 0 that, combined with the
+disturbance estimate, renders the safe set forward invariant for a barrier
+of any relative degree r >= 1.  The barrier's r poles place the cascade
+s_k = (d/dt + lambda_k) s_{k-1}; r = 1 with the single pole gamma is the
+first-order condition hdot + gamma h >= 0.
 
 The augmented barrier beta*s_{r-1} - ||e_d||^2/2 couples the safety margin
-to the estimation error.  `QpFilter` wraps the constraint for the
-simulator and rejects, when built, a tuning that admits none; `NoFilter`
-is the pass-through baseline that only logs h.
+to the estimation error.  The constraint uses the observer's coercivity
+constant alpha and Young's-inequality split nu: `QpFilter` is built from
+the run's `ObserverConfig`, reads both once, and rejects a tuning that
+admits no constraint.  `NoFilter` is the pass-through baseline that only
+logs h.
 """
 
 from __future__ import annotations
@@ -23,50 +25,26 @@ import numpy as np
 
 from .model import (BarrierSpec, ControlAffineSystem, ParameterError,
                     as_floats, lie_derivatives, s_sequence)
+from .observer import ObserverConfig
 
 
 @dataclass(frozen=True)
 class FilterParams:
-    """Tuning tuple of the observer-aware filter.
+    """Tuning of the observer-aware filter; the observer supplies alpha and nu.
 
-    alpha must match the observer's coercivity constant; omega is the
-    disturbance-derivative bound used inside the constraint: the known
-    bound for the full guarantee, omega = 0 when no bound is available.
-    The decay rates are the barrier's poles.
+    omega is the disturbance-derivative bound used inside the constraint:
+    the known bound for the full guarantee, omega = 0 when no bound is
+    available.  The decay rates are the barrier's poles.
     """
 
-    alpha: float
     beta: float
-    nu: float
     omega: float = 0.0
 
     def __post_init__(self):
-        if min(self.alpha, self.beta, self.nu) <= 0:
-            raise ParameterError("alpha, beta, nu must be positive")
+        if self.beta <= 0:
+            raise ParameterError("beta must be positive")
         if self.omega < 0:
             raise ParameterError("omega must be nonnegative")
-
-
-def psi(sys: ControlAffineSystem, bar: BarrierSpec, fp: FilterParams,
-        x, d_hat) -> tuple[float, np.ndarray]:
-    """Constraint coefficients for a barrier of relative degree r >= 1.
-
-    Every term comes from the barrier's Lie chain, none from the plant.  x
-    is checked once, by lie_derivatives, and the cascade's lower-order
-    terms L_f^k h (k < r) are read at the same x; d_hat is checked here.
-    The products of the Lie terms with d_hat and the cascade weights are
-    sums over Python floats.  QpFilter checks the denominator's sign.
-    """
-    denom = 4.0 * fp.alpha - 2.0 * bar.poles[-1] - 2.0 * fp.nu
-    lfr, lg1, lg2 = lie_derivatives(sys, bar, x)
-    d_hat = as_floats(d_hat, sys.p, "d_hat")
-    b = lg2.tolist()
-    eta = [bar.lie_f_value(k, x) for k in range(bar.relative_degree - 1, -1, -1)]
-    psi0 = (lfr + sum(map(operator.mul, b, d_hat))
-            - fp.omega ** 2 / (2.0 * fp.nu * fp.beta)
-            - fp.beta * sum(map(operator.mul, b, b)) / denom
-            + sum(map(operator.mul, bar.cascade[-1].tolist(), eta)))
-    return psi0, lg1
 
 
 @dataclass
@@ -90,11 +68,12 @@ def validate_params(filt: QpFilter, s_values, e0_norm: float) -> ParamReport:
     s_values is the cascade (s_0, ..., s_{r-1}) at the initial state; every
     s_k must be positive, and beta must cover the initial estimation error
     against s_{r-1}.  Inequalities are strict: equality fails.  The filter
-    condition on alpha was checked when filt was built.
+    condition on alpha was checked when filt was built; alpha and nu are
+    read from its observer.
     """
-    bar, fp = filt.barrier, filt.params
+    bar, fp, obs = filt.barrier, filt.params, filt.observer
     s_values = np.asarray(s_values, dtype=float).reshape(-1)
-    alpha_margin = fp.alpha - 0.5 * (bar.poles[-1] + fp.nu)
+    alpha_margin = obs.alpha - 0.5 * (bar.poles[-1] + obs.nu)
 
     messages = []
     lead = float(s_values[-1])
@@ -129,21 +108,46 @@ class Decision(NamedTuple):
 
 
 class QpFilter:
-    """Observer-aware CBF-QP filter for a barrier of relative degree r >= 1;
-    a tuning with 4*alpha - 2*lambda_r - 2*nu <= 0 raises ParameterError."""
+    """Observer-aware CBF-QP filter for a barrier of relative degree r >= 1.
+
+    alpha and nu come from the observer and are read once, here: a tuning
+    with 4*alpha - 2*lambda_r - 2*nu <= 0 raises ParameterError.  The
+    checked denominator and the omega term omega^2/(2 nu beta) are kept for
+    the decisions.
+    """
 
     def __init__(self, system: ControlAffineSystem, barrier: BarrierSpec,
-                 params: FilterParams):
-        denom = 4.0 * params.alpha - 2.0 * barrier.poles[-1] - 2.0 * params.nu
+                 observer: ObserverConfig, params: FilterParams):
+        denom = 4.0 * observer.alpha - 2.0 * barrier.poles[-1] - 2.0 * observer.nu
         if denom <= 0:
             raise ParameterError(
                 f"need 4*alpha - 2*lambda_r - 2*nu > 0, got {denom}")
         self.system = system
         self.barrier = barrier
+        self.observer = observer
         self.params = params
+        self.denom = denom
+        self.omega_term = params.omega ** 2 / (2.0 * observer.nu * params.beta)
 
     def constraint(self, t, x, u_nom, d_hat) -> Decision:
-        return Decision(*psi(self.system, self.barrier, self.params, x, d_hat))
+        """The constraint row at x for the estimate d_hat.
+
+        Every term comes from the barrier's Lie chain, none from the plant.
+        x is checked once, by lie_derivatives, and the cascade's lower-order
+        terms L_f^k h (k < r) are read at the same x; d_hat is checked here.
+        The products of the Lie terms with d_hat and the cascade weights are
+        sums over Python floats.
+        """
+        bar = self.barrier
+        lfr, lg1, lg2 = lie_derivatives(self.system, bar, x)
+        d_hat = as_floats(d_hat, self.system.p, "d_hat")
+        b = lg2.tolist()
+        eta = [bar.lie_f_value(k, x) for k in range(bar.relative_degree - 1, -1, -1)]
+        psi0 = (lfr + sum(map(operator.mul, b, d_hat))
+                - self.omega_term
+                - self.params.beta * sum(map(operator.mul, b, b)) / self.denom
+                + sum(map(operator.mul, bar.cascade[-1].tolist(), eta)))
+        return Decision(psi0, lg1)
 
     def probe(self, x, e_d) -> dict:
         s = s_sequence(self.system, self.barrier, x)

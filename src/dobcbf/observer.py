@@ -12,7 +12,9 @@ has this form: on an Euler-Lagrange plant, L_d = [0 | alpha1 I] gives the
 momentum observer of Chen, Ballance, Gawthrop & O'Reilly (IEEE TIE 2000).
 Under a bounded disturbance derivative ||ddot|| <= omega the estimation
 error is uniformly ultimately bounded; `error_envelope` evaluates the
-closed-form bound, which tends to omega/sqrt(2 kappa nu).
+closed-form bound, which tends to omega/sqrt(2 kappa nu).  The
+observer-aware safety filters are built from an `ObserverConfig` and read
+its alpha and nu, so the constants of a run are stated once, here.
 
 Note on the sign of a full-column-rank gain: the coercivity inequality
 requires L_d = +alpha (g2' g2)^{-1} g2', not its negative.
@@ -34,7 +36,8 @@ class ObserverConfig:
 
     gain is the (p, n) matrix L_d, checked for shape and finiteness once,
     here, and stored as a read-only copy.  alpha is the coercivity constant
-    of L_d g2, nu the Young's-inequality split, omega the bound on ||ddot||.
+    of L_d g2, nu the Young's-inequality split, omega the bound on ||ddot||;
+    QpFilter and ELQpFilter read alpha and nu from here when built.
     Configs compare and hash by identity, as arrays do not compare to one
     truth value.
     """

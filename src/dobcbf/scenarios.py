@@ -218,28 +218,32 @@ def _signal_from_config(spec) -> simulate.DisturbanceSignal:
     return simulate.DisturbanceSignal(tuple(channels))
 
 
+#: points of the grid over [t0, tf] on which the disturbance bounds are taken
+BOUND_GRID_POINTS = 200_001
+
+
 def derivative_bound(signal: simulate.DisturbanceSignal, t0: float,
-                     tf: float, points: int = 200_001) -> float:
+                     tf: float) -> float:
     """max_t ||ddot(t)|| on a dense grid of the run's span [t0, tf]."""
-    return signal.max_norm(np.linspace(t0, tf, points), derivative=True)
+    return signal.max_norm(np.linspace(t0, tf, BOUND_GRID_POINTS),
+                           derivative=True)
 
 
 def magnitude_bound(signal: simulate.DisturbanceSignal, t0: float,
-                    tf: float, points: int = 200_001) -> float:
+                    tf: float) -> float:
     """max_t ||d(t)|| on a dense grid of the run's span [t0, tf]."""
-    return signal.max_norm(np.linspace(t0, tf, points))
+    return signal.max_norm(np.linspace(t0, tf, BOUND_GRID_POINTS))
 
 
-def arm_mu_bounds(m1: float = 1.0, m2: float = 1.0, l: float = 1.0,
-                  g_accel: float = 9.81) -> tuple[float, float]:
-    """Exact inverse-inertia eigenvalue bounds over every configuration.
+def arm_mu_bounds(mass: Callable) -> tuple[float, float]:
+    """Exact inverse-inertia eigenvalue bounds of a planar two-link arm over
+    every configuration; mass is the arm's inertia callback.
 
     M(q) depends on q2 only, through c = cos(q2) in [-1, 1], and affinely;
     the extreme eigenvalues over c are therefore those at c = 1 and c = -1,
     that is at q2 = 0 and q2 = pi.  An inertia that is not positive definite
     there raises ParameterError.
     """
-    mass = elmod.TwoLinkArm(m1=m1, m2=m2, l=l, g_accel=g_accel).system().mass
     lo, hi = np.inf, -np.inf
     for q2 in (0.0, math.pi):
         eigs = np.linalg.eigvalsh(np.asarray(mass((0.0, q2))))
@@ -349,11 +353,11 @@ def _qp_family(cfg: dict, omega: float, system: ControlAffineSystem,
     """A generic plant under the QpFilter, observed with the constant gain
     L = alpha * gain_shape (so p(x) = L x); states sampled in [-2, 2]^n."""
     prm = cfg["params"]
-    alpha, beta, nu = float(prm["alpha"]), float(prm["beta"]), float(prm["nu"])
-    obs = observer.ObserverConfig(gain=alpha * gain_shape, alpha=alpha, nu=nu,
-                                  omega=omega)
-    fp = filters.FilterParams(alpha=alpha, beta=beta, nu=nu, omega=omega)
-    safety = filters.QpFilter(system, barrier, fp)
+    alpha = float(prm["alpha"])
+    obs = observer.ObserverConfig(gain=alpha * gain_shape, alpha=alpha,
+                                  nu=float(prm["nu"]), omega=omega)
+    fp = filters.FilterParams(beta=float(prm["beta"]), omega=omega)
+    safety = filters.QpFilter(system, barrier, obs, fp)
     return dict(
         system=system, observer_cfg=obs, safety=safety, nominal=nominal,
         sample=lambda rng: rng.uniform(-2.0, 2.0, size=(200, system.n)),
@@ -411,18 +415,18 @@ def _arm(cfg: dict, signal, simcfg, omega: float) -> dict:
 
     el_sys = elmod.TwoLinkArm().system()
     system = elmod.to_control_affine(el_sys)
-    mu1, mu2 = arm_mu_bounds()
+    mu1, mu2 = arm_mu_bounds(el_sys.mass)
+    obs = elmod.el_observer_config(alpha1, mu1, nu, omega)
     h_q = lambda q: 16.0 - float(q[0]) ** 2 - float(q[1]) ** 2
     grad_hq = lambda q: np.array([-2.0 * q[0], -2.0 * q[1]])
     fp = elmod.ELFilterParams(
-        alpha1=alpha1, beta=beta, gamma=gamma, nu=nu, mu1=mu1,
-        omega=float(prm["constraint_omega"]),
+        beta=beta, gamma=gamma, omega=float(prm["constraint_omega"]),
         eps_singular=float(prm["eps_singular"]))
     constants = {"mu1": mu1, "mu2": mu2, "omega_d": omega}
 
     report = floor = None
     if name in ("el2dof-dob", "el2dof-noomega"):
-        safety = elmod.ELQpFilter(el_sys, h_q, grad_hq, fp)
+        safety = elmod.ELQpFilter(el_sys, h_q, grad_hq, obs, fp)
         report = lambda x0, e0: elmod.validate_el_params(safety, x0, e0)
     elif name == "el2dof-robust":
         d_max = prm["d_max"]
@@ -437,7 +441,7 @@ def _arm(cfg: dict, signal, simcfg, omega: float) -> dict:
         # the worst-case floor is a theorem about the true disturbance, so it
         # uses the derived derivative bound, not the constraint-side value;
         # like the envelope it runs on the time since the start, t - t0
-        floor = lambda t: elmod.violation_floor(fp, omega, t - simcfg.t0)
+        floor = lambda t: elmod.violation_floor(fp, obs.nu, omega, t - simcfg.t0)
 
     Kp = ((kp, 0.0), (0.0, kp))
     Kd = ((kd, 0.0), (0.0, kd))
@@ -454,9 +458,8 @@ def _arm(cfg: dict, signal, simcfg, omega: float) -> dict:
                           rng.uniform(-8.0, 8.0, size=(200, 2))])
 
     return dict(
-        system=system,
-        observer_cfg=elmod.el_observer_config(alpha1, mu1, nu, omega),
-        safety=safety, nominal=nominal, sample=sample, report=report,
+        system=system, observer_cfg=obs, safety=safety, nominal=nominal,
+        sample=sample, report=report,
         certified=name != "el2dof-nofilter", pairing_key="el2dof",
         floor=floor,
         reference=lambda t: np.array([amp * math.cos(t), amp * math.cos(t)]),

@@ -218,14 +218,20 @@ def test_singular_inertia_exits_3(tmp_path, monkeypatch, capsys):
     # The arm's masses are not configuration fields, so the scenario's plant
     # is swapped for an arm whose inertia determinant is sin(q2)^2/4 - 1e-12
     # (unit m2 and l): negative only within ~2e-6 rad of q2 = 0 or pi, so
-    # every sampled validation state passes and the run fails at its first
-    # step.  arm_mu_bounds passes m1 explicitly and still sees the default.
+    # every sampled validation state passes.  The inertia bounds are taken
+    # on the simulated arm and reject it when the scenario is built (exit
+    # 2); with them fixed at the default arm's, the run fails at its first
+    # step (exit 3).
     from dobcbf import el
     m1 = 9.0 * (0.25 - 1.0 / 3.0 - 1e-12)
     monkeypatch.setattr(el, "TwoLinkArm", functools.partial(el.TwoLinkArm, m1=m1))
     cfg = write_config(tmp_path / "sing.yaml",
                        {"scenario": "el2dof-dob", "sim": {"tf": 0.01},
                         "initial_state": [2.0, 0.0, 0.0, 0.0]})
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "inertia matrix not SPD at q2 = 0.0" in capsys.readouterr().err
+    default_bounds = scenarios.arm_mu_bounds(el.TwoLinkArm(m1=1.0).system().mass)
+    monkeypatch.setattr(scenarios, "arm_mu_bounds", lambda mass: default_bounds)
     assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 3
     assert "numerical failure: inertia matrix" in capsys.readouterr().err
 

@@ -11,15 +11,18 @@ import math
 import numpy as np
 
 from dobcbf import qp
-from dobcbf.el import ELFilterParams, ELQpFilter, ELRobustFilter, TwoLinkArm
+from dobcbf.el import (ELFilterParams, ELQpFilter, ELRobustFilter, TwoLinkArm,
+                       el_observer_config)
 from dobcbf.filters import FilterParams, QpFilter
 from dobcbf.model import BarrierSpec, ControlAffineSystem
+from dobcbf.observer import ObserverConfig
 
 ARM = TwoLinkArm().system()
-EL_FP = ELFilterParams(alpha1=500.0, beta=10.0, gamma=2.0, nu=1.0, mu1=0.34,
-                       omega=3.0)
+EL_OBS = el_observer_config(500.0, mu1=0.34, nu=1.0, omega=0.0)
+EL_FP = ELFilterParams(beta=10.0, gamma=2.0, omega=3.0)
 D_MAX = 25.0
-DI_FP = FilterParams(alpha=2.0, beta=1.0, nu=1.0, omega=0.5)
+DI_OBS = ObserverConfig(gain=np.array([[0.0, 2.0]]), alpha=2.0, nu=1.0)
+DI_FP = FilterParams(beta=1.0, omega=0.5)
 
 
 def h_q(q):
@@ -45,10 +48,10 @@ def energy_oracle(q, qd, tau_hat):
     """Energy-filter row from the inertia matrix and array products."""
     M = np.asarray(ARM.mass(q))
     G = np.asarray(ARM.gravity(q))
-    denom = 4.0 * EL_FP.alpha - 2.0 * EL_FP.gamma - 2.0 * EL_FP.nu
+    denom = 4.0 * EL_OBS.alpha - 2.0 * EL_FP.gamma - 2.0 * EL_OBS.nu
     psi0 = (EL_FP.beta * float(qd @ grad_hq(q))
             - float(qd @ (tau_hat - G))
-            - EL_FP.omega ** 2 / (2.0 * EL_FP.nu)
+            - EL_FP.omega ** 2 / (2.0 * EL_OBS.nu)
             - float(qd @ qd) / denom
             + EL_FP.gamma * (EL_FP.beta * h_q(q) - 0.5 * float(qd @ M @ qd)))
     return psi0, -qd
@@ -81,9 +84,9 @@ def generic_oracle(bar, x, d_hat):
     r = bar.relative_degree
     lg1, lg2 = bar.lie_g1_fr(x), bar.lie_g2_fr(x)
     eta = np.array([bar.lie_f_value(k, x) for k in range(r - 1, -1, -1)])
-    denom = 4.0 * DI_FP.alpha - 2.0 * bar.poles[-1] - 2.0 * DI_FP.nu
+    denom = 4.0 * DI_OBS.alpha - 2.0 * bar.poles[-1] - 2.0 * DI_OBS.nu
     psi0 = (bar.lie_f_value(r, x) + float(lg2 @ d_hat)
-            - DI_FP.omega ** 2 / (2.0 * DI_FP.nu * DI_FP.beta)
+            - DI_FP.omega ** 2 / (2.0 * DI_OBS.nu * DI_FP.beta)
             - DI_FP.beta * float(lg2 @ lg2) / denom
             + float(bar.cascade[-1] @ eta))
     return psi0, lg1
@@ -123,7 +126,7 @@ def arm_states(seed):
 
 
 def test_energy_filter_matches_array_oracle():
-    filt = ELQpFilter(ARM, h_q, grad_hq, EL_FP)
+    filt = ELQpFilter(ARM, h_q, grad_hq, EL_OBS, EL_FP)
     active = check_decisions(
         filt, lambda x, d: energy_oracle(x[:2], x[2:], d), arm_states(3), 2, 2)
     assert 0 < active < 200  # both branches of the projection ran
@@ -139,7 +142,7 @@ def test_robust_filter_matches_array_oracle():
 def test_generic_filter_matches_array_oracle():
     sys, bar = di_plant()
     states = np.random.default_rng(5).uniform(-2.0, 2.0, size=(200, 2))
-    active = check_decisions(QpFilter(sys, bar, DI_FP),
+    active = check_decisions(QpFilter(sys, bar, DI_OBS, DI_FP),
                              lambda x, d: generic_oracle(bar, x, d), states,
                              1, 1)
     assert 0 < active < 200

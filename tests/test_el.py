@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from dobcbf.el import (ELFilterParams, ELQpFilter, ELRobustFilter, ELSystem,
-                       TwoLinkArm, arm_derivative, el_observer_config, el_psi,
-                       el_robust_psi, guarded_decision, kinetic_energy,
-                       pd_nominal, to_control_affine, validate_el_params)
+                       TwoLinkArm, arm_derivative, el_observer_config,
+                       guarded_decision, kinetic_energy, pd_nominal,
+                       to_control_affine, validate_el_params)
 from dobcbf.model import ControlAffineSystem, ParameterError
 from dobcbf.observer import ObserverState, estimate
 from dobcbf.scenarios import ConfigError, build
@@ -140,28 +140,34 @@ def test_el_observer_integral_is_alpha1_qdot_bit_for_bit():
         assert cfg.integral_at(x).tobytes() == (alpha1 * x[2:]).tobytes()
 
 
+def el_row(filt, q, qd, tau_hat):
+    dec = filt.constraint(0.0, np.concatenate([q, qd]), np.zeros(2), tau_hat)
+    return dec.psi0, dec.psi1
+
+
 def test_el_psi_hand_computed_at_rest():
-    fp = ELFilterParams(alpha1=500.0, beta=10.0, gamma=2.0, nu=1.0,
-                        mu1=0.3, omega=3.0)
+    obs = el_observer_config(500.0, mu1=0.3, nu=1.0, omega=0.0)
+    fp = ELFilterParams(beta=10.0, gamma=2.0, omega=3.0)
     h_q = lambda q: 16.0 - q[0] ** 2 - q[1] ** 2
     grad = lambda q: np.array([-2.0 * q[0], -2.0 * q[1]])
     q = np.array([2.0, 2.5])
-    psi0, psi1 = el_psi(ARM, h_q, grad, fp, q, np.zeros(2), np.zeros(2))
+    psi0, psi1 = el_row(ELQpFilter(ARM, h_q, grad, obs, fp), q, np.zeros(2),
+                        np.zeros(2))
     # at rest only the omega term and gamma*beta*h_q survive
     assert psi0 == pytest.approx(-9.0 / 2.0 + 2.0 * 10.0 * 5.75)
     assert np.allclose(psi1, 0.0)
 
 
 def test_el_psi_power_terms():
-    fp = ELFilterParams(alpha1=500.0, beta=10.0, gamma=2.0, nu=1.0,
-                        mu1=0.3, omega=0.0)
+    obs = el_observer_config(500.0, mu1=0.3, nu=1.0, omega=0.0)
+    fp = ELFilterParams(beta=10.0, gamma=2.0, omega=0.0)
     h_q = lambda q: 16.0 - q[0] ** 2 - q[1] ** 2
     grad = lambda q: np.array([-2.0 * q[0], -2.0 * q[1]])
     q = np.array([1.0, -1.0])
     qd = np.array([0.5, 0.2])
     tau_hat = np.array([4.0, -2.0])
-    psi0, psi1 = el_psi(ARM, h_q, grad, fp, q, qd, tau_hat)
-    denom = 4.0 * fp.alpha - 2.0 * fp.gamma - 2.0 * fp.nu
+    psi0, psi1 = el_row(ELQpFilter(ARM, h_q, grad, obs, fp), q, qd, tau_hat)
+    denom = 4.0 * obs.alpha - 2.0 * fp.gamma - 2.0 * obs.nu
     expect = (10.0 * float(qd @ grad(q))
               - float(qd @ (tau_hat - ARM.gravity(q)))
               - float(qd @ qd) / denom
@@ -176,11 +182,9 @@ def test_el_robust_psi_is_worst_case():
     q = np.array([1.0, 0.5])
     qd = np.array([1.0, -2.0])
     d_max = 5.0
-    psi0_rob, _ = el_robust_psi(ARM, h_q, grad, 10.0, 2.0, d_max, q, qd)
+    psi0_rob, _ = el_row(ELRobustFilter(ARM, h_q, grad, 10.0, 2.0, d_max),
+                         q, qd, np.zeros(2))
     rng = np.random.default_rng(5)
-    fp = ELFilterParams(alpha1=500.0, beta=10.0, gamma=2.0, nu=1.0, mu1=0.3,
-                        omega=0.0)
-    denom = 4.0 * fp.alpha - 2.0 * fp.gamma - 2.0 * fp.nu
     for _ in range(200):
         d = rng.standard_normal(2)
         d *= d_max * rng.uniform() / np.linalg.norm(d)
@@ -207,8 +211,7 @@ def test_pd_nominal():
 
 
 def test_singularity_guard_cases():
-    fp = ELFilterParams(alpha1=500.0, beta=10.0, gamma=2.0, nu=1.0,
-                        mu1=0.3, eps_singular=1e-3)
+    fp = ELFilterParams(beta=10.0, gamma=2.0, eps_singular=1e-3)
     qd = np.array([0.5, 0.0])
     dec = guarded_decision(fp.eps_singular, qd, -1.0, -qd)
     assert not dec.bypass and dec.event is None
@@ -226,17 +229,22 @@ def test_validate_el_params():
     h_q = lambda q: 16.0 - q[0] ** 2 - q[1] ** 2  # h_q((2, 2.5)) = 5.75
     grad = lambda q: np.array([-2.0 * q[0], -2.0 * q[1]])
     x0 = np.array([2.0, 2.5, 0.0, 0.0])
-    fp = ELFilterParams(alpha1=500.0, beta=10.0, gamma=2.0, nu=1.0, mu1=0.34)
-    rep = validate_el_params(ELQpFilter(ARM, h_q, grad, fp), x0,
-                             e0_norm=math.sqrt(50.0))
-    assert rep.passed
+    obs = el_observer_config(500.0, mu1=0.34, nu=1.0, omega=0.0)
+    fp = ELFilterParams(beta=10.0, gamma=2.0)
+    filt = ELQpFilter(ARM, h_q, grad, obs, fp)
+    rep = validate_el_params(filt, x0, e0_norm=math.sqrt(50.0))
+    assert rep.passed and rep.cascade_ok
+    # alpha and nu are the observer's: 500*0.34 - (2 + 1)/2
+    assert rep.alpha_margin == pytest.approx(168.5)
     # beta exactly at the bound fails the strict inequality
     need = 50.0 / (2 * 5.75)
-    fp_eq = ELFilterParams(alpha1=500.0, beta=need, gamma=2.0, nu=1.0,
-                           mu1=0.34)
-    rep_eq = validate_el_params(ELQpFilter(ARM, h_q, grad, fp_eq), x0,
+    fp_eq = ELFilterParams(beta=need, gamma=2.0)
+    rep_eq = validate_el_params(ELQpFilter(ARM, h_q, grad, obs, fp_eq), x0,
                                 e0_norm=math.sqrt(50.0))
     assert not rep_eq.beta_ok
+    # an initial position outside the safe set, h_q((3, 3)) = -2
+    out = validate_el_params(filt, np.array([3.0, 3.0, 0.0, 0.0]), 0.0)
+    assert not out.cascade_ok and not out.beta_ok and not out.passed
 
 
 def test_to_control_affine_embedding():
@@ -256,11 +264,11 @@ def test_to_control_affine_embedding():
 
 
 def test_el_filter_object_guard_path():
-    fp = ELFilterParams(alpha1=500.0, beta=10.0, gamma=2.0, nu=1.0,
-                        mu1=0.3, eps_singular=1e-3)
+    obs = el_observer_config(500.0, mu1=0.3, nu=1.0, omega=0.0)
+    fp = ELFilterParams(beta=10.0, gamma=2.0, eps_singular=1e-3)
     h_q = lambda q: 16.0 - q[0] ** 2 - q[1] ** 2
     grad = lambda q: np.array([-2.0 * q[0], -2.0 * q[1]])
-    filt = ELQpFilter(ARM, h_q, grad, fp)
+    filt = ELQpFilter(ARM, h_q, grad, obs, fp)
     x_rest = np.array([2.0, 2.5, 0.0, 0.0])
     dec = filt.constraint(0.0, x_rest, np.zeros(2), np.zeros(2))
     assert dec.bypass
@@ -276,13 +284,23 @@ def test_el_filters_check_tuning_when_built():
     h_q = lambda q: 16.0 - q[0] ** 2 - q[1] ** 2
     grad = lambda q: np.array([-2.0 * q[0], -2.0 * q[1]])
     # 4*alpha1*mu1 - 2*gamma - 2*nu = 4*5*0.3 - 4 - 2 = 0: no constraint
-    fp = ELFilterParams(alpha1=5.0, beta=10.0, gamma=2.0, nu=1.0, mu1=0.3)
+    obs = el_observer_config(5.0, mu1=0.3, nu=1.0, omega=0.0)
+    fp = ELFilterParams(beta=10.0, gamma=2.0)
     with pytest.raises(ParameterError):
-        ELQpFilter(ARM, h_q, grad, fp)
-    # the robust baseline does not use the observer gain
+        ELQpFilter(ARM, h_q, grad, obs, fp)
+    # the robust baseline does not use the observer gain, and checks its
+    # own beta, gamma, eps_singular and d_max
     ELRobustFilter(ARM, h_q, grad, 10.0, 2.0, 0.0)
-    with pytest.raises(ParameterError):
-        ELRobustFilter(ARM, h_q, grad, 10.0, 2.0, -1.0)
+    for beta, gamma, d_max, eps in ((10.0, 2.0, -1.0, 1e-4),
+                                    (0.0, 2.0, 1.0, 1e-4),
+                                    (-1.0, 2.0, 1.0, 1e-4),
+                                    (10.0, 0.0, 1.0, 1e-4),
+                                    (10.0, -2.0, 1.0, 1e-4),
+                                    (10.0, 2.0, 1.0, 0.0),
+                                    (10.0, 2.0, 1.0, -1e-4)):
+        with pytest.raises(ParameterError):
+            ELRobustFilter(ARM, h_q, grad, beta, gamma, d_max,
+                           eps_singular=eps)
 
 
 def test_to_control_affine_rejects_singular_inertia():
@@ -330,3 +348,11 @@ def test_arm_derivative_needs_the_arm_shapes():
                                  g1=lambda x: np.eye(1), g2=lambda x: np.eye(1))
     with pytest.raises(ParameterError):
         arm_derivative(scalar, cfg, lambda t: np.zeros(1))
+    # a 4/2/2 plant built without `terms`, whose disturbance matrix is not
+    # its input matrix, has the right shapes but a g2 the kernel cannot use
+    arm = to_control_affine(ARM)
+    other = ControlAffineSystem(n=4, m=2, p=2, f=arm.f, g1=arm.g1,
+                                g2=lambda x: 2.0 * arm.g1(x))
+    rhs, _ = arm_derivative(other, cfg, lambda t: np.ones(2))
+    with pytest.raises(ParameterError):
+        rhs(0.0, np.array([0.3, 0.9, 1.0, -1.0, 0.0, 0.0]))

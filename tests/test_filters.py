@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from dobcbf.el import ELFilterParams, violation_floor
-from dobcbf.filters import (FilterParams, NoFilter, QpFilter, psi,
-                            validate_params)
+from dobcbf.filters import FilterParams, NoFilter, QpFilter, validate_params
 from dobcbf.model import BarrierSpec, ControlAffineSystem, ParameterError
+from dobcbf.observer import ObserverConfig
 
 
 def scalar_plant(gamma=1.0):
@@ -34,19 +34,32 @@ def di_plant(poles=(1.0, 1.0)):
     return sys, bar
 
 
+def qp_filter(sys, bar, alpha, beta, nu=1.0, omega=0.0):
+    """QpFilter whose observer has the constants alpha and nu and the gain
+    alpha * [0 | I]: both plants take the disturbance in their last state."""
+    obs = ObserverConfig(gain=alpha * np.eye(sys.p, sys.n, sys.n - sys.p),
+                         alpha=alpha, nu=nu)
+    return QpFilter(sys, bar, obs, FilterParams(beta=beta, omega=omega))
+
+
+def row(filt, x, d_hat):
+    dec = filt.constraint(0.0, x, np.zeros(filt.system.m), d_hat)
+    return dec.psi0, dec.psi1
+
+
 def test_params_validation():
     with pytest.raises(ParameterError):
-        FilterParams(alpha=1.0, beta=-1.0, nu=1.0)
+        FilterParams(beta=-1.0)
     with pytest.raises(ParameterError):
-        FilterParams(alpha=1.0, beta=1.0, nu=1.0, omega=-0.5)
+        FilterParams(beta=1.0, omega=-0.5)
 
 
 def test_psi_rel1_hand_computed():
     sys, bar = scalar_plant(gamma=1.0)
-    fp = FilterParams(alpha=2.0, beta=1.0, nu=1.0, omega=2.0)
+    filt = qp_filter(sys, bar, alpha=2.0, beta=1.0, nu=1.0, omega=2.0)
     d_hat = np.array([0.5])
     x = np.array([1.0])
-    psi0, psi1 = psi(sys, bar, fp, x, d_hat)
+    psi0, psi1 = row(filt, x, d_hat)
     # Lfh=0, Lg2h.dhat=0.5, omega term 2^2/(2*1*1)=2,
     # beta*|Lg2h|^2/(4a-2g-2n)=1/4, gamma*h=1
     assert psi0 == pytest.approx(0.5 - 2.0 - 0.25 + 1.0)
@@ -62,8 +75,7 @@ def test_scalar_constraint_calls_no_plant_callback():
     _, bar = scalar_plant(gamma=1.0)
     sys = ControlAffineSystem(n=1, m=1, p=1, f=fail, g1=fail, g2=fail,
                               terms=fail)
-    filt = QpFilter(sys, bar, FilterParams(alpha=2.0, beta=1.0, nu=1.0,
-                                           omega=2.0))
+    filt = qp_filter(sys, bar, alpha=2.0, beta=1.0, nu=1.0, omega=2.0)
     dec = filt.constraint(0.0, np.array([1.0]), np.zeros(1), np.array([0.5]))
     assert dec.psi0 == pytest.approx(0.5 - 2.0 - 0.25 + 1.0)
     assert np.allclose(dec.psi1, [1.0])
@@ -72,28 +84,27 @@ def test_scalar_constraint_calls_no_plant_callback():
 def test_psi_rel1_denominator_guard():
     # the filter condition is checked once, when the filter is built
     sys, bar = scalar_plant(gamma=1.0)
-    fp = FilterParams(alpha=1.0, beta=1.0, nu=1.0)
     with pytest.raises(ParameterError):
-        QpFilter(sys, bar, fp)  # 4a-2g-2n = 0
+        qp_filter(sys, bar, alpha=1.0, beta=1.0, nu=1.0)  # 4a-2g-2n = 0
 
 
 def test_psi_rel1_no_omega_drops_only_that_term():
     # withholding the derivative bound is omega = 0
     sys, bar = scalar_plant()
-    full = FilterParams(alpha=2.0, beta=1.0, nu=1.0, omega=2.0)
-    wo = FilterParams(alpha=2.0, beta=1.0, nu=1.0, omega=0.0)
+    full = qp_filter(sys, bar, alpha=2.0, beta=1.0, nu=1.0, omega=2.0)
+    wo = qp_filter(sys, bar, alpha=2.0, beta=1.0, nu=1.0, omega=0.0)
     x, d_hat = np.array([0.7]), np.array([0.3])
-    p_full, _ = psi(sys, bar, full, x, d_hat)
-    p_wo, _ = psi(sys, bar, wo, x, d_hat)
+    p_full, _ = row(full, x, d_hat)
+    p_wo, _ = row(wo, x, d_hat)
     assert p_wo - p_full == pytest.approx(2.0 ** 2 / 2.0)
 
 
 def test_psi_relr_hand_computed():
     sys, bar = di_plant(poles=(1.0, 1.0))
-    fp = FilterParams(alpha=2.0, beta=1.0, nu=1.0, omega=0.0)
+    filt = qp_filter(sys, bar, alpha=2.0, beta=1.0, nu=1.0, omega=0.0)
     x = np.array([0.0, 0.0])
     d_hat = np.array([1.0])
-    psi0, psi1 = psi(sys, bar, fp, x, d_hat)
+    psi0, psi1 = row(filt, x, d_hat)
     # L_f^2 h = 0; L_g2 L_f h . dhat = -1; omega term 0;
     # beta*1/(4*2-2*1-2*1) = 1/4; a = (2,1), eta = (L_f h, h) = (0, 1)
     assert psi0 == pytest.approx(-1.0 - 0.25 + 1.0)
@@ -103,11 +114,11 @@ def test_psi_relr_hand_computed():
 def test_augmented_barrier_values():
     # hbar = beta * s_{r-1} - ||e_d||^2 / 2, read from the filter's probe
     sys, bar = scalar_plant()
-    filt = QpFilter(sys, bar, FilterParams(alpha=2.0, beta=3.0, nu=1.0))
+    filt = qp_filter(sys, bar, alpha=2.0, beta=3.0, nu=1.0)
     assert filt.probe(np.array([2.0]), np.array([1.0]))["hbar"] == \
         pytest.approx(3.0 * 2.0 - 0.5)
     sys2, bar2 = di_plant()
-    filt2 = QpFilter(sys2, bar2, FilterParams(alpha=2.0, beta=2.0, nu=1.0))
+    filt2 = qp_filter(sys2, bar2, alpha=2.0, beta=2.0, nu=1.0)
     x = np.array([0.25, -0.5])
     s1 = 0.5 + 0.75  # -x2 + lambda_1 * h
     probe = filt2.probe(x, np.array([0.0]))
@@ -117,12 +128,11 @@ def test_augmented_barrier_values():
 
 
 def test_violation_floor_shape():
-    fp = ELFilterParams(alpha1=10.0, beta=2.0, gamma=1.0, nu=1.0, mu1=0.3,
-                        omega=0.5)
+    fp = ELFilterParams(beta=2.0, gamma=1.0, omega=0.5)
     # the floor uses the omega passed in, not the constraint-side fp.omega
-    assert violation_floor(fp, 3.0, 0.0) == pytest.approx(0.0)
+    assert violation_floor(fp, 1.0, 3.0, 0.0) == pytest.approx(0.0)
     t = np.linspace(0, 50, 500)
-    fl = violation_floor(fp, 3.0, t)
+    fl = violation_floor(fp, 1.0, 3.0, t)
     assert np.all(np.diff(fl) <= 1e-15)
     assert fl[-1] == pytest.approx(-9.0 / (2 * 1 * 1 * 2), abs=1e-6)
 
@@ -131,12 +141,11 @@ def test_validate_params_strictness():
     sys, bar = scalar_plant(gamma=1.0)
     # alpha = (gamma + nu)/2 exactly -> the strict inequality fails at build
     with pytest.raises(ParameterError):
-        QpFilter(sys, bar, FilterParams(alpha=1.0, beta=1.0, nu=1.0))
-    ok = validate_params(
-        QpFilter(sys, bar, FilterParams(alpha=1.1, beta=1.0, nu=1.0)),
-        [1.0], 0.0)
+        qp_filter(sys, bar, alpha=1.0, beta=1.0, nu=1.0)
+    ok = validate_params(qp_filter(sys, bar, alpha=1.1, beta=1.0, nu=1.0),
+                         [1.0], 0.0)
     assert ok.passed and ok.alpha_margin == pytest.approx(0.1)
-    filt = QpFilter(sys, bar, FilterParams(alpha=2.0, beta=1.0, nu=1.0))
+    filt = qp_filter(sys, bar, alpha=2.0, beta=1.0, nu=1.0)
     # beta too small for the initial error
     bad = validate_params(filt, [1.0], 2.0)
     assert not bad.beta_ok
@@ -145,17 +154,15 @@ def test_validate_params_strictness():
     # r = 2: the threshold is the last pole, and every s_k must be positive
     sys2, bar2 = di_plant(poles=(1.0, 3.0))
     with pytest.raises(ParameterError):
-        QpFilter(sys2, bar2, FilterParams(alpha=2.0, beta=1.0, nu=1.0))
-    cascade = validate_params(
-        QpFilter(sys2, bar2, FilterParams(alpha=2.5, beta=1.0, nu=1.0)),
-        [-0.1, 1.0], 0.0)
+        qp_filter(sys2, bar2, alpha=2.0, beta=1.0, nu=1.0)
+    cascade = validate_params(qp_filter(sys2, bar2, alpha=2.5, beta=1.0, nu=1.0),
+                              [-0.1, 1.0], 0.0)
     assert cascade.beta_ok and not cascade.cascade_ok
 
 
 def test_filter_objects_produce_decisions():
     sys, bar = scalar_plant()
-    fp = FilterParams(alpha=2.0, beta=1.0, nu=1.0)
-    filt = QpFilter(sys, bar, fp)
+    filt = qp_filter(sys, bar, alpha=2.0, beta=1.0, nu=1.0)
     dec = filt.constraint(0.0, np.array([1.0]), np.array([0.0]),
                           np.array([0.0]))
     assert not dec.bypass

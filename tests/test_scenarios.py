@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import dobcbf.scenarios as scenarios
-from dobcbf.el import TwoLinkArm
+from dobcbf.el import TwoLinkArm, kinetic_energy
 from dobcbf.scenarios import ConfigError, build, resolve_config
 
 
@@ -135,11 +135,11 @@ def test_arm_mu_bounds_exact():
             d = m2 * l2 / 3.0
             r = math.hypot((a - d) / 2.0, b)
             lam += [(a + d) / 2.0 - r, (a + d) / 2.0 + r]
-        mu1, mu2 = scenarios.arm_mu_bounds(m1=m1, m2=m2, l=l)
+        arm = TwoLinkArm(m1=m1, m2=m2, l=l).system()
+        mu1, mu2 = scenarios.arm_mu_bounds(arm.mass)
         assert mu1 == pytest.approx(1.0 / max(lam), rel=1e-14)
         assert mu2 == pytest.approx(1.0 / min(lam), rel=1e-14)
         # and they bound 1/eig(M) at sampled elbow angles, +-pi among them
-        arm = TwoLinkArm(m1=m1, m2=m2, l=l).system()
         q2 = np.concatenate([np.linspace(-math.pi, math.pi, 2001),
                              np.random.default_rng(3).uniform(-4.0, 4.0, 500)])
         eigs = np.array([np.linalg.eigvalsh(arm.mass(np.array([0.7, v])))
@@ -147,7 +147,33 @@ def test_arm_mu_bounds_exact():
         assert mu1 <= (1.0 / eigs[:, 1]).min() + 1e-15
         assert mu2 >= (1.0 / eigs[:, 0]).max() - 1e-15
     # the former 10 000-point sweep gave 0.3408640637, above the exact value
-    assert scenarios.arm_mu_bounds()[0] < 0.34086406
+    assert scenarios.arm_mu_bounds(TwoLinkArm().system().mass)[0] < 0.34086406
+
+
+def test_arm_filter_is_built_from_the_scenario_observer():
+    # el2dof-dob with nu = 2: the filter reads nu from the scenario's
+    # observer, so its decisions are the hand values for nu = 2
+    sc = build({"scenario": "el2dof-dob", "params": {"nu": 2.0}})
+    assert sc.safety.observer is sc.observer_cfg and sc.observer_cfg.nu == 2.0
+    # at rest only the omega term and gamma*beta*h_q survive:
+    # -3^2/(2*2) + 2*10*5.75, against 111.0 for nu = 1
+    rest = sc.safety.constraint(0.0, np.array([2.0, 2.5, 0.0, 0.0]),
+                                np.zeros(2), np.zeros(2))
+    assert rest.psi0 == pytest.approx(-9.0 / 4.0 + 2.0 * 10.0 * 5.75,
+                                      rel=1e-14)
+    # moving: the denominator is 4*alpha1*mu1 - 2*gamma - 2*nu with nu = 2
+    arm = TwoLinkArm().system()
+    q, qd, tau_hat = (1.0, -1.0), (0.5, 0.2), (4.0, -2.0)
+    g0, g1 = arm.gravity(q)
+    denom = 4.0 * 500.0 * sc.constants["mu1"] - 2.0 * 2.0 - 2.0 * 2.0
+    expect = (10.0 * (0.5 * -2.0 + 0.2 * 2.0)
+              - (0.5 * (4.0 - g0) + 0.2 * (-2.0 - g1))
+              - 9.0 / 4.0
+              - (0.5 ** 2 + 0.2 ** 2) / denom
+              + 2.0 * (10.0 * 14.0 - kinetic_energy(arm, q, qd)))
+    dec = sc.safety.constraint(0.0, np.array(q + qd), np.zeros(2),
+                               np.array(tau_hat))
+    assert dec.psi0 == pytest.approx(expect, rel=1e-14)
 
 
 def test_config_numbers_must_be_finite_numbers():
