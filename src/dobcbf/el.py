@@ -12,7 +12,10 @@ filters return through `guarded_decision`, which bypasses the QP there.
 is withheld (omega = 0 in the constraint).  `arm_derivative` is the
 simulator's right-hand side for the embedded plant and its observer:
 the generic joint derivative written out in Python floats for n = 4 and
-m = p = 2, still checking the plant through `evaluate` at every stage.
+m = p = 2, still checking the plant through `evaluate` at every stage.  It
+reads the RK4 stage state, a list of six floats, as it is and returns a
+tuple; the embedding's `terms` reads its state as four Python floats,
+from a list or an array alike.
 
 The 2-DOF planar arm used by the benchmark scenarios lives here as well.
 """
@@ -193,13 +196,14 @@ def to_control_affine(sys: ELSystem) -> ControlAffineSystem:
 
     The 2x2 inertia is inverted in closed form; a matrix that is not positive
     definite at some q (a singular one included) raises ParameterError.
-    The state is read into Python floats once, and M, C qdot + G, the
-    inverse and the drift are computed in floats; only f and B are arrays.
+    The state, a list of four numbers or an array of four entries, is read
+    into Python floats once, and M, C qdot + G, the inverse and the drift
+    are computed in floats; only f and B are arrays.
     """
     mass, coriolis, gravity = sys.mass, sys.coriolis, sys.gravity
 
     def terms(x):
-        q0, q1, v0, v1 = x.tolist()
+        q0, q1, v0, v1 = map(float, x)
         q, qd = (q0, q1), (v0, v1)
         (m11, m12), (m21, m22) = mass(q)
         det = m11 * m22 - m12 * m21
@@ -233,11 +237,13 @@ def arm_derivative(system: ControlAffineSystem, observer: ObserverConfig,
     Returns (rhs, hold) like simulate.joint_derivative and computes the
     same quantity, [f + B u + B d(t); -L_d (f + B u + B (z + L_d x))], with
     the disturbance entering through the input matrix B as in the
-    embedding.  Each stage calls system.evaluate once, so the plant's shape,
-    finiteness and positive-definiteness checks stay; f, B, the state and
-    d(t) are then read as floats, and the constant L_d when the run starts.
-    hold converts each decision's control to floats once.  The sums are
-    written out for the fixed shapes, so a stage makes no NumPy product; a
+    embedding.  rhs(t, y) reads the stage state y, the list of six floats
+    that rk4_step passes, as it is and returns a tuple of six floats.  Each
+    stage calls system.evaluate(y[:4]) once, so the plant's shape,
+    finiteness and positive-definiteness checks stay; f, B and d(t) are
+    then read as floats, and the constant L_d when the run starts.  hold
+    converts each decision's control to floats once.  The sums are written
+    out for the fixed shapes, so a stage makes no NumPy product; a
     non-finite derivative is caught by rk4_step's check of the new state.
     A plant or gain of other dimensions raises ParameterError when the run
     starts, and a stage whose evaluated g2 is not its g1 (the same object,
@@ -262,7 +268,7 @@ def arm_derivative(system: ControlAffineSystem, observer: ObserverConfig,
                 "arm_derivative needs a plant whose evaluated g2 is its g1")
         f0, f1, f2, f3 = fx.tolist()
         (b00, b01), (b10, b11), (b20, b21), (b30, b31) = B.tolist()
-        x0, x1, x2, x3, z0, z1 = y.tolist()
+        x0, x1, x2, x3, z0, z1 = y
         d0, d1 = disturbance_at(t).tolist()
         # f + B u, shared by the plant and the observer
         a0 = f0 + (b00 * u0 + b01 * u1)
@@ -276,12 +282,12 @@ def arm_derivative(system: ControlAffineSystem, observer: ObserverConfig,
         v1 = a1 + (b10 * w0 + b11 * w1)
         v2 = a2 + (b20 * w0 + b21 * w1)
         v3 = a3 + (b30 * w0 + b31 * w1)
-        return np.array((a0 + (b00 * d0 + b01 * d1),
-                         a1 + (b10 * d0 + b11 * d1),
-                         a2 + (b20 * d0 + b21 * d1),
-                         a3 + (b30 * d0 + b31 * d1),
-                         -(l00 * v0 + l01 * v1 + l02 * v2 + l03 * v3),
-                         -(l10 * v0 + l11 * v1 + l12 * v2 + l13 * v3)))
+        return (a0 + (b00 * d0 + b01 * d1),
+                a1 + (b10 * d0 + b11 * d1),
+                a2 + (b20 * d0 + b21 * d1),
+                a3 + (b30 * d0 + b31 * d1),
+                -(l00 * v0 + l01 * v1 + l02 * v2 + l03 * v3),
+                -(l10 * v0 + l11 * v1 + l12 * v2 + l13 * v3))
 
     return rhs, hold
 

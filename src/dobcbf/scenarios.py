@@ -419,13 +419,15 @@ def _arm(cfg: dict, signal, simcfg, omega: float) -> dict:
     obs = elmod.el_observer_config(alpha1, mu1, nu, omega)
     h_q = lambda q: 16.0 - float(q[0]) ** 2 - float(q[1]) ** 2
     grad_hq = lambda q: np.array([-2.0 * q[0], -2.0 * q[1]])
-    fp = elmod.ELFilterParams(
-        beta=beta, gamma=gamma, omega=float(prm["constraint_omega"]),
-        eps_singular=float(prm["eps_singular"]))
     constants = {"mu1": mu1, "mu2": mu2, "omega_d": omega}
 
+    # each filter reads and checks only its own tuning, so a scenario never
+    # rejects a value that its filter does not use
     report = floor = None
     if name in ("el2dof-dob", "el2dof-noomega"):
+        fp = elmod.ELFilterParams(
+            beta=beta, gamma=gamma, omega=float(prm["constraint_omega"]),
+            eps_singular=float(prm["eps_singular"]))
         safety = elmod.ELQpFilter(el_sys, h_q, grad_hq, obs, fp)
         report = lambda x0, e0: elmod.validate_el_params(safety, x0, e0)
     elif name == "el2dof-robust":
@@ -433,8 +435,8 @@ def _arm(cfg: dict, signal, simcfg, omega: float) -> dict:
         d_max = float(d_max) if d_max is not None \
             else magnitude_bound(signal, simcfg.t0, simcfg.tf)
         constants["d_max"] = d_max
-        safety = elmod.ELRobustFilter(el_sys, h_q, grad_hq, beta, gamma,
-                                      d_max, eps_singular=fp.eps_singular)
+        safety = elmod.ELRobustFilter(el_sys, h_q, grad_hq, beta, gamma, d_max,
+                                      eps_singular=float(prm["eps_singular"]))
     else:
         safety = filters.NoFilter(lambda x: h_q(x[:2]))
     if name == "el2dof-noomega":

@@ -16,6 +16,14 @@ Each run builds one RK4 right-hand side with a derivative builder:
 scenarios pass `el.arm_derivative`, which computes the same quantity in
 Python floats for the two-joint plant.  Both evaluate the plant once per
 stage through `ControlAffineSystem.evaluate`, with its checks.
+
+The integration layer runs in Python floats: `rk4_step` takes and returns
+the joint state as a list, each right-hand side receives its stage state
+as a list and returns a sequence of floats, and the blow-up guard takes
+the state's norm with math.hypot.  The loop builds one array per
+integration step, from which the decisions read x and z.  On states of a
+few entries a float sum costs less than a NumPy call, and rk4_step's
+results are the same bits as the array step's.
 """
 
 from __future__ import annotations
@@ -66,17 +74,19 @@ class DisturbanceSignal:
 
     The terms are packed once into a (channels x terms) amplitude matrix and
     per-term frequency and phase arrays, a cos term as a sin with its phase
-    advanced by pi/2; so a value is one sin call and one product, whatever
-    the number of terms.  An empty channel is a zero row.  `value` and
-    `max_norm` are the only evaluators, both of these arrays, so the bounds
-    are taken of the same sum that the simulator applies and of its exact
-    analytic derivative.
+    advanced by pi/2.  `max_norm` evaluates a time grid from these arrays;
+    `value`, one time at a time in the simulator's hot path, sums
+    a*math.sin(w*t + phi) per channel over (a, w, phi) triples read once
+    from the same arrays, so the bounds are taken of the sum that the
+    simulator applies and of its exact analytic derivative.  An empty
+    channel is a zero row, and a zero entry of `value`.
     """
 
     channels: tuple
     _amp: np.ndarray = field(init=False, repr=False, compare=False)
     _freq: np.ndarray = field(init=False, repr=False, compare=False)
     _phase: np.ndarray = field(init=False, repr=False, compare=False)
+    _triples: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         channels = tuple(tuple(ch) for ch in self.channels)
@@ -84,11 +94,16 @@ class DisturbanceSignal:
         amp = np.zeros((len(channels), len(terms)))
         rows = [i for i, ch in enumerate(channels) for _ in ch]
         amp[rows, range(len(terms))] = [term.amplitude for term in terms]
-        packed = {"channels": channels, "_amp": amp,
-                  "_freq": np.array([term.frequency for term in terms]),
-                  "_phase": np.array([term.phase + (0.0 if term.waveform == "sin"
-                                                    else 0.5 * math.pi)
-                                      for term in terms])}
+        freq = np.array([term.frequency for term in terms])
+        phase = np.array([term.phase + (0.0 if term.waveform == "sin"
+                                        else 0.5 * math.pi)
+                          for term in terms])
+        triples = [[] for _ in channels]
+        for j, (i, w, ph) in enumerate(zip(rows, freq.tolist(), phase.tolist())):
+            triples[i].append((float(amp[i, j]), w, ph))
+        packed = {"channels": channels, "_amp": amp, "_freq": freq,
+                  "_phase": phase,
+                  "_triples": tuple(tuple(ch) for ch in triples)}
         for name, value in packed.items():
             object.__setattr__(self, name, value)
 
@@ -97,7 +112,19 @@ class DisturbanceSignal:
         return len(self.channels)
 
     def value(self, t) -> np.ndarray:
-        return self._amp.dot(np.sin(self._freq * t + self._phase))
+        """d(t) at one time t, as a float64 array of dim entries.
+
+        Plain loops: on a few terms a comprehension per channel costs more
+        than the sums it forms.
+        """
+        sin = math.sin
+        out = []
+        for channel in self._triples:
+            total = 0.0
+            for a, w, ph in channel:
+                total += a * sin(w * t + ph)
+            out.append(total)
+        return np.array(out)
 
     def max_norm(self, t_grid, derivative: bool = False) -> float:
         """max over t_grid of ||d(t)||, or of ||ddot(t)|| with derivative.
@@ -144,16 +171,27 @@ class SimConfig:
         return int(round((self.tf - self.t0) / self.dt))
 
 
-def rk4_step(rhs: Callable[[float, np.ndarray], np.ndarray], t: float,
-             state: np.ndarray, dt: float) -> np.ndarray:
-    """One classical 4th-order Runge-Kutta update; a non-finite new state
-    (tested entry by entry with math.isfinite) raises IntegrationError."""
+def rk4_step(rhs: Callable[[float, list], Sequence[float]], t: float,
+             state: list, dt: float) -> list:
+    """One classical 4th-order Runge-Kutta update on a list of floats.
+
+    rhs(t, y) receives each stage state as a list and returns a sequence of
+    floats of the same length; the stage states and the new state are float
+    sums in the order of the array expressions
+    y + (0.5 dt) k and y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), so every
+    entry is bit-identical to the same step taken on float64 arrays.  A
+    non-finite new state (tested entry by entry with math.isfinite) raises
+    IntegrationError.
+    """
+    h = 0.5 * dt
     k1 = rhs(t, state)
-    k2 = rhs(t + 0.5 * dt, state + 0.5 * dt * k1)
-    k3 = rhs(t + 0.5 * dt, state + 0.5 * dt * k2)
-    k4 = rhs(t + dt, state + dt * k3)
-    out = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not all(map(math.isfinite, out.ravel().tolist())):
+    k2 = rhs(t + h, [y + h * k for y, k in zip(state, k1)])
+    k3 = rhs(t + h, [y + h * k for y, k in zip(state, k2)])
+    k4 = rhs(t + dt, [y + dt * k for y, k in zip(state, k3)])
+    w = dt / 6.0
+    out = [y + w * (a + 2.0 * b + 2.0 * c + d)
+           for y, a, b, c, d in zip(state, k1, k2, k3, k4)]
+    if not all(map(math.isfinite, out)):
         raise IntegrationError(f"non-finite state after step at t = {t}")
     return out
 
@@ -197,8 +235,10 @@ def joint_derivative(system: ControlAffineSystem, observer: ObserverConfig,
     Returns (rhs, hold).  rhs(t, y) at y = [x; z] is
     [f + g1 u + g2 d(t); -L_d (f + g1 u + g2 (z + p(x)))] under the control
     u last passed to hold, which the simulator calls once per decision;
-    f + g1 u is formed once per stage for both halves.  The plant's outputs
-    are checked by system.evaluate and p(x) by observer.integral_at.
+    f + g1 u is formed once per stage for both halves.  The stage list y is
+    converted to an array once, the products are NumPy products, and the
+    derivative is returned as a list.  The plant's outputs are checked by
+    system.evaluate and p(x) by observer.integral_at.
     """
     n = system.n
     u = None
@@ -208,6 +248,7 @@ def joint_derivative(system: ControlAffineSystem, observer: ObserverConfig,
         u = control
 
     def rhs(t, y):
+        y = np.array(y)
         xs = y[:n]
         fx, G1, G2 = system.evaluate(xs)
         drift = fx + G1.dot(u)
@@ -216,7 +257,7 @@ def joint_derivative(system: ControlAffineSystem, observer: ObserverConfig,
         dy[:n] = dx
         dy[n:] = -observer.gain_at(xs).dot(
             drift + G2.dot(y[n:] + observer.integral_at(xs)))
-        return dy
+        return dy.tolist()
 
     return rhs, hold
 
@@ -233,11 +274,15 @@ def run_closed_loop(system: ControlAffineSystem,
 
     Per integration step (dt/substeps): read the estimate, build the safety
     constraint, solve the QP, then advance plant and observer jointly with
-    the chosen control held.  Deterministic: identical inputs give
-    bit-identical logs.  A norm of the joint plant-and-observer state above
-    cfg.blowup_norm aborts the run and returns the partial log, so a
-    diverging estimate aborts as well as a diverging plant.  The observer
-    starts from a zero estimate.
+    the chosen control held.  The joint state y = [x; z] is integrated as a
+    list of floats; after each step one array is built from it, and the
+    decisions and the log read x and z as views of that array.
+    Deterministic: identical inputs give bit-identical logs.  After every
+    integration step, a Euclidean norm of the joint plant-and-observer state
+    above cfg.blowup_norm aborts the run with the event (ts, "blowup"), ts
+    the start of that step, and returns the partial log, so a diverging
+    estimate aborts as well as a diverging plant; a non-finite state gives
+    (ts, "integration_error").  The observer starts from a zero estimate.
 
     derivative(system, observer, disturbance_at) builds the run's one
     right-hand side and its control hold, as joint_derivative does;
@@ -308,7 +353,7 @@ def run_closed_loop(system: ControlAffineSystem,
         hold(u)
         return u
 
-    y = np.concatenate([x, st.z])
+    y = x.tolist() + st.z.tolist()
     for k in range(cfg.n_steps + 1):
         t = cfg.t0 + k * cfg.dt
         d_true = disturbance_at(t)
@@ -330,21 +375,23 @@ def run_closed_loop(system: ControlAffineSystem,
         if k == cfg.n_steps:
             break
 
+        failure = None
         try:
             for j in range(cfg.substeps):
                 ts = t + j * dt_sub
                 if j > 0:
                     u = control_at(ts, x)
                 y = rk4_step(rhs, ts, y, dt_sub)
-                x = y[:n]
-                st.z = y[n:]
+                if math.hypot(*y) > cfg.blowup_norm:
+                    failure = "blowup"
+                    break
+                xz = np.array(y)
+                x, st.z = xz[:n], xz[n:]
         except IntegrationError:
+            failure = "integration_error"
+        if failure is not None:
             aborted = True
-            events.append((t, "integration_error"))
-            break
-        if float(np.linalg.norm(y)) > cfg.blowup_norm:
-            aborted = True
-            events.append((t, "blowup"))
+            events.append((ts, failure))
             break
 
     return TrajectoryLog(columns=columns,

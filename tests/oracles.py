@@ -1,7 +1,7 @@
 """Independent reference implementations that the tests check the library
 against: a grid-search QP, the arm's equations of motion solved with
-np.linalg.solve, the observer's right-hand side on its own, and a
-disturbance evaluated term by term."""
+np.linalg.solve, the observer's right-hand side on its own, a disturbance
+evaluated term by term, and classical RK4 on float64 arrays."""
 
 import numpy as np
 
@@ -59,6 +59,16 @@ def z_derivative(cfg: ObserverConfig, st: ObserverState,
     fx, G1, G2 = sys.evaluate(x)
     d_hat = estimate(cfg, st, x)
     return -cfg.gain_at(x) @ (fx + G1 @ u + G2 @ d_hat)
+
+
+def rk4_step_arrays(rhs, t: float, state: np.ndarray, dt: float) -> np.ndarray:
+    """One classical RK4 step written with NumPy array arithmetic; rhs(t, y)
+    takes and returns float64 arrays."""
+    k1 = rhs(t, state)
+    k2 = rhs(t + 0.5 * dt, state + 0.5 * dt * k1)
+    k3 = rhs(t + 0.5 * dt, state + 0.5 * dt * k2)
+    k4 = rhs(t + dt, state + dt * k3)
+    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def term_value(term: Term, t):

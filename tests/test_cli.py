@@ -144,6 +144,7 @@ IMPOSSIBLE_TUNINGS = [
     ("scalar-rel1", "params.alpha=0.9"),      # 4a - 2 gamma - 2 nu < 0
     ("doubleint-relr", "params.alpha=0.9"),   # 4a - 2 lambda_r - 2 nu < 0
     ("el2dof-dob", "params.alpha1=2"),        # 4 alpha1 mu1 - 2 gamma - 2 nu < 0
+    ("el2dof-dob", "params.constraint_omega=-1"),
     ("el2dof-robust", "params.d_max=-1"),
 ]
 

@@ -303,12 +303,26 @@ def test_el_filters_check_tuning_when_built():
                            eps_singular=eps)
 
 
+def test_terms_read_a_list_and_an_array_alike():
+    terms = to_control_affine(ARM).terms
+    rng = np.random.default_rng(3)
+    for x in rng.uniform(-4.0, 4.0, size=(50, 4)):
+        f_arr, B_arr, _ = terms(x)
+        f_list, B_list, G2 = terms(x.tolist())
+        assert G2 is B_list
+        assert f_list.tobytes() == f_arr.tobytes()
+        assert B_list.tobytes() == B_arr.tobytes()
+
+
 def test_to_control_affine_rejects_singular_inertia():
     # det M = sin(q2)^2/4 - 1e-12 for this arm: negative at q2 = 0
     arm = TwoLinkArm(m1=9.0 * (0.25 - 1.0 / 3.0 - 1e-12)).system()
     sys_ca = to_control_affine(arm)
-    with pytest.raises(ParameterError):
-        sys_ca.evaluate(np.array([0.3, 0.0, 1.0, -1.0]))
+    # the message shows q as plain floats, from an array as from a list
+    for x in (np.array([0.3, 0.0, 1.0, -1.0]), [0.3, 0.0, 1.0, -1.0]):
+        with pytest.raises(ParameterError, match=r"not positive definite "
+                           r"at q = \(0\.3, 0\.0\)$"):
+            sys_ca.evaluate(x)
     singular = ELSystem(mass=lambda q: np.ones((2, 2)),
                         coriolis=ARM.coriolis, gravity=ARM.gravity)
     with pytest.raises(ParameterError):
@@ -332,8 +346,9 @@ def test_arm_derivative_matches_equations_of_motion_and_observer():
     for i in range(n):
         rhs, hold = arm_derivative(sys_ca, cfg, lambda t, di=d[i]: di)
         hold(u[i])
-        dy = rhs(0.0, np.concatenate([q[i], qd[i], z[i]]))
-        assert dy.shape == (6,)
+        out = rhs(0.0, np.concatenate([q[i], qd[i], z[i]]).tolist())
+        assert type(out) is tuple and len(out) == 6
+        dy = np.array(out)
         assert np.array_equal(dy[:2], qd[i])
         accel = el_accel(ARM, q[i], qd[i], u[i], d[i])
         assert np.linalg.norm(dy[2:4] - accel) <= 1e-13 * np.linalg.norm(accel)
@@ -355,4 +370,4 @@ def test_arm_derivative_needs_the_arm_shapes():
                                 g2=lambda x: 2.0 * arm.g1(x))
     rhs, _ = arm_derivative(other, cfg, lambda t: np.ones(2))
     with pytest.raises(ParameterError):
-        rhs(0.0, np.array([0.3, 0.9, 1.0, -1.0, 0.0, 0.0]))
+        rhs(0.0, [0.3, 0.9, 1.0, -1.0, 0.0, 0.0])

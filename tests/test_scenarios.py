@@ -176,6 +176,15 @@ def test_arm_filter_is_built_from_the_scenario_observer():
     assert dec.psi0 == pytest.approx(expect, rel=1e-14)
 
 
+def test_arm_scenarios_check_only_the_tuning_their_filter_reads():
+    # constraint_omega enters only the observer-aware energy filter
+    bad = {"params": {"constraint_omega": -1.0}}
+    for name in ("el2dof-nofilter", "el2dof-robust"):
+        assert build({"scenario": name, **bad}).name == name
+    with pytest.raises(ConfigError):
+        build({"scenario": "el2dof-dob", **bad})
+
+
 def test_config_numbers_must_be_finite_numbers():
     arm, dint = "el2dof-dob", "doubleint-relr"
     for name, bad in ((arm, {"params": {"kp": float("nan")}}),

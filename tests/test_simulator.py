@@ -1,26 +1,31 @@
+import math
+
 import numpy as np
 import pytest
 
+from dobcbf import simulate
 from dobcbf.el import arm_derivative
+from dobcbf.filters import NoFilter
 from dobcbf.model import ParameterError
 from dobcbf.simulate import (DisturbanceSignal, SimConfig, Term,
                              TrajectoryLog, joint_derivative, metrics,
                              read_metrics, rk4_step, run_closed_loop,
                              write_metrics)
 import dobcbf.scenarios as scenarios
-from oracles import grid_max_norm, per_term_sum, term_derivative, term_value
+from oracles import (grid_max_norm, per_term_sum, rk4_step_arrays,
+                     term_derivative, term_value)
 
 
 def test_rk4_exponential_accuracy():
     # xdot = -x, one step of dt = 0.1 from x = 1
-    x = rk4_step(lambda t, y: -y, 0.0, np.array([1.0]), 0.1)
+    x = rk4_step(lambda t, y: [-v for v in y], 0.0, [1.0], 0.1)
     assert x[0] == pytest.approx(np.exp(-0.1), abs=1e-7)
 
 
 def test_rk4_harmonic_energy_drift():
     dt = 1e-3
-    y = np.array([1.0, 0.0])
-    rhs = lambda t, s: np.array([s[1], -s[0]])
+    y = [1.0, 0.0]
+    rhs = lambda t, s: (s[1], -s[0])
     for k in range(1000):
         y = rk4_step(rhs, k * dt, y, dt)
     energy = y[0] ** 2 + y[1] ** 2
@@ -30,17 +35,38 @@ def test_rk4_harmonic_energy_drift():
 def test_rk4_rejects_nonfinite():
     from dobcbf.simulate import IntegrationError
     with pytest.raises(IntegrationError):
-        rk4_step(lambda t, y: y * np.inf, 0.0, np.ones(1), 0.1)
+        rk4_step(lambda t, y: [v * np.inf for v in y], 0.0, [1.0], 0.1)
     # the verdict is np.isfinite's at the edges of float64, in the last entry
-    still = lambda t, y: np.zeros_like(y)  # the step returns the state
+    still = lambda t, y: [0.0] * len(y)  # the step returns the state
     for value in (np.nan, np.inf, -np.inf, -0.0, 5e-324,
                   1.7976931348623157e308, -1.7976931348623157e308):
-        state = np.array([1.0, -2.0, 3.0, value])
+        state = [1.0, -2.0, 3.0, value]
         if np.isfinite(value):
             assert np.array_equal(rk4_step(still, 0.0, state, 0.1), state)
         else:
             with pytest.raises(IntegrationError):
                 rk4_step(still, 0.0, state, 0.1)
+
+
+def test_rk4_step_is_the_array_step_bit_for_bit():
+    # y' = A y + t b on seeded data: the float step and the array step see
+    # the same stage values, so every entry of every step must be the same
+    # bits
+    rng = np.random.default_rng(11)
+    for n in range(1, 7):
+        for _ in range(5):
+            A = rng.normal(scale=3.0, size=(n, n))
+            b = rng.normal(size=n)
+            y0 = rng.normal(scale=10.0, size=n)
+            dt = float(rng.uniform(1e-4, 0.1))
+            ref = lambda t, y: A.dot(y) + t * b
+            rhs = lambda t, y: ref(t, np.array(y)).tolist()
+            got, want = y0.tolist(), y0
+            for k in range(10):
+                got = rk4_step(rhs, k * dt, got, dt)
+                want = rk4_step_arrays(ref, k * dt, want, dt)
+                assert type(got) is list and len(got) == n
+                assert np.array(got).tobytes() == want.tobytes()
 
 
 def test_logged_disturbance_is_exact_at_every_row():
@@ -171,7 +197,6 @@ def test_csv_precision(tmp_path):
 def test_blowup_aborts_with_partial_log():
     sc = scenarios.build({"scenario": "scalar-rel1", "sim": {"tf": 1.0}})
     # destabilize: positive feedback nominal, no filtering
-    from dobcbf.filters import NoFilter
     sc.safety = NoFilter(h_fn=lambda x: float(x[0]))
     sc.nominal = lambda t, x: np.array([50.0 * x[0]])
     cfg = sc.simcfg
@@ -183,6 +208,48 @@ def test_blowup_aborts_with_partial_log():
     assert len(log) >= 1
     assert any(name in ("blowup", "integration_error")
                for _, name in log.events)
+
+
+def test_blowup_stops_at_the_first_integration_step_past_the_norm(monkeypatch):
+    # a diverging scalar run at 4 substeps per logged step; rk4_step is
+    # counted through a wrapper on the module attribute, as the benchmark
+    # counts it, and the guard must stop the run after the first step whose
+    # state norm passes blowup_norm, also inside a logged step
+    sc = scenarios.build({"scenario": "scalar-rel1", "sim": {"tf": 1.0}})
+    sc.safety = NoFilter(h_fn=lambda x: float(x[0]))
+    sc.nominal = lambda t, x: np.array([50.0 * x[0]])
+    substeps = 4
+    norms, times = [], []
+    step = simulate.rk4_step
+
+    def counted(rhs, t, state, dt):
+        out = step(rhs, t, state, dt)
+        norms.append(math.hypot(*out))
+        times.append(t)
+        return out
+
+    monkeypatch.setattr(simulate, "rk4_step", counted)
+
+    def run(blowup_norm):
+        cfg = sc.simcfg
+        sc.simcfg = SimConfig(t0=cfg.t0, tf=cfg.tf, dt=cfg.dt,
+                              log_stride=cfg.log_stride, substeps=substeps,
+                              blowup_norm=blowup_norm)
+        norms.clear()
+        times.clear()
+        return sc.run()
+
+    run(1e300)
+    assert all(a < b for a, b in zip(norms, norms[1:]))  # a steady growth
+    # the second integration step of the time step k = 123, not a log row
+    first = 123 * substeps + 1
+    limit = 0.5 * (norms[first - 1] + norms[first])
+    log = run(limit)
+    assert log.aborted
+    assert len(norms) == first + 1
+    assert max(norms[:-1]) <= limit < norms[-1]
+    assert log.events[-1] == (times[-1], "blowup")
+    assert len(log) == first // (substeps * sc.simcfg.log_stride) + 1
 
 
 def test_metrics_roundtrip(tmp_path):
@@ -233,7 +300,7 @@ def test_packed_signal_matches_per_term_sum():
         grid = np.linspace(0.0, 20.0, 401)
         for t in grid:
             got = sig.value(t)
-            assert got.shape == (sig.dim,)
+            assert got.shape == (sig.dim,) and got.dtype == np.float64
             assert np.all(np.abs(got - per_term_sum(sig, t)) <= tol[False])
         for deriv in (False, True):
             assert abs(sig.max_norm(grid, derivative=deriv)
