@@ -40,11 +40,14 @@ def test_pairs_medians_wins_and_quartiles(tmp_path):
                   {"steps_per_s": b, "run_s": 2.0})
         write_run(change, "c" * 40, "arm-dob", seed,
                   {"steps_per_s": a, "run_s": 1.0})
-    # runs without a partner, and traced runs, are left out
+    # runs without a partner, and traced runs, are left out; a pair of
+    # another length is summarised on its own
     write_run(change, "c" * 40, "arm-dob", 99, {"steps_per_s": 1e9})
     write_run(parent, "p" * 40, "arm-dob", 1, {"steps_per_s": 0.0}, trace=1)
     write_run(parent, "p" * 40, "arm-dob", 6, {}, seconds=20.0)
     write_run(change, "c" * 40, "arm-dob", 6, {}, seconds=40.0)
+    write_run(parent, "p" * 40, "arm-dob", 7, {"steps_per_s": 1e9}, seconds=20.0)
+    write_run(change, "c" * 40, "arm-dob", 7, {"steps_per_s": 1.0}, seconds=20.0)
     out = tmp_path / "BENCH.json"
     assert bench_record.main(["--pr", "7", "--parent", str(parent), "--change",
                               str(change), "--tier1-seconds", "100.5",
@@ -53,7 +56,9 @@ def test_pairs_medians_wins_and_quartiles(tmp_path):
     assert (rec["pr"], rec["sha"], rec["parent_sha"]) == (7, "c" * 40, "p" * 40)
     assert (rec["python"], rec["numpy"], rec["nproc"]) == ("3.11.7", "2.4.6", 2)
     assert rec["tier1_s"] == 100.5
-    entry = rec["workloads"]["arm-dob"]
+    short, entry = rec["workloads"]
+    assert (short["seconds"], short["pairs"], short["seeds"]) == (20.0, 1, [7])
+    assert entry["workload"] == "arm-dob" and entry["seconds"] == 40.0
     assert entry["pairs"] == 5 and entry["seeds"] == [1, 2, 3, 4, 5]
     steps = entry["metrics"]["steps_per_s"]
     assert (steps["parent_median"], steps["change_median"]) == (11.0, 12.0)

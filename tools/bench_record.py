@@ -2,8 +2,8 @@
 
 Usage (from the root of a checkout):
 
-    python3 tools/bench_record.py --pr 11 --parent PARENT_CHECKOUT \
-        --change CHANGE_CHECKOUT --tier1-seconds 118.2
+    python3 tools/bench_record.py --pr N --parent PARENT_CHECKOUT \
+        --change CHANGE_CHECKOUT --tier1-seconds SECONDS
 
 PARENT_CHECKOUT and CHANGE_CHECKOUT are two checkouts in which
 `perfbench/run.py --trace 0` was run, alternating between them, once per
@@ -11,12 +11,13 @@ seed and workload; each run left
 `.perfbench_out/<workload>-seed<seed>-trace0/result.json` there.  A pair is
 a parent run and a change run of the same workload, seed and length
 (`--seconds`); a run without a partner is left out.  For each workload and
-each end-to-end metric that BENCHMARK.json declares, the record holds the
-parent and change medians over the pairs, the number of pairs, the number
-of pairs in which the change was better (in the metric's direction), the
-interquartile range of the parent's runs, and every pair's values.  It also
-holds the git SHA of each side, the Python and NumPy versions and CPU count
-that the runs report, and the Tier-1 wall time given on the command line.
+length, and each end-to-end metric that BENCHMARK.json declares, the record
+holds the parent and change medians over the pairs, the number of pairs,
+the number of pairs in which the change was better (in the metric's
+direction), the interquartile range of the parent's runs, and every pair's
+values.  It also holds the git SHA of each side, the Python and NumPy
+versions and CPU count that the runs report, and the Tier-1 wall time given
+on the command line.
 """
 
 from __future__ import annotations
@@ -73,13 +74,14 @@ def record(parent: dict, change: dict, metrics: list, tier1_s: float | None,
         "method": "alternating runs of perfbench/run.py --trace 0, one parent "
                   "and one change run per seed; medians over the pairs",
         "tier1_s": tier1_s,
-        "workloads": {},
+        "workloads": [],
     }
-    for workload in sorted({k[0] for k in keys}):
-        chosen = [(k, p, c) for k, (p, c) in zip(keys, pairs) if k[0] == workload]
-        entry = {"pairs": len(chosen),
+    for workload, seconds in sorted({(k[0], k[2]) for k in keys}):
+        chosen = [(k, p, c) for k, (p, c) in zip(keys, pairs)
+                  if (k[0], k[2]) == (workload, seconds)]
+        entry = {"workload": workload, "seconds": seconds,
+                 "pairs": len(chosen),
                  "seeds": [k[1] for k, _, _ in chosen],
-                 "seconds": sorted({k[2] for k, _, _ in chosen}),
                  "all_correct": all(r["result"]["correct"]
                                     for _, p, c in chosen for r in (p, c)),
                  "metrics": {}}
@@ -96,7 +98,7 @@ def record(parent: dict, change: dict, metrics: list, tier1_s: float | None,
                 "parent_iqr": quartile_range(before),
                 "parent": before, "change": after,
             }
-        out["workloads"][workload] = entry
+        out["workloads"].append(entry)
     return out
 
 
@@ -117,9 +119,10 @@ def main(argv=None) -> int:
                  args.tier1_seconds, args.pr)
     out = args.out or ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(rec, indent=1) + "\n")
-    for workload, entry in rec["workloads"].items():
+    for entry in rec["workloads"]:
         for name, m in entry["metrics"].items():
-            print(f"{workload:18s} {name:16s} {m['parent_median']:.6g} -> "
+            print(f"{entry['workload']:18s} {entry['seconds']:4g} s {name:16s} "
+                  f"{m['parent_median']:.6g} -> "
                   f"{m['change_median']:.6g} {m['unit']}  wins "
                   f"{m['change_wins']}/{m['pairs']}  parent IQR {m['parent_iqr']:.3g}")
     return 0
