@@ -2,7 +2,8 @@
 
 Subcommands:
   run <config.yaml>      simulate a scenario, write trajectory.csv,
-                         metrics.txt, validation.txt, and panel CSVs
+                         events.csv, metrics.txt, validation.txt, and
+                         panel CSVs
   validate <config.yaml> parameter and observer-gain checks only
   compare <dirA> <dirB>  paired deltas between two finished runs
 
@@ -88,11 +89,9 @@ def emit_plotdata(log: simulate.TrajectoryLog, outdir: str) -> list[str]:
     written = []
     for fname, cols in panels.items():
         path = os.path.join(outdir, fname)
-        names = list(cols)
-        with open(path, "w") as fh:
-            fh.write(",".join(names) + "\n")
-            for i in range(len(t)):
-                fh.write(",".join(f"{cols[c][i]:.14e}" for c in names) + "\n")
+        simulate.write_csv(path, list(cols),
+                           zip(*(col.tolist() for col in cols.values())),
+                           ["%.14e"] * len(cols))
         written.append(path)
     return written
 
@@ -116,6 +115,8 @@ def run_scenario(cfg: dict, outdir: str) -> int:
 
     log = scenario.run()
     log.to_csv(os.path.join(outdir, "trajectory.csv"))
+    simulate.write_csv(os.path.join(outdir, "events.csv"), ["t", "kind"],
+                       log.events, ["%.14e", "%s"])
     summary = scenario.metrics(log)
     summary["scenario"] = scenario.name
     summary["pairing_key"] = scenario.pairing_key

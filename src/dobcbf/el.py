@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -230,7 +230,7 @@ def to_control_affine(sys: ELSystem) -> ControlAffineSystem:
 
 
 def arm_derivative(system: ControlAffineSystem, observer: ObserverConfig,
-                   disturbance_at: Callable[[float], np.ndarray]):
+                   disturbance_at: Callable[[float], Sequence[float]]):
     """The simulator's joint derivative for a two-joint plant embedded by
     to_control_affine, in Python floats.
 
@@ -240,8 +240,9 @@ def arm_derivative(system: ControlAffineSystem, observer: ObserverConfig,
     embedding.  rhs(t, y) reads the stage state y, the list of six floats
     that rk4_step passes, as it is and returns a tuple of six floats.  Each
     stage calls system.evaluate(y[:4]) once, so the plant's shape,
-    finiteness and positive-definiteness checks stay; f, B and d(t) are
-    then read as floats, and the constant L_d when the run starts.  hold
+    finiteness and positive-definiteness checks stay; f and B are then read
+    as floats, d(t) is unpacked from the simulator's float list, and the
+    constant L_d is read when the run starts.  hold
     converts each decision's control to floats once.  The sums are written
     out for the fixed shapes, so a stage makes no NumPy product; a
     non-finite derivative is caught by rk4_step's check of the new state.
@@ -269,7 +270,7 @@ def arm_derivative(system: ControlAffineSystem, observer: ObserverConfig,
         f0, f1, f2, f3 = fx.tolist()
         (b00, b01), (b10, b11), (b20, b21), (b30, b31) = B.tolist()
         x0, x1, x2, x3, z0, z1 = y
-        d0, d1 = disturbance_at(t).tolist()
+        d0, d1 = disturbance_at(t)
         # f + B u, shared by the plant and the observer
         a0 = f0 + (b00 * u0 + b01 * u1)
         a1 = f1 + (b10 * u0 + b11 * u1)

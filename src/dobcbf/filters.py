@@ -150,12 +150,17 @@ class QpFilter:
         return Decision(psi0, lg1)
 
     def probe(self, x, e_d) -> dict:
-        s = s_sequence(self.system, self.barrier, x)
-        out = {"h": float(s[0]),
-               "hbar": self.params.beta * s[-1] - 0.5 * float(np.dot(e_d, e_d))}
-        if s.size > 1:  # s_0 = h needs no column of its own when r = 1
+        """h, the augmented barrier and (for r > 1) the cascade at x, for
+        the estimation error e_d (an array); the cascade and e_d . e_d are
+        read as Python floats."""
+        s = s_sequence(self.system, self.barrier, x).tolist()
+        e = e_d.tolist()
+        out = {"h": s[0],
+               "hbar": self.params.beta * s[-1]
+               - 0.5 * sum(map(operator.mul, e, e))}
+        if len(s) > 1:  # s_0 = h needs no column of its own when r = 1
             for k, val in enumerate(s):
-                out[f"s{k}"] = float(val)
+                out[f"s{k}"] = val
         return out
 
 

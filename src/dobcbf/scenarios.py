@@ -367,18 +367,28 @@ def _qp_family(cfg: dict, omega: float, system: ControlAffineSystem,
         decay_gamma=barrier.poles[-1])
 
 
+def _constant(entries) -> np.ndarray:
+    """A read-only float64 array, built once and returned by every call of
+    a callback whose value does not depend on the state; the plant and the
+    barrier still check it on every call."""
+    arr = np.array(entries, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
 def _scalar(cfg: dict, signal, simcfg, omega: float) -> dict:
     prm = cfg["params"]
     gain, target = float(prm["nominal_gain"]), float(prm["nominal_target"])
+    zero, eye, one = _constant([0.0]), _constant([[1.0]]), _constant([1.0])
     system = ControlAffineSystem(
         n=1, m=1, p=1,
-        f=lambda x: np.zeros(1),
-        g1=lambda x: np.eye(1),
-        g2=lambda x: np.eye(1))
+        f=lambda x: zero,
+        g1=lambda x: eye,
+        g2=lambda x: eye)
     barrier = BarrierSpec(h=lambda x: float(x[0]),
                           lie_f=(lambda x: 0.0,),
-                          lie_g1_fr=lambda x: np.ones(1),
-                          lie_g2_fr=lambda x: np.ones(1),
+                          lie_g1_fr=lambda x: one,
+                          lie_g2_fr=lambda x: one,
                           poles=(float(prm["gamma"]),))
     return _qp_family(cfg, omega, system, barrier, np.eye(1),
                       lambda t, x: np.array([gain * (target - x[0])]))
@@ -388,16 +398,17 @@ def _doubleint(cfg: dict, signal, simcfg, omega: float) -> dict:
     prm = cfg["params"]
     kp, kd = float(prm["nominal_kp"]), float(prm["nominal_kd"])
     target = float(prm["nominal_target"])
+    last, minus_one = _constant([[0.0], [1.0]]), _constant([-1.0])
     system = ControlAffineSystem(
         n=2, m=1, p=1,
         f=lambda x: np.array([x[1], 0.0]),
-        g1=lambda x: np.array([[0.0], [1.0]]),
-        g2=lambda x: np.array([[0.0], [1.0]]))
+        g1=lambda x: last,
+        g2=lambda x: last)
     barrier = BarrierSpec(
         h=lambda x: 1.0 - float(x[0]),
         lie_f=(lambda x: -float(x[1]), lambda x: 0.0),
-        lie_g1_fr=lambda x: np.array([-1.0]),
-        lie_g2_fr=lambda x: np.array([-1.0]),
+        lie_g1_fr=lambda x: minus_one,
+        lie_g2_fr=lambda x: minus_one,
         poles=tuple(float(v) for v in prm["poles"]))
     return _qp_family(cfg, omega, system, barrier, np.array([[0.0, 1.0]]),
                       lambda t, x: np.array([kp * (target - x[0]) - kd * x[1]]))

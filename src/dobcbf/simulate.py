@@ -12,10 +12,11 @@ the integrator and the hold need the finer step while logs and metrics stay
 on the dt grid.
 
 Each run builds one RK4 right-hand side with a derivative builder:
-`joint_derivative` serves any plant with NumPy products, and the arm
-scenarios pass `el.arm_derivative`, which computes the same quantity in
-Python floats for the two-joint plant.  Both evaluate the plant once per
-stage through `ControlAffineSystem.evaluate`, with its checks.
+`joint_derivative` serves any plant, and the arm scenarios pass
+`el.arm_derivative`, which writes the same quantity out for the two-joint
+plant.  Both evaluate the plant once per stage through
+`ControlAffineSystem.evaluate`, with its checks, and compute the rest in
+Python floats.
 
 The integration layer runs in Python floats: `rk4_step` takes and returns
 the joint state as a list, each right-hand side receives its stage state
@@ -23,12 +24,18 @@ as a list and returns a sequence of floats, and the blow-up guard takes
 the state's norm with math.hypot.  The loop builds one array per
 integration step, from which the decisions read x and z.  On states of a
 few entries a float sum costs less than a NumPy call, and rk4_step's
-results are the same bits as the array step's.
+results are the same bits as the array step's.  The disturbance is read
+as floats too: d(t) is evaluated once per distinct time and kept as a
+list, which both derivatives and the log read.  The log is one array,
+allocated for every row the run can log, and each logged row is assigned
+from a list of floats.  `write_csv` writes the log and every other CSV
+artifact with one %-format string per file.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -214,50 +221,74 @@ class TrajectoryLog:
         return self.data.shape[0]
 
     def to_csv(self, path) -> None:
-        """Write a fixed-header CSV with 15 significant digits per value."""
-        status_idx = self.columns.index("qp_status") if "qp_status" in self.columns else -1
-        with open(path, "w") as fh:
-            fh.write(",".join(self.columns) + "\n")
-            for row in self.data:
-                cells = []
-                for j, v in enumerate(row):
-                    if j == status_idx:
-                        cells.append(str(int(v)))
-                    else:
-                        cells.append(f"{v:.14e}")
-                fh.write(",".join(cells) + "\n")
+        """Write a fixed-header CSV with 15 significant digits per value
+        (qp_status as an integer), through write_csv."""
+        formats = ["%d" if name == "qp_status" else "%.14e"
+                   for name in self.columns]
+        write_csv(path, self.columns, (row.tolist() for row in self.data),
+                  formats)
+
+
+def write_csv(path, header: Sequence[str], rows, formats: Sequence[str]) -> None:
+    """Write a CSV file: the header line, then one line per row.
+
+    formats holds one %-format per column ("%.14e", "%d", "%s"); they are
+    joined into one format string for the file, and each row, a sequence
+    of one value per column, is formatted with it and written on its own,
+    so no list of the file's lines is built.
+    """
+    line = ",".join(formats) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(line % tuple(row))
 
 
 def joint_derivative(system: ControlAffineSystem, observer: ObserverConfig,
-                     disturbance_at: Callable[[float], np.ndarray]):
+                     disturbance_at: Callable[[float], Sequence[float]]):
     """Joint plant-and-observer derivative of any plant, for rk4_step.
 
     Returns (rhs, hold).  rhs(t, y) at y = [x; z] is
     [f + g1 u + g2 d(t); -L_d (f + g1 u + g2 (z + p(x)))] under the control
-    u last passed to hold, which the simulator calls once per decision;
-    f + g1 u is formed once per stage for both halves.  The stage list y is
-    converted to an array once, the products are NumPy products, and the
-    derivative is returned as a list.  The plant's outputs are checked by
-    system.evaluate and p(x) by observer.integral_at.
+    u last passed to hold, which the simulator calls once per decision and
+    which keeps u as floats; f + g1 u is formed once per stage for both
+    halves.  Each stage calls system.evaluate(y[:n]) once, so the plant's
+    callbacks receive the stage state as a list of floats and their
+    outputs keep every check; f, g1, g2 and d(t) are then read as floats,
+    the constant L_d as float rows when the run starts, and every product
+    is a float sum.  A non-finite p(x) = L_d x raises ValueError at the
+    stage, as observer.integral_at does; a non-finite derivative is caught
+    by rk4_step's check of the new state.
+
+    The traffic this serves is the scalar and double-integrator plants
+    (n <= 2, m = p = 1), on which a NumPy call costs more than the float
+    sums it would replace.
     """
-    n = system.n
+    n, evaluate = system.n, system.evaluate
+    mul, add, isfinite = operator.mul, operator.add, math.isfinite
+    gain = observer.gain.tolist()
     u = None
 
     def hold(control):
         nonlocal u
-        u = control
+        u = control.tolist()
 
     def rhs(t, y):
-        y = np.array(y)
-        xs = y[:n]
-        fx, G1, G2 = system.evaluate(xs)
-        drift = fx + G1.dot(u)
-        dx = drift + G2.dot(disturbance_at(t))
-        dy = np.empty(y.size)
-        dy[:n] = dx
-        dy[n:] = -observer.gain_at(xs).dot(
-            drift + G2.dot(y[n:] + observer.integral_at(xs)))
-        return dy.tolist()
+        x = y[:n]
+        fx, G1, G2 = evaluate(x)
+        px = [sum(map(mul, row, x)) for row in gain]
+        if not all(map(isfinite, px)):
+            raise ValueError(f"p(x): non-finite entries {np.array(px)}")
+        d = disturbance_at(t)
+        w = list(map(add, y[n:], px))  # z + p(x), the estimate
+        dy, v = [], []
+        for fi, row1, row2 in zip(fx.tolist(), G1.tolist(), G2.tolist()):
+            a = fi + sum(map(mul, row1, u))  # f + g1 u, shared by both halves
+            dy.append(a + sum(map(mul, row2, d)))
+            v.append(a + sum(map(mul, row2, w)))
+        for row in gain:
+            dy.append(-sum(map(mul, row, v)))
+        return dy
 
     return rhs, hold
 
@@ -283,10 +314,14 @@ def run_closed_loop(system: ControlAffineSystem,
     the start of that step, and returns the partial log, so a diverging
     estimate aborts as well as a diverging plant; a non-finite state gives
     (ts, "integration_error").  The observer starts from a zero estimate.
+    The log array is allocated once, with a row for every logged step
+    (each multiple of cfg.log_stride and the last step), and an aborted
+    run returns the rows it filled.
 
     derivative(system, observer, disturbance_at) builds the run's one
     right-hand side and its control hold, as joint_derivative does;
-    `el.arm_derivative` is the two-joint arm's float version.
+    `el.arm_derivative` is the two-joint arm's version.  disturbance_at(t)
+    returns d(t) as a list of floats.
     """
     x = as_vector(x0, system.n, "x0")
     st = initial_state(observer, x)
@@ -303,7 +338,9 @@ def run_closed_loop(system: ControlAffineSystem,
     extra_names = sorted(k for k in probe0 if k not in ("h", "hbar"))
     columns += extra_names
 
-    rows = []
+    n_rows = cfg.n_steps // cfg.log_stride + 1 + (cfg.n_steps % cfg.log_stride > 0)
+    data = np.empty((n_rows, len(columns)))
+    rows = 0
     events = []
     counts = {name: 0 for name in STATUS_CODES}
     aborted = False
@@ -311,14 +348,14 @@ def run_closed_loop(system: ControlAffineSystem,
     memo_t, memo_d = math.nan, None
 
     def disturbance_at(t):
-        """d(t), evaluated once per distinct time: RK4's two midpoint stages
-        share a time, a step's last stage usually meets the next step's
-        start, and the log reads d at the start of a step.  The memo holds
-        the last pair only and is keyed on exact float equality, so every
-        value is the one a fresh evaluation would give."""
+        """d(t) as a list of floats, evaluated once per distinct time: RK4's
+        two midpoint stages share a time, a step's last stage usually meets
+        the next step's start, and the log reads d at the start of a step.
+        The memo holds the last pair only and is keyed on exact float
+        equality, so every value is the one a fresh evaluation would give."""
         nonlocal memo_t, memo_d
         if t != memo_t:
-            memo_t, memo_d = t, disturbance.value(t)
+            memo_t, memo_d = t, disturbance.value(t).tolist()
         return memo_d
 
     rhs, hold = derivative(system, observer, disturbance_at)
@@ -362,15 +399,16 @@ def run_closed_loop(system: ControlAffineSystem,
         if k % cfg.log_stride == 0 or k == cfg.n_steps:
             e_d = d_hat - d_true
             probe = safety.probe(x, e_d)
-            psi0 = np.nan if dec.psi0 is None else dec.psi0
-            psi1_u = np.nan if dec.psi1 is None else float(np.dot(dec.psi1, u))
-            row = np.concatenate([
-                [t], x, u_nom, u, d_true, d_hat,
-                [float(np.linalg.norm(e_d)), probe.get("h", np.nan),
-                 probe.get("hbar", np.nan), psi0, psi1_u,
-                 STATUS_CODES[status]],
-                [probe[name] for name in extra_names]])
-            rows.append(row)
+            psi0 = math.nan if dec.psi0 is None else dec.psi0
+            psi1_u = math.nan if dec.psi1 is None else float(np.dot(dec.psi1, u))
+            # the Euclidean norm as np.linalg.norm takes it, sqrt(e_d . e_d)
+            data[rows] = ([t] + x.tolist() + u_nom.tolist() + u.tolist()
+                          + d_true + d_hat.tolist()
+                          + [math.sqrt(e_d.dot(e_d)), probe.get("h", math.nan),
+                             probe.get("hbar", math.nan), psi0, psi1_u,
+                             STATUS_CODES[status]]
+                          + [probe[name] for name in extra_names])
+            rows += 1
 
         if k == cfg.n_steps:
             break
@@ -395,7 +433,7 @@ def run_closed_loop(system: ControlAffineSystem,
             break
 
     return TrajectoryLog(columns=columns,
-                         data=np.array(rows),
+                         data=data[:rows],
                          events=events,
                          aborted=aborted,
                          status_counts=counts,

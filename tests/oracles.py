@@ -1,7 +1,9 @@
 """Independent reference implementations that the tests check the library
 against: a grid-search QP, the arm's equations of motion solved with
-np.linalg.solve, the observer's right-hand side on its own, a disturbance
-evaluated term by term, and classical RK4 on float64 arrays."""
+np.linalg.solve, the observer's right-hand side on its own, the joint
+plant-and-observer derivative with NumPy products, a disturbance evaluated
+term by term, classical RK4 on float64 arrays, and a CSV written cell by
+cell."""
 
 import numpy as np
 
@@ -97,3 +99,47 @@ def grid_max_norm(sig: DisturbanceSignal, t_grid, derivative: bool = False) -> f
     """max over t_grid of the Euclidean norm of per_term_sum."""
     vals = per_term_sum(sig, np.asarray(t_grid, dtype=float), derivative)
     return float(np.sqrt((vals ** 2).sum(axis=0)).max())
+
+
+def joint_derivative_arrays(system: ControlAffineSystem, cfg: ObserverConfig,
+                            disturbance_at):
+    """(rhs, hold) of the joint derivative
+    [f + g1 u + g2 d(t); -L_d (f + g1 u + g2 (z + p(x)))] with NumPy
+    products: the stage list is read as an array once, p(x) is checked by
+    integral_at, and the derivative is returned as a list.  disturbance_at
+    returns d(t) as an array."""
+    n = system.n
+    u = None
+
+    def hold(control):
+        nonlocal u
+        u = control
+
+    def rhs(t, y):
+        y = np.array(y)
+        xs = y[:n]
+        fx, G1, G2 = system.evaluate(xs)
+        drift = fx + G1.dot(u)
+        dy = np.empty(y.size)
+        dy[:n] = drift + G2.dot(disturbance_at(t))
+        dy[n:] = -cfg.gain_at(xs).dot(
+            drift + G2.dot(y[n:] + cfg.integral_at(xs)))
+        return dy.tolist()
+
+    return rhs, hold
+
+
+def csv_per_cell(columns, data, path) -> None:
+    """A CSV written value by value: the qp_status column as str(int(v)),
+    every other value as f"{v:.14e}"."""
+    status_idx = columns.index("qp_status") if "qp_status" in columns else -1
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in data:
+            cells = []
+            for j, v in enumerate(row):
+                if j == status_idx:
+                    cells.append(str(int(v)))
+                else:
+                    cells.append(f"{v:.14e}")
+            fh.write(",".join(cells) + "\n")

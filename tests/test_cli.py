@@ -10,6 +10,7 @@ import yaml
 
 import dobcbf
 from dobcbf import cli, scenarios
+from oracles import csv_per_cell
 
 
 def write_config(path, data):
@@ -34,7 +35,7 @@ def test_run_writes_artifacts(tmp_path, scalar_cfg):
     out = tmp_path / "out"
     rc = cli.main(["run", scalar_cfg, "--out", str(out)])
     assert rc == 0
-    for name in ("config.yaml", "trajectory.csv", "metrics.txt",
+    for name in ("config.yaml", "trajectory.csv", "events.csv", "metrics.txt",
                  "validation.txt"):
         assert (out / name).exists()
     # the persisted config is the fully resolved one and round-trips
@@ -64,6 +65,39 @@ def test_run_byte_identical_outputs(tmp_path, scalar_cfg):
     csv_a = (out_a / "trajectory.csv").read_bytes()
     csv_b = (out_b / "trajectory.csv").read_bytes()
     assert csv_a == csv_b
+
+
+def test_events_csv_has_one_row_per_event(tmp_path):
+    # a constraint-side omega far above the default makes psi0 < 0 while
+    # the arm is still slow, so the run starts with bypassed, flagged steps
+    cfg = {"scenario": "el2dof-dob", "sim": {"tf": 0.01},
+           "params": {"constraint_omega": 84.0}}
+    log = scenarios.build(cfg).run()
+    assert log.events
+    out = tmp_path / "out"
+    cli.run_scenario(cfg, str(out))
+    lines = (out / "events.csv").read_text().splitlines()
+    assert lines[0] == "t,kind" and len(lines) == len(log.events) + 1
+    assert lines[1:] == [f"{t:.14e},{kind}" for t, kind in log.events]
+    # the other artifacts are the ones the former per-cell writer gives
+    csv_per_cell(log.columns, log.data, tmp_path / "want.csv")
+    assert (out / "trajectory.csv").read_bytes() == \
+        (tmp_path / "want.csv").read_bytes()
+    panels = {"q1.csv": ["x0"], "q2.csv": ["x1"], "h.csv": ["h"],
+              "disturbance.csv": ["d0", "d1", "dhat0", "dhat1"],
+              "tau1.csv": ["u0"], "tau2.csv": ["u1"]}
+    for fname, names in panels.items():
+        header = (out / "plots" / fname).read_text().splitlines()[0]
+        data = np.stack([log.column(c) for c in ["t"] + names], axis=1)
+        csv_per_cell(header.split(","), data, tmp_path / "want.csv")
+        assert (out / "plots" / fname).read_bytes() == \
+            (tmp_path / "want.csv").read_bytes(), fname
+
+
+def test_event_free_run_writes_the_events_header_only(tmp_path, scalar_cfg):
+    out = tmp_path / "out"
+    assert cli.main(["run", scalar_cfg, "--out", str(out)]) == 0
+    assert (out / "events.csv").read_text() == "t,kind\n"
 
 
 def test_override_flag(tmp_path, scalar_cfg):

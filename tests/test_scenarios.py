@@ -213,3 +213,25 @@ def test_disturbance_channels_must_match_the_plant():
                        "disturbance": [[term]] * channels})
         assert build({"scenario": name, "sim": {"tf": 0.1},
                       "disturbance": [[term]] * p}).system.p == p
+
+
+def test_constant_plant_matrices_are_shared_and_read_only():
+    # the scalar and double-integrator callbacks whose value does not depend
+    # on the state return one read-only array; writing into it raises, and
+    # the plant still checks it on every evaluation
+    x = {"scalar-rel1": np.array([0.3]), "doubleint-relr": np.array([0.3, -0.2])}
+    for name in ("scalar-rel1", "doubleint-relr"):
+        sc = build({"scenario": name})
+        sys, bar = sc.system, sc.safety.barrier
+        callbacks = [sys.g1, sys.g2, bar.lie_g1_fr, bar.lie_g2_fr]
+        if name == "scalar-rel1":
+            callbacks.append(sys.f)
+        for fn in callbacks:
+            out = fn(x[name])
+            assert out is fn(-x[name]) and not out.flags.writeable
+            with pytest.raises(ValueError):
+                out[(0,) * out.ndim] = 5.0
+        fx, G1, G2 = sys.evaluate(x[name])
+        assert G1 is sys.g1(x[name]) and G2 is sys.g2(x[name])
+        with pytest.raises(ValueError):
+            G1[0, 0] = 5.0

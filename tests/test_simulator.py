@@ -6,14 +6,16 @@ import pytest
 from dobcbf import simulate
 from dobcbf.el import arm_derivative
 from dobcbf.filters import NoFilter
-from dobcbf.model import ParameterError
+from dobcbf.model import ControlAffineSystem, ParameterError
+from dobcbf.observer import ObserverConfig
 from dobcbf.simulate import (DisturbanceSignal, SimConfig, Term,
                              TrajectoryLog, joint_derivative, metrics,
                              read_metrics, rk4_step, run_closed_loop,
                              write_metrics)
 import dobcbf.scenarios as scenarios
-from oracles import (grid_max_norm, per_term_sum, rk4_step_arrays,
-                     term_derivative, term_value)
+from oracles import (csv_per_cell, grid_max_norm, joint_derivative_arrays,
+                     per_term_sum, rk4_step_arrays, term_derivative,
+                     term_value)
 
 
 def test_rk4_exponential_accuracy():
@@ -99,6 +101,99 @@ def test_arm_and_generic_derivatives_give_the_same_run():
         assert np.array_equal(np.isnan(a), np.isnan(g)), name
         a, g = a[~np.isnan(a)], g[~np.isnan(g)]
         assert np.all(np.abs(a - g) <= 1e-12 * np.max(np.abs(g), initial=0.0)), name
+
+
+def test_joint_derivative_is_the_numpy_one_bit_for_bit():
+    # on the scalar and double-integrator plants the float sums and the
+    # NumPy products see the same operands in the same order
+    rng = np.random.default_rng(12)
+    for name in ("scalar-rel1", "doubleint-relr"):
+        sc = scenarios.build({"scenario": name})
+        n = sc.system.n
+        value = sc.disturbance.value
+        rhs, hold = joint_derivative(sc.system, sc.observer_cfg,
+                                     lambda t: value(t).tolist())
+        ref, ref_hold = joint_derivative_arrays(sc.system, sc.observer_cfg,
+                                                value)
+        for _ in range(200):
+            t = float(rng.uniform(0.0, 20.0))
+            y = rng.normal(scale=3.0, size=n + 1).tolist()
+            u = rng.normal(scale=5.0, size=1)
+            hold(u)
+            ref_hold(u)
+            got = rhs(t, y)
+            assert type(got) is list and len(got) == n + 1
+            assert np.array(got).tobytes() == np.array(ref(t, y)).tobytes()
+
+
+def test_joint_derivative_agrees_on_a_linear_plant():
+    # a seeded plant with n = 4, m = p = 2 and a full gain: the sums run in
+    # another order than BLAS's, so the two agree to rounding
+    rng = np.random.default_rng(13)
+    A, B, E = (rng.normal(size=shape) for shape in ((4, 4), (4, 2), (4, 2)))
+    system = ControlAffineSystem(n=4, m=2, p=2, f=lambda x: A.dot(x),
+                                 g1=lambda x: B, g2=lambda x: E)
+    cfg = ObserverConfig(gain=rng.normal(size=(2, 4)), alpha=1.0)
+    d = {}
+    rhs, hold = joint_derivative(system, cfg, lambda t: d[t].tolist())
+    ref, ref_hold = joint_derivative_arrays(system, cfg, lambda t: d[t])
+    for _ in range(200):
+        t = float(rng.uniform(0.0, 20.0))
+        d[t] = rng.normal(scale=2.0, size=2)
+        y = rng.normal(scale=3.0, size=6).tolist()
+        u = rng.normal(scale=5.0, size=2)
+        hold(u)
+        ref_hold(u)
+        got, want = np.array(rhs(t, y)), np.array(ref(t, y))
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want).max())
+
+
+def test_joint_derivative_rejects_a_nonfinite_integral():
+    # p(x) = 2 x overflows at x = 1e308 on the scalar plant, whose f, g1
+    # and g2 are finite there
+    sc = scenarios.build({"scenario": "scalar-rel1"})
+    rhs, hold = joint_derivative(sc.system, sc.observer_cfg, lambda t: [0.0])
+    hold(np.zeros(1))
+    assert rhs(0.0, [1e307, 0.0])[1] == -4e307
+    with pytest.raises(ValueError, match=r"p\(x\): non-finite entries"):
+        rhs(0.0, [1e308, 0.0])
+
+
+def test_to_csv_matches_the_per_cell_writer(tmp_path):
+    # float64 edge values in every value column and every status code
+    edges = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+             1.7976931348623157e308, -1.7976931348623157e308, 1.0, -2.5e-7]
+    columns = ["t", "x0", "qp_status", "e_norm"]
+    rows = [[a, b, float(code), c]
+            for a, b, c, code in zip(edges, edges[::-1], edges[3:] + edges[:3],
+                                     [0, 1, 2, 3] * 3)]
+    log = TrajectoryLog(columns=columns, data=np.array(rows))
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    log.to_csv(got)
+    csv_per_cell(columns, log.data, want)
+    assert got.read_bytes() == want.read_bytes()
+    assert "nan" in got.read_text() and "-0.00000000000000e+00" in got.read_text()
+    # and a run's log, through the scenario's own columns
+    log = scenarios.build({"scenario": "doubleint-relr",
+                           "sim": {"tf": 0.2, "log_stride": 1}}).run()
+    log.to_csv(got)
+    csv_per_cell(log.columns, log.data, want)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_log_rows_when_the_stride_does_not_divide_the_steps():
+    # 100 steps at stride 7 log k = 0, 7, ..., 98 and the last step, 100;
+    # every row holds the same bits as the stride-1 log's row of that step
+    full = scenarios.build({"scenario": "doubleint-relr",
+                            "sim": {"tf": 0.1, "log_stride": 1}}).run()
+    assert len(full) == 101
+    for stride, steps in ((7, list(range(0, 100, 7)) + [100]),
+                          (10, list(range(0, 101, 10))),
+                          (100, [0, 100]), (150, [0, 100])):
+        log = scenarios.build({"scenario": "doubleint-relr",
+                               "sim": {"tf": 0.1, "log_stride": stride}}).run()
+        assert len(log) == len(steps)
+        assert log.data.tobytes() == full.data[steps].tobytes()
 
 
 def test_term_and_signal_derivatives():
