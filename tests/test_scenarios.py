@@ -217,8 +217,8 @@ def test_disturbance_channels_must_match_the_plant():
 
 def test_constant_plant_matrices_are_shared_and_read_only():
     # the scalar and double-integrator callbacks whose value does not depend
-    # on the state return one read-only array; writing into it raises, and
-    # the plant still checks it on every evaluation
+    # on the state return one read-only array, which evaluate passes on after
+    # its checks; writing into it raises
     x = {"scalar-rel1": np.array([0.3]), "doubleint-relr": np.array([0.3, -0.2])}
     for name in ("scalar-rel1", "doubleint-relr"):
         sc = build({"scenario": name})
