@@ -15,7 +15,7 @@ the generic joint derivative written out in Python floats for n = 4 and
 m = p = 2, still checking the plant through `evaluate` at every stage.  It
 reads the RK4 stage state, a list of six floats, as it is and returns a
 tuple; the embedding's `terms` reads its state as four Python floats,
-from a list or an array alike.
+from a list or an array alike, and returns f and B as tuples of floats.
 
 The 2-DOF planar arm used by the benchmark scenarios lives here as well.
 """
@@ -198,7 +198,9 @@ def to_control_affine(sys: ELSystem) -> ControlAffineSystem:
     definite at some q (a singular one included) raises ParameterError.
     The state, a list of four numbers or an array of four entries, is read
     into Python floats once, and M, C qdot + G, the inverse and the drift
-    are computed in floats; only f and B are arrays.
+    are computed in floats.  `terms` returns f as a tuple of four floats
+    and B = [0; M^-1] as a tuple of four row tuples, one object for both
+    the input and the disturbance channel, which evaluate checks in place.
     """
     mass, coriolis, gravity = sys.mass, sys.coriolis, sys.gravity
 
@@ -213,12 +215,9 @@ def to_control_affine(sys: ELSystem) -> ControlAffineSystem:
         g0, g1 = gravity(q)
         h0 = c11 * v0 + c12 * v1 + g0
         h1 = c21 * v0 + c22 * v1 + g1
-        # a new B per call: callers may keep the matrices they are given
-        B = np.zeros((4, 2))
-        B[2, 0], B[2, 1] = m22 / det, -m12 / det
-        B[3, 0], B[3, 1] = -m21 / det, m11 / det
-        f = np.array([v0, v1, (m12 * h1 - m22 * h0) / det,
-                      (m21 * h0 - m11 * h1) / det])
+        B = ((0.0, 0.0), (0.0, 0.0), (m22 / det, -m12 / det),
+             (-m21 / det, m11 / det))
+        f = (v0, v1, (m12 * h1 - m22 * h0) / det, (m21 * h0 - m11 * h1) / det)
         return f, B, B
 
     return ControlAffineSystem(
@@ -240,8 +239,8 @@ def arm_derivative(system: ControlAffineSystem, observer: ObserverConfig,
     embedding.  rhs(t, y) reads the stage state y, the list of six floats
     that rk4_step passes, as it is and returns a tuple of six floats.  Each
     stage calls system.evaluate(y[:4]) once, so the plant's shape,
-    finiteness and positive-definiteness checks stay; f and B are then read
-    as floats, d(t) is unpacked from the simulator's float list, and the
+    finiteness and positive-definiteness checks stay; f and B are unpacked
+    from evaluate's floats, d(t) from the simulator's memo, and the
     constant L_d is read when the run starts.  hold
     converts each decision's control to floats once.  The sums are written
     out for the fixed shapes, so a stage makes no NumPy product; a
@@ -267,8 +266,8 @@ def arm_derivative(system: ControlAffineSystem, observer: ObserverConfig,
         if G2 is not B:
             raise ParameterError(
                 "arm_derivative needs a plant whose evaluated g2 is its g1")
-        f0, f1, f2, f3 = fx.tolist()
-        (b00, b01), (b10, b11), (b20, b21), (b30, b31) = B.tolist()
+        f0, f1, f2, f3 = fx
+        (b00, b01), (b10, b11), (b20, b21), (b30, b31) = B
         x0, x1, x2, x3, z0, z1 = y
         d0, d1 = disturbance_at(t)
         # f + B u, shared by the plant and the observer

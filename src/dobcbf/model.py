@@ -34,6 +34,15 @@ class ParameterError(ValueError):
     """A tuning parameter violates its validity condition."""
 
 
+def _float_array(v, name: str, expected: str) -> np.ndarray:
+    """np.asarray(v, dtype=float); nesting that forms no array, such as
+    rows of unequal lengths, raises DimensionError with the output's name."""
+    try:
+        return np.asarray(v, dtype=float)
+    except ValueError as exc:
+        raise DimensionError(f"{name}: not a float array of {expected}: {exc}") from None
+
+
 def as_vector(v, dim: int, name: str = "vector") -> np.ndarray:
     """Coerce to a finite 1-D float array of the declared dimension.
 
@@ -43,7 +52,7 @@ def as_vector(v, dim: int, name: str = "vector") -> np.ndarray:
     every float64 without NumPy's per-call overhead on short vectors.
     """
     if not (type(v) is np.ndarray and v.dtype is _F64 and v.shape == (dim,)):
-        arr = np.asarray(v, dtype=float).reshape(-1)
+        arr = _float_array(v, name, f"dimension {dim}").reshape(-1)
         if arr.shape != (dim,):
             raise DimensionError(f"{name}: expected dimension {dim}, got shape {np.shape(v)}")
         v = arr
@@ -52,15 +61,45 @@ def as_vector(v, dim: int, name: str = "vector") -> np.ndarray:
     return v
 
 
-def as_floats(v, dim: int, name: str = "vector") -> list:
-    """The entries of as_vector(v, dim, name) as a list of Python floats,
-    with its checks and errors; a float64 array of shape (dim,) is read
-    with one tolist call and never copied into a new array."""
+def as_floats(v, dim: int, name: str = "vector"):
+    """The entries of as_vector(v, dim, name) as Python floats, with its
+    checks and errors.  A float64 array of shape (dim,) is read with one
+    tolist call and never copied into a new array; a tuple of dim finite
+    numbers is returned as it is; any other input is converted by
+    as_vector and returned as a list."""
     if type(v) is np.ndarray and v.dtype is _F64 and v.shape == (dim,):
         vals = v.tolist()
         if all(map(math.isfinite, vals)):
             return vals
+    elif type(v) is tuple and len(v) == dim:
+        try:
+            if all(map(math.isfinite, v)):
+                return v
+        except TypeError:  # an entry that is not a number: as_vector says why
+            pass
     return as_vector(v, dim, name).tolist()
+
+
+def _float_rows(mat, rows: int, cols: int, name: str):
+    """The entries of as_matrix(mat, rows, cols, name) as rows of Python
+    floats, with its checks and errors.  A tuple of rows tuples of cols
+    finite numbers each is returned as it is: the rows are joined into one
+    list as their lengths are checked, and the list is tested with
+    math.isfinite.  Any other input, or a tuple that fails a check, goes
+    through as_matrix and is returned as a list of lists."""
+    if type(mat) is tuple and len(mat) == rows:
+        flat = []
+        for row in mat:
+            if type(row) is not tuple or len(row) != cols:
+                break
+            flat += row
+        else:
+            try:
+                if all(map(math.isfinite, flat)):
+                    return mat
+            except TypeError:
+                pass
+    return as_matrix(mat, rows, cols, name).tolist()
 
 
 def as_matrix(mat, rows: int, cols: int, name: str = "matrix") -> np.ndarray:
@@ -68,7 +107,7 @@ def as_matrix(mat, rows: int, cols: int, name: str = "matrix") -> np.ndarray:
     rows*cols entries is reshaped.  Finiteness is tested as in as_vector."""
     if not (type(mat) is np.ndarray and mat.dtype is _F64
             and mat.shape == (rows, cols)):
-        mat = np.asarray(mat, dtype=float)
+        mat = _float_array(mat, name, f"shape ({rows}, {cols})")
         if mat.size == rows * cols:
             mat = mat.reshape(rows, cols)
         if mat.shape != (rows, cols):
@@ -85,7 +124,10 @@ class ControlAffineSystem:
     f maps state -> (n,), g1 maps state -> (n, m), g2 maps state -> (n, p).
     `terms`, when given, returns all three in one call; simulators use it to
     avoid recomputing shared quantities (e.g. the inertia matrix of an arm).
-    Callbacks must be pure and deterministic.
+    Callbacks must be pure and deterministic.  Each may return a tuple of
+    numbers (f) or a tuple of row tuples (g1, g2), which `evaluate` checks
+    and passes on as it is, or anything that as_vector/as_matrix accept,
+    such as an array, a list or a flat sequence of n*m entries.
     """
 
     n: int
@@ -100,29 +142,30 @@ class ControlAffineSystem:
         if min(self.n, self.m, self.p) < 1:
             raise ParameterError("system dimensions must be positive")
 
-    def drift(self, x) -> np.ndarray:
-        return as_vector(self.f(x), self.n, "f(x)")
-
-    def input_matrix(self, x) -> np.ndarray:
-        return as_matrix(self.g1(x), self.n, self.m, "g1(x)")
-
     def disturbance_matrix(self, x) -> np.ndarray:
         return as_matrix(self.g2(x), self.n, self.p, "g2(x)")
 
-    def evaluate(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(f, g1, g2) at x, using the fused callback when available.
+    def evaluate(self, x) -> tuple:
+        """(f, g1, g2) at x as Python floats, from the fused callback when
+        available.
 
-        Every output is checked for shape and finiteness; a fused callback
-        that returns one matrix for both channels (disturbance entering
-        through the input, as on the arm) has it checked once.
+        f is a sequence of n floats and g1, g2 are sequences of n rows of m
+        and p floats: a tuple output is checked in place (the length of f,
+        the number and length of the rows, math.isfinite on every entry)
+        and returned as it is, any other output is checked by as_vector or
+        as_matrix and returned as lists.  A wrong shape raises
+        DimensionError and a non-finite entry ValueError, each naming
+        f(x), g1(x) or g2(x).  An output returned for both channels (the
+        disturbance entering through the input, as on the arm) is checked
+        once, and evaluate then returns one object as g1 and g2.
         """
-        if self.terms is None:
-            return self.drift(x), self.input_matrix(x), self.disturbance_matrix(x)
-        fx, G1, G2 = self.terms(x)
-        g1 = as_matrix(G1, self.n, self.m, "g1(x)")
+        n = self.n
+        fx, G1, G2 = self.terms(x) if self.terms is not None \
+            else (self.f(x), self.g1(x), self.g2(x))
+        g1 = _float_rows(G1, n, self.m, "g1(x)")
         g2 = g1 if G2 is G1 and self.p == self.m \
-            else as_matrix(G2, self.n, self.p, "g2(x)")
-        return as_vector(fx, self.n, "f(x)"), g1, g2
+            else _float_rows(G2, n, self.p, "g2(x)")
+        return as_floats(fx, n, "f(x)"), g1, g2
 
 
 def coeffs_from_poles(poles: Sequence[float]) -> np.ndarray:

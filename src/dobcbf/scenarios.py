@@ -369,8 +369,9 @@ def _qp_family(cfg: dict, omega: float, system: ControlAffineSystem,
 
 def _constant(entries) -> np.ndarray:
     """A read-only float64 array, built once and returned by every call of
-    a callback whose value does not depend on the state; the plant and the
-    barrier still check it on every call."""
+    a barrier callback whose value does not depend on the state, which
+    lie_derivatives still checks on every call.  The plants' constant
+    callbacks return one tuple each, which evaluate checks in place."""
     arr = np.array(entries, dtype=float)
     arr.flags.writeable = False
     return arr
@@ -379,7 +380,7 @@ def _constant(entries) -> np.ndarray:
 def _scalar(cfg: dict, signal, simcfg, omega: float) -> dict:
     prm = cfg["params"]
     gain, target = float(prm["nominal_gain"]), float(prm["nominal_target"])
-    zero, eye, one = _constant([0.0]), _constant([[1.0]]), _constant([1.0])
+    zero, eye, one = (0.0,), ((1.0,),), _constant([1.0])
     system = ControlAffineSystem(
         n=1, m=1, p=1,
         f=lambda x: zero,
@@ -398,10 +399,10 @@ def _doubleint(cfg: dict, signal, simcfg, omega: float) -> dict:
     prm = cfg["params"]
     kp, kd = float(prm["nominal_kp"]), float(prm["nominal_kd"])
     target = float(prm["nominal_target"])
-    last, minus_one = _constant([[0.0], [1.0]]), _constant([-1.0])
+    last, minus_one = ((0.0,), (1.0,)), _constant([-1.0])
     system = ControlAffineSystem(
         n=2, m=1, p=1,
-        f=lambda x: np.array([x[1], 0.0]),
+        f=lambda x: (float(x[1]), 0.0),
         g1=lambda x: last,
         g2=lambda x: last)
     barrier = BarrierSpec(

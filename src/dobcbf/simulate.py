@@ -16,7 +16,7 @@ Each run builds one RK4 right-hand side with a derivative builder:
 `el.arm_derivative`, which writes the same quantity out for the two-joint
 plant.  Both evaluate the plant once per stage through
 `ControlAffineSystem.evaluate`, with its checks, and compute the rest in
-Python floats.
+Python floats from the floats it returns.
 
 The integration layer runs in Python floats: `rk4_step` takes and returns
 the joint state as a list, each right-hand side receives its stage state
@@ -25,10 +25,10 @@ the state's norm with math.hypot.  The loop builds one array per
 integration step, from which the decisions read x and z.  On states of a
 few entries a float sum costs less than a NumPy call, and rk4_step's
 results are the same bits as the array step's.  The disturbance is read
-as floats too: d(t) is evaluated once per distinct time and kept as a
-list, which both derivatives and the log read.  The log is one array,
-allocated for every row the run can log, and each logged row is assigned
-from a list of floats.  `write_csv` writes the log and every other CSV
+as floats too: d(t) is evaluated once per distinct time and kept as the
+tuple `DisturbanceSignal.value` returns, which both derivatives and the
+log read.  The log is one array, allocated for every row the run can
+log, and each logged row is assigned from a list of floats.  `write_csv` writes the log and every other CSV
 artifact with one %-format string per file.
 """
 
@@ -86,7 +86,8 @@ class DisturbanceSignal:
     a*math.sin(w*t + phi) per channel over (a, w, phi) triples read once
     from the same arrays, so the bounds are taken of the sum that the
     simulator applies and of its exact analytic derivative.  An empty
-    channel is a zero row, and a zero entry of `value`.
+    channel is a zero row, and a zero entry of `value`.  Code that does
+    arithmetic on `value`'s tuple wraps it with np.asarray.
     """
 
     channels: tuple
@@ -118,8 +119,8 @@ class DisturbanceSignal:
     def dim(self) -> int:
         return len(self.channels)
 
-    def value(self, t) -> np.ndarray:
-        """d(t) at one time t, as a float64 array of dim entries.
+    def value(self, t) -> tuple:
+        """d(t) at one time t, as a tuple of dim Python floats.
 
         Plain loops: on a few terms a comprehension per channel costs more
         than the sums it forms.
@@ -131,7 +132,7 @@ class DisturbanceSignal:
             for a, w, ph in channel:
                 total += a * sin(w * t + ph)
             out.append(total)
-        return np.array(out)
+        return tuple(out)
 
     def max_norm(self, t_grid, derivative: bool = False) -> float:
         """max over t_grid of ||d(t)||, or of ||ddot(t)|| with derivative.
@@ -254,9 +255,9 @@ def joint_derivative(system: ControlAffineSystem, observer: ObserverConfig,
     which keeps u as floats; f + g1 u is formed once per stage for both
     halves.  Each stage calls system.evaluate(y[:n]) once, so the plant's
     callbacks receive the stage state as a list of floats and their
-    outputs keep every check; f, g1, g2 and d(t) are then read as floats,
-    the constant L_d as float rows when the run starts, and every product
-    is a float sum.  A non-finite p(x) = L_d x raises ValueError at the
+    outputs keep every check; f, g1, g2 are read from evaluate's floats and
+    d(t) from the memo, the constant L_d as float rows when the run starts,
+    and every product is a float sum.  A non-finite p(x) = L_d x raises ValueError at the
     stage, as observer.integral_at does; a non-finite derivative is caught
     by rk4_step's check of the new state.
 
@@ -282,7 +283,7 @@ def joint_derivative(system: ControlAffineSystem, observer: ObserverConfig,
         d = disturbance_at(t)
         w = list(map(add, y[n:], px))  # z + p(x), the estimate
         dy, v = [], []
-        for fi, row1, row2 in zip(fx.tolist(), G1.tolist(), G2.tolist()):
+        for fi, row1, row2 in zip(fx, G1, G2):
             a = fi + sum(map(mul, row1, u))  # f + g1 u, shared by both halves
             dy.append(a + sum(map(mul, row2, d)))
             v.append(a + sum(map(mul, row2, w)))
@@ -321,7 +322,7 @@ def run_closed_loop(system: ControlAffineSystem,
     derivative(system, observer, disturbance_at) builds the run's one
     right-hand side and its control hold, as joint_derivative does;
     `el.arm_derivative` is the two-joint arm's version.  disturbance_at(t)
-    returns d(t) as a list of floats.
+    returns d(t) as a sequence of floats.
     """
     x = as_vector(x0, system.n, "x0")
     st = initial_state(observer, x)
@@ -348,14 +349,14 @@ def run_closed_loop(system: ControlAffineSystem,
     memo_t, memo_d = math.nan, None
 
     def disturbance_at(t):
-        """d(t) as a list of floats, evaluated once per distinct time: RK4's
+        """d(t) as a tuple of floats, evaluated once per distinct time: RK4's
         two midpoint stages share a time, a step's last stage usually meets
         the next step's start, and the log reads d at the start of a step.
         The memo holds the last pair only and is keyed on exact float
         equality, so every value is the one a fresh evaluation would give."""
         nonlocal memo_t, memo_d
         if t != memo_t:
-            memo_t, memo_d = t, disturbance.value(t).tolist()
+            memo_t, memo_d = t, disturbance.value(t)
         return memo_d
 
     rhs, hold = derivative(system, observer, disturbance_at)
@@ -403,7 +404,7 @@ def run_closed_loop(system: ControlAffineSystem,
             psi1_u = math.nan if dec.psi1 is None else float(np.dot(dec.psi1, u))
             # the Euclidean norm as np.linalg.norm takes it, sqrt(e_d . e_d)
             data[rows] = ([t] + x.tolist() + u_nom.tolist() + u.tolist()
-                          + d_true + d_hat.tolist()
+                          + [*d_true] + d_hat.tolist()
                           + [math.sqrt(e_d.dot(e_d)), probe.get("h", math.nan),
                              probe.get("hbar", math.nan), psi0, psi1_u,
                              STATUS_CODES[status]]

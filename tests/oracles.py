@@ -1,6 +1,6 @@
 """Independent reference implementations that the tests check the library
 against: a grid-search QP, the arm's equations of motion solved with
-np.linalg.solve, the observer's right-hand side on its own, the joint
+np.linalg.solve, the arm's plant terms as float64 arrays, the observer's right-hand side on its own, the joint
 plant-and-observer derivative with NumPy products, a disturbance evaluated
 term by term, classical RK4 on float64 arrays, and a CSV written cell by
 cell."""
@@ -53,12 +53,33 @@ def el_accel(sys: ELSystem, q, qd, tau, tau_d) -> np.ndarray:
         raise ParameterError(f"inertia matrix solve failed at q = {q}") from exc
 
 
+def arm_terms_arrays(sys: ELSystem, x):
+    """(f, B) of the embedding x = [q; qdot] as float64 arrays: the inertia,
+    C qdot + G and the closed-form inverse in Python floats, as
+    el.to_control_affine computes them, with B = [0; M^-1] assigned entry by
+    entry into a zero array and f built with np.array."""
+    q0, q1, v0, v1 = map(float, x)
+    q, qd = (q0, q1), (v0, v1)
+    (m11, m12), (m21, m22) = sys.mass(q)
+    det = m11 * m22 - m12 * m21
+    (c11, c12), (c21, c22) = sys.coriolis(q, qd)
+    g0, g1 = sys.gravity(q)
+    h0 = c11 * v0 + c12 * v1 + g0
+    h1 = c21 * v0 + c22 * v1 + g1
+    B = np.zeros((4, 2))
+    B[2, 0], B[2, 1] = m22 / det, -m12 / det
+    B[3, 0], B[3, 1] = -m21 / det, m11 / det
+    f = np.array([v0, v1, (m12 * h1 - m22 * h0) / det,
+                  (m21 * h0 - m11 * h1) / det])
+    return f, B
+
+
 def z_derivative(cfg: ObserverConfig, st: ObserverState,
                  sys: ControlAffineSystem, x, u) -> np.ndarray:
     """Right-hand side of the observer state, -L_d (f + g1 u + g2 d_hat)."""
     x = as_vector(x, sys.n, "x")
     u = as_vector(u, sys.m, "u")
-    fx, G1, G2 = sys.evaluate(x)
+    fx, G1, G2 = map(np.asarray, sys.evaluate(x))
     d_hat = estimate(cfg, st, x)
     return -cfg.gain_at(x) @ (fx + G1 @ u + G2 @ d_hat)
 
@@ -106,8 +127,8 @@ def joint_derivative_arrays(system: ControlAffineSystem, cfg: ObserverConfig,
     """(rhs, hold) of the joint derivative
     [f + g1 u + g2 d(t); -L_d (f + g1 u + g2 (z + p(x)))] with NumPy
     products: the stage list is read as an array once, p(x) is checked by
-    integral_at, and the derivative is returned as a list.  disturbance_at
-    returns d(t) as an array."""
+    integral_at, and the derivative is returned as a list.  evaluate's
+    floats and d(t), any sequence of floats, are read as arrays."""
     n = system.n
     u = None
 
@@ -118,10 +139,10 @@ def joint_derivative_arrays(system: ControlAffineSystem, cfg: ObserverConfig,
     def rhs(t, y):
         y = np.array(y)
         xs = y[:n]
-        fx, G1, G2 = system.evaluate(xs)
+        fx, G1, G2 = map(np.asarray, system.evaluate(xs))
         drift = fx + G1.dot(u)
         dy = np.empty(y.size)
-        dy[:n] = drift + G2.dot(disturbance_at(t))
+        dy[:n] = drift + G2.dot(np.asarray(disturbance_at(t)))
         dy[n:] = -cfg.gain_at(xs).dot(
             drift + G2.dot(y[n:] + cfg.integral_at(xs)))
         return dy.tolist()

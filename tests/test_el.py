@@ -10,7 +10,7 @@ from dobcbf.el import (ELFilterParams, ELQpFilter, ELRobustFilter, ELSystem,
 from dobcbf.model import ControlAffineSystem, ParameterError
 from dobcbf.observer import ObserverState, estimate
 from dobcbf.scenarios import ConfigError, build
-from oracles import el_accel, z_derivative
+from oracles import arm_terms_arrays, el_accel, z_derivative
 
 
 ARM = TwoLinkArm().system()
@@ -310,8 +310,25 @@ def test_terms_read_a_list_and_an_array_alike():
         f_arr, B_arr, _ = terms(x)
         f_list, B_list, G2 = terms(x.tolist())
         assert G2 is B_list
-        assert f_list.tobytes() == f_arr.tobytes()
-        assert B_list.tobytes() == B_arr.tobytes()
+        assert np.asarray(f_list).tobytes() == np.asarray(f_arr).tobytes()
+        assert np.asarray(B_list).tobytes() == np.asarray(B_arr).tobytes()
+
+
+def test_evaluate_floats_are_the_array_terms_bit_for_bit():
+    # evaluate passes the embedding's tuples on as they are, and their
+    # entries are the bits of the former array terms, including the elbow
+    # angles where the inertia is extreme
+    sys_ca = to_control_affine(ARM)
+    rng = np.random.default_rng(23)
+    x = np.hstack([rng.uniform(-math.pi, math.pi, size=(200, 2)),
+                   rng.uniform(-8.0, 8.0, size=(200, 2))])
+    x[0::4, 1], x[1::4, 1] = 0.0, math.pi
+    for xi in x:
+        fx, G1, G2 = sys_ca.evaluate(xi.tolist())
+        assert type(fx) is tuple and type(G1) is tuple and G2 is G1
+        f_ref, B_ref = arm_terms_arrays(ARM, xi)
+        assert np.array(fx).tobytes() == f_ref.tobytes()
+        assert np.array(G1).tobytes() == B_ref.tobytes()
 
 
 def test_to_control_affine_rejects_singular_inertia():
@@ -367,7 +384,7 @@ def test_arm_derivative_needs_the_arm_shapes():
     # its input matrix, has the right shapes but a g2 the kernel cannot use
     arm = to_control_affine(ARM)
     other = ControlAffineSystem(n=4, m=2, p=2, f=arm.f, g1=arm.g1,
-                                g2=lambda x: 2.0 * arm.g1(x))
+                                g2=lambda x: 2.0 * np.asarray(arm.g1(x)))
     rhs, _ = arm_derivative(other, cfg, lambda t: np.ones(2))
     with pytest.raises(ParameterError):
         rhs(0.0, [0.3, 0.9, 1.0, -1.0, 0.0, 0.0])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -69,8 +71,8 @@ def test_system_dimension_validation():
         f=lambda x: np.zeros(3),  # wrong on purpose
         g1=lambda x: np.zeros((2, 1)),
         g2=lambda x: np.zeros((2, 1)))
-    with pytest.raises(DimensionError):
-        sys.drift(np.zeros(2))
+    with pytest.raises(DimensionError, match=r"f\(x\)"):
+        sys.evaluate(np.zeros(2))
 
 
 def test_fused_terms_match_individual_callbacks():
@@ -80,6 +82,94 @@ def test_fused_terms_match_individual_callbacks():
     x = np.array([0.3, -1.2])
     for a, b in zip(sys.evaluate(x), fused.evaluate(x)):
         assert np.allclose(a, b)
+
+
+#: a plant with n = 3, m = 2 and p = 2 whose two matrices are distinct, so
+#: that evaluate checks each of them
+F = (0.5, -1.5, 2.0)
+G1 = ((1.0, 0.0), (0.0, 1.0), (0.5, -0.5))
+G2 = ((2.0, 1.0), (-1.0, 3.0), (0.25, 4.0))
+
+
+def plants(f, g1, g2):
+    """The outputs as one fused callback, and as three separate ones."""
+    fused = ControlAffineSystem(n=3, m=2, p=2, f=lambda x: f, g1=lambda x: g1,
+                                g2=lambda x: g2, terms=lambda x: (f, g1, g2))
+    separate = ControlAffineSystem(n=3, m=2, p=2, f=lambda x: f,
+                                   g1=lambda x: g1, g2=lambda x: g2)
+    return fused, separate
+
+
+def as_kind(entries, kind):
+    """entries (a vector, or rows that may be ragged) as a tuple, a list or
+    an array; None when an array cannot hold them."""
+    if kind == "array":
+        try:
+            return np.array(entries, dtype=float)
+        except ValueError:
+            return None
+    wrap = tuple if kind == "tuple" else list
+    return wrap(wrap(row) if isinstance(row, tuple) else row for row in entries)
+
+
+def faulty_outputs():
+    """(name, error, faulty f, g1 and g2): a non-finite last entry of f, of
+    g1's last row and of g2's last row; and for each matrix a short row (all
+    rows one entry short), a ragged row (one short, one long, the total
+    right), one row too few and one row too many."""
+    out = []
+    for bad in (np.nan, np.inf, -np.inf):
+        out.append(("f(x)", ValueError, F[:-1] + (bad,), G1, G2))
+        for name, mat in (("g1(x)", G1), ("g2(x)", G2)):
+            last = mat[:-1] + (mat[-1][:-1] + (bad,),)
+            g1, g2 = (last, G2) if name == "g1(x)" else (G1, last)
+            out.append((name, ValueError, F, g1, g2))
+    for name, mat in (("g1(x)", G1), ("g2(x)", G2)):
+        shapes = (tuple(row[:-1] for row in mat),
+                  (mat[0] + (1.0,),) + mat[1:-1] + (mat[-1][:-1],),
+                  mat[:-1],
+                  mat + (mat[-1],))
+        for bad in shapes:
+            g1, g2 = (bad, G2) if name == "g1(x)" else (G1, bad)
+            out.append((name, DimensionError, F, g1, g2))
+    out.append(("f(x)", DimensionError, F[:-1], G1, G2))
+    out.append(("f(x)", DimensionError, F + (1.0,), G1, G2))
+    return out
+
+
+def test_evaluate_returns_checked_floats():
+    x = np.zeros(3)
+    for kind in ("tuple", "list", "array"):
+        f, g1, g2 = (as_kind(v, kind) for v in (F, G1, G2))
+        for sys in plants(f, g1, g2):
+            fx, H1, H2 = sys.evaluate(x)
+            assert np.array(fx).tobytes() == np.array(F).tobytes()
+            assert np.array(H1).tobytes() == np.array(G1).tobytes()
+            assert np.array(H2).tobytes() == np.array(G2).tobytes()
+            entries = [*fx] + [v for row in (*H1, *H2) for v in row]
+            assert all(type(v) is float for v in entries)
+            if kind == "tuple":  # passed on as they are
+                assert fx is f and H1 is g1 and H2 is g2
+        # one output for both channels is checked once and returned as both
+        for sys in plants(f, g1, g1):
+            _, H1, H2 = sys.evaluate(x)
+            assert H1 is H2
+
+
+def test_evaluate_rejects_nonfinite_and_misshapen_outputs():
+    x = np.zeros(3)
+    for name, error, *outputs in faulty_outputs():
+        for kind in ("tuple", "list", "array"):
+            given = [as_kind(v, kind) for v in outputs]
+            if any(v is None for v in given):
+                continue  # a ragged matrix is no array
+            match = re.escape(name) + (": non-finite" if error is ValueError
+                                       else ":")
+            for sys in plants(*given):
+                with pytest.raises(error, match=match) as info:
+                    sys.evaluate(x)
+                if error is ValueError:
+                    assert type(info.value) is ValueError
 
 
 def scalar_barrier(gamma=1.0):

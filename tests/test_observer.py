@@ -98,8 +98,8 @@ def test_constant_disturbance_error_decays_at_kappa_rate():
     def rhs(t, y):
         xs, zs = y[:1], y[1:]
         stt = ObserverState(zs)
-        dx = sys.drift(xs) + sys.input_matrix(xs) @ u \
-            + sys.disturbance_matrix(xs) @ np.array([d])
+        fx, G1, G2 = map(np.asarray, sys.evaluate(xs))
+        dx = fx + G1 @ u + G2 @ np.array([d])
         dz = z_derivative(cfg, stt, sys, xs, u)
         return np.concatenate([dx, dz])
 

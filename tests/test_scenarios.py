@@ -65,7 +65,8 @@ def test_arm_robust_dmax_derived():
     assert "d_max" in sc.constants
     sig = sc.disturbance
     grid = np.linspace(0.0, 20.0, 100001)
-    norms = np.linalg.norm(np.stack([sig.value(t) for t in grid[::1000]]),
+    norms = np.linalg.norm(np.stack([np.asarray(sig.value(t))
+                                     for t in grid[::1000]]),
                            axis=1)
     assert sc.constants["d_max"] >= norms.max() - 1e-6
 
@@ -216,22 +217,25 @@ def test_disturbance_channels_must_match_the_plant():
 
 
 def test_constant_plant_matrices_are_shared_and_read_only():
-    # the scalar and double-integrator callbacks whose value does not depend
-    # on the state return one read-only array, which evaluate passes on after
-    # its checks; writing into it raises
+    # the scalar and double-integrator plants' callbacks whose value does not
+    # depend on the state return one tuple each, the same object for g1 and
+    # g2, which evaluate passes on after its checks; the barrier's return one
+    # read-only array, and writing into it raises
     x = {"scalar-rel1": np.array([0.3]), "doubleint-relr": np.array([0.3, -0.2])}
     for name in ("scalar-rel1", "doubleint-relr"):
         sc = build({"scenario": name})
         sys, bar = sc.system, sc.safety.barrier
-        callbacks = [sys.g1, sys.g2, bar.lie_g1_fr, bar.lie_g2_fr]
+        plant = [sys.g1, sys.g2]
         if name == "scalar-rel1":
-            callbacks.append(sys.f)
-        for fn in callbacks:
+            plant.append(sys.f)
+        for fn in plant:
+            out = fn(x[name])
+            assert type(out) is tuple and out is fn(-x[name])
+        assert sys.g1(x[name]) is sys.g2(x[name])
+        for fn in (bar.lie_g1_fr, bar.lie_g2_fr):
             out = fn(x[name])
             assert out is fn(-x[name]) and not out.flags.writeable
             with pytest.raises(ValueError):
-                out[(0,) * out.ndim] = 5.0
+                out[0] = 5.0
         fx, G1, G2 = sys.evaluate(x[name])
-        assert G1 is sys.g1(x[name]) and G2 is sys.g2(x[name])
-        with pytest.raises(ValueError):
-            G1[0, 0] = 5.0
+        assert G1 is G2 is sys.g1(x[name])
