@@ -1,9 +1,9 @@
 """Independent reference implementations that the tests check the library
 against: a grid-search QP, the arm's equations of motion solved with
-np.linalg.solve, the arm's plant terms as float64 arrays, the observer's right-hand side on its own, the joint
-plant-and-observer derivative with NumPy products, a disturbance evaluated
-term by term, classical RK4 on float64 arrays, and a CSV written cell by
-cell."""
+np.linalg.solve, the arm's plant terms as float64 arrays, the observer's
+right-hand side on its own, the joint plant-and-observer derivative with
+NumPy products, a disturbance evaluated term by term, classical RK4 on
+float64 arrays, and a CSV written cell by cell."""
 
 import numpy as np
 
