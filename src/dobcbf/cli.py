@@ -10,11 +10,12 @@ Subcommands:
 Exit codes: 0 pass, 1 certified-run invariant failure (or, for validate,
 a failed check), 2 configuration error (including a number that is not
 finite or not a number, a filter tuning for which the constraint does not
-exist, and a negative d_max), 3 numerical failure: blow-up, non-finite
-integration, or a ValueError or ArithmeticError raised by the validation
-checks (`run` and `validate`) or while simulating, such as a singular
-inertia matrix or an overflow.  Exit codes 2 and 3 print one line on
-stderr.
+exist, a negative d_max, a config path that is missing, a directory or not
+UTF-8 text, an output path that is a file, and a log too large to
+allocate), 3 numerical failure: blow-up, non-finite integration, or a
+ValueError or ArithmeticError raised by the validation checks (`run` and
+`validate`) or while simulating, such as a singular inertia matrix or an
+overflow.  Exit codes 2 and 3 print one line on stderr.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .scenarios import ConfigError
 
 
 def load_config(path: str) -> dict:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         raw = yaml.safe_load(fh)
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected a mapping at top level")
@@ -206,7 +207,8 @@ def main(argv=None) -> int:
                 return 0 if all(r.passed for r in reports.values()) else 1
             if args.command == "compare":
                 return compare(args.dir_a, args.dir_b, args.out)
-        except (ConfigError, FileNotFoundError, yaml.YAMLError) as exc:
+        except (ConfigError, OSError, UnicodeDecodeError, MemoryError,
+                yaml.YAMLError) as exc:
             print(f"configuration error: {exc}", file=sys.stderr)
             return 2
         except (simulate.IntegrationError, ValueError, ArithmeticError) as exc:

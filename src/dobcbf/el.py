@@ -9,13 +9,11 @@ coercivity constant is alpha1*mu1, and reads alpha and nu from it once.
 The constraint row is psi1 = -qdot, which vanishes at qdot = 0; both energy
 filters return through `guarded_decision`, which bypasses the QP there.
 `violation_floor` bounds the barrier when the disturbance-derivative term
-is withheld (omega = 0 in the constraint).  `arm_derivative` is the
-simulator's right-hand side for the embedded plant and its observer:
-the generic joint derivative written out in Python floats for n = 4 and
-m = p = 2, still checking the plant through `evaluate` at every stage.  It
-reads the RK4 stage state, a list of six floats, as it is and returns a
-tuple; the embedding's `terms` reads its state as four Python floats,
-from a list or an array alike, and returns f and B as tuples of floats.
+is withheld (omega = 0 in the constraint).  The filters, the PD law and
+the embedding's `terms` return Python floats.  `arm_derivative` is the
+simulator's right-hand side for the embedded plant and its observer: the
+generic joint derivative written out in Python floats for n = 4 and
+m = p = 2, still checking the plant through `evaluate` at every stage.
 
 The 2-DOF planar arm used by the benchmark scenarios lives here as well.
 """
@@ -135,7 +133,7 @@ def violation_floor(fp: ELFilterParams, nu: float, omega: float, t):
 
 
 def guarded_decision(eps_singular: float, qd, psi0: float,
-                     psi1: np.ndarray) -> Decision:
+                     psi1: Sequence[float]) -> Decision:
     """Decision of an energy filter, bypassing the QP near qdot = 0.
 
     Below the speed threshold the row psi1 = -qdot vanishes and the nominal
@@ -149,11 +147,12 @@ def guarded_decision(eps_singular: float, qd, psi0: float,
                     "singular_infeasible" if psi0 < 0 else None)
 
 
-def pd_nominal(Kp, Kd, q, qd, q_des, qd_des, gravity=None) -> np.ndarray:
+def pd_nominal(Kp, Kd, q, qd, q_des, qd_des, gravity=None) -> tuple:
     """PD tracking law of a 2-DOF arm, optionally with gravity compensation.
 
     The 2x2 gains and every vector may be nested sequences of numbers or
-    arrays; the law is computed in Python floats.  The gains are not
+    arrays; the law is formed entry by entry and returned as a tuple
+    (tau1, tau2), of Python floats when the entries are.  The gains are not
     checked here: callers validate them once, where they are configured
     (the arm scenarios reject kp, kd <= 0 at build time).
     """
@@ -165,7 +164,7 @@ def pd_nominal(Kp, Kd, q, qd, q_des, qd_des, gravity=None) -> np.ndarray:
     tau1 = (p21 * e0 + p22 * e1) + (d21 * w0 + d22 * w1)
     if gravity is not None:
         tau0, tau1 = tau0 + gravity[0], tau1 + gravity[1]
-    return np.array((tau0, tau1))
+    return tau0, tau1
 
 
 def validate_el_params(filt: ELQpFilter, x0, e0_norm: float) -> ParamReport:
@@ -237,14 +236,12 @@ def arm_derivative(system: ControlAffineSystem, observer: ObserverConfig,
     same quantity, [f + B u + B d(t); -L_d (f + B u + B (z + L_d x))], with
     the disturbance entering through the input matrix B as in the
     embedding.  rhs(t, y) reads the stage state y, the list of six floats
-    that rk4_step passes, as it is and returns a tuple of six floats.  Each
-    stage calls system.evaluate(y[:4]) once, so the plant's shape,
-    finiteness and positive-definiteness checks stay; f and B are unpacked
-    from evaluate's floats, d(t) from the simulator's memo, and the
-    constant L_d is read when the run starts.  hold
-    converts each decision's control to floats once.  The sums are written
-    out for the fixed shapes, so a stage makes no NumPy product; a
-    non-finite derivative is caught by rk4_step's check of the new state.
+    that rk4_step passes, and returns a tuple of six floats.  Each stage
+    calls system.evaluate(y[:4]) once, so the plant's shape, finiteness and
+    positive-definiteness checks stay; L_d is read when the run starts, and
+    hold unpacks each decision's control, two floats.  The sums are written
+    out for the fixed shapes; a non-finite derivative is caught by
+    rk4_step's check of the new state.
     A plant or gain of other dimensions raises ParameterError when the run
     starts, and a stage whose evaluated g2 is not its g1 (the same object,
     as the embedding returns it) raises ParameterError there.
@@ -259,7 +256,7 @@ def arm_derivative(system: ControlAffineSystem, observer: ObserverConfig,
 
     def hold(u):
         nonlocal u0, u1
-        u0, u1 = u.tolist()
+        u0, u1 = u
 
     def rhs(t, y):
         fx, B, G2 = evaluate(y[:4])
@@ -328,11 +325,12 @@ class ELQpFilter:
         self.omega_term = params.omega ** 2 / (2.0 * observer.nu)
 
     def constraint(self, t, x, u_nom, d_hat) -> Decision:
-        """The constraint row at x for the estimate d_hat; psi1 is -qdot.
+        """The constraint row at x for the estimate d_hat; psi1 is the
+        tuple -qdot.
 
-        The two halves of x, d_hat and grad_hq(q) are each checked once and
-        read as Python floats, so x is checked once; h_q and grad_hq
-        receive q as a list of two floats.
+        The two halves of x, d_hat and grad_hq(q) are each checked once by
+        as_floats, so x is checked once; h_q and grad_hq receive q as two
+        Python floats, and every term is a float.
         """
         fp, sys = self.params, self.sys
         q = as_floats(x[:2], 2, "q")
@@ -346,7 +344,7 @@ class ELQpFilter:
                 - (v0 * v0 + v1 * v1) / self.denom
                 + fp.gamma * (fp.beta * float(self.h_q(q))
                               - kinetic_energy(sys, q, qd)))
-        return guarded_decision(fp.eps_singular, qd, psi0, np.array((-v0, -v1)))
+        return guarded_decision(fp.eps_singular, qd, psi0, (-v0, -v1))
 
     def probe(self, x, e_d) -> dict:
         x = as_vector(x, 4, "x")
@@ -391,7 +389,7 @@ class ELRobustFilter:
                 - math.sqrt(v0 * v0 + v1 * v1) * self.d_max
                 + self.gamma * (self.beta * float(self.h_q(q))
                                 - kinetic_energy(sys, q, qd)))
-        return guarded_decision(self.eps_singular, qd, psi0, np.array((-v0, -v1)))
+        return guarded_decision(self.eps_singular, qd, psi0, (-v0, -v1))
 
     def probe(self, x, e_d) -> dict:
         x = as_vector(x, 4, "x")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -99,10 +99,11 @@ def validate_params(filt: QpFilter, s_values, e0_norm: float) -> ParamReport:
 
 
 class Decision(NamedTuple):
-    """Outcome of a filter's constraint construction at one control step."""
+    """Outcome of a filter's constraint construction at one control step;
+    psi1 is a sequence of Python floats."""
 
     psi0: float | None
-    psi1: np.ndarray | None
+    psi1: Sequence[float] | None
     bypass: bool = False
     event: str | None = None
 
@@ -135,25 +136,23 @@ class QpFilter:
         Every term comes from the barrier's Lie chain, none from the plant.
         x is checked once, by lie_derivatives, and the cascade's lower-order
         terms L_f^k h (k < r) are read at the same x; d_hat is checked here.
-        The products of the Lie terms with d_hat and the cascade weights are
-        sums over Python floats.
+        Every term is a Python float, and psi1 is the checked
+        L_g1 L_f^{r-1} h as lie_derivatives returns it.
         """
         bar = self.barrier
-        lfr, lg1, lg2 = lie_derivatives(self.system, bar, x)
+        lfr, lg1, b = lie_derivatives(self.system, bar, x)
         d_hat = as_floats(d_hat, self.system.p, "d_hat")
-        b = lg2.tolist()
         eta = [bar.lie_f_value(k, x) for k in range(bar.relative_degree - 1, -1, -1)]
         psi0 = (lfr + sum(map(operator.mul, b, d_hat))
                 - self.omega_term
                 - self.params.beta * sum(map(operator.mul, b, b)) / self.denom
-                + sum(map(operator.mul, bar.cascade[-1].tolist(), eta)))
+                + sum(map(operator.mul, bar.cascade[-1], eta)))
         return Decision(psi0, lg1)
 
     def probe(self, x, e_d) -> dict:
         """h, the augmented barrier and (for r > 1) the cascade at x, for
-        the estimation error e_d (an array); the cascade and e_d . e_d are
-        read as Python floats."""
-        s = s_sequence(self.system, self.barrier, x).tolist()
+        the estimation error e_d (an array); e_d . e_d is a float sum."""
+        s = s_sequence(self.system, self.barrier, x)
         e = e_d.tolist()
         out = {"h": s[0],
                "hbar": self.params.beta * s[-1]

@@ -63,20 +63,20 @@ def as_vector(v, dim: int, name: str = "vector") -> np.ndarray:
 
 def as_floats(v, dim: int, name: str = "vector"):
     """The entries of as_vector(v, dim, name) as Python floats, with its
-    checks and errors.  A float64 array of shape (dim,) is read with one
-    tolist call and never copied into a new array; a tuple of dim finite
-    numbers is returned as it is; any other input is converted by
+    checks and errors.  A list or tuple of dim finite numbers is returned
+    as it is; a float64 array of shape (dim,) is read with one tolist call
+    and never copied into a new array; any other input is converted by
     as_vector and returned as a list."""
-    if type(v) is np.ndarray and v.dtype is _F64 and v.shape == (dim,):
-        vals = v.tolist()
-        if all(map(math.isfinite, vals)):
-            return vals
-    elif type(v) is tuple and len(v) == dim:
+    if (type(v) is list or type(v) is tuple) and len(v) == dim:
         try:
             if all(map(math.isfinite, v)):
                 return v
         except TypeError:  # an entry that is not a number: as_vector says why
             pass
+    elif type(v) is np.ndarray and v.dtype is _F64 and v.shape == (dim,):
+        vals = v.tolist()
+        if all(map(math.isfinite, vals)):
+            return vals
     return as_vector(v, dim, name).tolist()
 
 
@@ -191,8 +191,8 @@ class BarrierSpec:
     ParameterError.
 
     `cascade[k-1]` holds the coefficients (a_1..a_k) of
-    prod_{j<=k} (s + lambda_j), computed once here; the last one weighs the
-    constraint.
+    prod_{j<=k} (s + lambda_j) as a tuple of floats, computed once here;
+    the last one weighs the constraint.
     """
 
     h: Callable[[np.ndarray], float]
@@ -211,7 +211,8 @@ class BarrierSpec:
                 f"need one L_f^k h callback per pole: {len(self.lie_f)} "
                 f"callbacks for {r} poles")
         object.__setattr__(self, "cascade", tuple(
-            coeffs_from_poles(self.poles[:k]) for k in range(1, r + 1)))
+            tuple(coeffs_from_poles(self.poles[:k]).tolist())
+            for k in range(1, r + 1)))
 
     @property
     def relative_degree(self) -> int:
@@ -226,27 +227,27 @@ class BarrierSpec:
 
 def lie_derivatives(sys: ControlAffineSystem, bar: BarrierSpec, x):
     """Top-order Lie derivatives (L_f^r h, L_{g1} L_f^{r-1} h, L_{g2} L_f^{r-1} h)
-    from the barrier's callbacks; the plant's are not called.  x and the
-    mixed derivatives are checked against the plant's dimensions."""
-    x = as_vector(x, sys.n, "x")
+    as Python floats, from the barrier's callbacks; the plant's are not
+    called.  x and the mixed derivatives are checked by as_floats against
+    the plant's dimensions, and the callbacks receive x as floats."""
+    x = as_floats(x, sys.n, "x")
     return (bar.lie_f_value(bar.relative_degree, x),
-            as_vector(bar.lie_g1_fr(x), sys.m, "L_g1 L_f^{r-1} h"),
-            as_vector(bar.lie_g2_fr(x), sys.p, "L_g2 L_f^{r-1} h"))
+            as_floats(bar.lie_g1_fr(x), sys.m, "L_g1 L_f^{r-1} h"),
+            as_floats(bar.lie_g2_fr(x), sys.p, "L_g2 L_f^{r-1} h"))
 
 
-def s_sequence(sys: ControlAffineSystem, bar: BarrierSpec, x) -> np.ndarray:
-    """Cascade values (s_0, ..., s_{r-1}) of the pole-shifted barrier chain.
+def s_sequence(sys: ControlAffineSystem, bar: BarrierSpec, x) -> list:
+    """Cascade values [s_0, ..., s_{r-1}] of the pole-shifted barrier chain,
+    as Python floats.
 
     s_0 = h and s_k = (d/dt + lambda_k) s_{k-1}; along the drift the time
     derivatives expand into combinations of L_f^j h because the control and
     disturbance channels only appear at order r.
     """
-    r = bar.relative_degree
-    x = as_vector(x, sys.n, "x")
-    lf = [bar.lie_f_value(k, x) for k in range(r)]
-    out = np.empty(r)
-    out[0] = lf[0]
-    for k in range(1, r):
-        out[k] = sum((a * lf[k - i] for i, a in enumerate(bar.cascade[k - 1], 1)),
-                     lf[k])
+    x = as_floats(x, sys.n, "x")
+    lf = [bar.lie_f_value(k, x) for k in range(bar.relative_degree)]
+    out = lf[:1]
+    for k in range(1, len(lf)):
+        out.append(sum((a * lf[k - i] for i, a in enumerate(bar.cascade[k - 1], 1)),
+                       lf[k]))
     return out

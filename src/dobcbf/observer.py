@@ -22,12 +22,14 @@ requires L_d = +alpha (g2' g2)^{-1} g2', not its negative.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import (ControlAffineSystem, DimensionError, ParameterError,
-                    as_matrix, as_vector)
+                    as_floats, as_matrix, as_vector)
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,7 +37,8 @@ class ObserverConfig:
     """Constant gain L_d plus the analysis constants (alpha, nu, omega).
 
     gain is the (p, n) matrix L_d, checked for shape and finiteness once,
-    here, and stored as a read-only copy.  alpha is the coercivity constant
+    here, and stored as a read-only copy; its rows are also kept as tuples
+    of Python floats for integral_at.  alpha is the coercivity constant
     of L_d g2, nu the Young's-inequality split, omega the bound on ||ddot||;
     QpFilter and ELQpFilter read alpha and nu from here when built.
     Configs compare and hash by identity, as arrays do not compare to one
@@ -46,6 +49,7 @@ class ObserverConfig:
     alpha: float
     nu: float = 1.0
     omega: float = 0.0
+    _rows: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         gain = np.array(self.gain, dtype=float)
@@ -55,6 +59,7 @@ class ObserverConfig:
         gain = as_matrix(gain, *gain.shape, "gain")
         gain.flags.writeable = False
         object.__setattr__(self, "gain", gain)
+        object.__setattr__(self, "_rows", tuple(map(tuple, gain.tolist())))
         if self.alpha <= 0 or self.nu <= 0:
             raise ParameterError("alpha and nu must be positive")
         if self.omega < 0:
@@ -75,33 +80,39 @@ class ObserverConfig:
         """L_d, the same matrix at every state."""
         return self.gain
 
-    def integral_at(self, x) -> np.ndarray:
-        """p(x) = L_d x; a non-finite result raises ValueError."""
-        return as_vector(self.gain.dot(x), self.dim_dist, "p(x)")
+    def integral_at(self, x) -> list:
+        """p(x) = L_d x as a list of float sums over the rows of L_d; x is
+        checked by as_floats, and a non-finite p(x) raises ValueError."""
+        x = as_floats(x, self.gain.shape[1], "x")
+        p = []
+        for row in self._rows:
+            p.append(sum(map(operator.mul, row, x)))
+            if not math.isfinite(p[-1]):
+                raise ValueError(f"p(x): non-finite entries {p}")
+        return p
 
 
 @dataclass
 class ObserverState:
-    """Internal observer variable; owned by a single simulation run."""
+    """Internal observer variable z, Python floats checked by as_floats when
+    built; owned by a single simulation run, which assigns each step's z."""
 
-    z: np.ndarray
+    z: list
 
     def __post_init__(self):
-        self.z = np.asarray(self.z, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(self.z)):
-            raise ValueError("observer state must be finite")
+        self.z = as_floats(self.z, np.size(self.z), "observer state")
 
 
 def initial_state(cfg: ObserverConfig, x0) -> ObserverState:
     """z(0) = -p(x0), i.e. a zero initial estimate (ignorance prior)."""
-    return ObserverState(z=-cfg.integral_at(x0))
+    return ObserverState(z=[-v for v in cfg.integral_at(x0)])
 
 
-def estimate(cfg: ObserverConfig, st: ObserverState, x) -> np.ndarray:
-    """Disturbance estimate d_hat = z + p(x)."""
-    if st.z.shape != (cfg.dim_dist,):
-        raise DimensionError(f"z has shape {st.z.shape}, expected ({cfg.dim_dist},)")
-    return st.z + cfg.integral_at(x)
+def estimate(cfg: ObserverConfig, st: ObserverState, x) -> list:
+    """Disturbance estimate d_hat = z + p(x), as a list of Python floats."""
+    if len(st.z) != cfg.dim_dist:
+        raise DimensionError(f"z has shape ({len(st.z)},), expected ({cfg.dim_dist},)")
+    return list(map(operator.add, st.z, cfg.integral_at(x)))
 
 
 def error_envelope(cfg: ObserverConfig, e0_norm: float, t):

@@ -41,7 +41,8 @@ import numpy as np
 
 from . import el as elmod
 from . import filters, observer, simulate
-from .model import BarrierSpec, ControlAffineSystem, ParameterError, s_sequence
+from .model import (BarrierSpec, ControlAffineSystem, ParameterError, as_floats,
+                    s_sequence)
 
 SCENARIOS = ("scalar-rel1", "doubleint-relr", "el2dof-dob", "el2dof-robust",
              "el2dof-nofilter", "el2dof-noomega")
@@ -367,20 +368,11 @@ def _qp_family(cfg: dict, omega: float, system: ControlAffineSystem,
         decay_gamma=barrier.poles[-1])
 
 
-def _constant(entries) -> np.ndarray:
-    """A read-only float64 array, built once and returned by every call of
-    a barrier callback whose value does not depend on the state, which
-    lie_derivatives still checks on every call.  The plants' constant
-    callbacks return one tuple each, which evaluate checks in place."""
-    arr = np.array(entries, dtype=float)
-    arr.flags.writeable = False
-    return arr
-
-
 def _scalar(cfg: dict, signal, simcfg, omega: float) -> dict:
     prm = cfg["params"]
     gain, target = float(prm["nominal_gain"]), float(prm["nominal_target"])
-    zero, eye, one = (0.0,), ((1.0,),), _constant([1.0])
+    # each constant callback returns one tuple, checked in place on every call
+    zero, eye, one = (0.0,), ((1.0,),), (1.0,)
     system = ControlAffineSystem(
         n=1, m=1, p=1,
         f=lambda x: zero,
@@ -392,14 +384,14 @@ def _scalar(cfg: dict, signal, simcfg, omega: float) -> dict:
                           lie_g2_fr=lambda x: one,
                           poles=(float(prm["gamma"]),))
     return _qp_family(cfg, omega, system, barrier, np.eye(1),
-                      lambda t, x: np.array([gain * (target - x[0])]))
+                      lambda t, x: (gain * (target - float(x[0])),))
 
 
 def _doubleint(cfg: dict, signal, simcfg, omega: float) -> dict:
     prm = cfg["params"]
     kp, kd = float(prm["nominal_kp"]), float(prm["nominal_kd"])
     target = float(prm["nominal_target"])
-    last, minus_one = ((0.0,), (1.0,)), _constant([-1.0])
+    last, minus_one = ((0.0,), (1.0,)), (-1.0,)
     system = ControlAffineSystem(
         n=2, m=1, p=1,
         f=lambda x: (float(x[1]), 0.0),
@@ -412,7 +404,7 @@ def _doubleint(cfg: dict, signal, simcfg, omega: float) -> dict:
         lie_g2_fr=lambda x: minus_one,
         poles=tuple(float(v) for v in prm["poles"]))
     return _qp_family(cfg, omega, system, barrier, np.array([[0.0, 1.0]]),
-                      lambda t, x: np.array([kp * (target - x[0]) - kd * x[1]]))
+                      lambda t, x: (kp * (target - float(x[0])) - kd * float(x[1]),))
 
 
 def _arm(cfg: dict, signal, simcfg, omega: float) -> dict:
@@ -430,7 +422,7 @@ def _arm(cfg: dict, signal, simcfg, omega: float) -> dict:
     mu1, mu2 = arm_mu_bounds(el_sys.mass)
     obs = elmod.el_observer_config(alpha1, mu1, nu, omega)
     h_q = lambda q: 16.0 - float(q[0]) ** 2 - float(q[1]) ** 2
-    grad_hq = lambda q: np.array([-2.0 * q[0], -2.0 * q[1]])
+    grad_hq = lambda q: (-2.0 * q[0], -2.0 * q[1])
     constants = {"mu1": mu1, "mu2": mu2, "omega_d": omega}
 
     # each filter reads and checks only its own tuning, so a scenario never
@@ -462,7 +454,7 @@ def _arm(cfg: dict, signal, simcfg, omega: float) -> dict:
     grav = el_sys.gravity if bool(prm["gravity_comp"]) else None
 
     def nominal(t, x):
-        q0, q1, v0, v1 = x.tolist()  # the simulator's checked state
+        q0, q1, v0, v1 = as_floats(x, 4, "x")
         c, s = amp * math.cos(t), -amp * math.sin(t)
         return elmod.pd_nominal(Kp, Kd, (q0, q1), (v0, v1), (c, c), (s, s),
                                 gravity=grav((q0, q1)) if grav else None)

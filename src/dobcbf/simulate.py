@@ -15,21 +15,19 @@ Each run builds one RK4 right-hand side with a derivative builder:
 `joint_derivative` serves any plant, and the arm scenarios pass
 `el.arm_derivative`, which writes the same quantity out for the two-joint
 plant.  Both evaluate the plant once per stage through
-`ControlAffineSystem.evaluate`, with its checks, and compute the rest in
-Python floats from the floats it returns.
+`ControlAffineSystem.evaluate`, with its checks.
 
-The integration layer runs in Python floats: `rk4_step` takes and returns
-the joint state as a list, each right-hand side receives its stage state
-as a list and returns a sequence of floats, and the blow-up guard takes
-the state's norm with math.hypot.  The loop builds one array per
-integration step, from which the decisions read x and z.  On states of a
-few entries a float sum costs less than a NumPy call, and rk4_step's
-results are the same bits as the array step's.  The disturbance is read
-as floats too: d(t) is evaluated once per distinct time and kept as the
-tuple `DisturbanceSignal.value` returns, which both derivatives and the
-log read.  The log is one array, allocated for every row the run can
-log, and each logged row is assigned from a list of floats.  `write_csv` writes the log and every other CSV
-artifact with one %-format string per file.
+The closed loop has one value type: every value from the RK4 state to the
+held control is a sequence of Python floats.  `rk4_step` takes and returns
+the joint state as a list, the decisions read its halves x and z, and the
+estimate, nominal control, constraint row and QP solution they build are
+floats, checked by `model.as_floats` where they enter.  On vectors of a
+few entries a float sum costs less than a NumPy call.  d(t) is evaluated
+once per distinct time and kept as the tuple `DisturbanceSignal.value`
+returns.
+Arrays remain at the edges: the log is one array, allocated for every row
+the run can log, and `write_csv` writes it and every other CSV artifact
+with one %-format string per file.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import qp
-from .model import ControlAffineSystem, ParameterError, as_vector
+from .model import ControlAffineSystem, ParameterError, as_floats
 from .observer import ObserverConfig, estimate, initial_state
 
 STATUS_CODES = {qp.INACTIVE: 0, qp.ACTIVE: 1, qp.INFEASIBLE: 2, "bypassed": 3}
@@ -86,8 +84,7 @@ class DisturbanceSignal:
     a*math.sin(w*t + phi) per channel over (a, w, phi) triples read once
     from the same arrays, so the bounds are taken of the sum that the
     simulator applies and of its exact analytic derivative.  An empty
-    channel is a zero row, and a zero entry of `value`.  Code that does
-    arithmetic on `value`'s tuple wraps it with np.asarray.
+    channel is a zero row, and a zero entry of `value`.
     """
 
     channels: tuple
@@ -251,19 +248,14 @@ def joint_derivative(system: ControlAffineSystem, observer: ObserverConfig,
 
     Returns (rhs, hold).  rhs(t, y) at y = [x; z] is
     [f + g1 u + g2 d(t); -L_d (f + g1 u + g2 (z + p(x)))] under the control
-    u last passed to hold, which the simulator calls once per decision and
-    which keeps u as floats; f + g1 u is formed once per stage for both
-    halves.  Each stage calls system.evaluate(y[:n]) once, so the plant's
-    callbacks receive the stage state as a list of floats and their
-    outputs keep every check; f, g1, g2 are read from evaluate's floats and
-    d(t) from the memo, the constant L_d as float rows when the run starts,
-    and every product is a float sum.  A non-finite p(x) = L_d x raises ValueError at the
-    stage, as observer.integral_at does; a non-finite derivative is caught
-    by rk4_step's check of the new state.
-
-    The traffic this serves is the scalar and double-integrator plants
-    (n <= 2, m = p = 1), on which a NumPy call costs more than the float
-    sums it would replace.
+    u last passed to hold, a sequence of floats that the simulator passes
+    once per decision; f + g1 u is formed once per stage for both halves.
+    Each stage calls system.evaluate(y[:n]) once, so the plant's callbacks
+    receive the stage state as a list of floats and their outputs keep
+    every check; L_d is read as float rows when the run starts, and every
+    product is a float sum.  A non-finite p(x) = L_d x raises ValueError at
+    the stage, as observer.integral_at does; a non-finite derivative is
+    caught by rk4_step's check of the new state.
     """
     n, evaluate = system.n, system.evaluate
     mul, add, isfinite = operator.mul, operator.add, math.isfinite
@@ -272,7 +264,7 @@ def joint_derivative(system: ControlAffineSystem, observer: ObserverConfig,
 
     def hold(control):
         nonlocal u
-        u = control.tolist()
+        u = control
 
     def rhs(t, y):
         x = y[:n]
@@ -296,7 +288,7 @@ def joint_derivative(system: ControlAffineSystem, observer: ObserverConfig,
 
 def run_closed_loop(system: ControlAffineSystem,
                     safety,
-                    nominal: Callable[[float, np.ndarray], np.ndarray],
+                    nominal: Callable[[float, Sequence[float]], Sequence[float]],
                     disturbance: DisturbanceSignal,
                     cfg: SimConfig,
                     x0,
@@ -307,8 +299,7 @@ def run_closed_loop(system: ControlAffineSystem,
     Per integration step (dt/substeps): read the estimate, build the safety
     constraint, solve the QP, then advance plant and observer jointly with
     the chosen control held.  The joint state y = [x; z] is integrated as a
-    list of floats; after each step one array is built from it, and the
-    decisions and the log read x and z as views of that array.
+    list of floats, and the decisions read x = y[:n] and z = y[n:].
     Deterministic: identical inputs give bit-identical logs.  After every
     integration step, a Euclidean norm of the joint plant-and-observer state
     above cfg.blowup_norm aborts the run with the event (ts, "blowup"), ts
@@ -317,14 +308,15 @@ def run_closed_loop(system: ControlAffineSystem,
     (ts, "integration_error").  The observer starts from a zero estimate.
     The log array is allocated once, with a row for every logged step
     (each multiple of cfg.log_stride and the last step), and an aborted
-    run returns the rows it filled.
+    run returns the rows it filled; a log too large to allocate raises
+    MemoryError naming its row count before the run starts.
 
     derivative(system, observer, disturbance_at) builds the run's one
     right-hand side and its control hold, as joint_derivative does;
     `el.arm_derivative` is the two-joint arm's version.  disturbance_at(t)
     returns d(t) as a sequence of floats.
     """
-    x = as_vector(x0, system.n, "x0")
+    x = as_floats(x0, system.n, "x0")
     st = initial_state(observer, x)
 
     n, m, p = system.n, system.m, system.p
@@ -340,7 +332,11 @@ def run_closed_loop(system: ControlAffineSystem,
     columns += extra_names
 
     n_rows = cfg.n_steps // cfg.log_stride + 1 + (cfg.n_steps % cfg.log_stride > 0)
-    data = np.empty((n_rows, len(columns)))
+    try:
+        data = np.empty((n_rows, len(columns)))
+    except MemoryError:
+        raise MemoryError(f"cannot allocate the log: {n_rows} rows of "
+                          f"{len(columns)} columns") from None
     rows = 0
     events = []
     counts = {name: 0 for name in STATUS_CODES}
@@ -375,7 +371,7 @@ def run_closed_loop(system: ControlAffineSystem,
         u_nom = nominal(ts, xs)
         dec = safety.constraint(ts, xs, u_nom, d_hat)
         if dec.bypass:
-            u = u_nom = as_vector(u_nom, m, "u_nom")
+            u = u_nom = as_floats(u_nom, m, "u_nom")
             status = "bypassed" if dec.event else qp.INACTIVE
             if dec.event:
                 events.append((ts, dec.event))
@@ -383,31 +379,30 @@ def run_closed_loop(system: ControlAffineSystem,
             inst = qp.QpInstance(u_nom=u_nom, psi0=dec.psi0, psi1=dec.psi1)
             u_nom = inst.u_nom
             res = qp.solve(inst)
-            u = res.u
-            status = res.status
+            u, status = res.u, res.status
             if status == qp.INFEASIBLE:
                 events.append((ts, "qp_infeasible"))
         counts[status] += 1
         hold(u)
         return u
 
-    y = x.tolist() + st.z.tolist()
+    y = [*x, *st.z]
     for k in range(cfg.n_steps + 1):
         t = cfg.t0 + k * cfg.dt
         d_true = disturbance_at(t)
         u = control_at(t, x)
 
         if k % cfg.log_stride == 0 or k == cfg.n_steps:
-            e_d = d_hat - d_true
+            # the row's products are NumPy's, as the artifacts were written
+            e_d = np.subtract(d_hat, d_true)
             probe = safety.probe(x, e_d)
             psi0 = math.nan if dec.psi0 is None else dec.psi0
             psi1_u = math.nan if dec.psi1 is None else float(np.dot(dec.psi1, u))
             # the Euclidean norm as np.linalg.norm takes it, sqrt(e_d . e_d)
-            data[rows] = ([t] + x.tolist() + u_nom.tolist() + u.tolist()
-                          + [*d_true] + d_hat.tolist()
-                          + [math.sqrt(e_d.dot(e_d)), probe.get("h", math.nan),
-                             probe.get("hbar", math.nan), psi0, psi1_u,
-                             STATUS_CODES[status]]
+            data[rows] = ([t, *x, *u_nom, *u, *d_true, *d_hat,
+                           math.sqrt(e_d.dot(e_d)), probe.get("h", math.nan),
+                           probe.get("hbar", math.nan), psi0, psi1_u,
+                           STATUS_CODES[status]]
                           + [probe[name] for name in extra_names])
             rows += 1
 
@@ -424,8 +419,7 @@ def run_closed_loop(system: ControlAffineSystem,
                 if math.hypot(*y) > cfg.blowup_norm:
                     failure = "blowup"
                     break
-                xz = np.array(y)
-                x, st.z = xz[:n], xz[n:]
+                x, st.z = y[:n], y[n:]
         except IntegrationError:
             failure = "integration_error"
         if failure is not None:

@@ -21,7 +21,7 @@ def brute_force(inst: QpInstance, box_halfwidth: float,
     Limited to m <= 2 and at least 101 points per axis.  Returns None when
     no grid point is feasible.
     """
-    m = inst.u_nom.size
+    m = len(inst.u_nom)
     if m > 2:
         raise ParameterError("brute force oracle supports m <= 2 only")
     if grid_points < 101:

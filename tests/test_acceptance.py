@@ -147,22 +147,24 @@ def test_criterion_7_qp_oracle_equivalence():
                              psi0=rng.uniform(-3, 3),
                              psi1=rng.uniform(-2, 2, m))
         res = qp.solve(inst)
+        # the instance and the result hold Python floats; read them as arrays
+        psi1, u_nom, u = map(np.asarray, (inst.psi1, inst.u_nom, res.u))
         # KKT residuals are exactly checkable
-        slack = inst.psi0 + float(inst.psi1 @ res.u)
+        slack = inst.psi0 + float(psi1 @ u)
         if res.status == qp.INACTIVE:
-            ok &= np.allclose(res.u, inst.u_nom) and slack >= -1e-9
+            ok &= np.allclose(u, u_nom) and slack >= -1e-9
         elif res.status == qp.ACTIVE:
             ok &= abs(slack) <= 1e-9
-            dev = res.u - inst.u_nom
-            lam = float(dev @ inst.psi1) / float(inst.psi1 @ inst.psi1)
+            dev = u - u_nom
+            lam = float(dev @ psi1) / float(psi1 @ psi1)
             ok &= lam >= -1e-12
-            ok &= float(np.max(np.abs(dev - lam * inst.psi1))) <= 1e-9
-        if res.status == qp.INFEASIBLE or np.max(np.abs(res.u)) > width - spacing:
+            ok &= float(np.max(np.abs(dev - lam * psi1))) <= 1e-9
+        if res.status == qp.INFEASIBLE or np.max(np.abs(u)) > width - spacing:
             continue
         ref = brute_force(inst, box_halfwidth=width, grid_points=grid_points)
         ok &= ref is not None
-        d_closed = float(np.linalg.norm(res.u - inst.u_nom))
-        d_grid = float(np.linalg.norm(ref - inst.u_nom))
+        d_closed = float(np.linalg.norm(u - u_nom))
+        d_grid = float(np.linalg.norm(ref - u_nom))
         ok &= -1e-12 <= d_grid - d_closed <= 2 * spacing
         checked += 1
     ok &= checked >= 500  # the box must actually exercise the oracle

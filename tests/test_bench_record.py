@@ -3,6 +3,7 @@ workload, seed and length, and summarises each end-to-end metric."""
 
 import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -17,14 +18,14 @@ METRICS = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
 
 def write_run(checkout: Path, sha: str, workload: str, seed: int, values: dict,
-              seconds: float = 40.0, trace: int = 0) -> None:
+              seconds: float = 40.0, trace: int = 0, correct: bool = True) -> None:
     out = checkout / ".perfbench_out" / f"{workload}-seed{seed}-trace{trace}"
     out.mkdir(parents=True)
     rec = {"workload": workload, "seed": seed, "seconds": seconds,
            "trace": bool(trace),
            "environment": {"git_sha": sha, "python": "3.11.7",
                            "numpy": "2.4.6", "nproc": 2},
-           "result": {"correct": True,
+           "result": {"correct": correct,
                       "metrics": {m["name"]: {"value": values.get(m["name"], 1.0),
                                               "unit": m["unit"]}
                                   for m in METRICS}}}
@@ -76,3 +77,31 @@ def test_no_pair_is_an_error(tmp_path):
         bench_record.main(["--pr", "7", "--parent", str(tmp_path / "parent"),
                            "--change", str(tmp_path / "change"),
                            "--out", str(tmp_path / "B.json")])
+
+
+def test_runs_of_length_zero_are_left_out(tmp_path):
+    # the benchmark's self-test, which Tier-1 runs, leaves seed-0 records of
+    # length 0 in both checkouts, some of them not correct by design
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for workload in ("arm-dob", "doubleint-dense"):
+        write_run(parent, "p" * 40, workload, 0, {"steps_per_s": 1e9},
+                  seconds=0.0, correct=False)
+        write_run(change, "c" * 40, workload, 0, {"steps_per_s": 1.0},
+                  seconds=0.0, correct=False)
+        write_run(parent, "p" * 40, workload, 1, {"steps_per_s": 10.0})
+        write_run(change, "c" * 40, workload, 1, {"steps_per_s": 11.0})
+    out = tmp_path / "BENCH.json"
+    assert bench_record.main(["--pr", "7", "--parent", str(parent), "--change",
+                              str(change), "--out", str(out)]) == 0
+    for entry in json.loads(out.read_text())["workloads"]:
+        assert (entry["seconds"], entry["pairs"], entry["seeds"]) == (40.0, 1, [1])
+        assert entry["all_correct"]
+        steps = entry["metrics"]["steps_per_s"]
+        assert (steps["parent"], steps["change"]) == ([10.0], [11.0])
+    # length-0 runs alone make no pair
+    for checkout in (parent, change):
+        for workload in ("arm-dob", "doubleint-dense"):
+            shutil.rmtree(checkout / ".perfbench_out" / f"{workload}-seed1-trace0")
+    with pytest.raises(SystemExit):
+        bench_record.main(["--pr", "7", "--parent", str(parent), "--change",
+                           str(change), "--out", str(out)])

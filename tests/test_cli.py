@@ -123,6 +123,40 @@ def test_config_error_exit_code(tmp_path, scalar_cfg):
                      "--override", "badformat"]) == 2
 
 
+def bad_paths(tmp_path, scalar_cfg):
+    """argv of each bad-path case: a directory as the config, a config that
+    is not UTF-8 text, and an existing file as the output directory."""
+    latin1 = tmp_path / "latin1.yaml"
+    latin1.write_bytes("scenario: scalar-rel1\n# d\u00e9j\u00e0\n".encode("latin-1"))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    return {"run-directory": ["run", str(tmp_path), "--out", str(tmp_path / "o")],
+            "validate-directory": ["validate", str(tmp_path)],
+            "run-latin1": ["run", str(latin1), "--out", str(tmp_path / "o")],
+            "validate-latin1": ["validate", str(latin1)],
+            "run-out-is-a-file": ["run", scalar_cfg, "--out", str(taken)]}
+
+
+@pytest.mark.parametrize("case", ["run-directory", "validate-directory",
+                                  "run-latin1", "validate-latin1",
+                                  "run-out-is-a-file"])
+def test_bad_path_exits_2(tmp_path, scalar_cfg, capsys, case):
+    assert cli.main(bad_paths(tmp_path, scalar_cfg)[case]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("configuration error:")
+
+
+def test_log_too_large_to_allocate_exits_2(tmp_path, capsys):
+    # 2e16 steps: the log's 2e15 rows of 12 floats exceed any address space,
+    # so the allocation fails at once, before the first step
+    cfg = write_config(tmp_path / "c.yaml", {"scenario": "scalar-rel1",
+                                             "sim": {"dt": 1.0e-15}})
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("configuration error:")
+    assert "2000000000000001 rows" in lines[0]
+
+
 def test_validate_subcommand(tmp_path, scalar_cfg):
     assert cli.main(["validate", scalar_cfg]) == 0
 

@@ -137,7 +137,7 @@ def test_el_observer_integral_is_alpha1_qdot_bit_for_bit():
     states = np.hstack([rng.uniform(-math.pi, math.pi, size=(200, 2)),
                         rng.uniform(-8.0, 8.0, size=(200, 2))])
     for x in states:
-        assert cfg.integral_at(x).tobytes() == (alpha1 * x[2:]).tobytes()
+        assert np.asarray(cfg.integral_at(x)).tobytes() == (alpha1 * x[2:]).tobytes()
 
 
 def el_row(filt, q, qd, tau_hat):

@@ -1,4 +1,4 @@
-"""The energy filter's invariance inequality, checked pointwise.
+"""The filters' invariance inequalities, checked pointwise.
 
 For the el2dof-dob filter (`ELQpFilter`) the theorem is pointwise: for any
 control u, disturbance d and disturbance derivative ddot with
@@ -16,15 +16,34 @@ tight: at q2 = 0, with e along M^-1's smallest eigenvector, ||e|| = omega/nu,
 qdot = -(denom/2) e and ddot = -omega e/||e||.  There every constant of
 psi0 is pinned, so making the denominator term or the omega term 1%
 smaller gives R < 0.
+
+For the generic filter (`QpFilter`) of scalar-rel1 (r = 1) and
+doubleint-relr (r = 2) the same holds for
+
+    R = dhbar/dt + lambda_r hbar - beta (psi0 + psi1 . u) >= 0,
+
+where hbar = beta s_{r-1}(x) - ||e||^2 / 2, e = d - dhat, and dhbar/dt is
+formed from xdot and zdot of the run's own derivative builder
+(simulate.joint_derivative), with edot = ddot - zdot - L_d xdot.  With
+b = L_g2 L_f^{r-1} h and c = denom/4, R is at least
+||sqrt(c) e + beta b / (2 sqrt(c))||^2, so it vanishes where
+e = -beta b / (2c), ddot = nu e and omega = nu ||e|| (Young's inequality
+tight), since L_d g2 = alpha exactly on both plants (coercivity tight
+everywhere).
 """
 
 import copy
 import math
 
 import numpy as np
+import pytest
 
 from dobcbf.el import TwoLinkArm, arm_derivative
+from dobcbf.filters import FilterParams, QpFilter
+from dobcbf.model import s_sequence
+from dobcbf.observer import ObserverState, estimate
 from dobcbf.scenarios import build
+from dobcbf.simulate import joint_derivative
 
 SC = build({"scenario": "el2dof-dob", "sim": {"tf": 0.1}})
 FILT, OBS = SC.safety, SC.observer_cfg
@@ -115,3 +134,113 @@ def test_a_one_percent_smaller_constant_breaks_the_tight_point():
         setattr(weaker, name, value)
         r, _ = residual(weaker, *point)
         assert r < -1e-10 * scale, name
+
+
+# the double integrator's default disturbance is constant (omega = 0); a
+# varying one gives the omega term something to bound
+GENERIC = {"scalar-rel1": build({"scenario": "scalar-rel1", "sim": {"tf": 0.1}}),
+           "doubleint-relr": build({
+               "scenario": "doubleint-relr", "sim": {"tf": 0.1},
+               "disturbance": [[{"amplitude": 1.0, "frequency": 2.0,
+                                 "waveform": "cos"}]]})}
+
+
+def cascade_gradient(sc):
+    """The gradient of s_{r-1}, constant on both plants: h = x0 on the
+    scalar plant, s_1 = L_f h + lambda_1 h = -x1 + lambda_1 (1 - x0) on the
+    double integrator."""
+    if sc.name == "scalar-rel1":
+        return np.array([1.0])
+    return np.array([-sc.safety.barrier.poles[0], -1.0])
+
+
+def generic_residual(filt, sc, x, e, d, ddot, u):
+    """R of QpFilter at one state, and the largest magnitude of its four
+    terms; z is set so that d - dhat = e."""
+    obs = sc.observer_cfg
+    z = d - e - obs.gain @ x
+    dhat = np.asarray(estimate(obs, ObserverState(z), x))
+    rhs, hold = sc.derivative(sc.system, obs, lambda t: tuple(d))
+    hold(tuple(u))
+    dy = np.array(rhs(0.0, [*x, *z]))
+    xdot, zdot = dy[:x.size], dy[x.size:]
+    e = d - dhat
+    edot = ddot - zdot - obs.gain @ xdot
+    beta, lam = filt.params.beta, filt.barrier.poles[-1]
+    hbar = beta * s_sequence(sc.system, filt.barrier, x)[-1] - 0.5 * e @ e
+    dhbar = beta * cascade_gradient(sc) @ xdot - e @ edot
+    dec = filt.constraint(0.0, x, u, dhat)
+    terms = (dhbar, lam * hbar, beta * dec.psi0, beta * float(np.dot(dec.psi1, u)))
+    return terms[0] + terms[1] - terms[2] - terms[3], max(map(abs, terms))
+
+
+def generic_tight_point(sc):
+    """The filter with omega = nu ||e|| and (x, e, d, ddot, u) at which R
+    vanishes; x, d and u are arbitrary."""
+    filt, obs = sc.safety, sc.observer_cfg
+    x = np.linspace(0.3, -0.4, sc.system.n)
+    b = np.asarray(filt.barrier.lie_g2_fr(x))
+    e = -filt.params.beta * b / (2.0 * (filt.denom / 4.0))
+    tight = QpFilter(sc.system, filt.barrier, obs,
+                     FilterParams(beta=filt.params.beta,
+                                  omega=obs.nu * float(np.linalg.norm(e))))
+    return tight, (x, e, np.array([1.7]), obs.nu * e, np.array([-2.5]))
+
+
+@pytest.mark.parametrize("name", sorted(GENERIC))
+def test_generic_setup_matches_the_scenario(name):
+    sc = GENERIC[name]
+    obs, bar = sc.observer_cfg, sc.safety.barrier
+    assert sc.derivative is joint_derivative
+    assert bar.relative_degree == sc.system.n
+    # L_d g2 = alpha, and b = L_g2 L_f^{r-1} h is the constant the tight
+    # point reads
+    g2 = np.asarray(sc.system.evaluate([0.5] * sc.system.n)[2])
+    assert (obs.gain @ g2).tolist() == [[obs.alpha]]
+    assert list(bar.lie_g2_fr([0.5] * sc.system.n)) == \
+        [-1.0 if name == "doubleint-relr" else 1.0]
+    # s_{r-1} is affine in x, with the gradient the residual uses
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        x, step = rng.uniform(-2.0, 2.0, size=(2, sc.system.n))
+        ds = (s_sequence(sc.system, bar, x + step)[-1]
+              - s_sequence(sc.system, bar, x)[-1])
+        assert ds == pytest.approx(cascade_gradient(sc) @ step, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(GENERIC))
+def test_generic_residual_is_nonnegative_on_seeded_states(name):
+    sc = GENERIC[name]
+    filt, n = sc.safety, sc.system.n
+    assert filt.params.omega > 0.0
+    rng = np.random.default_rng(37)
+    count = 3000
+    x = rng.uniform(-3.0, 3.0, size=(count, n))
+    e = rng.uniform(-3.0, 3.0, size=(count, 1))
+    d = rng.uniform(-5.0, 5.0, size=(count, 1))
+    u = rng.uniform(-20.0, 20.0, size=(count, 1))
+    ddot = filt.params.omega * rng.uniform(-1.0, 1.0, size=(count, 1))
+    for i in range(count):
+        r, scale = generic_residual(filt, sc, x[i], e[i], d[i], ddot[i], u[i])
+        assert r >= -1e-12 * scale, i
+
+
+@pytest.mark.parametrize("name", sorted(GENERIC))
+def test_generic_residual_vanishes_at_the_tight_point(name):
+    sc = GENERIC[name]
+    tight, point = generic_tight_point(sc)
+    r, scale = generic_residual(tight, sc, *point)
+    assert abs(r) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("name", sorted(GENERIC))
+def test_a_one_percent_smaller_generic_constant_breaks_the_tight_point(name):
+    sc = GENERIC[name]
+    tight, point = generic_tight_point(sc)
+    _, scale = generic_residual(tight, sc, *point)
+    for attr, value in (("denom", tight.denom / 0.99),
+                        ("omega_term", 0.99 * tight.omega_term)):
+        weaker = copy.copy(tight)
+        setattr(weaker, attr, value)
+        r, _ = generic_residual(weaker, sc, *point)
+        assert r < -1e-10 * scale, attr

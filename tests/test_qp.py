@@ -20,7 +20,7 @@ def test_active_projection_1d():
     assert res.status == ACTIVE
     assert np.allclose(res.u, [2.0])
     # the projection lies on the boundary psi0 + psi1 . u = 0
-    assert inst.psi0 + float(inst.psi1 @ res.u) == pytest.approx(0.0, abs=1e-12)
+    assert inst.psi0 + float(np.dot(inst.psi1, res.u)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_active_projection_2d_known_answer():
@@ -58,17 +58,19 @@ def test_kkt_conditions_random_instances():
                           psi0=rng.standard_normal() * 2.0,
                           psi1=rng.standard_normal(m))
         res = solve(inst)
-        slack = inst.psi0 + float(inst.psi1 @ res.u)
+        # the instance and the result hold Python floats; read them as arrays
+        psi1, u_nom, u = map(np.asarray, (inst.psi1, inst.u_nom, res.u))
+        slack = inst.psi0 + float(psi1 @ u)
         assert slack >= -1e-9  # primal feasibility
         # stationarity: u - u_nom = lambda * psi1 with lambda >= 0
-        dev = res.u - inst.u_nom
+        dev = u - u_nom
         if res.status == INACTIVE:
             assert np.allclose(dev, 0.0)
         else:
-            sq = float(inst.psi1 @ inst.psi1)
-            lam = float(dev @ inst.psi1) / sq
+            sq = float(psi1 @ psi1)
+            lam = float(dev @ psi1) / sq
             assert lam >= -1e-12
-            assert np.allclose(dev, lam * inst.psi1, atol=1e-9)
+            assert np.allclose(dev, lam * psi1, atol=1e-9)
             assert abs(slack) <= 1e-9  # complementary slackness
 
 
@@ -83,15 +85,16 @@ def test_brute_force_agrees_with_closed_form():
                           psi0=rng.uniform(-4, 4),
                           psi1=rng.uniform(-2, 2, m))
         res = solve(inst)
-        if res.status == INFEASIBLE or np.max(np.abs(res.u)) > width - spacing:
+        u, u_nom = np.asarray(res.u), np.asarray(inst.u_nom)  # Python floats
+        if res.status == INFEASIBLE or np.max(np.abs(u)) > width - spacing:
             continue  # oracle box cannot contain the true minimizer
         ref = brute_force(inst, box_halfwidth=width, grid_points=grid_points)
         assert ref is not None
         # the grid point can slide along the boundary at near-equal cost, so
         # compare distances to the nominal: the grid minimizer can be at most
         # one cell diagonal worse than the true projection, never better
-        dist_closed = np.linalg.norm(res.u - inst.u_nom)
-        dist_grid = np.linalg.norm(ref - inst.u_nom)
+        dist_closed = np.linalg.norm(u - u_nom)
+        dist_grid = np.linalg.norm(ref - u_nom)
         assert -1e-12 <= dist_grid - dist_closed <= 2 * spacing
 
 

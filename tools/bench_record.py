@@ -10,7 +10,9 @@ PARENT_CHECKOUT and CHANGE_CHECKOUT are two checkouts in which
 seed and workload; each run left
 `.perfbench_out/<workload>-seed<seed>-trace0/result.json` there.  A pair is
 a parent run and a change run of the same workload, seed and length
-(`--seconds`); a run without a partner is left out.  For each workload and
+(`--seconds`); a run without a partner is left out, and so is a run of
+length 0, such as the ones `perfbench/selftest.py` (run by Tier-1) leaves
+at seed 0.  For each workload and
 length, and each end-to-end metric that BENCHMARK.json declares, the record
 holds the parent and change medians over the pairs, the number of pairs,
 the number of pairs in which the change was better (in the metric's
@@ -32,12 +34,13 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def load_runs(checkout: Path) -> dict:
-    """Untraced result records of a checkout, keyed by (workload, seed,
-    seconds)."""
+    """Untraced result records of a checkout of positive length, keyed by
+    (workload, seed, seconds)."""
     runs = {}
     for path in sorted((checkout / ".perfbench_out").glob("*-trace0/result.json")):
         rec = json.loads(path.read_text())
-        runs[(rec["workload"], rec["seed"], rec["seconds"])] = rec
+        if rec["seconds"] > 0:
+            runs[(rec["workload"], rec["seed"], rec["seconds"])] = rec
     return runs
 
 
