@@ -164,7 +164,7 @@ def generic_residual(filt, sc, x, e, d, ddot, u):
     hold(tuple(u))
     dy = np.array(rhs(0.0, [*x, *z]))
     xdot, zdot = dy[:x.size], dy[x.size:]
-    e = d - dhat
+    e = d - dhat  # as the rounded estimate gives it
     edot = ddot - zdot - obs.gain @ xdot
     beta, lam = filt.params.beta, filt.barrier.poles[-1]
     hbar = beta * s_sequence(sc.system, filt.barrier, x)[-1] - 0.5 * e @ e
