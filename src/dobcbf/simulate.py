@@ -393,7 +393,7 @@ def run_closed_loop(system: ControlAffineSystem,
         u = control_at(t, x)
 
         if k % cfg.log_stride == 0 or k == cfg.n_steps:
-            # the row's products are NumPy's, as the artifacts were written
+            # NumPy forms the row's products, which may round unlike float sums
             e_d = np.subtract(d_hat, d_true)
             probe = safety.probe(x, e_d)
             psi0 = math.nan if dec.psi0 is None else dec.psi0
