@@ -13,7 +13,11 @@ Derived constants and their provenance:
   * the robust baseline's magnitude bound is max_t ||d(t)|| over the same
     grid;
   * both come from DisturbanceSignal.max_norm, which reads the same packed
-    arrays as the d(t) the simulator applies;
+    arrays as the d(t) the simulator applies.  It evaluates only the grid
+    blocks whose Lipschitz bound from a sample of every 64th point can
+    reach the maximum, and returns the float that evaluating every block
+    gives; a signal that cannot be evaluated in floats on the grid raises
+    ParameterError, a ConfigError here;
   * the arm's inverse-inertia eigenvalue bounds are exact: the inertia
     matrix is affine in cos(q2), so its largest eigenvalue (convex in the
     matrix) peaks and its smallest (concave) bottoms out at q2 = 0 or pi.

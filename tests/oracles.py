@@ -2,8 +2,11 @@
 against: a grid-search QP, the arm's equations of motion solved with
 np.linalg.solve, the arm's plant terms as float64 arrays, the observer's
 right-hand side on its own, the joint plant-and-observer derivative with
-NumPy products, a disturbance evaluated term by term, classical RK4 on
-float64 arrays, and a CSV written cell by cell."""
+NumPy products, a disturbance evaluated term by term, a disturbance bound
+that evaluates every grid block, classical RK4 on float64 arrays, and a
+CSV written cell by cell."""
+
+import math
 
 import numpy as np
 
@@ -11,7 +14,7 @@ from dobcbf.el import ELSystem
 from dobcbf.model import ControlAffineSystem, ParameterError, as_vector
 from dobcbf.observer import ObserverConfig, ObserverState, estimate
 from dobcbf.qp import QpInstance
-from dobcbf.simulate import DisturbanceSignal, Term
+from dobcbf.simulate import _NORM_BLOCK, DisturbanceSignal, Term
 
 
 def brute_force(inst: QpInstance, box_halfwidth: float,
@@ -120,6 +123,22 @@ def grid_max_norm(sig: DisturbanceSignal, t_grid, derivative: bool = False) -> f
     """max over t_grid of the Euclidean norm of per_term_sum."""
     vals = per_term_sum(sig, np.asarray(t_grid, dtype=float), derivative)
     return float(np.sqrt((vals ** 2).sum(axis=0)).max())
+
+
+def blocked_max_norm(sig: DisturbanceSignal, t_grid,
+                     derivative: bool = False) -> float:
+    """DisturbanceSignal.max_norm with no block skipped: every block of
+    _NORM_BLOCK grid points evaluated from the signal's packed arrays, as
+    the library evaluates the blocks it keeps."""
+    t = np.asarray(t_grid, dtype=float).reshape(-1)
+    weights = sig._amp * sig._freq if derivative else sig._amp
+    wave = np.cos if derivative else np.sin
+    freq, phase = sig._freq[:, None], sig._phase[:, None]
+    largest = 0.0
+    for start in range(0, t.size, _NORM_BLOCK):
+        vals = weights.dot(wave(freq * t[start:start + _NORM_BLOCK] + phase))
+        largest = max(largest, float((vals * vals).sum(axis=0).max()))
+    return math.sqrt(largest)
 
 
 def joint_derivative_arrays(system: ControlAffineSystem, cfg: ObserverConfig,

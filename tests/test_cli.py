@@ -157,6 +157,37 @@ def test_log_too_large_to_allocate_exits_2(tmp_path, capsys):
     assert "2000000000000001 rows" in lines[0]
 
 
+UNEVALUABLE_BOUNDS = {
+    # the derivative weight 2e300 squared overflows; omega was inf (exit 3)
+    "derivative-weight": {"scenario": "scalar-rel1",
+                          "disturbance": [[{"amplitude": 2.0,
+                                            "frequency": 1.0e+300}]]},
+    # frequency times time overflows; run gave exit 3, validate exit 0
+    "frequency-times-time": {"scenario": "doubleint-relr",
+                             "sim": {"dt": 1.0e+300, "tf": 1.0e+301},
+                             "disturbance": [[{"amplitude": 1.0,
+                                               "frequency": 1.0e+10,
+                                               "waveform": "cos"}]]},
+    # a sum of terms that is NaN at every grid time but t0; the bound was 0
+    "nan-term": {"scenario": "scalar-rel1", "sim": {"tf": 1.0e+10},
+                 "disturbance": [[{"amplitude": 1.0, "frequency": 1.0},
+                                  {"amplitude": 1.0, "frequency": 1.0e+300}]]},
+}
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("case", sorted(UNEVALUABLE_BOUNDS))
+def test_unevaluable_disturbance_bound_exits_2(tmp_path, capsys, command, case):
+    cfg = write_config(tmp_path / "c.yaml", UNEVALUABLE_BOUNDS[case])
+    argv = [command, cfg]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("configuration error:")
+    assert "disturbance bound" in lines[0]
+
+
 def test_validate_subcommand(tmp_path, scalar_cfg):
     assert cli.main(["validate", scalar_cfg]) == 0
 

@@ -38,7 +38,7 @@ import math
 import numpy as np
 import pytest
 
-from dobcbf.el import TwoLinkArm, arm_derivative
+from dobcbf.el import ELRobustFilter, TwoLinkArm, arm_derivative, violation_floor
 from dobcbf.filters import FilterParams, QpFilter
 from dobcbf.model import s_sequence
 from dobcbf.observer import ObserverState, estimate
@@ -77,14 +77,16 @@ def residual(filt, q, qd, z, d, ddot, u):
     return terms[0] + terms[1] - terms[2] - terms[3], max(map(abs, terms))
 
 
-def tight_point():
-    """(q, qdot, z, d, ddot, u) at which every inequality of the proof is
-    tight; d and u are arbitrary."""
+def tight_point(filt=FILT, omega=None):
+    """(q, qdot, z, d, ddot, u) at which every inequality of filt's proof
+    is tight for ||ddot|| = omega (by default the filter's own omega); d and
+    u are arbitrary."""
     q = np.array([0.4, 0.0])
     _, vecs = np.linalg.eigh(np.linalg.inv(np.asarray(SC.el_system.mass(q))))
-    omega, nu = FILT.params.omega, OBS.nu
+    omega = filt.params.omega if omega is None else omega
+    nu = OBS.nu
     e = (omega / nu) * vecs[:, 0]
-    qd = -(FILT.denom / 2.0) * e
+    qd = -(filt.denom / 2.0) * e
     d = np.array([3.0, -7.0])
     return (q, qd, d + e - ALPHA1 * qd, d, -omega * e / np.linalg.norm(e),
             np.array([12.0, -5.0]))
@@ -244,3 +246,132 @@ def test_a_one_percent_smaller_generic_constant_breaks_the_tight_point(name):
         setattr(weaker, attr, value)
         r, _ = generic_residual(weaker, sc, *point)
         assert r < -1e-10 * scale, attr
+
+
+ROBUST = build({"scenario": "el2dof-robust"})
+
+
+def robust_residual(filt, q, qd, d, u):
+    """R of ELRobustFilter at one state, and the largest magnitude of its
+    four terms; the observer state does not enter hbar_r."""
+    rhs, hold = ROBUST.derivative(ROBUST.system, ROBUST.observer_cfg,
+                                  lambda t: tuple(d))
+    hold(u)
+    qdd = np.array(rhs(0.0, [*q, *qd, 0.0, 0.0]))[2:4]
+    M = np.asarray(ROBUST.el_system.mass(q))
+    hbar = filt.beta * filt.h_q(q) - 0.5 * qd @ M @ qd
+    dhbar = (filt.beta * np.asarray(filt.grad_hq(q)) @ qd - qd @ M @ qdd
+             - 0.5 * qd @ mass_derivative(q, qd) @ qd)
+    dec = filt.constraint(0.0, np.concatenate([q, qd]), u, np.zeros(2))
+    terms = (dhbar, filt.gamma * hbar, dec.psi0, dec.psi1 @ u)
+    return terms[0] + terms[1] - terms[2] - terms[3], max(map(abs, terms))
+
+
+def robust_tight_point():
+    """(q, qdot, d, u) with d = d_max qdot/||qdot||; q, qdot and u are
+    arbitrary."""
+    qd = np.array([1.3, -2.1])
+    d = ROBUST.safety.d_max * qd / np.linalg.norm(qd)
+    return np.array([0.4, -1.2]), qd, d, np.array([12.0, -5.0])
+
+
+def test_robust_setup_matches_the_scenario():
+    filt = ROBUST.safety
+    assert isinstance(filt, ELRobustFilter)
+    assert ROBUST.derivative is arm_derivative
+    assert filt.d_max == ROBUST.constants["d_max"] > 0.0
+
+
+def test_robust_residual_is_nonnegative_on_seeded_states():
+    filt = ROBUST.safety
+    rng = np.random.default_rng(41)
+    n = 3000
+    q = rng.uniform(-math.pi, math.pi, size=(n, 2))
+    q[0::4, 1], q[1::4, 1] = 0.0, math.pi
+    qd = rng.uniform(-8.0, 8.0, size=(n, 2))
+    u = rng.uniform(-300.0, 300.0, size=(n, 2))
+    angle = rng.uniform(0.0, 2.0 * math.pi, size=n)
+    radius = filt.d_max * rng.uniform(0.0, 1.0, size=n)
+    d = radius[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    for i in range(n):
+        r, scale = robust_residual(filt, q[i], qd[i], d[i], u[i])
+        assert r >= -1e-12 * scale, i
+
+
+def test_robust_residual_vanishes_at_the_tight_point():
+    r, scale = robust_residual(ROBUST.safety, *robust_tight_point())
+    assert abs(r) <= 1e-12 * scale
+
+
+def test_a_one_percent_smaller_d_max_term_breaks_the_robust_tight_point():
+    point = robust_tight_point()
+    _, scale = robust_residual(ROBUST.safety, *point)
+    weaker = copy.copy(ROBUST.safety)
+    weaker.d_max = 0.99 * ROBUST.safety.d_max
+    r, _ = robust_residual(weaker, *point)
+    assert r < -1e-10 * scale
+
+
+NOOMEGA = build({"scenario": "el2dof-noomega"})
+
+
+def test_noomega_setup_matches_the_scenario():
+    filt = NOOMEGA.safety
+    assert filt.params.omega == 0.0 and filt.omega_term == 0.0
+    assert NOOMEGA.constants["omega_d"] > 0.0
+    assert NOOMEGA.observer_cfg.nu == OBS.nu
+    assert filt.denom == FILT.denom
+
+
+def test_noomega_residual_is_above_the_withheld_term_on_seeded_states():
+    filt, omega = NOOMEGA.safety, NOOMEGA.constants["omega_d"]
+    floor = -omega ** 2 / (2.0 * OBS.nu)
+    rng = np.random.default_rng(43)
+    n = 2000
+    q = rng.uniform(-math.pi, math.pi, size=(n, 2))
+    q[0::4, 1], q[1::4, 1] = 0.0, math.pi
+    qd = rng.uniform(-8.0, 8.0, size=(n, 2))
+    d = rng.uniform(-30.0, 30.0, size=(n, 2))
+    e = rng.uniform(-100.0, 100.0, size=(n, 2))
+    u = rng.uniform(-300.0, 300.0, size=(n, 2))
+    angle = rng.uniform(0.0, 2.0 * math.pi, size=n)
+    radius = omega * rng.uniform(0.0, 1.0, size=n)
+    ddot = radius[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    for i in range(n):
+        z = d[i] + e[i] - ALPHA1 * qd[i]
+        r, scale = residual(filt, q[i], qd[i], z, d[i], ddot[i], u[i])
+        assert r - floor >= -1e-12 * scale, i
+
+
+def test_noomega_residual_equals_the_withheld_term_at_the_tight_point():
+    filt, omega = NOOMEGA.safety, NOOMEGA.constants["omega_d"]
+    point = tight_point(filt, omega)
+    r, scale = residual(filt, *point)
+    assert abs(r + omega ** 2 / (2.0 * OBS.nu)) <= 1e-12 * scale
+    # a 1% smaller denominator term falls below the floor there
+    weaker = copy.copy(filt)
+    weaker.denom = filt.denom / 0.99
+    r, _ = residual(weaker, *point)
+    assert r + omega ** 2 / (2.0 * OBS.nu) < -1e-10 * scale
+
+
+def test_noomega_floor_integrates_the_withheld_term():
+    # beta h >= hbar, and hbar(t0) >= 0 with dhbar/dt >= -gamma hbar - c,
+    # c = omega^2/(2 nu), stays above the solution b of b' = -gamma b - c,
+    # b(0) = 0; RK4 on b matches violation_floor * beta
+    filt, omega = NOOMEGA.safety, NOOMEGA.constants["omega_d"]
+    gamma, beta = filt.params.gamma, filt.params.beta
+    c = omega ** 2 / (2.0 * OBS.nu)
+    f = lambda b: -gamma * b - c
+    b, dt = 0.0, 1e-3
+    for k in range(1, 5001):
+        k1 = f(b)
+        k2 = f(b + 0.5 * dt * k1)
+        k3 = f(b + 0.5 * dt * k2)
+        k4 = f(b + dt * k3)
+        b += dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if k % 1000 == 0:
+            t = k * dt
+            want = violation_floor(filt.params, OBS.nu, omega, t)
+            assert b / beta == pytest.approx(want, rel=1e-9)
+            assert NOOMEGA.floor(NOOMEGA.simcfg.t0 + t) == want

@@ -13,9 +13,9 @@ from dobcbf.simulate import (DisturbanceSignal, SimConfig, Term,
                              read_metrics, rk4_step, run_closed_loop,
                              write_metrics)
 import dobcbf.scenarios as scenarios
-from oracles import (csv_per_cell, grid_max_norm, joint_derivative_arrays,
-                     per_term_sum, rk4_step_arrays, term_derivative,
-                     term_value)
+from oracles import (blocked_max_norm, csv_per_cell, grid_max_norm,
+                     joint_derivative_arrays, per_term_sum, rk4_step_arrays,
+                     term_derivative, term_value)
 
 
 def test_rk4_exponential_accuracy():
@@ -413,6 +413,97 @@ def test_packed_signal_matches_per_term_sum():
     assert rising.max_norm(grid) == pytest.approx(1.0, abs=1e-15)
     assert rising.max_norm(grid[:-1]) < 1.0
     assert rising.max_norm(grid, derivative=True) == 0.25
+
+
+def same_bits_on_both_bounds(sig, grid):
+    for deriv in (False, True):
+        got, want = sig.max_norm(grid, deriv), blocked_max_norm(sig, grid, deriv)
+        assert got == want, (deriv, got, want)
+
+
+@pytest.mark.parametrize("name", scenarios.SCENARIOS)
+def test_max_norm_is_the_blocked_loop_on_every_scenario(name):
+    sig = scenarios.build({"scenario": name, "sim": {"tf": 0.125}}).disturbance
+    for tf in (0.125, 1.0, 20.0, 200.0):
+        same_bits_on_both_bounds(
+            sig, np.linspace(0.0, tf, scenarios.BOUND_GRID_POINTS))
+
+
+def test_max_norm_is_the_blocked_loop_on_random_signals():
+    # 1-3 channels of 0-5 sin and cos terms; grids one block short, one
+    # block, one point over and the bound grid
+    rng = np.random.default_rng(1515)
+    sizes = (1, 2, 4095, 4096, 4097, scenarios.BOUND_GRID_POINTS)
+    for i in range(300):
+        sig = DisturbanceSignal(tuple(
+            tuple(Term(float(rng.normal(scale=10.0)),
+                       float(rng.uniform(-20.0, 20.0)),
+                       float(rng.uniform(-4.0, 4.0)),
+                       "sin" if rng.random() < 0.5 else "cos")
+                  for _ in range(rng.integers(0, 6)))
+            for _ in range(rng.integers(1, 4))))
+        t0 = float(rng.uniform(-5.0, 5.0))
+        grid = np.linspace(t0, t0 + float(rng.uniform(0.1, 30.0)),
+                           sizes[i % len(sizes)])
+        same_bits_on_both_bounds(sig, grid)
+
+
+def test_max_norm_is_the_blocked_loop_on_unordered_grids_and_ties():
+    arm = scenarios.build({"scenario": "el2dof-dob"}).disturbance
+    rng = np.random.default_rng(7)
+    grid = np.linspace(0.0, 20.0, 20_001)
+    # a shuffled grid and one with each time repeated
+    same_bits_on_both_bounds(arm, rng.permutation(grid))
+    same_bits_on_both_bounds(arm, np.repeat(grid[::4], 3))
+    # (a sin wt, a cos wt) has norm |a| everywhere, so its maximum is a
+    # rounding tie between every grid point; with each time repeated 64
+    # times, every sample bounds its points with no Lipschitz term, and only
+    # the rounding margin keeps the blocks whose evaluation rounds higher
+    ring = DisturbanceSignal(((Term(3.7, 2.3),), (Term(3.7, 2.3, waveform="cos"),)))
+    for tf in (1.0, 20.0, 200.0):
+        same_bits_on_both_bounds(ring, np.linspace(0.0, tf, 200_001))
+    same_bits_on_both_bounds(ring, np.repeat(np.linspace(0.0, 20.0, 3001), 64))
+
+
+def test_max_norm_of_zero_weights_and_empty_grids_is_zero():
+    # the double integrator's constant disturbance has zero derivative
+    # weights; a signal without terms and an empty grid have nothing
+    grid = np.linspace(0.0, 20.0, 101)
+    assert constant_signal([1.5]).max_norm(grid, derivative=True) == 0.0
+    assert DisturbanceSignal(((), ())).max_norm(grid) == 0.0
+    assert constant_signal([1.5]).max_norm([]) == 0.0
+
+
+def test_max_norm_rejects_a_signal_it_cannot_evaluate():
+    cases = [
+        # every point but t = 0 is NaN; the loop returned 0.0
+        (DisturbanceSignal(((Term(1.0, 1.0), Term(1.0, 1e300)),)),
+         np.linspace(0.0, 1e10, 5), False),
+        # the derivative weight 2e300 squared overflows
+        (DisturbanceSignal(((Term(2.0, 1e300),),)), np.linspace(0.0, 20.0, 5),
+         True),
+        # frequency times time overflows
+        (DisturbanceSignal(((Term(1.0, 1e10, waveform="cos"),),)),
+         np.linspace(0.0, 1e301, 11), True),
+        # a grid time that is not finite
+        (DisturbanceSignal(((Term(1.0, 1.0),),)), [0.0, np.nan, 1.0], False),
+        (DisturbanceSignal(((Term(1.0, 1.0),),)), [0.0, np.inf], True),
+    ]
+    for sig, grid, deriv in cases:
+        with pytest.raises(ParameterError):
+            sig.max_norm(grid, derivative=deriv)
+
+
+def test_unevaluable_disturbance_bound_is_a_config_error():
+    for name, override in (
+            ("scalar-rel1", {"disturbance": [[{"amplitude": 2.0,
+                                               "frequency": 1.0e+300}]]}),
+            ("doubleint-relr", {"sim": {"dt": 1.0e+300, "tf": 1.0e+301},
+                                "disturbance": [[{"amplitude": 1.0,
+                                                  "frequency": 1.0e+10,
+                                                  "waveform": "cos"}]]})):
+        with pytest.raises(scenarios.ConfigError, match="disturbance bound"):
+            scenarios.build({"scenario": name, **override})
 
 
 def test_term_rejects_nonfinite():
