@@ -11,8 +11,9 @@ Exit codes: 0 pass, 1 certified-run invariant failure (or, for validate,
 a failed check), 2 configuration error (including a number that is not
 finite or not a number, a filter tuning for which the constraint does not
 exist, a negative d_max, a config path that is missing, a directory or not
-UTF-8 text, an output path that is a file, and a log too large to
-allocate), 3 numerical failure: blow-up, non-finite integration, or a
+UTF-8 text, an output path that is a file, a log too large to
+allocate, and a disturbance whose bound cannot be evaluated in floats),
+3 numerical failure: blow-up, non-finite integration, or a
 ValueError or ArithmeticError raised by the validation checks (`run` and
 `validate`) or while simulating, such as a singular inertia matrix or an
 overflow.  Exit codes 2 and 3 print one line on stderr.

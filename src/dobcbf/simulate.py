@@ -168,12 +168,11 @@ class DisturbanceSignal:
         thousand times that.
 
         An empty grid, or a signal whose weights are all zero, gives 0.0.
-        Raises ParameterError, before evaluating anything, when the
-        evaluation cannot be finite: a non-finite grid time, FT + P
-        overflowing, or (sum |w|)^2 overflowing.
+        Otherwise ParameterError is raised, before anything is evaluated,
+        when the evaluation cannot be finite: a grid time that is not
+        finite, FT + P overflowing, or (sum |w|)^2 overflowing.
         """
         t = np.asarray(t_grid, dtype=float).reshape(-1)
-        weights = self._amp * self._freq if derivative else self._amp
         wave = np.cos if derivative else np.sin
         freq, phase = self._freq[:, None], self._phase[:, None]
 
@@ -184,35 +183,38 @@ class DisturbanceSignal:
         if t.size == 0:
             return 0.0
         t_lo, t_hi = float(t.min()), float(t.max())
-        if not (math.isfinite(t_lo) and math.isfinite(t_hi)):
-            raise ParameterError("disturbance bound: the time grid must be finite")
-        total = float(np.abs(weights).sum())
-        if total == 0.0:
-            return 0.0
-        reach = (float(np.abs(self._freq).max()) * max(t_hi, -t_lo)
-                 + float(np.abs(self._phase).max()))
-        # the squared norm is at most total^2, up to rounding
-        if not (math.isfinite(reach) and math.isfinite(2.0 * total * total)):
-            raise ParameterError("disturbance bound: the signal cannot be "
-                                 "evaluated in floats on this grid")
-
-        samples = t[::_NORM_STRIDE]
-        norms = np.sqrt(squares(samples))
-        starts = np.arange(0, t.size, _NORM_STRIDE)
-        lipschitz = float(np.linalg.norm(np.abs(weights * self._freq).sum(axis=1)))
-        margin = _NORM_ROUNDING * total * (sum(weights.shape) + 16) * (1.0 + reach)
+        # a weight or slope that overflows is inf: the checks reject it, and a
+        # bound that it makes inf or NaN keeps its block
         with np.errstate(over="ignore", invalid="ignore"):
+            weights = self._amp * self._freq if derivative else self._amp
+            total = float(np.abs(weights).sum())
+            if total == 0.0:
+                return 0.0
+            reach = (float(np.abs(self._freq).max()) * max(t_hi, -t_lo)
+                     + float(np.abs(self._phase).max()))
+            # a grid time that is not finite makes reach NaN or inf; the
+            # squared norm is at most total^2, up to rounding
+            if not (math.isfinite(reach) and math.isfinite(2.0 * total * total)):
+                raise ParameterError("disturbance bound: the signal cannot be "
+                                     "evaluated in floats on this grid")
+            samples = t[::_NORM_STRIDE]
+            norms = np.sqrt(squares(samples))
+            starts = np.arange(0, t.size, _NORM_STRIDE)
             spread = np.maximum(np.maximum.reduceat(t, starts) - samples,
                                 samples - np.minimum.reduceat(t, starts))
-            groups = norms + lipschitz * spread
+            lipschitz = math.hypot(*np.abs(weights * self._freq).sum(axis=1).tolist())
             bounds = np.maximum.reduceat(
-                groups, range(0, groups.size, _NORM_BLOCK // _NORM_STRIDE))
-            # NaN compares false, so a NaN bound keeps its block
-            keep = ~(bounds + margin < float(norms.max()) - margin)
+                norms + lipschitz * spread,
+                range(0, starts.size, _NORM_BLOCK // _NORM_STRIDE)).tolist()
+        margin = _NORM_ROUNDING * total * (sum(weights.shape) + 16) * (1.0 + reach)
+        floor = float(norms.max()) - margin
         largest = 0.0
-        for block in np.flatnonzero(keep).tolist():
-            start = block * _NORM_BLOCK
-            largest = max(largest, float(squares(t[start:start + _NORM_BLOCK]).max()))
+        for block, bound in enumerate(bounds):
+            # NaN compares false, so a NaN bound keeps its block
+            if not bound + margin < floor:
+                start = block * _NORM_BLOCK
+                largest = max(largest,
+                              float(squares(t[start:start + _NORM_BLOCK]).max()))
         return math.sqrt(largest)
 
 

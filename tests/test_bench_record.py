@@ -14,7 +14,9 @@ spec = importlib.util.spec_from_file_location("bench_record",
 bench_record = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_record)
 
-METRICS = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text())
+METRICS = DECLARED["end_to_end"]
+LAYERS = DECLARED["per_layer"]
 
 
 def write_run(checkout: Path, sha: str, workload: str, seed: int, values: dict,
@@ -28,7 +30,7 @@ def write_run(checkout: Path, sha: str, workload: str, seed: int, values: dict,
            "result": {"correct": correct,
                       "metrics": {m["name"]: {"value": values.get(m["name"], 1.0),
                                               "unit": m["unit"]}
-                                  for m in METRICS}}}
+                                  for m in (LAYERS if trace else METRICS)}}}
     (out / "result.json").write_text(json.dumps(rec))
 
 
@@ -105,3 +107,57 @@ def test_runs_of_length_zero_are_left_out(tmp_path):
     with pytest.raises(SystemExit):
         bench_record.main(["--pr", "7", "--parent", str(parent), "--change",
                            str(change), "--out", str(out)])
+
+
+def test_traced_runs_are_paired_per_layer(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in (1, 2):
+        write_run(parent, "p" * 40, "arm-dob", seed, {"setup_s": 0.04})
+        write_run(change, "c" * 40, "arm-dob", seed, {"setup_s": 0.02})
+    # two traced pairs of one length, one of another, and a traced run
+    # without a partner
+    bound = "scenarios.derivative_bound.s"
+    for seed, before, after in ((1, 0.025, 0.0035), (3, 0.027, 0.0031)):
+        write_run(parent, "p" * 40, "arm-dob", seed,
+                  {bound: before, "simulate.rk4_step.calls": 1000.0}, trace=1)
+        write_run(change, "c" * 40, "arm-dob", seed,
+                  {bound: after, "simulate.rk4_step.calls": 1000.0}, trace=1)
+    write_run(parent, "p" * 40, "arm-dob", 4, {bound: 9.0}, seconds=20.0, trace=1)
+    write_run(change, "c" * 40, "arm-dob", 4, {bound: 1.0}, seconds=20.0, trace=1)
+    write_run(change, "c" * 40, "doubleint-dense", 5, {}, trace=1)
+    out = tmp_path / "BENCH.json"
+    assert bench_record.main(["--pr", "7", "--parent", str(parent), "--change",
+                              str(change), "--out", str(out)]) == 0
+    rec = json.loads(out.read_text())
+    # the untraced pairing is unchanged by the traced runs
+    entry, = rec["workloads"]
+    assert (entry["pairs"], entry["seeds"]) == (2, [1, 2])
+    assert entry["metrics"]["setup_s"]["change_median"] == 0.02
+    short, layers = rec["per_layer"]
+    assert (short["seconds"], short["pairs"], short["seeds"]) == (20.0, 1, [4])
+    assert (layers["workload"], layers["seconds"]) == ("arm-dob", 40.0)
+    assert (layers["pairs"], layers["seeds"]) == (2, [1, 3])
+    assert set(layers["metrics"]) == {m["name"] for m in LAYERS}
+    m = layers["metrics"][bound]
+    assert (m["unit"], m["better"], m["pairs"]) == ("s", "lower", 2)
+    assert m["parent_median"] == pytest.approx(0.026)
+    assert m["change_median"] == pytest.approx(0.0033)
+    assert (m["parent"], m["change"]) == ([0.025, 0.027], [0.0035, 0.0031])
+    assert m["change_wins"] == 2 and "bound" not in m
+    assert layers["metrics"]["simulate.rk4_step.calls"]["change_wins"] == 0
+
+
+def test_traced_runs_of_another_commit_are_an_error(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    write_run(parent, "p" * 40, "arm-dob", 1, {})
+    write_run(change, "c" * 40, "arm-dob", 1, {})
+    write_run(parent, "p" * 40, "arm-dob", 1, {}, trace=1)
+    write_run(change, "d" * 40, "arm-dob", 1, {}, trace=1)
+    with pytest.raises(SystemExit):
+        bench_record.main(["--pr", "7", "--parent", str(parent), "--change",
+                           str(change), "--out", str(tmp_path / "B.json")])
+    # without traced pairs the record has an empty per-layer list
+    shutil.rmtree(change / ".perfbench_out" / "arm-dob-seed1-trace1")
+    assert bench_record.main(["--pr", "7", "--parent", str(parent), "--change",
+                              str(change), "--out", str(tmp_path / "B.json")]) == 0
+    assert json.loads((tmp_path / "B.json").read_text())["per_layer"] == []

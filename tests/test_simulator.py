@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -452,9 +453,18 @@ def test_max_norm_is_the_blocked_loop_on_unordered_grids_and_ties():
     arm = scenarios.build({"scenario": "el2dof-dob"}).disturbance
     rng = np.random.default_rng(7)
     grid = np.linspace(0.0, 20.0, 20_001)
-    # a shuffled grid and one with each time repeated
+    # a shuffled grid, a descending one and one with each time repeated
     same_bits_on_both_bounds(arm, rng.permutation(grid))
+    same_bits_on_both_bounds(arm, grid[::-1])
     same_bits_on_both_bounds(arm, np.repeat(grid[::4], 3))
+    # a * f overflows, so the Lipschitz bound is inf (NaN on a spread of 0)
+    # and keeps every block, with no warning
+    steep = DisturbanceSignal(((Term(1e100, 1e300, phase=1.0),),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = steep.max_norm(np.zeros(5000))
+    assert got == blocked_max_norm(steep, np.zeros(5000))
+    assert got == pytest.approx(1e100 * math.sin(1.0))
     # (a sin wt, a cos wt) has norm |a| everywhere, so its maximum is a
     # rounding tie between every grid point; with each time repeated 64
     # times, every sample bounds its points with no Lipschitz term, and only
@@ -485,13 +495,19 @@ def test_max_norm_rejects_a_signal_it_cannot_evaluate():
         # frequency times time overflows
         (DisturbanceSignal(((Term(1.0, 1e10, waveform="cos"),),)),
          np.linspace(0.0, 1e301, 11), True),
+        # the derivative weight a * f itself overflows
+        (DisturbanceSignal(((Term(1e10, 1e300),),)), np.linspace(0.0, 1.0, 5),
+         True),
         # a grid time that is not finite
         (DisturbanceSignal(((Term(1.0, 1.0),),)), [0.0, np.nan, 1.0], False),
         (DisturbanceSignal(((Term(1.0, 1.0),),)), [0.0, np.inf], True),
     ]
-    for sig, grid, deriv in cases:
-        with pytest.raises(ParameterError):
-            sig.max_norm(grid, derivative=deriv)
+    # rejected before NumPy can warn of an overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sig, grid, deriv in cases:
+            with pytest.raises(ParameterError):
+                sig.max_norm(grid, derivative=deriv)
 
 
 def test_unevaluable_disturbance_bound_is_a_config_error():

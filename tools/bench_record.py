@@ -20,6 +20,13 @@ direction), the interquartile range of the parent's runs, and every pair's
 values.  It also holds the git SHA of each side, the Python and NumPy
 versions and CPU count that the runs report, and the Tier-1 wall time given
 on the command line.
+
+Traced runs (`perfbench/run.py --trace 1`, which leave
+`<workload>-seed<seed>-trace1/result.json`) are paired the same way, apart
+from the untraced ones, and summarised under "per_layer" with the same
+fields for each per-layer metric that BENCHMARK.json declares; that list
+is empty when no traced pair exists.  Every run of either kind must report
+the same SHA per side and the same environment.
 """
 
 from __future__ import annotations
@@ -33,11 +40,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_runs(checkout: Path) -> dict:
-    """Untraced result records of a checkout of positive length, keyed by
-    (workload, seed, seconds)."""
+def load_runs(checkout: Path, trace: int = 0) -> dict:
+    """Result records of a checkout of positive length, untraced or traced,
+    keyed by (workload, seed, seconds)."""
     runs = {}
-    for path in sorted((checkout / ".perfbench_out").glob("*-trace0/result.json")):
+    pattern = f"*-trace{trace}/result.json"
+    for path in sorted((checkout / ".perfbench_out").glob(pattern)):
         rec = json.loads(path.read_text())
         if rec["seconds"] > 0:
             runs[(rec["workload"], rec["seed"], rec["seconds"])] = rec
@@ -59,28 +67,15 @@ def only(values: set, what: str):
     return values.pop()
 
 
-def record(parent: dict, change: dict, metrics: list, tier1_s: float | None,
-           pr: int) -> dict:
+def summarise(parent: dict, change: dict, metrics: list) -> list:
+    """One entry per workload and length over the runs that pair up: the
+    seeds, whether every run was correct, and per metric the parent and
+    change medians, the pair count, the change's wins, the parent's IQR
+    and every pair's values."""
     keys = sorted(set(parent) & set(change))
-    if not keys:
-        raise SystemExit("no parent/change pair of runs")
-    pairs = [(parent[k], change[k]) for k in keys]
-    env = [rec["environment"] for pair in pairs for rec in pair]
-    out = {
-        "pr": pr,
-        "sha": only({c["environment"]["git_sha"] for _, c in pairs}, "the change SHA"),
-        "parent_sha": only({p["environment"]["git_sha"] for p, _ in pairs},
-                           "the parent SHA"),
-        "python": only({e["python"] for e in env}, "the Python version"),
-        "numpy": only({e["numpy"] for e in env}, "the NumPy version"),
-        "nproc": only({e["nproc"] for e in env}, "the CPU count"),
-        "method": "alternating runs of perfbench/run.py --trace 0, one parent "
-                  "and one change run per seed; medians over the pairs",
-        "tier1_s": tier1_s,
-        "workloads": [],
-    }
+    entries = []
     for workload, seconds in sorted({(k[0], k[2]) for k in keys}):
-        chosen = [(k, p, c) for k, (p, c) in zip(keys, pairs)
+        chosen = [(k, parent[k], change[k]) for k in keys
                   if (k[0], k[2]) == (workload, seconds)]
         entry = {"workload": workload, "seconds": seconds,
                  "pairs": len(chosen),
@@ -93,7 +88,8 @@ def record(parent: dict, change: dict, metrics: list, tier1_s: float | None,
             before = [p["result"]["metrics"][name]["value"] for _, p, _ in chosen]
             after = [c["result"]["metrics"][name]["value"] for _, _, c in chosen]
             entry["metrics"][name] = {
-                "unit": m["unit"], "better": m["better"], "bound": m["bound"],
+                "unit": m["unit"], "better": m["better"],
+                **({"bound": m["bound"]} if "bound" in m else {}),
                 "parent_median": statistics.median(before),
                 "change_median": statistics.median(after),
                 "pairs": len(chosen),
@@ -101,8 +97,38 @@ def record(parent: dict, change: dict, metrics: list, tier1_s: float | None,
                 "parent_iqr": quartile_range(before),
                 "parent": before, "change": after,
             }
-        out["workloads"].append(entry)
-    return out
+        entries.append(entry)
+    return entries
+
+
+def record(parent: dict, change: dict, metrics: list, tier1_s: float | None,
+           pr: int, traced: tuple) -> dict:
+    """The record of the untraced pairs, and of the traced ones given as
+    (parent runs, change runs, per-layer metrics)."""
+    traced_parent, traced_change, layer_metrics = traced
+    workloads = summarise(parent, change, metrics)
+    if not workloads:
+        raise SystemExit("no parent/change pair of runs")
+    per_layer = summarise(traced_parent, traced_change, layer_metrics)
+    sides = [(p[k], c[k]) for p, c in ((parent, change),
+                                       (traced_parent, traced_change))
+             for k in sorted(set(p) & set(c))]
+    env = [rec["environment"] for pair in sides for rec in pair]
+    return {
+        "pr": pr,
+        "sha": only({c["environment"]["git_sha"] for _, c in sides}, "the change SHA"),
+        "parent_sha": only({p["environment"]["git_sha"] for p, _ in sides},
+                           "the parent SHA"),
+        "python": only({e["python"] for e in env}, "the Python version"),
+        "numpy": only({e["numpy"] for e in env}, "the NumPy version"),
+        "nproc": only({e["nproc"] for e in env}, "the CPU count"),
+        "method": "alternating runs of perfbench/run.py --trace 0, one parent "
+                  "and one change run per seed; medians over the pairs; "
+                  "per_layer: the same over --trace 1 runs",
+        "tier1_s": tier1_s,
+        "workloads": workloads,
+        "per_layer": per_layer,
+    }
 
 
 def main(argv=None) -> int:
@@ -117,14 +143,16 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=None,
                         help="output file (default BENCH_<pr>.json at the root)")
     args = parser.parse_args(argv)
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    rec = record(load_runs(args.parent), load_runs(args.change), metrics,
-                 args.tier1_seconds, args.pr)
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    rec = record(load_runs(args.parent), load_runs(args.change),
+                 declared["end_to_end"], args.tier1_seconds, args.pr,
+                 (load_runs(args.parent, 1), load_runs(args.change, 1),
+                  declared["per_layer"]))
     out = args.out or ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(rec, indent=1) + "\n")
-    for entry in rec["workloads"]:
+    for entry in rec["workloads"] + rec["per_layer"]:
         for name, m in entry["metrics"].items():
-            print(f"{entry['workload']:18s} {entry['seconds']:4g} s {name:16s} "
+            print(f"{entry['workload']:18s} {entry['seconds']:4g} s {name:30s} "
                   f"{m['parent_median']:.6g} -> "
                   f"{m['change_median']:.6g} {m['unit']}  wins "
                   f"{m['change_wins']}/{m['pairs']}  parent IQR {m['parent_iqr']:.3g}")
