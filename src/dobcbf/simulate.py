@@ -153,8 +153,8 @@ class DisturbanceSignal:
         bounds a block.  A block is skipped only when its bound plus a
         margin m lies below the largest sample minus m; every value
         computed in it then lies below the block evaluation of that
-        sample, which is never skipped.  A bound that overflows skips
-        nothing.
+        sample, which is never skipped.  When L times the grid's span
+        overflows, no block is skipped.
 
         Why m suffices: with u = 2^-53, W = sum |w|, F = max |f|,
         T = max |t|, P = max |phi|, K terms and C channels, the argument
@@ -173,6 +173,28 @@ class DisturbanceSignal:
         finite, FT + P overflowing, or (sum |w|)^2 overflowing.
         """
         t = np.asarray(t_grid, dtype=float).reshape(-1)
+        if t.size == 0:
+            return 0.0
+        # (|w|, |f|, |phi|) per term and channel in Python floats, which
+        # overflow to inf without a warning; the checks below keep NumPy's
+        # products finite
+        rows = [[(abs(a * w) if derivative else abs(a), abs(w), abs(ph))
+                 for a, w, ph in channel] for channel in self._triples]
+        terms = [term for row in rows for term in row]
+        total = sum(weight for weight, _, _ in terms)
+        if total == 0.0:
+            return 0.0
+        lipschitz = math.hypot(*(sum(weight * f for weight, f, _ in row)
+                                 for row in rows))
+        t_lo, t_hi = float(t.min()), float(t.max())
+        # a grid time that is not finite makes reach NaN or inf; the squared
+        # norm is at most total^2, up to rounding
+        reach = (max(f for _, f, _ in terms) * max(t_hi, -t_lo)
+                 + max(ph for _, _, ph in terms))
+        if not (math.isfinite(reach) and math.isfinite(2.0 * total * total)):
+            raise ParameterError("disturbance bound: the signal cannot be "
+                                 "evaluated in floats on this grid")
+        weights = self._amp * self._freq if derivative else self._amp
         wave = np.cos if derivative else np.sin
         freq, phase = self._freq[:, None], self._phase[:, None]
 
@@ -180,41 +202,25 @@ class DisturbanceSignal:
             vals = weights.dot(wave(freq * ts + phase))
             return (vals * vals).sum(axis=0)
 
-        if t.size == 0:
-            return 0.0
-        t_lo, t_hi = float(t.min()), float(t.max())
-        # a weight or slope that overflows is inf: the checks reject it, and a
-        # bound that it makes inf or NaN keeps its block
-        with np.errstate(over="ignore", invalid="ignore"):
-            weights = self._amp * self._freq if derivative else self._amp
-            total = float(np.abs(weights).sum())
-            if total == 0.0:
-                return 0.0
-            reach = (float(np.abs(self._freq).max()) * max(t_hi, -t_lo)
-                     + float(np.abs(self._phase).max()))
-            # a grid time that is not finite makes reach NaN or inf; the
-            # squared norm is at most total^2, up to rounding
-            if not (math.isfinite(reach) and math.isfinite(2.0 * total * total)):
-                raise ParameterError("disturbance bound: the signal cannot be "
-                                     "evaluated in floats on this grid")
+        starts = range(0, t.size, _NORM_BLOCK)
+        if math.isfinite(lipschitz * (t_hi - t_lo)):
             samples = t[::_NORM_STRIDE]
             norms = np.sqrt(squares(samples))
-            starts = np.arange(0, t.size, _NORM_STRIDE)
-            spread = np.maximum(np.maximum.reduceat(t, starts) - samples,
-                                samples - np.minimum.reduceat(t, starts))
-            lipschitz = math.hypot(*np.abs(weights * self._freq).sum(axis=1).tolist())
+            groups = np.arange(0, t.size, _NORM_STRIDE)
+            spread = np.maximum(np.maximum.reduceat(t, groups) - samples,
+                                samples - np.minimum.reduceat(t, groups))
             bounds = np.maximum.reduceat(
                 norms + lipschitz * spread,
-                range(0, starts.size, _NORM_BLOCK // _NORM_STRIDE)).tolist()
-        margin = _NORM_ROUNDING * total * (sum(weights.shape) + 16) * (1.0 + reach)
-        floor = float(norms.max()) - margin
+                range(0, groups.size, _NORM_BLOCK // _NORM_STRIDE)).tolist()
+            margin = (_NORM_ROUNDING * total * (len(terms) + self.dim + 16)
+                      * (1.0 + reach))
+            floor = float(norms.max()) - margin
+            starts = [start for start, bound in zip(starts, bounds)
+                      if bound + margin >= floor]
         largest = 0.0
-        for block, bound in enumerate(bounds):
-            # NaN compares false, so a NaN bound keeps its block
-            if not bound + margin < floor:
-                start = block * _NORM_BLOCK
-                largest = max(largest,
-                              float(squares(t[start:start + _NORM_BLOCK]).max()))
+        for start in starts:
+            block = squares(t[start:start + _NORM_BLOCK])
+            largest = max(largest, float(block.max()))
         return math.sqrt(largest)
 
 

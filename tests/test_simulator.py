@@ -457,8 +457,8 @@ def test_max_norm_is_the_blocked_loop_on_unordered_grids_and_ties():
     same_bits_on_both_bounds(arm, rng.permutation(grid))
     same_bits_on_both_bounds(arm, grid[::-1])
     same_bits_on_both_bounds(arm, np.repeat(grid[::4], 3))
-    # a * f overflows, so the Lipschitz bound is inf (NaN on a spread of 0)
-    # and keeps every block, with no warning
+    # a * f overflows, so L is inf and L times the grid's span (0) is NaN:
+    # every block is evaluated, with no warning
     steep = DisturbanceSignal(((Term(1e100, 1e300, phase=1.0),),))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
