@@ -510,18 +510,6 @@ def test_max_norm_rejects_a_signal_it_cannot_evaluate():
                 sig.max_norm(grid, derivative=deriv)
 
 
-def test_unevaluable_disturbance_bound_is_a_config_error():
-    for name, override in (
-            ("scalar-rel1", {"disturbance": [[{"amplitude": 2.0,
-                                               "frequency": 1.0e+300}]]}),
-            ("doubleint-relr", {"sim": {"dt": 1.0e+300, "tf": 1.0e+301},
-                                "disturbance": [[{"amplitude": 1.0,
-                                                  "frequency": 1.0e+10,
-                                                  "waveform": "cos"}]]})):
-        with pytest.raises(scenarios.ConfigError, match="disturbance bound"):
-            scenarios.build({"scenario": name, **override})
-
-
 def test_term_rejects_nonfinite():
     for bad in ({"amplitude": np.nan, "frequency": 1.0},
                 {"amplitude": 1.0, "frequency": np.inf},
