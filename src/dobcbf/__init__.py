@@ -8,8 +8,8 @@ matched/unmatched disturbances, with a quantified estimation-error envelope.
 from .model import (BarrierSpec, ControlAffineSystem, DimensionError,
                     ParameterError, coeffs_from_poles, lie_derivatives,
                     s_sequence)
-from .observer import (GainReport, ObserverConfig, ObserverState,
-                       error_envelope, estimate, initial_state, validate_gain)
+from .observer import (ObserverConfig, ObserverState, error_envelope,
+                       estimate, gain_spectrum, initial_state)
 from .qp import INACTIVE, ACTIVE, INFEASIBLE, QpInstance, QpResult, solve
 from .filters import (Decision, FilterParams, NoFilter, ParamReport, QpFilter,
                       validate_params)

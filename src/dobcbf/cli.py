@@ -4,13 +4,16 @@ Subcommands:
   run <config.yaml>      simulate a scenario, write trajectory.csv,
                          events.csv, metrics.txt, validation.txt, and
                          panel CSVs
-  validate <config.yaml> parameter and observer-gain checks only
+  validate <config.yaml> build and parameter checks only; prints what
+                         validation.txt would hold
   compare <dirA> <dirB>  paired deltas between two finished runs
 
 Exit codes: 0 pass, 1 certified-run invariant failure (or, for validate,
 a failed check), 2 configuration error (including a number that is not
 finite or not a number, a filter tuning for which the constraint does not
-exist, a negative d_max, a config path that is missing, a directory or not
+exist, a negative d_max, an observer gain whose coercivity margin is
+negative or whose stiffness times dt/substeps lies outside RK4's real
+stability interval, a config path that is missing, a directory or not
 UTF-8 text, an output path that is a file, a log too large to
 allocate, and a disturbance whose bound cannot be evaluated in floats),
 3 numerical failure: blow-up, non-finite integration, or a
@@ -56,7 +59,10 @@ def apply_overrides(cfg: dict, overrides) -> dict:
     return cfg
 
 
-def _report_lines(reports: dict) -> list[str]:
+def _validation(scenario: scenarios.Scenario) -> tuple[bool, list[str]]:
+    """(whether every check passed, the lines of validation.txt)."""
+    reports = scenario.validate()
+    passed = all(r.passed for r in reports.values())
     lines = []
     for name, rep in sorted(reports.items()):
         lines.append(f"[{name}] passed: {rep.passed}")
@@ -66,7 +72,10 @@ def _report_lines(reports: dict) -> list[str]:
                     lines.append(f"  note: {msg}")
             else:
                 lines.append(f"  {field_name}: {value}")
-    return lines
+    lines.append(f"certified: {scenario.certified and passed}")
+    for key, value in sorted(scenario.constants.items()):
+        lines.append(f"constant {key}: {value:.14e}")
+    return passed, lines
 
 
 def emit_plotdata(log: simulate.TrajectoryLog, outdir: str) -> list[str]:
@@ -106,12 +115,8 @@ def run_scenario(cfg: dict, outdir: str) -> int:
     with open(os.path.join(outdir, "config.yaml"), "w") as fh:
         yaml.safe_dump(scenario.config, fh, sort_keys=True)
 
-    reports = scenario.validate()
-    certified = scenario.certified and all(r.passed for r in reports.values())
-    val_lines = _report_lines(reports)
-    val_lines.append(f"certified: {certified}")
-    for key, value in sorted(scenario.constants.items()):
-        val_lines.append(f"constant {key}: {value:.14e}")
+    passed, val_lines = _validation(scenario)
+    certified = scenario.certified and passed
     with open(os.path.join(outdir, "validation.txt"), "w") as fh:
         fh.write("\n".join(val_lines) + "\n")
 
@@ -181,7 +186,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--override", action="append", default=[],
                        metavar="KEY=VALUE")
 
-    p_val = sub.add_parser("validate", help="run parameter and gain checks only")
+    p_val = sub.add_parser("validate", help="run the build and parameter checks only")
     p_val.add_argument("config")
     p_val.add_argument("--override", action="append", default=[],
                        metavar="KEY=VALUE")
@@ -202,10 +207,9 @@ def main(argv=None) -> int:
                 return run_scenario(cfg, args.out)
             if args.command == "validate":
                 cfg = apply_overrides(load_config(args.config), args.override)
-                scenario = scenarios.build(cfg)
-                reports = scenario.validate()
-                print("\n".join(_report_lines(reports)))
-                return 0 if all(r.passed for r in reports.values()) else 1
+                passed, lines = _validation(scenarios.build(cfg))
+                print("\n".join(lines))
+                return 0 if passed else 1
             if args.command == "compare":
                 return compare(args.dir_a, args.dir_b, args.out)
         except (ConfigError, OSError, UnicodeDecodeError, MemoryError,

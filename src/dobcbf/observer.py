@@ -7,9 +7,10 @@ d_hat = z + p(x), with
 
 where the gain L_d is a constant (p, n) matrix and p(x) = L_d x, so that
 dp/dx = L_d holds by construction.  The gain must satisfy the coercivity
-condition v' L_d g2(x) v >= alpha ||v||^2.  Every observer in the library
-has this form: on an Euler-Lagrange plant, L_d = [0 | alpha1 I] gives the
-momentum observer of Chen, Ballance, Gawthrop & O'Reilly (IEEE TIE 2000).
+condition v' L_d g2(x) v >= alpha ||v||^2 (see `gain_spectrum`).  Every
+observer in the library has this form: on an Euler-Lagrange plant,
+L_d = [0 | alpha1 I] gives the momentum observer of Chen, Ballance,
+Gawthrop & O'Reilly (IEEE TIE 2000).
 Under a bounded disturbance derivative ||ddot|| <= omega the estimation
 error is uniformly ultimately bounded; `error_envelope` evaluates the
 closed-form bound, which tends to omega/sqrt(2 kappa nu).  The
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (ControlAffineSystem, DimensionError, ParameterError,
-                    as_floats, as_matrix, as_vector)
+                    as_floats, as_matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,48 +132,21 @@ def error_envelope(cfg: ObserverConfig, e0_norm: float, t):
     return float(out) if np.ndim(t) == 0 else out
 
 
-@dataclass
-class GainReport:
-    """Verdict on the observer gain at sampled states."""
+def gain_spectrum(cfg: ObserverConfig, system: ControlAffineSystem,
+                  states) -> tuple[float, float]:
+    """(lam_min, lam_max): the extreme eigenvalues of sym(A) = (A + A')/2,
+    A = L_d g2(x), over the given states.
 
-    coercivity_ok: bool
-    # min over sample states of lambda_min(sym(L_d g2(x))) - alpha
-    worst_coercivity_margin: float
-    n_states: int = 0
-    messages: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return self.coercivity_ok
-
-
-def validate_gain(cfg: ObserverConfig, sys: ControlAffineSystem, sample_states,
-                  tol: float = 1e-8) -> GainReport:
-    """Check the coercivity of L_d g2 at sampled states.
-
-    At each sample state x the margin is exact: min over unit v of
-    v' A v = lambda_min((A + A')/2), with A = L_d g2(x).  p(x) must be
-    finite there too (integral_at raises ValueError otherwise).  The
-    condition is pointwise in x, so the states are still a sample.
+    Over unit v, v' A v spans [lam_min, lam_max], so lam_min - alpha is the
+    coercivity margin and lam_max the stiffness of the estimation error;
+    over every state when the states are where the extremes are attained.
+    A non-finite L_d g2(x) raises ParameterError.
     """
-    states = [as_vector(x, sys.n, "sample state") for x in sample_states]
-    if not states:
-        raise ParameterError("need a nonempty sample set")
-
     mats = []
     for x in states:
-        cfg.integral_at(x)
-        mats.append(cfg.gain_at(x) @ sys.disturbance_matrix(x))
-    A = np.array(mats)
-    lam_min = np.linalg.eigvalsh(0.5 * (A + A.transpose(0, 2, 1)))[:, 0]
-    worst_margin = float(lam_min.min()) - cfg.alpha
-
-    report = GainReport(
-        coercivity_ok=worst_margin >= -tol,
-        worst_coercivity_margin=worst_margin,
-        n_states=len(states),
-    )
-    if not report.coercivity_ok:
-        report.messages.append(
-            f"coercivity margin {worst_margin:.3e} below -{tol:.1e}")
-    return report
+        A = cfg.gain_at(x) @ system.disturbance_matrix(x)
+        if not np.isfinite(A).all():
+            raise ParameterError(f"L_d g2(x) is not finite at x = {list(x)}")
+        mats.append(0.5 * A + 0.5 * A.T)
+    lam = np.linalg.eigvalsh(np.array(mats))
+    return float(lam[:, 0].min()), float(lam[:, -1].max())

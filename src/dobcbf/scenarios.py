@@ -20,7 +20,13 @@ Derived constants and their provenance:
     ParameterError, a ConfigError here;
   * the arm's inverse-inertia eigenvalue bounds are exact: the inertia
     matrix is affine in cos(q2), so its largest eigenvalue (convex in the
-    matrix) peaks and its smallest (concave) bottoms out at q2 = 0 or pi.
+    matrix) peaks and its smallest (concave) bottoms out at q2 = 0 or pi;
+  * so are the extremes of the spectrum of sym(L_d g2(x)): the arm's
+    L_d g2 = alpha1 M^-1(q) takes them at q2 = 0 and pi, the integrators'
+    constant one anywhere.  A coercivity margin lambda_min - alpha below
+    -COERCIVITY_TOL, or an observer step lambda_max * dt/substeps outside
+    RK4's real stability interval (necessary, not sufficient, for a
+    bounded estimate), is a ConfigError.
 
 The arm filter's constraint-side omega is the `constraint_omega` parameter.
 Its default is a registry constant, deliberately smaller than the derived
@@ -57,6 +63,9 @@ ARM_CONSTRAINT_OMEGA = 3.0
 SAFETY_TOL = 1e-6
 ENVELOPE_TOL = 1e-3
 FLOOR_TOL = 1e-4
+COERCIVITY_TOL = 1e-8
+#: RK4's stability interval on the negative real axis is about (-2.785, 0]
+RK4_REAL_STABILITY = 2.785
 
 
 class ConfigError(ValueError):
@@ -64,7 +73,8 @@ class ConfigError(ValueError):
 
 
 # --------------------------------------------------------------------------
-# default configurations
+# default configurations; "seed" is accepted and unread, as the benchmark
+# harness (perfbench/run.py, record.py) sets it in every workload config
 
 
 def _scalar_defaults() -> dict:
@@ -348,15 +358,16 @@ def _simcfg(cfg: dict) -> simulate.SimConfig:
 
 
 # Family functions take (cfg, signal, simcfg, omega) and return their own
-# Scenario fields plus `sample(rng)`, the validation states, and
-# `report(x0, e0)`, the parameter report or None; `build` derives the rest.
+# Scenario fields plus `extremal_states`, where the observer's gain spectrum
+# takes its extremes, and `report(x0, e0)`, the parameter report or None;
+# `build` derives the rest.
 
 
 def _qp_family(cfg: dict, omega: float, system: ControlAffineSystem,
                barrier: BarrierSpec, gain_shape: np.ndarray,
                nominal: Callable) -> dict:
     """A generic plant under the QpFilter, observed with the constant gain
-    L = alpha * gain_shape (so p(x) = L x); states sampled in [-2, 2]^n."""
+    L = alpha * gain_shape (so p(x) = L x) and a constant g2."""
     prm = cfg["params"]
     alpha = float(prm["alpha"])
     obs = observer.ObserverConfig(gain=alpha * gain_shape, alpha=alpha,
@@ -365,7 +376,7 @@ def _qp_family(cfg: dict, omega: float, system: ControlAffineSystem,
     safety = filters.QpFilter(system, barrier, obs, fp)
     return dict(
         system=system, observer_cfg=obs, safety=safety, nominal=nominal,
-        sample=lambda rng: rng.uniform(-2.0, 2.0, size=(200, system.n)),
+        extremal_states=[(0.0,) * system.n],
         report=lambda x0, e0: filters.validate_params(
             safety, s_sequence(system, barrier, x0), e0),
         pairing_key=cfg["scenario"], constants={"omega": omega},
@@ -463,13 +474,10 @@ def _arm(cfg: dict, signal, simcfg, omega: float) -> dict:
         return elmod.pd_nominal(Kp, Kd, (q0, q1), (v0, v1), (c, c), (s, s),
                                 gravity=grav((q0, q1)) if grav else None)
 
-    def sample(rng):
-        return np.hstack([rng.uniform(-math.pi, math.pi, size=(200, 2)),
-                          rng.uniform(-8.0, 8.0, size=(200, 2))])
-
     return dict(
         system=system, observer_cfg=obs, safety=safety, nominal=nominal,
-        sample=sample, report=report,
+        extremal_states=[(0.0, 0.0, 0.0, 0.0), (0.0, math.pi, 0.0, 0.0)],
+        report=report,
         certified=name != "el2dof-nofilter", pairing_key="el2dof",
         floor=floor,
         reference=lambda t: np.array([amp * math.cos(t), amp * math.cos(t)]),
@@ -482,12 +490,12 @@ def build(config: dict) -> Scenario:
     """Construct a scenario from a configuration dict.
 
     The skeleton derives what every scenario shares: the disturbance signal,
-    the time grid, the derivative bound omega, x0, e0 = ||d(t0)||, the
-    estimation-error envelope (a function of absolute time that starts from
-    e0 at t0), and the validators (the observer-gain check at states drawn
-    from a seeded rng).  The family function returns the plant, observer,
-    filter, nominal law, validation-state sampler and parameter report, plus
-    the Scenario fields of its own.
+    the time grid, the derivative bound omega, the observer's coercivity
+    margin and step, x0, e0 = ||d(t0)||, the estimation-error envelope (a
+    function of absolute time that starts from e0 at t0), and the
+    validators.  The family function returns the plant, observer, filter,
+    nominal law, extremal states and parameter report, plus the Scenario
+    fields of its own.
     """
     cfg = resolve_config(config)
     name = cfg["scenario"]
@@ -497,10 +505,21 @@ def build(config: dict) -> Scenario:
         signal = _signal_from_config(cfg["disturbance"])
         omega = derivative_bound(signal, simcfg.t0, simcfg.tf)
         parts = family(cfg, signal, simcfg, omega)
+        system, obs = parts["system"], parts["observer_cfg"]
+        lam_min, lam_max = observer.gain_spectrum(
+            obs, system, parts.pop("extremal_states"))
+        margin = lam_min - obs.alpha
+        step = lam_max * simcfg.dt / simcfg.substeps
+        if margin < -COERCIVITY_TOL:
+            raise ParameterError(f"observer coercivity margin {margin:.3e} "
+                                 f"below -{COERCIVITY_TOL:.1e}")
+        if step >= RK4_REAL_STABILITY:
+            raise ParameterError(
+                f"observer step lambda_max * dt/substeps = {step:.4g} is "
+                f"outside RK4's real stability interval ({RK4_REAL_STABILITY})")
     except ValueError as exc:  # ParameterError, DimensionError, ...
         raise ConfigError(str(exc)) from exc
-    sample, report = parts.pop("sample"), parts.pop("report")
-    system, obs = parts["system"], parts["observer_cfg"]
+    report = parts.pop("report")
     if signal.dim != system.p:
         raise ConfigError(f"{name} needs a disturbance of {system.p} "
                           f"channel(s), got {signal.dim}")
@@ -509,14 +528,11 @@ def build(config: dict) -> Scenario:
         raise ConfigError(f"initial_state needs {system.n} entries, "
                           f"got {x0.size}")
     e0 = float(np.linalg.norm(signal.value(simcfg.t0)))
-    parts["constants"]["e0_norm"] = e0
+    parts["constants"].update(e0_norm=e0, coercivity_margin=margin,
+                              observer_step=step)
 
     def validators():
-        states = sample(np.random.default_rng(int(cfg["seed"])))
-        out = {"gain": observer.validate_gain(obs, system, states)}
-        if report is not None:
-            out["params"] = report(x0, e0)
-        return out
+        return {} if report is None else {"params": report(x0, e0)}
 
     return Scenario(name=name, config=cfg, disturbance=signal, simcfg=simcfg,
                     x0=x0,

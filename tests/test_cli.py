@@ -9,7 +9,7 @@ import pytest
 import yaml
 
 import dobcbf
-from dobcbf import cli, scenarios
+from dobcbf import cli, observer, scenarios
 from oracles import csv_per_cell
 
 
@@ -217,26 +217,32 @@ def test_compare_rejects_unpaired_runs(tmp_path, scalar_cfg, arm_cfg):
 
 
 def test_numerical_failure_exit_code(tmp_path):
-    # unfiltered arm with enormous PD gains at a coarse step diverges
+    # unfiltered arm with enormous PD gains at a coarse step diverges; the
+    # observer gain is lowered so that its own step is admissible
+    # (alpha1 * mu2 * dt = 1.51)
     cfg = write_config(tmp_path / "bad.yaml",
                        {"scenario": "el2dof-nofilter",
                         "sim": {"tf": 1.0, "dt": 1e-2, "substeps": 1},
-                        "params": {"kp": 1e9, "kd": 1.0}})
+                        "params": {"kp": 1e9, "kd": 1.0, "alpha1": 10.0}})
     rc = cli.main(["run", cfg, "--out", str(tmp_path / "o")])
     assert rc == 3
 
 
-def test_diverging_observer_exits_3(tmp_path, capsys):
+def test_diverging_observer_step_exits_2(tmp_path, capsys):
     # at two substeps the arm observer's stiffest mode, alpha1 * mu2 * dt_sub
     # = 3.77, lies outside RK4's real stability interval (about 2.785): the
-    # estimate diverges while the plant state stays bounded
+    # estimate would diverge while the plant state stays bounded, so the
+    # step is rejected when the scenario is built
     cfg = write_config(tmp_path / "rob.yaml",
                        {"scenario": "el2dof-robust",
                         "sim": {"tf": 2.0, "substeps": 2}})
-    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
     captured = capsys.readouterr()
-    assert "numerical failure (aborted run)" in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("configuration error:")
+    assert "observer step" in lines[0] and "3.77" in lines[0]
     assert captured.out == ""
+    assert not (tmp_path / "o").exists()
 
 
 IMPOSSIBLE_TUNINGS = [
@@ -317,11 +323,11 @@ def test_yaml_exponent_string_is_read_as_number(tmp_path, scalar_cfg):
 def test_singular_inertia_exits_3(tmp_path, monkeypatch, capsys):
     # The arm's masses are not configuration fields, so the scenario's plant
     # is swapped for an arm whose inertia determinant is sin(q2)^2/4 - 1e-12
-    # (unit m2 and l): negative only within ~2e-6 rad of q2 = 0 or pi, so
-    # every sampled validation state passes.  The inertia bounds are taken
-    # on the simulated arm and reject it when the scenario is built (exit
-    # 2); with them fixed at the default arm's, the run fails at its first
-    # step (exit 3).
+    # (unit m2 and l): negative only within ~2e-6 rad of q2 = 0 or pi.  The
+    # inertia bounds and the observer's gain spectrum are taken there on the
+    # simulated arm and reject it when the scenario is built (exit 2); with
+    # both fixed at the default arm's, the run fails at its first step
+    # (exit 3).
     from dobcbf import el
     m1 = 9.0 * (0.25 - 1.0 / 3.0 - 1e-12)
     monkeypatch.setattr(el, "TwoLinkArm", functools.partial(el.TwoLinkArm, m1=m1))
@@ -332,15 +338,65 @@ def test_singular_inertia_exits_3(tmp_path, monkeypatch, capsys):
     assert "inertia matrix not SPD at q2 = 0.0" in capsys.readouterr().err
     default_bounds = scenarios.arm_mu_bounds(el.TwoLinkArm(m1=1.0).system().mass)
     monkeypatch.setattr(scenarios, "arm_mu_bounds", lambda mass: default_bounds)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "inertia matrix not positive definite at q = (0.0, 0.0)" in \
+        capsys.readouterr().err
+    default_arm = el.to_control_affine(el.TwoLinkArm(m1=1.0).system())
+    default_spectrum = observer.gain_spectrum(
+        el.el_observer_config(500.0, default_bounds[0], 1.0, 0.0), default_arm,
+        [(0.0, 0.0, 0.0, 0.0), (0.0, np.pi, 0.0, 0.0)])
+    monkeypatch.setattr(observer, "gain_spectrum",
+                        lambda cfg, system, states: default_spectrum)
     assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 3
     assert "numerical failure: inertia matrix" in capsys.readouterr().err
 
 
+def validate_in_subprocess(tmp_path, scenario, override):
+    """`dobcbf validate` of one override in a separate process: capsys never
+    sees NumPy's RuntimeWarnings, a separate process does."""
+    cfg = write_config(tmp_path / "c.yaml", {"scenario": scenario})
+    src = str(Path(dobcbf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "dobcbf.cli", "validate", cfg,
+         "--override", override],
+        capture_output=True, text=True, env=env, timeout=120)
+
+
 OVERFLOWS = [
     ("el2dof-dob", "initial_state=[1e200, 0.0, 0.0, 0.0]"),  # h_q overflows
-    ("scalar-rel1", "params.alpha=1e308"),   # p(x) of a sample state is inf
-    ("el2dof-dob", "params.alpha1=1e308"),
 ]
+
+#: gains whose observer no RK4 step at the default grid can integrate,
+#: rejected when the scenario is built
+OVERFLOWING_GAINS = [
+    ("scalar-rel1", "params.alpha=1e308"),   # alpha * dt = 1e305
+    ("el2dof-dob", "params.alpha1=1e308"),   # alpha1 M^-1 is not finite
+]
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("scenario,override", OVERFLOWING_GAINS)
+def test_overflowing_observer_gain_exits_2(tmp_path, capsys, command,
+                                           scenario, override):
+    cfg = write_config(tmp_path / "c.yaml", {"scenario": scenario})
+    argv = [command, cfg, "--override", override]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("configuration error:")
+
+
+@pytest.mark.parametrize("scenario,override", OVERFLOWING_GAINS)
+def test_overflowing_observer_gain_report_is_the_only_stderr_line(
+        tmp_path, scenario, override):
+    proc = validate_in_subprocess(tmp_path, scenario, override)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("configuration error:"), \
+        proc.stderr
 
 
 @pytest.mark.parametrize("command", ["run", "validate"])
@@ -360,14 +416,7 @@ def test_numerical_failure_in_validation_exits_3(tmp_path, capsys, command,
 def test_numerical_failure_report_is_the_only_stderr_line(tmp_path, scenario,
                                                           override):
     # capsys never sees NumPy's RuntimeWarnings; a separate process does
-    cfg = write_config(tmp_path / "c.yaml", {"scenario": scenario})
-    src = str(Path(dobcbf.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "dobcbf.cli", "validate", cfg,
-         "--override", override],
-        capture_output=True, text=True, env=env, timeout=120)
+    proc = validate_in_subprocess(tmp_path, scenario, override)
     assert proc.returncode == 3
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("numerical failure:"), \

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
+from dobcbf import el, observer, scenarios
 from dobcbf.model import ControlAffineSystem, DimensionError, ParameterError
 from dobcbf.observer import (ObserverConfig, ObserverState, error_envelope,
-                             estimate, initial_state, validate_gain)
+                             estimate, gain_spectrum, initial_state)
 from dobcbf.simulate import rk4_step
 from oracles import z_derivative
 
@@ -118,18 +121,50 @@ def test_constant_disturbance_error_decays_at_kappa_rate():
 
 
 def test_validate_gain_passes_correct_pair():
+    # L_d g2 = alpha on the scalar plant, so the margin is 0 at every state
     cfg = scalar_config()
-    rep = validate_gain(cfg, scalar_system(), np.linspace(-2, 2, 20).reshape(-1, 1))
-    assert rep.passed
-    assert rep.worst_coercivity_margin >= -1e-8
+    states = np.linspace(-2, 2, 20).reshape(-1, 1)
+    lam_min, lam_max = gain_spectrum(cfg, scalar_system(), states)
+    assert lam_min - cfg.alpha == 0.0 and lam_max == cfg.alpha
 
 
-def test_validate_gain_catches_insufficient_coercivity():
-    cfg = ObserverConfig(gain=1.0 * np.eye(1),
-                         alpha=0.6)  # claims 0.6 but asks validation against itself
+def test_validate_gain_catches_insufficient_coercivity(monkeypatch):
     # claim a larger alpha than the gain delivers
     strict = ObserverConfig(gain=1.0 * np.eye(1), alpha=1.5, nu=1.0)
-    rep = validate_gain(strict, scalar_system(), [[0.0]])
-    assert not rep.coercivity_ok
-    rep_ok = validate_gain(cfg, scalar_system(), [[0.0]])
-    assert rep_ok.coercivity_ok
+    lam_min, _ = gain_spectrum(strict, scalar_system(), [[0.0]])
+    assert lam_min - strict.alpha == pytest.approx(-0.5)
+    ok = ObserverConfig(gain=1.0 * np.eye(1), alpha=0.6)
+    assert gain_spectrum(ok, scalar_system(), [[0.0]])[0] - ok.alpha > 0.0
+    # and build rejects a scenario whose observer claims it: every gain
+    # delivers 1/1.5 of the alpha it is built with
+    real = observer.ObserverConfig
+    monkeypatch.setattr(observer, "ObserverConfig",
+                        lambda gain, alpha, **kw: real(
+                            gain=np.asarray(gain) / 1.5, alpha=alpha, **kw))
+    with pytest.raises(scenarios.ConfigError, match="coercivity margin"):
+        scenarios.build({"scenario": "scalar-rel1"})
+    # an overflowing product is no spectrum at all
+    huge = ObserverConfig(gain=1e308 * np.eye(1), alpha=2.0)
+    big_g2 = ControlAffineSystem(n=1, m=1, p=1, f=lambda x: (0.0,),
+                                 g1=lambda x: ((1.0,),), g2=lambda x: ((10.0,),))
+    with np.errstate(over="ignore"), \
+            pytest.raises(ParameterError, match="not finite"):
+        gain_spectrum(huge, big_g2, [[0.0]])
+
+
+def test_gain_spectrum_bounds_a_dense_sweep_of_the_arm():
+    # Oracle: alpha1 * inv(M(q)) by np.linalg.inv at 20 001 elbow angles in
+    # [-pi, pi] (M depends on q2 only; q1 and the velocities are arbitrary)
+    alpha1 = 500.0
+    arm = el.TwoLinkArm().system()
+    system = el.to_control_affine(arm)
+    mu1, mu2 = scenarios.arm_mu_bounds(arm.mass)
+    cfg = el.el_observer_config(alpha1, mu1, 1.0, 0.0)
+    lam_min, lam_max = gain_spectrum(
+        cfg, system, [(0.0, 0.0, 0.0, 0.0), (0.0, math.pi, 0.0, 0.0)])
+    q2 = np.linspace(-math.pi, math.pi, 20001)
+    A = alpha1 * np.linalg.inv(np.array([arm.mass((0.7, v)) for v in q2]))
+    lam = np.linalg.eigvalsh(0.5 * (A + A.transpose(0, 2, 1)))
+    assert lam[:, 0].min() >= lam_min and lam[:, 1].max() <= lam_max
+    assert lam_max == pytest.approx(alpha1 * mu2, rel=1e-12)
+    assert abs(lam_min - cfg.alpha) <= 1e-12 * cfg.alpha

@@ -1,9 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+import dobcbf
 import dobcbf.scenarios as scenarios
+from dobcbf import cli, el
 from dobcbf.el import TwoLinkArm, kinetic_energy
 from dobcbf.scenarios import ConfigError, build, resolve_config
 
@@ -76,6 +83,52 @@ def test_validators_pass_for_defaults():
         sc = build({"scenario": name})
         for key, rep in sc.validate().items():
             assert rep.passed, (name, key, vars(rep))
+
+
+def test_observer_certificate_is_exact():
+    # the integrators' L_d g2 is alpha itself; the arm's is alpha1 M^-1(q),
+    # whose extremes alpha1 mu1 = alpha and alpha1 mu2 sit at q2 = 0 and pi
+    for name in scenarios.SCENARIOS:
+        sc = build({"scenario": name})
+        c, alpha = sc.constants, sc.observer_cfg.alpha
+        lam_max = c["observer_step"] / (sc.simcfg.dt / sc.simcfg.substeps)
+        if sc.el_system is None:
+            assert c["coercivity_margin"] == 0.0, name
+            assert lam_max == pytest.approx(alpha, rel=1e-12), name
+        else:
+            assert abs(c["coercivity_margin"]) <= 1e-12 * alpha, name
+            assert lam_max == pytest.approx(500.0 * c["mu2"], rel=1e-12), name
+        assert c["observer_step"] < scenarios.RK4_REAL_STABILITY
+
+
+def test_arm_observer_above_its_coercivity_exits_2(tmp_path, monkeypatch,
+                                                   capsys):
+    # an observer that claims alpha 1% above alpha1 mu1 fails when built
+    real = el.el_observer_config
+    monkeypatch.setattr(el, "el_observer_config",
+                        lambda alpha1, mu1, nu, omega:
+                        real(alpha1, 1.01 * mu1, nu, omega))
+    path = tmp_path / "c.yaml"
+    path.write_text(yaml.safe_dump({"scenario": "el2dof-dob"}))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("configuration error:")
+    assert "coercivity margin" in lines[0]
+
+
+def test_build_and_validate_do_not_import_numpy_random():
+    code = ("import sys\n"
+            "from dobcbf import scenarios\n"
+            "for name in ('el2dof-dob', 'doubleint-relr'):\n"
+            "    scenarios.build({'scenario': name}).validate()\n"
+            "print('numpy.random' in sys.modules)\n")
+    src = str(Path(dobcbf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_certified_flags():
