@@ -11,14 +11,12 @@ from .model import (BarrierSpec, ControlAffineSystem, DimensionError,
 from .observer import (ObserverConfig, ObserverState, error_envelope,
                        estimate, gain_spectrum, initial_state)
 from .qp import INACTIVE, ACTIVE, INFEASIBLE, QpInstance, QpResult, solve
-from .filters import (Decision, FilterParams, NoFilter, ParamReport, QpFilter,
-                      validate_params)
+from .filters import Decision, NoFilter, ParamReport, QpFilter
 from .simulate import (DisturbanceSignal, IntegrationError, SimConfig, Term,
                        TrajectoryLog, metrics, rk4_step, run_closed_loop)
-from .el import (ELFilterParams, ELQpFilter, ELRobustFilter, ELSystem,
-                 TwoLinkArm, el_observer_config, guarded_decision,
-                 kinetic_energy, pd_nominal, to_control_affine,
-                 validate_el_params, violation_floor)
+from .el import (ELQpFilter, ELRobustFilter, ELSystem, TwoLinkArm,
+                 el_observer_config, kinetic_energy, pd_nominal,
+                 to_control_affine, violation_floor)
 from .scenarios import ConfigError, SCENARIOS, Scenario, build, resolve_config
 
 __version__ = "0.1.0"

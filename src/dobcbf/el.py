@@ -6,10 +6,11 @@ constraint that only needs a C^1 position barrier h_q.  `ELSystem` holds the
 inertia, Coriolis and gravity callbacks of a plant with two joints.
 `ELQpFilter` is built from the observer of `el_observer_config`, whose
 coercivity constant is alpha1*mu1, and reads alpha and nu from it once.
-The constraint row is psi1 = -qdot, which vanishes at qdot = 0; both energy
-filters return through `guarded_decision`, which bypasses the QP there.
-`violation_floor` bounds the barrier when the disturbance-derivative term
-is withheld (omega = 0 in the constraint).  The filters, the PD law and
+It and the robust baseline `ELRobustFilter` share one core: the check of
+beta, gamma and eps_singular, the QP bypass near qdot = 0, where the row
+psi1 = -qdot vanishes, and the probe's beta*h_q - KE; each forms its own
+psi0.  `violation_floor` bounds the barrier when the disturbance-derivative
+term is withheld (omega = 0 in the constraint).  The filters, the PD law and
 the embedding's `terms` return Python floats.  `arm_derivative` is the
 simulator's right-hand side for the embedded plant and its observer: the
 generic joint derivative written out in Python floats for n = 4 and
@@ -97,54 +98,18 @@ def kinetic_energy(sys: ELSystem, q, qd) -> float:
     return 0.5 * ((v0 * m11 + v1 * m21) * v0 + (v0 * m12 + v1 * m22) * v1)
 
 
-@dataclass(frozen=True)
-class ELFilterParams:
-    """Tuning of the energy-based filter; the observer supplies alpha and nu.
-
-    omega enters the constraint as omega^2/(2 nu), 0 when no bound is
-    known; eps_singular is the joint-speed threshold below which the
-    constraint row vanishes and the QP is bypassed.
-    """
-
-    beta: float
-    gamma: float
-    omega: float = 0.0
-    eps_singular: float = 1e-4
-
-    def __post_init__(self):
-        if min(self.beta, self.gamma) <= 0:
-            raise ParameterError("beta and gamma must be positive")
-        if self.omega < 0 or self.eps_singular <= 0:
-            raise ParameterError("need omega >= 0 and eps_singular > 0")
-
-
-def violation_floor(fp: ELFilterParams, nu: float, omega: float, t):
+def violation_floor(filt: ELQpFilter, omega: float, t):
     """Worst-case barrier floor at time t when the omega term is withheld.
 
-    nu is the observer's Young's-inequality split.  omega is the true
-    disturbance-derivative bound, not the constraint-side fp.omega: the
-    floor is a statement about the disturbance itself.  It is derived for
-    fp.omega = 0 and holds for any fp.omega >= 0, which only tightens the
-    constraint.
+    The floor reads the filter's beta and gamma and its observer's
+    Young's-inequality split nu.  omega is the true disturbance-derivative
+    bound, not the constraint-side filt.omega: the floor is a statement
+    about the disturbance itself.  It is derived for filt.omega = 0 and
+    holds for any filt.omega >= 0, which only tightens the constraint.
     """
-    decay = 1.0 - np.exp(-fp.gamma * np.asarray(t, dtype=float))
-    out = -omega ** 2 / (2.0 * nu * fp.gamma * fp.beta) * decay
+    decay = 1.0 - np.exp(-filt.gamma * np.asarray(t, dtype=float))
+    out = -omega ** 2 / (2.0 * filt.observer.nu * filt.gamma * filt.beta) * decay
     return float(out) if np.ndim(t) == 0 else out
-
-
-def guarded_decision(eps_singular: float, qd, psi0: float,
-                     psi1: Sequence[float]) -> Decision:
-    """Decision of an energy filter, bypassing the QP near qdot = 0.
-
-    Below the speed threshold the row psi1 = -qdot vanishes and the nominal
-    control passes through; when the constraint is additionally
-    unsatisfiable there (psi0 < 0) the step is flagged as a transient
-    infeasibility event.
-    """
-    if math.hypot(qd[0], qd[1]) >= eps_singular:
-        return Decision(psi0, psi1)
-    return Decision(psi0, psi1, True,
-                    "singular_infeasible" if psi0 < 0 else None)
 
 
 def pd_nominal(Kp, Kd, q, qd, q_des, qd_des, gravity=None) -> tuple:
@@ -165,29 +130,6 @@ def pd_nominal(Kp, Kd, q, qd, q_des, qd_des, gravity=None) -> tuple:
     if gravity is not None:
         tau0, tau1 = tau0 + gravity[0], tau1 + gravity[1]
     return tau0, tau1
-
-
-def validate_el_params(filt: ELQpFilter, x0, e0_norm: float) -> ParamReport:
-    """Strict initial-state inequalities of the energy-filter guarantee:
-    h_q(q0) > 0 (the report's cascade_ok) and beta above its bound.  The
-    condition on alpha1*mu1 was checked when filt was built; alpha and nu
-    are read from its observer."""
-    fp, obs, q0, qd0 = filt.params, filt.observer, x0[:2], x0[2:]
-    h_q0 = float(filt.h_q(q0))
-    alpha_margin = obs.alpha - 0.5 * (fp.gamma + obs.nu)
-    messages = []
-    if h_q0 <= 0:
-        beta_ok, beta_margin = False, -np.inf
-        messages.append("initial barrier value must be positive")
-    else:
-        need = (2.0 * kinetic_energy(filt.sys, q0, qd0) + e0_norm ** 2) / (2.0 * h_q0)
-        beta_margin = fp.beta - need
-        beta_ok = beta_margin > 0
-        if not beta_ok:
-            messages.append(f"beta margin {beta_margin:.3e} not positive")
-    return ParamReport(beta_ok=beta_ok, cascade_ok=h_q0 > 0,
-                       alpha_margin=float(alpha_margin),
-                       beta_margin=float(beta_margin), messages=messages)
 
 
 def to_control_affine(sys: ELSystem) -> ControlAffineSystem:
@@ -300,29 +242,66 @@ def el_observer_config(alpha1: float, mu1: float, nu: float,
     return ObserverConfig(gain=Ld, alpha=alpha1 * mu1, nu=nu, omega=omega)
 
 
-class ELQpFilter:
-    """Energy-based observer-aware filter with the singularity guard.
-
-    alpha (alpha1*mu1 for el_observer_config's observer) and nu come from
-    the observer and are read once, here: a tuning with
-    4*alpha1*mu1 - 2*gamma - 2*nu <= 0 raises ParameterError.  The checked
-    denominator and the omega term omega^2/(2 nu) are kept for the
-    decisions.
-    """
+class _EnergyFilter:
+    """The energy filters' shared core; beta, gamma or eps_singular <= 0
+    raises ParameterError."""
 
     def __init__(self, sys: ELSystem, h_q: Callable, grad_hq: Callable,
-                 observer: ObserverConfig, params: ELFilterParams):
-        denom = 4.0 * observer.alpha - 2.0 * params.gamma - 2.0 * observer.nu
-        if denom <= 0:
-            raise ParameterError(
-                f"need 4*alpha1*mu1 - 2*gamma - 2*nu > 0, got {denom}")
+                 beta: float, gamma: float, eps_singular: float):
+        if min(beta, gamma, eps_singular) <= 0:
+            raise ParameterError("beta, gamma and eps_singular must be positive")
         self.sys = sys
         self.h_q = h_q
         self.grad_hq = grad_hq
+        self.beta = beta
+        self.gamma = gamma
+        self.eps_singular = eps_singular
+
+    def _decision(self, qd, psi0: float, psi1: Sequence[float]) -> Decision:
+        """The row, bypassing the QP near qdot = 0.
+
+        Below the speed threshold the row psi1 = -qdot vanishes and the
+        nominal control passes through; when the constraint is additionally
+        unsatisfiable there (psi0 < 0) the step is flagged as a transient
+        infeasibility event.
+        """
+        if math.hypot(qd[0], qd[1]) >= self.eps_singular:
+            return Decision(psi0, psi1)
+        return Decision(psi0, psi1, True,
+                        "singular_infeasible" if psi0 < 0 else None)
+
+    def _energy(self, x) -> tuple:
+        """(h_q(q), beta*h_q(q) - KE) at x = [q; qdot]."""
+        x = as_vector(x, 4, "x")
+        q = x[:2]
+        h = float(self.h_q(q))
+        return h, self.beta * h - kinetic_energy(self.sys, q, x[2:])
+
+
+class ELQpFilter(_EnergyFilter):
+    """Energy-based observer-aware filter with the singularity guard.
+
+    omega (>= 0) enters the constraint as omega^2/(2 nu), 0 when no bound
+    is known; below the joint speed eps_singular the QP is bypassed.  alpha
+    (alpha1*mu1 for el_observer_config's observer) and nu are read from the
+    observer once, here: 4*alpha1*mu1 - 2*gamma - 2*nu <= 0 raises
+    ParameterError.  The checked denominator and the omega term are kept.
+    """
+
+    def __init__(self, sys: ELSystem, h_q: Callable, grad_hq: Callable,
+                 observer: ObserverConfig, beta: float, gamma: float,
+                 omega: float = 0.0, eps_singular: float = 1e-4):
+        super().__init__(sys, h_q, grad_hq, beta, gamma, eps_singular)
+        if omega < 0:
+            raise ParameterError("omega must be nonnegative")
+        denom = 4.0 * observer.alpha - 2.0 * gamma - 2.0 * observer.nu
+        if denom <= 0:
+            raise ParameterError(
+                f"need 4*alpha1*mu1 - 2*gamma - 2*nu > 0, got {denom}")
         self.observer = observer
-        self.params = params
+        self.omega = omega
         self.denom = denom
-        self.omega_term = params.omega ** 2 / (2.0 * observer.nu)
+        self.omega_term = omega ** 2 / (2.0 * observer.nu)
 
     def constraint(self, t, x, u_nom, d_hat) -> Decision:
         """The constraint row at x for the estimate d_hat; psi1 is the
@@ -332,49 +311,47 @@ class ELQpFilter:
         as_floats, so x is checked once; h_q and grad_hq receive q as two
         Python floats, and every term is a float.
         """
-        fp, sys = self.params, self.sys
+        sys, beta = self.sys, self.beta
         q = as_floats(x[:2], 2, "q")
         qd = v0, v1 = as_floats(x[2:], 2, "qd")
         th0, th1 = as_floats(d_hat, 2, "tau_hat")
         j0, j1 = as_floats(self.grad_hq(q), 2, "grad_hq(q)")
         g0, g1 = sys.gravity(q)
-        psi0 = (fp.beta * (v0 * j0 + v1 * j1)
+        psi0 = (beta * (v0 * j0 + v1 * j1)
                 - (v0 * (th0 - g0) + v1 * (th1 - g1))
                 - self.omega_term
                 - (v0 * v0 + v1 * v1) / self.denom
-                + fp.gamma * (fp.beta * float(self.h_q(q))
-                              - kinetic_energy(sys, q, qd)))
-        return guarded_decision(fp.eps_singular, qd, psi0, (-v0, -v1))
+                + self.gamma * (beta * float(self.h_q(q))
+                                - kinetic_energy(sys, q, qd)))
+        return self._decision(qd, psi0, (-v0, -v1))
 
     def probe(self, x, e_d) -> dict:
-        x = as_vector(x, 4, "x")
-        q = x[:2]
-        h = float(self.h_q(q))
-        return {"h": h,
-                "hbar": (self.params.beta * h
-                         - kinetic_energy(self.sys, q, x[2:])
-                         - 0.5 * float(np.dot(e_d, e_d)))}
+        h, energy = self._energy(x)
+        return {"h": h, "hbar": energy - 0.5 * float(np.dot(e_d, e_d))}
+
+    def report(self, x0, e0_norm: float) -> ParamReport:
+        """Strict initial-state inequalities of the energy-filter guarantee:
+        h_q(q0) > 0 (the report's cascade_ok) and beta above
+        (2 KE(x0) + e0_norm^2)/(2 h_q(q0)).  The condition on alpha1*mu1
+        was checked when the filter was built."""
+        obs, q0 = self.observer, x0[:2]
+        h_q0 = float(self.h_q(q0))
+        return ParamReport.check(
+            obs.alpha - 0.5 * (self.gamma + obs.nu), self.beta, h_q0,
+            2.0 * kinetic_energy(self.sys, q0, x0[2:]) + e0_norm ** 2)
 
 
-class ELRobustFilter:
+class ELRobustFilter(_EnergyFilter):
     """Worst-case energy filter over ||tau_d|| <= d_max, used as the
-    comparison baseline; beta, gamma or eps_singular <= 0, or a negative
-    d_max, raises ParameterError here."""
+    comparison baseline; a negative d_max raises ParameterError here."""
 
     def __init__(self, sys: ELSystem, h_q: Callable, grad_hq: Callable,
                  beta: float, gamma: float, d_max: float,
                  eps_singular: float = 1e-4):
-        if min(beta, gamma, eps_singular) <= 0:
-            raise ParameterError("beta, gamma and eps_singular must be positive")
+        super().__init__(sys, h_q, grad_hq, beta, gamma, eps_singular)
         if d_max < 0:
             raise ParameterError("d_max must be nonnegative")
-        self.sys = sys
-        self.h_q = h_q
-        self.grad_hq = grad_hq
-        self.beta = beta
-        self.gamma = gamma
         self.d_max = d_max
-        self.eps_singular = eps_singular
 
     def constraint(self, t, x, u_nom, d_hat) -> Decision:
         """The worst-case row at x, with the checks and float arithmetic of
@@ -389,11 +366,11 @@ class ELRobustFilter:
                 - math.sqrt(v0 * v0 + v1 * v1) * self.d_max
                 + self.gamma * (self.beta * float(self.h_q(q))
                                 - kinetic_energy(sys, q, qd)))
-        return guarded_decision(self.eps_singular, qd, psi0, (-v0, -v1))
+        return self._decision(qd, psi0, (-v0, -v1))
 
     def probe(self, x, e_d) -> dict:
-        x = as_vector(x, 4, "x")
-        q = x[:2]
-        h = float(self.h_q(q))
-        return {"h": h,
-                "hbar": self.beta * h - kinetic_energy(self.sys, q, x[2:])}
+        h, energy = self._energy(x)
+        return {"h": h, "hbar": energy}
+
+    def report(self, x0, e0_norm: float) -> None:
+        return None

@@ -10,13 +10,19 @@ first-order condition hdot + gamma h >= 0.
 The augmented barrier beta*s_{r-1} - ||e_d||^2/2 couples the safety margin
 to the estimation error.  The constraint uses the observer's coercivity
 constant alpha and Young's-inequality split nu: `QpFilter` is built from
-the run's `ObserverConfig`, reads both once, and rejects a tuning that
-admits no constraint.  `NoFilter` is the pass-through baseline that only
-logs h.
+the run's `ObserverConfig` and its own tuning (beta, omega), reads alpha
+and nu once, and rejects a tuning that admits no constraint.  `NoFilter`
+is the pass-through baseline that only logs h.
+
+Every filter, the energy filters of `dobcbf.el` included, takes its tuning
+as checked constructor arguments and has `constraint` (the row as a
+`Decision`), `probe` (the logged barrier values) and `report` (the
+`ParamReport` of its guarantee's initial-state inequalities, or None).
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
@@ -26,25 +32,6 @@ import numpy as np
 from .model import (BarrierSpec, ControlAffineSystem, ParameterError,
                     as_floats, lie_derivatives, s_sequence)
 from .observer import ObserverConfig
-
-
-@dataclass(frozen=True)
-class FilterParams:
-    """Tuning of the observer-aware filter; the observer supplies alpha and nu.
-
-    omega is the disturbance-derivative bound used inside the constraint:
-    the known bound for the full guarantee, omega = 0 when no bound is
-    available.  The decay rates are the barrier's poles.
-    """
-
-    beta: float
-    omega: float = 0.0
-
-    def __post_init__(self):
-        if self.beta <= 0:
-            raise ParameterError("beta must be positive")
-        if self.omega < 0:
-            raise ParameterError("omega must be nonnegative")
 
 
 @dataclass
@@ -61,41 +48,27 @@ class ParamReport:
     def passed(self) -> bool:
         return self.beta_ok and self.cascade_ok
 
-
-def validate_params(filt: QpFilter, s_values, e0_norm: float) -> ParamReport:
-    """Check the initial-state inequalities of the invariance guarantee.
-
-    s_values is the cascade (s_0, ..., s_{r-1}) at the initial state; every
-    s_k must be positive, and beta must cover the initial estimation error
-    against s_{r-1}.  Inequalities are strict: equality fails.  The filter
-    condition on alpha was checked when filt was built; alpha and nu are
-    read from its observer.
-    """
-    bar, fp, obs = filt.barrier, filt.params, filt.observer
-    s_values = np.asarray(s_values, dtype=float).reshape(-1)
-    alpha_margin = obs.alpha - 0.5 * (bar.poles[-1] + obs.nu)
-
-    messages = []
-    lead = float(s_values[-1])
-    if lead <= 0:
-        beta_ok = False
-        beta_margin = -np.inf
-        messages.append("initial barrier value must be positive")
-    else:
-        beta_margin = fp.beta - e0_norm ** 2 / (2.0 * lead)
+    @classmethod
+    def check(cls, alpha_margin: float, beta: float, lead: float,
+              need: float, cascade: Sequence[float] = ()) -> ParamReport:
+        """The report of beta against its bound need/(2 lead).  lead and
+        every entry of cascade must be positive and beta must exceed the
+        bound; the inequalities are strict, so equality fails."""
+        messages = []
+        if lead <= 0:
+            beta_margin = -math.inf
+            messages.append("initial barrier value must be positive")
+        else:
+            beta_margin = beta - need / (2.0 * lead)
+        messages += [f"s_{k}(x0) = {v} must be positive"
+                     for k, v in enumerate(cascade) if v <= 0]
         beta_ok = beta_margin > 0
-
-    cascade_ok = True
-    for k, s in enumerate(s_values):
-        if s <= 0:
-            cascade_ok = False
-            messages.append(f"s_{k}(x0) = {s} must be positive")
-
-    if not beta_ok and lead > 0:
-        messages.append(f"beta margin {beta_margin:.3e} not positive")
-    return ParamReport(beta_ok=beta_ok, cascade_ok=cascade_ok,
-                       alpha_margin=float(alpha_margin),
-                       beta_margin=float(beta_margin), messages=messages)
+        if not beta_ok and lead > 0:
+            messages.append(f"beta margin {beta_margin:.3e} not positive")
+        return cls(beta_ok=beta_ok,
+                   cascade_ok=lead > 0 and all(v > 0 for v in cascade),
+                   alpha_margin=float(alpha_margin),
+                   beta_margin=float(beta_margin), messages=messages)
 
 
 class Decision(NamedTuple):
@@ -111,14 +84,21 @@ class Decision(NamedTuple):
 class QpFilter:
     """Observer-aware CBF-QP filter for a barrier of relative degree r >= 1.
 
-    alpha and nu come from the observer and are read once, here: a tuning
-    with 4*alpha - 2*lambda_r - 2*nu <= 0 raises ParameterError.  The
-    checked denominator and the omega term omega^2/(2 nu beta) are kept for
-    the decisions.
+    omega is the disturbance-derivative bound used inside the constraint:
+    the known bound for the full guarantee, omega = 0 when no bound is
+    available.  beta <= 0 or omega < 0 raises ParameterError.  alpha and nu
+    come from the observer and are read once, here: a tuning with
+    4*alpha - 2*lambda_r - 2*nu <= 0 raises ParameterError.  The checked
+    denominator and the omega term omega^2/(2 nu beta) are kept for the
+    decisions.
     """
 
     def __init__(self, system: ControlAffineSystem, barrier: BarrierSpec,
-                 observer: ObserverConfig, params: FilterParams):
+                 observer: ObserverConfig, beta: float, omega: float = 0.0):
+        if beta <= 0:
+            raise ParameterError("beta must be positive")
+        if omega < 0:
+            raise ParameterError("omega must be nonnegative")
         denom = 4.0 * observer.alpha - 2.0 * barrier.poles[-1] - 2.0 * observer.nu
         if denom <= 0:
             raise ParameterError(
@@ -126,9 +106,10 @@ class QpFilter:
         self.system = system
         self.barrier = barrier
         self.observer = observer
-        self.params = params
+        self.beta = beta
+        self.omega = omega
         self.denom = denom
-        self.omega_term = params.omega ** 2 / (2.0 * observer.nu * params.beta)
+        self.omega_term = omega ** 2 / (2.0 * observer.nu * beta)
 
     def constraint(self, t, x, u_nom, d_hat) -> Decision:
         """The constraint row at x for the estimate d_hat.
@@ -145,7 +126,7 @@ class QpFilter:
         eta = [bar.lie_f_value(k, x) for k in range(bar.relative_degree - 1, -1, -1)]
         psi0 = (lfr + sum(map(operator.mul, b, d_hat))
                 - self.omega_term
-                - self.params.beta * sum(map(operator.mul, b, b)) / self.denom
+                - self.beta * sum(map(operator.mul, b, b)) / self.denom
                 + sum(map(operator.mul, bar.cascade[-1], eta)))
         return Decision(psi0, lg1)
 
@@ -155,12 +136,23 @@ class QpFilter:
         s = s_sequence(self.system, self.barrier, x)
         e = e_d.tolist()
         out = {"h": s[0],
-               "hbar": self.params.beta * s[-1]
+               "hbar": self.beta * s[-1]
                - 0.5 * sum(map(operator.mul, e, e))}
         if len(s) > 1:  # s_0 = h needs no column of its own when r = 1
             for k, val in enumerate(s):
                 out[f"s{k}"] = val
         return out
+
+    def report(self, x0, e0_norm: float) -> ParamReport:
+        """Check the initial-state inequalities of the invariance guarantee:
+        every s_k of the cascade (s_0, ..., s_{r-1}) at x0 positive, and
+        beta above e0_norm^2/(2 s_{r-1}).  The filter condition on alpha was
+        checked when the filter was built."""
+        s = s_sequence(self.system, self.barrier, x0)
+        obs = self.observer
+        return ParamReport.check(
+            obs.alpha - 0.5 * (self.barrier.poles[-1] + obs.nu), self.beta,
+            s[-1], e0_norm ** 2, cascade=s)
 
 
 class NoFilter:
@@ -174,3 +166,6 @@ class NoFilter:
 
     def probe(self, x, e_d) -> dict:
         return {"h": float(self.h_fn(x)), "hbar": np.nan}
+
+    def report(self, x0, e0_norm: float) -> None:
+        return None

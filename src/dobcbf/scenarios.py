@@ -5,7 +5,10 @@ a disturbance signal, and its derived constants (disturbance-derivative
 bound, worst-case magnitude, inertia eigenvalue bounds), all resolved from a
 plain nested-dict configuration with every default overridable.  `build` is
 one skeleton for every scenario; a family function per plant (scalar,
-double integrator, arm) supplies only what differs.
+double integrator, arm) supplies only what differs, the filter built with
+its tuning as constructor arguments.  `Scenario.validate` is the filter's
+own initial-state report (`safety.report`), under "params", or nothing for
+the robust baseline and the pass-through.
 
 Derived constants and their provenance:
   * the observer-side derivative bound is max_t ||ddot(t)|| of the analytic
@@ -38,6 +41,15 @@ survives.  The envelope and convergence checks always use the
 derived bound; the constraint-side value trades a quantified worst-case
 floor for a usable filter, which is exactly the degraded-knowledge operating
 mode the design admits.
+
+Some certificates are checked on the run, not proved.  el2dof-dob prints
+`certified: True` and enforces min h >= -1e-6 and the hbar decay bound, but
+its constraint_omega of 3.0 is far below the derived omega_d of 83.52, so
+the library's own guarantee there is violation_floor at omega_d, about -174
+as t -> inf; the enforced checks are empirical.  el2dof-robust with a
+configured d_max below the signal's magnitude bound still prints
+`certified: True` (`params: {d_max: 0.0}` runs `ok`), again an empirical
+check, not the worst-case theorem.
 """
 
 from __future__ import annotations
@@ -51,8 +63,7 @@ import numpy as np
 
 from . import el as elmod
 from . import filters, observer, simulate
-from .model import (BarrierSpec, ControlAffineSystem, ParameterError, as_floats,
-                    s_sequence)
+from .model import BarrierSpec, ControlAffineSystem, ParameterError, as_floats
 
 SCENARIOS = ("scalar-rel1", "doubleint-relr", "el2dof-dob", "el2dof-robust",
              "el2dof-nofilter", "el2dof-noomega")
@@ -293,7 +304,6 @@ class Scenario:
     ref_indices: tuple = ()
     el_system: elmod.ELSystem | None = None
     constants: dict = field(default_factory=dict)
-    validators: Callable | None = None
     #: decay rate of the augmented-barrier lower bound hbar(0)*exp(-rate*t);
     #: None when no such guarantee applies (robust/no-filter/withheld omega)
     decay_gamma: float | None = None
@@ -313,7 +323,10 @@ class Scenario:
                                 ref_indices=self.ref_indices or None)
 
     def validate(self) -> dict:
-        return self.validators() if self.validators is not None else {}
+        """The filter's initial-state report, under "params", or nothing
+        for a filter without one."""
+        rep = self.safety.report(self.x0, self.constants["e0_norm"])
+        return {} if rep is None else {"params": rep}
 
     def check_invariants(self, log: simulate.TrajectoryLog,
                          summary: dict) -> list[str]:
@@ -359,8 +372,7 @@ def _simcfg(cfg: dict) -> simulate.SimConfig:
 
 # Family functions take (cfg, signal, simcfg, omega) and return their own
 # Scenario fields plus `extremal_states`, where the observer's gain spectrum
-# takes its extremes, and `report(x0, e0)`, the parameter report or None;
-# `build` derives the rest.
+# takes its extremes; `build` derives the rest.
 
 
 def _qp_family(cfg: dict, omega: float, system: ControlAffineSystem,
@@ -372,13 +384,10 @@ def _qp_family(cfg: dict, omega: float, system: ControlAffineSystem,
     alpha = float(prm["alpha"])
     obs = observer.ObserverConfig(gain=alpha * gain_shape, alpha=alpha,
                                   nu=float(prm["nu"]), omega=omega)
-    fp = filters.FilterParams(beta=float(prm["beta"]), omega=omega)
-    safety = filters.QpFilter(system, barrier, obs, fp)
+    safety = filters.QpFilter(system, barrier, obs, float(prm["beta"]), omega)
     return dict(
         system=system, observer_cfg=obs, safety=safety, nominal=nominal,
         extremal_states=[(0.0,) * system.n],
-        report=lambda x0, e0: filters.validate_params(
-            safety, s_sequence(system, barrier, x0), e0),
         pairing_key=cfg["scenario"], constants={"omega": omega},
         decay_gamma=barrier.poles[-1])
 
@@ -442,13 +451,12 @@ def _arm(cfg: dict, signal, simcfg, omega: float) -> dict:
 
     # each filter reads and checks only its own tuning, so a scenario never
     # rejects a value that its filter does not use
-    report = floor = None
+    floor = None
     if name in ("el2dof-dob", "el2dof-noomega"):
-        fp = elmod.ELFilterParams(
-            beta=beta, gamma=gamma, omega=float(prm["constraint_omega"]),
+        safety = elmod.ELQpFilter(
+            el_sys, h_q, grad_hq, obs, beta, gamma,
+            omega=float(prm["constraint_omega"]),
             eps_singular=float(prm["eps_singular"]))
-        safety = elmod.ELQpFilter(el_sys, h_q, grad_hq, obs, fp)
-        report = lambda x0, e0: elmod.validate_el_params(safety, x0, e0)
     elif name == "el2dof-robust":
         d_max = prm["d_max"]
         d_max = float(d_max) if d_max is not None \
@@ -462,7 +470,7 @@ def _arm(cfg: dict, signal, simcfg, omega: float) -> dict:
         # the worst-case floor is a theorem about the true disturbance, so it
         # uses the derived derivative bound, not the constraint-side value;
         # like the envelope it runs on the time since the start, t - t0
-        floor = lambda t: elmod.violation_floor(fp, obs.nu, omega, t - simcfg.t0)
+        floor = lambda t: elmod.violation_floor(safety, omega, t - simcfg.t0)
 
     Kp = ((kp, 0.0), (0.0, kp))
     Kd = ((kd, 0.0), (0.0, kd))
@@ -477,7 +485,6 @@ def _arm(cfg: dict, signal, simcfg, omega: float) -> dict:
     return dict(
         system=system, observer_cfg=obs, safety=safety, nominal=nominal,
         extremal_states=[(0.0, 0.0, 0.0, 0.0), (0.0, math.pi, 0.0, 0.0)],
-        report=report,
         certified=name != "el2dof-nofilter", pairing_key="el2dof",
         floor=floor,
         reference=lambda t: np.array([amp * math.cos(t), amp * math.cos(t)]),
@@ -492,10 +499,10 @@ def build(config: dict) -> Scenario:
     The skeleton derives what every scenario shares: the disturbance signal,
     the time grid, the derivative bound omega, the observer's coercivity
     margin and step, x0, e0 = ||d(t0)||, the estimation-error envelope (a
-    function of absolute time that starts from e0 at t0), and the
-    validators.  The family function returns the plant, observer, filter,
-    nominal law, extremal states and parameter report, plus the Scenario
-    fields of its own.
+    function of absolute time that starts from e0 at t0).  The family
+    function returns the plant, observer, filter, nominal law and extremal
+    states, plus the Scenario fields of its own; the filter reports its own
+    initial-state inequalities (Scenario.validate).
     """
     cfg = resolve_config(config)
     name = cfg["scenario"]
@@ -519,7 +526,6 @@ def build(config: dict) -> Scenario:
                 f"outside RK4's real stability interval ({RK4_REAL_STABILITY})")
     except ValueError as exc:  # ParameterError, DimensionError, ...
         raise ConfigError(str(exc)) from exc
-    report = parts.pop("report")
     if signal.dim != system.p:
         raise ConfigError(f"{name} needs a disturbance of {system.p} "
                           f"channel(s), got {signal.dim}")
@@ -531,11 +537,8 @@ def build(config: dict) -> Scenario:
     parts["constants"].update(e0_norm=e0, coercivity_margin=margin,
                               observer_step=step)
 
-    def validators():
-        return {} if report is None else {"params": report(x0, e0)}
-
     return Scenario(name=name, config=cfg, disturbance=signal, simcfg=simcfg,
                     x0=x0,
                     envelope=lambda t: observer.error_envelope(obs, e0,
                                                                t - simcfg.t0),
-                    validators=validators, **parts)
+                    **parts)

@@ -244,6 +244,8 @@ class SimConfig:
         if self.log_stride < 1 or self.substeps < 1:
             raise ParameterError("log_stride and substeps must be >= 1")
         steps = (self.tf - self.t0) / self.dt
+        if not math.isfinite(steps):
+            raise ParameterError(f"(tf - t0)/dt = {steps} is not finite")
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ParameterError("(tf - t0)/dt must be an integer")
 

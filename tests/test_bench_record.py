@@ -161,3 +161,52 @@ def test_traced_runs_of_another_commit_are_an_error(tmp_path):
     assert bench_record.main(["--pr", "7", "--parent", str(parent), "--change",
                               str(change), "--out", str(tmp_path / "B.json")]) == 0
     assert json.loads((tmp_path / "B.json").read_text())["per_layer"] == []
+
+
+def test_regressed_and_unresolved_flags(tmp_path, capsys):
+    # hand values against each metric's bound in BENCHMARK.json (0.25, and
+    # 0.05 for peak_rss_mb)
+    assert {m["name"]: m["bound"] for m in METRICS} == {
+        "setup_s": 0.25, "steps_per_s": 0.25, "run_s": 0.25,
+        "decision_us_p50": 0.25, "peak_rss_mb": 0.05}
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    runs = {
+        # 30% slower: regressed; no spread: resolved
+        "setup_s": ([1.0] * 5, [1.3] * 5),
+        # 20% slower: inside the bound
+        "run_s": ([1.0] * 5, [1.2] * 5),
+        # IQR 40 - 20 over a median of 30 is 0.67 > 0.25, and the runs
+        # overlap: unresolved; the median is 2 better: not regressed
+        "steps_per_s": ([10.0, 20.0, 30.0, 40.0, 50.0],
+                        [12.0, 22.0, 32.0, 42.0, 52.0]),
+        # the same spread, but every change run beats every parent run
+        "decision_us_p50": ([10.0, 20.0, 30.0, 40.0, 50.0],
+                            [1.0, 2.0, 3.0, 4.0, 5.0]),
+        # 6% more memory against a 5% bound
+        "peak_rss_mb": ([100.0] * 5, [106.0] * 5),
+    }
+    for seed in range(5):
+        write_run(parent, "p" * 40, "arm-dob", seed + 1,
+                  {name: b[seed] for name, (b, _) in runs.items()})
+        write_run(change, "c" * 40, "arm-dob", seed + 1,
+                  {name: a[seed] for name, (_, a) in runs.items()})
+    # a traced pair: per-layer metrics have no bound and so no flags
+    write_run(parent, "p" * 40, "arm-dob", 1, {}, trace=1)
+    write_run(change, "c" * 40, "arm-dob", 1, {"el.terms.us": 9.0}, trace=1)
+    out = tmp_path / "BENCH.json"
+    assert bench_record.main(["--pr", "7", "--parent", str(parent), "--change",
+                              str(change), "--out", str(out)]) == 0
+    rec = json.loads(out.read_text())
+    metrics = rec["workloads"][0]["metrics"]
+    flags = {name: (m["regressed"], m["unresolved"]) for name, m in metrics.items()}
+    assert flags == {"setup_s": (True, False), "run_s": (False, False),
+                     "steps_per_s": (False, True),
+                     "decision_us_p50": (False, False),
+                     "peak_rss_mb": (True, False)}
+    layer = rec["per_layer"][0]["metrics"]["el.terms.us"]
+    assert "regressed" not in layer and "unresolved" not in layer
+    lines = capsys.readouterr().out.splitlines()
+    setup, = [line for line in lines if " setup_s " in line]
+    assert setup.endswith("regressed True  unresolved False")
+    terms, = [line for line in lines if " el.terms.us " in line]
+    assert "regressed" not in terms

@@ -268,6 +268,28 @@ def test_impossible_filter_tuning_exits_2(tmp_path, capsys, command,
     assert len(lines) == 1 and lines[0].startswith("configuration error:")
 
 
+OVERFLOWING_GRIDS = [
+    ["sim.dt=1.0e-320"],                        # 20/dt is inf
+    ["sim.t0=-1.0e+308", "sim.tf=1.0e+308"],    # tf - t0 is inf
+]
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("overrides", OVERFLOWING_GRIDS)
+def test_overflowing_time_grid_exits_2(tmp_path, capsys, command, overrides):
+    cfg = write_config(tmp_path / "c.yaml", {"scenario": "scalar-rel1"})
+    argv = [command, cfg]
+    for item in overrides:
+        argv += ["--override", item]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("configuration error:"), lines
+    assert "is not finite" in lines[0]
+    assert not (tmp_path / "o").exists()
+
+
 def test_robust_baseline_ignores_observer_filter_condition(tmp_path):
     # alpha1 = 2 admits no observer-aware constraint, but the robust filter
     # does not use one
@@ -297,7 +319,7 @@ def test_noomega_constraint_omega_is_its_config_value(tmp_path):
     resolved = scenarios.resolve_config(cli.load_config(cfg))
     assert resolved["params"]["constraint_omega"] == 0.0
     raw = cli.apply_overrides(cli.load_config(cfg), ["params.constraint_omega=5"])
-    assert scenarios.build(raw).safety.params.omega == 5.0
+    assert scenarios.build(raw).safety.omega == 5.0
 
 
 @pytest.mark.parametrize("override", ["params.kp=.nan", "sim.tf=abc",

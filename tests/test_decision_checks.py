@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from dobcbf import qp, scenarios, simulate
-from dobcbf.el import (ELFilterParams, ELQpFilter, ELRobustFilter, TwoLinkArm,
+from dobcbf.el import (ELQpFilter, ELRobustFilter, TwoLinkArm,
                        el_observer_config)
-from dobcbf.filters import FilterParams, NoFilter, QpFilter
+from dobcbf.filters import NoFilter, QpFilter
 from dobcbf.model import BarrierSpec, ControlAffineSystem, DimensionError
 from dobcbf.observer import ObserverConfig
 
@@ -17,7 +17,6 @@ BAD = (np.nan, np.inf, -np.inf)
 ARM = TwoLinkArm().system()
 ARM_X = np.array([1.0, 0.5, 0.8, -0.3])
 ARM_OBS = el_observer_config(500.0, mu1=0.3, nu=1.0, omega=0.0)
-ARM_FP = ELFilterParams(beta=10.0, gamma=2.0, omega=3.0)
 
 
 def with_last(v, value):
@@ -38,7 +37,7 @@ def scalar_filter(lg1=lambda x: np.ones(1), lg2=lambda x: np.ones(1)):
     bar = BarrierSpec(h=lambda x: float(x[0]), lie_f=(lambda x: 0.0,),
                       lie_g1_fr=lg1, lie_g2_fr=lg2, poles=(1.0,))
     obs = ObserverConfig(gain=2.0 * np.eye(1), alpha=2.0, nu=1.0)
-    return QpFilter(sys, bar, obs, FilterParams(beta=1.0))
+    return QpFilter(sys, bar, obs, beta=1.0)
 
 
 def di_filter(lg1=lambda x: np.array([-1.0]), lg2=lambda x: np.array([-1.0])):
@@ -50,7 +49,7 @@ def di_filter(lg1=lambda x: np.array([-1.0]), lg2=lambda x: np.array([-1.0])):
                       lie_f=(lambda x: -float(x[1]), lambda x: 0.0),
                       lie_g1_fr=lg1, lie_g2_fr=lg2, poles=(1.0, 1.0))
     obs = ObserverConfig(gain=np.array([[0.0, 2.0]]), alpha=2.0, nu=1.0)
-    return QpFilter(sys, bar, obs, FilterParams(beta=1.0))
+    return QpFilter(sys, bar, obs, beta=1.0)
 
 
 def arm_grad(q):
@@ -59,7 +58,7 @@ def arm_grad(q):
 
 def el_filter(grad=arm_grad):
     return ELQpFilter(ARM, lambda q: 16.0 - q[0] ** 2 - q[1] ** 2, grad,
-                      ARM_OBS, ARM_FP)
+                      ARM_OBS, beta=10.0, gamma=2.0, omega=3.0)
 
 
 def robust_filter(grad=arm_grad):

@@ -11,18 +11,18 @@ import math
 import numpy as np
 
 from dobcbf import qp
-from dobcbf.el import (ELFilterParams, ELQpFilter, ELRobustFilter, TwoLinkArm,
+from dobcbf.el import (ELQpFilter, ELRobustFilter, TwoLinkArm,
                        el_observer_config)
-from dobcbf.filters import FilterParams, QpFilter
+from dobcbf.filters import QpFilter
 from dobcbf.model import BarrierSpec, ControlAffineSystem
 from dobcbf.observer import ObserverConfig
 
 ARM = TwoLinkArm().system()
 EL_OBS = el_observer_config(500.0, mu1=0.34, nu=1.0, omega=0.0)
-EL_FP = ELFilterParams(beta=10.0, gamma=2.0, omega=3.0)
+EL_BETA, EL_GAMMA, EL_OMEGA = 10.0, 2.0, 3.0
 D_MAX = 25.0
 DI_OBS = ObserverConfig(gain=np.array([[0.0, 2.0]]), alpha=2.0, nu=1.0)
-DI_FP = FilterParams(beta=1.0, omega=0.5)
+DI_BETA, DI_OMEGA = 1.0, 0.5
 
 
 def h_q(q):
@@ -48,21 +48,21 @@ def energy_oracle(q, qd, tau_hat):
     """Energy-filter row from the inertia matrix and array products."""
     M = np.asarray(ARM.mass(q))
     G = np.asarray(ARM.gravity(q))
-    denom = 4.0 * EL_OBS.alpha - 2.0 * EL_FP.gamma - 2.0 * EL_OBS.nu
-    psi0 = (EL_FP.beta * float(qd @ grad_hq(q))
+    denom = 4.0 * EL_OBS.alpha - 2.0 * EL_GAMMA - 2.0 * EL_OBS.nu
+    psi0 = (EL_BETA * float(qd @ grad_hq(q))
             - float(qd @ (tau_hat - G))
-            - EL_FP.omega ** 2 / (2.0 * EL_OBS.nu)
+            - EL_OMEGA ** 2 / (2.0 * EL_OBS.nu)
             - float(qd @ qd) / denom
-            + EL_FP.gamma * (EL_FP.beta * h_q(q) - 0.5 * float(qd @ M @ qd)))
+            + EL_GAMMA * (EL_BETA * h_q(q) - 0.5 * float(qd @ M @ qd)))
     return psi0, -qd
 
 
 def robust_oracle(q, qd):
     M = np.asarray(ARM.mass(q))
     G = np.asarray(ARM.gravity(q))
-    psi0 = (EL_FP.beta * float(qd @ grad_hq(q)) + float(qd @ G)
+    psi0 = (EL_BETA * float(qd @ grad_hq(q)) + float(qd @ G)
             - float(np.linalg.norm(qd)) * D_MAX
-            + EL_FP.gamma * (EL_FP.beta * h_q(q) - 0.5 * float(qd @ M @ qd)))
+            + EL_GAMMA * (EL_BETA * h_q(q) - 0.5 * float(qd @ M @ qd)))
     return psi0, -qd
 
 
@@ -86,8 +86,8 @@ def generic_oracle(bar, x, d_hat):
     eta = np.array([bar.lie_f_value(k, x) for k in range(r - 1, -1, -1)])
     denom = 4.0 * DI_OBS.alpha - 2.0 * bar.poles[-1] - 2.0 * DI_OBS.nu
     psi0 = (bar.lie_f_value(r, x) + float(lg2 @ d_hat)
-            - DI_FP.omega ** 2 / (2.0 * DI_OBS.nu * DI_FP.beta)
-            - DI_FP.beta * float(lg2 @ lg2) / denom
+            - DI_OMEGA ** 2 / (2.0 * DI_OBS.nu * DI_BETA)
+            - DI_BETA * float(lg2 @ lg2) / denom
             + float(bar.cascade[-1] @ eta))
     return psi0, lg1
 
@@ -126,14 +126,14 @@ def arm_states(seed):
 
 
 def test_energy_filter_matches_array_oracle():
-    filt = ELQpFilter(ARM, h_q, grad_hq, EL_OBS, EL_FP)
+    filt = ELQpFilter(ARM, h_q, grad_hq, EL_OBS, EL_BETA, EL_GAMMA, EL_OMEGA)
     active = check_decisions(
         filt, lambda x, d: energy_oracle(x[:2], x[2:], d), arm_states(3), 2, 2)
     assert 0 < active < 200  # both branches of the projection ran
 
 
 def test_robust_filter_matches_array_oracle():
-    filt = ELRobustFilter(ARM, h_q, grad_hq, EL_FP.beta, EL_FP.gamma, D_MAX)
+    filt = ELRobustFilter(ARM, h_q, grad_hq, EL_BETA, EL_GAMMA, D_MAX)
     active = check_decisions(
         filt, lambda x, d: robust_oracle(x[:2], x[2:]), arm_states(4), 2, 2)
     assert 0 < active < 200
@@ -142,7 +142,7 @@ def test_robust_filter_matches_array_oracle():
 def test_generic_filter_matches_array_oracle():
     sys, bar = di_plant()
     states = np.random.default_rng(5).uniform(-2.0, 2.0, size=(200, 2))
-    active = check_decisions(QpFilter(sys, bar, DI_OBS, DI_FP),
+    active = check_decisions(QpFilter(sys, bar, DI_OBS, DI_BETA, DI_OMEGA),
                              lambda x, d: generic_oracle(bar, x, d), states,
                              1, 1)
     assert 0 < active < 200

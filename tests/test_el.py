@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from dobcbf.el import (ELFilterParams, ELQpFilter, ELRobustFilter, ELSystem,
-                       TwoLinkArm, arm_derivative, el_observer_config,
-                       guarded_decision, kinetic_energy, pd_nominal,
-                       to_control_affine, validate_el_params)
+from dobcbf.el import (ELQpFilter, ELRobustFilter, ELSystem, TwoLinkArm,
+                       arm_derivative, el_observer_config, kinetic_energy,
+                       pd_nominal, to_control_affine)
 from dobcbf.model import ControlAffineSystem, ParameterError
 from dobcbf.observer import ObserverState, estimate
 from dobcbf.scenarios import ConfigError, build
@@ -145,14 +144,19 @@ def el_row(filt, q, qd, tau_hat):
     return dec.psi0, dec.psi1
 
 
+def el_row_decision(filt, qd):
+    """The decision at q = (0.3, 0.2) and qd with a zero estimate."""
+    return filt.constraint(0.0, np.concatenate([[0.3, 0.2], qd]), np.zeros(2),
+                           np.zeros(2))
+
+
 def test_el_psi_hand_computed_at_rest():
     obs = el_observer_config(500.0, mu1=0.3, nu=1.0, omega=0.0)
-    fp = ELFilterParams(beta=10.0, gamma=2.0, omega=3.0)
     h_q = lambda q: 16.0 - q[0] ** 2 - q[1] ** 2
     grad = lambda q: np.array([-2.0 * q[0], -2.0 * q[1]])
     q = np.array([2.0, 2.5])
-    psi0, psi1 = el_row(ELQpFilter(ARM, h_q, grad, obs, fp), q, np.zeros(2),
-                        np.zeros(2))
+    psi0, psi1 = el_row(ELQpFilter(ARM, h_q, grad, obs, 10.0, 2.0, omega=3.0),
+                        q, np.zeros(2), np.zeros(2))
     # at rest only the omega term and gamma*beta*h_q survive
     assert psi0 == pytest.approx(-9.0 / 2.0 + 2.0 * 10.0 * 5.75)
     assert np.allclose(psi1, 0.0)
@@ -160,14 +164,14 @@ def test_el_psi_hand_computed_at_rest():
 
 def test_el_psi_power_terms():
     obs = el_observer_config(500.0, mu1=0.3, nu=1.0, omega=0.0)
-    fp = ELFilterParams(beta=10.0, gamma=2.0, omega=0.0)
     h_q = lambda q: 16.0 - q[0] ** 2 - q[1] ** 2
     grad = lambda q: np.array([-2.0 * q[0], -2.0 * q[1]])
     q = np.array([1.0, -1.0])
     qd = np.array([0.5, 0.2])
     tau_hat = np.array([4.0, -2.0])
-    psi0, psi1 = el_row(ELQpFilter(ARM, h_q, grad, obs, fp), q, qd, tau_hat)
-    denom = 4.0 * obs.alpha - 2.0 * fp.gamma - 2.0 * obs.nu
+    filt = ELQpFilter(ARM, h_q, grad, obs, 10.0, 2.0, omega=0.0)
+    psi0, psi1 = el_row(filt, q, qd, tau_hat)
+    denom = 4.0 * obs.alpha - 2.0 * filt.gamma - 2.0 * obs.nu
     expect = (10.0 * float(qd @ grad(q))
               - float(qd @ (tau_hat - ARM.gravity(q)))
               - float(qd @ qd) / denom
@@ -211,18 +215,26 @@ def test_pd_nominal():
 
 
 def test_singularity_guard_cases():
-    fp = ELFilterParams(beta=10.0, gamma=2.0, eps_singular=1e-3)
-    qd = np.array([0.5, 0.0])
-    dec = guarded_decision(fp.eps_singular, qd, -1.0, -qd)
-    assert not dec.bypass and dec.event is None
-    assert dec.psi0 == -1.0 and np.array_equal(dec.psi1, -qd)
-    dec = guarded_decision(fp.eps_singular, np.zeros(2), 1.0, np.zeros(2))
-    assert dec.bypass and dec.event is None
-    dec = guarded_decision(fp.eps_singular, np.zeros(2), -1.0, np.zeros(2))
-    assert dec.bypass and dec.event == "singular_infeasible"
-    # just below and at the threshold
-    assert guarded_decision(1e-3, np.array([0.0, 0.999e-3]), 1.0, -qd).bypass
-    assert not guarded_decision(1e-3, np.array([0.0, 1e-3]), 1.0, -qd).bypass
+    # h_q = 1 inside (psi0 > 0 at rest) and -1 outside (psi0 < 0 at rest),
+    # with a zero gradient and no omega term; both energy filters guard
+    obs = el_observer_config(500.0, mu1=0.3, nu=1.0, omega=0.0)
+    zero = lambda q: (0.0, 0.0)
+    for sign in (1.0, -1.0):
+        for filt in (ELQpFilter(ARM, lambda q: sign, zero, obs, 10.0, 2.0,
+                                eps_singular=1e-3),
+                     ELRobustFilter(ARM, lambda q: sign, zero, 10.0, 2.0, 0.0,
+                                    eps_singular=1e-3)):
+            qd = np.array([0.5, 0.0])
+            dec = el_row_decision(filt, qd)
+            assert not dec.bypass and dec.event is None
+            assert np.array_equal(dec.psi1, -qd)
+            dec = el_row_decision(filt, np.zeros(2))
+            assert dec.bypass and (dec.psi0 < 0) == (sign < 0)
+            assert dec.event == (None if sign > 0 else "singular_infeasible")
+            # just below and at the threshold
+            assert el_row_decision(filt, np.array([0.0, 0.999e-3])).bypass
+            assert not el_row_decision(filt, np.array([0.0, 1e-3])).bypass
+
 
 
 def test_validate_el_params():
@@ -230,20 +242,18 @@ def test_validate_el_params():
     grad = lambda q: np.array([-2.0 * q[0], -2.0 * q[1]])
     x0 = np.array([2.0, 2.5, 0.0, 0.0])
     obs = el_observer_config(500.0, mu1=0.34, nu=1.0, omega=0.0)
-    fp = ELFilterParams(beta=10.0, gamma=2.0)
-    filt = ELQpFilter(ARM, h_q, grad, obs, fp)
-    rep = validate_el_params(filt, x0, e0_norm=math.sqrt(50.0))
+    filt = ELQpFilter(ARM, h_q, grad, obs, beta=10.0, gamma=2.0)
+    rep = filt.report(x0, e0_norm=math.sqrt(50.0))
     assert rep.passed and rep.cascade_ok
     # alpha and nu are the observer's: 500*0.34 - (2 + 1)/2
     assert rep.alpha_margin == pytest.approx(168.5)
     # beta exactly at the bound fails the strict inequality
     need = 50.0 / (2 * 5.75)
-    fp_eq = ELFilterParams(beta=need, gamma=2.0)
-    rep_eq = validate_el_params(ELQpFilter(ARM, h_q, grad, obs, fp_eq), x0,
-                                e0_norm=math.sqrt(50.0))
+    rep_eq = ELQpFilter(ARM, h_q, grad, obs, beta=need, gamma=2.0).report(
+        x0, e0_norm=math.sqrt(50.0))
     assert not rep_eq.beta_ok
     # an initial position outside the safe set, h_q((3, 3)) = -2
-    out = validate_el_params(filt, np.array([3.0, 3.0, 0.0, 0.0]), 0.0)
+    out = filt.report(np.array([3.0, 3.0, 0.0, 0.0]), 0.0)
     assert not out.cascade_ok and not out.beta_ok and not out.passed
 
 
@@ -265,10 +275,9 @@ def test_to_control_affine_embedding():
 
 def test_el_filter_object_guard_path():
     obs = el_observer_config(500.0, mu1=0.3, nu=1.0, omega=0.0)
-    fp = ELFilterParams(beta=10.0, gamma=2.0, eps_singular=1e-3)
     h_q = lambda q: 16.0 - q[0] ** 2 - q[1] ** 2
     grad = lambda q: np.array([-2.0 * q[0], -2.0 * q[1]])
-    filt = ELQpFilter(ARM, h_q, grad, obs, fp)
+    filt = ELQpFilter(ARM, h_q, grad, obs, 10.0, 2.0, eps_singular=1e-3)
     x_rest = np.array([2.0, 2.5, 0.0, 0.0])
     dec = filt.constraint(0.0, x_rest, np.zeros(2), np.zeros(2))
     assert dec.bypass
@@ -285,9 +294,18 @@ def test_el_filters_check_tuning_when_built():
     grad = lambda q: np.array([-2.0 * q[0], -2.0 * q[1]])
     # 4*alpha1*mu1 - 2*gamma - 2*nu = 4*5*0.3 - 4 - 2 = 0: no constraint
     obs = el_observer_config(5.0, mu1=0.3, nu=1.0, omega=0.0)
-    fp = ELFilterParams(beta=10.0, gamma=2.0)
     with pytest.raises(ParameterError):
-        ELQpFilter(ARM, h_q, grad, obs, fp)
+        ELQpFilter(ARM, h_q, grad, obs, beta=10.0, gamma=2.0)
+    # and it checks its own beta, gamma, omega and eps_singular
+    obs = el_observer_config(500.0, mu1=0.3, nu=1.0, omega=0.0)
+    ELQpFilter(ARM, h_q, grad, obs, 10.0, 2.0, omega=0.0)
+    for beta, gamma, omega, eps in ((0.0, 2.0, 0.0, 1e-4),
+                                    (10.0, -2.0, 0.0, 1e-4),
+                                    (10.0, 2.0, -1.0, 1e-4),
+                                    (10.0, 2.0, 0.0, 0.0)):
+        with pytest.raises(ParameterError):
+            ELQpFilter(ARM, h_q, grad, obs, beta, gamma, omega=omega,
+                       eps_singular=eps)
     # the robust baseline does not use the observer gain, and checks its
     # own beta, gamma, eps_singular and d_max
     ELRobustFilter(ARM, h_q, grad, 10.0, 2.0, 0.0)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from dobcbf.el import ELFilterParams, violation_floor
-from dobcbf.filters import FilterParams, NoFilter, QpFilter, validate_params
+from dobcbf.el import ELQpFilter, TwoLinkArm, el_observer_config, violation_floor
+from dobcbf.filters import NoFilter, QpFilter
 from dobcbf.model import BarrierSpec, ControlAffineSystem, ParameterError
 from dobcbf.observer import ObserverConfig
 
@@ -39,7 +39,7 @@ def qp_filter(sys, bar, alpha, beta, nu=1.0, omega=0.0):
     alpha * [0 | I]: both plants take the disturbance in their last state."""
     obs = ObserverConfig(gain=alpha * np.eye(sys.p, sys.n, sys.n - sys.p),
                          alpha=alpha, nu=nu)
-    return QpFilter(sys, bar, obs, FilterParams(beta=beta, omega=omega))
+    return QpFilter(sys, bar, obs, beta, omega)
 
 
 def row(filt, x, d_hat):
@@ -48,10 +48,11 @@ def row(filt, x, d_hat):
 
 
 def test_params_validation():
+    sys, bar = scalar_plant()
     with pytest.raises(ParameterError):
-        FilterParams(beta=-1.0)
+        qp_filter(sys, bar, alpha=2.0, beta=-1.0)
     with pytest.raises(ParameterError):
-        FilterParams(beta=1.0, omega=-0.5)
+        qp_filter(sys, bar, alpha=2.0, beta=1.0, omega=-0.5)
 
 
 def test_psi_rel1_hand_computed():
@@ -128,11 +129,13 @@ def test_augmented_barrier_values():
 
 
 def test_violation_floor_shape():
-    fp = ELFilterParams(beta=2.0, gamma=1.0, omega=0.5)
-    # the floor uses the omega passed in, not the constraint-side fp.omega
-    assert violation_floor(fp, 1.0, 3.0, 0.0) == pytest.approx(0.0)
+    obs = el_observer_config(500.0, mu1=0.3, nu=1.0, omega=0.0)
+    filt = ELQpFilter(TwoLinkArm().system(), lambda q: 1.0,
+                      lambda q: (0.0, 0.0), obs, beta=2.0, gamma=1.0, omega=0.5)
+    # the floor uses the omega passed in, not the constraint-side filt.omega
+    assert violation_floor(filt, 3.0, 0.0) == pytest.approx(0.0)
     t = np.linspace(0, 50, 500)
-    fl = violation_floor(fp, 1.0, 3.0, t)
+    fl = violation_floor(filt, 3.0, t)
     assert np.all(np.diff(fl) <= 1e-15)
     assert fl[-1] == pytest.approx(-9.0 / (2 * 1 * 1 * 2), abs=1e-6)
 
@@ -142,21 +145,21 @@ def test_validate_params_strictness():
     # alpha = (gamma + nu)/2 exactly -> the strict inequality fails at build
     with pytest.raises(ParameterError):
         qp_filter(sys, bar, alpha=1.0, beta=1.0, nu=1.0)
-    ok = validate_params(qp_filter(sys, bar, alpha=1.1, beta=1.0, nu=1.0),
-                         [1.0], 0.0)
+    ok = qp_filter(sys, bar, alpha=1.1, beta=1.0, nu=1.0).report([1.0], 0.0)
     assert ok.passed and ok.alpha_margin == pytest.approx(0.1)
     filt = qp_filter(sys, bar, alpha=2.0, beta=1.0, nu=1.0)
     # beta too small for the initial error
-    bad = validate_params(filt, [1.0], 2.0)
+    bad = filt.report([1.0], 2.0)
     assert not bad.beta_ok
-    neg = validate_params(filt, [-0.5], 0.0)
+    neg = filt.report([-0.5], 0.0)
     assert not neg.passed
     # r = 2: the threshold is the last pole, and every s_k must be positive
     sys2, bar2 = di_plant(poles=(1.0, 3.0))
     with pytest.raises(ParameterError):
         qp_filter(sys2, bar2, alpha=2.0, beta=1.0, nu=1.0)
-    cascade = validate_params(qp_filter(sys2, bar2, alpha=2.5, beta=1.0, nu=1.0),
-                              [-0.1, 1.0], 0.0)
+    # x0 = (1.1, -1.1): s_0 = 1 - x_1 = -0.1, s_1 = -x_2 + s_0 = 1.0
+    cascade = qp_filter(sys2, bar2, alpha=2.5, beta=1.0, nu=1.0).report(
+        [1.1, -1.1], 0.0)
     assert cascade.beta_ok and not cascade.cascade_ok
 
 
@@ -175,3 +178,4 @@ def test_filter_objects_produce_decisions():
     dec = nof.constraint(0.0, np.array([1.0]), np.array([9.0]), np.array([0.0]))
     assert dec.bypass and dec.psi0 is None
     assert np.isnan(nof.probe(np.array([1.0]), np.array([0.0]))["hbar"])
+    assert nof.report(np.array([1.0]), 0.0) is None

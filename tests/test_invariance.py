@@ -39,7 +39,7 @@ import numpy as np
 import pytest
 
 from dobcbf.el import ELRobustFilter, TwoLinkArm, arm_derivative, violation_floor
-from dobcbf.filters import FilterParams, QpFilter
+from dobcbf.filters import QpFilter
 from dobcbf.model import s_sequence
 from dobcbf.observer import ObserverState, estimate
 from dobcbf.scenarios import build
@@ -68,7 +68,7 @@ def residual(filt, q, qd, z, d, ddot, u):
     dhat = z + ALPHA1 * qd
     e = dhat - d
     edot = zd + ALPHA1 * qdd - ddot
-    beta, gamma = filt.params.beta, filt.params.gamma
+    beta, gamma = filt.beta, filt.gamma
     hbar = beta * filt.h_q(q) - 0.5 * qd @ M @ qd - 0.5 * e @ e
     dhbar = (beta * np.asarray(filt.grad_hq(q)) @ qd - qd @ M @ qdd
              - 0.5 * qd @ mass_derivative(q, qd) @ qd - e @ edot)
@@ -83,7 +83,7 @@ def tight_point(filt=FILT, omega=None):
     u are arbitrary."""
     q = np.array([0.4, 0.0])
     _, vecs = np.linalg.eigh(np.linalg.inv(np.asarray(SC.el_system.mass(q))))
-    omega = filt.params.omega if omega is None else omega
+    omega = filt.omega if omega is None else omega
     nu = OBS.nu
     e = (omega / nu) * vecs[:, 0]
     qd = -(filt.denom / 2.0) * e
@@ -94,7 +94,7 @@ def tight_point(filt=FILT, omega=None):
 
 def test_setup_matches_the_scenario():
     assert SC.derivative is arm_derivative
-    assert FILT.params.omega > 0.0
+    assert FILT.omega > 0.0
     assert np.array_equal(OBS.gain, np.hstack([np.zeros((2, 2)),
                                                ALPHA1 * np.eye(2)]))
     # the closed-form Mdot against a central difference of M along qdot
@@ -114,7 +114,7 @@ def test_residual_is_nonnegative_on_seeded_states():
     e = rng.uniform(-5.0, 5.0, size=(n, 2))
     u = rng.uniform(-300.0, 300.0, size=(n, 2))
     angle = rng.uniform(0.0, 2.0 * math.pi, size=n)
-    radius = FILT.params.omega * rng.uniform(0.0, 1.0, size=n)
+    radius = FILT.omega * rng.uniform(0.0, 1.0, size=n)
     ddot = radius[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
     for i in range(n):
         z = d[i] + e[i] - ALPHA1 * qd[i]
@@ -168,7 +168,7 @@ def generic_residual(filt, sc, x, e, d, ddot, u):
     xdot, zdot = dy[:x.size], dy[x.size:]
     e = d - dhat  # as the rounded estimate gives it
     edot = ddot - zdot - obs.gain @ xdot
-    beta, lam = filt.params.beta, filt.barrier.poles[-1]
+    beta, lam = filt.beta, filt.barrier.poles[-1]
     hbar = beta * s_sequence(sc.system, filt.barrier, x)[-1] - 0.5 * e @ e
     dhbar = beta * cascade_gradient(sc) @ xdot - e @ edot
     dec = filt.constraint(0.0, x, u, dhat)
@@ -182,10 +182,9 @@ def generic_tight_point(sc):
     filt, obs = sc.safety, sc.observer_cfg
     x = np.linspace(0.3, -0.4, sc.system.n)
     b = np.asarray(filt.barrier.lie_g2_fr(x))
-    e = -filt.params.beta * b / (2.0 * (filt.denom / 4.0))
+    e = -filt.beta * b / (2.0 * (filt.denom / 4.0))
     tight = QpFilter(sc.system, filt.barrier, obs,
-                     FilterParams(beta=filt.params.beta,
-                                  omega=obs.nu * float(np.linalg.norm(e))))
+                     filt.beta, omega=obs.nu * float(np.linalg.norm(e)))
     return tight, (x, e, np.array([1.7]), obs.nu * e, np.array([-2.5]))
 
 
@@ -214,14 +213,14 @@ def test_generic_setup_matches_the_scenario(name):
 def test_generic_residual_is_nonnegative_on_seeded_states(name):
     sc = GENERIC[name]
     filt, n = sc.safety, sc.system.n
-    assert filt.params.omega > 0.0
+    assert filt.omega > 0.0
     rng = np.random.default_rng(37)
     count = 3000
     x = rng.uniform(-3.0, 3.0, size=(count, n))
     e = rng.uniform(-3.0, 3.0, size=(count, 1))
     d = rng.uniform(-5.0, 5.0, size=(count, 1))
     u = rng.uniform(-20.0, 20.0, size=(count, 1))
-    ddot = filt.params.omega * rng.uniform(-1.0, 1.0, size=(count, 1))
+    ddot = filt.omega * rng.uniform(-1.0, 1.0, size=(count, 1))
     for i in range(count):
         r, scale = generic_residual(filt, sc, x[i], e[i], d[i], ddot[i], u[i])
         assert r >= -1e-12 * scale, i
@@ -317,7 +316,7 @@ NOOMEGA = build({"scenario": "el2dof-noomega"})
 
 def test_noomega_setup_matches_the_scenario():
     filt = NOOMEGA.safety
-    assert filt.params.omega == 0.0 and filt.omega_term == 0.0
+    assert filt.omega == 0.0 and filt.omega_term == 0.0
     assert NOOMEGA.constants["omega_d"] > 0.0
     assert NOOMEGA.observer_cfg.nu == OBS.nu
     assert filt.denom == FILT.denom
@@ -360,7 +359,7 @@ def test_noomega_floor_integrates_the_withheld_term():
     # c = omega^2/(2 nu), stays above the solution b of b' = -gamma b - c,
     # b(0) = 0; RK4 on b matches violation_floor * beta
     filt, omega = NOOMEGA.safety, NOOMEGA.constants["omega_d"]
-    gamma, beta = filt.params.gamma, filt.params.beta
+    gamma, beta = filt.gamma, filt.beta
     c = omega ** 2 / (2.0 * OBS.nu)
     f = lambda b: -gamma * b - c
     b, dt = 0.0, 1e-3
@@ -372,6 +371,6 @@ def test_noomega_floor_integrates_the_withheld_term():
         b += dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if k % 1000 == 0:
             t = k * dt
-            want = violation_floor(filt.params, OBS.nu, omega, t)
+            want = violation_floor(filt, omega, t)
             assert b / beta == pytest.approx(want, rel=1e-9)
             assert NOOMEGA.floor(NOOMEGA.simcfg.t0 + t) == want

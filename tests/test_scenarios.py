@@ -79,10 +79,25 @@ def test_arm_robust_dmax_derived():
 
 
 def test_validators_pass_for_defaults():
+    # the observer-aware filters report their initial-state inequalities;
+    # the robust baseline and the pass-through report none
+    reporting = {"scalar-rel1", "doubleint-relr", "el2dof-dob", "el2dof-noomega"}
     for name in scenarios.SCENARIOS:
         sc = build({"scenario": name})
-        for key, rep in sc.validate().items():
+        reports = sc.validate()
+        assert set(reports) == ({"params"} if name in reporting else set()), name
+        for key, rep in reports.items():
             assert rep.passed, (name, key, vars(rep))
+        if name == "scalar-rel1":
+            rep = reports["params"]
+            assert (rep.alpha_margin, rep.beta_margin) == (1.0, 1.0)
+        elif name == "doubleint-relr":
+            rep = reports["params"]
+            assert (rep.alpha_margin, rep.beta_margin) == (1.0, 0.5)
+        elif name in reporting:
+            rep = reports["params"]
+            assert rep.alpha_margin == pytest.approx(168.9320284103028, rel=1e-12)
+            assert rep.beta_margin == pytest.approx(5.652173913043478, rel=1e-12)
 
 
 def test_observer_certificate_is_exact():

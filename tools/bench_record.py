@@ -16,8 +16,13 @@ at seed 0.  For each workload and
 length, and each end-to-end metric that BENCHMARK.json declares, the record
 holds the parent and change medians over the pairs, the number of pairs,
 the number of pairs in which the change was better (in the metric's
-direction), the interquartile range of the parent's runs, and every pair's
-values.  It also holds the git SHA of each side, the Python and NumPy
+direction), the interquartile range of the parent's runs, every pair's
+values, and two flags against the metric's bound b:
+  * regressed: the change median is worse than the parent median by more
+    than b times the parent median;
+  * unresolved: the parent's IQR exceeds b times the parent median, and not
+    every change run beats every parent run, so the pairs cannot tell a
+    difference of b from noise.  It also holds the git SHA of each side, the Python and NumPy
 versions and CPU count that the runs report, and the Tier-1 wall time given
 on the command line.
 
@@ -60,6 +65,16 @@ def quartile_range(values: list) -> float:
     return q3 - q1
 
 
+def verdict(before: list, after: list, bound: float, sign: float) -> dict:
+    """The regressed and unresolved flags of one metric, relative to the
+    parent median; sign is 1 when higher is better and -1 when lower is."""
+    base = abs(statistics.median(before))
+    worse = sign * (statistics.median(before) - statistics.median(after))
+    separated = all(sign * (a - b) > 0 for a in after for b in before)
+    return {"regressed": worse > bound * base,
+            "unresolved": quartile_range(before) > bound * base and not separated}
+
+
 def only(values: set, what: str):
     """The one value that every run reports, or an error."""
     if len(values) != 1:
@@ -70,8 +85,8 @@ def only(values: set, what: str):
 def summarise(parent: dict, change: dict, metrics: list) -> list:
     """One entry per workload and length over the runs that pair up: the
     seeds, whether every run was correct, and per metric the parent and
-    change medians, the pair count, the change's wins, the parent's IQR
-    and every pair's values."""
+    change medians, the pair count, the change's wins, the parent's IQR,
+    every pair's values and, for a metric with a bound, its verdict."""
     keys = sorted(set(parent) & set(change))
     entries = []
     for workload, seconds in sorted({(k[0], k[2]) for k in keys}):
@@ -96,6 +111,7 @@ def summarise(parent: dict, change: dict, metrics: list) -> list:
                 "change_wins": sum(sign * (a - b) > 0 for b, a in zip(before, after)),
                 "parent_iqr": quartile_range(before),
                 "parent": before, "change": after,
+                **(verdict(before, after, m["bound"], sign) if "bound" in m else {}),
             }
         entries.append(entry)
     return entries
@@ -155,7 +171,9 @@ def main(argv=None) -> int:
             print(f"{entry['workload']:18s} {entry['seconds']:4g} s {name:30s} "
                   f"{m['parent_median']:.6g} -> "
                   f"{m['change_median']:.6g} {m['unit']}  wins "
-                  f"{m['change_wins']}/{m['pairs']}  parent IQR {m['parent_iqr']:.3g}")
+                  f"{m['change_wins']}/{m['pairs']}  parent IQR {m['parent_iqr']:.3g}"
+                  + (f"  regressed {m['regressed']}  unresolved {m['unresolved']}"
+                     if "regressed" in m else ""))
     return 0
 
 
