@@ -15,7 +15,8 @@ exist, a negative d_max, an observer gain whose coercivity margin is
 negative or whose stiffness times dt/substeps lies outside RK4's real
 stability interval, a config path that is missing, a directory or not
 UTF-8 text, an output path that is a file, a log too large to
-allocate, and a disturbance whose bound cannot be evaluated in floats),
+allocate, a time grid whose step count (tf - t0)/dt is not finite, and a
+disturbance whose bound cannot be evaluated in floats),
 3 numerical failure: blow-up, non-finite integration, or a
 ValueError or ArithmeticError raised by the validation checks (`run` and
 `validate`) or while simulating, such as a singular inertia matrix or an
