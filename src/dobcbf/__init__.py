@@ -16,7 +16,7 @@ from .simulate import (DisturbanceSignal, IntegrationError, SimConfig, Term,
                        TrajectoryLog, metrics, rk4_step, run_closed_loop)
 from .el import (ELQpFilter, ELRobustFilter, ELSystem, TwoLinkArm,
                  el_observer_config, kinetic_energy, pd_nominal,
-                 to_control_affine, violation_floor)
+                 violation_floor)
 from .scenarios import ConfigError, SCENARIOS, Scenario, build, resolve_config
 
 __version__ = "0.1.0"

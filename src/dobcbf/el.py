@@ -3,19 +3,23 @@
 Mechanical systems M(q) qddot + C(q, qdot) qdot + G(q) = tau + tau_d admit a
 dedicated observer (estimate = z + alpha1*qdot) and an energy-based safety
 constraint that only needs a C^1 position barrier h_q.  `ELSystem` holds the
-inertia, Coriolis and gravity callbacks of a plant with two joints.
-`ELQpFilter` is built from the observer of `el_observer_config`, whose
-coercivity constant is alpha1*mu1, and reads alpha and nu from it once.
+inertia and gravity callbacks of a plant with two joints, which the filters
+read.  `TwoLinkArm`, the planar arm of the benchmark scenarios, gives its
+`ELSystem` and its plant (`TwoLinkArm.plant`), whose one `terms` callback
+forms M, C qdot + G, the closed-form inverse of M and the drift from one
+cos q2 and sin q2.  `ELQpFilter` is built from the observer of
+`el_observer_config`, whose coercivity constant is alpha1*mu1, and reads
+alpha and nu from it once.
 It and the robust baseline `ELRobustFilter` share one core: the check of
 beta, gamma and eps_singular, the QP bypass near qdot = 0, where the row
 psi1 = -qdot vanishes, and the probe's beta*h_q - KE; each forms its own
 psi0.  `violation_floor` bounds the barrier when the disturbance-derivative
 term is withheld (omega = 0 in the constraint).  The filters, the PD law and
-the embedding's `terms` return Python floats.  `arm_derivative` is the
-simulator's right-hand side for the embedded plant and its observer: the
-generic joint derivative written out in Python floats for n = 4 and
-m = p = 2, still checking the plant through `evaluate` at every stage.
-
+the plant's `terms` return Python floats.  `arm_derivative` is the
+simulator's right-hand side for the arm and the momentum observer
+z + alpha1*qdot: the joint derivative in closed form, in Python floats,
+with only its nonzero rows formed, still checking the plant through
+`evaluate` at every stage.
 The 2-DOF planar arm used by the benchmark scenarios lives here as well.
 """
 
@@ -28,28 +32,24 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .filters import Decision, ParamReport
-from .model import ControlAffineSystem, ParameterError, as_floats, as_vector
+from .model import ControlAffineSystem, ParameterError, as_floats
 from .observer import ObserverConfig
 
 
 @dataclass(frozen=True)
 class ELSystem:
-    """Inertia/Coriolis/gravity callbacks of a mechanical plant.
+    """Inertia and gravity callbacks of a mechanical plant, which the
+    energy filters read.
 
     mass maps q -> ((m11, m12), (m21, m22)), symmetric positive definite;
-    coriolis maps (q, qdot) -> ((c11, c12), (c21, c22)) such that
-    Mdot - 2C is skew-symmetric; gravity maps q -> (g1, g2).  Every entry is
-    a Python float, so the plant's hot path runs without NumPy calls on
-    2x2 data; q and qdot may be any length-2 sequence of numbers.  Code
-    that needs arrays wraps the results with np.asarray.  The plant has two
-    joints: the embedding inverts the inertia in closed form and the energy
-    terms are written out for q = (q1, q2), so the state is x = [q; qdot]
-    of length 4.
+    gravity maps q -> (g1, g2).  Every entry is a Python float, so the
+    filters' hot path runs without NumPy calls on 2x2 data; q may be any
+    length-2 sequence of numbers.  The plant has two joints: the energy
+    terms are written out for q = (q1, q2) and x = [q; qdot].
     """
 
-    mass: Callable[[np.ndarray], np.ndarray]
-    coriolis: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    gravity: Callable[[np.ndarray], np.ndarray]
+    mass: Callable[[Sequence[float]], tuple[tuple[float, float], tuple[float, float]]]
+    gravity: Callable[[Sequence[float]], tuple[float, float]]
 
 
 @dataclass(frozen=True)
@@ -61,26 +61,21 @@ class TwoLinkArm:
     l: float = 1.0
     g_accel: float = 9.81
 
-    def system(self) -> ELSystem:
+    def _constants(self) -> tuple:
+        """The configuration-independent parts, in the evaluation order of
+        the textbook expressions."""
         m1, m2, l, g = self.m1, self.m2, self.l, self.g_accel
+        return (m1 * l * l / 3.0 + 4.0 * m2 * l * l / 3.0, m2 * l * l / 3.0,
+                m2 * l * l, m2 * l * l / 2.0,
+                m1 * g * l / 2.0, m2 * g * l, m2 * g * l / 2.0)
 
-        # configuration-independent parts, in the evaluation order of the
-        # textbook expressions
-        a11_0 = m1 * l * l / 3.0 + 4.0 * m2 * l * l / 3.0
-        a12_0 = m2 * l * l / 3.0
-        ml2, ml2_2 = m2 * l * l, m2 * l * l / 2.0
-        w1, w2, w12 = m1 * g * l / 2.0, m2 * g * l, m2 * g * l / 2.0
+    def system(self) -> ELSystem:
+        a11_0, a12_0, ml2, ml2_2, w1, w2, w12 = self._constants()
 
         def mass(q):
             c2 = math.cos(q[1])
             a12 = a12_0 + ml2_2 * c2
             return (a11_0 + ml2 * c2, a12), (a12, a12_0)
-
-        def coriolis(q, qd):
-            s2 = math.sin(q[1])
-            v0, v1 = float(qd[0]), float(qd[1])
-            return ((-ml2_2 * s2 * v1, -ml2_2 * (v0 + v1) * s2),
-                    (ml2_2 * v0 * s2, 0.0))
 
         def gravity(q):
             q0, q1 = float(q[0]), float(q[1])
@@ -88,7 +83,51 @@ class TwoLinkArm:
             c12 = math.cos(q0 + q1)
             return w1 * c1 + w12 * c12 + w2 * c1, w12 * c12
 
-        return ELSystem(mass=mass, coriolis=coriolis, gravity=gravity)
+        return ELSystem(mass=mass, gravity=gravity)
+
+    def plant(self) -> ControlAffineSystem:
+        """The arm embedded as x = [q; qdot] with u = tau, d = tau_d.
+
+        `terms` reads the state (four numbers, in a list or an array) into
+        Python floats once, takes cos q2 and sin q2 once, and forms M,
+        C qdot + G, the closed-form inverse of M and the drift in the
+        operation order of per-term callbacks, so every entry keeps their
+        bits.  It returns f as a tuple of four floats and B = [0; M^-1] as
+        a tuple of row tuples, one object for both channels.  An inertia
+        that is not positive definite at q raises ParameterError, or
+        ValueError when q is not finite.
+        """
+        a11_0, a12_0, ml2, ml2_2, w1, w2, w12 = self._constants()
+        zero = (0.0, 0.0)
+
+        def terms(x):
+            q0, q1, v0, v1 = map(float, x)
+            c2, s2 = math.cos(q1), math.sin(q1)
+            m11, m12 = a11_0 + ml2 * c2, a12_0 + ml2_2 * c2
+            det = m11 * a12_0 - m12 * m12
+            if not (m11 > 0.0 and det > 0.0):
+                q = (q0, q1)
+                if not (math.isfinite(q0) and math.isfinite(q1)):
+                    raise ValueError(f"non-finite state at q = {q}")
+                raise ParameterError(f"inertia matrix not positive definite at q = {q}")
+            # C qdot + G with C = ((k11, k12), (k21, 0.0)); the zero entry is
+            # kept as a product, so a signed zero or a non-finite qdot2
+            # keeps its bits
+            k11, k12, k21 = (-ml2_2 * s2 * v1, -ml2_2 * (v0 + v1) * s2,
+                             ml2_2 * v0 * s2)
+            c1, c12 = math.cos(q0), math.cos(q0 + q1)
+            h0 = k11 * v0 + k12 * v1 + (w1 * c1 + w12 * c12 + w2 * c1)
+            h1 = k21 * v0 + 0.0 * v1 + w12 * c12
+            B = (zero, zero, (a12_0 / det, -m12 / det), (-m12 / det, m11 / det))
+            f = (v0, v1, (m12 * h1 - a12_0 * h0) / det, (m12 * h0 - m11 * h1) / det)
+            return f, B, B
+
+        return ControlAffineSystem(
+            n=4, m=2, p=2,
+            f=lambda x: terms(x)[0],
+            g1=lambda x: terms(x)[1],
+            g2=lambda x: terms(x)[2],
+            terms=terms)
 
 
 def kinetic_energy(sys: ELSystem, q, qd) -> float:
@@ -132,67 +171,34 @@ def pd_nominal(Kp, Kd, q, qd, q_des, qd_des, gravity=None) -> tuple:
     return tau0, tau1
 
 
-def to_control_affine(sys: ELSystem) -> ControlAffineSystem:
-    """Embed the mechanical plant as x = [q; qdot] with u = tau, d = tau_d.
-
-    The 2x2 inertia is inverted in closed form; a matrix that is not positive
-    definite at some q (a singular one included) raises ParameterError.
-    The state, a list of four numbers or an array of four entries, is read
-    into Python floats once, and M, C qdot + G, the inverse and the drift
-    are computed in floats.  `terms` returns f as a tuple of four floats
-    and B = [0; M^-1] as a tuple of four row tuples, one object for both
-    the input and the disturbance channel, which evaluate checks in place.
-    """
-    mass, coriolis, gravity = sys.mass, sys.coriolis, sys.gravity
-
-    def terms(x):
-        q0, q1, v0, v1 = map(float, x)
-        q, qd = (q0, q1), (v0, v1)
-        (m11, m12), (m21, m22) = mass(q)
-        det = m11 * m22 - m12 * m21
-        if not (m11 > 0.0 and det > 0.0):
-            raise ParameterError(f"inertia matrix not positive definite at q = {q}")
-        (c11, c12), (c21, c22) = coriolis(q, qd)
-        g0, g1 = gravity(q)
-        h0 = c11 * v0 + c12 * v1 + g0
-        h1 = c21 * v0 + c22 * v1 + g1
-        B = ((0.0, 0.0), (0.0, 0.0), (m22 / det, -m12 / det),
-             (-m21 / det, m11 / det))
-        f = (v0, v1, (m12 * h1 - m22 * h0) / det, (m21 * h0 - m11 * h1) / det)
-        return f, B, B
-
-    return ControlAffineSystem(
-        n=4, m=2, p=2,
-        f=lambda x: terms(x)[0],
-        g1=lambda x: terms(x)[1],
-        g2=lambda x: terms(x)[2],
-        terms=terms)
-
-
 def arm_derivative(system: ControlAffineSystem, observer: ObserverConfig,
                    disturbance_at: Callable[[float], Sequence[float]]):
-    """The simulator's joint derivative for a two-joint plant embedded by
-    to_control_affine, in Python floats.
+    """The simulator's joint derivative for the arm plant of
+    TwoLinkArm.plant under the momentum observer, in closed form and Python
+    floats.
 
     Returns (rhs, hold) like simulate.joint_derivative and computes the
-    same quantity, [f + B u + B d(t); -L_d (f + B u + B (z + L_d x))], with
-    the disturbance entering through the input matrix B as in the
-    embedding.  rhs(t, y) reads the stage state y, the list of six floats
-    that rk4_step passes, and returns a tuple of six floats.  Each stage
-    calls system.evaluate(y[:4]) once, so the plant's shape, finiteness and
-    positive-definiteness checks stay; L_d is read when the run starts, and
-    hold unpacks each decision's control, two floats.  The sums are written
-    out for the fixed shapes; a non-finite derivative is caught by
-    rk4_step's check of the new state.
-    A plant or gain of other dimensions raises ParameterError when the run
-    starts, and a stage whose evaluated g2 is not its g1 (the same object,
-    as the embedding returns it) raises ParameterError there.
+    same quantity, [f + B u + B d(t); -L_d (f + B u + B (z + L_d x))], for
+    B = [0; M^-1] and the gain L_d = [0 | alpha1 I] of el_observer_config
+    (Chen, Ballance, Gawthrop & O'Reilly, IEEE TIE 2000), forming only the
+    rows that are not structurally zero: with a = f_qdot + M^-1 u, the
+    accelerations a + M^-1 d(t) and the observer's
+    -alpha1 (a + M^-1 (z + alpha1 qdot)).  rhs(t, y) reads the list of six
+    floats that rk4_step passes and returns a tuple of six floats.  Each
+    stage calls system.evaluate(y[:4]) once, with its checks; hold unpacks
+    each decision's control.  A non-finite derivative is caught by
+    rk4_step's check of the new state.  Other plant dimensions, or any
+    other gain, raise ParameterError when the run starts, and a stage
+    whose evaluated g2 is not its g1 (the same object) raises it there.
     """
     if (system.n, system.m, system.p) != (4, 2, 2) \
             or observer.gain.shape != (2, 4):
         raise ParameterError(
             "arm_derivative needs a plant with n = 4, m = p = 2 and a 2x4 gain")
-    (l00, l01, l02, l03), (l10, l11, l12, l13) = observer.gain.tolist()
+    (l00, l01, alpha1, l03), (l10, l11, l12, l13) = observer.gain.tolist()
+    if (l00, l01, l03, l10, l11, l12) != (0.0,) * 6 or l13 != alpha1:
+        raise ParameterError(
+            "arm_derivative needs the momentum observer's gain [0 | alpha1 I]")
     evaluate = system.evaluate
     u0 = u1 = 0.0
 
@@ -206,27 +212,18 @@ def arm_derivative(system: ControlAffineSystem, observer: ObserverConfig,
             raise ParameterError(
                 "arm_derivative needs a plant whose evaluated g2 is its g1")
         f0, f1, f2, f3 = fx
-        (b00, b01), (b10, b11), (b20, b21), (b30, b31) = B
-        x0, x1, x2, x3, z0, z1 = y
+        _, _, (b20, b21), (b30, b31) = B
+        _, _, x2, x3, z0, z1 = y
         d0, d1 = disturbance_at(t)
-        # f + B u, shared by the plant and the observer
-        a0 = f0 + (b00 * u0 + b01 * u1)
-        a1 = f1 + (b10 * u0 + b11 * u1)
         a2 = f2 + (b20 * u0 + b21 * u1)
         a3 = f3 + (b30 * u0 + b31 * u1)
-        # z + L_d x, the estimate
-        w0 = z0 + (l00 * x0 + l01 * x1 + l02 * x2 + l03 * x3)
-        w1 = z1 + (l10 * x0 + l11 * x1 + l12 * x2 + l13 * x3)
-        v0 = a0 + (b00 * w0 + b01 * w1)
-        v1 = a1 + (b10 * w0 + b11 * w1)
-        v2 = a2 + (b20 * w0 + b21 * w1)
-        v3 = a3 + (b30 * w0 + b31 * w1)
-        return (a0 + (b00 * d0 + b01 * d1),
-                a1 + (b10 * d0 + b11 * d1),
+        # z + alpha1 qdot, the estimate
+        w0, w1 = z0 + alpha1 * x2, z1 + alpha1 * x3
+        return (f0, f1,
                 a2 + (b20 * d0 + b21 * d1),
                 a3 + (b30 * d0 + b31 * d1),
-                -(l00 * v0 + l01 * v1 + l02 * v2 + l03 * v3),
-                -(l10 * v0 + l11 * v1 + l12 * v2 + l13 * v3))
+                -(alpha1 * (a2 + (b20 * w0 + b21 * w1))),
+                -(alpha1 * (a3 + (b30 * w0 + b31 * w1))))
 
     return rhs, hold
 
@@ -271,11 +268,11 @@ class _EnergyFilter:
                         "singular_infeasible" if psi0 < 0 else None)
 
     def _energy(self, x) -> tuple:
-        """(h_q(q), beta*h_q(q) - KE) at x = [q; qdot]."""
-        x = as_vector(x, 4, "x")
-        q = x[:2]
-        h = float(self.h_q(q))
-        return h, self.beta * h - kinetic_energy(self.sys, q, x[2:])
+        """(h_q(q), beta*h_q(q) - KE) at x = [q; qdot], x checked by
+        as_floats."""
+        q0, q1, v0, v1 = as_floats(x, 4, "x")
+        h = float(self.h_q((q0, q1)))
+        return h, self.beta * h - kinetic_energy(self.sys, (q0, q1), (v0, v1))
 
 
 class ELQpFilter(_EnergyFilter):

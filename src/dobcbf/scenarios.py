@@ -441,8 +441,8 @@ def _arm(cfg: dict, signal, simcfg, omega: float) -> dict:
         raise ParameterError("PD gains kp and kd must be positive")
     amp = float(prm["ref_amplitude"])
 
-    el_sys = elmod.TwoLinkArm().system()
-    system = elmod.to_control_affine(el_sys)
+    arm = elmod.TwoLinkArm()
+    el_sys, system = arm.system(), arm.plant()
     mu1, mu2 = arm_mu_bounds(el_sys.mass)
     obs = elmod.el_observer_config(alpha1, mu1, nu, omega)
     h_q = lambda q: 16.0 - float(q[0]) ** 2 - float(q[1]) ** 2

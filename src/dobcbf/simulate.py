@@ -13,8 +13,9 @@ on the dt grid.
 
 Each run builds one RK4 right-hand side with a derivative builder:
 `joint_derivative` serves any plant, and the arm scenarios pass
-`el.arm_derivative`, which writes the same quantity out for the two-joint
-plant.  Both evaluate the plant once per stage through
+`el.arm_derivative`, the same quantity in closed form for the arm under
+the momentum observer L_d = [0 | alpha1 I], with only its nonzero rows
+formed.  Both evaluate the plant once per stage through
 `ControlAffineSystem.evaluate`, with its checks.
 
 The closed loop has one value type: every value from the RK4 state to the
@@ -391,7 +392,7 @@ def run_closed_loop(system: ControlAffineSystem,
 
     derivative(system, observer, disturbance_at) builds the run's one
     right-hand side and its control hold, as joint_derivative does;
-    `el.arm_derivative` is the two-joint arm's version.  disturbance_at(t)
+    `el.arm_derivative` is the arm's closed form.  disturbance_at(t)
     returns d(t) as a sequence of floats.
     """
     x = as_floats(x0, system.n, "x0")

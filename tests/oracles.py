@@ -1,16 +1,20 @@
 """Independent reference implementations that the tests check the library
-against: a grid-search QP, the arm's equations of motion solved with
-np.linalg.solve, the arm's plant terms as float64 arrays, the observer's
+against: a grid-search QP, the arm's Coriolis matrix and its plant built
+term by term from one callback per term, the arm's equations of motion
+solved with np.linalg.solve, the arm's plant terms as float64 arrays, the
+observer's
 right-hand side on its own, the joint plant-and-observer derivative with
 NumPy products, a disturbance evaluated term by term, a disturbance bound
 that evaluates every grid block, classical RK4 on float64 arrays, and a
 CSV written cell by cell."""
 
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from dobcbf.el import ELSystem
+from dobcbf.el import TwoLinkArm
 from dobcbf.model import ControlAffineSystem, ParameterError, as_vector
 from dobcbf.observer import ObserverConfig, ObserverState, estimate
 from dobcbf.qp import QpInstance
@@ -40,7 +44,66 @@ def brute_force(inst: QpInstance, box_halfwidth: float,
     return pts[int(np.argmin(cost))]
 
 
-def el_accel(sys: ELSystem, q, qd, tau, tau_d) -> np.ndarray:
+@dataclass(frozen=True)
+class PerTermArm:
+    """The inertia, Coriolis and gravity callbacks of a two-joint plant,
+    one per term: mass and gravity as ELSystem has them, and coriolis
+    mapping (q, qdot) -> ((c11, c12), (c21, c22)) such that Mdot - 2C is
+    skew-symmetric."""
+
+    mass: Callable
+    coriolis: Callable
+    gravity: Callable
+
+
+def per_term(arm: TwoLinkArm) -> PerTermArm:
+    """The arm's callbacks, with its Coriolis matrix in the textbook
+    expressions' evaluation order."""
+    ml2_2 = arm.m2 * arm.l * arm.l / 2.0
+
+    def coriolis(q, qd):
+        s2 = math.sin(q[1])
+        v0, v1 = float(qd[0]), float(qd[1])
+        return ((-ml2_2 * s2 * v1, -ml2_2 * (v0 + v1) * s2),
+                (ml2_2 * v0 * s2, 0.0))
+
+    sys = arm.system()
+    return PerTermArm(mass=sys.mass, coriolis=coriolis, gravity=sys.gravity)
+
+
+def to_control_affine(sys: PerTermArm) -> ControlAffineSystem:
+    """The embedding x = [q; qdot], u = tau, d = tau_d, built from the
+    per-term callbacks: M, C qdot + G, the closed-form inverse and the drift
+    in Python floats, f as a tuple and B = [0; M^-1] as one tuple of row
+    tuples for both channels.  A matrix that is not positive definite at q
+    raises ParameterError."""
+    mass, coriolis, gravity = sys.mass, sys.coriolis, sys.gravity
+
+    def terms(x):
+        q0, q1, v0, v1 = map(float, x)
+        q, qd = (q0, q1), (v0, v1)
+        (m11, m12), (m21, m22) = mass(q)
+        det = m11 * m22 - m12 * m21
+        if not (m11 > 0.0 and det > 0.0):
+            raise ParameterError(f"inertia matrix not positive definite at q = {q}")
+        (c11, c12), (c21, c22) = coriolis(q, qd)
+        g0, g1 = gravity(q)
+        h0 = c11 * v0 + c12 * v1 + g0
+        h1 = c21 * v0 + c22 * v1 + g1
+        B = ((0.0, 0.0), (0.0, 0.0), (m22 / det, -m12 / det),
+             (-m21 / det, m11 / det))
+        f = (v0, v1, (m12 * h1 - m22 * h0) / det, (m21 * h0 - m11 * h1) / det)
+        return f, B, B
+
+    return ControlAffineSystem(
+        n=4, m=2, p=2,
+        f=lambda x: terms(x)[0],
+        g1=lambda x: terms(x)[1],
+        g2=lambda x: terms(x)[2],
+        terms=terms)
+
+
+def el_accel(sys: PerTermArm, q, qd, tau, tau_d) -> np.ndarray:
     """Joint accelerations of the two-joint plant from the equations of
     motion."""
     q = as_vector(q, 2, "q")
@@ -56,10 +119,10 @@ def el_accel(sys: ELSystem, q, qd, tau, tau_d) -> np.ndarray:
         raise ParameterError(f"inertia matrix solve failed at q = {q}") from exc
 
 
-def arm_terms_arrays(sys: ELSystem, x):
+def arm_terms_arrays(sys: PerTermArm, x):
     """(f, B) of the embedding x = [q; qdot] as float64 arrays: the inertia,
     C qdot + G and the closed-form inverse in Python floats, as
-    el.to_control_affine computes them, with B = [0; M^-1] assigned entry by
+    to_control_affine computes them, with B = [0; M^-1] assigned entry by
     entry into a zero array and f built with np.array."""
     q0, q1, v0, v1 = map(float, x)
     q, qd = (q0, q1), (v0, v1)
