@@ -20,7 +20,6 @@ simulator's right-hand side for the arm and the momentum observer
 z + alpha1*qdot: the joint derivative in closed form, in Python floats,
 with only its nonzero rows formed, still checking the plant through
 `evaluate` at every stage.
-The 2-DOF planar arm used by the benchmark scenarios lives here as well.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ import dobcbf.scenarios as scenarios
 from dobcbf import qp
 from dobcbf.el import TwoLinkArm, kinetic_energy
 from dobcbf.simulate import rk4_step
-from oracles import brute_force, el_accel
+from oracles import brute_force, el_accel, per_term
 
 SAFETY_TOL = 1e-6
 
@@ -180,7 +180,7 @@ def test_criterion_8_violation_floor(noomega_run):
 
 
 def test_criterion_9_model_identities():
-    arm = TwoLinkArm().system()
+    arm = per_term(TwoLinkArm())
     rng = np.random.default_rng(9)
     eps = 1e-6
     ok = True

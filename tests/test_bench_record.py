@@ -210,3 +210,46 @@ def test_regressed_and_unresolved_flags(tmp_path, capsys):
     assert setup.endswith("regressed True  unresolved False")
     terms, = [line for line in lines if " el.terms.us " in line]
     assert "regressed" not in terms
+
+
+def test_gain_flag(tmp_path, capsys):
+    # a gain needs at least 9 of 10 pairs won, a tie winning for neither
+    # side, and a median gap wider than the parent's IQR
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    runs = {
+        # IQR of 100..109 is 106.75 - 102.25 = 4.5; 9 of 10 won and the
+        # median 113.5 beats 104.5 by 9: a gain
+        "steps_per_s": ([100.0 + i for i in range(10)],
+                        [110.0 + i for i in range(9)] + [100.0]),
+        # 9 won and 1 tie, gap 0.5 over an IQR of 0: a gain (lower is better)
+        "setup_s": ([1.0] * 10, [0.5] * 9 + [1.0]),
+        # 8 won and 2 ties: no gain, however wide the gap
+        "run_s": ([2.0] * 10, [1.0] * 8 + [2.0] * 2),
+        # every pair won, but the gap of 1 is inside the IQR of 45
+        "decision_us_p50": ([10.0 * (i + 1) for i in range(10)],
+                            [10.0 * (i + 1) - 1.0 for i in range(10)]),
+        # worse in every pair
+        "peak_rss_mb": ([100.0] * 10, [101.0] * 10),
+    }
+    for seed in range(10):
+        write_run(parent, "p" * 40, "arm-dob", seed + 1,
+                  {name: b[seed] for name, (b, _) in runs.items()})
+        write_run(change, "c" * 40, "arm-dob", seed + 1,
+                  {name: a[seed] for name, (_, a) in runs.items()})
+    write_run(parent, "p" * 40, "arm-dob", 1, {"el.terms.us": 2.0}, trace=1)
+    write_run(change, "c" * 40, "arm-dob", 1, {"el.terms.us": 1.0}, trace=1)
+    out = tmp_path / "BENCH.json"
+    assert bench_record.main(["--pr", "7", "--parent", str(parent), "--change",
+                              str(change), "--out", str(out)]) == 0
+    rec = json.loads(out.read_text())
+    metrics = rec["workloads"][0]["metrics"]
+    assert {name: m["gain"] for name, m in metrics.items()} == {
+        "steps_per_s": True, "setup_s": True, "run_s": False,
+        "decision_us_p50": False, "peak_rss_mb": False}
+    assert metrics["steps_per_s"]["parent_iqr"] == 4.5
+    assert (metrics["steps_per_s"]["change_wins"], metrics["setup_s"]["change_wins"],
+            metrics["run_s"]["change_wins"]) == (9, 9, 8)
+    assert "gain" not in rec["per_layer"][0]["metrics"]["el.terms.us"]
+    lines = capsys.readouterr().out.splitlines()
+    steps, = [line for line in lines if " steps_per_s " in line]
+    assert "  gain True  regressed False  unresolved False" in steps

@@ -363,7 +363,7 @@ def test_singular_inertia_exits_3(tmp_path, monkeypatch, capsys):
     assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "inertia matrix not positive definite at q = (0.0, 0.0)" in \
         capsys.readouterr().err
-    default_arm = el.to_control_affine(el.TwoLinkArm(m1=1.0).system())
+    default_arm = el.TwoLinkArm(m1=1.0).plant()
     default_spectrum = observer.gain_spectrum(
         el.el_observer_config(500.0, default_bounds[0], 1.0, 0.0), default_arm,
         [(0.0, 0.0, 0.0, 0.0), (0.0, np.pi, 0.0, 0.0)])
@@ -371,6 +371,19 @@ def test_singular_inertia_exits_3(tmp_path, monkeypatch, capsys):
                         lambda cfg, system, states: default_spectrum)
     assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 3
     assert "numerical failure: inertia matrix" in capsys.readouterr().err
+
+
+def test_non_finite_stage_state_exits_3(tmp_path, capsys):
+    # a d_max of 1e308 makes the robust filter's QP return an infinite
+    # control; the run fails at its first step with one stderr line that
+    # names the non-finite value, not a singular inertia
+    cfg = write_config(tmp_path / "huge.yaml",
+                       {"scenario": "el2dof-robust",
+                        "params": {"d_max": 1.0e+308}})
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure:")
+    assert "non-finite" in lines[0] and "positive definite" not in lines[0]
 
 
 def validate_in_subprocess(tmp_path, scenario, override):

@@ -3,16 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from dobcbf.el import (ELQpFilter, ELRobustFilter, ELSystem, TwoLinkArm,
-                       arm_derivative, el_observer_config, kinetic_energy,
-                       pd_nominal, to_control_affine)
+from dobcbf.el import (ELQpFilter, ELRobustFilter, TwoLinkArm, arm_derivative,
+                       el_observer_config, kinetic_energy, pd_nominal)
 from dobcbf.model import ControlAffineSystem, ParameterError
-from dobcbf.observer import ObserverState, estimate
+from dobcbf.observer import ObserverConfig, ObserverState, estimate
 from dobcbf.scenarios import ConfigError, build
-from oracles import arm_terms_arrays, el_accel, z_derivative
+from dobcbf.simulate import joint_derivative
+from oracles import (PerTermArm, arm_terms_arrays, el_accel, per_term,
+                     to_control_affine, z_derivative)
 
 
 ARM = TwoLinkArm().system()
+#: the same arm as one callback per term, Coriolis included, for the oracles
+EOM = per_term(TwoLinkArm())
+PLANT = TwoLinkArm().plant()
 
 
 def el_estimate(alpha1, z, qd):
@@ -34,7 +38,7 @@ def test_arm_matrices_at_reference_configuration():
     G0 = ARM.gravity(np.zeros(2))
     # (m1/2 + m2/2 + m2) g and m2 g / 2 with unit masses and length
     assert np.allclose(G0, [2.0 * 9.81, 9.81 / 2.0])
-    C0 = ARM.coriolis(np.zeros(2), np.array([1.0, 1.0]))
+    C0 = EOM.coriolis(np.zeros(2), np.array([1.0, 1.0]))
     assert np.allclose(C0, 0.0)  # sin(q2) = 0
 
 
@@ -56,14 +60,14 @@ def test_skew_symmetry_mdot_minus_2c():
         v = rng.standard_normal(2)
         Mdot = (np.asarray(ARM.mass(q + eps * qd))
                 - np.asarray(ARM.mass(q - eps * qd))) / (2 * eps)
-        S = Mdot - 2.0 * np.asarray(ARM.coriolis(q, qd))
+        S = Mdot - 2.0 * np.asarray(EOM.coriolis(q, qd))
         quad = float(v @ S @ v)
         assert abs(quad) <= 1e-6 * (1 + np.linalg.norm(qd)) * float(v @ v)
 
 
 def test_energy_identity_along_free_motion():
     # without gravity and external torques, kinetic energy is conserved
-    arm = TwoLinkArm(g_accel=0.0).system()
+    arm = per_term(TwoLinkArm(g_accel=0.0))
     q = np.array([0.3, -0.8])
     qd = np.array([1.0, -2.0])
     dt = 1e-4
@@ -89,8 +93,8 @@ def test_el_accel_matches_equations_of_motion():
     qd = np.array([2.0, 1.0])
     tau = np.array([3.0, -1.0])
     tau_d = np.array([0.5, 0.5])
-    qdd = el_accel(ARM, q, qd, tau, tau_d)
-    lhs = ARM.mass(q) @ qdd + ARM.coriolis(q, qd) @ qd + ARM.gravity(q)
+    qdd = el_accel(EOM, q, qd, tau, tau_d)
+    lhs = EOM.mass(q) @ qdd + EOM.coriolis(q, qd) @ qd + EOM.gravity(q)
     assert np.allclose(lhs, tau + tau_d, atol=1e-12)
 
 
@@ -105,15 +109,15 @@ def test_el_estimate_and_dob_rhs_consistency():
     tau_d = np.array([3.0, -1.0])
     z = tau_d - alpha1 * qd
     assert np.allclose(el_estimate(alpha1, z, qd), tau_d)
-    zdot = el_dob_rhs(ARM, alpha1, z, q, qd, tau)
-    qdd = el_accel(ARM, q, qd, tau, tau_d)
+    zdot = el_dob_rhs(EOM, alpha1, z, q, qd, tau)
+    qdd = el_accel(EOM, q, qd, tau, tau_d)
     assert np.allclose(zdot, -alpha1 * qdd, atol=1e-10)
 
 
 def test_el_observer_config_equivalent_to_dedicated_rhs():
     # the generic observer on the embedded plant must reproduce el_dob_rhs
     alpha1 = 120.0
-    sys_ca = to_control_affine(ARM)
+    sys_ca = PLANT
     cfg = el_observer_config(alpha1, mu1=0.3, nu=1.0, omega=0.0)
     q = np.array([0.4, -0.2])
     qd = np.array([0.7, 1.1])
@@ -121,7 +125,7 @@ def test_el_observer_config_equivalent_to_dedicated_rhs():
     z = np.array([0.3, -0.6])
     tau = np.array([2.0, -3.0])
     zdot_generic = z_derivative(cfg, ObserverState(z), sys_ca, x, tau)
-    zdot_el = el_dob_rhs(ARM, alpha1, z, q, qd, tau)
+    zdot_el = el_dob_rhs(EOM, alpha1, z, q, qd, tau)
     assert np.allclose(zdot_generic, zdot_el, atol=1e-10)
     # and the estimates agree
     assert np.allclose(estimate(cfg, ObserverState(z), x),
@@ -258,19 +262,20 @@ def test_validate_el_params():
 
 
 def test_to_control_affine_embedding():
-    sys_ca = to_control_affine(ARM)
+    # the fused plant and the per-term oracle embedding it replaced
     qd = np.array([-1.0, 0.5])
     tau = np.array([1.0, -2.0])
     tau_d = np.array([0.2, 0.4])
     # a generic elbow angle and the two where the inertia is extreme
-    for q2 in (0.9, 0.0, math.pi):
-        q = np.array([0.3, q2])
-        x = np.concatenate([q, qd])
-        fx, G1, G2 = sys_ca.evaluate(x)
-        xdot = fx + G1 @ tau + G2 @ tau_d
-        assert np.allclose(xdot[:2], qd)
-        assert np.allclose(xdot[2:], el_accel(ARM, q, qd, tau, tau_d),
-                           atol=1e-12)
+    for sys_ca in (PLANT, to_control_affine(EOM)):
+        for q2 in (0.9, 0.0, math.pi):
+            q = np.array([0.3, q2])
+            x = np.concatenate([q, qd])
+            fx, G1, G2 = map(np.asarray, sys_ca.evaluate(x))
+            xdot = fx + G1 @ tau + G2 @ tau_d
+            assert np.allclose(xdot[:2], qd)
+            assert np.allclose(xdot[2:], el_accel(EOM, q, qd, tau, tau_d),
+                               atol=1e-12)
 
 
 def test_el_filter_object_guard_path():
@@ -322,7 +327,7 @@ def test_el_filters_check_tuning_when_built():
 
 
 def test_terms_read_a_list_and_an_array_alike():
-    terms = to_control_affine(ARM).terms
+    terms = PLANT.terms
     rng = np.random.default_rng(3)
     for x in rng.uniform(-4.0, 4.0, size=(50, 4)):
         f_arr, B_arr, _ = terms(x)
@@ -333,33 +338,44 @@ def test_terms_read_a_list_and_an_array_alike():
 
 
 def test_evaluate_floats_are_the_array_terms_bit_for_bit():
-    # evaluate passes the embedding's tuples on as they are, and their
-    # entries are the bits of the former array terms, including the elbow
-    # angles where the inertia is extreme
-    sys_ca = to_control_affine(ARM)
+    # evaluate passes the fused plant's tuples on as they are, and their
+    # entries are the bits of the per-term oracle embedding and of the
+    # former array terms, including the elbow angles where the inertia is
+    # extreme, joint speeds of +0.0 and -0.0, a state given as a list or an
+    # array, and arms with other masses, length and no gravity
     rng = np.random.default_rng(23)
     x = np.hstack([rng.uniform(-math.pi, math.pi, size=(200, 2)),
                    rng.uniform(-8.0, 8.0, size=(200, 2))])
     x[0::4, 1], x[1::4, 1] = 0.0, math.pi
-    for xi in x:
-        fx, G1, G2 = sys_ca.evaluate(xi.tolist())
-        assert type(fx) is tuple and type(G1) is tuple and G2 is G1
-        f_ref, B_ref = arm_terms_arrays(ARM, xi)
-        assert np.array(fx).tobytes() == f_ref.tobytes()
-        assert np.array(G1).tobytes() == B_ref.tobytes()
+    x = np.vstack([x, x[:8] * [1.0, 1.0, 0.0, 0.0], x[:8] * [1.0, 1.0, -0.0, -0.0]])
+    for arm in (TwoLinkArm(), TwoLinkArm(g_accel=0.0),
+                TwoLinkArm(m1=2.5, m2=0.7, l=1.3)):
+        sys_ca, eom = arm.plant(), per_term(arm)
+        oracle = to_control_affine(eom).terms
+        for xi in x:
+            f_ref, B_ref = arm_terms_arrays(eom, xi)
+            for state in (xi.tolist(), xi):
+                fx, G1, G2 = sys_ca.evaluate(state)
+                assert type(fx) is tuple and type(G1) is tuple and G2 is G1
+                f_o, B_o, _ = oracle(state)
+                assert np.array(fx).tobytes() == np.array(f_o).tobytes() \
+                    == f_ref.tobytes()
+                assert np.array(G1).tobytes() == np.array(B_o).tobytes() \
+                    == B_ref.tobytes()
 
 
 def test_to_control_affine_rejects_singular_inertia():
-    # det M = sin(q2)^2/4 - 1e-12 for this arm: negative at q2 = 0
-    arm = TwoLinkArm(m1=9.0 * (0.25 - 1.0 / 3.0 - 1e-12)).system()
-    sys_ca = to_control_affine(arm)
+    # det M = sin(q2)^2/4 - 1e-12 for this arm: negative at q2 = 0; the
+    # fused plant and the per-term oracle give the same message
+    arm = TwoLinkArm(m1=9.0 * (0.25 - 1.0 / 3.0 - 1e-12))
     # the message shows q as plain floats, from an array as from a list
-    for x in (np.array([0.3, 0.0, 1.0, -1.0]), [0.3, 0.0, 1.0, -1.0]):
-        with pytest.raises(ParameterError, match=r"not positive definite "
-                           r"at q = \(0\.3, 0\.0\)$"):
-            sys_ca.evaluate(x)
-    singular = ELSystem(mass=lambda q: np.ones((2, 2)),
-                        coriolis=ARM.coriolis, gravity=ARM.gravity)
+    for sys_ca in (arm.plant(), to_control_affine(per_term(arm))):
+        for x in (np.array([0.3, 0.0, 1.0, -1.0]), [0.3, 0.0, 1.0, -1.0]):
+            with pytest.raises(ParameterError, match=r"not positive definite "
+                               r"at q = \(0\.3, 0\.0\)$"):
+                sys_ca.evaluate(x)
+    singular = PerTermArm(mass=lambda q: np.ones((2, 2)),
+                          coriolis=EOM.coriolis, gravity=EOM.gravity)
     with pytest.raises(ParameterError):
         to_control_affine(singular).evaluate(np.zeros(4))
 
@@ -368,7 +384,7 @@ def test_arm_derivative_matches_equations_of_motion_and_observer():
     # the float kernel against np.linalg.solve on the equations of motion
     # and the observer's -L_d (f + g1 u + g2 d_hat), including the elbow
     # angles where the inertia is extreme
-    sys_ca = to_control_affine(ARM)
+    sys_ca = PLANT
     cfg = el_observer_config(500.0, mu1=0.3, nu=1.0, omega=0.0)
     rng = np.random.default_rng(7)
     n = 200
@@ -385,7 +401,7 @@ def test_arm_derivative_matches_equations_of_motion_and_observer():
         assert type(out) is tuple and len(out) == 6
         dy = np.array(out)
         assert np.array_equal(dy[:2], qd[i])
-        accel = el_accel(ARM, q[i], qd[i], u[i], d[i])
+        accel = el_accel(EOM, q[i], qd[i], u[i], d[i])
         assert np.linalg.norm(dy[2:4] - accel) <= 1e-13 * np.linalg.norm(accel)
         zdot = z_derivative(cfg, ObserverState(z[i]), sys_ca,
                             np.concatenate([q[i], qd[i]]), u[i])
@@ -400,9 +416,54 @@ def test_arm_derivative_needs_the_arm_shapes():
         arm_derivative(scalar, cfg, lambda t: np.zeros(1))
     # a 4/2/2 plant built without `terms`, whose disturbance matrix is not
     # its input matrix, has the right shapes but a g2 the kernel cannot use
-    arm = to_control_affine(ARM)
+    arm = PLANT
     other = ControlAffineSystem(n=4, m=2, p=2, f=arm.f, g1=arm.g1,
                                 g2=lambda x: 2.0 * np.asarray(arm.g1(x)))
     rhs, _ = arm_derivative(other, cfg, lambda t: np.ones(2))
     with pytest.raises(ParameterError):
         rhs(0.0, [0.3, 0.9, 1.0, -1.0, 0.0, 0.0])
+
+
+def test_fused_terms_name_a_non_finite_position_as_a_non_finite_state():
+    # a NaN elbow angle fails the inertia test; it is reported as a
+    # non-finite state, not as a singular plant, and still exits 3 (ValueError)
+    for x in ([float("nan"), float("nan"), 0.0, 0.0], [0.3, float("nan"), 1.0, 0.0]):
+        with pytest.raises(ValueError, match=r"^non-finite state at q = \(") as exc:
+            PLANT.evaluate(x)
+        assert not isinstance(exc.value, ParameterError)
+
+
+def test_arm_derivative_rejects_a_gain_other_than_the_momentum_observer():
+    alpha1, zeros = 500.0, np.zeros((2, 2))
+    momentum = np.hstack([zeros, alpha1 * np.eye(2)])
+    rhs, _ = arm_derivative(PLANT, ObserverConfig(gain=momentum, alpha=150.0),
+                            lambda t: (0.0, 0.0))
+    assert len(rhs(0.0, [0.3, 0.9, 1.0, -1.0, 0.0, 0.0])) == 6
+    others = [momentum + np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]),
+              momentum + np.array([[0.0, 0.0, 0.0, 0.0], [0.0, -2.0, 0.0, 0.0]]),
+              np.hstack([zeros, np.diag([alpha1, 2.0 * alpha1])]),
+              np.hstack([zeros, [[alpha1, 1.0], [0.0, alpha1]]]),
+              np.hstack([zeros, [[alpha1, 0.0], [1e-9, alpha1]]]),
+              np.hstack([alpha1 * np.eye(2), zeros])]
+    for gain in others:
+        with pytest.raises(ParameterError, match=r"\[0 \| alpha1 I\]"):
+            arm_derivative(PLANT, ObserverConfig(gain=gain, alpha=150.0),
+                           lambda t: (0.0, 0.0))
+
+
+def test_arm_derivative_equals_the_generic_joint_derivative():
+    # the closed form leaves out products with the structural zeros of B
+    # and L_d, which change no value (up to the sign of a zero)
+    cfg = el_observer_config(500.0, mu1=0.3, nu=1.0, omega=0.0)
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        q = rng.uniform(-math.pi, math.pi, 2)
+        y = np.concatenate([q, rng.uniform(-8.0, 8.0, 2),
+                            rng.uniform(-5000.0, 5000.0, 2)]).tolist()
+        u, d = rng.uniform(-300.0, 300.0, (2, 2)).tolist()
+        out = []
+        for build_rhs in (arm_derivative, joint_derivative):
+            rhs, hold = build_rhs(PLANT, cfg, lambda t: d)
+            hold(u)
+            out.append(list(rhs(0.0, y)))
+        assert out[0] == out[1]

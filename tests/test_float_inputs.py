@@ -92,3 +92,15 @@ def test_qp_reads_lists_and_arrays_alike():
         statuses.add(res_array.status)
     assert statuses == {qp.INACTIVE, qp.ACTIVE, qp.INFEASIBLE}
 
+
+@pytest.mark.parametrize("name", ["el2dof-dob", "el2dof-robust"])
+def test_energy_probe_reads_a_list_and_an_array_alike(name):
+    # both energy filters (ELQpFilter, ELRobustFilter): h and hbar
+    sc = BUILT[name]
+    for _, x, z, d_hat in states(sc, 4):
+        e_d = z - d_hat
+        from_list = sc.safety.probe(x.tolist(), e_d.tolist())
+        from_array = sc.safety.probe(x, e_d)
+        assert sorted(from_list) == sorted(from_array) == ["h", "hbar"]
+        assert_same_floats([from_list["h"], from_list["hbar"]],
+                           [from_array["h"], from_array["hbar"]])

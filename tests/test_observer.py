@@ -157,7 +157,7 @@ def test_gain_spectrum_bounds_a_dense_sweep_of_the_arm():
     # [-pi, pi] (M depends on q2 only; q1 and the velocities are arbitrary)
     alpha1 = 500.0
     arm = el.TwoLinkArm().system()
-    system = el.to_control_affine(arm)
+    system = el.TwoLinkArm().plant()
     mu1, mu2 = scenarios.arm_mu_bounds(arm.mass)
     cfg = el.el_observer_config(alpha1, mu1, 1.0, 0.0)
     lam_min, lam_max = gain_spectrum(

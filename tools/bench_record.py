@@ -17,7 +17,10 @@ length, and each end-to-end metric that BENCHMARK.json declares, the record
 holds the parent and change medians over the pairs, the number of pairs,
 the number of pairs in which the change was better (in the metric's
 direction), the interquartile range of the parent's runs, every pair's
-values, and two flags against the metric's bound b:
+values, and three flags, two of them against the metric's bound b:
+  * gain: the change wins at least nine tenths of the pairs (a tie counts
+    for neither side), and its median is better than the parent median by
+    more than the parent's IQR;
   * regressed: the change median is worse than the parent median by more
     than b times the parent median;
   * unresolved: the parent's IQR exceeds b times the parent median, and not
@@ -29,8 +32,9 @@ on the command line.
 Traced runs (`perfbench/run.py --trace 1`, which leave
 `<workload>-seed<seed>-trace1/result.json`) are paired the same way, apart
 from the untraced ones, and summarised under "per_layer" with the same
-fields for each per-layer metric that BENCHMARK.json declares; that list
-is empty when no traced pair exists.  Every run of either kind must report
+fields for each per-layer metric that BENCHMARK.json declares, apart from
+the flags, since those metrics have no bound; that list is empty when no
+traced pair exists.  Every run of either kind must report
 the same SHA per side and the same environment.
 """
 
@@ -65,14 +69,22 @@ def quartile_range(values: list) -> float:
     return q3 - q1
 
 
+def change_wins(before: list, after: list, sign: float) -> int:
+    """The pairs in which the change is better; a tie is no win."""
+    return sum(sign * (a - b) > 0 for b, a in zip(before, after))
+
+
 def verdict(before: list, after: list, bound: float, sign: float) -> dict:
-    """The regressed and unresolved flags of one metric, relative to the
-    parent median; sign is 1 when higher is better and -1 when lower is."""
+    """The gain, regressed and unresolved flags of one metric, relative to
+    the parent median; sign is 1 when higher is better and -1 when lower is."""
     base = abs(statistics.median(before))
-    worse = sign * (statistics.median(before) - statistics.median(after))
+    better = sign * (statistics.median(after) - statistics.median(before))
+    iqr = quartile_range(before)
     separated = all(sign * (a - b) > 0 for a in after for b in before)
-    return {"regressed": worse > bound * base,
-            "unresolved": quartile_range(before) > bound * base and not separated}
+    return {"gain": 10 * change_wins(before, after, sign) >= 9 * len(before)
+                    and better > iqr,
+            "regressed": -better > bound * base,
+            "unresolved": iqr > bound * base and not separated}
 
 
 def only(values: set, what: str):
@@ -108,7 +120,7 @@ def summarise(parent: dict, change: dict, metrics: list) -> list:
                 "parent_median": statistics.median(before),
                 "change_median": statistics.median(after),
                 "pairs": len(chosen),
-                "change_wins": sum(sign * (a - b) > 0 for b, a in zip(before, after)),
+                "change_wins": change_wins(before, after, sign),
                 "parent_iqr": quartile_range(before),
                 "parent": before, "change": after,
                 **(verdict(before, after, m["bound"], sign) if "bound" in m else {}),
@@ -172,7 +184,8 @@ def main(argv=None) -> int:
                   f"{m['parent_median']:.6g} -> "
                   f"{m['change_median']:.6g} {m['unit']}  wins "
                   f"{m['change_wins']}/{m['pairs']}  parent IQR {m['parent_iqr']:.3g}"
-                  + (f"  regressed {m['regressed']}  unresolved {m['unresolved']}"
+                  + (f"  gain {m['gain']}  regressed {m['regressed']}"
+                     f"  unresolved {m['unresolved']}"
                      if "regressed" in m else ""))
     return 0
 
