@@ -6,8 +6,7 @@ matched/unmatched disturbances, with a quantified estimation-error envelope.
 """
 
 from .model import (BarrierSpec, ControlAffineSystem, DimensionError,
-                    ParameterError, coeffs_from_poles, lie_derivatives,
-                    s_sequence)
+                    ParameterError, coeffs_from_poles, s_sequence)
 from .observer import (ObserverConfig, ObserverState, error_envelope,
                        estimate, gain_spectrum, initial_state)
 from .qp import INACTIVE, ACTIVE, INFEASIBLE, QpInstance, QpResult, solve

@@ -3,9 +3,10 @@
 `QpFilter.constraint` produces the coefficients (psi0, psi1) of the
 half-space constraint psi0 + psi1 . u >= 0 that, combined with the
 disturbance estimate, renders the safe set forward invariant for a barrier
-of any relative degree r >= 1.  The barrier's r poles place the cascade
-s_k = (d/dt + lambda_k) s_{k-1}; r = 1 with the single pole gamma is the
-first-order condition hdot + gamma h >= 0.
+of any relative degree r >= 1, from one call of the barrier's Lie chain
+(`BarrierSpec.chain`) and none of the plant's callbacks.  The barrier's r
+poles place the cascade s_k = (d/dt + lambda_k) s_{k-1}; r = 1 with the
+single pole gamma is the first-order condition hdot + gamma h >= 0.
 
 The augmented barrier beta*s_{r-1} - ||e_d||^2/2 couples the safety margin
 to the estimation error.  The constraint uses the observer's coercivity
@@ -30,7 +31,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .model import (BarrierSpec, ControlAffineSystem, ParameterError,
-                    as_floats, lie_derivatives, s_sequence)
+                    as_floats, s_sequence)
 from .observer import ObserverConfig
 
 
@@ -114,27 +115,30 @@ class QpFilter:
     def constraint(self, t, x, u_nom, d_hat) -> Decision:
         """The constraint row at x for the estimate d_hat.
 
-        Every term comes from the barrier's Lie chain, none from the plant.
-        x is checked once, by lie_derivatives, and the cascade's lower-order
-        terms L_f^k h (k < r) are read at the same x; d_hat is checked here.
-        Every term is a Python float, and psi1 is the checked
-        L_g1 L_f^{r-1} h as lie_derivatives returns it.
+        Every term comes from one call of the barrier's Lie chain, none
+        from the plant.  x, d_hat and the mixed derivatives
+        L_g1 L_f^{r-1} h, L_g2 L_f^{r-1} h are checked by as_floats against
+        the plant's dimensions.  Every term is a Python float, and psi1 is
+        the checked L_g1 L_f^{r-1} h as as_floats returns it.
         """
-        bar = self.barrier
-        lfr, lg1, b = lie_derivatives(self.system, bar, x)
-        d_hat = as_floats(d_hat, self.system.p, "d_hat")
-        eta = [bar.lie_f_value(k, x) for k in range(bar.relative_degree - 1, -1, -1)]
-        psi0 = (lfr + sum(map(operator.mul, b, d_hat))
+        bar, sys = self.barrier, self.system
+        lf, lg1, b = bar.read(as_floats(x, sys.n, "x"))
+        lg1 = as_floats(lg1, sys.m, "L_g1 L_f^{r-1} h")
+        b = as_floats(b, sys.p, "L_g2 L_f^{r-1} h")
+        d_hat = as_floats(d_hat, sys.p, "d_hat")
+        # the cascade (a_1..a_r) weighs L_f^{r-1} h, ..., L_f^0 h
+        psi0 = (lf[-1] + sum(map(operator.mul, b, d_hat))
                 - self.omega_term
                 - self.beta * sum(map(operator.mul, b, b)) / self.denom
-                + sum(map(operator.mul, bar.cascade[-1], eta)))
+                + sum(map(operator.mul, bar.cascade[-1], lf[-2::-1])))
         return Decision(psi0, lg1)
 
     def probe(self, x, e_d) -> dict:
         """h, the augmented barrier and (for r > 1) the cascade at x, for
-        the estimation error e_d (an array); e_d . e_d is a float sum."""
+        the estimation error e_d, read by as_floats; e_d . e_d is a float
+        sum."""
         s = s_sequence(self.system, self.barrier, x)
-        e = e_d.tolist()
+        e = as_floats(e_d, self.system.p, "e_d")
         out = {"h": s[0],
                "hbar": self.beta * s[-1]
                - 0.5 * sum(map(operator.mul, e, e))}

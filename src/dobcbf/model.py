@@ -6,9 +6,12 @@ The plant is control-affine with a separate disturbance channel,
 
 and the safe set is the zero-superlevel set of a barrier function h of
 relative degree r >= 1, placed by r poles.  Every barrier is given by its
-Lie chain: the drift derivatives L_f^k h (k = 1..r) and the top-order
-L_g1 L_f^{r-1} h, L_g2 L_f^{r-1} h as closed-form callbacks, so a filter
-decision reads the barrier alone and never the plant.
+Lie chain, one closed-form callback that returns the drift derivatives
+L_f^k h (k = 0..r) and the top-order L_g1 L_f^{r-1} h, L_g2 L_f^{r-1} h
+at one state, so a filter decision reads the barrier alone and never the
+plant.  Values are checked by `as_vector`, which does the one conversion,
+and read as Python floats through `as_floats` (a vector) and `_float_rows`
+(a matrix), which pass a checked tuple on as it is.
 """
 
 from __future__ import annotations
@@ -34,25 +37,24 @@ class ParameterError(ValueError):
     """A tuning parameter violates its validity condition."""
 
 
-def _float_array(v, name: str, expected: str) -> np.ndarray:
-    """np.asarray(v, dtype=float); nesting that forms no array, such as
-    rows of unequal lengths, raises DimensionError with the output's name."""
-    try:
-        return np.asarray(v, dtype=float)
-    except ValueError as exc:
-        raise DimensionError(f"{name}: not a float array of {expected}: {exc}") from None
-
-
 def as_vector(v, dim: int, name: str = "vector") -> np.ndarray:
     """Coerce to a finite 1-D float array of the declared dimension.
 
-    A float64 array of shape (dim,) is checked and returned as it is; only
-    other inputs are converted.  Finiteness is tested on the entries as
-    Python floats with math.isfinite, which gives np.isfinite's verdict on
-    every float64 without NumPy's per-call overhead on short vectors.
+    A float64 array of shape (dim,) is checked and returned as it is; any
+    other input is converted by np.asarray(v, dtype=float) and flattened,
+    so a nested input of dim entries in all is accepted.  Nesting that forms
+    no array, such as rows of unequal lengths, or another number of entries
+    raises DimensionError, and a non-finite entry ValueError, each naming
+    the value.  Finiteness is tested on the entries as Python floats with
+    math.isfinite, which gives np.isfinite's verdict on every float64
+    without NumPy's per-call overhead on short vectors.
     """
     if not (type(v) is np.ndarray and v.dtype is _F64 and v.shape == (dim,)):
-        arr = _float_array(v, name, f"dimension {dim}").reshape(-1)
+        try:
+            arr = np.asarray(v, dtype=float).reshape(-1)
+        except ValueError as exc:
+            raise DimensionError(
+                f"{name}: not a float array of dimension {dim}: {exc}") from None
         if arr.shape != (dim,):
             raise DimensionError(f"{name}: expected dimension {dim}, got shape {np.shape(v)}")
         v = arr
@@ -81,12 +83,12 @@ def as_floats(v, dim: int, name: str = "vector"):
 
 
 def _float_rows(mat, rows: int, cols: int, name: str):
-    """The entries of as_matrix(mat, rows, cols, name) as rows of Python
-    floats, with its checks and errors.  A tuple of rows tuples of cols
-    finite numbers each is returned as it is: the rows are joined into one
-    list as their lengths are checked, and the list is tested with
-    math.isfinite.  Any other input, or a tuple that fails a check, goes
-    through as_matrix and is returned as a list of lists."""
+    """The entries of mat as rows rows of cols Python floats each.  A tuple
+    of rows tuples of cols finite numbers each is returned as it is: the
+    rows are joined into one list as their lengths are checked, and the list
+    is tested with math.isfinite.  Any other input, or a tuple that fails a
+    check, is checked by as_vector(mat, rows*cols, name), with its errors,
+    and returned as a list of lists."""
     if type(mat) is tuple and len(mat) == rows:
         flat = []
         for row in mat:
@@ -99,22 +101,8 @@ def _float_rows(mat, rows: int, cols: int, name: str):
                     return mat
             except TypeError:
                 pass
-    return as_matrix(mat, rows, cols, name).tolist()
-
-
-def as_matrix(mat, rows: int, cols: int, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite float array of shape (rows, cols); a flat input of
-    rows*cols entries is reshaped.  Finiteness is tested as in as_vector."""
-    if not (type(mat) is np.ndarray and mat.dtype is _F64
-            and mat.shape == (rows, cols)):
-        mat = _float_array(mat, name, f"shape ({rows}, {cols})")
-        if mat.size == rows * cols:
-            mat = mat.reshape(rows, cols)
-        if mat.shape != (rows, cols):
-            raise DimensionError(f"{name}: expected shape ({rows}, {cols}), got {mat.shape}")
-    if not all(map(math.isfinite, mat.ravel().tolist())):
-        raise ValueError(f"{name}: non-finite entries {mat}")
-    return mat
+    flat = as_vector(mat, rows * cols, name).tolist()
+    return [flat[i * cols:(i + 1) * cols] for i in range(rows)]
 
 
 @dataclass(frozen=True)
@@ -126,8 +114,8 @@ class ControlAffineSystem:
     avoid recomputing shared quantities (e.g. the inertia matrix of an arm).
     Callbacks must be pure and deterministic.  Each may return a tuple of
     numbers (f) or a tuple of row tuples (g1, g2), which `evaluate` checks
-    and passes on as it is, or anything that as_vector/as_matrix accept,
-    such as an array, a list or a flat sequence of n*m entries.
+    and passes on as it is, or anything of n (n*m, n*p) entries that
+    as_vector accepts, such as an array, nested lists or a flat sequence.
     """
 
     n: int
@@ -143,7 +131,8 @@ class ControlAffineSystem:
             raise ParameterError("system dimensions must be positive")
 
     def disturbance_matrix(self, x) -> np.ndarray:
-        return as_matrix(self.g2(x), self.n, self.p, "g2(x)")
+        """g2(x) as a checked (n, p) float array."""
+        return as_vector(self.g2(x), self.n * self.p, "g2(x)").reshape(self.n, self.p)
 
     def evaluate(self, x) -> tuple:
         """(f, g1, g2) at x as Python floats, from the fused callback when
@@ -152,12 +141,12 @@ class ControlAffineSystem:
         f is a sequence of n floats and g1, g2 are sequences of n rows of m
         and p floats: a tuple output is checked in place (the length of f,
         the number and length of the rows, math.isfinite on every entry)
-        and returned as it is, any other output is checked by as_vector or
-        as_matrix and returned as lists.  A wrong shape raises
-        DimensionError and a non-finite entry ValueError, each naming
-        f(x), g1(x) or g2(x).  An output returned for both channels (the
-        disturbance entering through the input, as on the arm) is checked
-        once, and evaluate then returns one object as g1 and g2.
+        and returned as it is, any other output is checked by as_vector and
+        returned as lists.  A wrong shape raises DimensionError and a
+        non-finite entry ValueError, each naming f(x), g1(x) or g2(x).  An
+        output returned for both channels (the disturbance entering through
+        the input, as on the arm) is checked once, and evaluate then returns
+        one object as g1 and g2.
         """
         n = self.n
         fx, G1, G2 = self.terms(x) if self.terms is not None \
@@ -184,70 +173,51 @@ class BarrierSpec:
 
     The r positive poles place the cascade s_0 = h,
     s_k = (d/dt + lambda_k) s_{k-1}; r = 1 with poles = (gamma,) is the
-    first-order condition hdot + gamma h >= 0.  `lie_f[k-1]` returns the
-    chained drift derivative L_f^k h (k = 1..r), and `lie_g1_fr`/`lie_g2_fr`
-    the mixed derivatives L_{g1} L_f^{r-1} h and L_{g2} L_f^{r-1} h.  No
-    pole, or a chain whose length is not the number of poles, raises
-    ParameterError.
+    first-order condition hdot + gamma h >= 0.  `chain(x)` returns the Lie
+    chain at x, ((h, L_f h, ..., L_f^r h), L_g1 L_f^{r-1} h,
+    L_g2 L_f^{r-1} h), and receives x as Python floats.  No pole, or one
+    that is not positive, raises ParameterError.
 
     `cascade[k-1]` holds the coefficients (a_1..a_k) of
     prod_{j<=k} (s + lambda_j) as a tuple of floats, computed once here;
     the last one weighs the constraint.
     """
 
-    h: Callable[[np.ndarray], float]
-    lie_f: tuple
-    lie_g1_fr: Callable[[np.ndarray], np.ndarray]
-    lie_g2_fr: Callable[[np.ndarray], np.ndarray]
+    chain: Callable[[Sequence[float]], tuple]
     poles: tuple
     cascade: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        r = len(self.poles)
-        if r == 0:
+        if len(self.poles) == 0:
             raise ParameterError("need at least one pole")
-        if len(self.lie_f) != r:
-            raise ParameterError(
-                f"need one L_f^k h callback per pole: {len(self.lie_f)} "
-                f"callbacks for {r} poles")
         object.__setattr__(self, "cascade", tuple(
             tuple(coeffs_from_poles(self.poles[:k]).tolist())
-            for k in range(1, r + 1)))
+            for k in range(1, len(self.poles) + 1)))
 
-    @property
-    def relative_degree(self) -> int:
-        return len(self.poles)
-
-    def lie_f_value(self, k: int, x) -> float:
-        """L_f^k h(x); k = 0 returns h itself."""
-        if k == 0:
-            return float(self.h(x))
-        return float(self.lie_f[k - 1](x))
-
-
-def lie_derivatives(sys: ControlAffineSystem, bar: BarrierSpec, x):
-    """Top-order Lie derivatives (L_f^r h, L_{g1} L_f^{r-1} h, L_{g2} L_f^{r-1} h)
-    as Python floats, from the barrier's callbacks; the plant's are not
-    called.  x and the mixed derivatives are checked by as_floats against
-    the plant's dimensions, and the callbacks receive x as floats."""
-    x = as_floats(x, sys.n, "x")
-    return (bar.lie_f_value(bar.relative_degree, x),
-            as_floats(bar.lie_g1_fr(x), sys.m, "L_g1 L_f^{r-1} h"),
-            as_floats(bar.lie_g2_fr(x), sys.p, "L_g2 L_f^{r-1} h"))
+    def read(self, x) -> tuple:
+        """The chain at x, its drift derivatives as a list of r + 1 Python
+        floats and the mixed ones as the callback returns them.  A first
+        tuple of any other length raises ParameterError."""
+        lf, lg1, lg2 = self.chain(x)
+        if len(lf) != len(self.poles) + 1:
+            raise ParameterError(
+                f"chain: need r + 1 = {len(self.poles) + 1} drift derivatives "
+                f"L_f^k h for {len(self.poles)} poles, got {len(lf)}")
+        return list(map(float, lf)), lg1, lg2
 
 
 def s_sequence(sys: ControlAffineSystem, bar: BarrierSpec, x) -> list:
     """Cascade values [s_0, ..., s_{r-1}] of the pole-shifted barrier chain,
-    as Python floats.
+    as Python floats, from one call of the barrier's chain; x is checked by
+    as_floats against the plant's dimension.
 
     s_0 = h and s_k = (d/dt + lambda_k) s_{k-1}; along the drift the time
     derivatives expand into combinations of L_f^j h because the control and
     disturbance channels only appear at order r.
     """
-    x = as_floats(x, sys.n, "x")
-    lf = [bar.lie_f_value(k, x) for k in range(bar.relative_degree)]
+    lf = bar.read(as_floats(x, sys.n, "x"))[0]
     out = lf[:1]
-    for k in range(1, len(lf)):
+    for k in range(1, len(bar.poles)):
         out.append(sum((a * lf[k - i] for i, a in enumerate(bar.cascade[k - 1], 1)),
                        lf[k]))
     return out

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (ControlAffineSystem, DimensionError, ParameterError,
-                    as_floats, as_matrix)
+                    _float_rows, as_floats)
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,10 +57,10 @@ class ObserverConfig:
         if gain.ndim != 2:
             raise DimensionError(
                 f"gain: expected a (p, n) matrix, got shape {gain.shape}")
-        gain = as_matrix(gain, *gain.shape, "gain")
+        rows = _float_rows(gain, *gain.shape, "gain")
         gain.flags.writeable = False
         object.__setattr__(self, "gain", gain)
-        object.__setattr__(self, "_rows", tuple(map(tuple, gain.tolist())))
+        object.__setattr__(self, "_rows", tuple(map(tuple, rows)))
         if self.alpha <= 0 or self.nu <= 0:
             raise ParameterError("alpha and nu must be positive")
         if self.omega < 0:

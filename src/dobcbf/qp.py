@@ -61,7 +61,9 @@ def solve(inst: QpInstance) -> QpResult:
     Python floats.  When the nominal control is feasible, or the problem
     is infeasible, u is the instance's u_nom itself.  Infeasibility
     (psi1 = 0 with psi0 < 0) is a status, not an error; the nominal control
-    is returned so callers can log and continue.
+    is returned so callers can log and continue.  A projection that
+    overflows from finite data (slack / ||psi1||^2 beyond the float range)
+    raises ValueError naming the QP solution.
     """
     u_nom, psi0, psi1 = inst
     slack = psi0 + sum(map(operator.mul, psi1, u_nom))
@@ -71,4 +73,7 @@ def solve(inst: QpInstance) -> QpResult:
     if sq == 0.0:
         return QpResult(u_nom, INFEASIBLE)
     step = slack / sq
-    return QpResult(tuple([ui - step * pi for ui, pi in zip(u_nom, psi1)]), ACTIVE)
+    u = tuple([ui - step * pi for ui, pi in zip(u_nom, psi1)])
+    if not all(map(math.isfinite, u)):
+        raise ValueError(f"QP solution u: non-finite entries {list(u)}")
+    return QpResult(u, ACTIVE)

@@ -6,7 +6,10 @@ bound, worst-case magnitude, inertia eigenvalue bounds), all resolved from a
 plain nested-dict configuration with every default overridable.  `build` is
 one skeleton for every scenario; a family function per plant (scalar,
 double integrator, arm) supplies only what differs, the filter built with
-its tuning as constructor arguments.  `Scenario.validate` is the filter's
+its tuning as constructor arguments.  The scalar and double-integrator
+barriers are each one closed-form Lie chain; doubleint-relr's barrier
+1 - x0 has relative degree 2, so params.poles must hold two poles, and any
+other count is a ConfigError.  `Scenario.validate` is the filter's
 own initial-state report (`safety.report`), under "params", or nothing for
 the robust baseline and the pass-through.
 
@@ -395,17 +398,15 @@ def _qp_family(cfg: dict, omega: float, system: ControlAffineSystem,
 def _scalar(cfg: dict, signal, simcfg, omega: float) -> dict:
     prm = cfg["params"]
     gain, target = float(prm["nominal_gain"]), float(prm["nominal_target"])
-    # each constant callback returns one tuple, checked in place on every call
+    # each constant output is one tuple, checked in place on every call
     zero, eye, one = (0.0,), ((1.0,),), (1.0,)
     system = ControlAffineSystem(
         n=1, m=1, p=1,
         f=lambda x: zero,
         g1=lambda x: eye,
         g2=lambda x: eye)
-    barrier = BarrierSpec(h=lambda x: float(x[0]),
-                          lie_f=(lambda x: 0.0,),
-                          lie_g1_fr=lambda x: one,
-                          lie_g2_fr=lambda x: one,
+    # h = x0, L_f h = 0, L_g1 h = L_g2 h = 1
+    barrier = BarrierSpec(chain=lambda x: ((float(x[0]), 0.0), one, one),
                           poles=(float(prm["gamma"]),))
     return _qp_family(cfg, omega, system, barrier, np.eye(1),
                       lambda t, x: (gain * (target - float(x[0])),))
@@ -421,12 +422,15 @@ def _doubleint(cfg: dict, signal, simcfg, omega: float) -> dict:
         f=lambda x: (float(x[1]), 0.0),
         g1=lambda x: last,
         g2=lambda x: last)
+    poles = tuple(float(v) for v in prm["poles"])
+    if len(poles) != 2:
+        raise ParameterError(f"params.poles: the barrier 1 - x0 has relative "
+                             f"degree 2 and needs 2 poles, got {len(poles)}")
+    # h = 1 - x0, L_f h = -x1, L_f^2 h = 0, L_g1 L_f h = L_g2 L_f h = -1
     barrier = BarrierSpec(
-        h=lambda x: 1.0 - float(x[0]),
-        lie_f=(lambda x: -float(x[1]), lambda x: 0.0),
-        lie_g1_fr=lambda x: minus_one,
-        lie_g2_fr=lambda x: minus_one,
-        poles=tuple(float(v) for v in prm["poles"]))
+        chain=lambda x: ((1.0 - float(x[0]), -float(x[1]), 0.0),
+                         minus_one, minus_one),
+        poles=poles)
     return _qp_family(cfg, omega, system, barrier, np.array([[0.0, 1.0]]),
                       lambda t, x: (kp * (target - float(x[0])) - kd * float(x[1]),))
 

@@ -146,6 +146,24 @@ def test_bad_path_exits_2(tmp_path, scalar_cfg, capsys, case):
     assert len(lines) == 1 and lines[0].startswith("configuration error:")
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("poles", [[1.0], [1.0, 1.0, 1.0]])
+def test_pole_count_other_than_relative_degree_exits_2(tmp_path, capsys,
+                                                       command, poles):
+    # the double integrator's barrier has relative degree 2, so it takes
+    # exactly two poles
+    cfg = write_config(tmp_path / "c.yaml",
+                       {"scenario": "doubleint-relr", "sim": {"tf": 0.1},
+                        "params": {"poles": poles}})
+    argv = [command, cfg] + (["--out", str(tmp_path / "o")]
+                             if command == "run" else [])
+    assert cli.main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("configuration error:")
+    assert f"needs 2 poles, got {len(poles)}" in lines[0]
+    assert not (tmp_path / "o").exists()
+
+
 def test_log_too_large_to_allocate_exits_2(tmp_path, capsys):
     # 2e16 steps: the log's 2e15 rows of 12 floats exceed any address space,
     # so the allocation fails at once, before the first step
@@ -374,16 +392,17 @@ def test_singular_inertia_exits_3(tmp_path, monkeypatch, capsys):
 
 
 def test_non_finite_stage_state_exits_3(tmp_path, capsys):
-    # a d_max of 1e308 makes the robust filter's QP return an infinite
-    # control; the run fails at its first step with one stderr line that
-    # names the non-finite value, not a singular inertia
+    # a d_max of 1e308 makes the robust filter's QP projection overflow; the
+    # run fails at its first decision with one stderr line that names the
+    # non-finite QP solution, not a singular inertia or the next stage's f(x)
     cfg = write_config(tmp_path / "huge.yaml",
                        {"scenario": "el2dof-robust",
                         "params": {"d_max": 1.0e+308}})
     assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 3
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("numerical failure:")
-    assert "non-finite" in lines[0] and "positive definite" not in lines[0]
+    assert "QP solution u: non-finite" in lines[0]
+    assert "positive definite" not in lines[0]
 
 
 def validate_in_subprocess(tmp_path, scenario, override):

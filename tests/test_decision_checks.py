@@ -34,8 +34,8 @@ def lengths(v):
 def scalar_filter(lg1=lambda x: np.ones(1), lg2=lambda x: np.ones(1)):
     sys = ControlAffineSystem(n=1, m=1, p=1, f=lambda x: np.zeros(1),
                               g1=lambda x: np.eye(1), g2=lambda x: np.eye(1))
-    bar = BarrierSpec(h=lambda x: float(x[0]), lie_f=(lambda x: 0.0,),
-                      lie_g1_fr=lg1, lie_g2_fr=lg2, poles=(1.0,))
+    bar = BarrierSpec(chain=lambda x: ((float(x[0]), 0.0), lg1(x), lg2(x)),
+                      poles=(1.0,))
     obs = ObserverConfig(gain=2.0 * np.eye(1), alpha=2.0, nu=1.0)
     return QpFilter(sys, bar, obs, beta=1.0)
 
@@ -45,9 +45,9 @@ def di_filter(lg1=lambda x: np.array([-1.0]), lg2=lambda x: np.array([-1.0])):
         n=2, m=1, p=1, f=lambda x: np.array([x[1], 0.0]),
         g1=lambda x: np.array([[0.0], [1.0]]),
         g2=lambda x: np.array([[0.0], [1.0]]))
-    bar = BarrierSpec(h=lambda x: 1.0 - float(x[0]),
-                      lie_f=(lambda x: -float(x[1]), lambda x: 0.0),
-                      lie_g1_fr=lg1, lie_g2_fr=lg2, poles=(1.0, 1.0))
+    bar = BarrierSpec(
+        chain=lambda x: ((1.0 - float(x[0]), -float(x[1]), 0.0), lg1(x), lg2(x)),
+        poles=(1.0, 1.0))
     obs = ObserverConfig(gain=np.array([[0.0, 2.0]]), alpha=2.0, nu=1.0)
     return QpFilter(sys, bar, obs, beta=1.0)
 

@@ -71,21 +71,19 @@ def di_plant():
         n=2, m=1, p=1, f=lambda x: np.array([x[1], 0.0]),
         g1=lambda x: np.array([[0.0], [1.0]]),
         g2=lambda x: np.array([[0.0], [1.0]]))
-    bar = BarrierSpec(h=lambda x: 1.0 - float(x[0]),
-                      lie_f=(lambda x: -float(x[1]), lambda x: 0.0),
-                      lie_g1_fr=lambda x: np.array([-1.0]),
-                      lie_g2_fr=lambda x: np.array([-1.0]),
-                      poles=(1.5, 0.7))
+    bar = BarrierSpec(
+        chain=lambda x: ((1.0 - float(x[0]), -float(x[1]), 0.0),
+                         np.array([-1.0]), np.array([-1.0])),
+        poles=(1.5, 0.7))
     return sys, bar
 
 
 def generic_oracle(bar, x, d_hat):
     """Generic row: Lie terms, eta and the cascade as array products."""
-    r = bar.relative_degree
-    lg1, lg2 = bar.lie_g1_fr(x), bar.lie_g2_fr(x)
-    eta = np.array([bar.lie_f_value(k, x) for k in range(r - 1, -1, -1)])
+    lf, lg1, lg2 = bar.chain(x)
+    eta = np.array(lf[-2::-1])  # L_f^{r-1} h, ..., L_f^0 h
     denom = 4.0 * DI_OBS.alpha - 2.0 * bar.poles[-1] - 2.0 * DI_OBS.nu
-    psi0 = (bar.lie_f_value(r, x) + float(lg2 @ d_hat)
+    psi0 = (lf[-1] + float(lg2 @ d_hat)
             - DI_OMEGA ** 2 / (2.0 * DI_OBS.nu * DI_BETA)
             - DI_BETA * float(lg2 @ lg2) / denom
             + float(bar.cascade[-1] @ eta))

@@ -13,9 +13,9 @@ def scalar_plant(gamma=1.0):
         f=lambda x: np.zeros(1),
         g1=lambda x: np.eye(1),
         g2=lambda x: np.eye(1))
-    bar = BarrierSpec(h=lambda x: float(x[0]), lie_f=(lambda x: 0.0,),
-                      lie_g1_fr=lambda x: np.ones(1),
-                      lie_g2_fr=lambda x: np.ones(1), poles=(gamma,))
+    bar = BarrierSpec(chain=lambda x: ((float(x[0]), 0.0), np.ones(1),
+                                       np.ones(1)),
+                      poles=(gamma,))
     return sys, bar
 
 
@@ -26,10 +26,8 @@ def di_plant(poles=(1.0, 1.0)):
         g1=lambda x: np.array([[0.0], [1.0]]),
         g2=lambda x: np.array([[0.0], [1.0]]))
     bar = BarrierSpec(
-        h=lambda x: 1.0 - float(x[0]),
-        lie_f=(lambda x: -float(x[1]), lambda x: 0.0),
-        lie_g1_fr=lambda x: np.array([-1.0]),
-        lie_g2_fr=lambda x: np.array([-1.0]),
+        chain=lambda x: ((1.0 - float(x[0]), -float(x[1]), 0.0),
+                         np.array([-1.0]), np.array([-1.0])),
         poles=poles)
     return sys, bar
 
@@ -174,7 +172,7 @@ def test_filter_objects_produce_decisions():
     assert probe["hbar"] == pytest.approx(1.0 - 0.125)
     assert set(probe) == {"h", "hbar"}  # s_0 = h is not logged twice
 
-    nof = NoFilter(h_fn=bar.h)
+    nof = NoFilter(h_fn=lambda x: bar.chain(x)[0][0])
     dec = nof.constraint(0.0, np.array([1.0]), np.array([9.0]), np.array([0.0]))
     assert dec.bypass and dec.psi0 is None
     assert np.isnan(nof.probe(np.array([1.0]), np.array([0.0]))["hbar"])

@@ -93,14 +93,22 @@ def test_qp_reads_lists_and_arrays_alike():
     assert statuses == {qp.INACTIVE, qp.ACTIVE, qp.INFEASIBLE}
 
 
-@pytest.mark.parametrize("name", ["el2dof-dob", "el2dof-robust"])
-def test_energy_probe_reads_a_list_and_an_array_alike(name):
-    # both energy filters (ELQpFilter, ELRobustFilter): h and hbar
+#: the logged barrier values of each filter's probe
+PROBE_KEYS = {"scalar-rel1": ["h", "hbar"],
+              "doubleint-relr": ["h", "hbar", "s0", "s1"],
+              "el2dof-dob": ["h", "hbar"], "el2dof-robust": ["h", "hbar"]}
+
+
+@pytest.mark.parametrize("name", sorted(PROBE_KEYS))
+def test_probe_reads_a_list_and_an_array_alike(name):
+    # QpFilter at r = 1 and r = 2, and both energy filters (ELQpFilter,
+    # ELRobustFilter)
     sc = BUILT[name]
     for _, x, z, d_hat in states(sc, 4):
         e_d = z - d_hat
         from_list = sc.safety.probe(x.tolist(), e_d.tolist())
         from_array = sc.safety.probe(x, e_d)
-        assert sorted(from_list) == sorted(from_array) == ["h", "hbar"]
-        assert_same_floats([from_list["h"], from_list["hbar"]],
-                           [from_array["h"], from_array["hbar"]])
+        keys = PROBE_KEYS[name]
+        assert sorted(from_list) == sorted(from_array) == keys
+        assert_same_floats([from_list[k] for k in keys],
+                           [from_array[k] for k in keys])

@@ -181,7 +181,7 @@ def generic_tight_point(sc):
     vanishes; x, d and u are arbitrary."""
     filt, obs = sc.safety, sc.observer_cfg
     x = np.linspace(0.3, -0.4, sc.system.n)
-    b = np.asarray(filt.barrier.lie_g2_fr(x))
+    b = np.asarray(filt.barrier.chain(x)[2])
     e = -filt.beta * b / (2.0 * (filt.denom / 4.0))
     tight = QpFilter(sc.system, filt.barrier, obs,
                      filt.beta, omega=obs.nu * float(np.linalg.norm(e)))
@@ -193,12 +193,12 @@ def test_generic_setup_matches_the_scenario(name):
     sc = GENERIC[name]
     obs, bar = sc.observer_cfg, sc.safety.barrier
     assert sc.derivative is joint_derivative
-    assert bar.relative_degree == sc.system.n
+    assert len(bar.poles) == sc.system.n
     # L_d g2 = alpha, and b = L_g2 L_f^{r-1} h is the constant the tight
     # point reads
     g2 = np.asarray(sc.system.evaluate([0.5] * sc.system.n)[2])
     assert (obs.gain @ g2).tolist() == [[obs.alpha]]
-    assert list(bar.lie_g2_fr([0.5] * sc.system.n)) == \
+    assert list(bar.chain([0.5] * sc.system.n)[2]) == \
         [-1.0 if name == "doubleint-relr" else 1.0]
     # s_{r-1} is affine in x, with the gradient the residual uses
     rng = np.random.default_rng(5)

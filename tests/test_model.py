@@ -3,9 +3,11 @@ import re
 import numpy as np
 import pytest
 
+from dobcbf.filters import QpFilter
 from dobcbf.model import (BarrierSpec, ControlAffineSystem, DimensionError,
-                          ParameterError, as_matrix, as_vector,
-                          coeffs_from_poles, lie_derivatives, s_sequence)
+                          ParameterError, _float_rows, as_vector,
+                          coeffs_from_poles, s_sequence)
+from dobcbf.observer import ObserverConfig
 
 
 def scalar_system():
@@ -24,18 +26,28 @@ def double_integrator():
         g2=lambda x: np.array([[0.0], [1.0]]))
 
 
+def di_chain(x):
+    """h = 1 - x0, L_f h = -x1, L_f^2 h = 0, L_g1 L_f h = L_g2 L_f h = -1."""
+    return ((1.0 - float(x[0]), -float(x[1]), 0.0),
+            np.array([-1.0]), np.array([-1.0]))
+
+
 def di_barrier(poles=(1.0, 1.0)):
-    return BarrierSpec(
-        h=lambda x: 1.0 - float(x[0]),
-        lie_f=(lambda x: -float(x[1]), lambda x: 0.0),
-        lie_g1_fr=lambda x: np.array([-1.0]),
-        lie_g2_fr=lambda x: np.array([-1.0]),
-        poles=poles)
+    return BarrierSpec(chain=di_chain, poles=poles)
 
 
 #: float64 values at the edges of the finiteness test
 EDGE_VALUES = (np.nan, np.inf, -np.inf, -0.0, 5e-324,
                1.7976931348623157e308, -1.7976931348623157e308)
+
+
+def matrix_checks(mat):
+    """The two checks of a 4x2 matrix: _float_rows, and a plant's
+    disturbance_matrix, which both go through as_vector."""
+    sys = ControlAffineSystem(n=4, m=2, p=2, f=lambda x: np.zeros(4),
+                              g1=lambda x: mat, g2=lambda x: mat)
+    return (lambda: _float_rows(mat, 4, 2, "g2(x)"),
+            lambda: sys.disturbance_matrix(np.zeros(4)))
 
 
 def test_as_vector_rejects_bad_shape_and_nonfinite():
@@ -44,22 +56,33 @@ def test_as_vector_rejects_bad_shape_and_nonfinite():
         as_vector([1.0, 2.0], 3)
     with pytest.raises(ValueError):
         as_vector([np.nan, 0.0], 2)
+    for check in matrix_checks([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]):
+        with pytest.raises(DimensionError, match=r"g2\(x\)"):
+            check()
     # the verdict is np.isfinite's at the edges of float64, for an entry in
-    # the last place of a vector and of a 4x2 matrix, given as an array or
-    # as a list
+    # the last place of a vector and of a 4x2 matrix, given as an array, as
+    # a list or (the matrix) as row tuples
     for value in EDGE_VALUES:
         vec = np.array([1.0, -2.0, 3.0, value])
         mat = np.arange(8.0).reshape(4, 2)
         mat[-1, -1] = value
-        for check, arr in ((lambda a: as_vector(a, 4), vec),
-                           (lambda a: as_matrix(a, 4, 2), mat)):
-            if np.isfinite(value):
-                assert check(arr) is arr  # passed through uncopied
-                assert check(arr.tolist()).tobytes() == arr.tobytes()
-            else:
-                for given in (arr, arr.tolist()):
-                    with pytest.raises(ValueError, match="non-finite entries"):
-                        check(given)
+        rows = tuple(map(tuple, mat.tolist()))
+        if np.isfinite(value):
+            assert as_vector(vec, 4) is vec  # passed through uncopied
+            assert as_vector(vec.tolist(), 4).tobytes() == vec.tobytes()
+            assert _float_rows(rows, 4, 2, "g2(x)") is rows
+            for given in (mat, mat.tolist(), rows):
+                for check in matrix_checks(given):
+                    assert np.array(check()).tobytes() == mat.tobytes()
+        else:
+            for given in (vec, vec.tolist()):
+                with pytest.raises(ValueError, match="non-finite entries"):
+                    as_vector(given, 4)
+            for given in (mat, mat.tolist(), rows):
+                for check in matrix_checks(given):
+                    with pytest.raises(ValueError,
+                                       match=r"g2\(x\): non-finite entries"):
+                        check()
 
 
 def test_system_dimension_validation():
@@ -173,21 +196,20 @@ def test_evaluate_rejects_nonfinite_and_misshapen_outputs():
 
 
 def scalar_barrier(gamma=1.0):
-    return BarrierSpec(h=lambda x: float(x[0]), lie_f=(lambda x: 0.0,),
-                       lie_g1_fr=lambda x: np.ones(1),
-                       lie_g2_fr=lambda x: np.ones(1), poles=(gamma,))
+    return BarrierSpec(chain=lambda x: ((float(x[0]), 0.0), np.ones(1),
+                                        np.ones(1)),
+                       poles=(gamma,))
 
 
-def test_lie_derivatives_rel1_scalar():
-    # r = 1: the closed-form callbacks at the first order
-    lfh, lg1h, lg2h = lie_derivatives(scalar_system(), scalar_barrier(), [2.0])
-    assert lfh == 0.0
+def test_barrier_read_returns_the_chain():
+    # r = 1: h and L_f h at the first order, as Python floats
+    lf, lg1h, lg2h = scalar_barrier().read([2.0])
+    assert lf == [2.0, 0.0] and all(type(v) is float for v in lf)
     assert np.allclose(lg1h, [1.0])
     assert np.allclose(lg2h, [1.0])
-    # r = 2: the closed-form callbacks at the top order
-    lf2, lg1, lg2 = lie_derivatives(double_integrator(), di_barrier(),
-                                    np.array([0.3, -0.4]))
-    assert lf2 == 0.0
+    # r = 2: h, L_f h and L_f^2 h, and the mixed terms at the top order
+    lf, lg1, lg2 = di_barrier().read([0.3, -0.4])
+    assert lf == [0.7, 0.4, 0.0] and all(type(v) is float for v in lf)
     assert np.allclose(lg1, [-1.0]) and np.allclose(lg2, [-1.0])
 
 
@@ -224,37 +246,40 @@ def test_s_sequence_matches_finite_difference_chain():
         # exact drift flow of the double integrator
         return np.array([x[0] + dt * x[1], x[1]])
 
-    h_plus = bar.h(flow(x, dt))
-    h_minus = bar.h(flow(x, -dt))
-    s1_fd = (h_plus - h_minus) / (2 * dt) + lam * bar.h(x)
+    def h(x):
+        return bar.chain(x)[0][0]
+
+    h_plus = h(flow(x, dt))
+    h_minus = h(flow(x, -dt))
+    s1_fd = (h_plus - h_minus) / (2 * dt) + lam * h(x)
     assert s_sequence(sys, bar, x)[1] == pytest.approx(s1_fd, abs=1e-8)
 
 
 def test_barrier_spec_validation():
-    with pytest.raises(ParameterError):
-        BarrierSpec(h=lambda x: 0.0, lie_f=(), lie_g1_fr=lambda x: np.ones(1),
-                    lie_g2_fr=lambda x: np.ones(1), poles=())
-    with pytest.raises(ParameterError):
-        BarrierSpec(h=lambda x: 0.0, lie_f=(lambda x: 0.0,),
-                    lie_g1_fr=lambda x: np.ones(1),
-                    lie_g2_fr=lambda x: np.ones(1), poles=(1.0, 1.0))
+    with pytest.raises(ParameterError, match="at least one pole"):
+        BarrierSpec(chain=lambda x: ((0.0,), np.ones(1), np.ones(1)), poles=())
     with pytest.raises(ParameterError):
         di_barrier(poles=(1.0, -2.0))
+    with pytest.raises(ParameterError):
+        scalar_barrier(gamma=0.0)
 
 
 def test_barrier_spec_needs_one_pole_per_order():
-    with pytest.raises(ParameterError):
-        BarrierSpec(h=lambda x: float(x[0]), lie_f=(lambda x: 0.0,),
-                    lie_g1_fr=lambda x: np.ones(1),
-                    lie_g2_fr=lambda x: np.ones(1), poles=())
-    with pytest.raises(ParameterError):
-        BarrierSpec(h=lambda x: 0.0, lie_f=(lambda x: 0.0,),
-                    lie_g1_fr=lambda x: np.ones(1),
-                    lie_g2_fr=lambda x: np.ones(1), poles=(1.0, 2.0))
-    with pytest.raises(ParameterError):
-        di_barrier(poles=(1.0,))
-    with pytest.raises(ParameterError):
-        scalar_barrier(gamma=0.0)
+    # a chain whose first tuple is not r + 1 long is rejected where it is
+    # read: by read, s_sequence and QpFilter's constraint, probe and report,
+    # with ParameterError and never an IndexError
+    obs = ObserverConfig(gain=np.array([[0.0, 10.0]]), alpha=10.0, nu=1.0)
+    x = [0.3, -0.4]
+    for poles in ((1.0,), (1.0, 1.0, 1.0)):
+        bar = di_barrier(poles=poles)
+        filt = QpFilter(double_integrator(), bar, obs, beta=1.0)
+        for read in (lambda: bar.read(x),
+                     lambda: s_sequence(double_integrator(), bar, x),
+                     lambda: filt.constraint(0.0, x, [0.0], [0.0]),
+                     lambda: filt.probe(x, [0.0]),
+                     lambda: filt.report(x, 0.0)):
+            with pytest.raises(ParameterError, match=r"r \+ 1 = "):
+                read()
 
 
 def test_barrier_cascade_matches_coeffs_from_poles():

@@ -50,6 +50,20 @@ def test_instance_rejects_nonfinite_and_mismatched():
         QpInstance(u_nom=[0.0, 1.0], psi0=0.0, psi1=[1.0])
 
 
+def test_overflowing_projection_raises():
+    # finite data whose step slack / ||psi1||^2 overflows: ||psi1||^2 is a
+    # subnormal 1e-320, so the projection is inf (and nan where psi1 has a 0)
+    for u_nom, psi1 in (([0.0], [1e-160]), ([0.0, 2.0], [1e-160, 0.0])):
+        inst = QpInstance(u_nom=u_nom, psi0=-1e308, psi1=psi1)
+        with pytest.raises(ValueError,
+                           match="QP solution u: non-finite entries") as info:
+            solve(inst)
+        assert type(info.value) is ValueError
+    # the same data with a step that fits is projected as before
+    res = solve(QpInstance(u_nom=[0.0], psi0=-1e-300, psi1=[1e-160]))
+    assert res.status == ACTIVE and res.u == (1e-300 / 1e-320 * 1e-160,)
+
+
 def test_kkt_conditions_random_instances():
     rng = np.random.default_rng(0)
     for _ in range(500):

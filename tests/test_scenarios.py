@@ -285,24 +285,27 @@ def test_disturbance_channels_must_match_the_plant():
 
 
 def test_constant_plant_matrices_are_shared_and_read_only():
-    # the scalar and double-integrator plants' and barriers' callbacks whose
-    # value does not depend on the state return one tuple each, the same
-    # object for g1 and g2, which evaluate and lie_derivatives pass on after
-    # their checks; a tuple cannot be written into
+    # the scalar and double-integrator plants' callbacks and barrier chains
+    # return each value that does not depend on the state as one tuple, the
+    # same object for g1 and g2 and for the two mixed derivatives, which
+    # evaluate and the filter's constraint pass on after their checks; a
+    # tuple cannot be written into
     x = {"scalar-rel1": np.array([0.3]), "doubleint-relr": np.array([0.3, -0.2])}
     for name in ("scalar-rel1", "doubleint-relr"):
         sc = build({"scenario": name})
         sys, bar = sc.system, sc.safety.barrier
-        plant = [sys.g1, sys.g2, bar.lie_g1_fr, bar.lie_g2_fr]
+        plant = [sys.g1, sys.g2, lambda x: bar.chain(x)[1],
+                 lambda x: bar.chain(x)[2]]
         if name == "scalar-rel1":
             plant.append(sys.f)
         for fn in plant:
             out = fn(x[name])
             assert type(out) is tuple and out is fn(-x[name])
         assert sys.g1(x[name]) is sys.g2(x[name])
-        for fn in (bar.lie_g1_fr, bar.lie_g2_fr):
-            out = fn(x[name])
-            with pytest.raises(TypeError):
-                out[0] = 5.0
+        _, lg1, lg2 = bar.chain(x[name])
+        assert lg1 is lg2
+        with pytest.raises(TypeError):
+            lg1[0] = 5.0
         fx, G1, G2 = sys.evaluate(x[name])
         assert G1 is G2 is sys.g1(x[name])
+        assert sc.safety.constraint(0.0, x[name], [0.0], [0.0]).psi1 is lg1
