@@ -88,7 +88,8 @@ def _float_rows(mat, rows: int, cols: int, name: str):
     rows are joined into one list as their lengths are checked, and the list
     is tested with math.isfinite.  Any other input, or a tuple that fails a
     check, is checked by as_vector(mat, rows*cols, name), with its errors,
-    and returned as a list of lists."""
+    and returned as a list of lists.  No comprehension here: one that read
+    flat or cols would make them closure cells and slow the tuple path."""
     if type(mat) is tuple and len(mat) == rows:
         flat = []
         for row in mat:
@@ -101,8 +102,7 @@ def _float_rows(mat, rows: int, cols: int, name: str):
                     return mat
             except TypeError:
                 pass
-    flat = as_vector(mat, rows * cols, name).tolist()
-    return [flat[i * cols:(i + 1) * cols] for i in range(rows)]
+    return as_vector(mat, rows * cols, name).reshape(rows, cols).tolist()
 
 
 @dataclass(frozen=True)

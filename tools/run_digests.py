@@ -2,8 +2,8 @@
 
 Usage (from the root of a checkout):
 
-    python3 tools/run_digests.py --out DIGESTS.json [--src SRC_DIR] \
-        [--workdir DIR] [--override KEY=VALUE ...]
+    PYTHONPATH=src python3 tools/run_digests.py --out DIGESTS.json \
+        --workdir DIR [--override KEY=VALUE ...]
 
 Each scenario's default configuration, `{scenario: <name>}`, is written to
 DIR/<name>.yaml and run by `dobcbf.cli.main(["run", ...])` into DIR/<name>,
@@ -11,11 +11,8 @@ with every --override applied to every run.  DIGESTS.json holds, for each
 scenario, the exit code, the stdout, and the SHA-256 of every artifact in
 the run directory, keyed by its path relative to it.  Two checkouts give
 the same artifacts, stdout and exit codes exactly when their digest files
-are equal, so comparing them is `diff a.json b.json`.
-
-The package is imported from SRC_DIR, by default this checkout's `src`, so
-one copy of the tool can record any checkout.  Without --workdir the run
-directories go to a temporary directory that is removed afterwards.
+are equal, so comparing them is `diff a.json b.json`.  To record another
+checkout, run the tool with PYTHONPATH=<checkout>/src.
 """
 
 from __future__ import annotations
@@ -26,10 +23,12 @@ import hashlib
 import io
 import json
 import sys
-import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+import yaml
+
+from dobcbf import cli
+from dobcbf.scenarios import SCENARIOS
 
 
 def artifact_digests(run_dir: Path) -> dict:
@@ -41,11 +40,6 @@ def artifact_digests(run_dir: Path) -> dict:
 
 def run_all(workdir: Path, overrides=()) -> dict:
     """Run every default scenario into workdir; its digest record."""
-    # imported here, once main has put SRC_DIR first on sys.path
-    import yaml
-    from dobcbf import cli
-    from dobcbf.scenarios import SCENARIOS
-
     out = {}
     for name in SCENARIOS:
         cfg = workdir / f"{name}.yaml"
@@ -66,20 +60,12 @@ def run_all(workdir: Path, overrides=()) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--src", type=Path, default=ROOT / "src")
-    parser.add_argument("--workdir", type=Path, default=None)
+    parser.add_argument("--workdir", required=True, type=Path)
     parser.add_argument("--override", action="append", default=[],
                         metavar="KEY=VALUE")
     args = parser.parse_args(argv)
-    src = str(args.src.resolve())
-    if sys.path[0] != src:
-        sys.path.insert(0, src)
-    with contextlib.ExitStack() as stack:
-        workdir = args.workdir
-        if workdir is None:
-            workdir = Path(stack.enter_context(tempfile.TemporaryDirectory()))
-        workdir.mkdir(parents=True, exist_ok=True)
-        record = run_all(workdir, args.override)
+    args.workdir.mkdir(parents=True, exist_ok=True)
+    record = run_all(args.workdir, args.override)
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0
 
