@@ -15,8 +15,9 @@ exist, a negative d_max, an observer gain whose coercivity margin is
 negative or whose stiffness times dt/substeps lies outside RK4's real
 stability interval, a config path that is missing, a directory or not
 UTF-8 text, an output path that is a file, a log too large to
-allocate, a time grid whose step count (tf - t0)/dt is not finite, and a
-disturbance whose bound cannot be evaluated in floats),
+allocate, a time grid whose step count (tf - t0)/dt is not finite, a
+disturbance whose bound cannot be evaluated in floats, and a compared
+metric that is not a number),
 3 numerical failure: blow-up, non-finite integration, or a
 ValueError or ArithmeticError raised by the validation checks (`run` and
 `validate`) or while simulating, such as a singular inertia matrix or an
@@ -150,12 +151,17 @@ def run_scenario(cfg: dict, outdir: str) -> int:
 
 def compare(dir_a: str, dir_b: str, out_path: str | None = None) -> int:
     """Paired comparison of two finished runs sharing a pairing key."""
+    keys = ("min_h", "tracking_rmse")
     metas = []
     for d in (dir_a, dir_b):
         path = os.path.join(d, "metrics.txt")
         if not os.path.exists(path):
             raise ConfigError(f"{d}: no metrics.txt (run the scenario first)")
-        metas.append(simulate.read_metrics(path))
+        meta = simulate.read_metrics(path)
+        for key in keys:
+            if isinstance(meta.get(key), str):  # not read as a number
+                raise ConfigError(f"{path}: {key} is not a number: {meta[key]!r}")
+        metas.append(meta)
     if metas[0].get("pairing_key") != metas[1].get("pairing_key"):
         raise ConfigError(
             "runs are not comparable: different plant/disturbance/nominal "
@@ -163,7 +169,7 @@ def compare(dir_a: str, dir_b: str, out_path: str | None = None) -> int:
 
     lines = [f"run_a: {dir_a} ({metas[0].get('scenario')})",
              f"run_b: {dir_b} ({metas[1].get('scenario')})"]
-    for key in ("min_h", "tracking_rmse"):
+    for key in keys:
         if key in metas[0] and key in metas[1]:
             delta = metas[0][key] - metas[1][key]
             lines.append(f"delta_{key}: {delta:.14e}")

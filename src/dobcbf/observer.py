@@ -53,7 +53,11 @@ class ObserverConfig:
     _rows: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        gain = np.array(self.gain, dtype=float)
+        try:
+            gain = np.array(self.gain, dtype=float)
+        except ValueError as exc:
+            raise DimensionError(
+                f"gain: not a (p, n) float matrix: {exc}") from None
         if gain.ndim != 2:
             raise DimensionError(
                 f"gain: expected a (p, n) matrix, got shape {gain.shape}")

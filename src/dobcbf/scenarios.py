@@ -13,6 +13,24 @@ other count is a ConfigError.  `Scenario.validate` is the filter's
 own initial-state report (`safety.report`), under "params", or nothing for
 the robust baseline and the pass-through.
 
+Configuration.  `resolve_config` checks a config against the named
+scenario's `default_config` in one pass, and its result shares no mutable
+object with the defaults:
+  * a key that the default lacks is a ConfigError at every level,
+    disturbance terms included, and the message names the key's path;
+  * a number comes back as a finite float, or as an int where the default
+    is an int, and may arrive as a string (YAML 1.1 reads `1e-3` as one);
+    a true/false default takes only a bool, a string default a string;
+  * a list is checked element by element against the default's first
+    element;
+  * a mapping is filled from its default, except inside a list: a
+    disturbance term is checked but not filled, so a term without `phase`
+    resolves without it and Term supplies phase 0 and waveform "sin"; a
+    term without `amplitude` or `frequency` is a ConfigError in `build`.
+Nothing converts a resolved value again.  "seed" is accepted and unread,
+as the benchmark harness (perfbench/run.py, record.py) sets it in every
+workload config.
+
 Derived constants and their provenance:
   * the observer-side derivative bound is max_t ||ddot(t)|| of the analytic
     disturbance over a 200 001-point grid of the run's span [t0, tf];
@@ -57,7 +75,6 @@ check, not the worst-case theorem.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -87,99 +104,61 @@ class ConfigError(ValueError):
 
 
 # --------------------------------------------------------------------------
-# default configurations; "seed" is accepted and unread, as the benchmark
-# harness (perfbench/run.py, record.py) sets it in every workload config
+# configuration
 
-
-def _scalar_defaults() -> dict:
-    return {
-        "scenario": "scalar-rel1",
-        "seed": 0,
-        "sim": {"t0": 0.0, "tf": 20.0, "dt": 1e-3, "log_stride": 10,
-                "substeps": 1},
-        "params": {"alpha": 2.0, "beta": 1.0, "gamma": 1.0, "nu": 1.0,
-                   "nominal_gain": 2.0, "nominal_target": -1.0},
-        "initial_state": [1.0],
-        "disturbance": [[{"amplitude": 2.0, "frequency": 1.0, "phase": 0.0,
-                          "waveform": "sin"}]],
-    }
-
-
-def _doubleint_defaults() -> dict:
-    return {
-        "scenario": "doubleint-relr",
-        "seed": 0,
-        "sim": {"t0": 0.0, "tf": 20.0, "dt": 1e-3, "log_stride": 10,
-                "substeps": 1},
-        "params": {"alpha": 2.0, "beta": 1.0, "nu": 1.0,
-                   "poles": [1.0, 1.0],
-                   "nominal_kp": 4.0, "nominal_kd": 2.0,
-                   "nominal_target": 2.0},
-        "initial_state": [0.0, 0.0],
-        "disturbance": [[{"amplitude": 1.0, "frequency": 0.0, "phase": 0.0,
-                          "waveform": "cos"}]],
-    }
-
-
-def _el_defaults(name: str) -> dict:
-    return {
-        "scenario": name,
-        "seed": 0,
-        "sim": {"t0": 0.0, "tf": 20.0, "dt": 1e-3, "log_stride": 10,
-                "substeps": 8},
-        "params": {"alpha1": 500.0, "beta": 10.0, "gamma": 2.0, "nu": 1.0,
-                   # withholding the derivative bound is omega = 0
-                   "constraint_omega": 0.0 if name == "el2dof-noomega"
-                                       else ARM_CONSTRAINT_OMEGA,
-                   "eps_singular": 1e-4,
-                   "kp": 200.0, "kd": 35.0, "ref_amplitude": 5.0,
-                   "gravity_comp": False,
-                   "d_max": None},
-        "initial_state": [2.0, 2.5, 0.0, 0.0],
-        "disturbance": [
-            [{"amplitude": 10.0, "frequency": 1.0, "phase": 0.0, "waveform": "sin"},
-             {"amplitude": 2.0, "frequency": 2.0, "phase": 0.0, "waveform": "sin"},
-             {"amplitude": -5.0, "frequency": 5.0, "phase": 0.0, "waveform": "cos"},
-             {"amplitude": 10.0, "frequency": 3.0, "phase": 0.0, "waveform": "cos"}],
-            [{"amplitude": 10.0, "frequency": 1.0, "phase": 0.0, "waveform": "sin"},
-             {"amplitude": 2.0, "frequency": 2.0, "phase": 0.0, "waveform": "sin"},
-             {"amplitude": -5.0, "frequency": 5.0, "phase": 0.0, "waveform": "cos"},
-             {"amplitude": 10.0, "frequency": 3.0, "phase": 0.0, "waveform": "cos"}]],
-    }
+#: the arm's disturbance on each joint, (amplitude, frequency, waveform) per term
+_ARM_CHANNEL = ((10.0, 1.0, "sin"), (2.0, 2.0, "sin"), (-5.0, 5.0, "cos"),
+                (10.0, 3.0, "cos"))
 
 
 def default_config(name: str) -> dict:
+    """The named scenario's defaults, new objects on every call."""
     if name == "scalar-rel1":
-        return _scalar_defaults()
-    if name == "doubleint-relr":
-        return _doubleint_defaults()
-    if name in SCENARIOS:
-        return _el_defaults(name)
-    raise ConfigError(f"unknown scenario {name!r}; known: {', '.join(SCENARIOS)}")
+        substeps, x0, channels = 1, [1.0], [((2.0, 1.0, "sin"),)]
+        params = {"alpha": 2.0, "beta": 1.0, "gamma": 1.0, "nu": 1.0,
+                  "nominal_gain": 2.0, "nominal_target": -1.0}
+    elif name == "doubleint-relr":
+        substeps, x0, channels = 1, [0.0, 0.0], [((1.0, 0.0, "cos"),)]
+        params = {"alpha": 2.0, "beta": 1.0, "nu": 1.0, "poles": [1.0, 1.0],
+                  "nominal_kp": 4.0, "nominal_kd": 2.0, "nominal_target": 2.0}
+    elif name in SCENARIOS:
+        substeps, x0, channels = 8, [2.0, 2.5, 0.0, 0.0], [_ARM_CHANNEL] * 2
+        params = {"alpha1": 500.0, "beta": 10.0, "gamma": 2.0, "nu": 1.0,
+                  # withholding the derivative bound is omega = 0
+                  "constraint_omega": 0.0 if name == "el2dof-noomega"
+                                      else ARM_CONSTRAINT_OMEGA,
+                  "eps_singular": 1e-4, "kp": 200.0, "kd": 35.0,
+                  "ref_amplitude": 5.0, "gravity_comp": False, "d_max": None}
+    else:
+        raise ConfigError(
+            f"unknown scenario {name!r}; known: {', '.join(SCENARIOS)}")
+    return {"scenario": name, "seed": 0,
+            "sim": {"t0": 0.0, "tf": 20.0, "dt": 1e-3, "log_stride": 10,
+                    "substeps": substeps},
+            "params": params, "initial_state": x0,
+            "disturbance": [[{"amplitude": a, "frequency": w, "phase": 0.0,
+                              "waveform": wave} for a, w, wave in ch]
+                            for ch in channels]}
 
 
-def merge_config(base: dict, override: dict, path: str = "") -> dict:
-    """Recursive merge that rejects keys absent from the defaults."""
-    out = copy.deepcopy(base)
-    for key, val in override.items():
-        where = f"{path}.{key}" if path else key
-        if key not in base:
-            raise ConfigError(f"unknown configuration key {where!r}")
-        if isinstance(base[key], dict) and isinstance(val, dict):
-            out[key] = merge_config(base[key], val, where)
-        else:
-            out[key] = copy.deepcopy(val)
-    return out
-
-
-def _typed(default, value, where: str):
-    """value checked against the type of its default; numbers come back as
-    finite floats (ints for integer defaults).
-
-    A number may arrive as a string: YAML 1.1 reads `1e-3` as one.  A list
-    is checked element by element against the first default element, a
-    mapping key by key against the default key of the same name.
-    """
+def _resolve(default, value, where: str, fill: bool = True):
+    """value checked against its default and returned as new objects, by
+    the rules of the module docstring; fill is false inside a list."""
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where}: expected a mapping, got {value!r}")
+        for key in value:
+            if key not in default:
+                raise ConfigError(
+                    f"unknown configuration key {f'{where}.{key}'!r}")
+        return {key: _resolve(default[key], value.get(key, default[key]),
+                              f"{where}.{key}", fill)
+                for key in (default if fill else value)}
+    if isinstance(default, list):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where}: expected a list, got {value!r}")
+        return [_resolve(default[0], v, f"{where}[{i}]", False)
+                for i, v in enumerate(value)]
     if isinstance(default, bool):
         if not isinstance(value, bool):
             raise ConfigError(f"{where}: expected true or false, got {value!r}")
@@ -198,53 +177,33 @@ def _typed(default, value, where: str):
         if not math.isfinite(number):
             raise ConfigError(f"{where}: must be finite, got {value!r}")
         return number
-    if isinstance(default, list):
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{where}: expected a list, got {value!r}")
-        if not default:
-            return list(value)
-        return [_typed(default[0], v, f"{where}[{i}]") for i, v in enumerate(value)]
-    if isinstance(default, dict):
-        if not isinstance(value, dict):
-            raise ConfigError(f"{where}: expected a mapping, got {value!r}")
-        return {key: _typed(default[key], v, f"{where}.{key}") if key in default else v
-                for key, v in value.items()}
     if isinstance(default, str) and not isinstance(value, str):
         raise ConfigError(f"{where}: expected a string, got {value!r}")
     return value
 
 
 def resolve_config(raw: dict) -> dict:
-    """Fill defaults for the named scenario, reject unknown keys, and check
-    that every value has the type of its default (numbers finite)."""
+    """The named scenario's defaults overridden by raw, in one checked pass."""
     if "scenario" not in raw:
         raise ConfigError("configuration must name a scenario")
-    base = default_config(raw["scenario"])
-    return _typed(base, merge_config(base, raw), "config")
+    return _resolve(default_config(raw["scenario"]), raw, "config")
 
 
 # --------------------------------------------------------------------------
 # derived constants
 
 
-def _signal_from_config(spec) -> simulate.DisturbanceSignal:
-    channels = []
-    for ch in spec:
-        terms = []
-        for term in ch:
-            unknown = set(term) - {"amplitude", "frequency", "phase", "waveform"}
-            if unknown:
-                raise ConfigError(f"unknown disturbance term keys {sorted(unknown)}")
-            missing = {"amplitude", "frequency"} - set(term)
+def _signal(channels: list) -> simulate.DisturbanceSignal:
+    """The disturbance of resolved channels; each term names its amplitude
+    and frequency, and Term supplies a missing phase or waveform."""
+    for i, ch in enumerate(channels):
+        for j, term in enumerate(ch):
+            missing = [key for key in ("amplitude", "frequency")
+                       if key not in term]
             if missing:
-                raise ConfigError(f"disturbance term lacks {sorted(missing)}")
-            terms.append(simulate.Term(
-                amplitude=float(term["amplitude"]),
-                frequency=float(term["frequency"]),
-                phase=float(term.get("phase", 0.0)),
-                waveform=term.get("waveform", "sin")))
-        channels.append(tuple(terms))
-    return simulate.DisturbanceSignal(tuple(channels))
+                raise ConfigError(f"config.disturbance[{i}][{j}] lacks {missing}")
+    return simulate.DisturbanceSignal(
+        tuple(tuple(simulate.Term(**term) for term in ch) for ch in channels))
 
 
 #: points of the grid over [t0, tf] on which the disturbance bounds are taken
@@ -365,14 +324,6 @@ class Scenario:
         return failures
 
 
-def _simcfg(cfg: dict) -> simulate.SimConfig:
-    sim = cfg["sim"]
-    return simulate.SimConfig(t0=float(sim["t0"]), tf=float(sim["tf"]),
-                              dt=float(sim["dt"]),
-                              log_stride=int(sim["log_stride"]),
-                              substeps=int(sim["substeps"]))
-
-
 # Family functions take (cfg, signal, simcfg, omega) and return their own
 # Scenario fields plus `extremal_states`, where the observer's gain spectrum
 # takes its extremes; `build` derives the rest.
@@ -384,10 +335,10 @@ def _qp_family(cfg: dict, omega: float, system: ControlAffineSystem,
     """A generic plant under the QpFilter, observed with the constant gain
     L = alpha * gain_shape (so p(x) = L x) and a constant g2."""
     prm = cfg["params"]
-    alpha = float(prm["alpha"])
+    alpha = prm["alpha"]
     obs = observer.ObserverConfig(gain=alpha * gain_shape, alpha=alpha,
-                                  nu=float(prm["nu"]), omega=omega)
-    safety = filters.QpFilter(system, barrier, obs, float(prm["beta"]), omega)
+                                  nu=prm["nu"], omega=omega)
+    safety = filters.QpFilter(system, barrier, obs, prm["beta"], omega)
     return dict(
         system=system, observer_cfg=obs, safety=safety, nominal=nominal,
         extremal_states=[(0.0,) * system.n],
@@ -397,7 +348,7 @@ def _qp_family(cfg: dict, omega: float, system: ControlAffineSystem,
 
 def _scalar(cfg: dict, signal, simcfg, omega: float) -> dict:
     prm = cfg["params"]
-    gain, target = float(prm["nominal_gain"]), float(prm["nominal_target"])
+    gain, target = prm["nominal_gain"], prm["nominal_target"]
     # each constant output is one tuple, checked in place on every call
     zero, eye, one = (0.0,), ((1.0,),), (1.0,)
     system = ControlAffineSystem(
@@ -407,22 +358,21 @@ def _scalar(cfg: dict, signal, simcfg, omega: float) -> dict:
         g2=lambda x: eye)
     # h = x0, L_f h = 0, L_g1 h = L_g2 h = 1
     barrier = BarrierSpec(chain=lambda x: ((float(x[0]), 0.0), one, one),
-                          poles=(float(prm["gamma"]),))
+                          poles=(prm["gamma"],))
     return _qp_family(cfg, omega, system, barrier, np.eye(1),
                       lambda t, x: (gain * (target - float(x[0])),))
 
 
 def _doubleint(cfg: dict, signal, simcfg, omega: float) -> dict:
     prm = cfg["params"]
-    kp, kd = float(prm["nominal_kp"]), float(prm["nominal_kd"])
-    target = float(prm["nominal_target"])
+    kp, kd, target = prm["nominal_kp"], prm["nominal_kd"], prm["nominal_target"]
     last, minus_one = ((0.0,), (1.0,)), (-1.0,)
     system = ControlAffineSystem(
         n=2, m=1, p=1,
         f=lambda x: (float(x[1]), 0.0),
         g1=lambda x: last,
         g2=lambda x: last)
-    poles = tuple(float(v) for v in prm["poles"])
+    poles = tuple(prm["poles"])
     if len(poles) != 2:
         raise ParameterError(f"params.poles: the barrier 1 - x0 has relative "
                              f"degree 2 and needs 2 poles, got {len(poles)}")
@@ -438,12 +388,10 @@ def _doubleint(cfg: dict, signal, simcfg, omega: float) -> dict:
 def _arm(cfg: dict, signal, simcfg, omega: float) -> dict:
     name = cfg["scenario"]
     prm = cfg["params"]
-    alpha1, beta = float(prm["alpha1"]), float(prm["beta"])
-    gamma, nu = float(prm["gamma"]), float(prm["nu"])
-    kp, kd = float(prm["kp"]), float(prm["kd"])
+    alpha1, beta, gamma, nu = prm["alpha1"], prm["beta"], prm["gamma"], prm["nu"]
+    kp, kd, amp = prm["kp"], prm["kd"], prm["ref_amplitude"]
     if kp <= 0 or kd <= 0:
         raise ParameterError("PD gains kp and kd must be positive")
-    amp = float(prm["ref_amplitude"])
 
     arm = elmod.TwoLinkArm()
     el_sys, system = arm.system(), arm.plant()
@@ -459,15 +407,14 @@ def _arm(cfg: dict, signal, simcfg, omega: float) -> dict:
     if name in ("el2dof-dob", "el2dof-noomega"):
         safety = elmod.ELQpFilter(
             el_sys, h_q, grad_hq, obs, beta, gamma,
-            omega=float(prm["constraint_omega"]),
-            eps_singular=float(prm["eps_singular"]))
+            omega=prm["constraint_omega"], eps_singular=prm["eps_singular"])
     elif name == "el2dof-robust":
         d_max = prm["d_max"]
-        d_max = float(d_max) if d_max is not None \
-            else magnitude_bound(signal, simcfg.t0, simcfg.tf)
+        if d_max is None:
+            d_max = magnitude_bound(signal, simcfg.t0, simcfg.tf)
         constants["d_max"] = d_max
         safety = elmod.ELRobustFilter(el_sys, h_q, grad_hq, beta, gamma, d_max,
-                                      eps_singular=float(prm["eps_singular"]))
+                                      eps_singular=prm["eps_singular"])
     else:
         safety = filters.NoFilter(lambda x: h_q(x[:2]))
     if name == "el2dof-noomega":
@@ -478,7 +425,7 @@ def _arm(cfg: dict, signal, simcfg, omega: float) -> dict:
 
     Kp = ((kp, 0.0), (0.0, kp))
     Kd = ((kd, 0.0), (0.0, kd))
-    grav = el_sys.gravity if bool(prm["gravity_comp"]) else None
+    grav = el_sys.gravity if prm["gravity_comp"] else None
 
     def nominal(t, x):
         q0, q1, v0, v1 = as_floats(x, 4, "x")
@@ -512,8 +459,8 @@ def build(config: dict) -> Scenario:
     name = cfg["scenario"]
     family = {"scalar-rel1": _scalar, "doubleint-relr": _doubleint}.get(name, _arm)
     try:
-        simcfg = _simcfg(cfg)
-        signal = _signal_from_config(cfg["disturbance"])
+        simcfg = simulate.SimConfig(**cfg["sim"])
+        signal = _signal(cfg["disturbance"])
         omega = derivative_bound(signal, simcfg.t0, simcfg.tf)
         parts = family(cfg, signal, simcfg, omega)
         system, obs = parts["system"], parts["observer_cfg"]

@@ -234,6 +234,21 @@ def test_compare_rejects_unpaired_runs(tmp_path, scalar_cfg, arm_cfg):
     assert cli.main(["compare", str(out_a), str(tmp_path / "nope")]) == 2
 
 
+@pytest.mark.parametrize("broken", ["a", "b"])
+def test_compare_rejects_a_metric_that_is_not_a_number(tmp_path, capsys,
+                                                         broken):
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        min_h = "abc" if name == broken else "0.5"
+        (tmp_path / name / "metrics.txt").write_text(
+            f"min_h: {min_h}\npairing_key: el2dof\nscenario: el2dof-dob\n")
+    assert cli.main(["compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("configuration error:")
+    assert str(tmp_path / broken / "metrics.txt") in lines[0]
+    assert "min_h" in lines[0]
+
+
 def test_numerical_failure_exit_code(tmp_path):
     # unfiltered arm with enormous PD gains at a coarse step diverges; the
     # observer gain is lowered so that its own step is admissible

@@ -46,6 +46,13 @@ def test_config_rejects_gain_that_is_not_a_finite_matrix():
     assert cfg.dim_dist == 1 and cfg.gain.shape == (1, 3)
 
 
+def test_config_rejects_a_ragged_gain():
+    # rows of unequal lengths form no matrix
+    for gain in ([[1.0], [1.0, 2.0]], [[1.0, 2.0], 3.0]):
+        with pytest.raises(DimensionError, match="gain"):
+            ObserverConfig(gain=gain, alpha=1.0)
+
+
 def test_config_keeps_its_own_copy_of_the_gain():
     gain = 2.0 * np.eye(2)
     cfg = ObserverConfig(gain=gain, alpha=2.0)

@@ -22,13 +22,31 @@ def test_all_scenarios_build():
         assert sc.simcfg.tf == 20.0
 
 
-def test_unknown_scenario_and_keys_rejected():
+def assert_config_error(cfg, tmp_path, capsys):
+    """build raises ConfigError, and `dobcbf validate` exits 2 with one
+    `configuration error:` line on stderr."""
     with pytest.raises(ConfigError):
-        build({"scenario": "nope"})
-    with pytest.raises(ConfigError):
-        build({"scenario": "scalar-rel1", "params": {"bogus_key": 1.0}})
-    with pytest.raises(ConfigError):
-        build({"scenario": "scalar-rel1", "toplevel_bogus": 1.0})
+        build(cfg)
+    path = tmp_path / "c.yaml"
+    path.write_text(yaml.safe_dump(cfg, sort_keys=False))
+    capsys.readouterr()
+    assert cli.main(["validate", str(path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("configuration error:")
+
+
+def test_unknown_scenario_and_keys_rejected(tmp_path, capsys):
+    term = {"amplitude": 1.0, "frequency": 1.0}
+    for bad in ({"scenario": "nope"},
+                {"scenario": "scalar-rel1", "params": {"bogus_key": 1.0}},
+                {"scenario": "scalar-rel1", "toplevel_bogus": 1.0},
+                # unknown term keys of mixed types, which do not sort
+                {"scenario": "scalar-rel1",
+                 "disturbance": [[{**term, 1: 2, "b": 3}]]},
+                {"scenario": "scalar-rel1", "disturbance": [[{**term, "b": 3}]]},
+                # a SimConfig field that the configuration does not expose
+                {"scenario": "scalar-rel1", "sim": {"blowup_norm": 1.0}}):
+        assert_config_error(bad, tmp_path, capsys)
 
 
 def test_invalid_parameters_raise_config_error():
@@ -254,7 +272,7 @@ def test_arm_scenarios_check_only_the_tuning_their_filter_reads():
         build({"scenario": "el2dof-dob", **bad})
 
 
-def test_config_numbers_must_be_finite_numbers():
+def test_config_numbers_must_be_finite_numbers(tmp_path, capsys):
     arm, dint = "el2dof-dob", "doubleint-relr"
     for name, bad in ((arm, {"params": {"kp": float("nan")}}),
                       (arm, {"sim": {"tf": "abc"}}),
@@ -264,12 +282,31 @@ def test_config_numbers_must_be_finite_numbers():
                       (arm, {"initial_state": [0.0, 0.0, 0.0]}),
                       (arm, {"disturbance": [[{"amplitude": "x",
                                                "frequency": 1.0}]]}),
+                      (arm, {"disturbance": [[{"amplitude": 1.0}]] * 2}),
                       (dint, {"params": {"poles": [1.0, float("inf")]}})):
-        with pytest.raises(ConfigError):
-            build({"scenario": name, **bad})
+        assert_config_error({"scenario": name, **bad}, tmp_path, capsys)
     cfg = resolve_config({"scenario": arm, "sim": {"tf": 2, "dt": "1e-3"}})
     assert cfg["sim"]["tf"] == 2.0 and isinstance(cfg["sim"]["tf"], float)
     assert cfg["sim"]["dt"] == 1e-3
+
+
+def test_terms_are_checked_not_filled_and_defaults_stay_fresh():
+    # a term inside the disturbance list keeps the keys it was given
+    cfg = resolve_config({"scenario": "scalar-rel1",
+                          "disturbance": [[{"amplitude": 1, "frequency": 1}]]})
+    term = cfg["disturbance"][0][0]
+    assert term == {"amplitude": 1.0, "frequency": 1.0}
+    assert type(term["amplitude"]) is float
+    # writing into one resolved config leaves the next one at the defaults
+    for name in scenarios.SCENARIOS:
+        expected = yaml.safe_dump(resolve_config({"scenario": name}))
+        used = resolve_config({"scenario": name})
+        used["initial_state"].append(9.0)
+        used["disturbance"].append([])
+        used["disturbance"][0].append({"amplitude": 9.0, "frequency": 9.0})
+        used["disturbance"][0][0]["phase"] = 9.0
+        used["params"]["nu"] = 9.0
+        assert yaml.safe_dump(resolve_config({"scenario": name})) == expected
 
 
 def test_disturbance_channels_must_match_the_plant():
