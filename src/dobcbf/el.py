@@ -1,25 +1,24 @@
-"""Euler-Lagrange plants, their disturbance observer, and the energy filter.
+"""Euler-Lagrange plants, their disturbance observer, and the energy barrier.
 
 Mechanical systems M(q) qddot + C(q, qdot) qdot + G(q) = tau + tau_d admit a
 dedicated observer (estimate = z + alpha1*qdot) and an energy-based safety
 constraint that only needs a C^1 position barrier h_q.  `ELSystem` holds the
-inertia and gravity callbacks of a plant with two joints, which the filters
-read.  `TwoLinkArm`, the planar arm of the benchmark scenarios, gives its
-`ELSystem` and its plant (`TwoLinkArm.plant`), whose one `terms` callback
-forms M, C qdot + G, the closed-form inverse of M and the drift from one
-cos q2 and sin q2.  `ELQpFilter` is built from the observer of
-`el_observer_config`, whose coercivity constant is alpha1*mu1, and reads
-alpha and nu from it once.
-It and the robust baseline `ELRobustFilter` share one core: the check of
-beta, gamma and eps_singular, the QP bypass near qdot = 0, where the row
-psi1 = -qdot vanishes, and the probe's beta*h_q - KE; each forms its own
-psi0.  `violation_floor` bounds the barrier when the disturbance-derivative
-term is withheld (omega = 0 in the constraint).  The filters, the PD law and
-the plant's `terms` return Python floats.  `arm_derivative` is the
-simulator's right-hand side for the arm and the momentum observer
-z + alpha1*qdot: the joint derivative in closed form, in Python floats,
-with only its nonzero rows formed, still checking the plant through
-`evaluate` at every stage.
+inertia and gravity callbacks of a plant with two joints.  `TwoLinkArm`, the
+planar arm of the benchmark scenarios, gives its `ELSystem`, its plant
+(`TwoLinkArm.plant`), whose one `terms` callback forms M, C qdot + G, the
+closed-form inverse of M and the drift from one cos q2 and sin q2, and its
+energy barrier (`TwoLinkArm.energy_barrier`), the relative-degree-1
+barrier beta*h_q - KE as a closed-form Lie chain.  The arm's filters are
+`filters.QpFilter` on that barrier: with the observer of
+`el_observer_config`, whose coercivity constant is alpha1*mu1, or with the
+worst-case bound d_max of the robust baseline; both bypass the QP near
+qdot = 0, where the row psi1 = -qdot vanishes.  `violation_floor` bounds
+h_q when the disturbance-derivative term is withheld (omega = 0 in the
+constraint).  The chain, the PD law and the plant's `terms` return Python
+floats.  `arm_derivative` is the simulator's right-hand side for the arm
+and the momentum observer z + alpha1*qdot: the joint derivative in closed
+form, in Python floats, with only its nonzero rows formed, still checking
+the plant through `evaluate` at every stage.
 """
 
 from __future__ import annotations
@@ -30,21 +29,19 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .filters import Decision, ParamReport
-from .model import ControlAffineSystem, ParameterError, as_floats
+from .filters import QpFilter
+from .model import BarrierSpec, ControlAffineSystem, ParameterError, as_floats
 from .observer import ObserverConfig
 
 
 @dataclass(frozen=True)
 class ELSystem:
-    """Inertia and gravity callbacks of a mechanical plant, which the
-    energy filters read.
+    """Inertia and gravity callbacks of a mechanical plant with two
+    joints.
 
     mass maps q -> ((m11, m12), (m21, m22)), symmetric positive definite;
-    gravity maps q -> (g1, g2).  Every entry is a Python float, so the
-    filters' hot path runs without NumPy calls on 2x2 data; q may be any
-    length-2 sequence of numbers.  The plant has two joints: the energy
-    terms are written out for q = (q1, q2) and x = [q; qdot].
+    gravity maps q -> (g1, g2).  Every entry is a Python float; q may be
+    any length-2 sequence of numbers.
     """
 
     mass: Callable[[Sequence[float]], tuple[tuple[float, float], tuple[float, float]]]
@@ -128,43 +125,77 @@ class TwoLinkArm:
             g2=lambda x: terms(x)[2],
             terms=terms)
 
+    def energy_barrier(self, h_q: Callable, grad_hq: Callable, beta: float,
+                       gamma: float) -> BarrierSpec:
+        """The energy barrier h~ = beta h_q(q) - qdot' M(q) qdot / 2 of the
+        position barrier h_q, on x = [q; qdot] with the pole gamma.
 
-def kinetic_energy(sys: ELSystem, q, qd) -> float:
-    """qdot' M(q) qdot / 2."""
-    (m11, m12), (m21, m22) = sys.mass(q)
-    v0, v1 = float(qd[0]), float(qd[1])
-    return 0.5 * ((v0 * m11 + v1 * m21) * v0 + (v0 * m12 + v1 * m22) * v1)
+        Its Lie chain is closed form: h~ has relative degree 1, with
+        L_g1 h~ = L_g2 h~ = -qdot, returned as one tuple for both channels,
+        and L_f h~ = beta grad_hq(q) . qdot + qdot' G(q) by the
+        skew-symmetry of Mdot - 2C, so no inverse of M is formed.  The
+        chain takes cos q1, cos q2 and cos(q1 + q2) once and forms M and G
+        in the operation order of `system`.  grad_hq(q) is checked by
+        as_floats, and a non-finite h~ or L_f h~ raises ValueError naming
+        both.  The barrier's safe set is h_q.  beta <= 0 raises
+        ParameterError, and so does a gamma that is not positive.
+        """
+        if beta <= 0:
+            raise ParameterError("beta must be positive")
+        a11_0, a12_0, ml2, ml2_2, w1, w2, w12 = self._constants()
+        cos, isfinite = math.cos, math.isfinite
+
+        def chain(x):
+            q0, q1, v0, v1 = x
+            q = (q0, q1)
+            j0, j1 = as_floats(grad_hq(q), 2, "grad_hq(q)")
+            c1, c2, c12 = cos(q0), cos(q1), cos(q0 + q1)
+            m11, m12 = a11_0 + ml2 * c2, a12_0 + ml2_2 * c2
+            h = beta * float(h_q(q)) - 0.5 * ((v0 * m11 + v1 * m12) * v0
+                                              + (v0 * m12 + v1 * a12_0) * v1)
+            lf = (beta * (v0 * j0 + v1 * j1)
+                  + (v0 * (w1 * c1 + w12 * c12 + w2 * c1) + v1 * (w12 * c12)))
+            if not (isfinite(h) and isfinite(lf)):
+                raise ValueError(f"energy barrier: non-finite (h, L_f h) = "
+                                 f"({h}, {lf}) at x = {[q0, q1, v0, v1]}")
+            row = (-v0, -v1)
+            return (h, lf), row, row
+
+        return BarrierSpec(chain=chain, poles=(gamma,),
+                           safe_set=lambda x: h_q((x[0], x[1])))
 
 
-def violation_floor(filt: ELQpFilter, omega: float, t):
-    """Worst-case barrier floor at time t when the omega term is withheld.
+def violation_floor(filt: QpFilter, beta: float, omega: float, t):
+    """Worst-case floor of h_q at time t when the omega term is withheld.
 
-    The floor reads the filter's beta and gamma and its observer's
-    Young's-inequality split nu.  omega is the true disturbance-derivative
-    bound, not the constraint-side filt.omega: the floor is a statement
-    about the disturbance itself.  It is derived for filt.omega = 0 and
-    holds for any filt.omega >= 0, which only tightens the constraint.
+    The floor reads the pole gamma of the filter's energy barrier and its
+    observer's Young's-inequality split nu; beta is the barrier's energy
+    scale, as filt.beta is the augmented barrier's (1 on the arm).  omega is
+    the true disturbance-derivative bound, not the constraint-side
+    filt.omega: the floor is a statement about the disturbance itself.  It
+    is derived for filt.omega = 0 and holds for any filt.omega >= 0, which
+    only tightens the constraint.
     """
-    decay = 1.0 - np.exp(-filt.gamma * np.asarray(t, dtype=float))
-    out = -omega ** 2 / (2.0 * filt.observer.nu * filt.gamma * filt.beta) * decay
+    gamma = filt.barrier.poles[-1]
+    decay = 1.0 - np.exp(-gamma * np.asarray(t, dtype=float))
+    out = -omega ** 2 / (2.0 * filt.observer.nu * gamma * beta) * decay
     return float(out) if np.ndim(t) == 0 else out
 
 
-def pd_nominal(Kp, Kd, q, qd, q_des, qd_des, gravity=None) -> tuple:
-    """PD tracking law of a 2-DOF arm, optionally with gravity compensation.
+def pd_nominal(kp: float, kd: float, q, qd, q_des, qd_des,
+               gravity=None) -> tuple:
+    """PD tracking law kp (q_des - q) + kd (qd_des - qd) of a 2-DOF arm,
+    optionally with gravity compensation.
 
-    The 2x2 gains and every vector may be nested sequences of numbers or
-    arrays; the law is formed entry by entry and returned as a tuple
-    (tau1, tau2), of Python floats when the entries are.  The gains are not
-    checked here: callers validate them once, where they are configured
-    (the arm scenarios reject kp, kd <= 0 at build time).
+    The gains are scalars, the same on both joints, and every vector may be
+    a sequence of numbers or an array; the law is formed entry by entry and
+    returned as a tuple (tau1, tau2), of Python floats when the entries
+    are.  The gains are not checked here: callers validate them once, where
+    they are configured (the arm scenarios reject kp, kd <= 0 at build
+    time).
     """
-    (p11, p12), (p21, p22) = Kp
-    (d11, d12), (d21, d22) = Kd
-    e0, e1 = q_des[0] - q[0], q_des[1] - q[1]
-    w0, w1 = qd_des[0] - qd[0], qd_des[1] - qd[1]
-    tau0 = (p11 * e0 + p12 * e1) + (d11 * w0 + d12 * w1)
-    tau1 = (p21 * e0 + p22 * e1) + (d21 * w0 + d22 * w1)
+    tau0 = kp * (q_des[0] - q[0]) + kd * (qd_des[0] - qd[0])
+    tau1 = kp * (q_des[1] - q[1]) + kd * (qd_des[1] - qd[1])
     if gravity is not None:
         tau0, tau1 = tau0 + gravity[0], tau1 + gravity[1]
     return tau0, tau1
@@ -236,137 +267,3 @@ def el_observer_config(alpha1: float, mu1: float, nu: float,
     """
     Ld = np.hstack([np.zeros((2, 2)), alpha1 * np.eye(2)])
     return ObserverConfig(gain=Ld, alpha=alpha1 * mu1, nu=nu, omega=omega)
-
-
-class _EnergyFilter:
-    """The energy filters' shared core; beta, gamma or eps_singular <= 0
-    raises ParameterError."""
-
-    def __init__(self, sys: ELSystem, h_q: Callable, grad_hq: Callable,
-                 beta: float, gamma: float, eps_singular: float):
-        if min(beta, gamma, eps_singular) <= 0:
-            raise ParameterError("beta, gamma and eps_singular must be positive")
-        self.sys = sys
-        self.h_q = h_q
-        self.grad_hq = grad_hq
-        self.beta = beta
-        self.gamma = gamma
-        self.eps_singular = eps_singular
-
-    def _decision(self, qd, psi0: float, psi1: Sequence[float]) -> Decision:
-        """The row, bypassing the QP near qdot = 0.
-
-        Below the speed threshold the row psi1 = -qdot vanishes and the
-        nominal control passes through; when the constraint is additionally
-        unsatisfiable there (psi0 < 0) the step is flagged as a transient
-        infeasibility event.
-        """
-        if math.hypot(qd[0], qd[1]) >= self.eps_singular:
-            return Decision(psi0, psi1)
-        return Decision(psi0, psi1, True,
-                        "singular_infeasible" if psi0 < 0 else None)
-
-    def _energy(self, x) -> tuple:
-        """(h_q(q), beta*h_q(q) - KE) at x = [q; qdot], x checked by
-        as_floats."""
-        q0, q1, v0, v1 = as_floats(x, 4, "x")
-        h = float(self.h_q((q0, q1)))
-        return h, self.beta * h - kinetic_energy(self.sys, (q0, q1), (v0, v1))
-
-
-class ELQpFilter(_EnergyFilter):
-    """Energy-based observer-aware filter with the singularity guard.
-
-    omega (>= 0) enters the constraint as omega^2/(2 nu), 0 when no bound
-    is known; below the joint speed eps_singular the QP is bypassed.  alpha
-    (alpha1*mu1 for el_observer_config's observer) and nu are read from the
-    observer once, here: 4*alpha1*mu1 - 2*gamma - 2*nu <= 0 raises
-    ParameterError.  The checked denominator and the omega term are kept.
-    """
-
-    def __init__(self, sys: ELSystem, h_q: Callable, grad_hq: Callable,
-                 observer: ObserverConfig, beta: float, gamma: float,
-                 omega: float = 0.0, eps_singular: float = 1e-4):
-        super().__init__(sys, h_q, grad_hq, beta, gamma, eps_singular)
-        if omega < 0:
-            raise ParameterError("omega must be nonnegative")
-        denom = 4.0 * observer.alpha - 2.0 * gamma - 2.0 * observer.nu
-        if denom <= 0:
-            raise ParameterError(
-                f"need 4*alpha1*mu1 - 2*gamma - 2*nu > 0, got {denom}")
-        self.observer = observer
-        self.omega = omega
-        self.denom = denom
-        self.omega_term = omega ** 2 / (2.0 * observer.nu)
-
-    def constraint(self, t, x, u_nom, d_hat) -> Decision:
-        """The constraint row at x for the estimate d_hat; psi1 is the
-        tuple -qdot.
-
-        The two halves of x, d_hat and grad_hq(q) are each checked once by
-        as_floats, so x is checked once; h_q and grad_hq receive q as two
-        Python floats, and every term is a float.
-        """
-        sys, beta = self.sys, self.beta
-        q = as_floats(x[:2], 2, "q")
-        qd = v0, v1 = as_floats(x[2:], 2, "qd")
-        th0, th1 = as_floats(d_hat, 2, "tau_hat")
-        j0, j1 = as_floats(self.grad_hq(q), 2, "grad_hq(q)")
-        g0, g1 = sys.gravity(q)
-        psi0 = (beta * (v0 * j0 + v1 * j1)
-                - (v0 * (th0 - g0) + v1 * (th1 - g1))
-                - self.omega_term
-                - (v0 * v0 + v1 * v1) / self.denom
-                + self.gamma * (beta * float(self.h_q(q))
-                                - kinetic_energy(sys, q, qd)))
-        return self._decision(qd, psi0, (-v0, -v1))
-
-    def probe(self, x, e_d) -> dict:
-        h, energy = self._energy(x)
-        return {"h": h, "hbar": energy - 0.5 * float(np.dot(e_d, e_d))}
-
-    def report(self, x0, e0_norm: float) -> ParamReport:
-        """Strict initial-state inequalities of the energy-filter guarantee:
-        h_q(q0) > 0 (the report's cascade_ok) and beta above
-        (2 KE(x0) + e0_norm^2)/(2 h_q(q0)).  The condition on alpha1*mu1
-        was checked when the filter was built."""
-        obs, q0 = self.observer, x0[:2]
-        h_q0 = float(self.h_q(q0))
-        return ParamReport.check(
-            obs.alpha - 0.5 * (self.gamma + obs.nu), self.beta, h_q0,
-            2.0 * kinetic_energy(self.sys, q0, x0[2:]) + e0_norm ** 2)
-
-
-class ELRobustFilter(_EnergyFilter):
-    """Worst-case energy filter over ||tau_d|| <= d_max, used as the
-    comparison baseline; a negative d_max raises ParameterError here."""
-
-    def __init__(self, sys: ELSystem, h_q: Callable, grad_hq: Callable,
-                 beta: float, gamma: float, d_max: float,
-                 eps_singular: float = 1e-4):
-        super().__init__(sys, h_q, grad_hq, beta, gamma, eps_singular)
-        if d_max < 0:
-            raise ParameterError("d_max must be nonnegative")
-        self.d_max = d_max
-
-    def constraint(self, t, x, u_nom, d_hat) -> Decision:
-        """The worst-case row at x, with the checks and float arithmetic of
-        ELQpFilter.constraint; d_hat is not read."""
-        sys = self.sys
-        q = as_floats(x[:2], 2, "q")
-        qd = v0, v1 = as_floats(x[2:], 2, "qd")
-        j0, j1 = as_floats(self.grad_hq(q), 2, "grad_hq(q)")
-        g0, g1 = sys.gravity(q)
-        psi0 = (self.beta * (v0 * j0 + v1 * j1)
-                + (v0 * g0 + v1 * g1)
-                - math.sqrt(v0 * v0 + v1 * v1) * self.d_max
-                + self.gamma * (self.beta * float(self.h_q(q))
-                                - kinetic_energy(sys, q, qd)))
-        return self._decision(qd, psi0, (-v0, -v1))
-
-    def probe(self, x, e_d) -> dict:
-        h, energy = self._energy(x)
-        return {"h": h, "hbar": energy}
-
-    def report(self, x0, e0_norm: float) -> None:
-        return None

@@ -175,8 +175,12 @@ class BarrierSpec:
     s_k = (d/dt + lambda_k) s_{k-1}; r = 1 with poles = (gamma,) is the
     first-order condition hdot + gamma h >= 0.  `chain(x)` returns the Lie
     chain at x, ((h, L_f h, ..., L_f^r h), L_g1 L_f^{r-1} h,
-    L_g2 L_f^{r-1} h), and receives x as Python floats.  No pole, or one
-    that is not positive, raises ParameterError.
+    L_g2 L_f^{r-1} h), the drift derivatives as Python floats, and receives
+    x as Python floats.  No pole, or one that is not positive, raises
+    ParameterError.  `safe_set(x)`, when given, is the function whose
+    zero-superlevel set the barrier keeps (h_q(q) under the energy barrier
+    of a mechanical plant), which the filters log as h in place of the
+    chain's h.
 
     `cascade[k-1]` holds the coefficients (a_1..a_k) of
     prod_{j<=k} (s + lambda_j) as a tuple of floats, computed once here;
@@ -185,6 +189,7 @@ class BarrierSpec:
 
     chain: Callable[[Sequence[float]], tuple]
     poles: tuple
+    safe_set: Callable[[Sequence[float]], float] | None = None
     cascade: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -195,15 +200,16 @@ class BarrierSpec:
             for k in range(1, len(self.poles) + 1)))
 
     def read(self, x) -> tuple:
-        """The chain at x, its drift derivatives as a list of r + 1 Python
-        floats and the mixed ones as the callback returns them.  A first
-        tuple of any other length raises ParameterError."""
+        """The chain at x, its drift derivatives as a list of the r + 1
+        Python floats the chain returns, which need no second conversion,
+        and the mixed ones as the callback returns them.  A first tuple of
+        any other length raises ParameterError."""
         lf, lg1, lg2 = self.chain(x)
         if len(lf) != len(self.poles) + 1:
             raise ParameterError(
                 f"chain: need r + 1 = {len(self.poles) + 1} drift derivatives "
                 f"L_f^k h for {len(self.poles)} poles, got {len(lf)}")
-        return list(map(float, lf)), lg1, lg2
+        return list(lf), lg1, lg2
 
 
 def s_sequence(sys: ControlAffineSystem, bar: BarrierSpec, x) -> list:

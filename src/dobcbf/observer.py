@@ -41,7 +41,7 @@ class ObserverConfig:
     here, and stored as a read-only copy; its rows are also kept as tuples
     of Python floats for integral_at.  alpha is the coercivity constant
     of L_d g2, nu the Young's-inequality split, omega the bound on ||ddot||;
-    QpFilter and ELQpFilter read alpha and nu from here when built.
+    QpFilter reads alpha and nu from here when built.
     Configs compare and hash by identity, as arrays do not compare to one
     truth value.
     """
@@ -123,15 +123,20 @@ def estimate(cfg: ObserverConfig, st: ObserverState, x) -> list:
 def error_envelope(cfg: ObserverConfig, e0_norm: float, t):
     """Closed-form bound E(t) on the estimation-error norm.
 
-    Monotone from ||e_d(0)|| toward the ultimate bound omega/sqrt(2 kappa nu).
-    Accepts scalar or array t.
+    Monotone from ||e_d(0)|| toward the ultimate bound omega/sqrt(2 kappa nu),
+    as E^2 = e0^2 decay + omega^2 (1 - decay)/(2 kappa nu) with
+    decay = exp(-2 kappa t): the e0 term is never divided by 2 kappa nu, so
+    E(0) = e0 exactly, also where 2 kappa nu is subnormal (E is then
+    infinite for t > 0, a true but vacuous bound).  Accepts scalar or array
+    t.
     """
     if e0_norm < 0:
         raise ParameterError("e0_norm must be nonnegative")
     kappa, nu, omega = cfg.kappa, cfg.nu, cfg.omega
     decay = np.exp(-2.0 * kappa * np.asarray(t, dtype=float))
-    val = (2.0 * kappa * nu * e0_norm ** 2 * decay
-           - omega ** 2 * decay + omega ** 2) / (2.0 * kappa * nu)
+    with np.errstate(over="ignore"):  # an infinite bound is still a bound
+        val = (e0_norm * e0_norm * decay
+               + omega * omega * (1.0 - decay) / (2.0 * kappa * nu))
     out = np.sqrt(np.maximum(val, 0.0))
     return float(out) if np.ndim(t) == 0 else out
 

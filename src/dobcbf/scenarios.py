@@ -6,10 +6,13 @@ bound, worst-case magnitude, inertia eigenvalue bounds), all resolved from a
 plain nested-dict configuration with every default overridable.  `build` is
 one skeleton for every scenario; a family function per plant (scalar,
 double integrator, arm) supplies only what differs, the filter built with
-its tuning as constructor arguments.  The scalar and double-integrator
-barriers are each one closed-form Lie chain; doubleint-relr's barrier
-1 - x0 has relative degree 2, so params.poles must hold two poles, and any
-other count is a ConfigError.  `Scenario.validate` is the filter's
+its tuning as constructor arguments.  Every barrier is one closed-form Lie
+chain under `filters.QpFilter`; doubleint-relr's barrier 1 - x0 has
+relative degree 2, so params.poles must hold two poles, and any other
+count is a ConfigError.  The arm's barrier is its energy barrier
+beta*h_q - KE (`el.TwoLinkArm.energy_barrier`, pole gamma), with the
+observer and constraint_omega (el2dof-dob, el2dof-noomega) or with the
+worst-case d_max (el2dof-robust); its logged h is h_q.  `Scenario.validate` is the filter's
 own initial-state report (`safety.report`), under "params", or nothing for
 the robust baseline and the pass-through.
 
@@ -397,40 +400,45 @@ def _arm(cfg: dict, signal, simcfg, omega: float) -> dict:
     el_sys, system = arm.system(), arm.plant()
     mu1, mu2 = arm_mu_bounds(el_sys.mass)
     obs = elmod.el_observer_config(alpha1, mu1, nu, omega)
-    h_q = lambda q: 16.0 - float(q[0]) ** 2 - float(q[1]) ** 2
+    # squares as products: a huge q gives an infinite h_q, which the energy
+    # barrier's chain names, not an OverflowError
+    h_q = lambda q: 16.0 - q[0] * q[0] - q[1] * q[1]
     grad_hq = lambda q: (-2.0 * q[0], -2.0 * q[1])
     constants = {"mu1": mu1, "mu2": mu2, "omega_d": omega}
 
     # each filter reads and checks only its own tuning, so a scenario never
     # rejects a value that its filter does not use
     floor = None
-    if name in ("el2dof-dob", "el2dof-noomega"):
-        safety = elmod.ELQpFilter(
-            el_sys, h_q, grad_hq, obs, beta, gamma,
-            omega=prm["constraint_omega"], eps_singular=prm["eps_singular"])
-    elif name == "el2dof-robust":
-        d_max = prm["d_max"]
-        if d_max is None:
-            d_max = magnitude_bound(signal, simcfg.t0, simcfg.tf)
-        constants["d_max"] = d_max
-        safety = elmod.ELRobustFilter(el_sys, h_q, grad_hq, beta, gamma, d_max,
-                                      eps_singular=prm["eps_singular"])
-    else:
+    if name == "el2dof-nofilter":
         safety = filters.NoFilter(lambda x: h_q(x[:2]))
+    else:
+        barrier = arm.energy_barrier(h_q, grad_hq, beta, gamma)
+        if name == "el2dof-robust":
+            d_max = prm["d_max"]
+            if d_max is None:
+                d_max = magnitude_bound(signal, simcfg.t0, simcfg.tf)
+            constants["d_max"] = d_max
+            safety = filters.QpFilter(system, barrier, None, d_max=d_max,
+                                      eps_singular=prm["eps_singular"])
+        else:
+            # the energy scale beta lives in the barrier, so the augmented
+            # barrier's own beta is 1
+            safety = filters.QpFilter(system, barrier, obs, 1.0,
+                                      prm["constraint_omega"],
+                                      eps_singular=prm["eps_singular"])
     if name == "el2dof-noomega":
         # the worst-case floor is a theorem about the true disturbance, so it
         # uses the derived derivative bound, not the constraint-side value;
         # like the envelope it runs on the time since the start, t - t0
-        floor = lambda t: elmod.violation_floor(safety, omega, t - simcfg.t0)
+        floor = lambda t: elmod.violation_floor(safety, beta, omega,
+                                                t - simcfg.t0)
 
-    Kp = ((kp, 0.0), (0.0, kp))
-    Kd = ((kd, 0.0), (0.0, kd))
     grav = el_sys.gravity if prm["gravity_comp"] else None
 
     def nominal(t, x):
         q0, q1, v0, v1 = as_floats(x, 4, "x")
         c, s = amp * math.cos(t), -amp * math.sin(t)
-        return elmod.pd_nominal(Kp, Kd, (q0, q1), (v0, v1), (c, c), (s, s),
+        return elmod.pd_nominal(kp, kd, (q0, q1), (v0, v1), (c, c), (s, s),
                                 gravity=grav((q0, q1)) if grav else None)
 
     return dict(

@@ -1,12 +1,12 @@
 """Independent reference implementations that the tests check the library
 against: a grid-search QP, the arm's Coriolis matrix and its plant built
 term by term from one callback per term, the arm's equations of motion
-solved with np.linalg.solve, the arm's plant terms as float64 arrays, the
-observer's
-right-hand side on its own, the joint plant-and-observer derivative with
-NumPy products, a disturbance evaluated term by term, a disturbance bound
-that evaluates every grid block, classical RK4 on float64 arrays, and a
-CSV written cell by cell."""
+solved with np.linalg.solve, the arm's plant terms as float64 arrays, its
+kinetic energy, the energy filters' rows as they were written by hand, the
+observer's right-hand side on its own, the joint plant-and-observer
+derivative with NumPy products, a disturbance evaluated term by term, a
+disturbance bound that evaluates every grid block, classical RK4 on float64
+arrays, and a CSV written cell by cell."""
 
 import math
 from dataclasses import dataclass
@@ -14,8 +14,9 @@ from typing import Callable
 
 import numpy as np
 
-from dobcbf.el import TwoLinkArm
-from dobcbf.model import ControlAffineSystem, ParameterError, as_vector
+from dobcbf.el import ELSystem, TwoLinkArm
+from dobcbf.filters import Decision
+from dobcbf.model import ControlAffineSystem, ParameterError, as_floats, as_vector
 from dobcbf.observer import ObserverConfig, ObserverState, estimate
 from dobcbf.qp import QpInstance
 from dobcbf.simulate import _NORM_BLOCK, DisturbanceSignal, Term
@@ -138,6 +139,60 @@ def arm_terms_arrays(sys: PerTermArm, x):
     f = np.array([v0, v1, (m12 * h1 - m22 * h0) / det,
                   (m21 * h0 - m11 * h1) / det])
     return f, B
+
+
+def kinetic_energy(sys: ELSystem, q, qd) -> float:
+    """qdot' M(q) qdot / 2."""
+    (m11, m12), (m21, m22) = sys.mass(q)
+    v0, v1 = float(qd[0]), float(qd[1])
+    return 0.5 * ((v0 * m11 + v1 * m21) * v0 + (v0 * m12 + v1 * m22) * v1)
+
+
+def _energy_decision(qd, psi0: float, eps_singular: float) -> Decision:
+    """The row psi1 = -qdot, bypassing the QP below the joint speed
+    eps_singular, with an event where the bypassed row is unsatisfiable."""
+    psi1 = (-qd[0], -qd[1])
+    if math.hypot(qd[0], qd[1]) >= eps_singular:
+        return Decision(psi0, psi1)
+    return Decision(psi0, psi1, True,
+                    "singular_infeasible" if psi0 < 0 else None)
+
+
+def energy_row(sys: ELSystem, h_q, grad_hq, observer: ObserverConfig,
+               beta: float, gamma: float, omega: float, eps_singular: float,
+               x, d_hat) -> Decision:
+    """The observer-aware energy filter's decision at x, written out by
+    hand from the inertia and gravity callbacks:
+    psi0 = beta grad_hq . qdot - qdot . (d_hat - G) - omega^2/(2 nu)
+    - ||qdot||^2/(4 alpha - 2 gamma - 2 nu) + gamma (beta h_q - KE)."""
+    q = as_floats(x[:2], 2, "q")
+    qd = v0, v1 = as_floats(x[2:], 2, "qd")
+    th0, th1 = as_floats(d_hat, 2, "tau_hat")
+    j0, j1 = as_floats(grad_hq(q), 2, "grad_hq(q)")
+    g0, g1 = sys.gravity(q)
+    denom = 4.0 * observer.alpha - 2.0 * gamma - 2.0 * observer.nu
+    psi0 = (beta * (v0 * j0 + v1 * j1)
+            - (v0 * (th0 - g0) + v1 * (th1 - g1))
+            - omega ** 2 / (2.0 * observer.nu)
+            - (v0 * v0 + v1 * v1) / denom
+            + gamma * (beta * float(h_q(q)) - kinetic_energy(sys, q, qd)))
+    return _energy_decision(qd, psi0, eps_singular)
+
+
+def robust_energy_row(sys: ELSystem, h_q, grad_hq, beta: float, gamma: float,
+                      d_max: float, eps_singular: float, x) -> Decision:
+    """The worst-case energy filter's decision at x over ||tau_d|| <= d_max,
+    written out by hand: psi0 = beta grad_hq . qdot + qdot . G
+    - ||qdot|| d_max + gamma (beta h_q - KE)."""
+    q = as_floats(x[:2], 2, "q")
+    qd = v0, v1 = as_floats(x[2:], 2, "qd")
+    j0, j1 = as_floats(grad_hq(q), 2, "grad_hq(q)")
+    g0, g1 = sys.gravity(q)
+    psi0 = (beta * (v0 * j0 + v1 * j1)
+            + (v0 * g0 + v1 * g1)
+            - math.sqrt(v0 * v0 + v1 * v1) * d_max
+            + gamma * (beta * float(h_q(q)) - kinetic_energy(sys, q, qd)))
+    return _energy_decision(qd, psi0, eps_singular)
 
 
 def z_derivative(cfg: ObserverConfig, st: ObserverState,

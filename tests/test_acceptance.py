@@ -10,9 +10,9 @@ import pytest
 
 import dobcbf.scenarios as scenarios
 from dobcbf import qp
-from dobcbf.el import TwoLinkArm, kinetic_energy
+from dobcbf.el import TwoLinkArm
 from dobcbf.simulate import rk4_step
-from oracles import brute_force, el_accel, per_term
+from oracles import brute_force, el_accel, kinetic_energy, per_term
 
 SAFETY_TOL = 1e-6
 

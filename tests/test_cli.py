@@ -434,7 +434,7 @@ def validate_in_subprocess(tmp_path, scenario, override):
 
 
 OVERFLOWS = [
-    ("el2dof-dob", "initial_state=[1e200, 0.0, 0.0, 0.0]"),  # h_q overflows
+    ("el2dof-dob", "initial_state=[1e200, 0.0, 0.0, 0.0]"),  # h_q is -inf
 ]
 
 #: gains whose observer no RK4 step at the default grid can integrate,
@@ -490,3 +490,47 @@ def test_numerical_failure_report_is_the_only_stderr_line(tmp_path, scenario,
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("numerical failure:"), \
         proc.stderr
+
+
+#: overflows that once left only `(34, 'Numerical result out of range')`;
+#: (scenario, override, exit code, the quantity the one stderr line names)
+NAMED_OVERFLOWS = [
+    ("el2dof-dob", "params.constraint_omega=1.0e+308", 2, "omega = 1e+308"),
+    ("el2dof-noomega", "params.constraint_omega=1.0e+308", 2,
+     "omega = 1e+308"),
+    ("el2dof-dob", "initial_state=[1.0e+308, 2.5, 0.0, 0.0]", 3,
+     "grad_hq(q): non-finite"),
+    ("el2dof-noomega", "initial_state=[-1.0e+308, 2.5, 0.0, 0.0]", 3,
+     "grad_hq(q): non-finite"),
+    ("el2dof-dob", "initial_state=[1e200, 0.0, 0.0, 0.0]", 3,
+     "energy barrier: non-finite (h, L_f h) = (-inf"),
+]
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("scenario,override,code,named", NAMED_OVERFLOWS)
+def test_overflow_names_its_quantity(tmp_path, capsys, command, scenario,
+                                     override, code, named):
+    cfg = write_config(tmp_path / "c.yaml", {"scenario": scenario})
+    argv = [command, cfg, "--override", override]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "o")]
+    assert cli.main(argv) == code
+    lines = capsys.readouterr().err.splitlines()
+    start = "configuration error:" if code == 2 else "numerical failure:"
+    assert len(lines) == 1 and lines[0].startswith(start), lines
+    assert named in lines[0] and "out of range" not in lines[0], lines
+
+
+@pytest.mark.parametrize("scenario", ["el2dof-robust", "el2dof-noomega"])
+def test_subnormal_nu_keeps_the_envelope_a_bound(tmp_path, capsys, scenario):
+    # at nu = 1e-320, 2 kappa nu is subnormal: the envelope starts at e0 and
+    # is infinite after, so a certified run no longer fails its envelope
+    # check (residual 7.07 = e0 once, from E(0) = 0)
+    cfg = write_config(tmp_path / "c.yaml",
+                       {"scenario": scenario, "params": {"nu": 1.0e-320},
+                        "sim": {"tf": 0.05}})
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+    out = capsys.readouterr().out
+    assert f"{scenario}: ok" in out
+    assert "certified: True" in (tmp_path / "o" / "validation.txt").read_text()

@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 from dobcbf import qp, scenarios, simulate
-from dobcbf.el import (ELQpFilter, ELRobustFilter, TwoLinkArm,
-                       el_observer_config)
+from dobcbf.el import TwoLinkArm, el_observer_config
 from dobcbf.filters import NoFilter, QpFilter
 from dobcbf.model import BarrierSpec, ControlAffineSystem, DimensionError
 from dobcbf.observer import ObserverConfig
 
 BAD = (np.nan, np.inf, -np.inf)
-ARM = TwoLinkArm().system()
+ARM = TwoLinkArm()
 ARM_X = np.array([1.0, 0.5, 0.8, -0.3])
 ARM_OBS = el_observer_config(500.0, mu1=0.3, nu=1.0, omega=0.0)
 
@@ -56,14 +55,17 @@ def arm_grad(q):
     return np.array([-2.0 * q[0], -2.0 * q[1]])
 
 
+def arm_barrier(grad):
+    return ARM.energy_barrier(lambda q: 16.0 - q[0] ** 2 - q[1] ** 2, grad,
+                              beta=10.0, gamma=2.0)
+
+
 def el_filter(grad=arm_grad):
-    return ELQpFilter(ARM, lambda q: 16.0 - q[0] ** 2 - q[1] ** 2, grad,
-                      ARM_OBS, beta=10.0, gamma=2.0, omega=3.0)
+    return QpFilter(ARM.plant(), arm_barrier(grad), ARM_OBS, omega=3.0)
 
 
 def robust_filter(grad=arm_grad):
-    return ELRobustFilter(ARM, lambda q: 16.0 - q[0] ** 2 - q[1] ** 2, grad,
-                          beta=10.0, gamma=2.0, d_max=5.0)
+    return QpFilter(ARM.plant(), arm_barrier(grad), None, d_max=5.0)
 
 
 #: (name, filter factory, state, estimate (None: the filter ignores it),

@@ -4,6 +4,10 @@ The filters and the QP compute in Python floats.  The oracles below write
 the same formulas with NumPy arrays and products, as the library did before
 it moved to floats; at 200 seeded random states per plant, psi0, psi1 and
 the projected u must agree within 1e-12, relative to max(1, |oracle|).
+The arm's filters are QpFilter on the arm's energy barrier; their decisions
+also match the energy rows as they were written by hand (oracles.py),
+bypass and event included, at slow and resting states and at the elbow
+angles 0 and pi.
 """
 
 import math
@@ -11,13 +15,15 @@ import math
 import numpy as np
 
 from dobcbf import qp
-from dobcbf.el import (ELQpFilter, ELRobustFilter, TwoLinkArm,
-                       el_observer_config)
+from dobcbf.el import TwoLinkArm, el_observer_config
 from dobcbf.filters import QpFilter
 from dobcbf.model import BarrierSpec, ControlAffineSystem
 from dobcbf.observer import ObserverConfig
+from oracles import energy_row, robust_energy_row
 
 ARM = TwoLinkArm().system()
+PLANT = TwoLinkArm().plant()
+EPS_SINGULAR = 1e-3
 EL_OBS = el_observer_config(500.0, mu1=0.34, nu=1.0, omega=0.0)
 EL_BETA, EL_GAMMA, EL_OMEGA = 10.0, 2.0, 3.0
 D_MAX = 25.0
@@ -123,15 +129,29 @@ def arm_states(seed):
                       rng.uniform(-8.0, 8.0, size=(200, 2))])
 
 
+def energy_barrier():
+    return TwoLinkArm().energy_barrier(h_q, grad_hq, EL_BETA, EL_GAMMA)
+
+
+def energy_filter():
+    return QpFilter(PLANT, energy_barrier(), EL_OBS, omega=EL_OMEGA,
+                    eps_singular=EPS_SINGULAR)
+
+
+def robust_filter():
+    return QpFilter(PLANT, energy_barrier(), None, d_max=D_MAX,
+                    eps_singular=EPS_SINGULAR)
+
+
 def test_energy_filter_matches_array_oracle():
-    filt = ELQpFilter(ARM, h_q, grad_hq, EL_OBS, EL_BETA, EL_GAMMA, EL_OMEGA)
+    filt = energy_filter()
     active = check_decisions(
         filt, lambda x, d: energy_oracle(x[:2], x[2:], d), arm_states(3), 2, 2)
     assert 0 < active < 200  # both branches of the projection ran
 
 
 def test_robust_filter_matches_array_oracle():
-    filt = ELRobustFilter(ARM, h_q, grad_hq, EL_BETA, EL_GAMMA, D_MAX)
+    filt = robust_filter()
     active = check_decisions(
         filt, lambda x, d: robust_oracle(x[:2], x[2:]), arm_states(4), 2, 2)
     assert 0 < active < 200
@@ -144,3 +164,44 @@ def test_generic_filter_matches_array_oracle():
                              lambda x, d: generic_oracle(bar, x, d), states,
                              1, 1)
     assert 0 < active < 200
+
+
+def slow_arm_states(seed):
+    """Seeded arm states with every fourth elbow angle at 0 and every fourth
+    at pi, a quarter of them below, at and just above the speed
+    EPS_SINGULAR, and a few at rest."""
+    states = arm_states(seed)
+    states[0::4, 1], states[1::4, 1] = 0.0, math.pi
+    rng = np.random.default_rng(seed + 100)
+    slow = states[2::4]
+    angle = rng.uniform(0.0, 2.0 * math.pi, size=len(slow))
+    speed = EPS_SINGULAR * rng.choice([0.0, 0.5, 0.999, 1.0, 1.001, 2.0],
+                                      size=len(slow))
+    slow[:, 2], slow[:, 3] = speed * np.cos(angle), speed * np.sin(angle)
+    return states
+
+
+def assert_same_decision(got, want):
+    assert close(got.psi0, want.psi0), (got.psi0, want.psi0)
+    assert_close(got.psi1, want.psi1)
+    assert (got.bypass, got.event) == (want.bypass, want.event)
+
+
+def test_routed_energy_filters_match_the_hand_written_rows():
+    dob, robust = energy_filter(), robust_filter()
+    rng = np.random.default_rng(23)
+    events = set()
+    for x in slow_arm_states(6):
+        d_hat = rng.normal(0.0, 10.0, size=2)
+        got = dob.constraint(0.0, x, np.zeros(2), d_hat)
+        assert_same_decision(got, energy_row(
+            ARM, h_q, grad_hq, EL_OBS, EL_BETA, EL_GAMMA, EL_OMEGA,
+            EPS_SINGULAR, x, d_hat))
+        rob = robust.constraint(0.0, x, np.zeros(2), d_hat)
+        assert_same_decision(rob, robust_energy_row(
+            ARM, h_q, grad_hq, EL_BETA, EL_GAMMA, D_MAX, EPS_SINGULAR, x))
+        events |= {(got.bypass, got.event), (rob.bypass, rob.event)}
+    # rows kept, bypassed with a satisfiable row and bypassed with an
+    # unsatisfiable one all occurred
+    assert events == {(False, None), (True, None),
+                      (True, "singular_infeasible")}

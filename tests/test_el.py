@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from dobcbf.el import (ELQpFilter, ELRobustFilter, TwoLinkArm, arm_derivative,
-                       el_observer_config, kinetic_energy, pd_nominal)
+from dobcbf.el import (TwoLinkArm, arm_derivative, el_observer_config,
+                       pd_nominal)
+from dobcbf.filters import QpFilter
 from dobcbf.model import ControlAffineSystem, ParameterError
 from dobcbf.observer import ObserverConfig, ObserverState, estimate
 from dobcbf.scenarios import ConfigError, build
 from dobcbf.simulate import joint_derivative
-from oracles import (PerTermArm, arm_terms_arrays, el_accel, per_term,
-                     to_control_affine, z_derivative)
+from oracles import (PerTermArm, arm_terms_arrays, el_accel, kinetic_energy,
+                     per_term, to_control_affine, z_derivative)
 
 
 ARM = TwoLinkArm().system()
@@ -143,6 +144,13 @@ def test_el_observer_integral_is_alpha1_qdot_bit_for_bit():
         assert np.asarray(cfg.integral_at(x)).tobytes() == (alpha1 * x[2:]).tobytes()
 
 
+def energy_filter(h_q, grad, obs, beta, gamma, **tuning):
+    """QpFilter on the arm's energy barrier beta*h_q - KE with the pole
+    gamma; tuning holds omega, d_max (with obs None) and eps_singular."""
+    return QpFilter(PLANT, TwoLinkArm().energy_barrier(h_q, grad, beta, gamma),
+                    obs, **tuning)
+
+
 def el_row(filt, q, qd, tau_hat):
     dec = filt.constraint(0.0, np.concatenate([q, qd]), np.zeros(2), tau_hat)
     return dec.psi0, dec.psi1
@@ -159,7 +167,7 @@ def test_el_psi_hand_computed_at_rest():
     h_q = lambda q: 16.0 - q[0] ** 2 - q[1] ** 2
     grad = lambda q: np.array([-2.0 * q[0], -2.0 * q[1]])
     q = np.array([2.0, 2.5])
-    psi0, psi1 = el_row(ELQpFilter(ARM, h_q, grad, obs, 10.0, 2.0, omega=3.0),
+    psi0, psi1 = el_row(energy_filter(h_q, grad, obs, 10.0, 2.0, omega=3.0),
                         q, np.zeros(2), np.zeros(2))
     # at rest only the omega term and gamma*beta*h_q survive
     assert psi0 == pytest.approx(-9.0 / 2.0 + 2.0 * 10.0 * 5.75)
@@ -173,9 +181,9 @@ def test_el_psi_power_terms():
     q = np.array([1.0, -1.0])
     qd = np.array([0.5, 0.2])
     tau_hat = np.array([4.0, -2.0])
-    filt = ELQpFilter(ARM, h_q, grad, obs, 10.0, 2.0, omega=0.0)
+    filt = energy_filter(h_q, grad, obs, 10.0, 2.0, omega=0.0)
     psi0, psi1 = el_row(filt, q, qd, tau_hat)
-    denom = 4.0 * obs.alpha - 2.0 * filt.gamma - 2.0 * obs.nu
+    denom = 4.0 * obs.alpha - 2.0 * 2.0 - 2.0 * obs.nu
     expect = (10.0 * float(qd @ grad(q))
               - float(qd @ (tau_hat - ARM.gravity(q)))
               - float(qd @ qd) / denom
@@ -190,7 +198,7 @@ def test_el_robust_psi_is_worst_case():
     q = np.array([1.0, 0.5])
     qd = np.array([1.0, -2.0])
     d_max = 5.0
-    psi0_rob, _ = el_row(ELRobustFilter(ARM, h_q, grad, 10.0, 2.0, d_max),
+    psi0_rob, _ = el_row(energy_filter(h_q, grad, None, 10.0, 2.0, d_max=d_max),
                          q, qd, np.zeros(2))
     rng = np.random.default_rng(5)
     for _ in range(200):
@@ -203,15 +211,17 @@ def test_el_robust_psi_is_worst_case():
 
 
 def test_pd_nominal():
-    Kp = np.diag([200.0, 200.0])
-    Kd = np.diag([35.0, 35.0])
-    tau = pd_nominal(Kp, Kd, np.zeros(2), np.zeros(2),
+    tau = pd_nominal(200.0, 35.0, np.zeros(2), np.zeros(2),
                      np.ones(2), np.ones(2))
     assert np.allclose(tau, [235.0, 235.0])
     g = np.array([1.0, 2.0])
-    tau_g = pd_nominal(Kp, Kd, np.zeros(2), np.zeros(2), np.ones(2),
+    tau_g = pd_nominal(200.0, 35.0, np.zeros(2), np.zeros(2), np.ones(2),
                        np.ones(2), gravity=g)
     assert np.allclose(tau_g, [236.0, 237.0])
+    # per joint, kp (q_des - q) + kd (qd_des - qd)
+    tau = pd_nominal(200.0, 35.0, (0.5, -1.0), (2.0, 0.25), (1.0, 1.5),
+                     (-1.0, 0.5))
+    assert tau == (200.0 * 0.5 + 35.0 * -3.0, 200.0 * 2.5 + 35.0 * 0.25)
     # the gains are checked once, where a scenario configures them
     for bad in ({"kp": -1.0}, {"kd": 0.0}):
         with pytest.raises(ConfigError):
@@ -224,10 +234,10 @@ def test_singularity_guard_cases():
     obs = el_observer_config(500.0, mu1=0.3, nu=1.0, omega=0.0)
     zero = lambda q: (0.0, 0.0)
     for sign in (1.0, -1.0):
-        for filt in (ELQpFilter(ARM, lambda q: sign, zero, obs, 10.0, 2.0,
-                                eps_singular=1e-3),
-                     ELRobustFilter(ARM, lambda q: sign, zero, 10.0, 2.0, 0.0,
-                                    eps_singular=1e-3)):
+        for filt in (energy_filter(lambda q: sign, zero, obs, 10.0, 2.0,
+                                   eps_singular=1e-3),
+                     energy_filter(lambda q: sign, zero, None, 10.0, 2.0,
+                                   d_max=0.0, eps_singular=1e-3)):
             qd = np.array([0.5, 0.0])
             dec = el_row_decision(filt, qd)
             assert not dec.bypass and dec.event is None
@@ -246,19 +256,32 @@ def test_validate_el_params():
     grad = lambda q: np.array([-2.0 * q[0], -2.0 * q[1]])
     x0 = np.array([2.0, 2.5, 0.0, 0.0])
     obs = el_observer_config(500.0, mu1=0.34, nu=1.0, omega=0.0)
-    filt = ELQpFilter(ARM, h_q, grad, obs, beta=10.0, gamma=2.0)
+    filt = energy_filter(h_q, grad, obs, beta=10.0, gamma=2.0)
     rep = filt.report(x0, e0_norm=math.sqrt(50.0))
     assert rep.passed and rep.cascade_ok
     # alpha and nu are the observer's: 500*0.34 - (2 + 1)/2
     assert rep.alpha_margin == pytest.approx(168.5)
-    # beta exactly at the bound fails the strict inequality
+    # the margin is 1 - e0^2/(2 h~(x0)), h~ = beta h_q - KE = 57.5 at rest
+    assert rep.beta_margin == pytest.approx(1.0 - 50.0 / 115.0, rel=1e-15)
+    # beta exactly at the bound (beta h_q(q0) = e0^2/2) fails the strict
+    # inequality
     need = 50.0 / (2 * 5.75)
-    rep_eq = ELQpFilter(ARM, h_q, grad, obs, beta=need, gamma=2.0).report(
+    rep_eq = energy_filter(h_q, grad, obs, beta=need, gamma=2.0).report(
         x0, e0_norm=math.sqrt(50.0))
     assert not rep_eq.beta_ok
+    # moving at x0, the kinetic energy counts against the margin:
+    # 1 - (2 KE + e0^2)/(2 beta h_q) < 0 here, as before the energy
+    # barrier became a Lie chain (beta < (2 KE + e0^2)/(2 h_q))
+    moving = np.array([2.0, 2.5, 10.0, -6.0])
+    ke = kinetic_energy(ARM, moving[:2], moving[2:])
+    assert 10.0 < (2.0 * ke + 50.0) / (2.0 * 5.75)
+    assert not filt.report(moving, e0_norm=math.sqrt(50.0)).beta_ok
     # an initial position outside the safe set, h_q((3, 3)) = -2
     out = filt.report(np.array([3.0, 3.0, 0.0, 0.0]), 0.0)
     assert not out.cascade_ok and not out.beta_ok and not out.passed
+    # the worst-case row states no initial-state inequality
+    assert energy_filter(h_q, grad, None, 10.0, 2.0, d_max=1.0).report(
+        x0, 0.0) is None
 
 
 def test_to_control_affine_embedding():
@@ -282,7 +305,7 @@ def test_el_filter_object_guard_path():
     obs = el_observer_config(500.0, mu1=0.3, nu=1.0, omega=0.0)
     h_q = lambda q: 16.0 - q[0] ** 2 - q[1] ** 2
     grad = lambda q: np.array([-2.0 * q[0], -2.0 * q[1]])
-    filt = ELQpFilter(ARM, h_q, grad, obs, 10.0, 2.0, eps_singular=1e-3)
+    filt = energy_filter(h_q, grad, obs, 10.0, 2.0, eps_singular=1e-3)
     x_rest = np.array([2.0, 2.5, 0.0, 0.0])
     dec = filt.constraint(0.0, x_rest, np.zeros(2), np.zeros(2))
     assert dec.bypass
@@ -300,20 +323,23 @@ def test_el_filters_check_tuning_when_built():
     # 4*alpha1*mu1 - 2*gamma - 2*nu = 4*5*0.3 - 4 - 2 = 0: no constraint
     obs = el_observer_config(5.0, mu1=0.3, nu=1.0, omega=0.0)
     with pytest.raises(ParameterError):
-        ELQpFilter(ARM, h_q, grad, obs, beta=10.0, gamma=2.0)
+        energy_filter(h_q, grad, obs, beta=10.0, gamma=2.0)
     # and it checks its own beta, gamma, omega and eps_singular
     obs = el_observer_config(500.0, mu1=0.3, nu=1.0, omega=0.0)
-    ELQpFilter(ARM, h_q, grad, obs, 10.0, 2.0, omega=0.0)
+    energy_filter(h_q, grad, obs, 10.0, 2.0, omega=0.0)
     for beta, gamma, omega, eps in ((0.0, 2.0, 0.0, 1e-4),
                                     (10.0, -2.0, 0.0, 1e-4),
                                     (10.0, 2.0, -1.0, 1e-4),
                                     (10.0, 2.0, 0.0, 0.0)):
         with pytest.raises(ParameterError):
-            ELQpFilter(ARM, h_q, grad, obs, beta, gamma, omega=omega,
-                       eps_singular=eps)
-    # the robust baseline does not use the observer gain, and checks its
-    # own beta, gamma, eps_singular and d_max
-    ELRobustFilter(ARM, h_q, grad, 10.0, 2.0, 0.0)
+            energy_filter(h_q, grad, obs, beta, gamma, omega=omega,
+                          eps_singular=eps)
+    # an omega whose square leaves the float range is named
+    with pytest.raises(ParameterError, match="omega = 1e"):
+        energy_filter(h_q, grad, obs, 10.0, 2.0, omega=1e308)
+    # the robust baseline does not use the observer, and checks its own
+    # beta, gamma, eps_singular and d_max
+    energy_filter(h_q, grad, None, 10.0, 2.0, d_max=0.0)
     for beta, gamma, d_max, eps in ((10.0, 2.0, -1.0, 1e-4),
                                     (0.0, 2.0, 1.0, 1e-4),
                                     (-1.0, 2.0, 1.0, 1e-4),
@@ -322,8 +348,52 @@ def test_el_filters_check_tuning_when_built():
                                     (10.0, 2.0, 1.0, 0.0),
                                     (10.0, 2.0, 1.0, -1e-4)):
         with pytest.raises(ParameterError):
-            ELRobustFilter(ARM, h_q, grad, beta, gamma, d_max,
-                           eps_singular=eps)
+            energy_filter(h_q, grad, None, beta, gamma, d_max=d_max,
+                          eps_singular=eps)
+
+
+def grad_energy(q, qd, beta, grad_hq):
+    """The gradient of h~ = beta h_q(q) - qdot' M(q) qdot / 2 over
+    x = [q; qdot], from the inertia callback and dM/dq2 of the two-link
+    arm (M depends on q2 only, through cos q2)."""
+    M = np.asarray(ARM.mass(q))
+    ml2 = TwoLinkArm().m2 * TwoLinkArm().l ** 2
+    s2 = math.sin(q[1])
+    dM2 = np.array([[-ml2 * s2, -0.5 * ml2 * s2], [-0.5 * ml2 * s2, 0.0]])
+    dq = beta * np.asarray(grad_hq(q), dtype=float)
+    dq[1] -= 0.5 * qd @ dM2 @ qd
+    return np.concatenate([dq, -M @ qd])
+
+
+def test_energy_chain_is_the_gradient_along_the_plant():
+    # (L_f h~, L_g h~) of the closed-form chain against grad h~ . f and
+    # grad h~ . g of the plant's own evaluate
+    h_q = lambda q: 16.0 - q[0] * q[0] - q[1] * q[1]
+    grad = lambda q: (-2.0 * q[0], -2.0 * q[1])
+    beta = 10.0
+    chain = TwoLinkArm().energy_barrier(h_q, grad, beta, 2.0).chain
+    rng = np.random.default_rng(29)
+    states = np.hstack([rng.uniform(-math.pi, math.pi, size=(200, 2)),
+                        rng.uniform(-8.0, 8.0, size=(200, 2))])
+    states[0::4, 1], states[1::4, 1] = 0.0, math.pi
+    for x in states:
+        q, qd = x[:2], x[2:]
+        (h, lf), lg1, lg2 = chain(x.tolist())
+        assert lg1 is lg2
+        fx, G1, G2 = map(np.asarray, PLANT.evaluate(x))
+        dh = grad_energy(q, qd, beta, grad)
+        M = np.asarray(ARM.mass(q))
+        assert h == pytest.approx(beta * h_q(q) - 0.5 * qd @ M @ qd,
+                                  rel=1e-12, abs=1e-12)
+        scale = np.abs(dh) @ np.abs(fx)
+        assert abs(lf - dh @ fx) <= 1e-12 * scale
+        for G in (G1, G2):
+            assert np.allclose(lg1, dh @ G, rtol=1e-12, atol=1e-12 * np.abs(qd).max())
+    # a non-finite h or L_f h is named, and so is a non-finite gradient
+    with pytest.raises(ValueError, match="energy barrier: non-finite"):
+        chain([1e200, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="grad_hq"):
+        chain([1e308, 0.0, 0.0, 0.0])
 
 
 def test_terms_read_a_list_and_an_array_alike():

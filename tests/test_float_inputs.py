@@ -101,8 +101,8 @@ PROBE_KEYS = {"scalar-rel1": ["h", "hbar"],
 
 @pytest.mark.parametrize("name", sorted(PROBE_KEYS))
 def test_probe_reads_a_list_and_an_array_alike(name):
-    # QpFilter at r = 1 and r = 2, and both energy filters (ELQpFilter,
-    # ELRobustFilter)
+    # QpFilter at r = 1 and r = 2, and on the arm's energy barrier with the
+    # observer and with the worst-case bound
     sc = BUILT[name]
     for _, x, z, d_hat in states(sc, 4):
         e_d = z - d_hat

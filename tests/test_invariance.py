@@ -1,6 +1,7 @@
 """The filters' invariance inequalities, checked pointwise.
 
-For the el2dof-dob filter (`ELQpFilter`) the theorem is pointwise: for any
+For the el2dof-dob filter (`QpFilter` on the arm's energy barrier, whose
+own beta is 1) the theorem is pointwise: for any
 control u, disturbance d and disturbance derivative ddot with
 ||ddot|| <= omega, the bound the constraint uses,
 
@@ -38,7 +39,7 @@ import math
 import numpy as np
 import pytest
 
-from dobcbf.el import ELRobustFilter, TwoLinkArm, arm_derivative, violation_floor
+from dobcbf.el import TwoLinkArm, arm_derivative, violation_floor
 from dobcbf.filters import QpFilter
 from dobcbf.model import s_sequence
 from dobcbf.observer import ObserverState, estimate
@@ -48,8 +49,19 @@ from dobcbf.simulate import joint_derivative
 SC = build({"scenario": "el2dof-dob", "sim": {"tf": 0.1}})
 FILT, OBS = SC.safety, SC.observer_cfg
 ALPHA1 = float(SC.config["params"]["alpha1"])
+#: the energy scale and pole of the arm scenarios' barrier
+BETA, GAMMA = SC.config["params"]["beta"], SC.config["params"]["gamma"]
 ARM = TwoLinkArm()
 ML2 = ARM.m2 * ARM.l * ARM.l
+
+
+def h_q(q):
+    """The arm scenarios' position barrier."""
+    return 16.0 - q[0] ** 2 - q[1] ** 2
+
+
+def grad_hq(q):
+    return np.array([-2.0 * q[0], -2.0 * q[1]])
 
 
 def mass_derivative(q, qd):
@@ -68,12 +80,11 @@ def residual(filt, q, qd, z, d, ddot, u):
     dhat = z + ALPHA1 * qd
     e = dhat - d
     edot = zd + ALPHA1 * qdd - ddot
-    beta, gamma = filt.beta, filt.gamma
-    hbar = beta * filt.h_q(q) - 0.5 * qd @ M @ qd - 0.5 * e @ e
-    dhbar = (beta * np.asarray(filt.grad_hq(q)) @ qd - qd @ M @ qdd
+    hbar = BETA * h_q(q) - 0.5 * qd @ M @ qd - 0.5 * e @ e
+    dhbar = (BETA * grad_hq(q) @ qd - qd @ M @ qdd
              - 0.5 * qd @ mass_derivative(q, qd) @ qd - e @ edot)
     dec = filt.constraint(0.0, np.concatenate([q, qd]), u, dhat)
-    terms = (dhbar, gamma * hbar, dec.psi0, dec.psi1 @ u)
+    terms = (dhbar, GAMMA * hbar, dec.psi0, dec.psi1 @ u)
     return terms[0] + terms[1] - terms[2] - terms[3], max(map(abs, terms))
 
 
@@ -95,6 +106,13 @@ def tight_point(filt=FILT, omega=None):
 def test_setup_matches_the_scenario():
     assert SC.derivative is arm_derivative
     assert FILT.omega > 0.0
+    # the energy scale lives in the barrier, and h is logged as h_q
+    assert FILT.beta == 1.0 and FILT.barrier.poles == (GAMMA,)
+    x = [0.3, 1.1, -0.7, 2.0]
+    assert FILT.probe(x, np.zeros(2))["h"] == h_q(x)
+    assert FILT.probe(x, np.zeros(2))["hbar"] == pytest.approx(
+        BETA * h_q(x) - 0.5 * np.array(x[2:]) @ SC.el_system.mass(x[:2])
+        @ np.array(x[2:]), rel=1e-14)
     assert np.array_equal(OBS.gain, np.hstack([np.zeros((2, 2)),
                                                ALPHA1 * np.eye(2)]))
     # the closed-form Mdot against a central difference of M along qdot
@@ -251,18 +269,19 @@ ROBUST = build({"scenario": "el2dof-robust"})
 
 
 def robust_residual(filt, q, qd, d, u):
-    """R of ELRobustFilter at one state, and the largest magnitude of its
-    four terms; the observer state does not enter hbar_r."""
+    """R of the robust filter (QpFilter with d_max on the arm's energy
+    barrier) at one state, and the largest magnitude of its four terms; the
+    observer state does not enter hbar_r."""
     rhs, hold = ROBUST.derivative(ROBUST.system, ROBUST.observer_cfg,
                                   lambda t: tuple(d))
     hold(u)
     qdd = np.array(rhs(0.0, [*q, *qd, 0.0, 0.0]))[2:4]
     M = np.asarray(ROBUST.el_system.mass(q))
-    hbar = filt.beta * filt.h_q(q) - 0.5 * qd @ M @ qd
-    dhbar = (filt.beta * np.asarray(filt.grad_hq(q)) @ qd - qd @ M @ qdd
+    hbar = BETA * h_q(q) - 0.5 * qd @ M @ qd
+    dhbar = (BETA * grad_hq(q) @ qd - qd @ M @ qdd
              - 0.5 * qd @ mass_derivative(q, qd) @ qd)
     dec = filt.constraint(0.0, np.concatenate([q, qd]), u, np.zeros(2))
-    terms = (dhbar, filt.gamma * hbar, dec.psi0, dec.psi1 @ u)
+    terms = (dhbar, GAMMA * hbar, dec.psi0, dec.psi1 @ u)
     return terms[0] + terms[1] - terms[2] - terms[3], max(map(abs, terms))
 
 
@@ -276,7 +295,8 @@ def robust_tight_point():
 
 def test_robust_setup_matches_the_scenario():
     filt = ROBUST.safety
-    assert isinstance(filt, ELRobustFilter)
+    assert isinstance(filt, QpFilter) and filt.observer is None
+    assert filt.report(ROBUST.x0, 1.0) is None
     assert ROBUST.derivative is arm_derivative
     assert filt.d_max == ROBUST.constants["d_max"] > 0.0
 
@@ -359,9 +379,8 @@ def test_noomega_floor_integrates_the_withheld_term():
     # c = omega^2/(2 nu), stays above the solution b of b' = -gamma b - c,
     # b(0) = 0; RK4 on b matches violation_floor * beta
     filt, omega = NOOMEGA.safety, NOOMEGA.constants["omega_d"]
-    gamma, beta = filt.gamma, filt.beta
     c = omega ** 2 / (2.0 * OBS.nu)
-    f = lambda b: -gamma * b - c
+    f = lambda b: -GAMMA * b - c
     b, dt = 0.0, 1e-3
     for k in range(1, 5001):
         k1 = f(b)
@@ -371,6 +390,6 @@ def test_noomega_floor_integrates_the_withheld_term():
         b += dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if k % 1000 == 0:
             t = k * dt
-            want = violation_floor(filt, omega, t)
-            assert b / beta == pytest.approx(want, rel=1e-9)
+            want = violation_floor(filt, BETA, omega, t)
+            assert b / BETA == pytest.approx(want, rel=1e-9)
             assert NOOMEGA.floor(NOOMEGA.simcfg.t0 + t) == want

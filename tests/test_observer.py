@@ -84,6 +84,27 @@ def test_envelope_endpoints_and_monotonicity():
     assert env_lo[-1] == pytest.approx(ultimate_bound(cfg), abs=1e-6)
 
 
+def test_envelope_starts_at_e0_for_a_subnormal_nu():
+    # 2 kappa nu is subnormal at nu = 1e-320: E(0) is still e0 exactly, and
+    # E is infinite after, a true but vacuous bound
+    cfg = scalar_config(alpha=2.0, nu=1e-320, omega=2.0)
+    e0 = math.sqrt(50.0)
+    assert error_envelope(cfg, e0, 0.0) == e0
+    assert error_envelope(cfg, e0, np.array([0.0]))[0] == e0
+    assert error_envelope(cfg, e0, 1e-3) == math.inf
+    # at a normal nu, E^2 = e0^2 decay + omega^2 (1 - decay)/(2 kappa nu)
+    # is the bound (2 kappa nu e0^2 decay - omega^2 decay + omega^2)/(2
+    # kappa nu), and E(0) = e0 exactly
+    cfg = scalar_config(alpha=2.0, nu=1.0, omega=2.0)
+    t = np.linspace(0.0, 5.0, 501)
+    decay = np.exp(-2.0 * cfg.kappa * t)
+    two_kn = 2.0 * cfg.kappa * cfg.nu
+    want = np.sqrt((two_kn * e0 ** 2 * decay - 4.0 * decay + 4.0) / two_kn)
+    assert np.allclose(error_envelope(cfg, e0, t), want, rtol=1e-15, atol=0.0)
+    for e in (0.0, 1e-3, e0, 1e150):
+        assert error_envelope(cfg, e, 0.0) == e
+
+
 def test_ultimate_bound_formula():
     cfg = scalar_config(alpha=2.0, nu=1.0, omega=2.0)
     # omega / sqrt(2 kappa nu) with kappa = 1.5, from any initial error

@@ -11,8 +11,9 @@ import yaml
 import dobcbf
 import dobcbf.scenarios as scenarios
 from dobcbf import cli, el
-from dobcbf.el import TwoLinkArm, kinetic_energy
+from dobcbf.el import TwoLinkArm
 from dobcbf.scenarios import ConfigError, build, resolve_config
+from oracles import kinetic_energy
 
 
 def test_all_scenarios_build():
@@ -115,7 +116,10 @@ def test_validators_pass_for_defaults():
         elif name in reporting:
             rep = reports["params"]
             assert rep.alpha_margin == pytest.approx(168.9320284103028, rel=1e-12)
-            assert rep.beta_margin == pytest.approx(5.652173913043478, rel=1e-12)
+            # 1 - e0^2/(2 h~(x0)) with e0^2 = 50 and h~ = 10 h_q(q0) = 57.5
+            # at rest: the former beta - e0^2/(2 h_q(q0)) = 5.652... over beta
+            assert rep.beta_margin == pytest.approx(0.5652173913043478, rel=1e-12)
+            assert rep.beta_margin == pytest.approx(1.0 - 50.0 / 115.0, rel=1e-12)
 
 
 def test_observer_certificate_is_exact():
