@@ -175,10 +175,18 @@ def violation_floor(filt: QpFilter, beta: float, omega: float, t):
     filt.omega: the floor is a statement about the disturbance itself.  It
     is derived for filt.omega = 0 and holds for any filt.omega >= 0, which
     only tightens the constraint.
+
+    The floor is exactly 0 at t = 0.  Where 2 nu gamma beta underflows to 0
+    (or omega^2 over it overflows), the floor is -inf for t > 0, a true but
+    vacuous bound, as `observer.error_envelope` is infinite there.
     """
     gamma = filt.barrier.poles[-1]
     decay = 1.0 - np.exp(-gamma * np.asarray(t, dtype=float))
-    out = -omega ** 2 / (2.0 * filt.observer.nu * gamma * beta) * decay
+    denom = 2.0 * filt.observer.nu * gamma * beta
+    scale = omega ** 2 / denom if denom != 0.0 else (math.inf if omega else 0.0)
+    # decay = 0 at t = 0 would make an infinite scale times decay NaN
+    out = np.multiply(-scale, decay, out=np.zeros_like(decay),
+                      where=decay > 0.0)
     return float(out) if np.ndim(t) == 0 else out
 
 

@@ -39,12 +39,15 @@ Derived constants and their provenance:
     disturbance over a 200 001-point grid of the run's span [t0, tf];
   * the robust baseline's magnitude bound is max_t ||d(t)|| over the same
     grid;
-  * both come from DisturbanceSignal.max_norm, which reads the same packed
-    arrays as the d(t) the simulator applies.  It evaluates only the grid
-    blocks whose Lipschitz bound from a sample of every 64th point can
-    reach the maximum, and returns the float that evaluating every block
-    gives; a signal that cannot be evaluated in floats on the grid raises
-    ParameterError, a ConfigError here;
+  * both come from DisturbanceSignal.max_norm(t0, tf, BOUND_GRID_POINTS),
+    which reads the same packed arrays as the d(t) the simulator applies.
+    The grid is np.linspace(t0, tf, 200 001), but max_norm never forms
+    it: it generates only the times it reads, each bit for bit its grid
+    point.  It evaluates only the grid blocks whose Lipschitz bound from a
+    sample of every 64th point can reach the maximum, and returns the
+    float that evaluating every block gives; a signal that cannot be
+    evaluated in floats on the grid raises ParameterError, a ConfigError
+    here;
   * the arm's inverse-inertia eigenvalue bounds are exact: the inertia
     matrix is affine in cos(q2), so its largest eigenvalue (convex in the
     matrix) peaks and its smallest (concave) bottoms out at q2 = 0 or pi;
@@ -216,14 +219,13 @@ BOUND_GRID_POINTS = 200_001
 def derivative_bound(signal: simulate.DisturbanceSignal, t0: float,
                      tf: float) -> float:
     """max_t ||ddot(t)|| on a dense grid of the run's span [t0, tf]."""
-    return signal.max_norm(np.linspace(t0, tf, BOUND_GRID_POINTS),
-                           derivative=True)
+    return signal.max_norm(t0, tf, BOUND_GRID_POINTS, derivative=True)
 
 
 def magnitude_bound(signal: simulate.DisturbanceSignal, t0: float,
                     tf: float) -> float:
     """max_t ||d(t)|| on a dense grid of the run's span [t0, tf]."""
-    return signal.max_norm(np.linspace(t0, tf, BOUND_GRID_POINTS))
+    return signal.max_norm(t0, tf, BOUND_GRID_POINTS)
 
 
 def arm_mu_bounds(mass: Callable) -> tuple[float, float]:
@@ -313,7 +315,7 @@ class Scenario:
                 f"above {ENVELOPE_TOL}")
         if self.floor is not None:
             gap = float(np.min(log.column("h") - self.floor(log.column("t"))))
-            if gap < -FLOOR_TOL:
+            if not gap >= -FLOOR_TOL:  # a NaN gap fails too
                 failures.append(f"barrier under floor by {-gap:.3e}")
         if self.certified and self.decay_gamma is not None:
             hbar = log.column("hbar")

@@ -34,6 +34,7 @@ with one %-format string per file.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -85,7 +86,7 @@ class DisturbanceSignal:
 
     The terms are packed once into a (channels x terms) amplitude matrix and
     per-term frequency and phase arrays, a cos term as a sin with its phase
-    advanced by pi/2.  `max_norm` evaluates a time grid from these arrays;
+    advanced by pi/2.  `max_norm` evaluates grid times from these arrays;
     `value`, one time at a time in the simulator's hot path, sums
     a*math.sin(w*t + phi) per channel over (a, w, phi) triples read once
     from the same arrays, so the bounds are taken of the sum that the
@@ -137,44 +138,65 @@ class DisturbanceSignal:
             out.append(total)
         return tuple(out)
 
-    def max_norm(self, t_grid, derivative: bool = False) -> float:
-        """max over t_grid of ||d(t)||, or of ||ddot(t)|| with derivative.
+    def max_norm(self, t0: float, tf: float, points: int,
+                 derivative: bool = False) -> float:
+        """max of ||d(t)||, or of ||ddot(t)|| with derivative, over the
+        grid np.linspace(t0, tf, points), which is never formed.
 
-        The value is that of evaluating the grid, in its order, in blocks of
-        _NORM_BLOCK points, each as v = w.dot(wave(f t + phi)) with the
-        weights w = a and sin, or w = a*f and cos for the derivative, and
-        taking the square root of the largest ||v||^2.  Only the blocks
-        that can hold that maximum are evaluated, the same slices in the
-        same way, so the result is the same float, bit for bit.
+        The value is that of evaluating the grid in blocks of _NORM_BLOCK
+        points, each as v = w.dot(wave(f t + phi)) with the weights w = a
+        and sin, or w = a*f and cos for the derivative, and taking the
+        square root of the largest ||v||^2.  Only the blocks that can hold
+        that maximum are evaluated, the same times in the same way, so the
+        result is the same float, bit for bit.  `_grid_times` generates
+        only the times that are read, each equal to its grid point.
 
         Which blocks: ||v|| is first evaluated at every _NORM_STRIDE-th
-        grid point.  ||v'|| <= L = ||(sum_k |w_ck f_k|)_c||, so a grid point
-        t_i whose nearest earlier sample is s has
-        ||v(t_i)|| <= ||v(s)|| + L |t_i - s|, and the largest of these
-        bounds a block.  A block is skipped only when its bound plus a
-        margin m lies below the largest sample minus m; every value
-        computed in it then lies below the block evaluation of that
-        sample, which is never skipped.  When L times the grid's span
-        overflows, no block is skipped.
+        grid point, the first of each group.  ||v'|| <= L =
+        ||(sum_k |w_ck f_k|)_c||, so a grid point t_i whose group starts at
+        the sample s has ||v(t_i)|| <= ||v(s)|| + L (t_i - s), at most
+        ||v(s)|| + L (r - s) with r the group's last point, as the grid is
+        non-decreasing; the largest of these bounds a block.  A block is
+        skipped only when its bound plus a margin m lies below the largest
+        sample minus m; every value computed in it then lies below the
+        block evaluation of that sample, which is never skipped.  When L
+        times tf - t0 overflows, no block is skipped.
 
-        Why m suffices: with u = 2^-53, W = sum |w|, F = max |f|,
-        T = max |t|, P = max |phi|, K terms and C channels, the argument
-        f t + phi is off by at most 3u(FT + P), a sin or cos within a few
-        ulps adds 8u, the weighted sum (K + 1)u W, and the squares, their
-        sum and the square root (C + 2)u W; so one evaluation is off by at
-        most uW(3(FT + P) + K + C + 11).  The bound's own products, sums
-        and comparisons are off by at most 2uW(K + C + 8)(1 + FT).  Both
+        Why the grid is non-decreasing: NumPy forms the i-th point as
+        (i step) + t0 with step = (tf - t0)/(points - 1) >= 0, or as
+        (i/(points - 1)) (tf - t0) + t0 when that step rounds to 0, each
+        rounding monotone in i, and sets the last point to tf.  The point
+        before it is at most tf: with u = 2^-53 it lies below
+        (points - 2)/(points - 1) (1 + u)^3 (tf - t0) + t0 before its last
+        rounding, which is at most tf for any points up to 2^51, whose
+        samples alone would fill 2^48 bytes.
+
+        Why m suffices: with W = sum |w|, F = max |f|, T = max |t|,
+        P = max |phi|, K terms and C channels, the argument f t + phi is
+        off by at most 3u(FT + P), a sin or cos within a few ulps adds 8u,
+        the weighted sum (K + 1)u W, and the squares, their sum and the
+        square root (C + 2)u W; so one evaluation is off by at most
+        uW(3(FT + P) + K + C + 11).  The bound's own products, sums and
+        comparisons are off by at most 2uW(K + C + 8)(1 + FT).  Both
         evaluations plus the bound stay below 8uW(K + C + 16)(1 + FT + P),
         and m = _NORM_ROUNDING W (K + C + 16)(1 + FT + P) is over a
         thousand times that.
 
-        An empty grid, or a signal whose weights are all zero, gives 0.0.
-        Otherwise ParameterError is raised, before anything is evaluated,
-        when the evaluation cannot be finite: a grid time that is not
-        finite, FT + P overflowing, or (sum |w|)^2 overflowing.
+        t0 > tf, or points that is not a non-negative int, raises
+        ParameterError.  An empty grid, or a signal whose weights are all
+        zero, gives 0.0 without an array.  Otherwise ParameterError is
+        raised, before anything is evaluated, when the evaluation cannot be
+        finite: t0, tf or tf - t0 not finite (NumPy's grid then holds NaN),
+        FT + P overflowing, or (sum |w|)^2 overflowing.
         """
-        t = np.asarray(t_grid, dtype=float).reshape(-1)
-        if t.size == 0:
+        if isinstance(points, bool) or not isinstance(points, numbers.Integral) \
+                or points < 0:
+            raise ParameterError(f"grid points must be a non-negative int, "
+                                 f"got {points!r}")
+        t0, tf, points = float(t0), float(tf), int(points)
+        if t0 > tf:
+            raise ParameterError(f"grid start {t0!r} is after its end {tf!r}")
+        if points == 0:
             return 0.0
         # (|w|, |f|, |phi|) per term and channel in Python floats, which
         # overflow to inf without a warning; the checks below keep NumPy's
@@ -187,12 +209,14 @@ class DisturbanceSignal:
             return 0.0
         lipschitz = math.hypot(*(sum(weight * f for weight, f, _ in row)
                                  for row in rows))
-        t_lo, t_hi = float(t.min()), float(t.max())
-        # a grid time that is not finite makes reach NaN or inf; the squared
-        # norm is at most total^2, up to rounding
-        reach = (max(f for _, f, _ in terms) * max(t_hi, -t_lo)
+        # the grid's extremes are its first and last points; a span that is
+        # not finite makes reach NaN or inf, and the squared norm is at most
+        # total^2, up to rounding
+        t_hi = tf if points > 1 else t0
+        reach = (max(f for _, f, _ in terms) * max(t_hi, -t0)
                  + max(ph for _, _, ph in terms))
-        if not (math.isfinite(reach) and math.isfinite(2.0 * total * total)):
+        if not (math.isfinite(tf - t0) and math.isfinite(reach)
+                and math.isfinite(2.0 * total * total)):
             raise ParameterError("disturbance bound: the signal cannot be "
                                  "evaluated in floats on this grid")
         weights = self._amp * self._freq if derivative else self._amp
@@ -203,15 +227,15 @@ class DisturbanceSignal:
             vals = weights.dot(wave(freq * ts + phase))
             return (vals * vals).sum(axis=0)
 
-        starts = range(0, t.size, _NORM_BLOCK)
-        if math.isfinite(lipschitz * (t_hi - t_lo)):
-            samples = t[::_NORM_STRIDE]
+        starts = range(0, points, _NORM_BLOCK)
+        if math.isfinite(lipschitz * (t_hi - t0)):
+            groups = np.arange(0, points, _NORM_STRIDE)
+            samples = _grid_times(t0, tf, points, groups)
             norms = np.sqrt(squares(samples))
-            groups = np.arange(0, t.size, _NORM_STRIDE)
-            spread = np.maximum(np.maximum.reduceat(t, groups) - samples,
-                                samples - np.minimum.reduceat(t, groups))
+            lasts = _grid_times(t0, tf, points, np.minimum(
+                groups + (_NORM_STRIDE - 1), points - 1))
             bounds = np.maximum.reduceat(
-                norms + lipschitz * spread,
+                norms + lipschitz * (lasts - samples),
                 range(0, groups.size, _NORM_BLOCK // _NORM_STRIDE)).tolist()
             margin = (_NORM_ROUNDING * total * (len(terms) + self.dim + 16)
                       * (1.0 + reach))
@@ -220,9 +244,33 @@ class DisturbanceSignal:
                       if bound + margin >= floor]
         largest = 0.0
         for start in starts:
-            block = squares(t[start:start + _NORM_BLOCK])
+            block = squares(_grid_times(
+                t0, tf, points, np.arange(start, min(start + _NORM_BLOCK, points))))
             largest = max(largest, float(block.max()))
         return math.sqrt(largest)
+
+
+def _grid_times(t0: float, tf: float, points: int,
+                index: np.ndarray) -> np.ndarray:
+    """np.linspace(t0, tf, points)[index] for ascending int indices, bit for
+    bit, without the grid: NumPy's i * step + t0 with
+    step = (tf - t0)/(points - 1), i/(points - 1) * (tf - t0) + t0 when that
+    step is 0, and tf at the last point."""
+    div, delta = points - 1, tf - t0
+    ts = index.astype(float)
+    if div > 0:
+        step = delta / div
+        if step == 0:
+            ts /= div
+            ts *= delta
+        else:
+            ts *= step
+    else:
+        ts *= delta
+    ts += t0
+    if div > 0 and index[-1] == div:
+        ts[-1] = tf
+    return ts
 
 
 @dataclass(frozen=True)

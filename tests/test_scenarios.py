@@ -1,7 +1,10 @@
+import dataclasses
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +13,7 @@ import yaml
 
 import dobcbf
 import dobcbf.scenarios as scenarios
-from dobcbf import cli, el
+from dobcbf import cli, el, simulate
 from dobcbf.el import TwoLinkArm
 from dobcbf.scenarios import ConfigError, build, resolve_config
 from oracles import kinetic_energy
@@ -180,6 +183,64 @@ def test_noomega_floor_defined():
     assert sc.floor is not None
     assert sc.floor(0.0) == pytest.approx(0.0)
     assert sc.floor(100.0) < 0
+
+
+@pytest.mark.parametrize("params", [{"nu": 1e-320},
+                                    {"nu": 1e-320, "beta": 1e-300}])
+def test_noomega_floor_at_a_subnormal_or_zero_scale(params):
+    # 2 nu gamma beta is subnormal (nu alone) or 0 (nu and beta): the floor
+    # is exactly 0 at t0 and -inf after, a true but vacuous bound, not NaN
+    # at t0 or a ZeroDivisionError, and the run meets it
+    sc = build({"scenario": "el2dof-noomega", "params": params,
+                "sim": {"tf": 0.05}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sc.floor(np.array([0.0, 1e-3, 0.05])).tolist() == \
+            [0.0, -math.inf, -math.inf]
+        assert sc.floor(0.0) == 0.0
+    log = sc.run()
+    assert sc.check_invariants(log, sc.metrics(log)) == []
+
+
+def test_check_invariants_fails_a_nan_floor_gap():
+    sc = build({"scenario": "el2dof-noomega", "sim": {"tf": 0.05}})
+    log = sc.run()
+    summary = sc.metrics(log)
+    assert sc.check_invariants(log, summary) == []
+    nan_floor = dataclasses.replace(sc, floor=lambda t: np.full_like(t, np.nan))
+    assert nan_floor.check_invariants(log, summary) == \
+        ["barrier under floor by nan"]
+
+
+def traced_peak(call):
+    """call's result and the peak of the memory it traced, in bytes."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_disturbance_bounds_build_no_grid(monkeypatch):
+    # the 200 001-point grid alone takes 1.6 MB; max_norm holds a terms x
+    # 4096 block of the arm's 8 terms at a time
+    arm = build({"scenario": "el2dof-dob"}).disturbance
+    bound, peak = traced_peak(lambda: scenarios.derivative_bound(arm, 0.0, 20.0))
+    assert bound > 0.0
+    assert peak < 1_000_000, peak
+    # the double integrator's constant disturbance has zero derivative
+    # weights: 0.0 at once, with no NumPy call and no array
+    const = build({"scenario": "doubleint-relr"}).disturbance
+    monkeypatch.setattr(simulate, "np", None)
+    bound, peak = traced_peak(lambda: scenarios.derivative_bound(const, 0.0, 20.0))
+    assert bound == 0.0
+    assert peak < 2048, peak
 
 
 def test_certificates_follow_the_start_time():

@@ -209,7 +209,7 @@ def test_term_and_signal_derivatives():
         fd = float((np.asarray(sig.value(t + eps))
                     - np.asarray(sig.value(t - eps)))[0]) / (2 * eps)
         assert term_derivative(term, t) == pytest.approx(fd, abs=tol)
-        assert sig.max_norm([t], derivative=True) == pytest.approx(abs(fd), abs=tol)
+        assert sig.max_norm(t, t, 1, derivative=True) == pytest.approx(abs(fd), abs=tol)
         assert sig.value(t)[0] == pytest.approx(term_value(term, t), abs=1e-13)
     with pytest.raises(ParameterError):
         Term(amplitude=1.0, frequency=1.0, waveform="tan")
@@ -222,8 +222,7 @@ def test_signal_norm_bounds():
         (Term(10.0, 1.0, waveform="sin"), Term(2.0, 2.0, waveform="sin"),
          Term(-5.0, 5.0, waveform="cos"), Term(10.0, 3.0, waveform="cos")),
     ))
-    grid = np.linspace(0.0, 2.0 * np.pi, 200001)
-    wmax = sig.max_norm(grid, derivative=True)
+    wmax = sig.max_norm(0.0, 2.0 * np.pi, 200001, derivative=True)
     # per-channel derivative amplitude sum: 10 + 4 + 25 + 30 = 69
     assert wmax <= np.sqrt(2.0) * 69.0
     assert wmax >= 0.5 * np.sqrt(2.0) * 69.0  # not wildly conservative
@@ -242,8 +241,8 @@ def test_constant_signal():
     assert np.allclose(np.asarray(sig.value(0.0)), [1.5, -2.0])
     assert np.allclose(np.asarray(sig.value(17.3)), [1.5, -2.0])
     assert np.allclose(per_term_sum(sig, 5.0, derivative=True), 0.0)
-    assert sig.max_norm(np.linspace(0.0, 20.0, 101), derivative=True) == 0.0
-    assert sig.max_norm([3.0]) == pytest.approx(2.5)
+    assert sig.max_norm(0.0, 20.0, 101, derivative=True) == 0.0
+    assert sig.max_norm(3.0, 3.0, 1) == pytest.approx(2.5)
 
 
 def test_simconfig_validation():
@@ -402,7 +401,7 @@ def test_packed_signal_matches_per_term_sum():
             got = np.asarray(got)
             assert np.all(np.abs(got - per_term_sum(sig, t)) <= tol[False])
         for deriv in (False, True):
-            assert abs(sig.max_norm(grid, derivative=deriv)
+            assert abs(sig.max_norm(0.0, 20.0, 401, derivative=deriv)
                        - grid_max_norm(sig, grid, derivative=deriv)) <= tol[deriv]
     assert np.array_equal(np.asarray(DisturbanceSignal(((), ())).value(3.0)),
                           np.zeros(2))
@@ -411,14 +410,16 @@ def test_packed_signal_matches_per_term_sum():
     # at the first
     rising = DisturbanceSignal(((Term(1.0, 0.25),),))
     grid = np.linspace(0.0, 2.0 * np.pi, 10_001)
-    assert rising.max_norm(grid) == pytest.approx(1.0, abs=1e-15)
-    assert rising.max_norm(grid[:-1]) < 1.0
-    assert rising.max_norm(grid, derivative=True) == 0.25
+    assert rising.max_norm(0.0, 2.0 * np.pi, 10_001) == pytest.approx(1.0, abs=1e-15)
+    assert rising.max_norm(0.0, float(grid[-2]), 10_000) < 1.0
+    assert rising.max_norm(0.0, 2.0 * np.pi, 10_001, derivative=True) == 0.25
 
 
-def same_bits_on_both_bounds(sig, grid):
+def same_bits_on_both_bounds(sig, t0, tf, points):
+    grid = np.linspace(t0, tf, points)
     for deriv in (False, True):
-        got, want = sig.max_norm(grid, deriv), blocked_max_norm(sig, grid, deriv)
+        got = sig.max_norm(t0, tf, points, deriv)
+        want = blocked_max_norm(sig, grid, deriv)
         assert got == want, (deriv, got, want)
 
 
@@ -426,8 +427,7 @@ def same_bits_on_both_bounds(sig, grid):
 def test_max_norm_is_the_blocked_loop_on_every_scenario(name):
     sig = scenarios.build({"scenario": name, "sim": {"tf": 0.125}}).disturbance
     for tf in (0.125, 1.0, 20.0, 200.0):
-        same_bits_on_both_bounds(
-            sig, np.linspace(0.0, tf, scenarios.BOUND_GRID_POINTS))
+        same_bits_on_both_bounds(sig, 0.0, tf, scenarios.BOUND_GRID_POINTS)
 
 
 def test_max_norm_is_the_blocked_loop_on_random_signals():
@@ -444,70 +444,113 @@ def test_max_norm_is_the_blocked_loop_on_random_signals():
                   for _ in range(rng.integers(0, 6)))
             for _ in range(rng.integers(1, 4))))
         t0 = float(rng.uniform(-5.0, 5.0))
-        grid = np.linspace(t0, t0 + float(rng.uniform(0.1, 30.0)),
-                           sizes[i % len(sizes)])
-        same_bits_on_both_bounds(sig, grid)
+        same_bits_on_both_bounds(sig, t0, t0 + float(rng.uniform(0.1, 30.0)),
+                                 sizes[i % len(sizes)])
 
 
-def test_max_norm_is_the_blocked_loop_on_unordered_grids_and_ties():
-    arm = scenarios.build({"scenario": "el2dof-dob"}).disturbance
-    rng = np.random.default_rng(7)
-    grid = np.linspace(0.0, 20.0, 20_001)
-    # a shuffled grid, a descending one and one with each time repeated
-    same_bits_on_both_bounds(arm, rng.permutation(grid))
-    same_bits_on_both_bounds(arm, grid[::-1])
-    same_bits_on_both_bounds(arm, np.repeat(grid[::4], 3))
+def test_max_norm_is_the_blocked_loop_on_ties():
     # a * f overflows, so L is inf and L times the grid's span (0) is NaN:
     # every block is evaluated, with no warning
     steep = DisturbanceSignal(((Term(1e100, 1e300, phase=1.0),),))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = steep.max_norm(np.zeros(5000))
+        got = steep.max_norm(0.0, 0.0, 5000)
     assert got == blocked_max_norm(steep, np.zeros(5000))
     assert got == pytest.approx(1e100 * math.sin(1.0))
     # (a sin wt, a cos wt) has norm |a| everywhere, so its maximum is a
-    # rounding tie between every grid point; with each time repeated 64
-    # times, every sample bounds its points with no Lipschitz term, and only
-    # the rounding margin keeps the blocks whose evaluation rounds higher
+    # rounding tie between every grid point; over a span of 1e-9 s the
+    # Lipschitz term of each group (below 1e-11) lies far below the
+    # rounding margin, and only that margin keeps the blocks whose
+    # evaluation rounds higher
     ring = DisturbanceSignal(((Term(3.7, 2.3),), (Term(3.7, 2.3, waveform="cos"),)))
     for tf in (1.0, 20.0, 200.0):
-        same_bits_on_both_bounds(ring, np.linspace(0.0, tf, 200_001))
-    same_bits_on_both_bounds(ring, np.repeat(np.linspace(0.0, 20.0, 3001), 64))
+        same_bits_on_both_bounds(ring, 0.0, tf, 200_001)
+    same_bits_on_both_bounds(ring, 5.0, 5.0 + 1e-9, 200_001)
 
 
 def test_max_norm_of_zero_weights_and_empty_grids_is_zero():
     # the double integrator's constant disturbance has zero derivative
     # weights; a signal without terms and an empty grid have nothing
-    grid = np.linspace(0.0, 20.0, 101)
-    assert constant_signal([1.5]).max_norm(grid, derivative=True) == 0.0
-    assert DisturbanceSignal(((), ())).max_norm(grid) == 0.0
-    assert constant_signal([1.5]).max_norm([]) == 0.0
+    assert constant_signal([1.5]).max_norm(0.0, 20.0, 101, derivative=True) == 0.0
+    assert DisturbanceSignal(((), ())).max_norm(0.0, 20.0, 101) == 0.0
+    assert constant_signal([1.5]).max_norm(0.0, 20.0, 0) == 0.0
 
 
 def test_max_norm_rejects_a_signal_it_cannot_evaluate():
     cases = [
         # every point but t = 0 is NaN; the loop returned 0.0
         (DisturbanceSignal(((Term(1.0, 1.0), Term(1.0, 1e300)),)),
-         np.linspace(0.0, 1e10, 5), False),
+         (0.0, 1e10, 5), False),
         # the derivative weight 2e300 squared overflows
-        (DisturbanceSignal(((Term(2.0, 1e300),),)), np.linspace(0.0, 20.0, 5),
-         True),
+        (DisturbanceSignal(((Term(2.0, 1e300),),)), (0.0, 20.0, 5), True),
         # frequency times time overflows
         (DisturbanceSignal(((Term(1.0, 1e10, waveform="cos"),),)),
-         np.linspace(0.0, 1e301, 11), True),
+         (0.0, 1e301, 11), True),
         # the derivative weight a * f itself overflows
-        (DisturbanceSignal(((Term(1e10, 1e300),),)), np.linspace(0.0, 1.0, 5),
+        (DisturbanceSignal(((Term(1e10, 1e300),),)), (0.0, 1.0, 5), True),
+        # an end that is not finite, or a span that overflows: NumPy's grid
+        # holds NaN, at its first point when tf - t0 is inf
+        (DisturbanceSignal(((Term(1.0, 1.0),),)), (0.0, np.nan, 3), False),
+        (DisturbanceSignal(((Term(1.0, 1.0),),)), (np.nan, 1.0, 3), False),
+        (DisturbanceSignal(((Term(1.0, 1.0),),)), (0.0, np.inf, 2), True),
+        (DisturbanceSignal(((Term(1e-10, 1e-300),),)), (-1e308, 1e308, 5),
+         False),
+        (DisturbanceSignal(((Term(1e-10, 1e-300),),)), (-1e308, 1e308, 1),
          True),
-        # a grid time that is not finite
-        (DisturbanceSignal(((Term(1.0, 1.0),),)), [0.0, np.nan, 1.0], False),
-        (DisturbanceSignal(((Term(1.0, 1.0),),)), [0.0, np.inf], True),
     ]
     # rejected before NumPy can warn of an overflow
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for sig, grid, deriv in cases:
+        for sig, (t0, tf, points), deriv in cases:
             with pytest.raises(ParameterError):
-                sig.max_norm(grid, derivative=deriv)
+                sig.max_norm(t0, tf, points, derivative=deriv)
+
+
+@pytest.mark.parametrize("t0, tf, points", [
+    (1.0, 0.0, 5), (0.0, 1.0, -1), (0.0, 1.0, 2.0), (0.0, 1.0, True),
+    (0.0, 1.0, "5"), (0.0, 1.0, None)])
+def test_max_norm_rejects_a_grid_it_cannot_form(t0, tf, points):
+    # a descending span or a point count that is not a non-negative int,
+    # also for a signal whose weights are all zero
+    for sig in (DisturbanceSignal(((Term(1.0, 1.0),),)), constant_signal([0.0])):
+        with pytest.raises(ParameterError):
+            sig.max_norm(t0, tf, points)
+
+
+GRID_CASES = [(0.0, 20.0, n) for n in (1, 2, 4095, 4096, 4097, 200_001)] + [
+    (-7.3, 11.9, 200_001),      # a negative start
+    (2.5, 2.5, 4097),           # t0 == tf
+    (0.0, 5e-324, 3),           # subnormal spans: the step rounds to 0
+    (-1e-320, 1e-320, 10_001),
+]
+
+
+@pytest.mark.parametrize("t0, tf, points", GRID_CASES)
+def test_grid_times_are_linspace_bit_for_bit(monkeypatch, t0, tf, points):
+    # every time max_norm generates, and every block of the grid, equals
+    # np.linspace at the same indices, bits (and the sign of 0) included
+    grid = np.linspace(t0, tf, points)
+    if 0.0 < tf - t0 < 1e-300:
+        assert (tf - t0) / (points - 1) == 0.0  # NumPy's step == 0 branch
+    generated = []
+    real = simulate._grid_times
+
+    def record(*args):
+        generated.append((args[3], real(*args)))
+        return generated[-1][1]
+
+    monkeypatch.setattr(simulate, "_grid_times", record)
+    ring = DisturbanceSignal(((Term(3.7, 2.3),), (Term(3.7, 2.3, waveform="cos"),)))
+    ring.max_norm(t0, tf, points)
+    if points > 1:
+        # the samples and the last point of each group
+        assert len(generated) >= 3
+    blocks = [np.arange(start, min(start + simulate._NORM_BLOCK, points))
+              for start in range(0, points, simulate._NORM_BLOCK)]
+    generated += [(index, real(t0, tf, points, index)) for index in blocks]
+    for index, times in generated:
+        assert times.dtype == grid.dtype
+        assert times.tobytes() == grid[index].tobytes(), index
 
 
 def test_term_rejects_nonfinite():
