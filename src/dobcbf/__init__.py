@@ -13,8 +13,7 @@ from .qp import INACTIVE, ACTIVE, INFEASIBLE, QpInstance, QpResult, solve
 from .filters import Decision, NoFilter, ParamReport, QpFilter
 from .simulate import (DisturbanceSignal, IntegrationError, SimConfig, Term,
                        TrajectoryLog, metrics, rk4_step, run_closed_loop)
-from .el import (ELSystem, TwoLinkArm, el_observer_config, pd_nominal,
-                 violation_floor)
+from .el import TwoLinkArm, el_observer_config, pd_nominal, violation_floor
 from .scenarios import ConfigError, SCENARIOS, Scenario, build, resolve_config
 
 __version__ = "0.1.0"

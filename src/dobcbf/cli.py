@@ -63,11 +63,11 @@ def apply_overrides(cfg: dict, overrides) -> dict:
 
 def _validation(scenario: scenarios.Scenario) -> tuple[bool, list[str]]:
     """(whether every check passed, the lines of validation.txt)."""
-    reports = scenario.validate()
-    passed = all(r.passed for r in reports.values())
+    rep = scenario.validate()
+    passed = rep is None or rep.passed
     lines = []
-    for name, rep in sorted(reports.items()):
-        lines.append(f"[{name}] passed: {rep.passed}")
+    if rep is not None:
+        lines.append(f"[params] passed: {rep.passed}")
         for field_name, value in vars(rep).items():
             if field_name == "messages":
                 for msg in value:

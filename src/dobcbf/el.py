@@ -2,84 +2,76 @@
 
 Mechanical systems M(q) qddot + C(q, qdot) qdot + G(q) = tau + tau_d admit a
 dedicated observer (estimate = z + alpha1*qdot) and an energy-based safety
-constraint that only needs a C^1 position barrier h_q.  `ELSystem` holds the
-inertia and gravity callbacks of a plant with two joints.  `TwoLinkArm`, the
-planar arm of the benchmark scenarios, gives its `ELSystem`, its plant
-(`TwoLinkArm.plant`), whose one `terms` callback forms M, C qdot + G, the
-closed-form inverse of M and the drift from one cos q2 and sin q2, and its
-energy barrier (`TwoLinkArm.energy_barrier`), the relative-degree-1
-barrier beta*h_q - KE as a closed-form Lie chain.  The arm's filters are
+constraint that only needs a C^1 position barrier h_q.  `TwoLinkArm`, the
+planar arm of the benchmark scenarios, gives its inertia and gravity
+(`TwoLinkArm.mass`, `TwoLinkArm.gravity`), its plant (`TwoLinkArm.plant`),
+whose one `terms` callback forms M, C qdot + G, the closed-form inverse of
+M and the drift from one cos q2 and sin q2, and its energy barrier
+(`TwoLinkArm.energy_barrier`), the relative-degree-1 barrier
+beta*h_q - KE as a closed-form Lie chain.  The arm's filters are
 `filters.QpFilter` on that barrier: with the observer of
 `el_observer_config`, whose coercivity constant is alpha1*mu1, or with the
 worst-case bound d_max of the robust baseline; both bypass the QP near
 qdot = 0, where the row psi1 = -qdot vanishes.  `violation_floor` bounds
 h_q when the disturbance-derivative term is withheld (omega = 0 in the
-constraint).  The chain, the PD law and the plant's `terms` return Python
-floats.  `arm_derivative` is the simulator's right-hand side for the arm
-and the momentum observer z + alpha1*qdot: the joint derivative in closed
-form, in Python floats, with only its nonzero rows formed, still checking
-the plant through `evaluate` at every stage.
+constraint), from plain numbers: the observer's nu, the barrier's gamma
+and beta, and the true omega.  The chain, the PD law and the plant's
+`terms` return Python floats.  `arm_derivative` is the simulator's
+right-hand side for the arm and the momentum observer z + alpha1*qdot: the
+joint derivative in closed form, in Python floats, with only its nonzero
+rows formed, still checking the plant through `evaluate` at every stage.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .filters import QpFilter
 from .model import BarrierSpec, ControlAffineSystem, ParameterError, as_floats
 from .observer import ObserverConfig
 
 
 @dataclass(frozen=True)
-class ELSystem:
-    """Inertia and gravity callbacks of a mechanical plant with two
-    joints.
-
-    mass maps q -> ((m11, m12), (m21, m22)), symmetric positive definite;
-    gravity maps q -> (g1, g2).  Every entry is a Python float; q may be
-    any length-2 sequence of numbers.
-    """
-
-    mass: Callable[[Sequence[float]], tuple[tuple[float, float], tuple[float, float]]]
-    gravity: Callable[[Sequence[float]], tuple[float, float]]
-
-
-@dataclass(frozen=True)
 class TwoLinkArm:
-    """Planar 2-DOF arm with unit default masses and link length."""
+    """Planar 2-DOF arm with unit default masses and link length.
+
+    The configuration-independent parts of its inertia and gravity are
+    worked out once, when the arm is made, in the evaluation order of the
+    textbook expressions; `mass`, `gravity`, `plant` and `energy_barrier`
+    read them.
+    """
 
     m1: float = 1.0
     m2: float = 1.0
     l: float = 1.0
     g_accel: float = 9.81
+    _k: tuple = field(init=False, repr=False, compare=False)
 
-    def _constants(self) -> tuple:
-        """The configuration-independent parts, in the evaluation order of
-        the textbook expressions."""
+    def __post_init__(self):
         m1, m2, l, g = self.m1, self.m2, self.l, self.g_accel
-        return (m1 * l * l / 3.0 + 4.0 * m2 * l * l / 3.0, m2 * l * l / 3.0,
-                m2 * l * l, m2 * l * l / 2.0,
-                m1 * g * l / 2.0, m2 * g * l, m2 * g * l / 2.0)
+        object.__setattr__(self, "_k", (
+            m1 * l * l / 3.0 + 4.0 * m2 * l * l / 3.0, m2 * l * l / 3.0,
+            m2 * l * l, m2 * l * l / 2.0,
+            m1 * g * l / 2.0, m2 * g * l, m2 * g * l / 2.0))
 
-    def system(self) -> ELSystem:
-        a11_0, a12_0, ml2, ml2_2, w1, w2, w12 = self._constants()
+    def mass(self, q) -> tuple:
+        """M(q) as ((m11, m12), (m21, m22)) of Python floats, symmetric
+        positive definite; q is any length-2 sequence of numbers."""
+        a11_0, a12_0, ml2, ml2_2, _, _, _ = self._k
+        c2 = math.cos(q[1])
+        a12 = a12_0 + ml2_2 * c2
+        return (a11_0 + ml2 * c2, a12), (a12, a12_0)
 
-        def mass(q):
-            c2 = math.cos(q[1])
-            a12 = a12_0 + ml2_2 * c2
-            return (a11_0 + ml2 * c2, a12), (a12, a12_0)
-
-        def gravity(q):
-            q0, q1 = float(q[0]), float(q[1])
-            c1 = math.cos(q0)
-            c12 = math.cos(q0 + q1)
-            return w1 * c1 + w12 * c12 + w2 * c1, w12 * c12
-
-        return ELSystem(mass=mass, gravity=gravity)
+    def gravity(self, q) -> tuple:
+        """G(q) as (g1, g2) of Python floats."""
+        _, _, _, _, w1, w2, w12 = self._k
+        q0, q1 = float(q[0]), float(q[1])
+        c1 = math.cos(q0)
+        c12 = math.cos(q0 + q1)
+        return w1 * c1 + w12 * c12 + w2 * c1, w12 * c12
 
     def plant(self) -> ControlAffineSystem:
         """The arm embedded as x = [q; qdot] with u = tau, d = tau_d.
@@ -93,7 +85,7 @@ class TwoLinkArm:
         that is not positive definite at q raises ParameterError, or
         ValueError when q is not finite.
         """
-        a11_0, a12_0, ml2, ml2_2, w1, w2, w12 = self._constants()
+        a11_0, a12_0, ml2, ml2_2, w1, w2, w12 = self._k
         zero = (0.0, 0.0)
 
         def terms(x):
@@ -135,14 +127,14 @@ class TwoLinkArm:
         and L_f h~ = beta grad_hq(q) . qdot + qdot' G(q) by the
         skew-symmetry of Mdot - 2C, so no inverse of M is formed.  The
         chain takes cos q1, cos q2 and cos(q1 + q2) once and forms M and G
-        in the operation order of `system`.  grad_hq(q) is checked by
-        as_floats, and a non-finite h~ or L_f h~ raises ValueError naming
-        both.  The barrier's safe set is h_q.  beta <= 0 raises
-        ParameterError, and so does a gamma that is not positive.
+        in the operation order of `mass` and `gravity`.  grad_hq(q) is
+        checked by as_floats, and a non-finite h~ or L_f h~ raises
+        ValueError naming both.  The barrier's safe set is h_q.  beta <= 0
+        raises ParameterError, and so does a gamma that is not positive.
         """
         if beta <= 0:
             raise ParameterError("beta must be positive")
-        a11_0, a12_0, ml2, ml2_2, w1, w2, w12 = self._constants()
+        a11_0, a12_0, ml2, ml2_2, w1, w2, w12 = self._k
         cos, isfinite = math.cos, math.isfinite
 
         def chain(x):
@@ -165,24 +157,23 @@ class TwoLinkArm:
                            safe_set=lambda x: h_q((x[0], x[1])))
 
 
-def violation_floor(filt: QpFilter, beta: float, omega: float, t):
+def violation_floor(nu: float, gamma: float, beta: float, omega: float, t):
     """Worst-case floor of h_q at time t when the omega term is withheld.
 
-    The floor reads the pole gamma of the filter's energy barrier and its
-    observer's Young's-inequality split nu; beta is the barrier's energy
-    scale, as filt.beta is the augmented barrier's (1 on the arm).  omega is
-    the true disturbance-derivative bound, not the constraint-side
-    filt.omega: the floor is a statement about the disturbance itself.  It
-    is derived for filt.omega = 0 and holds for any filt.omega >= 0, which
-    only tightens the constraint.
+    nu is the observer's Young's-inequality split, gamma the pole of the
+    energy barrier and beta its energy scale (the augmented barrier's own
+    beta is 1 on the arm).  omega is the true disturbance-derivative bound,
+    not the constraint-side one: the floor is a statement about the
+    disturbance itself.  It is derived for a constraint-side omega of 0 and
+    holds for any constraint-side omega >= 0, which only tightens the
+    constraint.
 
     The floor is exactly 0 at t = 0.  Where 2 nu gamma beta underflows to 0
     (or omega^2 over it overflows), the floor is -inf for t > 0, a true but
     vacuous bound, as `observer.error_envelope` is infinite there.
     """
-    gamma = filt.barrier.poles[-1]
     decay = 1.0 - np.exp(-gamma * np.asarray(t, dtype=float))
-    denom = 2.0 * filt.observer.nu * gamma * beta
+    denom = 2.0 * nu * gamma * beta
     scale = omega ** 2 / denom if denom != 0.0 else (math.inf if omega else 0.0)
     # decay = 0 at t = 0 would make an infinite scale times decay NaN
     out = np.multiply(-scale, decay, out=np.zeros_like(decay),

@@ -21,8 +21,9 @@ QP.  The Euler-Lagrange arm's filters are `QpFilter` on its energy barrier
 
 Both filters take their tuning as checked constructor arguments and have
 `constraint` (the row as a `Decision`), `probe` (the logged barrier values)
-and `report` (the `ParamReport` of the guarantee's initial-state
-inequalities, or None).
+and `report` (None, or for the observer row the `ParamReport` that
+`QpFilter.report` forms from the guarantee's initial-state inequalities;
+`Scenario.validate` returns it as it is).
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from .observer import ObserverConfig
 
 @dataclass
 class ParamReport:
-    """Margins for the strict parameter inequalities of the filter theorems."""
+    """Margins for the strict parameter inequalities of the filter theorems,
+    as `QpFilter.report` finds them at the initial state."""
 
     beta_ok: bool
     cascade_ok: bool
@@ -52,28 +54,6 @@ class ParamReport:
     @property
     def passed(self) -> bool:
         return self.beta_ok and self.cascade_ok
-
-    @classmethod
-    def check(cls, alpha_margin: float, beta: float, lead: float,
-              need: float, cascade: Sequence[float] = ()) -> ParamReport:
-        """The report of beta against its bound need/(2 lead).  lead and
-        every entry of cascade must be positive and beta must exceed the
-        bound; the inequalities are strict, so equality fails."""
-        messages = []
-        if lead <= 0:
-            beta_margin = -math.inf
-            messages.append("initial barrier value must be positive")
-        else:
-            beta_margin = beta - need / (2.0 * lead)
-        messages += [f"s_{k}(x0) = {v} must be positive"
-                     for k, v in enumerate(cascade) if v <= 0]
-        beta_ok = beta_margin > 0
-        if not beta_ok and lead > 0:
-            messages.append(f"beta margin {beta_margin:.3e} not positive")
-        return cls(beta_ok=beta_ok,
-                   cascade_ok=lead > 0 and all(v > 0 for v in cascade),
-                   alpha_margin=float(alpha_margin),
-                   beta_margin=float(beta_margin), messages=messages)
 
 
 class Decision(NamedTuple):
@@ -202,16 +182,30 @@ class QpFilter:
     def report(self, x0, e0_norm: float) -> ParamReport | None:
         """Check the initial-state inequalities of the invariance guarantee:
         every s_k of the cascade (s_0, ..., s_{r-1}) at x0 positive, and
-        beta above e0_norm^2/(2 s_{r-1}).  The filter condition on alpha was
+        beta above its bound e0_norm^2/(2 s_{r-1}).  The inequalities are
+        strict, so equality fails.  The filter condition on alpha was
         checked when the filter was built.  The worst-case row has no such
         inequalities and reports None."""
         if self.d_max is not None:
             return None
         s = s_sequence(self.system, self.barrier, x0)
-        obs = self.observer
-        return ParamReport.check(
-            obs.alpha - 0.5 * (self.barrier.poles[-1] + obs.nu), self.beta,
-            s[-1], e0_norm ** 2, cascade=s)
+        obs, lead = self.observer, s[-1]
+        messages = []
+        if lead <= 0:
+            beta_margin = -math.inf
+            messages.append("initial barrier value must be positive")
+        else:
+            beta_margin = self.beta - e0_norm ** 2 / (2.0 * lead)
+        messages += [f"s_{k}(x0) = {v} must be positive"
+                     for k, v in enumerate(s) if v <= 0]
+        beta_ok = beta_margin > 0
+        if not beta_ok and lead > 0:
+            messages.append(f"beta margin {beta_margin:.3e} not positive")
+        alpha_margin = obs.alpha - 0.5 * (self.barrier.poles[-1] + obs.nu)
+        return ParamReport(beta_ok=beta_ok,
+                           cascade_ok=lead > 0 and all(v > 0 for v in s),
+                           alpha_margin=float(alpha_margin),
+                           beta_margin=float(beta_margin), messages=messages)
 
 
 class NoFilter:

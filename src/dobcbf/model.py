@@ -130,10 +130,6 @@ class ControlAffineSystem:
         if min(self.n, self.m, self.p) < 1:
             raise ParameterError("system dimensions must be positive")
 
-    def disturbance_matrix(self, x) -> np.ndarray:
-        """g2(x) as a checked (n, p) float array."""
-        return as_vector(self.g2(x), self.n * self.p, "g2(x)").reshape(self.n, self.p)
-
     def evaluate(self, x) -> tuple:
         """(f, g1, g2) at x as Python floats, from the fused callback when
         available.

@@ -149,11 +149,16 @@ def gain_spectrum(cfg: ObserverConfig, system: ControlAffineSystem,
     Over unit v, v' A v spans [lam_min, lam_max], so lam_min - alpha is the
     coercivity margin and lam_max the stiffness of the estimation error;
     over every state when the states are where the extremes are attained.
-    A non-finite L_d g2(x) raises ParameterError.
+    g2(x) is read by model._float_rows as an (n, p) matrix, with its checks
+    and errors, and not through ControlAffineSystem.evaluate, which the
+    simulator calls once per right-hand side.  A non-finite L_d g2(x)
+    raises ParameterError.
     """
+    n, p = system.n, system.p
     mats = []
     for x in states:
-        A = cfg.gain_at(x) @ system.disturbance_matrix(x)
+        g2 = np.array(_float_rows(system.g2(x), n, p, "g2(x)"), dtype=float)
+        A = cfg.gain_at(x) @ g2
         if not np.isfinite(A).all():
             raise ParameterError(f"L_d g2(x) is not finite at x = {list(x)}")
         mats.append(0.5 * A + 0.5 * A.T)

@@ -60,6 +60,8 @@ _NORM_STRIDE = 64
 #: max_norm's rounding allowance per unit of its error scale, about 9000
 #: units in the last place
 _NORM_ROUNDING = 1e-12
+#: a joint state whose Euclidean norm exceeds this aborts a run ("blowup")
+BLOWUP_NORM = 1e9
 
 
 @dataclass(frozen=True)
@@ -283,7 +285,6 @@ class SimConfig:
     dt: float
     log_stride: int = 1
     substeps: int = 1
-    blowup_norm: float = 1e9
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -429,10 +430,11 @@ def run_closed_loop(system: ControlAffineSystem,
     list of floats, and the decisions read x = y[:n] and z = y[n:].
     Deterministic: identical inputs give bit-identical logs.  After every
     integration step, a Euclidean norm of the joint plant-and-observer state
-    above cfg.blowup_norm aborts the run with the event (ts, "blowup"), ts
-    the start of that step, and returns the partial log, so a diverging
-    estimate aborts as well as a diverging plant; a non-finite state gives
-    (ts, "integration_error").  The observer starts from a zero estimate.
+    above BLOWUP_NORM, read when the run starts, aborts the run with the
+    event (ts, "blowup"), ts the start of that step, and returns the
+    partial log, so a diverging estimate aborts as well as a diverging
+    plant; a non-finite state gives (ts, "integration_error").  The
+    observer starts from a zero estimate.
     The log array is allocated once, with a row for every logged step
     (each multiple of cfg.log_stride and the last step), and an aborted
     run returns the rows it filled; a log too large to allocate raises
@@ -469,6 +471,7 @@ def run_closed_loop(system: ControlAffineSystem,
     counts = {name: 0 for name in STATUS_CODES}
     aborted = False
     dt_sub = cfg.dt / cfg.substeps
+    blowup_norm = BLOWUP_NORM
     memo_t, memo_d = math.nan, None
 
     def disturbance_at(t):
@@ -543,7 +546,7 @@ def run_closed_loop(system: ControlAffineSystem,
                 if j > 0:
                     u = control_at(ts, x)
                 y = rk4_step(rhs, ts, y, dt_sub)
-                if math.hypot(*y) > cfg.blowup_norm:
+                if math.hypot(*y) > blowup_norm:
                     failure = "blowup"
                     break
                 x, st.z = y[:n], y[n:]
@@ -564,13 +567,14 @@ def run_closed_loop(system: ControlAffineSystem,
 
 
 def metrics(log: TrajectoryLog,
-            envelope: Callable[[np.ndarray], np.ndarray] | None = None,
+            envelope: Callable[[np.ndarray], np.ndarray],
             reference: Callable[[float], np.ndarray] | None = None,
             ref_indices: Sequence[int] | None = None) -> dict:
     """Scalar summary of a run.
 
-    envelope, when given, is E(t) for the estimation-error bound; reference
-    (with the state indices it refers to) enables the tracking RMSE.
+    envelope is E(t) for the estimation-error bound, which gives
+    max_env_residual; reference (with the state indices it refers to)
+    enables the tracking RMSE.
     """
     if len(log) == 0:
         raise ParameterError("empty log")
@@ -587,8 +591,7 @@ def metrics(log: TrajectoryLog,
     m = log.meta["m"]
     u = np.stack([log.column(f"u{i}") for i in range(m)], axis=1)
     out["max_u_norm"] = float(np.max(np.linalg.norm(u, axis=1)))
-    if envelope is not None:
-        out["max_env_residual"] = float(np.max(log.column("e_norm") - envelope(t)))
+    out["max_env_residual"] = float(np.max(log.column("e_norm") - envelope(t)))
     if reference is not None and ref_indices is not None:
         tracked = np.stack([log.column(f"x{i}") for i in ref_indices], axis=1)
         ref = np.stack([np.asarray(reference(ti), dtype=float).reshape(-1)

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from dobcbf.el import ELSystem, TwoLinkArm
+from dobcbf.el import TwoLinkArm
 from dobcbf.filters import Decision
 from dobcbf.model import ControlAffineSystem, ParameterError, as_floats, as_vector
 from dobcbf.observer import ObserverConfig, ObserverState, estimate
@@ -48,7 +48,7 @@ def brute_force(inst: QpInstance, box_halfwidth: float,
 @dataclass(frozen=True)
 class PerTermArm:
     """The inertia, Coriolis and gravity callbacks of a two-joint plant,
-    one per term: mass and gravity as ELSystem has them, and coriolis
+    one per term: mass and gravity as TwoLinkArm has them, and coriolis
     mapping (q, qdot) -> ((c11, c12), (c21, c22)) such that Mdot - 2C is
     skew-symmetric."""
 
@@ -68,8 +68,7 @@ def per_term(arm: TwoLinkArm) -> PerTermArm:
         return ((-ml2_2 * s2 * v1, -ml2_2 * (v0 + v1) * s2),
                 (ml2_2 * v0 * s2, 0.0))
 
-    sys = arm.system()
-    return PerTermArm(mass=sys.mass, coriolis=coriolis, gravity=sys.gravity)
+    return PerTermArm(mass=arm.mass, coriolis=coriolis, gravity=arm.gravity)
 
 
 def to_control_affine(sys: PerTermArm) -> ControlAffineSystem:
@@ -141,7 +140,7 @@ def arm_terms_arrays(sys: PerTermArm, x):
     return f, B
 
 
-def kinetic_energy(sys: ELSystem, q, qd) -> float:
+def kinetic_energy(sys: TwoLinkArm, q, qd) -> float:
     """qdot' M(q) qdot / 2."""
     (m11, m12), (m21, m22) = sys.mass(q)
     v0, v1 = float(qd[0]), float(qd[1])
@@ -158,7 +157,7 @@ def _energy_decision(qd, psi0: float, eps_singular: float) -> Decision:
                     "singular_infeasible" if psi0 < 0 else None)
 
 
-def energy_row(sys: ELSystem, h_q, grad_hq, observer: ObserverConfig,
+def energy_row(sys: TwoLinkArm, h_q, grad_hq, observer: ObserverConfig,
                beta: float, gamma: float, omega: float, eps_singular: float,
                x, d_hat) -> Decision:
     """The observer-aware energy filter's decision at x, written out by
@@ -179,7 +178,7 @@ def energy_row(sys: ELSystem, h_q, grad_hq, observer: ObserverConfig,
     return _energy_decision(qd, psi0, eps_singular)
 
 
-def robust_energy_row(sys: ELSystem, h_q, grad_hq, beta: float, gamma: float,
+def robust_energy_row(sys: TwoLinkArm, h_q, grad_hq, beta: float, gamma: float,
                       d_max: float, eps_singular: float, x) -> Decision:
     """The worst-case energy filter's decision at x over ||tau_d|| <= d_max,
     written out by hand: psi0 = beta grad_hq . qdot + qdot . G

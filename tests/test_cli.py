@@ -391,7 +391,7 @@ def test_singular_inertia_exits_3(tmp_path, monkeypatch, capsys):
                         "initial_state": [2.0, 0.0, 0.0, 0.0]})
     assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "inertia matrix not SPD at q2 = 0.0" in capsys.readouterr().err
-    default_bounds = scenarios.arm_mu_bounds(el.TwoLinkArm(m1=1.0).system().mass)
+    default_bounds = scenarios.arm_mu_bounds(el.TwoLinkArm(m1=1.0).mass)
     monkeypatch.setattr(scenarios, "arm_mu_bounds", lambda mass: default_bounds)
     assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "inertia matrix not positive definite at q = (0.0, 0.0)" in \

@@ -21,7 +21,7 @@ from dobcbf.model import BarrierSpec, ControlAffineSystem
 from dobcbf.observer import ObserverConfig
 from oracles import energy_row, robust_energy_row
 
-ARM = TwoLinkArm().system()
+ARM = TwoLinkArm()
 PLANT = TwoLinkArm().plant()
 EPS_SINGULAR = 1e-3
 EL_OBS = el_observer_config(500.0, mu1=0.34, nu=1.0, omega=0.0)

@@ -14,7 +14,7 @@ from oracles import (PerTermArm, arm_terms_arrays, el_accel, kinetic_energy,
                      per_term, to_control_affine, z_derivative)
 
 
-ARM = TwoLinkArm().system()
+ARM = TwoLinkArm()
 #: the same arm as one callback per term, Coriolis included, for the oracles
 EOM = per_term(TwoLinkArm())
 PLANT = TwoLinkArm().plant()

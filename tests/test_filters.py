@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dobcbf.el import TwoLinkArm, el_observer_config, violation_floor
+from dobcbf.el import violation_floor
 from dobcbf.filters import NoFilter, QpFilter
 from dobcbf.model import BarrierSpec, ControlAffineSystem, ParameterError
 from dobcbf.observer import ObserverConfig
@@ -127,16 +127,10 @@ def test_augmented_barrier_values():
 
 
 def test_violation_floor_shape():
-    obs = el_observer_config(500.0, mu1=0.3, nu=1.0, omega=0.0)
-    arm = TwoLinkArm()
-    barrier = arm.energy_barrier(lambda q: 1.0, lambda q: (0.0, 0.0),
-                                 beta=2.0, gamma=1.0)
-    filt = QpFilter(arm.plant(), barrier, obs, omega=0.5)
-    # the floor uses the energy scale and the omega passed in, not the
-    # filter's own beta (1) and the constraint-side filt.omega
-    assert violation_floor(filt, 2.0, 3.0, 0.0) == pytest.approx(0.0)
+    # nu = 1, gamma = 1, the energy scale beta = 2 and the true omega = 3
+    assert violation_floor(1.0, 1.0, 2.0, 3.0, 0.0) == pytest.approx(0.0)
     t = np.linspace(0, 50, 500)
-    fl = violation_floor(filt, 2.0, 3.0, t)
+    fl = violation_floor(1.0, 1.0, 2.0, 3.0, t)
     assert np.all(np.diff(fl) <= 1e-15)
     assert fl[-1] == pytest.approx(-9.0 / (2 * 1 * 1 * 2), abs=1e-6)
 

@@ -378,7 +378,7 @@ def test_noomega_floor_integrates_the_withheld_term():
     # beta h >= hbar, and hbar(t0) >= 0 with dhbar/dt >= -gamma hbar - c,
     # c = omega^2/(2 nu), stays above the solution b of b' = -gamma b - c,
     # b(0) = 0; RK4 on b matches violation_floor * beta
-    filt, omega = NOOMEGA.safety, NOOMEGA.constants["omega_d"]
+    omega = NOOMEGA.constants["omega_d"]
     c = omega ** 2 / (2.0 * OBS.nu)
     f = lambda b: -GAMMA * b - c
     b, dt = 0.0, 1e-3
@@ -390,6 +390,6 @@ def test_noomega_floor_integrates_the_withheld_term():
         b += dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if k % 1000 == 0:
             t = k * dt
-            want = violation_floor(filt, BETA, omega, t)
+            want = violation_floor(OBS.nu, GAMMA, BETA, omega, t)
             assert b / BETA == pytest.approx(want, rel=1e-9)
             assert NOOMEGA.floor(NOOMEGA.simcfg.t0 + t) == want

@@ -7,7 +7,7 @@ from dobcbf.filters import QpFilter
 from dobcbf.model import (BarrierSpec, ControlAffineSystem, DimensionError,
                           ParameterError, _float_rows, as_vector,
                           coeffs_from_poles, s_sequence)
-from dobcbf.observer import ObserverConfig
+from dobcbf.observer import ObserverConfig, gain_spectrum
 
 
 def scalar_system():
@@ -41,13 +41,26 @@ EDGE_VALUES = (np.nan, np.inf, -np.inf, -0.0, 5e-324,
                1.7976931348623157e308, -1.7976931348623157e308)
 
 
+#: a gain that reads the last two rows of a 4x2 g2, where the edge values go
+LOWER_ROWS = ObserverConfig(gain=np.array([[0.0, 0.0, 1.0, 0.0],
+                                           [0.0, 0.0, 0.0, 1.0]]),
+                            alpha=1.0, nu=1.0)
+
+
 def matrix_checks(mat):
-    """The two checks of a 4x2 matrix: _float_rows, and a plant's
-    disturbance_matrix, which both go through as_vector."""
+    """The two checks of a 4x2 matrix: _float_rows, and gain_spectrum's read
+    of a plant's g2, which both go through as_vector."""
     sys = ControlAffineSystem(n=4, m=2, p=2, f=lambda x: np.zeros(4),
                               g1=lambda x: mat, g2=lambda x: mat)
     return (lambda: _float_rows(mat, 4, 2, "g2(x)"),
-            lambda: sys.disturbance_matrix(np.zeros(4)))
+            lambda: gain_spectrum(LOWER_ROWS, sys, [np.zeros(4)]))
+
+
+def lower_rows_spectrum(mat: np.ndarray) -> tuple:
+    """The extreme eigenvalues of sym(L_d g2) for LOWER_ROWS and g2 = mat."""
+    A = LOWER_ROWS.gain @ mat
+    lam = np.linalg.eigvalsh(0.5 * A + 0.5 * A.T)
+    return float(lam[0]), float(lam[-1])
 
 
 def test_as_vector_rejects_bad_shape_and_nonfinite():
@@ -72,8 +85,9 @@ def test_as_vector_rejects_bad_shape_and_nonfinite():
             assert as_vector(vec.tolist(), 4).tobytes() == vec.tobytes()
             assert _float_rows(rows, 4, 2, "g2(x)") is rows
             for given in (mat, mat.tolist(), rows):
-                for check in matrix_checks(given):
-                    assert np.array(check()).tobytes() == mat.tobytes()
+                rows_check, spectrum_check = matrix_checks(given)
+                assert np.array(rows_check()).tobytes() == mat.tobytes()
+                assert spectrum_check() == lower_rows_spectrum(mat)
         else:
             for given in (vec, vec.tolist()):
                 with pytest.raises(ValueError, match="non-finite entries"):

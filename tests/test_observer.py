@@ -184,8 +184,8 @@ def test_gain_spectrum_bounds_a_dense_sweep_of_the_arm():
     # Oracle: alpha1 * inv(M(q)) by np.linalg.inv at 20 001 elbow angles in
     # [-pi, pi] (M depends on q2 only; q1 and the velocities are arbitrary)
     alpha1 = 500.0
-    arm = el.TwoLinkArm().system()
-    system = el.TwoLinkArm().plant()
+    arm = el.TwoLinkArm()
+    system = arm.plant()
     mu1, mu2 = scenarios.arm_mu_bounds(arm.mass)
     cfg = el.el_observer_config(alpha1, mu1, 1.0, 0.0)
     lam_min, lam_max = gain_spectrum(

@@ -290,15 +290,12 @@ def test_csv_precision(tmp_path):
     assert len(mantissa) >= 12  # at least 12 significant digits
 
 
-def test_blowup_aborts_with_partial_log():
+def test_blowup_aborts_with_partial_log(monkeypatch):
     sc = scenarios.build({"scenario": "scalar-rel1", "sim": {"tf": 1.0}})
     # destabilize: positive feedback nominal, no filtering
     sc.safety = NoFilter(h_fn=lambda x: float(x[0]))
     sc.nominal = lambda t, x: np.array([50.0 * x[0]])
-    cfg = sc.simcfg
-    sc.simcfg = SimConfig(t0=cfg.t0, tf=cfg.tf, dt=cfg.dt,
-                          log_stride=cfg.log_stride, substeps=cfg.substeps,
-                          blowup_norm=1e6)
+    monkeypatch.setattr(simulate, "BLOWUP_NORM", 1e6)
     log = sc.run()
     assert log.aborted
     assert len(log) >= 1
@@ -310,7 +307,8 @@ def test_blowup_stops_at_the_first_integration_step_past_the_norm(monkeypatch):
     # a diverging scalar run at 4 substeps per logged step; rk4_step is
     # counted through a wrapper on the module attribute, as the benchmark
     # counts it, and the guard must stop the run after the first step whose
-    # state norm passes blowup_norm, also inside a logged step
+    # state norm passes BLOWUP_NORM, also inside a logged step; the run
+    # reads the constant when it is called, so each run below sees its own
     sc = scenarios.build({"scenario": "scalar-rel1", "sim": {"tf": 1.0}})
     sc.safety = NoFilter(h_fn=lambda x: float(x[0]))
     sc.nominal = lambda t, x: np.array([50.0 * x[0]])
@@ -326,11 +324,12 @@ def test_blowup_stops_at_the_first_integration_step_past_the_norm(monkeypatch):
 
     monkeypatch.setattr(simulate, "rk4_step", counted)
 
+    cfg = sc.simcfg
+    sc.simcfg = SimConfig(t0=cfg.t0, tf=cfg.tf, dt=cfg.dt,
+                          log_stride=cfg.log_stride, substeps=substeps)
+
     def run(blowup_norm):
-        cfg = sc.simcfg
-        sc.simcfg = SimConfig(t0=cfg.t0, tf=cfg.tf, dt=cfg.dt,
-                              log_stride=cfg.log_stride, substeps=substeps,
-                              blowup_norm=blowup_norm)
+        monkeypatch.setattr(simulate, "BLOWUP_NORM", blowup_norm)
         norms.clear()
         times.clear()
         return sc.run()
