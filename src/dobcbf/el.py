@@ -11,12 +11,12 @@ M and the drift from one cos q2 and sin q2, and its energy barrier
 beta*h_q - KE as a closed-form Lie chain.  The arm's filters are
 `filters.QpFilter` on that barrier: with the observer of
 `el_observer_config`, whose coercivity constant is alpha1*mu1, or with the
-worst-case bound d_max of the robust baseline; both bypass the QP near
-qdot = 0, where the row psi1 = -qdot vanishes.  `violation_floor` bounds
-h_q when the disturbance-derivative term is withheld (omega = 0 in the
-constraint), from plain numbers: the observer's nu, the barrier's gamma
-and beta, and the true omega.  The chain, the PD law and the plant's
-`terms` return Python floats.  `arm_derivative` is the simulator's
+worst-case bound d_max of the robust baseline; both bypass the QP where
+||qdot|| < filters.EPS_SINGULAR, as the row psi1 = -qdot vanishes.
+`violation_floor` bounds h_q when the disturbance-derivative term is
+withheld (omega = 0 in the constraint), from plain numbers: the observer's
+nu, the barrier's gamma and beta, and the true omega.  The chain and the
+plant's `terms` return Python floats.  `arm_derivative` is the simulator's
 right-hand side for the arm and the momentum observer z + alpha1*qdot: the
 joint derivative in closed form, in Python floats, with only its nonzero
 rows formed, still checking the plant through `evaluate` at every stage.
@@ -179,25 +179,6 @@ def violation_floor(nu: float, gamma: float, beta: float, omega: float, t):
     out = np.multiply(-scale, decay, out=np.zeros_like(decay),
                       where=decay > 0.0)
     return float(out) if np.ndim(t) == 0 else out
-
-
-def pd_nominal(kp: float, kd: float, q, qd, q_des, qd_des,
-               gravity=None) -> tuple:
-    """PD tracking law kp (q_des - q) + kd (qd_des - qd) of a 2-DOF arm,
-    optionally with gravity compensation.
-
-    The gains are scalars, the same on both joints, and every vector may be
-    a sequence of numbers or an array; the law is formed entry by entry and
-    returned as a tuple (tau1, tau2), of Python floats when the entries
-    are.  The gains are not checked here: callers validate them once, where
-    they are configured (the arm scenarios reject kp, kd <= 0 at build
-    time).
-    """
-    tau0 = kp * (q_des[0] - q[0]) + kd * (qd_des[0] - qd[0])
-    tau1 = kp * (q_des[1] - q[1]) + kd * (qd_des[1] - qd[1])
-    if gravity is not None:
-        tau0, tau1 = tau0 + gravity[0], tau1 + gravity[1]
-    return tau0, tau1
 
 
 def arm_derivative(system: ControlAffineSystem, observer: ObserverConfig,

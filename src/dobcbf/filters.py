@@ -14,10 +14,12 @@ constant alpha and Young's-inequality split nu: `QpFilter` is built from
 the run's `ObserverConfig` and its own tuning (beta, omega), reads alpha
 and nu once, and rejects a tuning that admits no constraint.  Given a
 worst-case bound d_max in place of the observer, the same row is the
-robust baseline's.  Where L_g1 L_f^{r-1} h nearly vanishes (below
-eps_singular in norm) the row is degenerate and the decision bypasses the
-QP.  The Euler-Lagrange arm's filters are `QpFilter` on its energy barrier
-(`dobcbf.el`).  `NoFilter` is the pass-through baseline that only logs h.
+robust baseline's.  Where L_g1 L_f^{r-1} h nearly vanishes (below the
+module constant EPS_SINGULAR in norm) the row is degenerate and the
+decision bypasses the QP; the threshold is no tuning of the design, so no
+configuration sets it.  The Euler-Lagrange arm's filters are `QpFilter`
+on its energy barrier (`dobcbf.el`).  `NoFilter` is the pass-through
+baseline that only logs h.
 
 Both filters take their tuning as checked constructor arguments and have
 `constraint` (the row as a `Decision`), `probe` (the logged barrier values)
@@ -38,6 +40,10 @@ import numpy as np
 from .model import (BarrierSpec, ControlAffineSystem, ParameterError,
                     as_floats, s_sequence)
 from .observer import ObserverConfig
+
+#: norm of L_g1 L_f^{r-1} h below which the row is degenerate and the QP is
+#: bypassed; read when each row is formed
+EPS_SINGULAR = 1e-4
 
 
 @dataclass
@@ -80,16 +86,13 @@ class QpFilter:
     alpha and nu are read once, here: a tuning with
     4*alpha - 2*lambda_r - 2*nu <= 0 raises ParameterError.  The worst-case
     row reads only d_max, and a negative d_max raises ParameterError.
-    Where ||L_g1 L_f^{r-1} h|| < eps_singular the row degenerates and the
-    QP is bypassed (an eps_singular <= 0 raises ParameterError).
+    Where ||L_g1 L_f^{r-1} h|| < EPS_SINGULAR the row degenerates and the
+    QP is bypassed.
     """
 
     def __init__(self, system: ControlAffineSystem, barrier: BarrierSpec,
                  observer: ObserverConfig | None, beta: float = 1.0,
-                 omega: float = 0.0, d_max: float | None = None,
-                 eps_singular: float = 1e-4):
-        if eps_singular <= 0:
-            raise ParameterError("eps_singular must be positive")
+                 omega: float = 0.0, d_max: float | None = None):
         if d_max is not None:
             if d_max < 0:
                 raise ParameterError("d_max must be nonnegative")
@@ -114,7 +117,6 @@ class QpFilter:
         self.beta = beta
         self.omega = omega
         self.d_max = d_max
-        self.eps_singular = eps_singular
         # the cascade (a_1..a_r) weighs L_f^{r-1} h, ..., L_f^0 h; reversed,
         # it pairs with the chain's first r terms (for r <= 2 the float sum
         # is the same either way)
@@ -131,7 +133,7 @@ class QpFilter:
         the plant's dimensions, L_g2 L_f^{r-1} h once with L_g1 L_f^{r-1} h
         when the chain returns one object for both.  Every term is a Python
         float, and psi1 is the checked L_g1 L_f^{r-1} h as as_floats
-        returns it.  Below the norm eps_singular of psi1 the decision
+        returns it.  Below the norm EPS_SINGULAR of psi1 the decision
         bypasses the QP, with the event "singular_infeasible" when
         psi0 < 0.
         """
@@ -154,7 +156,7 @@ class QpFilter:
                     - self.beta * (b_norm * b_norm) / self.denom + cascade)
         else:
             psi0 = lf[-1] - b_norm * self.d_max + cascade
-        if norm < self.eps_singular:
+        if norm < EPS_SINGULAR:
             return Decision(psi0, psi1, True,
                             "singular_infeasible" if psi0 < 0 else None)
         return Decision(psi0, psi1)

@@ -568,13 +568,12 @@ def run_closed_loop(system: ControlAffineSystem,
 
 def metrics(log: TrajectoryLog,
             envelope: Callable[[np.ndarray], np.ndarray],
-            reference: Callable[[float], np.ndarray] | None = None,
-            ref_indices: Sequence[int] | None = None) -> dict:
+            reference: Callable[[float], np.ndarray] | None = None) -> dict:
     """Scalar summary of a run.
 
     envelope is E(t) for the estimation-error bound, which gives
-    max_env_residual; reference (with the state indices it refers to)
-    enables the tracking RMSE.
+    max_env_residual; reference enables the tracking RMSE, and a reference
+    of k entries is tracked by the leading states x0..x{k-1}.
     """
     if len(log) == 0:
         raise ParameterError("empty log")
@@ -592,10 +591,11 @@ def metrics(log: TrajectoryLog,
     u = np.stack([log.column(f"u{i}") for i in range(m)], axis=1)
     out["max_u_norm"] = float(np.max(np.linalg.norm(u, axis=1)))
     out["max_env_residual"] = float(np.max(log.column("e_norm") - envelope(t)))
-    if reference is not None and ref_indices is not None:
-        tracked = np.stack([log.column(f"x{i}") for i in ref_indices], axis=1)
+    if reference is not None:
         ref = np.stack([np.asarray(reference(ti), dtype=float).reshape(-1)
                         for ti in t])
+        tracked = np.stack([log.column(f"x{i}") for i in range(ref.shape[1])],
+                           axis=1)
         out["tracking_rmse"] = float(
             np.sqrt(np.mean(np.sum((tracked - ref) ** 2, axis=1))))
     return out

@@ -534,3 +534,20 @@ def test_subnormal_nu_keeps_the_envelope_a_bound(tmp_path, capsys, scenario):
     out = capsys.readouterr().out
     assert f"{scenario}: ok" in out
     assert "certified: True" in (tmp_path / "o" / "validation.txt").read_text()
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_bypass_threshold_is_not_a_parameter(tmp_path, capsys, command):
+    # params.eps_singular once set the bypass threshold: 1e308 bypassed
+    # every QP, and the run wrote `certified: True` and exited 1.  The
+    # threshold is filters.EPS_SINGULAR, and the key is unknown.
+    cfg = write_config(tmp_path / "c.yaml",
+                       {"scenario": "el2dof-dob", "sim": {"tf": 0.01},
+                        "params": {"eps_singular": 1.0e+308}})
+    argv = [command, cfg]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "config.params.eps_singular" in lines[0], lines
+    assert not (tmp_path / "o").exists()

@@ -16,14 +16,13 @@ import numpy as np
 
 from dobcbf import qp
 from dobcbf.el import TwoLinkArm, el_observer_config
-from dobcbf.filters import QpFilter
+from dobcbf.filters import EPS_SINGULAR, QpFilter
 from dobcbf.model import BarrierSpec, ControlAffineSystem
 from dobcbf.observer import ObserverConfig
 from oracles import energy_row, robust_energy_row
 
 ARM = TwoLinkArm()
 PLANT = TwoLinkArm().plant()
-EPS_SINGULAR = 1e-3
 EL_OBS = el_observer_config(500.0, mu1=0.34, nu=1.0, omega=0.0)
 EL_BETA, EL_GAMMA, EL_OMEGA = 10.0, 2.0, 3.0
 D_MAX = 25.0
@@ -134,13 +133,11 @@ def energy_barrier():
 
 
 def energy_filter():
-    return QpFilter(PLANT, energy_barrier(), EL_OBS, omega=EL_OMEGA,
-                    eps_singular=EPS_SINGULAR)
+    return QpFilter(PLANT, energy_barrier(), EL_OBS, omega=EL_OMEGA)
 
 
 def robust_filter():
-    return QpFilter(PLANT, energy_barrier(), None, d_max=D_MAX,
-                    eps_singular=EPS_SINGULAR)
+    return QpFilter(PLANT, energy_barrier(), None, d_max=D_MAX)
 
 
 def test_energy_filter_matches_array_oracle():

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dobcbf.el import (TwoLinkArm, arm_derivative, el_observer_config,
-                       pd_nominal)
-from dobcbf.filters import QpFilter
+from dobcbf.el import TwoLinkArm, arm_derivative, el_observer_config
+from dobcbf.filters import EPS_SINGULAR, QpFilter
 from dobcbf.model import ControlAffineSystem, ParameterError
 from dobcbf.observer import ObserverConfig, ObserverState, estimate
 from dobcbf.scenarios import ConfigError, build
@@ -146,7 +145,7 @@ def test_el_observer_integral_is_alpha1_qdot_bit_for_bit():
 
 def energy_filter(h_q, grad, obs, beta, gamma, **tuning):
     """QpFilter on the arm's energy barrier beta*h_q - KE with the pole
-    gamma; tuning holds omega, d_max (with obs None) and eps_singular."""
+    gamma; tuning holds omega, or d_max with obs None."""
     return QpFilter(PLANT, TwoLinkArm().energy_barrier(h_q, grad, beta, gamma),
                     obs, **tuning)
 
@@ -211,17 +210,18 @@ def test_el_robust_psi_is_worst_case():
 
 
 def test_pd_nominal():
-    tau = pd_nominal(200.0, 35.0, np.zeros(2), np.zeros(2),
-                     np.ones(2), np.ones(2))
-    assert np.allclose(tau, [235.0, 235.0])
-    g = np.array([1.0, 2.0])
-    tau_g = pd_nominal(200.0, 35.0, np.zeros(2), np.zeros(2), np.ones(2),
-                       np.ones(2), gravity=g)
-    assert np.allclose(tau_g, [236.0, 237.0])
-    # per joint, kp (q_des - q) + kd (qd_des - qd)
-    tau = pd_nominal(200.0, 35.0, (0.5, -1.0), (2.0, 0.25), (1.0, 1.5),
-                     (-1.0, 0.5))
-    assert tau == (200.0 * 0.5 + 35.0 * -3.0, 200.0 * 2.5 + 35.0 * 0.25)
+    # the arm scenarios' nominal law: per joint kp (c - q) + kd (s - qdot)
+    # for the reference c = A cos t and its rate s = -A sin t, A = 5
+    t, x = 0.7, (0.5, -1.0, 2.0, 0.25)
+    q0, q1, v0, v1 = x
+    c, s = 5.0 * math.cos(t), -5.0 * math.sin(t)
+    tau = build({"scenario": "el2dof-dob"}).nominal(t, x)
+    assert tau == (200.0 * (c - q0) + 35.0 * (s - v0),
+                   200.0 * (c - q1) + 35.0 * (s - v1))
+    # plus G(q) under gravity compensation
+    sc = build({"scenario": "el2dof-dob", "params": {"gravity_comp": True}})
+    g0, g1 = ARM.gravity((q0, q1))
+    assert sc.nominal(t, np.array(x)) == (tau[0] + g0, tau[1] + g1)
     # the gains are checked once, where a scenario configures them
     for bad in ({"kp": -1.0}, {"kd": 0.0}):
         with pytest.raises(ConfigError):
@@ -234,10 +234,9 @@ def test_singularity_guard_cases():
     obs = el_observer_config(500.0, mu1=0.3, nu=1.0, omega=0.0)
     zero = lambda q: (0.0, 0.0)
     for sign in (1.0, -1.0):
-        for filt in (energy_filter(lambda q: sign, zero, obs, 10.0, 2.0,
-                                   eps_singular=1e-3),
+        for filt in (energy_filter(lambda q: sign, zero, obs, 10.0, 2.0),
                      energy_filter(lambda q: sign, zero, None, 10.0, 2.0,
-                                   d_max=0.0, eps_singular=1e-3)):
+                                   d_max=0.0)):
             qd = np.array([0.5, 0.0])
             dec = el_row_decision(filt, qd)
             assert not dec.bypass and dec.event is None
@@ -246,8 +245,10 @@ def test_singularity_guard_cases():
             assert dec.bypass and (dec.psi0 < 0) == (sign < 0)
             assert dec.event == (None if sign > 0 else "singular_infeasible")
             # just below and at the threshold
-            assert el_row_decision(filt, np.array([0.0, 0.999e-3])).bypass
-            assert not el_row_decision(filt, np.array([0.0, 1e-3])).bypass
+            below = np.array([0.0, 0.999 * EPS_SINGULAR])
+            assert el_row_decision(filt, below).bypass
+            at = np.array([0.0, EPS_SINGULAR])
+            assert not el_row_decision(filt, at).bypass
 
 
 
@@ -305,7 +306,7 @@ def test_el_filter_object_guard_path():
     obs = el_observer_config(500.0, mu1=0.3, nu=1.0, omega=0.0)
     h_q = lambda q: 16.0 - q[0] ** 2 - q[1] ** 2
     grad = lambda q: np.array([-2.0 * q[0], -2.0 * q[1]])
-    filt = energy_filter(h_q, grad, obs, 10.0, 2.0, eps_singular=1e-3)
+    filt = energy_filter(h_q, grad, obs, 10.0, 2.0)
     x_rest = np.array([2.0, 2.5, 0.0, 0.0])
     dec = filt.constraint(0.0, x_rest, np.zeros(2), np.zeros(2))
     assert dec.bypass
@@ -324,32 +325,24 @@ def test_el_filters_check_tuning_when_built():
     obs = el_observer_config(5.0, mu1=0.3, nu=1.0, omega=0.0)
     with pytest.raises(ParameterError):
         energy_filter(h_q, grad, obs, beta=10.0, gamma=2.0)
-    # and it checks its own beta, gamma, omega and eps_singular
+    # and it checks its own beta, gamma and omega
     obs = el_observer_config(500.0, mu1=0.3, nu=1.0, omega=0.0)
     energy_filter(h_q, grad, obs, 10.0, 2.0, omega=0.0)
-    for beta, gamma, omega, eps in ((0.0, 2.0, 0.0, 1e-4),
-                                    (10.0, -2.0, 0.0, 1e-4),
-                                    (10.0, 2.0, -1.0, 1e-4),
-                                    (10.0, 2.0, 0.0, 0.0)):
+    for beta, gamma, omega in ((0.0, 2.0, 0.0), (10.0, -2.0, 0.0),
+                               (10.0, 2.0, -1.0)):
         with pytest.raises(ParameterError):
-            energy_filter(h_q, grad, obs, beta, gamma, omega=omega,
-                          eps_singular=eps)
+            energy_filter(h_q, grad, obs, beta, gamma, omega=omega)
     # an omega whose square leaves the float range is named
     with pytest.raises(ParameterError, match="omega = 1e"):
         energy_filter(h_q, grad, obs, 10.0, 2.0, omega=1e308)
     # the robust baseline does not use the observer, and checks its own
-    # beta, gamma, eps_singular and d_max
+    # beta, gamma and d_max
     energy_filter(h_q, grad, None, 10.0, 2.0, d_max=0.0)
-    for beta, gamma, d_max, eps in ((10.0, 2.0, -1.0, 1e-4),
-                                    (0.0, 2.0, 1.0, 1e-4),
-                                    (-1.0, 2.0, 1.0, 1e-4),
-                                    (10.0, 0.0, 1.0, 1e-4),
-                                    (10.0, -2.0, 1.0, 1e-4),
-                                    (10.0, 2.0, 1.0, 0.0),
-                                    (10.0, 2.0, 1.0, -1e-4)):
+    for beta, gamma, d_max in ((10.0, 2.0, -1.0), (0.0, 2.0, 1.0),
+                               (-1.0, 2.0, 1.0), (10.0, 0.0, 1.0),
+                               (10.0, -2.0, 1.0)):
         with pytest.raises(ParameterError):
-            energy_filter(h_q, grad, None, beta, gamma, d_max=d_max,
-                          eps_singular=eps)
+            energy_filter(h_q, grad, None, beta, gamma, d_max=d_max)
 
 
 def grad_energy(q, qd, beta, grad_hq):

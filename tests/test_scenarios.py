@@ -53,6 +53,44 @@ def test_unknown_scenario_and_keys_rejected(tmp_path, capsys):
         assert_config_error(bad, tmp_path, capsys)
 
 
+class ReadKeys(dict):
+    """A params mapping that records every key read from it."""
+
+    def __init__(self, data, read):
+        super().__init__(data)
+        self.read = read
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def test_every_default_parameter_is_read(monkeypatch):
+    # a params key that no scenario of its plant family reads is a dead
+    # knob: setting it changes nothing
+    families = {"scalar-rel1": "scalar", "doubleint-relr": "doubleint"}
+    read = {}
+    resolve = scenarios.resolve_config
+
+    def recording(raw):
+        cfg = resolve(raw)
+        family = families.get(cfg["scenario"], "arm")
+        cfg["params"] = ReadKeys(cfg["params"], read.setdefault(family, set()))
+        return cfg
+
+    monkeypatch.setattr(scenarios, "resolve_config", recording)
+    for name in scenarios.SCENARIOS:
+        build({"scenario": name})
+    for name in scenarios.SCENARIOS:
+        family = families.get(name, "arm")
+        assert read[family] == set(scenarios.default_config(name)["params"]), \
+            family
+
+
 def test_invalid_parameters_raise_config_error():
     with pytest.raises(ConfigError):
         build({"scenario": "scalar-rel1", "params": {"alpha": -2.0}})

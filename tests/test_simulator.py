@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dobcbf import simulate
+from dobcbf import filters, qp, simulate
 from dobcbf.el import arm_derivative
 from dobcbf.filters import NoFilter
 from dobcbf.model import ControlAffineSystem, ParameterError
@@ -345,6 +345,23 @@ def test_blowup_stops_at_the_first_integration_step_past_the_norm(monkeypatch):
     assert max(norms[:-1]) <= limit < norms[-1]
     assert log.events[-1] == (times[-1], "blowup")
     assert len(log) == first // (substeps * sc.simcfg.log_stride) + 1
+
+
+def test_each_unsatisfiable_bypass_logs_one_event(monkeypatch):
+    # with the bypass threshold above every row norm no decision reaches the
+    # QP; each whose row is unsatisfiable (psi0 < 0) counts as "bypassed"
+    # and logs one (t, "singular_infeasible") event at its own time, and the
+    # others count as inactive.  The filter reads the threshold per row.
+    sc = scenarios.build({"scenario": "el2dof-dob", "sim": {"tf": 0.01}})
+    monkeypatch.setattr(filters, "EPS_SINGULAR", 1e308)
+    log = sc.run()
+    counts = log.status_counts
+    assert counts[qp.ACTIVE] == counts[qp.INFEASIBLE] == 0
+    bypassed = counts["bypassed"]
+    assert 0 < bypassed < bypassed + counts[qp.INACTIVE]
+    assert [kind for _, kind in log.events] == ["singular_infeasible"] * bypassed
+    times = [t for t, _ in log.events]
+    assert times == sorted(set(times))
 
 
 def test_metrics_roundtrip(tmp_path):
