@@ -54,7 +54,7 @@ def test_unknown_scenario_and_keys_rejected(tmp_path, capsys):
 
 
 class ReadKeys(dict):
-    """A params mapping that records every key read from it."""
+    """A params mapping that records each key it is indexed with."""
 
     def __init__(self, data, read):
         super().__init__(data)
@@ -63,10 +63,6 @@ class ReadKeys(dict):
     def __getitem__(self, key):
         self.read.add(key)
         return super().__getitem__(key)
-
-    def get(self, key, default=None):
-        self.read.add(key)
-        return super().get(key, default)
 
 
 def test_every_default_parameter_is_read(monkeypatch):
