@@ -17,6 +17,7 @@ and read as Python floats through `as_floats` (a vector) and `_float_rows`
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -220,6 +221,6 @@ def s_sequence(sys: ControlAffineSystem, bar: BarrierSpec, x) -> list:
     lf = bar.read(as_floats(x, sys.n, "x"))[0]
     out = lf[:1]
     for k in range(1, len(bar.poles)):
-        out.append(sum((a * lf[k - i] for i, a in enumerate(bar.cascade[k - 1], 1)),
+        out.append(sum(map(operator.mul, bar.cascade[k - 1], lf[k - 1::-1]),
                        lf[k]))
     return out

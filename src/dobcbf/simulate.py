@@ -33,8 +33,8 @@ with one %-format string per file.
 
 from __future__ import annotations
 
+import heapq
 import math
-import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -52,14 +52,13 @@ class IntegrationError(RuntimeError):
     """Non-finite right-hand side or state during integration."""
 
 
-#: grid points per block in DisturbanceSignal.max_norm, so a bound over a
-#: long grid never builds a terms x grid array
-_NORM_BLOCK = 4096
-#: max_norm samples every _NORM_STRIDE-th grid point to bound each block
-_NORM_STRIDE = 64
-#: max_norm's rounding allowance per unit of its error scale, about 9000
-#: units in the last place
-_NORM_ROUNDING = 1e-12
+#: DisturbanceSignal.norm_bound refines until its bound on the largest norm
+#: lies within this fraction of the largest norm found, or within this much
+#: of it when that norm is below 1
+BOUND_RTOL = 1e-9
+#: evaluations after which DisturbanceSignal.norm_bound stops refining, so a
+#: fast signal over a long span costs at most this many
+BOUND_EVALUATIONS = 20_000
 #: a joint state whose Euclidean norm exceeds this aborts a run ("blowup")
 BLOWUP_NORM = 1e9
 
@@ -86,40 +85,27 @@ class Term:
 class DisturbanceSignal:
     """Analytic disturbance d(t): a sum of sinusoids per channel.
 
-    The terms are packed once into a (channels x terms) amplitude matrix and
-    per-term frequency and phase arrays, a cos term as a sin with its phase
-    advanced by pi/2.  `max_norm` evaluates grid times from these arrays;
-    `value`, one time at a time in the simulator's hot path, sums
-    a*math.sin(w*t + phi) per channel over (a, w, phi) triples read once
-    from the same arrays, so the bounds are taken of the sum that the
-    simulator applies and of its exact analytic derivative.  An empty
-    channel is a zero row, and a zero entry of `value`.
+    The terms are read once into (a, w, phi) triples of Python floats per
+    channel, a cos term as a sin with its phase advanced by pi/2.  `value`,
+    one time at a time in the simulator's hot path, sums a*math.sin(w*t + phi)
+    over them, and `norm_bound` evaluates the same sums, so its bounds are
+    taken of the floats that the simulator applies and of their exact
+    analytic derivative.  An empty channel is a zero entry of `value`.
     """
 
     channels: tuple
-    _amp: np.ndarray = field(init=False, repr=False, compare=False)
-    _freq: np.ndarray = field(init=False, repr=False, compare=False)
-    _phase: np.ndarray = field(init=False, repr=False, compare=False)
     _triples: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         channels = tuple(tuple(ch) for ch in self.channels)
-        terms = [term for ch in channels for term in ch]
-        amp = np.zeros((len(channels), len(terms)))
-        rows = [i for i, ch in enumerate(channels) for _ in ch]
-        amp[rows, range(len(terms))] = [term.amplitude for term in terms]
-        freq = np.array([term.frequency for term in terms])
-        phase = np.array([term.phase + (0.0 if term.waveform == "sin"
-                                        else 0.5 * math.pi)
-                          for term in terms])
-        triples = [[] for _ in channels]
-        for j, (i, w, ph) in enumerate(zip(rows, freq.tolist(), phase.tolist())):
-            triples[i].append((float(amp[i, j]), w, ph))
-        packed = {"channels": channels, "_amp": amp, "_freq": freq,
-                  "_phase": phase,
-                  "_triples": tuple(tuple(ch) for ch in triples)}
-        for name, value in packed.items():
-            object.__setattr__(self, name, value)
+        triples = tuple(
+            tuple((float(term.amplitude), float(term.frequency),
+                   float(term.phase + (0.0 if term.waveform == "sin"
+                                       else 0.5 * math.pi)))
+                  for term in ch)
+            for ch in channels)
+        object.__setattr__(self, "channels", channels)
+        object.__setattr__(self, "_triples", triples)
 
     @property
     def dim(self) -> int:
@@ -140,139 +126,105 @@ class DisturbanceSignal:
             out.append(total)
         return tuple(out)
 
-    def max_norm(self, t0: float, tf: float, points: int,
-                 derivative: bool = False) -> float:
-        """max of ||d(t)||, or of ||ddot(t)|| with derivative, over the
-        grid np.linspace(t0, tf, points), which is never formed.
+    def norm_bound(self, t0: float, tf: float,
+                   derivative: bool = False) -> float:
+        """A certified upper bound on sup ||d(t)||, or on sup ||ddot(t)||
+        with derivative, over t in [t0, tf].
 
-        The value is that of evaluating the grid in blocks of _NORM_BLOCK
-        points, each as v = w.dot(wave(f t + phi)) with the weights w = a
-        and sin, or w = a*f and cos for the derivative, and taking the
-        square root of the largest ||v||^2.  Only the blocks that can hold
-        that maximum are evaluated, the same times in the same way, so the
-        result is the same float, bit for bit.  `_grid_times` generates
-        only the times that are read, each equal to its grid point.
+        v(t) is d(t), summed with the weights w = a and math.sin as `value`
+        sums it, or ddot(t), with w = a*f and math.cos.  S(t) = ||v(t)||^2
+        has |S''| <= K = 2 sum_c (A1_c^2 + A0_c A2_c), where Aj_c is the sum
+        of |w| |f|^j over channel c's terms, so on [a, b]
+        S <= max(S(a), S(b)) + K (b - a)^2 / 8.  Starting from [t0, tf],
+        the interval with the largest such bound ub is bisected at its
+        midpoint, evaluated there, until sqrt(ub) - sqrt(best) <=
+        BOUND_RTOL max(1, sqrt(best)), best the largest S evaluated (the
+        method of Breiman and Cutler, "A deterministic algorithm for global
+        optimization", 1993), or until BOUND_EVALUATIONS evaluations.  The
+        root r is min(sqrt(ub), ||(sum_k |w_ck|)_c||), both true bounds; a
+        K/8 that overflows evaluates nothing and takes the second.  The
+        result is r plus a rounding margin m, so on convergence it lies
+        above the largest norm by at most BOUND_RTOL max(1, sqrt(best)) + m.
 
-        Which blocks: ||v|| is first evaluated at every _NORM_STRIDE-th
-        grid point, the first of each group.  ||v'|| <= L =
-        ||(sum_k |w_ck f_k|)_c||, so a grid point t_i whose group starts at
-        the sample s has ||v(t_i)|| <= ||v(s)|| + L (t_i - s), at most
-        ||v(s)|| + L (r - s) with r the group's last point, as the grid is
-        non-decreasing; the largest of these bounds a block.  A block is
-        skipped only when its bound plus a margin m lies below the largest
-        sample minus m; every value computed in it then lies below the
-        block evaluation of that sample, which is never skipped.  When L
-        times tf - t0 overflows, no block is skipped.
+        Why m suffices: with u = 2^-53, W = sum |w|, F = max |f|,
+        T = max(|t0|, |tf|), P = max |phi|, N terms and C channels, the
+        argument f t + phi is off by at most 3u(FT + P), a sin or cos
+        within a few ulps adds 8u, the weighted sum (N + 1)u W, and the
+        squares, their sum and the norm (C + 1)u W; so an evaluated norm
+        is off from the analytic one by at most
+        e = uW(3(FT + P) + N + C + 11), whether the analytic one is taken
+        at a float time or the evaluated one is the simulator's.  The
+        analytic norm on [a, b] is then below
+        sqrt(max(S(a), S(b)) + K (b - a)^2/8) + e (Minkowski's inequality),
+        and the bound's own products, sums, its square root and the
+        trivial bound are off from that root r by at most (N + C + 7)u r.
+        So every norm lies below r + 2e + (N + C + 7)u r, which is less
+        than m = 16u (N + C + 16)(W (1 + FT + P) + r).
 
-        Why the grid is non-decreasing: NumPy forms the i-th point as
-        (i step) + t0 with step = (tf - t0)/(points - 1) >= 0, or as
-        (i/(points - 1)) (tf - t0) + t0 when that step rounds to 0, each
-        rounding monotone in i, and sets the last point to tf.  The point
-        before it is at most tf: with u = 2^-53 it lies below
-        (points - 2)/(points - 1) (1 + u)^3 (tf - t0) + t0 before its last
-        rounding, which is at most tf for any points up to 2^51, whose
-        samples alone would fill 2^48 bytes.
-
-        Why m suffices: with W = sum |w|, F = max |f|, T = max |t|,
-        P = max |phi|, K terms and C channels, the argument f t + phi is
-        off by at most 3u(FT + P), a sin or cos within a few ulps adds 8u,
-        the weighted sum (K + 1)u W, and the squares, their sum and the
-        square root (C + 2)u W; so one evaluation is off by at most
-        uW(3(FT + P) + K + C + 11).  The bound's own products, sums and
-        comparisons are off by at most 2uW(K + C + 8)(1 + FT).  Both
-        evaluations plus the bound stay below 8uW(K + C + 16)(1 + FT + P),
-        and m = _NORM_ROUNDING W (K + C + 16)(1 + FT + P) is over a
-        thousand times that.
-
-        t0 > tf, or points that is not a non-negative int, raises
-        ParameterError.  An empty grid, or a signal whose weights are all
-        zero, gives 0.0 without an array.  Otherwise ParameterError is
+        t0 > tf raises ParameterError.  A signal whose weights are all zero
+        gives 0.0 without an evaluation.  Otherwise ParameterError is
         raised, before anything is evaluated, when the evaluation cannot be
-        finite: t0, tf or tf - t0 not finite (NumPy's grid then holds NaN),
-        FT + P overflowing, or (sum |w|)^2 overflowing.
+        finite: t0, tf or tf - t0 not finite, FT + P overflowing, or
+        (sum |w|)^2 overflowing.
         """
-        if isinstance(points, bool) or not isinstance(points, numbers.Integral) \
-                or points < 0:
-            raise ParameterError(f"grid points must be a non-negative int, "
-                                 f"got {points!r}")
-        t0, tf, points = float(t0), float(tf), int(points)
+        t0, tf = float(t0), float(tf)
         if t0 > tf:
-            raise ParameterError(f"grid start {t0!r} is after its end {tf!r}")
-        if points == 0:
-            return 0.0
-        # (|w|, |f|, |phi|) per term and channel in Python floats, which
-        # overflow to inf without a warning; the checks below keep NumPy's
-        # products finite
-        rows = [[(abs(a * w) if derivative else abs(a), abs(w), abs(ph))
-                 for a, w, ph in channel] for channel in self._triples]
+            raise ParameterError(f"bound start {t0!r} is after its end {tf!r}")
+        # Python floats overflow to inf without a warning; the checks below
+        # keep every evaluation finite
+        rows = [[(a * w if derivative else a, w, ph) for a, w, ph in channel]
+                for channel in self._triples]
         terms = [term for row in rows for term in row]
-        total = sum(weight for weight, _, _ in terms)
+        total = sum(abs(weight) for weight, _, _ in terms)
         if total == 0.0:
             return 0.0
-        lipschitz = math.hypot(*(sum(weight * f for weight, f, _ in row)
-                                 for row in rows))
-        # the grid's extremes are its first and last points; a span that is
-        # not finite makes reach NaN or inf, and the squared norm is at most
-        # total^2, up to rounding
-        t_hi = tf if points > 1 else t0
-        reach = (max(f for _, f, _ in terms) * max(t_hi, -t0)
-                 + max(ph for _, _, ph in terms))
+        reach = (max(abs(f) for _, f, _ in terms) * max(abs(t0), abs(tf))
+                 + max(abs(ph) for _, _, ph in terms))
         if not (math.isfinite(tf - t0) and math.isfinite(reach)
                 and math.isfinite(2.0 * total * total)):
             raise ParameterError("disturbance bound: the signal cannot be "
-                                 "evaluated in floats on this grid")
-        weights = self._amp * self._freq if derivative else self._amp
-        wave = np.cos if derivative else np.sin
-        freq, phase = self._freq[:, None], self._phase[:, None]
+                                 "evaluated in floats over [t0, tf]")
+        sums = [(sum(abs(weight) for weight, _, _ in row),
+                 sum(abs(weight) * abs(f) for weight, f, _ in row),
+                 sum(abs(weight) * abs(f) * abs(f) for weight, f, _ in row))
+                for row in rows]
+        trivial = math.hypot(*(a0 for a0, _, _ in sums))
+        eighth = 0.25 * sum(a1 * a1 + a0 * a2 for a0, a1, a2 in sums)  # K/8
+        wave = math.cos if derivative else math.sin
 
-        def squares(ts):
-            vals = weights.dot(wave(freq * ts + phase))
-            return (vals * vals).sum(axis=0)
+        def squared(t):
+            out = 0.0
+            for row in rows:
+                v = 0.0
+                for weight, f, ph in row:
+                    v += weight * wave(f * t + ph)
+                out += v * v
+            return out
 
-        starts = range(0, points, _NORM_BLOCK)
-        if math.isfinite(lipschitz * (t_hi - t0)):
-            groups = np.arange(0, points, _NORM_STRIDE)
-            samples = _grid_times(t0, tf, points, groups)
-            norms = np.sqrt(squares(samples))
-            lasts = _grid_times(t0, tf, points, np.minimum(
-                groups + (_NORM_STRIDE - 1), points - 1))
-            bounds = np.maximum.reduceat(
-                norms + lipschitz * (lasts - samples),
-                range(0, groups.size, _NORM_BLOCK // _NORM_STRIDE)).tolist()
-            margin = (_NORM_ROUNDING * total * (len(terms) + self.dim + 16)
-                      * (1.0 + reach))
-            floor = float(norms.max()) - margin
-            starts = [start for start, bound in zip(starts, bounds)
-                      if bound + margin >= floor]
-        largest = 0.0
-        for start in starts:
-            block = squares(_grid_times(
-                t0, tf, points, np.arange(start, min(start + _NORM_BLOCK, points))))
-            largest = max(largest, float(block.max()))
-        return math.sqrt(largest)
-
-
-def _grid_times(t0: float, tf: float, points: int,
-                index: np.ndarray) -> np.ndarray:
-    """np.linspace(t0, tf, points)[index] for ascending int indices, bit for
-    bit, without the grid: NumPy's i * step + t0 with
-    step = (tf - t0)/(points - 1), i/(points - 1) * (tf - t0) + t0 when that
-    step is 0, and tf at the last point."""
-    div, delta = points - 1, tf - t0
-    ts = index.astype(float)
-    if div > 0:
-        step = delta / div
-        if step == 0:
-            ts /= div
-            ts *= delta
-        else:
-            ts *= step
-    else:
-        ts *= delta
-    ts += t0
-    if div > 0 and index[-1] == div:
-        ts[-1] = tf
-    return ts
+        root = trivial
+        if math.isfinite(eighth):
+            s0, s1 = squared(t0), squared(tf)
+            best, span = max(s0, s1), tf - t0
+            heap = [(-(best + eighth * span * span), t0, tf, s0, s1)]
+            evaluations = 2
+            while True:
+                top, a, b, sa, sb = heap[0]
+                ub, found = math.sqrt(-top), math.sqrt(best)
+                root = min(ub, trivial)
+                if (ub - found <= BOUND_RTOL * max(1.0, found)
+                        or evaluations >= BOUND_EVALUATIONS):
+                    break
+                mid = a + 0.5 * (b - a)
+                sm = squared(mid)
+                evaluations += 1
+                best = max(best, sm)
+                left, right = mid - a, b - mid
+                heapq.heapreplace(heap, (-(max(sa, sm) + eighth * left * left),
+                                         a, mid, sa, sm))
+                heapq.heappush(heap, (-(max(sm, sb) + eighth * right * right),
+                                      mid, b, sm, sb))
+        return root + 2.0 ** -49 * (len(terms) + self.dim + 16) * (
+            total * (1.0 + reach) + root)
 
 
 @dataclass(frozen=True)
@@ -516,6 +468,7 @@ def run_closed_loop(system: ControlAffineSystem,
         hold(u)
         return u
 
+    sub, mul = operator.sub, operator.mul
     y = [*x, *st.z]
     for k in range(cfg.n_steps + 1):
         t = cfg.t0 + k * cfg.dt
@@ -523,14 +476,16 @@ def run_closed_loop(system: ControlAffineSystem,
         u = control_at(t, x)
 
         if k % cfg.log_stride == 0 or k == cfg.n_steps:
-            # NumPy forms the row's products, which may round unlike float sums
-            e_d = np.subtract(d_hat, d_true)
+            # float sums in entry order, so the row's bits do not depend on
+            # the BLAS build
+            e_d = list(map(sub, d_hat, d_true))
             probe = safety.probe(x, e_d)
             psi0 = math.nan if dec.psi0 is None else dec.psi0
-            psi1_u = math.nan if dec.psi1 is None else float(np.dot(dec.psi1, u))
-            # the Euclidean norm as np.linalg.norm takes it, sqrt(e_d . e_d)
+            psi1_u = (math.nan if dec.psi1 is None
+                      else sum(map(mul, dec.psi1, u)))
             data[rows] = ([t, *x, *u_nom, *u, *d_true, *d_hat,
-                           math.sqrt(e_d.dot(e_d)), probe.get("h", math.nan),
+                           math.sqrt(sum(map(mul, e_d, e_d))),
+                           probe.get("h", math.nan),
                            probe.get("hbar", math.nan), psi0, psi1_u,
                            STATUS_CODES[status]]
                           + [probe[name] for name in extra_names])

@@ -4,9 +4,9 @@ term by term from one callback per term, the arm's equations of motion
 solved with np.linalg.solve, the arm's plant terms as float64 arrays, its
 kinetic energy, the energy filters' rows as they were written by hand, the
 observer's right-hand side on its own, the joint plant-and-observer
-derivative with NumPy products, a disturbance evaluated term by term, a
-disturbance bound that evaluates every grid block, classical RK4 on float64
-arrays, and a CSV written cell by cell."""
+derivative with NumPy products, a disturbance evaluated term by term, its
+largest norm on a dense grid, classical RK4 on float64 arrays, and a CSV
+written cell by cell."""
 
 import math
 from dataclasses import dataclass
@@ -19,7 +19,7 @@ from dobcbf.filters import Decision
 from dobcbf.model import ControlAffineSystem, ParameterError, as_floats, as_vector
 from dobcbf.observer import ObserverConfig, ObserverState, estimate
 from dobcbf.qp import QpInstance
-from dobcbf.simulate import _NORM_BLOCK, DisturbanceSignal, Term
+from dobcbf.simulate import DisturbanceSignal, Term
 
 
 def brute_force(inst: QpInstance, box_halfwidth: float,
@@ -236,24 +236,15 @@ def per_term_sum(sig: DisturbanceSignal, t, derivative: bool = False):
                      for ch in sig.channels])
 
 
-def grid_max_norm(sig: DisturbanceSignal, t_grid, derivative: bool = False) -> float:
-    """max over t_grid of the Euclidean norm of per_term_sum."""
-    vals = per_term_sum(sig, np.asarray(t_grid, dtype=float), derivative)
-    return float(np.sqrt((vals ** 2).sum(axis=0)).max())
-
-
 def blocked_max_norm(sig: DisturbanceSignal, t_grid,
-                     derivative: bool = False) -> float:
-    """DisturbanceSignal.max_norm with no block skipped: every block of
-    _NORM_BLOCK grid points evaluated from the signal's packed arrays, as
-    the library evaluates the blocks it keeps."""
+                     derivative: bool = False, block: int = 65_536) -> float:
+    """max over t_grid of the Euclidean norm of per_term_sum, taken in
+    blocks of grid points, so a grid of millions of points never builds a
+    terms x grid array."""
     t = np.asarray(t_grid, dtype=float).reshape(-1)
-    weights = sig._amp * sig._freq if derivative else sig._amp
-    wave = np.cos if derivative else np.sin
-    freq, phase = sig._freq[:, None], sig._phase[:, None]
     largest = 0.0
-    for start in range(0, t.size, _NORM_BLOCK):
-        vals = weights.dot(wave(freq * t[start:start + _NORM_BLOCK] + phase))
+    for start in range(0, t.size, block):
+        vals = per_term_sum(sig, t[start:start + block], derivative)
         largest = max(largest, float((vals * vals).sum(axis=0).max()))
     return math.sqrt(largest)
 

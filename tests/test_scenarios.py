@@ -259,8 +259,8 @@ def traced_peak(call):
 
 
 def test_disturbance_bounds_build_no_grid(monkeypatch):
-    # the 200 001-point grid alone takes 1.6 MB; max_norm holds a terms x
-    # 4096 block of the arm's 8 terms at a time
+    # a 200 001-point grid alone would take 1.6 MB; the bound holds one
+    # heap entry per interval that it has not refined
     arm = build({"scenario": "el2dof-dob"}).disturbance
     bound, peak = traced_peak(lambda: scenarios.derivative_bound(arm, 0.0, 20.0))
     assert bound > 0.0

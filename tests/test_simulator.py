@@ -1,5 +1,6 @@
 import math
-import warnings
+import time
+import types
 
 import numpy as np
 import pytest
@@ -14,9 +15,9 @@ from dobcbf.simulate import (DisturbanceSignal, SimConfig, Term,
                              read_metrics, rk4_step, run_closed_loop,
                              write_metrics)
 import dobcbf.scenarios as scenarios
-from oracles import (blocked_max_norm, csv_per_cell, grid_max_norm,
-                     joint_derivative_arrays, per_term_sum, rk4_step_arrays,
-                     term_derivative, term_value)
+from oracles import (blocked_max_norm, csv_per_cell, joint_derivative_arrays,
+                     per_term_sum, rk4_step_arrays, term_derivative,
+                     term_value)
 
 
 def test_rk4_exponential_accuracy():
@@ -83,6 +84,32 @@ def test_logged_disturbance_is_exact_at_every_row():
     fresh = np.stack([np.asarray(sc.disturbance.value(t))
                       for t in log.column("t")])
     assert logged.tobytes() == fresh.tobytes()
+
+
+def test_logged_error_norm_and_psi1_u_are_float_sums(monkeypatch):
+    # e_norm and psi1_u are float sums in entry order, bit for bit, from the
+    # logged d, dhat and u and the psi1 of the decision taken at the row's
+    # time, so they do not depend on the BLAS build
+    sc = scenarios.build({"scenario": "el2dof-dob",
+                          "sim": {"tf": 0.05, "log_stride": 2}})
+    psi1 = {}
+    constraint = filters.QpFilter.constraint
+
+    def record(self, t, x, u_nom, d_hat):
+        dec = constraint(self, t, x, u_nom, d_hat)
+        psi1[t] = dec.psi1
+        return dec
+
+    monkeypatch.setattr(filters.QpFilter, "constraint", record)
+    log = sc.run()
+    assert len(log) == 26
+    for row in log.data.tolist():
+        at = dict(zip(log.columns, row))
+        d = [at["d0"], at["d1"]]
+        e = [at["dhat0"] - d[0], at["dhat1"] - d[1]]
+        assert at["e_norm"] == math.sqrt(e[0] * e[0] + e[1] * e[1])
+        p = psi1[at["t"]]
+        assert at["psi1_u"] == p[0] * at["u0"] + p[1] * at["u1"]
 
 
 def test_arm_and_generic_derivatives_give_the_same_run():
@@ -209,7 +236,7 @@ def test_term_and_signal_derivatives():
         fd = float((np.asarray(sig.value(t + eps))
                     - np.asarray(sig.value(t - eps)))[0]) / (2 * eps)
         assert term_derivative(term, t) == pytest.approx(fd, abs=tol)
-        assert sig.max_norm(t, t, 1, derivative=True) == pytest.approx(abs(fd), abs=tol)
+        assert sig.norm_bound(t, t, derivative=True) == pytest.approx(abs(fd), abs=tol)
         assert sig.value(t)[0] == pytest.approx(term_value(term, t), abs=1e-13)
     with pytest.raises(ParameterError):
         Term(amplitude=1.0, frequency=1.0, waveform="tan")
@@ -222,7 +249,7 @@ def test_signal_norm_bounds():
         (Term(10.0, 1.0, waveform="sin"), Term(2.0, 2.0, waveform="sin"),
          Term(-5.0, 5.0, waveform="cos"), Term(10.0, 3.0, waveform="cos")),
     ))
-    wmax = sig.max_norm(0.0, 2.0 * np.pi, 200001, derivative=True)
+    wmax = sig.norm_bound(0.0, 2.0 * np.pi, derivative=True)
     # per-channel derivative amplitude sum: 10 + 4 + 25 + 30 = 69
     assert wmax <= np.sqrt(2.0) * 69.0
     assert wmax >= 0.5 * np.sqrt(2.0) * 69.0  # not wildly conservative
@@ -241,8 +268,8 @@ def test_constant_signal():
     assert np.allclose(np.asarray(sig.value(0.0)), [1.5, -2.0])
     assert np.allclose(np.asarray(sig.value(17.3)), [1.5, -2.0])
     assert np.allclose(per_term_sum(sig, 5.0, derivative=True), 0.0)
-    assert sig.max_norm(0.0, 20.0, 101, derivative=True) == 0.0
-    assert sig.max_norm(3.0, 3.0, 1) == pytest.approx(2.5)
+    assert sig.norm_bound(0.0, 20.0, derivative=True) == 0.0
+    assert sig.norm_bound(3.0, 3.0) == pytest.approx(2.5)
 
 
 def test_simconfig_validation():
@@ -417,40 +444,63 @@ def test_packed_signal_matches_per_term_sum():
             got = np.asarray(got)
             assert np.all(np.abs(got - per_term_sum(sig, t)) <= tol[False])
         for deriv in (False, True):
-            assert abs(sig.max_norm(0.0, 20.0, 401, derivative=deriv)
-                       - grid_max_norm(sig, grid, derivative=deriv)) <= tol[deriv]
+            bound_brackets_the_grid(sig, 0.0, 20.0, 401, deriv)
     assert np.array_equal(np.asarray(DisturbanceSignal(((), ())).value(3.0)),
                           np.zeros(2))
-    # max_norm evaluates in blocks: over three of them, the maximum of a
-    # rising sin(t/4) on [0, 2 pi] is at the last point, and of its slope
-    # at the first
+    # the maximum of a rising sin(t/4) on [0, 2 pi] is at the end, and of
+    # its slope at the start
     rising = DisturbanceSignal(((Term(1.0, 0.25),),))
     grid = np.linspace(0.0, 2.0 * np.pi, 10_001)
-    assert rising.max_norm(0.0, 2.0 * np.pi, 10_001) == pytest.approx(1.0, abs=1e-15)
-    assert rising.max_norm(0.0, float(grid[-2]), 10_000) < 1.0
-    assert rising.max_norm(0.0, 2.0 * np.pi, 10_001, derivative=True) == 0.25
+    assert rising.norm_bound(0.0, 2.0 * np.pi) == pytest.approx(1.0, abs=2e-9)
+    assert rising.norm_bound(0.0, float(grid[-2])) < 1.0
+    assert rising.norm_bound(0.0, 2.0 * np.pi, derivative=True) == \
+        pytest.approx(0.25, abs=2e-9)
 
 
-def same_bits_on_both_bounds(sig, t0, tf, points):
-    grid = np.linspace(t0, tf, points)
-    for deriv in (False, True):
-        got = sig.max_norm(t0, tf, points, deriv)
-        want = blocked_max_norm(sig, grid, deriv)
-        assert got == want, (deriv, got, want)
+def bound_scales(sig, t0, tf, derivative):
+    """(W, L, margin scale) of a signal's weights over [t0, tf]: W = sum |w|,
+    L = ||(sum_k |w_ck f_k|)_c||, which bounds the slope of the norm, and
+    (N + C + 16)(W (1 + FT + P)), with the phase of a cos term advanced by
+    pi/2 as the library holds it."""
+    rows = [[(abs(term.amplitude * term.frequency) if derivative
+              else abs(term.amplitude), abs(term.frequency),
+              abs(term.phase) + (0.0 if term.waveform == "sin" else np.pi / 2))
+             for term in ch] for ch in sig.channels]
+    terms = [term for row in rows for term in row]
+    total = sum(w for w, _, _ in terms)
+    slope = math.hypot(*(sum(w * f for w, f, _ in row) for row in rows))
+    reach = (max((f for _, f, _ in terms), default=0.0) * max(abs(t0), abs(tf))
+             + max((ph for _, _, ph in terms), default=0.0))
+    return total, slope, (len(terms) + len(rows) + 16) * total * (1.0 + reach)
+
+
+def bound_brackets_the_grid(sig, t0, tf, points, derivative):
+    """norm_bound over [t0, tf] lies at or above the largest norm on
+    np.linspace(t0, tf, points), and above it by at most L * gap + tol: every
+    t of the span lies within gap of a grid point (half a step, or the whole
+    span for one point), and tol is BOUND_RTOL plus eight times the rounding
+    margin that the docstring derives."""
+    got = sig.norm_bound(t0, tf, derivative)
+    want = blocked_max_norm(sig, np.linspace(t0, tf, points), derivative)
+    assert got >= want, (derivative, got, want)
+    _, slope, scale = bound_scales(sig, t0, tf, derivative)
+    gap = (tf - t0) / (2 * (points - 1)) if points > 1 else tf - t0
+    near = want + slope * gap
+    tol = simulate.BOUND_RTOL * max(1.0, near) + 2.0 ** -46 * (scale + near)
+    assert got <= near + tol, (derivative, got, want, near)
 
 
 @pytest.mark.parametrize("name", scenarios.SCENARIOS)
-def test_max_norm_is_the_blocked_loop_on_every_scenario(name):
+def test_norm_bound_brackets_the_grid_on_every_scenario(name):
     sig = scenarios.build({"scenario": name, "sim": {"tf": 0.125}}).disturbance
     for tf in (0.125, 1.0, 20.0, 200.0):
-        same_bits_on_both_bounds(sig, 0.0, tf, scenarios.BOUND_GRID_POINTS)
+        for deriv in (False, True):
+            bound_brackets_the_grid(sig, 0.0, tf, 200_001, deriv)
 
 
-def test_max_norm_is_the_blocked_loop_on_random_signals():
-    # 1-3 channels of 0-5 sin and cos terms; grids one block short, one
-    # block, one point over and the bound grid
+def test_norm_bound_brackets_the_grid_on_random_signals():
+    # 1-3 channels of 0-5 sin and cos terms, on spans of 0.1-30 s
     rng = np.random.default_rng(1515)
-    sizes = (1, 2, 4095, 4096, 4097, scenarios.BOUND_GRID_POINTS)
     for i in range(300):
         sig = DisturbanceSignal(tuple(
             tuple(Term(float(rng.normal(scale=10.0)),
@@ -460,113 +510,145 @@ def test_max_norm_is_the_blocked_loop_on_random_signals():
                   for _ in range(rng.integers(0, 6)))
             for _ in range(rng.integers(1, 4))))
         t0 = float(rng.uniform(-5.0, 5.0))
-        same_bits_on_both_bounds(sig, t0, t0 + float(rng.uniform(0.1, 30.0)),
-                                 sizes[i % len(sizes)])
+        tf = t0 + float(rng.uniform(0.1, 30.0))
+        for deriv in (False, True):
+            bound_brackets_the_grid(sig, t0, tf, 20_001, deriv)
 
 
-def test_max_norm_is_the_blocked_loop_on_ties():
-    # a * f overflows, so L is inf and L times the grid's span (0) is NaN:
-    # every block is evaluated, with no warning
+def test_norm_bound_of_one_sinusoid_is_its_amplitude():
+    # over a span that holds a peak, sup |a sin(f t + phi)| = |a| and
+    # sup |a f cos(f t + phi)| = |a f|; the bound is at or above them, and
+    # above by at most BOUND_RTOL max(1, sup) plus the rounding margin
+    for a, f, ph, wave, t0, tf in ((-3.5, 2.7, 0.4, "sin", 0.0, 10.0),
+                                  (12.0, 0.3, -1.0, "cos", -4.0, 25.0),
+                                  (1e-3, 40.0, 2.0, "sin", 1.0, 1.5),
+                                  (250.0, 5.0, 0.0, "cos", 0.0, 20.0)):
+        sig = DisturbanceSignal(((Term(a, f, ph, wave),),))
+        for deriv, sup in ((False, abs(a)), (True, abs(a * f))):
+            got = sig.norm_bound(t0, tf, deriv)
+            _, _, scale = bound_scales(sig, t0, tf, deriv)
+            margin = 2.0 ** -49 * (scale + got)
+            assert sup <= got <= (sup + simulate.BOUND_RTOL * max(1.0, sup)
+                                  + margin), (a, f, deriv, got)
+
+
+def test_norm_bound_stops_at_the_evaluation_cap(monkeypatch):
+    # a 1e4 rad/s sinusoid over 1000 s has over 3e6 peaks: the refinement
+    # stops after BOUND_EVALUATIONS evaluations and returns the trivial
+    # bound |a| plus the rounding margin, at or above a dense grid
+    counted = types.SimpleNamespace(**vars(math))
+    calls = []
+    for name in ("sin", "cos"):
+        wave = getattr(math, name)
+        setattr(counted, name, lambda x, wave=wave: calls.append(x) or wave(x))
+    sig = DisturbanceSignal(((Term(2.0, 1e4, 0.3),),))
+    monkeypatch.setattr(simulate, "math", counted)
+    started = time.perf_counter()
+    got = sig.norm_bound(0.0, 1000.0)
+    elapsed = time.perf_counter() - started
+    monkeypatch.undo()
+    assert len(calls) == simulate.BOUND_EVALUATIONS
+    assert elapsed < 1.0, elapsed
+    assert got >= blocked_max_norm(sig, np.linspace(0.0, 1000.0, 2_000_001))
+    _, _, scale = bound_scales(sig, 0.0, 1000.0, False)
+    assert got == pytest.approx(2.0 + 2.0 ** -49 * (scale + 2.0), rel=1e-15)
+
+
+def test_norm_bound_on_ties_and_overflowing_curvature():
+    # a * f overflows, so K is inf: nothing is evaluated and the bound is
+    # the trivial one, sum |a|, at or above the signal's value
     steep = DisturbanceSignal(((Term(1e100, 1e300, phase=1.0),),))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = steep.max_norm(0.0, 0.0, 5000)
-    assert got == blocked_max_norm(steep, np.zeros(5000))
-    assert got == pytest.approx(1e100 * math.sin(1.0))
-    # (a sin wt, a cos wt) has norm |a| everywhere, so its maximum is a
-    # rounding tie between every grid point; over a span of 1e-9 s the
-    # Lipschitz term of each group (below 1e-11) lies far below the
-    # rounding margin, and only that margin keeps the blocks whose
-    # evaluation rounds higher
+    got = steep.norm_bound(0.0, 0.0)
+    assert got >= blocked_max_norm(steep, np.zeros(1))
+    assert got == pytest.approx(1e100, rel=1e-12)
+    # (a sin wt, a cos wt) has norm |a| everywhere, so every grid point is a
+    # rounding tie of the maximum and the refinement finds no peak to
+    # close in on: over the long spans it stops at the evaluation cap
     ring = DisturbanceSignal(((Term(3.7, 2.3),), (Term(3.7, 2.3, waveform="cos"),)))
     for tf in (1.0, 20.0, 200.0):
-        same_bits_on_both_bounds(ring, 0.0, tf, 200_001)
-    same_bits_on_both_bounds(ring, 5.0, 5.0 + 1e-9, 200_001)
+        bound_brackets_the_grid(ring, 0.0, tf, 200_001, False)
+    bound_brackets_the_grid(ring, 5.0, 5.0 + 1e-9, 200_001, False)
 
 
-def test_max_norm_of_zero_weights_and_empty_grids_is_zero():
+def test_norm_bound_of_zero_weights_is_zero(monkeypatch):
     # the double integrator's constant disturbance has zero derivative
-    # weights; a signal without terms and an empty grid have nothing
-    assert constant_signal([1.5]).max_norm(0.0, 20.0, 101, derivative=True) == 0.0
-    assert DisturbanceSignal(((), ())).max_norm(0.0, 20.0, 101) == 0.0
-    assert constant_signal([1.5]).max_norm(0.0, 20.0, 0) == 0.0
+    # weights, and a signal without terms has none: exactly 0.0, with
+    # nothing evaluated
+    const, empty, zero = (constant_signal([1.5]), DisturbanceSignal(((), ())),
+                          constant_signal([0.0, 0.0]))
+    monkeypatch.setattr(simulate, "math", None)
+    assert const.norm_bound(0.0, 20.0, derivative=True) == 0.0
+    assert empty.norm_bound(0.0, 20.0) == 0.0
+    assert zero.norm_bound(-1.0, 1e300) == 0.0
 
 
-def test_max_norm_rejects_a_signal_it_cannot_evaluate():
+def test_norm_bound_rejects_a_signal_it_cannot_evaluate():
     cases = [
-        # every point but t = 0 is NaN; the loop returned 0.0
+        # every time but t = 0 gives NaN
         (DisturbanceSignal(((Term(1.0, 1.0), Term(1.0, 1e300)),)),
-         (0.0, 1e10, 5), False),
+         (0.0, 1e10), False),
         # the derivative weight 2e300 squared overflows
-        (DisturbanceSignal(((Term(2.0, 1e300),),)), (0.0, 20.0, 5), True),
+        (DisturbanceSignal(((Term(2.0, 1e300),),)), (0.0, 20.0), True),
         # frequency times time overflows
         (DisturbanceSignal(((Term(1.0, 1e10, waveform="cos"),),)),
-         (0.0, 1e301, 11), True),
+         (0.0, 1e301), True),
         # the derivative weight a * f itself overflows
-        (DisturbanceSignal(((Term(1e10, 1e300),),)), (0.0, 1.0, 5), True),
-        # an end that is not finite, or a span that overflows: NumPy's grid
-        # holds NaN, at its first point when tf - t0 is inf
-        (DisturbanceSignal(((Term(1.0, 1.0),),)), (0.0, np.nan, 3), False),
-        (DisturbanceSignal(((Term(1.0, 1.0),),)), (np.nan, 1.0, 3), False),
-        (DisturbanceSignal(((Term(1.0, 1.0),),)), (0.0, np.inf, 2), True),
-        (DisturbanceSignal(((Term(1e-10, 1e-300),),)), (-1e308, 1e308, 5),
+        (DisturbanceSignal(((Term(1e10, 1e300),),)), (0.0, 1.0), True),
+        # an end that is not finite, or a span that overflows
+        (DisturbanceSignal(((Term(1.0, 1.0),),)), (0.0, np.nan), False),
+        (DisturbanceSignal(((Term(1.0, 1.0),),)), (np.nan, 1.0), False),
+        (DisturbanceSignal(((Term(1.0, 1.0),),)), (0.0, np.inf), True),
+        (DisturbanceSignal(((Term(1e-10, 1e-300),),)), (-1e308, 1e308),
          False),
-        (DisturbanceSignal(((Term(1e-10, 1e-300),),)), (-1e308, 1e308, 1),
+        (DisturbanceSignal(((Term(1e-10, 1e-300),),)), (-1e308, 1e308),
          True),
     ]
-    # rejected before NumPy can warn of an overflow
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for sig, (t0, tf, points), deriv in cases:
+    # rejected before anything is evaluated
+    counted = types.SimpleNamespace(**vars(math))
+    counted.sin = counted.cos = None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "math", counted)
+        for sig, (t0, tf), deriv in cases:
             with pytest.raises(ParameterError):
-                sig.max_norm(t0, tf, points, derivative=deriv)
+                sig.norm_bound(t0, tf, derivative=deriv)
 
 
-@pytest.mark.parametrize("t0, tf, points", [
-    (1.0, 0.0, 5), (0.0, 1.0, -1), (0.0, 1.0, 2.0), (0.0, 1.0, True),
-    (0.0, 1.0, "5"), (0.0, 1.0, None)])
-def test_max_norm_rejects_a_grid_it_cannot_form(t0, tf, points):
-    # a descending span or a point count that is not a non-negative int,
+def test_norm_bound_rejects_a_descending_span():
     # also for a signal whose weights are all zero
     for sig in (DisturbanceSignal(((Term(1.0, 1.0),),)), constant_signal([0.0])):
         with pytest.raises(ParameterError):
-            sig.max_norm(t0, tf, points)
+            sig.norm_bound(1.0, 0.0)
 
 
-GRID_CASES = [(0.0, 20.0, n) for n in (1, 2, 4095, 4096, 4097, 200_001)] + [
+SPAN_CASES = [(0.0, 20.0, n) for n in (1, 2, 4095, 4096, 4097, 200_001)] + [
     (-7.3, 11.9, 200_001),      # a negative start
     (2.5, 2.5, 4097),           # t0 == tf
-    (0.0, 5e-324, 3),           # subnormal spans: the step rounds to 0
+    (0.0, 5e-324, 3),           # subnormal spans
     (-1e-320, 1e-320, 10_001),
 ]
 
 
-@pytest.mark.parametrize("t0, tf, points", GRID_CASES)
-def test_grid_times_are_linspace_bit_for_bit(monkeypatch, t0, tf, points):
-    # every time max_norm generates, and every block of the grid, equals
-    # np.linspace at the same indices, bits (and the sign of 0) included
-    grid = np.linspace(t0, tf, points)
-    if 0.0 < tf - t0 < 1e-300:
-        assert (tf - t0) / (points - 1) == 0.0  # NumPy's step == 0 branch
-    generated = []
-    real = simulate._grid_times
-
-    def record(*args):
-        generated.append((args[3], real(*args)))
-        return generated[-1][1]
-
-    monkeypatch.setattr(simulate, "_grid_times", record)
+@pytest.mark.parametrize("t0, tf, points", SPAN_CASES)
+def test_norm_bound_brackets_the_grid_on_spans(t0, tf, points):
+    # the arm's signal, whose curvature bound K is far from 0, and a ring,
+    # whose norm is the same everywhere
+    arm = scenarios.build({"scenario": "el2dof-dob", "sim": {"tf": 0.125}}).disturbance
     ring = DisturbanceSignal(((Term(3.7, 2.3),), (Term(3.7, 2.3, waveform="cos"),)))
-    ring.max_norm(t0, tf, points)
-    if points > 1:
-        # the samples and the last point of each group
-        assert len(generated) >= 3
-    blocks = [np.arange(start, min(start + simulate._NORM_BLOCK, points))
-              for start in range(0, points, simulate._NORM_BLOCK)]
-    generated += [(index, real(t0, tf, points, index)) for index in blocks]
-    for index, times in generated:
-        assert times.dtype == grid.dtype
-        assert times.tobytes() == grid[index].tobytes(), index
+    for sig in (arm, ring):
+        for deriv in (False, True):
+            bound_brackets_the_grid(sig, t0, tf, points, deriv)
+
+
+def test_derived_bounds_lie_above_a_finer_grid():
+    # the 200 001-point grid maxima that set-up took before lay below the
+    # supremum: a 4 000 001-point grid over the default [0, 20] read
+    # omega_d 83.5162313170153 against 83.51623129151336, and d_max
+    # 34.66684912321231 against 34.66684905674476
+    grid = np.linspace(0.0, 20.0, 4_000_001)
+    dob = scenarios.build({"scenario": "el2dof-dob"})
+    assert dob.constants["omega_d"] >= blocked_max_norm(dob.disturbance, grid, True)
+    robust = scenarios.build({"scenario": "el2dof-robust"})
+    assert robust.constants["d_max"] >= blocked_max_norm(robust.disturbance, grid)
 
 
 def test_term_rejects_nonfinite():
