@@ -66,7 +66,7 @@ BLOWUP_NORM = 1e9
 @dataclass(frozen=True)
 class Term:
     """One sinusoidal component a*sin(w t + phi) or a*cos(w t + phi); a
-    record that DisturbanceSignal packs and evaluates."""
+    record that DisturbanceSignal reads and evaluates."""
 
     amplitude: float
     frequency: float
@@ -174,20 +174,21 @@ class DisturbanceSignal:
         # keep every evaluation finite
         rows = [[(a * w if derivative else a, w, ph) for a, w, ph in channel]
                 for channel in self._triples]
-        terms = [term for row in rows for term in row]
-        total = sum(abs(weight) for weight, _, _ in terms)
+        # A0_c, A1_c and A2_c per channel
+        sums = [(sum(abs(weight) for weight, _, _ in row),
+                 sum(abs(weight) * abs(f) for weight, f, _ in row),
+                 sum(abs(weight) * abs(f) * abs(f) for weight, f, _ in row))
+                for row in rows]
+        total = sum(a0 for a0, _, _ in sums)
         if total == 0.0:
             return 0.0
+        terms = [term for row in rows for term in row]
         reach = (max(abs(f) for _, f, _ in terms) * max(abs(t0), abs(tf))
                  + max(abs(ph) for _, _, ph in terms))
         if not (math.isfinite(tf - t0) and math.isfinite(reach)
                 and math.isfinite(2.0 * total * total)):
             raise ParameterError("disturbance bound: the signal cannot be "
                                  "evaluated in floats over [t0, tf]")
-        sums = [(sum(abs(weight) for weight, _, _ in row),
-                 sum(abs(weight) * abs(f) for weight, f, _ in row),
-                 sum(abs(weight) * abs(f) * abs(f) for weight, f, _ in row))
-                for row in rows]
         trivial = math.hypot(*(a0 for a0, _, _ in sums))
         eighth = 0.25 * sum(a1 * a1 + a0 * a2 for a0, a1, a2 in sums)  # K/8
         wave = math.cos if derivative else math.sin

@@ -225,7 +225,7 @@ def test_log_rows_when_the_stride_does_not_divide_the_steps():
 
 
 def test_term_and_signal_derivatives():
-    # the oracle's analytic derivative is the slope of the packed signal's
+    # the oracle's analytic derivative is the slope of the signal's
     # value, and the derivative bound at one time is its magnitude
     t = 0.7
     eps = 1e-6
@@ -432,17 +432,14 @@ def test_packed_signal_matches_per_term_sum():
              DisturbanceSignal(((), ()))]
     for sig in cases:
         terms = [term for ch in sig.channels for term in ch]
-        # tolerance 1e-13 * sum |a| on values, 1e-13 * sum |a w| on slopes
-        tol = {False: 1e-13 * sum(abs(term.amplitude) for term in terms),
-               True: 1e-13 * sum(abs(term.amplitude * term.frequency)
-                                 for term in terms)}
+        tol = 1e-13 * sum(abs(term.amplitude) for term in terms)
         grid = np.linspace(0.0, 20.0, 401)
         for t in grid:
             got = sig.value(t)
             assert type(got) is tuple and len(got) == sig.dim
             assert all(type(v) is float for v in got)
             got = np.asarray(got)
-            assert np.all(np.abs(got - per_term_sum(sig, t)) <= tol[False])
+            assert np.all(np.abs(got - per_term_sum(sig, t)) <= tol)
         for deriv in (False, True):
             bound_brackets_the_grid(sig, 0.0, 20.0, 401, deriv)
     assert np.array_equal(np.asarray(DisturbanceSignal(((), ())).value(3.0)),
