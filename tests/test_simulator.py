@@ -455,10 +455,10 @@ def test_packed_signal_matches_per_term_sum():
 
 
 def bound_scales(sig, t0, tf, derivative):
-    """(W, L, margin scale) of a signal's weights over [t0, tf]: W = sum |w|,
+    """(L, margin scale) of a signal's weights over [t0, tf]:
     L = ||(sum_k |w_ck f_k|)_c||, which bounds the slope of the norm, and
-    (N + C + 16)(W (1 + FT + P)), with the phase of a cos term advanced by
-    pi/2 as the library holds it."""
+    (N + C + 16) W (1 + FT + P) with W = sum |w|, the phase of a cos term
+    advanced by pi/2 as the library holds it."""
     rows = [[(abs(term.amplitude * term.frequency) if derivative
               else abs(term.amplitude), abs(term.frequency),
               abs(term.phase) + (0.0 if term.waveform == "sin" else np.pi / 2))
@@ -468,7 +468,7 @@ def bound_scales(sig, t0, tf, derivative):
     slope = math.hypot(*(sum(w * f for w, f, _ in row) for row in rows))
     reach = (max((f for _, f, _ in terms), default=0.0) * max(abs(t0), abs(tf))
              + max((ph for _, _, ph in terms), default=0.0))
-    return total, slope, (len(terms) + len(rows) + 16) * total * (1.0 + reach)
+    return slope, (len(terms) + len(rows) + 16) * total * (1.0 + reach)
 
 
 def bound_brackets_the_grid(sig, t0, tf, points, derivative):
@@ -480,7 +480,7 @@ def bound_brackets_the_grid(sig, t0, tf, points, derivative):
     got = sig.norm_bound(t0, tf, derivative)
     want = blocked_max_norm(sig, np.linspace(t0, tf, points), derivative)
     assert got >= want, (derivative, got, want)
-    _, slope, scale = bound_scales(sig, t0, tf, derivative)
+    slope, scale = bound_scales(sig, t0, tf, derivative)
     gap = (tf - t0) / (2 * (points - 1)) if points > 1 else tf - t0
     near = want + slope * gap
     tol = simulate.BOUND_RTOL * max(1.0, near) + 2.0 ** -46 * (scale + near)
@@ -523,7 +523,7 @@ def test_norm_bound_of_one_sinusoid_is_its_amplitude():
         sig = DisturbanceSignal(((Term(a, f, ph, wave),),))
         for deriv, sup in ((False, abs(a)), (True, abs(a * f))):
             got = sig.norm_bound(t0, tf, deriv)
-            _, _, scale = bound_scales(sig, t0, tf, deriv)
+            _, scale = bound_scales(sig, t0, tf, deriv)
             margin = 2.0 ** -49 * (scale + got)
             assert sup <= got <= (sup + simulate.BOUND_RTOL * max(1.0, sup)
                                   + margin), (a, f, deriv, got)
@@ -547,7 +547,7 @@ def test_norm_bound_stops_at_the_evaluation_cap(monkeypatch):
     assert len(calls) == simulate.BOUND_EVALUATIONS
     assert elapsed < 1.0, elapsed
     assert got >= blocked_max_norm(sig, np.linspace(0.0, 1000.0, 2_000_001))
-    _, _, scale = bound_scales(sig, 0.0, 1000.0, False)
+    _, scale = bound_scales(sig, 0.0, 1000.0, False)
     assert got == pytest.approx(2.0 + 2.0 ** -49 * (scale + 2.0), rel=1e-15)
 
 
