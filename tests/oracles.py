@@ -236,15 +236,39 @@ def per_term_sum(sig: DisturbanceSignal, t, derivative: bool = False):
                      for ch in sig.channels])
 
 
-def blocked_max_norm(sig: DisturbanceSignal, t_grid,
-                     derivative: bool = False, block: int = 65_536) -> float:
-    """max over t_grid of the Euclidean norm of per_term_sum, taken in
-    blocks of grid points, so a grid of millions of points never builds a
-    terms x grid array."""
-    t = np.asarray(t_grid, dtype=float).reshape(-1)
+def grid_times(t0: float, tf: float, points: int,
+               index: np.ndarray) -> np.ndarray:
+    """np.linspace(t0, tf, points)[index] for ascending int indices, bit for
+    bit, without the grid: NumPy's i * step + t0 with
+    step = (tf - t0)/(points - 1), i/(points - 1) * (tf - t0) + t0 when that
+    step is 0, and tf at the last point."""
+    div, delta = points - 1, tf - t0
+    ts = index.astype(float)
+    if div > 0:
+        step = delta / div
+        if step == 0:
+            ts /= div
+            ts *= delta
+        else:
+            ts *= step
+    else:
+        ts *= delta
+    ts += t0
+    if div > 0 and index[-1] == div:
+        ts[-1] = tf
+    return ts
+
+
+def blocked_max_norm(sig: DisturbanceSignal, t0: float, tf: float,
+                     points: int, derivative: bool = False,
+                     block: int = 65_536) -> float:
+    """max over np.linspace(t0, tf, points) of the Euclidean norm of
+    per_term_sum, taken in blocks of grid points that grid_times forms, so a
+    grid of millions of points is never held whole."""
     largest = 0.0
-    for start in range(0, t.size, block):
-        vals = per_term_sum(sig, t[start:start + block], derivative)
+    for start in range(0, points, block):
+        t = grid_times(t0, tf, points, np.arange(start, min(start + block, points)))
+        vals = per_term_sum(sig, t, derivative)
         largest = max(largest, float((vals * vals).sum(axis=0).max()))
     return math.sqrt(largest)
 

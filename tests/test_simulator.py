@@ -15,8 +15,8 @@ from dobcbf.simulate import (DisturbanceSignal, SimConfig, Term,
                              read_metrics, rk4_step, run_closed_loop,
                              write_metrics)
 import dobcbf.scenarios as scenarios
-from oracles import (blocked_max_norm, csv_per_cell, joint_derivative_arrays,
-                     per_term_sum, rk4_step_arrays, term_derivative,
+from oracles import (blocked_max_norm, csv_per_cell, grid_times,
+                     joint_derivative_arrays, per_term_sum, rk4_step_arrays, term_derivative,
                      term_value)
 
 
@@ -478,7 +478,7 @@ def bound_brackets_the_grid(sig, t0, tf, points, derivative):
     span for one point), and tol is BOUND_RTOL plus eight times the rounding
     margin that the docstring derives."""
     got = sig.norm_bound(t0, tf, derivative)
-    want = blocked_max_norm(sig, np.linspace(t0, tf, points), derivative)
+    want = blocked_max_norm(sig, t0, tf, points, derivative)
     assert got >= want, (derivative, got, want)
     slope, scale = bound_scales(sig, t0, tf, derivative)
     gap = (tf - t0) / (2 * (points - 1)) if points > 1 else tf - t0
@@ -488,14 +488,16 @@ def bound_brackets_the_grid(sig, t0, tf, points, derivative):
 
 
 @pytest.mark.parametrize("name", scenarios.SCENARIOS)
-def test_norm_bound_brackets_the_grid_on_every_scenario(name):
+def test_max_norm_is_the_blocked_loop_on_every_scenario(name):
+    # norm_bound, the certified bound on the maximum norm, brackets the
+    # blocked loop's grid maximum
     sig = scenarios.build({"scenario": name, "sim": {"tf": 0.125}}).disturbance
     for tf in (0.125, 1.0, 20.0, 200.0):
         for deriv in (False, True):
             bound_brackets_the_grid(sig, 0.0, tf, 200_001, deriv)
 
 
-def test_norm_bound_brackets_the_grid_on_random_signals():
+def test_max_norm_is_the_blocked_loop_on_random_signals():
     # 1-3 channels of 0-5 sin and cos terms, on spans of 0.1-30 s
     rng = np.random.default_rng(1515)
     for i in range(300):
@@ -546,17 +548,17 @@ def test_norm_bound_stops_at_the_evaluation_cap(monkeypatch):
     monkeypatch.undo()
     assert len(calls) == simulate.BOUND_EVALUATIONS
     assert elapsed < 1.0, elapsed
-    assert got >= blocked_max_norm(sig, np.linspace(0.0, 1000.0, 2_000_001))
+    assert got >= blocked_max_norm(sig, 0.0, 1000.0, 2_000_001)
     _, scale = bound_scales(sig, 0.0, 1000.0, False)
     assert got == pytest.approx(2.0 + 2.0 ** -49 * (scale + 2.0), rel=1e-15)
 
 
-def test_norm_bound_on_ties_and_overflowing_curvature():
+def test_max_norm_is_the_blocked_loop_on_ties():
     # a * f overflows, so K is inf: nothing is evaluated and the bound is
     # the trivial one, sum |a|, at or above the signal's value
     steep = DisturbanceSignal(((Term(1e100, 1e300, phase=1.0),),))
     got = steep.norm_bound(0.0, 0.0)
-    assert got >= blocked_max_norm(steep, np.zeros(1))
+    assert got >= blocked_max_norm(steep, 0.0, 0.0, 1)
     assert got == pytest.approx(1e100, rel=1e-12)
     # (a sin wt, a cos wt) has norm |a| everywhere, so every grid point is a
     # rounding tie of the maximum and the refinement finds no peak to
@@ -579,7 +581,7 @@ def test_norm_bound_of_zero_weights_is_zero(monkeypatch):
     assert zero.norm_bound(-1.0, 1e300) == 0.0
 
 
-def test_norm_bound_rejects_a_signal_it_cannot_evaluate():
+def test_max_norm_rejects_a_signal_it_cannot_evaluate():
     cases = [
         # every time but t = 0 gives NaN
         (DisturbanceSignal(((Term(1.0, 1.0), Term(1.0, 1e300)),)),
@@ -617,18 +619,31 @@ def test_norm_bound_rejects_a_descending_span():
             sig.norm_bound(1.0, 0.0)
 
 
-SPAN_CASES = [(0.0, 20.0, n) for n in (1, 2, 4095, 4096, 4097, 200_001)] + [
+GRID_CASES = [(0.0, 20.0, n) for n in (1, 2, 4095, 4096, 4097, 200_001)] + [
     (-7.3, 11.9, 200_001),      # a negative start
     (2.5, 2.5, 4097),           # t0 == tf
-    (0.0, 5e-324, 3),           # subnormal spans
+    (0.0, 5e-324, 3),           # subnormal spans: the step rounds to 0
     (-1e-320, 1e-320, 10_001),
 ]
 
 
-@pytest.mark.parametrize("t0, tf, points", SPAN_CASES)
-def test_norm_bound_brackets_the_grid_on_spans(t0, tf, points):
-    # the arm's signal, whose curvature bound K is far from 0, and a ring,
-    # whose norm is the same everywhere
+@pytest.mark.parametrize("t0, tf, points", GRID_CASES)
+def test_grid_times_are_linspace_bit_for_bit(t0, tf, points):
+    # every block of the oracle's grid equals np.linspace at the same
+    # indices, bits (and the sign of 0) included, so the gap that
+    # bound_brackets_the_grid allows is that of np.linspace
+    grid = np.linspace(t0, tf, points)
+    if 0.0 < tf - t0 < 1e-300:
+        assert (tf - t0) / (points - 1) == 0.0  # NumPy's step == 0 branch
+    for block in (4096, 65_536):
+        for start in range(0, points, block):
+            index = np.arange(start, min(start + block, points))
+            times = grid_times(t0, tf, points, index)
+            assert times.dtype == grid.dtype
+            assert times.tobytes() == grid[index].tobytes(), index
+    # on these spans, norm_bound brackets that grid for the arm's signal,
+    # whose curvature bound K is far from 0, and for a ring, whose norm is
+    # the same everywhere
     arm = scenarios.build({"scenario": "el2dof-dob", "sim": {"tf": 0.125}}).disturbance
     ring = DisturbanceSignal(((Term(3.7, 2.3),), (Term(3.7, 2.3, waveform="cos"),)))
     for sig in (arm, ring):
@@ -641,7 +656,6 @@ def test_derived_bounds_lie_above_a_finer_grid():
     # supremum: a 4 000 001-point grid over the default [0, 20] read the
     # arm's omega_d 83.5162313170153 against 83.51623129151336, and d_max
     # 34.66684912321231 against 34.66684905674476
-    grid = np.linspace(0.0, 20.0, 4_000_001)
     maxima = {}
     for name in scenarios.SCENARIOS:
         sc = scenarios.build({"scenario": name})
@@ -649,7 +663,7 @@ def test_derived_bounds_lie_above_a_finer_grid():
             if key in sc.constants:
                 if (sc.disturbance, deriv) not in maxima:
                     maxima[sc.disturbance, deriv] = blocked_max_norm(
-                        sc.disturbance, grid, deriv)
+                        sc.disturbance, 0.0, 20.0, 4_000_001, deriv)
                 assert sc.constants[key] >= maxima[sc.disturbance, deriv], \
                     (name, key)
 
