@@ -45,6 +45,10 @@ from .observer import ObserverConfig
 #: bypassed; read when each row is formed
 EPS_SINGULAR = 1e-4
 
+#: builds a Decision, every field given, without the Python-level
+#: NamedTuple __new__
+_new = tuple.__new__
+
 
 @dataclass
 class ParamReport:
@@ -157,9 +161,9 @@ class QpFilter:
         else:
             psi0 = lf[-1] - b_norm * self.d_max + cascade
         if norm < EPS_SINGULAR:
-            return Decision(psi0, psi1, True,
-                            "singular_infeasible" if psi0 < 0 else None)
-        return Decision(psi0, psi1)
+            return _new(Decision, (psi0, psi1, True,
+                                   "singular_infeasible" if psi0 < 0 else None))
+        return _new(Decision, (psi0, psi1, False, None))
 
     def probe(self, x, e_d) -> dict:
         """h (the barrier's safe_set when it has one), the augmented

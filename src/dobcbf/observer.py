@@ -38,10 +38,11 @@ class ObserverConfig:
     """Constant gain L_d plus the analysis constants (alpha, nu, omega).
 
     gain is the (p, n) matrix L_d, checked for shape and finiteness once,
-    here, and stored as a read-only copy; its rows are also kept as tuples
-    of Python floats for integral_at.  alpha is the coercivity constant
-    of L_d g2, nu the Young's-inequality split, omega the bound on ||ddot||;
-    QpFilter reads alpha and nu from here when built.
+    here, and stored as a read-only copy.  For integral_at each row is also
+    kept as its nonzero (column, coefficient) pairs, in column order, with
+    Python floats, and p and n as ints (dim_dist is p).  alpha is the
+    coercivity constant of L_d g2, nu the Young's-inequality split, omega
+    the bound on ||ddot||; QpFilter reads alpha and nu from here when built.
     Configs compare and hash by identity, as arrays do not compare to one
     truth value.
     """
@@ -50,6 +51,8 @@ class ObserverConfig:
     alpha: float
     nu: float = 1.0
     omega: float = 0.0
+    dim_dist: int = field(init=False, repr=False)
+    _n: int = field(init=False, repr=False)
     _rows: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -64,7 +67,11 @@ class ObserverConfig:
         rows = _float_rows(gain, *gain.shape, "gain")
         gain.flags.writeable = False
         object.__setattr__(self, "gain", gain)
-        object.__setattr__(self, "_rows", tuple(map(tuple, rows)))
+        object.__setattr__(self, "dim_dist", gain.shape[0])
+        object.__setattr__(self, "_n", gain.shape[1])
+        object.__setattr__(self, "_rows", tuple(
+            tuple((j, c) for j, c in enumerate(row) if c != 0.0)
+            for row in rows))
         if self.alpha <= 0 or self.nu <= 0:
             raise ParameterError("alpha and nu must be positive")
         if self.omega < 0:
@@ -72,10 +79,6 @@ class ObserverConfig:
         if self.kappa <= 0:
             raise ParameterError(
                 f"kappa = alpha - nu/2 = {self.kappa} must be positive")
-
-    @property
-    def dim_dist(self) -> int:
-        return self.gain.shape[0]
 
     @property
     def kappa(self) -> float:
@@ -86,12 +89,24 @@ class ObserverConfig:
         return self.gain
 
     def integral_at(self, x) -> list:
-        """p(x) = L_d x as a list of float sums over the rows of L_d; x is
-        checked by as_floats, and a non-finite p(x) raises ValueError."""
-        x = as_floats(x, self.gain.shape[1], "x")
+        """p(x) = L_d x as a list of float sums over the nonzero entries of
+        each row of L_d; x is checked by as_floats, and a non-finite p(x)
+        raises ValueError.
+
+        Each sum has every bit of sum(map(operator.mul, row, x)) over the
+        full row: for a finite x each dropped product is +-0.0, and adding
+        +-0.0 leaves a float sum started at 0.0 as it is, since that sum is
+        never -0.0.  A row of one pair is that one product added to 0.0,
+        and a row with no pair gives 0.0.
+        """
+        x = as_floats(x, self._n, "x")
         p = []
         for row in self._rows:
-            p.append(sum(map(operator.mul, row, x)))
+            if len(row) == 1:
+                (j, c), = row
+                p.append(0.0 + c * x[j])
+            else:
+                p.append(sum([c * x[j] for j, c in row], 0.0))
             if not math.isfinite(p[-1]):
                 raise ValueError(f"p(x): non-finite entries {p}")
         return p

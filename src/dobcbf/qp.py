@@ -54,6 +54,10 @@ class QpResult(NamedTuple):
     status: str
 
 
+#: builds a QpResult without the Python-level NamedTuple __new__
+_new = tuple.__new__
+
+
 def solve(inst: QpInstance) -> QpResult:
     """Closed-form projection onto the half-space {u : psi0 + psi1.u >= 0}.
 
@@ -68,12 +72,12 @@ def solve(inst: QpInstance) -> QpResult:
     u_nom, psi0, psi1 = inst
     slack = psi0 + sum(map(operator.mul, psi1, u_nom))
     if slack >= 0.0:
-        return QpResult(u_nom, INACTIVE)
+        return _new(QpResult, (u_nom, INACTIVE))
     sq = sum(map(operator.mul, psi1, psi1))
     if sq == 0.0:
-        return QpResult(u_nom, INFEASIBLE)
+        return _new(QpResult, (u_nom, INFEASIBLE))
     step = slack / sq
     u = tuple([ui - step * pi for ui, pi in zip(u_nom, psi1)])
     if not all(map(math.isfinite, u)):
         raise ValueError(f"QP solution u: non-finite entries {list(u)}")
-    return QpResult(u, ACTIVE)
+    return _new(QpResult, (u, ACTIVE))

@@ -459,7 +459,7 @@ def run_closed_loop(system: ControlAffineSystem,
             if dec.event:
                 events.append((ts, dec.event))
         else:
-            inst = qp.QpInstance(u_nom=u_nom, psi0=dec.psi0, psi1=dec.psi1)
+            inst = qp.QpInstance(u_nom, dec.psi0, dec.psi1)
             u_nom = inst.u_nom
             res = qp.solve(inst)
             u, status = res.u, res.status
