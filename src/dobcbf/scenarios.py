@@ -47,8 +47,8 @@ Derived constants and their provenance:
     closed form, until the bound lies within simulate.BOUND_RTOL (1e-9) of
     the largest value found, or stops after simulate.BOUND_EVALUATIONS
     (20 000) evaluations, and adds a rounding margin that its docstring
-    derives.  On the arm over the default 20 s it takes 214 evaluations
-    for omega and 175 for d_max.  A signal that cannot be evaluated in
+    derives.  On the arm over the default 20 s it takes 157 evaluations
+    for omega and 154 for d_max.  A signal that cannot be evaluated in
     floats over the span raises ParameterError, a ConfigError here;
   * the arm's inverse-inertia eigenvalue bounds are exact: the inertia
     matrix is affine in cos(q2), so its largest eigenvalue (convex in the

@@ -133,8 +133,14 @@ class DisturbanceSignal:
 
         v(t) is d(t), summed with the weights w = a and math.sin as `value`
         sums it, or ddot(t), with w = a*f and math.cos.  S(t) = ||v(t)||^2
-        has |S''| <= K = 2 sum_c (A1_c^2 + A0_c A2_c), where Aj_c is the sum
-        of |w| |f|^j over channel c's terms, so on [a, b]
+        has |S''| <= K = 2 sum_c A0_c A2_c, where Aj_c is the sum of
+        |w| |f|^j over channel c's terms: v_c^2 = sum_ij w_i w_j
+        sin(th_i) sin(th_j) (cos for ddot) is a sum of
+        w_i w_j (cos(th_i - th_j) -+ cos(th_i + th_j)) / 2 with
+        th_i = f_i t + phi_i, whose second derivative is at most
+        |w_i| |w_j| ((f_i - f_j)^2 + (f_i + f_j)^2) / 2
+        = |w_i| |w_j| (f_i^2 + f_j^2) in magnitude, and summed over i and j
+        that is 2 A0_c A2_c.  So on [a, b]
         S <= max(S(a), S(b)) + K (b - a)^2 / 8.  Starting from [t0, tf],
         the interval with the largest such bound ub is bisected at its
         midpoint, evaluated there, until sqrt(ub) - sqrt(best) <=
@@ -155,9 +161,14 @@ class DisturbanceSignal:
         e = uW(3(FT + P) + N + C + 11), whether the analytic one is taken
         at a float time or the evaluated one is the simulator's.  The
         analytic norm on [a, b] is then below
-        sqrt(max(S(a), S(b)) + K (b - a)^2/8) + e (Minkowski's inequality),
-        and the bound's own products, sums, its square root and the
-        trivial bound are off from that root r by at most (N + C + 7)u r.
+        sqrt(max(S(a), S(b)) + K (b - a)^2/8) + e (Minkowski's inequality).
+        The bound's own K/8 = (1/4) sum_c A0_c A2_c is within (2N + C + 1)u
+        of its value (A0_c within (N - 1)u, A2_c within (N + 1)u, their
+        product and the sum over channels), b - a and its square add 3u,
+        the product with K/8 and the sum with max(S(a), S(b)) 2u, and the
+        square root halves the radicand's (2N + C + 6)u and adds u; so that
+        root, and likewise the trivial bound, is off from r by at most
+        (N + C + 7)u r.
         So every norm lies below r + 2e + (N + C + 7)u r, which is less
         than m = 16u (N + C + 16)(W (1 + FT + P) + r).
 
@@ -174,12 +185,11 @@ class DisturbanceSignal:
         # keep every evaluation finite
         rows = [[(a * w if derivative else a, w, ph) for a, w, ph in channel]
                 for channel in self._triples]
-        # A0_c, A1_c and A2_c per channel
+        # A0_c and A2_c per channel
         sums = [(sum(abs(weight) for weight, _, _ in row),
-                 sum(abs(weight) * abs(f) for weight, f, _ in row),
                  sum(abs(weight) * abs(f) * abs(f) for weight, f, _ in row))
                 for row in rows]
-        total = sum(a0 for a0, _, _ in sums)
+        total = sum(a0 for a0, _ in sums)
         if total == 0.0:
             return 0.0
         terms = [term for row in rows for term in row]
@@ -189,8 +199,8 @@ class DisturbanceSignal:
                 and math.isfinite(2.0 * total * total)):
             raise ParameterError("disturbance bound: the signal cannot be "
                                  "evaluated in floats over [t0, tf]")
-        trivial = math.hypot(*(a0 for a0, _, _ in sums))
-        eighth = 0.25 * sum(a1 * a1 + a0 * a2 for a0, a1, a2 in sums)  # K/8
+        trivial = math.hypot(*(a0 for a0, _ in sums))
+        eighth = 0.25 * sum(a0 * a2 for a0, a2 in sums)  # K/8
         wave = math.cos if derivative else math.sin
 
         def squared(t):
