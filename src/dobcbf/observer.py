@@ -6,7 +6,9 @@ d_hat = z + p(x), with
     zdot = -L_d (f + g1 u + g2 z + g2 p(x)),
 
 where the gain L_d is a constant (p, n) matrix and p(x) = L_d x, so that
-dp/dx = L_d holds by construction.  The gain must satisfy the coercivity
+dp/dx = L_d holds by construction.  p(x) is summed over the nonzero
+entries of each row only, which the gains here have few of, with every bit
+of the full row's float sum (see `ObserverConfig.integral_at`).  The gain must satisfy the coercivity
 condition v' L_d g2(x) v >= alpha ||v||^2 (see `gain_spectrum`).  Every
 observer in the library has this form: on an Euler-Lagrange plant,
 L_d = [0 | alpha1 I] gives the momentum observer of Chen, Ballance,
@@ -96,8 +98,12 @@ class ObserverConfig:
         Each sum has every bit of sum(map(operator.mul, row, x)) over the
         full row: for a finite x each dropped product is +-0.0, and adding
         +-0.0 leaves a float sum started at 0.0 as it is, since that sum is
-        never -0.0.  A row of one pair is that one product added to 0.0,
-        and a row with no pair gives 0.0.
+        never -0.0.  A row of one pair, as every row of the momentum
+        observer is, is that product added to 0.0, since a one-term sum()
+        costs several products.  A longer row goes through sum(), as the
+        full row does, since from Python 3.12 on sum() compensates its
+        rounding and a plain running sum would not; a row with no pair
+        gives 0.0.
         """
         x = as_floats(x, self._n, "x")
         p = []

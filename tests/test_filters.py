@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dobcbf.el import violation_floor
-from dobcbf.filters import NoFilter, QpFilter
+from dobcbf.filters import Decision, NoFilter, QpFilter
 from dobcbf.model import BarrierSpec, ControlAffineSystem, ParameterError
 from dobcbf.observer import ObserverConfig
 
@@ -174,3 +174,27 @@ def test_filter_objects_produce_decisions():
     assert dec.bypass and dec.psi0 is None
     assert np.isnan(nof.probe(np.array([1.0]), np.array([0.0]))["hbar"])
     assert nof.report(np.array([1.0]), 0.0) is None
+
+
+def test_decisions_equal_ones_built_by_keyword():
+    # constraint builds its Decision with tuple.__new__, every field given:
+    # the same type, fields and values as the NamedTuple's constructor,
+    # whose defaults (no bypass, no event) a regular row takes
+    assert Decision._fields == ("psi0", "psi1", "bypass", "event")
+    assert Decision._field_defaults == {"bypass": False, "event": None}
+    sys, bar = scalar_plant()
+    filt = qp_filter(sys, bar, alpha=2.0, beta=1.0, nu=1.0)
+    dec = filt.constraint(0.0, [1.0], [0.0], [0.0])
+    assert type(dec) is Decision and len(dec) == 4
+    assert dec == Decision(psi0=dec.psi0, psi1=dec.psi1)
+    assert dec.bypass is False and dec.event is None
+    # a vanishing L_g1 h bypasses, with the event when psi0 < 0
+    flat = BarrierSpec(chain=lambda x: ((float(x[0]), 0.0), (0.0,), (0.0,)),
+                       poles=(1.0,))
+    singular = qp_filter(sys, flat, alpha=2.0, beta=1.0, nu=1.0, omega=10.0)
+    for x, event in (([1.0], "singular_infeasible"), ([100.0], None)):
+        dec = singular.constraint(0.0, x, [0.0], [0.0])
+        assert type(dec) is Decision
+        assert dec == Decision(psi0=dec.psi0, psi1=dec.psi1, bypass=True,
+                               event=event)
+        assert dec.bypass is True and dec.event == event

@@ -1,10 +1,12 @@
 import math
+import operator
 
 import numpy as np
 import pytest
 
 from dobcbf import el, observer, scenarios
-from dobcbf.model import ControlAffineSystem, DimensionError, ParameterError
+from dobcbf.model import (ControlAffineSystem, DimensionError, ParameterError,
+                          as_floats)
 from dobcbf.observer import (ObserverConfig, ObserverState, error_envelope,
                              estimate, gain_spectrum, initial_state)
 from dobcbf.simulate import rk4_step
@@ -61,6 +63,71 @@ def test_config_keeps_its_own_copy_of_the_gain():
     assert np.array_equal(cfg.integral_at(np.ones(2)), [2.0, 2.0])
     with pytest.raises(ValueError):
         cfg.gain_at(np.zeros(2))[0, 0] = -7.0
+
+
+def dense_sums(gain, x):
+    """Oracle: p(x) as float sums over every entry of each row of L_d."""
+    return [sum(map(operator.mul, row, x)) for row in np.asarray(gain).tolist()]
+
+
+def float_bits(values):
+    # tobytes tells -0.0 from 0.0, where == does not
+    return np.array(values, dtype=float).tobytes()
+
+
+def test_sparse_rows_give_the_dense_float_sums_bit_for_bit():
+    # integral_at sums only the nonzero entries of each row of L_d; on
+    # finite x every bit, -0.0 included, is the full row's float sum
+    rng = np.random.default_rng(2027)
+    for _ in range(300):
+        p, n = rng.integers(1, 5), rng.integers(1, 7)
+        gain = rng.normal(size=(p, n))
+        gain[rng.random((p, n)) < 0.4] = 0.0
+        gain[rng.random((p, n)) < 0.2] = -0.0
+        gain[rng.integers(p)] *= rng.random() < 0.3  # now and then a zero row
+        x = rng.normal(size=n)
+        x[rng.random(n) < 0.3] = 0.0
+        x[rng.random(n) < 0.2] = -0.0
+        cfg = ObserverConfig(gain=gain, alpha=1.0)
+        want = dense_sums(gain, x.tolist())
+        for arg in (x, x.tolist()):
+            got = cfg.integral_at(arg)
+            assert all(type(v) is float for v in got)
+            assert float_bits(got) == float_bits(want)
+        z = rng.normal(size=p).tolist()
+        assert float_bits(estimate(cfg, ObserverState(z), x)) == \
+            float_bits(list(map(operator.add, z, want)))
+
+
+def test_sparse_rows_at_signed_zeros():
+    # one product that is -0.0 still gives +0.0, as the dense sum adds it
+    # to 0; a row of zeros (+0.0 or -0.0 coefficients) gives the float 0.0
+    gain = [[0.0, -2.0, 0.0], [0.0, -0.0, 0.0], [1.5, 0.0, -2.0]]
+    cfg = ObserverConfig(gain=gain, alpha=1.0)
+    for x in ([1.0, 0.0, -3.0], [-0.0, -0.0, -0.0], [-1.0, 4.0, 0.75],
+              [0.0, 0.0, 0.0], [2.0, -0.0, 1.5]):
+        got = cfg.integral_at(x)
+        assert float_bits(got) == float_bits(dense_sums(gain, x))
+        assert type(got[1]) is float and float_bits([got[1]]) == float_bits([0.0])
+    assert cfg.dim_dist == 3 and type(cfg.dim_dist) is int
+
+
+def test_sparse_rows_still_check_every_entry_of_x():
+    # a non-finite x raises as_floats' error, also where its column has
+    # only zero coefficients and the sum never reads it
+    cfg = ObserverConfig(gain=[[0.0, 2.0, 0.0]], alpha=2.0)
+    st = ObserverState([0.0])
+    for x in ([math.inf, 1.0, 0.0], [0.0, 1.0, math.nan],
+              np.array([1.0, -math.inf, 0.0]), [1.0, 2.0]):
+        with pytest.raises(ValueError) as want:
+            as_floats(x, 3, "x")
+        for call in (lambda: cfg.integral_at(x), lambda: estimate(cfg, st, x)):
+            with pytest.raises(ValueError) as got:
+                call()
+            assert type(got.value) is type(want.value)
+            assert str(got.value) == str(want.value)
+    with pytest.raises(DimensionError, match=r"z has shape \(2,\), expected \(1,\)"):
+        estimate(cfg, ObserverState([0.0, 0.0]), [0.0, 1.0, 0.0])
 
 
 def test_initial_state_gives_zero_estimate():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dobcbf.model import ParameterError
-from dobcbf.qp import ACTIVE, INACTIVE, INFEASIBLE, QpInstance, solve
+from dobcbf.qp import ACTIVE, INACTIVE, INFEASIBLE, QpInstance, QpResult, solve
 from oracles import brute_force
 
 
@@ -122,3 +122,16 @@ def test_brute_force_guards():
     # infeasible over the whole box
     none = brute_force(QpInstance(u_nom=[0.0], psi0=-100.0, psi1=[1.0]), 1.0)
     assert none is None
+
+
+def test_results_equal_ones_built_by_keyword():
+    # solve builds its QpResult with tuple.__new__: the same type, fields
+    # and values as the NamedTuple's own constructor gives
+    for inst, status in ((QpInstance([1.0], 0.5, [1.0]), INACTIVE),
+                         (QpInstance([0.0, 0.0], -2.0, [1.0, 1.0]), ACTIVE),
+                         (QpInstance([3.0, -1.0], -1.0, [0.0, 0.0]), INFEASIBLE)):
+        res = solve(inst)
+        assert type(res) is QpResult and res._fields == ("u", "status")
+        assert res == QpResult(u=res.u, status=status) and len(res) == 2
+        assert res.status is status
+    assert QpResult._field_defaults == {}
