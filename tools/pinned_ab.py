@@ -1,4 +1,4 @@
-"""Direct A/B of two checkouts: set-up and run time of one scenario.
+"""Direct A/B of two checkouts: set-up, run and decision time of one scenario.
 
 Usage (from anywhere):
 
@@ -12,15 +12,23 @@ first CPU this process may use) with os.sched_setaffinity before the child
 starts, and BLAS and OpenMP to one thread.  A child imports dobcbf from
 <checkout>/src, then times `scenarios.build` + `Scenario.validate`
 (setup_s) and `Scenario.run` (run_s) of {scenario: NAME, sim: {tf: TF}}
-with time.perf_counter.
+with time.perf_counter.  It then builds the scenario again and runs it
+once more under the decision timers of the checkout's own benchmark,
+`perfbench/tracing.install_timers`, as the benchmark times each decision
+from the call for the estimate to the return of the QP, or of the filter
+on a bypass.  decision_us_p50 is the median of those times in
+microseconds, and decisions their count.  The timers wrap library
+functions in place, so they are installed only after the timed run.
 
 stdout is one line per run, then a summary line per metric, then one JSON
 object on the last line:
 
     {"scenario": ..., "tf": ..., "pairs": ..., "cpu": ...,
      "metrics": {"setup_s": {"a": median, "b": median, "b_wins": count},
-                 "run_s": {...}},
-     "runs": {"a": [{"setup_s": ..., "run_s": ...}, ...], "b": [...]}}
+                 "run_s": {...}, "decision_us_p50": {...}},
+     "runs": {"a": [{"setup_s": ..., "run_s": ...,
+                     "decision_us_p50": ..., "decisions": ...}, ...],
+              "b": [...]}}
 
 b_wins counts the pairs in which b took less time than a; a tie counts for
 neither.  Every child runs on the same CPU, so the pairs compare the
@@ -37,11 +45,14 @@ import subprocess
 import sys
 from pathlib import Path
 
-METRICS = ("setup_s", "run_s")
+#: each metric's display scale and unit; every one is better lower
+METRICS = {"setup_s": (1e3, "ms"), "run_s": (1e3, "ms"),
+           "decision_us_p50": (1.0, "us")}
 
-#: the child's program: time set-up and the run, print one JSON line
+#: the child's program: time set-up and the run, then each decision of a
+#: second run, and print one JSON line
 CHILD = """
-import json, sys, time
+import json, statistics, sys, time
 from dobcbf import scenarios
 config = {"scenario": sys.argv[1], "sim": {"tf": float(sys.argv[2])}}
 started = time.perf_counter()
@@ -50,12 +61,22 @@ sc.validate()
 built = time.perf_counter()
 sc.run()
 ended = time.perf_counter()
-print(json.dumps({"setup_s": built - started, "run_s": ended - built}))
+sys.path.insert(0, "perfbench")
+import tracing
+sc = scenarios.build(config)
+sc.validate()
+capture = {}
+tracing.install_timers(sc, capture)
+sc.run()
+latencies = capture["latencies"]
+print(json.dumps({"setup_s": built - started, "run_s": ended - built,
+                  "decision_us_p50": statistics.median(latencies) / 1e3,
+                  "decisions": len(latencies)}))
 """
 
 
 def run_child(checkout: Path, scenario: str, tf: float, cpu: int) -> dict:
-    """One fresh interpreter on checkout, pinned to cpu; its two times."""
+    """One fresh interpreter on checkout, pinned to cpu; its times."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
@@ -79,17 +100,19 @@ def compare(a: Path, b: Path, scenario: str, tf: float, pairs: int,
             rec = run_child(a if side == "a" else b, scenario, tf, cpu)
             runs[side].append(rec)
             print(f"pair {i} {side}: " + "  ".join(
-                f"{name} {rec[name] * 1e3:.3f} ms" for name in METRICS))
+                f"{name} {rec[name] * scale:.3f} {unit}"
+                for name, (scale, unit) in METRICS.items()))
     metrics = {}
-    for name in METRICS:
+    for name, (scale, unit) in METRICS.items():
         before = [rec[name] for rec in runs["a"]]
         after = [rec[name] for rec in runs["b"]]
         metrics[name] = {"a": statistics.median(before),
                          "b": statistics.median(after),
                          "b_wins": sum(y < x for x, y in zip(before, after))}
         m = metrics[name]
-        print(f"{name}: a {m['a'] * 1e3:.3f} ms, b {m['b'] * 1e3:.3f} ms "
-              f"(median of {pairs}); b faster in {m['b_wins']} of {pairs}")
+        print(f"{name}: a {m['a'] * scale:.3f} {unit}, "
+              f"b {m['b'] * scale:.3f} {unit} (median of {pairs}); "
+              f"b faster in {m['b_wins']} of {pairs}")
     return {"scenario": scenario, "tf": tf, "pairs": pairs, "cpu": cpu,
             "metrics": metrics, "runs": runs}
 
