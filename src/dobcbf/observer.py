@@ -7,12 +7,12 @@ d_hat = z + p(x), with
 
 where the gain L_d is a constant (p, n) matrix and p(x) = L_d x, so that
 dp/dx = L_d holds by construction.  p(x) is summed over the nonzero
-entries of each row only, which the gains here have few of, with every bit
-of the full row's float sum (see `ObserverConfig.integral_at`).  The gain must satisfy the coercivity
-condition v' L_d g2(x) v >= alpha ||v||^2 (see `gain_spectrum`).  Every
-observer in the library has this form: on an Euler-Lagrange plant,
-L_d = [0 | alpha1 I] gives the momentum observer of Chen, Ballance,
-Gawthrop & O'Reilly (IEEE TIE 2000).
+entries of each row of L_d only, with every bit of the full row's float
+sum (see `ObserverConfig.integral_at`).  The gain must satisfy the
+coercivity condition v' L_d g2(x) v >= alpha ||v||^2 (see
+`gain_spectrum`).  Every observer in the library has this form: on an
+Euler-Lagrange plant, L_d = [0 | alpha1 I] gives the momentum observer of
+Chen, Ballance, Gawthrop & O'Reilly (IEEE TIE 2000).
 Under a bounded disturbance derivative ||ddot|| <= omega the estimation
 error is uniformly ultimately bounded; `error_envelope` evaluates the
 closed-form bound, which tends to omega/sqrt(2 kappa nu).  The
