@@ -16,7 +16,13 @@ Each run builds one RK4 right-hand side with a derivative builder:
 `el.arm_derivative`, the same quantity in closed form for the arm under
 the momentum observer L_d = [0 | alpha1 I], with only its nonzero rows
 formed.  Both evaluate the plant once per stage through
-`ControlAffineSystem.evaluate`, with its checks.
+`ControlAffineSystem.evaluate`, with its checks.  `joint_derivative`
+writes the source of its right-hand side for the plant's (n, m, p) and
+the run's L_d when the run starts and compiles it once with exec: every
+product unrolled, each dot product summed left to right from 0.0, as
+sum() adds floats on Python 3.10 and 3.11, the zero coefficients of L_d
+multiplied like the others.  The source holds only integer indices and
+the reprs of the gain's checked floats.
 
 The closed loop has one value type: every value from the RK4 state to the
 held control is a sequence of Python floats.  `rk4_step` takes and returns
@@ -333,48 +339,106 @@ def write_csv(path, header: Sequence[str], rows, formats: Sequence[str]) -> None
             fh.write(line % tuple(row))
 
 
+#: the most products in one generated sum expression: the compiler recurses
+#: once per +, and a sum of a few thousand terms exceeds its limit
+SUM_TERMS = 100
+
+
+def _sum_source(name: str, coefficients, values) -> list:
+    """Source lines that set name to the float sum of c * v over the
+    pairs, started at 0.0 and added left to right; a sum of more than
+    SUM_TERMS products continues on further lines from name."""
+    terms = [f"{c} * {v}" for c, v in zip(coefficients, values)]
+    return [f"{name} = {name if k else '0.0'} + "
+            + " + ".join(terms[k:k + SUM_TERMS])
+            for k in range(0, len(terms), SUM_TERMS)]
+
+
+def _nonfinite_integral(px):
+    raise ValueError(f"p(x): non-finite entries {np.array(px)}")
+
+
 def joint_derivative(system: ControlAffineSystem, observer: ObserverConfig,
                      disturbance_at: Callable[[float], Sequence[float]]):
     """Joint plant-and-observer derivative of any plant, for rk4_step.
 
     Returns (rhs, hold).  rhs(t, y) at y = [x; z] is
     [f + g1 u + g2 d(t); -L_d (f + g1 u + g2 (z + p(x)))] under the control
-    u last passed to hold, a sequence of floats that the simulator passes
-    once per decision; f + g1 u is formed once per stage for both halves.
+    u last passed to hold, a sequence of m floats that the simulator passes
+    once per decision and hold unpacks; f + g1 u is formed once per stage
+    for both halves, and rhs returns a list.
+
+    When the run starts, the source of rhs and hold is written for this
+    plant's (n, m, p) and this L_d, and compiled once with exec: rhs
+    unpacks y, the outputs of system.evaluate(y[:n]) and d(t) into locals
+    and forms every product unrolled.  Each dot product is the float sum
+    (0.0 + a0*b0) + a1*b1 + ..., left to right: the order of sum() over
+    Python floats on 3.10 and 3.11 (3.12's compensated sum() adds in
+    another) and of el.arm_derivative.  The coefficients of L_d are written
+    in as the repr of each float, which reads back to the same float, zeros
+    included: a zero coefficient is still multiplied, so a non-finite x
+    entry behind it still makes p(x) non-finite.  exec sees no other text
+    than integer indices and those reprs, of the finite floats that
+    ObserverConfig checked, so no configuration string reaches it.
+
     Each stage calls system.evaluate(y[:n]) once, so the plant's callbacks
     receive the stage state as a list of floats and their outputs keep
-    every check; L_d is read as float rows when the run starts, and every
-    product is a float sum.  A non-finite p(x) = L_d x raises ValueError at
-    the stage, as observer.integral_at does; a non-finite derivative is
-    caught by rk4_step's check of the new state.
+    every check, and then p(x) = L_d x; a non-finite p(x) raises ValueError
+    at the stage, as observer.integral_at does, before d(t) is read.  A
+    non-finite derivative is caught by rk4_step's check of the new state.
+    A gain that is not p x n raises ParameterError.
     """
-    n, evaluate = system.n, system.evaluate
-    mul, add, isfinite = operator.mul, operator.add, math.isfinite
+    n, m, p = system.n, system.m, system.p
+    if observer.gain.shape != (p, n):
+        raise ParameterError(f"joint_derivative needs a {p}x{n} gain, got "
+                             f"shape {observer.gain.shape}")
     gain = observer.gain.tolist()
-    u = None
+    x = [f"x{i}" for i in range(n)]
+    z = [f"z{k}" for k in range(p)]
+    u = [f"u{j}" for j in range(m)]
+    d = [f"d{k}" for k in range(p)]
+    g1 = [[f"g{i}_{j}" for j in range(m)] for i in range(n)]
+    g2 = [[f"e{i}_{k}" for k in range(p)] for i in range(n)]
+    px = [f"p{k}" for k in range(p)]
+    w = [f"w{k}" for k in range(p)]
 
-    def hold(control):
-        nonlocal u
-        u = control
+    def rows(names):
+        return "(" + "".join(f"({', '.join(row)},), " for row in names) + ")"
 
-    def rhs(t, y):
-        x = y[:n]
-        fx, G1, G2 = evaluate(x)
-        px = [sum(map(mul, row, x)) for row in gain]
-        if not all(map(isfinite, px)):
-            raise ValueError(f"p(x): non-finite entries {np.array(px)}")
-        d = disturbance_at(t)
-        w = list(map(add, y[n:], px))  # z + p(x), the estimate
-        dy, v = [], []
-        for fi, row1, row2 in zip(fx, G1, G2):
-            a = fi + sum(map(mul, row1, u))  # f + g1 u, shared by both halves
-            dy.append(a + sum(map(mul, row2, d)))
-            v.append(a + sum(map(mul, row2, w)))
-        for row in gain:
-            dy.append(-sum(map(mul, row, v)))
-        return dy
-
-    return rhs, hold
+    body = [f"{', '.join(x + z)}, = y",
+            f"({', '.join(f'{xi}f' for xi in x)},), {rows(g1)}, {rows(g2)} = "
+            f"evaluate(y[:{n}])"]
+    for k, row in enumerate(gain):
+        body += _sum_source(px[k], map(repr, row), x)
+    body += [f"if not ({' and '.join(f'isfinite({v})' for v in px)}):",
+             f"    nonfinite_integral([{', '.join(px)}])",
+             f"{', '.join(d)}, = disturbance_at(t)"]
+    body += [f"{wk} = {zk} + {pk}" for wk, zk, pk in zip(w, z, px)]
+    out = []
+    for i in range(n):
+        # f + g1 u, shared by both halves
+        body += _sum_source(f"a{i}", g1[i], u) + [f"a{i} = x{i}f + a{i}"]
+        body += _sum_source(f"b{i}", g2[i], d) + _sum_source(f"v{i}", g2[i], w)
+        body += [f"v{i} = a{i} + v{i}"]
+        out.append(f"a{i} + b{i}")
+    for k, row in enumerate(gain):
+        body += _sum_source(f"l{k}", map(repr, row), [f"v{i}" for i in range(n)])
+        out.append(f"-l{k}")
+    body.append(f"return [{', '.join(out)}]")
+    source = "\n".join([
+        "def build(evaluate, disturbance_at, isfinite, nonfinite_integral):",
+        f"    {', '.join(u)}, = " + "None, " * m,
+        "    def hold(control):",
+        f"        nonlocal {', '.join(u)}",
+        f"        {', '.join(u)}, = control",
+        "    def rhs(t, y):",
+        *(f"        {line}" for line in body),
+        "    return rhs, hold",
+        ""])
+    namespace = {}
+    exec(compile(source, "<joint_derivative>", "exec"), namespace)
+    return namespace["build"](system.evaluate, disturbance_at, math.isfinite,
+                              _nonfinite_integral)
 
 
 def run_closed_loop(system: ControlAffineSystem,

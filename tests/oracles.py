@@ -4,11 +4,13 @@ term by term from one callback per term, the arm's equations of motion
 solved with np.linalg.solve, the arm's plant terms as float64 arrays, its
 kinetic energy, the energy filters' rows as they were written by hand, the
 observer's right-hand side on its own, the joint plant-and-observer
-derivative with NumPy products, a disturbance evaluated term by term, its
+derivative with NumPy products and as the float loop that the library ran
+before it generated its source, a disturbance evaluated term by term, its
 largest norm on a dense grid, classical RK4 on float64 arrays, and a CSV
 written cell by cell."""
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -297,6 +299,40 @@ def joint_derivative_arrays(system: ControlAffineSystem, cfg: ObserverConfig,
         dy[n:] = -cfg.gain_at(xs).dot(
             drift + G2.dot(y[n:] + cfg.integral_at(xs)))
         return dy.tolist()
+
+    return rhs, hold
+
+
+def joint_derivative_loop(system: ControlAffineSystem, observer: ObserverConfig,
+                          disturbance_at):
+    """(rhs, hold) of the joint derivative as the library formed it before
+    its source was generated: L_d read as float rows once, and every
+    product a dense sum(map(mul, row, .)) over a row, zeros included."""
+    n, evaluate = system.n, system.evaluate
+    mul, add, isfinite = operator.mul, operator.add, math.isfinite
+    gain = observer.gain.tolist()
+    u = None
+
+    def hold(control):
+        nonlocal u
+        u = control
+
+    def rhs(t, y):
+        x = y[:n]
+        fx, G1, G2 = evaluate(x)
+        px = [sum(map(mul, row, x)) for row in gain]
+        if not all(map(isfinite, px)):
+            raise ValueError(f"p(x): non-finite entries {np.array(px)}")
+        d = disturbance_at(t)
+        w = list(map(add, y[n:], px))  # z + p(x), the estimate
+        dy, v = [], []
+        for fi, row1, row2 in zip(fx, G1, G2):
+            a = fi + sum(map(mul, row1, u))  # f + g1 u, shared by both halves
+            dy.append(a + sum(map(mul, row2, d)))
+            v.append(a + sum(map(mul, row2, w)))
+        for row in gain:
+            dy.append(-sum(map(mul, row, v)))
+        return dy
 
     return rhs, hold
 

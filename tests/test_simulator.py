@@ -16,8 +16,8 @@ from dobcbf.simulate import (DisturbanceSignal, SimConfig, Term,
                              write_metrics)
 import dobcbf.scenarios as scenarios
 from oracles import (blocked_max_norm, csv_per_cell, grid_times,
-                     joint_derivative_arrays, per_term_sum, rk4_step_arrays, term_derivative,
-                     term_value)
+                     joint_derivative_arrays, joint_derivative_loop,
+                     per_term_sum, rk4_step_arrays, term_derivative, term_value)
 
 
 def test_rk4_exponential_accuracy():
@@ -113,23 +113,21 @@ def test_logged_error_norm_and_psi1_u_are_float_sums(monkeypatch):
 
 
 def test_arm_and_generic_derivatives_give_the_same_run():
-    # the arm family runs the float kernel; the generic builder, passed
-    # explicitly, must give the same log within rounding
-    sc = scenarios.build({"scenario": "el2dof-dob",
-                          "sim": {"tf": 0.05, "log_stride": 1}})
-    assert sc.derivative is arm_derivative
-    arm = sc.run()
-    generic = run_closed_loop(sc.system, sc.safety, sc.nominal, sc.disturbance,
-                              sc.simcfg, sc.x0, sc.observer_cfg,
-                              derivative=joint_derivative)
-    assert arm.columns == generic.columns and len(arm) == len(generic) == 51
-    assert arm.status_counts == generic.status_counts
-    assert not arm.aborted and not generic.aborted
-    for name in arm.columns:
-        a, g = arm.column(name), generic.column(name)
-        assert np.array_equal(np.isnan(a), np.isnan(g)), name
-        a, g = a[~np.isnan(a)], g[~np.isnan(g)]
-        assert np.all(np.abs(a - g) <= 1e-12 * np.max(np.abs(g), initial=0.0)), name
+    # the arm family runs the closed form; the generic builder, passed
+    # explicitly, gives the same log bit for bit: the products it adds with
+    # the structural zeros of B and L_d change no value
+    for name in ("el2dof-dob", "el2dof-robust", "el2dof-noomega"):
+        sc = scenarios.build({"scenario": name,
+                              "sim": {"tf": 0.05, "log_stride": 1}})
+        assert sc.derivative is arm_derivative
+        arm = sc.run()
+        generic = run_closed_loop(sc.system, sc.safety, sc.nominal,
+                                  sc.disturbance, sc.simcfg, sc.x0,
+                                  sc.observer_cfg, derivative=joint_derivative)
+        assert arm.columns == generic.columns and len(arm) == len(generic) == 51
+        assert arm.status_counts == generic.status_counts, name
+        assert not arm.aborted and not generic.aborted
+        assert arm.data.tobytes() == generic.data.tobytes(), name
 
 
 def test_joint_derivative_is_the_numpy_one_bit_for_bit():
@@ -174,6 +172,139 @@ def test_joint_derivative_agrees_on_a_linear_plant():
         ref_hold(u)
         got, want = np.array(rhs(t, y)), np.array(ref(t, y))
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want).max())
+
+
+def seeded_plant(rng, n, m, p, kind):
+    """A plant of f = A x, g1 = B + x0 C and g2 = E, whose A, B, C and E
+    hold +0.0 and -0.0 entries, returning its terms as tuples, nested lists
+    or arrays (kind)."""
+    A, B, C, E = (rng.normal(size=shape) * rng.choice([0.0, -0.0, 1.0], shape)
+                  for shape in ((n, n), (n, m), (n, m), (n, p)))
+
+    def out(v):
+        if kind == "array":
+            return v
+        rows = v.tolist()
+        if kind == "list":
+            return rows
+        return tuple(tuple(r) for r in rows) if v.ndim == 2 else tuple(rows)
+
+    return ControlAffineSystem(n=n, m=m, p=p,
+                               f=lambda x: out(A.dot(x)),
+                               g1=lambda x: out(B + x[0] * C),
+                               g2=lambda x: out(E))
+
+
+def seeded_gain(rng, p, n):
+    """L_d with dense rows, rows of +0.0 and -0.0 entries, or a mix."""
+    gain = rng.normal(size=(p, n))
+    mask = rng.choice(["dense", "zeros", "mixed"])
+    if mask == "zeros":
+        gain = rng.choice([0.0, -0.0], (p, n))
+    elif mask == "mixed":
+        gain *= rng.choice([0.0, -0.0, 1.0], (p, n))
+    return ObserverConfig(gain=gain, alpha=1.0)
+
+
+def signed_zeros(rng, values):
+    """values with about a third of its entries set to +0.0 or -0.0."""
+    return [rng.choice([0.0, -0.0]) if rng.random() < 0.35 else v
+            for v in values]
+
+
+def test_joint_derivative_is_the_loop_bit_for_bit():
+    # the generated rhs against the dense float loop it replaces, on seeded
+    # plants of every container kind, with signed zeros in the gain, the
+    # plant terms, u and d; the two call the same evaluate
+    rng = np.random.default_rng(28)
+    for n in (1, 2, 4, 7):
+        for m in (1, 2, 3):
+            for p in (1, 2, 3):
+                for kind in ("tuple", "list", "array"):
+                    system = seeded_plant(rng, n, m, p, kind)
+                    cfg = seeded_gain(rng, p, n)
+                    d = {}
+                    rhs, hold = joint_derivative(system, cfg, d.__getitem__)
+                    ref, ref_hold = joint_derivative_loop(system, cfg,
+                                                          d.__getitem__)
+                    for _ in range(5):
+                        t = float(rng.uniform(0.0, 20.0))
+                        d[t] = tuple(signed_zeros(rng, rng.normal(size=p)))
+                        y = signed_zeros(rng, rng.normal(scale=3.0,
+                                                         size=n + p).tolist())
+                        u = signed_zeros(rng, rng.normal(scale=5.0,
+                                                         size=m).tolist())
+                        hold(u)
+                        ref_hold(u)
+                        got, want = rhs(t, y), ref(t, y)
+                        assert type(got) is list and len(got) == n + p
+                        assert (np.array(got).tobytes()
+                                == np.array(want).tobytes()), (n, m, p, kind)
+
+
+@pytest.mark.parametrize("y", [
+    [math.inf, 1.0, 0.0],  # x0 enters p(x) only through L_d's zero
+    [0.0, 1e308, 0.0],     # p(x) = 2 x1 overflows
+    [0.0, 1.0, math.nan],  # a non-finite z: no error, a non-finite output
+    [0.0, 1.0, -math.inf],
+])
+def test_joint_derivative_fails_as_the_loop_on_nonfinite_stages(y):
+    # the double integrator's f = (x1, 0) reads no x0, so evaluate passes
+    # every one of these stages
+    sc = scenarios.build({"scenario": "doubleint-relr"})
+    assert sc.observer_cfg.gain.tolist() == [[0.0, 2.0]]
+    outcomes = []
+    for build_rhs in (joint_derivative, joint_derivative_loop):
+        rhs, hold = build_rhs(sc.system, sc.observer_cfg, lambda t: (0.5,))
+        hold([1.5])
+        try:
+            outcomes.append(np.array(rhs(0.0, y)).tobytes())
+        except ValueError as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
+    if isinstance(outcomes[0], tuple):
+        assert outcomes[0][1].startswith("p(x): non-finite entries")
+    else:
+        assert not np.all(np.isfinite(np.frombuffer(outcomes[0])))
+
+
+@pytest.mark.parametrize("name", ["scalar-rel1", "doubleint-relr"])
+def test_joint_derivative_evaluates_the_plant_once_per_stage(monkeypatch, name):
+    calls = []
+    evaluate = ControlAffineSystem.evaluate
+
+    def counted(self, x):
+        calls.append(None)
+        return evaluate(self, x)
+
+    monkeypatch.setattr(ControlAffineSystem, "evaluate", counted)
+    sc = scenarios.build({"scenario": name, "sim": {"tf": 0.1}})
+    assert sc.derivative is joint_derivative
+    log = sc.run()
+    assert not log.aborted
+    assert len(calls) == 4 * sc.simcfg.n_steps * sc.simcfg.substeps > 0
+
+
+def test_joint_derivative_writes_long_sums_over_several_lines():
+    # a row of 250 entries is summed over three statements of at most
+    # SUM_TERMS products, in the loop's order
+    rng = np.random.default_rng(29)
+    n = 250
+    system = seeded_plant(rng, n, 1, 1, "array")
+    cfg = seeded_gain(rng, 1, n)
+    rhs, hold = joint_derivative(system, cfg, lambda t: (0.25,))
+    ref, ref_hold = joint_derivative_loop(system, cfg, lambda t: (0.25,))
+    hold([-1.0])
+    ref_hold([-1.0])
+    y = rng.normal(size=n + 1).tolist()
+    assert np.array(rhs(0.0, y)).tobytes() == np.array(ref(0.0, y)).tobytes()
+
+
+def test_joint_derivative_rejects_a_gain_of_another_shape():
+    sc = scenarios.build({"scenario": "doubleint-relr"})
+    with pytest.raises(ParameterError, match="needs a 1x2 gain"):
+        joint_derivative(sc.system, ObserverConfig(gain=np.eye(2), alpha=1.0),
+                         lambda t: (0.0,))
 
 
 def test_joint_derivative_rejects_a_nonfinite_integral():
