@@ -355,6 +355,7 @@ def _sum_source(name: str, coefficients, values) -> list:
 
 
 def _nonfinite_integral(px):
+    """Raise the error of a stage whose p(x), the list px, is not finite."""
     raise ValueError(f"p(x): non-finite entries {np.array(px)}")
 
 
@@ -393,36 +394,35 @@ def joint_derivative(system: ControlAffineSystem, observer: ObserverConfig,
         raise ParameterError(f"joint_derivative needs a {p}x{n} gain, got "
                              f"shape {observer.gain.shape}")
     gain = observer.gain.tolist()
-    x = [f"x{i}" for i in range(n)]
-    z = [f"z{k}" for k in range(p)]
-    u = [f"u{j}" for j in range(m)]
-    d = [f"d{k}" for k in range(p)]
-    g1 = [[f"g{i}_{j}" for j in range(m)] for i in range(n)]
-    g2 = [[f"e{i}_{k}" for k in range(p)] for i in range(n)]
-    px = [f"p{k}" for k in range(p)]
-    w = [f"w{k}" for k in range(p)]
 
-    def rows(names):
-        return "(" + "".join(f"({', '.join(row)},), " for row in names) + ")"
+    def names(prefix, count):
+        return [f"{prefix}{i}" for i in range(count)]
 
+    def unpacked(rows):  # an unpacking target for rows of names
+        return "(" + "".join(f"({', '.join(row)},), " for row in rows) + ")"
+
+    x, z, u, d = names("x", n), names("z", p), names("u", m), names("d", p)
+    f, px, w, v = names("f", n), names("p", p), names("w", p), names("v", n)
+    g1 = [names(f"g{i}_", m) for i in range(n)]
+    g2 = [names(f"e{i}_", p) for i in range(n)]
     body = [f"{', '.join(x + z)}, = y",
-            f"({', '.join(f'{xi}f' for xi in x)},), {rows(g1)}, {rows(g2)} = "
+            f"({', '.join(f)},), {unpacked(g1)}, {unpacked(g2)} = "
             f"evaluate(y[:{n}])"]
-    for k, row in enumerate(gain):
-        body += _sum_source(px[k], map(repr, row), x)
-    body += [f"if not ({' and '.join(f'isfinite({v})' for v in px)}):",
+    for pk, row in zip(px, gain):
+        body += _sum_source(pk, map(repr, row), x)
+    body += [f"if not ({' and '.join(f'isfinite({pk})' for pk in px)}):",
              f"    nonfinite_integral([{', '.join(px)}])",
              f"{', '.join(d)}, = disturbance_at(t)"]
     body += [f"{wk} = {zk} + {pk}" for wk, zk, pk in zip(w, z, px)]
     out = []
     for i in range(n):
         # f + g1 u, shared by both halves
-        body += _sum_source(f"a{i}", g1[i], u) + [f"a{i} = x{i}f + a{i}"]
+        body += _sum_source(f"a{i}", g1[i], u) + [f"a{i} = f{i} + a{i}"]
         body += _sum_source(f"b{i}", g2[i], d) + _sum_source(f"v{i}", g2[i], w)
         body += [f"v{i} = a{i} + v{i}"]
         out.append(f"a{i} + b{i}")
     for k, row in enumerate(gain):
-        body += _sum_source(f"l{k}", map(repr, row), [f"v{i}" for i in range(n)])
+        body += _sum_source(f"l{k}", map(repr, row), v)
         out.append(f"-l{k}")
     body.append(f"return [{', '.join(out)}]")
     source = "\n".join([

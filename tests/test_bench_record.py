@@ -253,3 +253,85 @@ def test_gain_flag(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     steps, = [line for line in lines if " steps_per_s " in line]
     assert "  gain True  regressed False  unresolved False" in steps
+
+
+def test_a_control_keeps_drift_from_setting_a_flag(tmp_path, capsys):
+    # the control is a second parent checkout; here host drift moves it as
+    # far as the change, which alone would set gain on steps_per_s and
+    # regressed on setup_s, so with the control neither flag is set
+    parent, change, control = (tmp_path / side
+                               for side in ("parent", "change", "control"))
+    runs = {
+        # the change and the control both beat the parent by 20 in 10 of
+        # 10 pairs, far beyond the parent's IQR of 4.5
+        "steps_per_s": ([100.0 + i for i in range(10)],
+                        [120.0 + i for i in range(10)],
+                        [120.0 + i for i in range(10)]),
+        # both 30% slower, beyond the 25% bound
+        "setup_s": ([1.0] * 10, [1.3] * 10, [1.3] * 10),
+        # the change beats the parent by 20, beyond the control's shift of
+        # 5: a gain
+        "decision_us_p50": ([100.0 + i for i in range(10)],
+                            [80.0 + i for i in range(10)],
+                            [95.0 + i for i in range(10)]),
+        # 40% slower against a control 10% slower: regressed
+        "run_s": ([1.0] * 10, [1.4] * 10, [1.1] * 10),
+        # the control reads 10% worse, the change 8% better: a shift inside
+        # the control's is no gain, whichever way the control moved
+        "peak_rss_mb": ([100.0] * 10, [92.0] * 10, [110.0] * 10),
+    }
+    for seed in range(10):
+        for side, checkout, sha in ((0, parent, "p"), (1, change, "c"),
+                                    (2, control, "p")):
+            write_run(checkout, sha * 40, "arm-dob", seed + 1,
+                      {name: values[side][seed] for name, values in runs.items()})
+    # a seed that the control did not run pairs nowhere
+    write_run(parent, "p" * 40, "arm-dob", 11, {"steps_per_s": 1.0})
+    write_run(change, "c" * 40, "arm-dob", 11, {"steps_per_s": 1e9})
+    out = tmp_path / "BENCH.json"
+    assert bench_record.main(["--pr", "7", "--parent", str(parent),
+                              "--change", str(change), "--out", str(out)]) == 0
+    rec = json.loads(out.read_text())
+    assert "control_sha" not in rec and rec["workloads"][0]["pairs"] == 11
+    assert "control_shift" not in rec["workloads"][0]["metrics"]["setup_s"]
+    assert bench_record.main(["--pr", "7", "--parent", str(parent), "--change",
+                              str(change), "--control", str(control),
+                              "--out", str(out)]) == 0
+    rec = json.loads(out.read_text())
+    assert (rec["sha"], rec["parent_sha"], rec["control_sha"]) == (
+        "c" * 40, "p" * 40, "p" * 40)
+    assert "second parent checkout" in rec["method"]
+    entry, = rec["workloads"]
+    assert entry["pairs"] == 10 and entry["seeds"] == list(range(1, 11))
+    metrics = entry["metrics"]
+    flags = {name: (m["gain"], m["regressed"]) for name, m in metrics.items()}
+    assert flags == {"steps_per_s": (False, False), "setup_s": (False, False),
+                     "decision_us_p50": (True, False),
+                     "run_s": (False, True), "peak_rss_mb": (False, False)}
+    steps = metrics["steps_per_s"]
+    assert (steps["control_median"], steps["control_shift"]) == (124.5, 20.0)
+    assert steps["control_wins"] == 10 and steps["change_wins"] == 10
+    assert steps["control"] == [120.0 + i for i in range(10)]
+    assert metrics["peak_rss_mb"]["control_shift"] == 10.0
+    assert metrics["peak_rss_mb"]["control_wins"] == 0
+    # without the control, the same pairs set the flags that drift explains
+    assert bench_record.verdict(*runs["steps_per_s"][:2], 0.25, 1.0)["gain"]
+    assert bench_record.verdict(*runs["setup_s"][:2], 0.25, -1.0)["regressed"]
+    steps_line, = [line for line in capsys.readouterr().out.splitlines()
+                   if " steps_per_s " in line and "control shift" in line]
+    assert "control shift 20 wins 10/10" in steps_line
+
+
+def test_a_control_of_another_commit_is_an_error(tmp_path):
+    parent, change, control = (tmp_path / side
+                               for side in ("parent", "change", "control"))
+    write_run(parent, "p" * 40, "arm-dob", 1, {})
+    write_run(change, "c" * 40, "arm-dob", 1, {})
+    write_run(control, "p" * 40, "arm-dob", 1, {})
+    write_run(control, "x" * 40, "arm-dob", 2, {})
+    write_run(parent, "p" * 40, "arm-dob", 2, {})
+    write_run(change, "c" * 40, "arm-dob", 2, {})
+    with pytest.raises(SystemExit, match="control SHA"):
+        bench_record.main(["--pr", "7", "--parent", str(parent), "--change",
+                           str(change), "--control", str(control),
+                           "--out", str(tmp_path / "B.json")])

@@ -250,22 +250,25 @@ def test_joint_derivative_is_the_loop_bit_for_bit():
 ])
 def test_joint_derivative_fails_as_the_loop_on_nonfinite_stages(y):
     # the double integrator's f = (x1, 0) reads no x0, so evaluate passes
-    # every one of these stages
+    # every one of these stages; a failing p(x) raises before d(t) is read
     sc = scenarios.build({"scenario": "doubleint-relr"})
     assert sc.observer_cfg.gain.tolist() == [[0.0, 2.0]]
     outcomes = []
     for build_rhs in (joint_derivative, joint_derivative_loop):
-        rhs, hold = build_rhs(sc.system, sc.observer_cfg, lambda t: (0.5,))
+        reads = []
+        rhs, hold = build_rhs(sc.system, sc.observer_cfg,
+                              lambda t: reads.append(t) or (0.5,))
         hold([1.5])
         try:
-            outcomes.append(np.array(rhs(0.0, y)).tobytes())
+            outcomes.append((np.array(rhs(0.0, y)).tobytes(), reads))
         except ValueError as exc:
-            outcomes.append((type(exc), str(exc)))
+            outcomes.append((str(exc), reads))
     assert outcomes[0] == outcomes[1]
-    if isinstance(outcomes[0], tuple):
-        assert outcomes[0][1].startswith("p(x): non-finite entries")
+    out, reads = outcomes[0]
+    if isinstance(out, str):
+        assert out.startswith("p(x): non-finite entries") and reads == []
     else:
-        assert not np.all(np.isfinite(np.frombuffer(outcomes[0])))
+        assert not np.all(np.isfinite(np.frombuffer(out))) and reads == [0.0]
 
 
 @pytest.mark.parametrize("name", ["scalar-rel1", "doubleint-relr"])
